@@ -2,7 +2,7 @@
 
 Every FIFO resource in the simulator (NIC queue, CPU, disk drain) hands
 out completion times that are **non-decreasing**: jobs finish in the
-order they were accepted. The kernel does not need one calendar entry
+order they were accepted. The kernel does not need one queue entry
 per completion to honour that — it needs one entry for the *earliest*
 pending completion, and the rest can ride behind it.
 
@@ -26,7 +26,7 @@ Determinism is bit-exact with one-event-per-completion scheduling:
 
 What changes is the *cost*: a burst of same-resource completions (a
 multicast fan-in serializing at one learner's ingress NIC, a batch of
-disk acks) is one calendar push and one kernel dispatch instead of one
+disk acks) is one queue push and one kernel dispatch instead of one
 per message leg. ``Simulator.pending_events`` counts the armed head,
 not the queued tail, and a ``max_events`` budget counts the dispatch,
 not the swept riders (which still count in ``events_executed``).
@@ -68,10 +68,10 @@ class CompletionStrip:
 
         Same ordering semantics as ``Simulator.post_at`` (a kernel seq is
         reserved here and now), but only the strip's head occupies the
-        calendar. An entry arriving out of FIFO order — possible when a
+        event queue. An entry arriving out of FIFO order — possible when a
         fault schedule changes a delay parameter mid-run, e.g. the
         propagation component of a NIC's switched-leg times — skips the
-        strip and lands on the calendar as its own event, which is
+        strip and lands on the event queue as its own event, which is
         bit-exact with unbatched scheduling.
         """
         sim = self.sim

@@ -71,7 +71,7 @@ class Disk:
         # Ack callbacks are batched per disk: ack times never decrease
         # (ack = max(now, drained_at - buffer_time) + write_latency, and
         # both arguments of the max are non-decreasing), so a burst of
-        # buffered writes coalesces into one drain tick on the calendar.
+        # buffered writes coalesces into one drain tick on the event queue.
         self._acks = CompletionStrip(sim)
 
     def write(self, nbytes: int, fn: Callable[..., None] | None = None, *args: Any) -> float:

@@ -119,7 +119,7 @@ class FifoServer:
             # earlier finish: it starts at busy_until), so they ride the
             # server's completion strip: the kernel seq is reserved here —
             # the same draw post_at would have made — but only the strip's
-            # head occupies the calendar. CompletionStrip.post_at inlined
+            # head occupies the event queue. CompletionStrip.post_at inlined
             # (this is the per-message hot path of every NIC/CPU/disk).
             strip = self._completions
             sim = self.sim

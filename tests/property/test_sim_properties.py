@@ -25,30 +25,33 @@ _DELAYS = [0.0, 1e-7, 5e-7, 3e-6, 5e-5, 2e-3, 0.04, 0.2, 5.0]
 
 @given(data=st.data())
 @settings(max_examples=60, deadline=None)
-def test_calendar_queue_matches_reference_heap(data):
-    """Interleaved pushes and pops deliver the exact (time, seq) heap order.
+def test_event_queue_matches_sorted_reference(data):
+    """Interleaved pushes and pops deliver the exact (time, seq) order.
 
-    The calendar layout (buckets, overflow tier, reentry list, adaptive
-    width) is storage only: for any schedule it must be indistinguishable
-    from a sorted heap of (time, seq) keys.
+    For any schedule the queue must be indistinguishable from a sorted
+    list of (time, seq) keys — a list, not a heap, so that the oracle is
+    not the implementation.
     """
-    import heapq
-
     q = EventQueue()
-    ref = []  # reference heap of (time, seq)
+    ref = []  # (time, seq) of every pending entry
     now = 0.0
+
+    def pop_and_compare():
+        nonlocal now
+        ref.sort()
+        entry = q.pop_entry()
+        assert (entry[0], entry[1]) == ref.pop(0)
+        now = entry[0]
+
     for _ in range(data.draw(st.integers(10, 200))):
         if ref and data.draw(st.booleans()):
-            entry = q.pop_entry()
-            assert (entry[0], entry[1]) == heapq.heappop(ref)
-            now = entry[0]
+            pop_and_compare()
         else:
             t = now + data.draw(st.sampled_from(_DELAYS))
             q.push_fast(t, lambda: None)
-            heapq.heappush(ref, (t, next(q._seq) - 1))
+            ref.append((t, next(q._seq) - 1))
     while ref:
-        entry = q.pop_entry()
-        assert (entry[0], entry[1]) == heapq.heappop(ref)
+        pop_and_compare()
     assert q.pop_entry() is None
 
 

@@ -9,7 +9,7 @@ def test_burst_rides_one_kernel_event():
     srv = FifoServer(sim, rate=1.0)
     fired = []
     finishes = [srv.submit(1.0, fired.append, i) for i in range(5)]
-    # Five queued completions occupy one calendar slot (the armed head).
+    # Five queued completions occupy one queue entry (the armed head).
     assert sim.pending_events == 1
     sim.run()
     assert fired == [0, 1, 2, 3, 4]

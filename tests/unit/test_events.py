@@ -130,52 +130,19 @@ def test_simulator_cancel_after_fire_keeps_pending_count_sane():
 
 
 # ---------------------------------------------------------------------------
-# Calendar-queue mechanics: batches, tiers, and cancellation accounting
+# Queue mechanics: peeks, lazy cancellation accounting, pushes mid-drain
 # ---------------------------------------------------------------------------
-def _counting_next_batch(monkeypatch, installs):
-    """Patch EventQueue._next_batch to count batch installations."""
-    real = EventQueue._next_batch
-
-    def counting(self):
-        batch = real(self)
-        if batch is not None:
-            installs.append(len(batch))
-        return batch
-
-    monkeypatch.setattr(EventQueue, "_next_batch", counting)
-
-
-def test_peek_is_a_pure_read(monkeypatch):
-    installs = []
-    _counting_next_batch(monkeypatch, installs)
+def test_peek_is_a_pure_read():
     q = EventQueue()
     q.push(1.0, lambda: None)
     q.push(2.0, lambda: None)
     entry = q.peek_entry()
     assert entry[0] == 1.0
-    # Repeated peeks return the same entry without consuming it and
-    # without touching the calendar again.
-    batches_after_first_peek = len(installs)
+    # Repeated peeks return the same entry without consuming it.
     assert q.peek_entry() is entry
-    assert len(installs) == batches_after_first_peek
     assert len(q) == 2
     assert q.pop_entry() is entry  # pop consumes exactly what peek saw
     assert len(q) == 1
-
-
-def test_same_bucket_burst_is_one_batch_install(monkeypatch):
-    # All entries land in one bucket (same time), so draining the queue
-    # installs a single batch — the structural win over a per-event heap.
-    installs = []
-    _counting_next_batch(monkeypatch, installs)
-    q = EventQueue()
-    for _ in range(100):
-        q.push_fast(1e-6, lambda: None)
-    drained = 0
-    while q.pop_entry() is not None:
-        drained += 1
-    assert drained == 100
-    assert installs == [100]
 
 
 def test_cancelled_entries_are_skipped_with_exact_accounting():
@@ -197,15 +164,15 @@ def test_cancelled_entries_are_skipped_with_exact_accounting():
     assert fired == []
 
 
-def test_wholly_cancelled_batch_is_flushed_by_peek():
+def test_cancelled_head_is_flushed_by_peek():
     q = EventQueue()
     doomed = q.push(1e-6, lambda: None)
-    live = q.push(1.0, lambda: None)  # far enough out to be a later bucket
+    live = q.push(1.0, lambda: None)
     q.cancel(doomed)
     entry = q.peek_entry()
     assert entry[4] is live
-    # The cancelled batch was discarded during the refill, so the debt
-    # counter is settled rather than left to offset a buried tombstone.
+    # The tombstone was discarded on the way to the live entry, so the
+    # debt counter is settled rather than left to offset a buried entry.
     assert q._cancelled == 0
     assert len(q) == 1
 
@@ -218,79 +185,74 @@ def test_push_fast_allocates_no_event():
     assert entry[4] is None
 
 
-def test_far_future_events_use_overflow_tier():
-    from repro.sim.events import NBUCKETS
-
+def test_far_future_event_pops_after_a_near_one():
     q = EventQueue()
-    horizon = NBUCKETS / q._winv  # ring horizon at the initial width
-    q.push_fast(horizon * 10, lambda: None)
-    assert len(q._overflow) == 1
-    assert q._ids == []  # nothing occupies the ring
+    far = 0.08  # a retry-timer distance, far beyond the sub-µs near event
+    q.push_fast(far, lambda: None)
     q.push_fast(1e-6, lambda: None)
-    assert len(q._ids) == 1
-    # Delivery order is still the (time, seq) total order across tiers,
-    # and the overflow entry migrates out when the cursor reaches it.
     assert q.pop_entry()[0] == 1e-6
-    assert q.pop_entry()[0] == horizon * 10
-    assert q._overflow == []
+    assert q.pop_entry()[0] == far
     assert q.pop_entry() is None
 
 
-def test_reentry_push_during_drain_keeps_total_order():
+def test_push_during_drain_keeps_total_order():
     q = EventQueue()
     q.push_fast(1e-7, lambda: None)  # seq 0
-    q.push_fast(4e-7, lambda: None)  # seq 1, same bucket at the initial width
+    q.push_fast(4e-7, lambda: None)  # seq 1
     first = q.pop_entry()
     assert first[0] == 1e-7
-    # The bucket is now being drained; a push into it lands on the
-    # reentry list and must still fire in (time, seq) position.
+    # A push that lands between the popped entry and the pending one
+    # must still fire in (time, seq) position.
     q.push_fast(2e-7, lambda: None)  # seq 2, between the two above
     assert q.peek_entry()[0] == 2e-7
     assert [q.pop_entry()[0] for _ in range(2)] == [2e-7, 4e-7]
     assert q.pop_entry() is None
 
 
-def test_calendar_order_matches_reference_heap_on_random_schedules():
-    # The calendar layout is storage only: delivery must be the exact
-    # (time, seq) total order a plain sorted heap would produce, for any
-    # mix of delays, cancels, and interleaved pops.
-    import heapq
+def test_order_matches_sorted_reference_on_random_schedules():
+    # Delivery must be the exact (time, seq) total order for any mix of
+    # delays, cancels, and interleaved pops. The oracle is a sorted list
+    # of the live keys, not a heap: it must not be the implementation.
     import random
 
     delays = [0.0, 1e-7, 5e-7, 3e-6, 5e-5, 2e-3, 0.04, 0.2, 5.0]
     for seed in range(10):
         rng = random.Random(seed)
         q = EventQueue()
-        reference = []  # heap of (time, seq) for live entries
+        reference = []  # (time, seq) of the live entries
         now = 0.0
         popped = []
         expected = []
         cancellable = []
+
+        def expect_next():
+            reference.sort()
+            expected.append(reference.pop(0))
+
         for _ in range(400):
             action = rng.random()
             if action < 0.55 or not reference:
                 t = now + rng.choice(delays)
                 if rng.random() < 0.3:
                     cancellable.append(q.push(t, lambda: None))
-                    heapq.heappush(reference, (t, cancellable[-1].seq))
+                    reference.append((t, cancellable[-1].seq))
                 else:
                     q.push_fast(t, lambda: None)
-                    heapq.heappush(reference, (t, next(q._seq) - 1))
+                    reference.append((t, next(q._seq) - 1))
             elif action < 0.7 and cancellable:
                 victim = cancellable.pop(rng.randrange(len(cancellable)))
                 q.cancel(victim)
                 if not victim.consumed:
                     reference.remove((victim.time, victim.seq))
-                    heapq.heapify(reference)
             else:
                 entry = q.pop_entry()
                 assert entry is not None
                 popped.append((entry[0], entry[1]))
-                expected.append(heapq.heappop(reference))
+                expect_next()
                 now = entry[0]
         while (entry := q.pop_entry()) is not None:
             popped.append((entry[0], entry[1]))
-            expected.append(heapq.heappop(reference))
+            expect_next()
         assert not reference
         assert popped == expected
         assert popped == sorted(popped)

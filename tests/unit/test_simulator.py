@@ -122,35 +122,15 @@ def test_different_streams_are_independent():
 
 
 # ---------------------------------------------------------------------------
-# Fused run loop: batch drains, not per-event heap operations
+# Run loop: ordering, windows, tombstones, failures, and mid-run peeks
 # ---------------------------------------------------------------------------
-def _count_batch_installs(monkeypatch, installs):
-    from repro.sim.events import EventQueue
-
-    real = EventQueue._next_batch
-
-    def counting(self):
-        batch = real(self)
-        if batch is not None:
-            installs.append(len(batch))
-        return batch
-
-    monkeypatch.setattr(EventQueue, "_next_batch", counting)
-
-
-def test_run_drains_a_same_time_burst_as_one_batch(monkeypatch):
-    installs = []
-    _count_batch_installs(monkeypatch, installs)
+def test_run_fires_a_same_time_burst_in_post_order():
     sim = Simulator()
     fired = []
     for i in range(100):
         sim.post(1e-3, fired.append, i)
     sim.run()
     assert fired == list(range(100))
-    # One bucket, one sorted batch: the fused loop pays a single calendar
-    # scan for the whole burst (the pre-calendar loop paid an O(log n)
-    # heap pop per event).
-    assert installs == [100]
     assert sim.events_executed == 100
 
 
@@ -180,6 +160,69 @@ def test_cancelled_event_is_skipped_without_dispatch():
     assert fired == ["kept"]
     # The tombstone is discarded inside the drain, not dispatched:
     assert sim.events_executed == 1
+    assert sim.pending_events == 0
+
+
+def test_raising_callback_leaves_exact_counts_and_a_rerunnable_simulator():
+    sim = Simulator()
+    fired = []
+
+    def boom():
+        raise RuntimeError("callback failed")
+
+    sim.post(1.0, fired.append, "before")
+    sim.post(2.0, boom)
+    doomed = sim.schedule(2.5, fired.append, "cancelled")
+    sim.post(3.0, fired.append, "after")
+    sim.cancel(doomed)
+    with pytest.raises(RuntimeError):
+        sim.run()
+    # The failing callback was dispatched, so it counts; nothing after it ran.
+    assert fired == ["before"]
+    assert sim.events_executed == 2
+    assert sim.now == 2.0
+    assert sim.pending_events == 1
+    # _running was cleared on the way out: the simulator runs again.
+    sim.run()
+    assert fired == ["before", "after"]
+    assert sim.events_executed == 3
+    assert sim.pending_events == 0
+
+
+def test_mid_run_peek_sees_past_a_cancelled_head():
+    sim = Simulator()
+    seen = []
+    timer = sim.schedule(2.0, seen.append, "cancelled timer fired")
+
+    def cancel_and_look():
+        sim.cancel(timer)  # the head of the queue is now a tombstone
+        seen.append((sim.pending_events, sim._queue.peek_time(), sim.pending_events))
+
+    sim.post(1.0, cancel_and_look)
+    sim.post(3.0, seen.append, "live")
+    sim.post(4.0, seen.append, "last")
+    sim.run(until=3.5)
+    assert seen == [(2, 3.0, 2), "live"]
+    assert sim.events_executed == 2
+    assert sim.pending_events == 1
+    sim.run()
+    assert seen[-1] == "last"
+    assert sim.pending_events == 0
+
+
+@pytest.mark.parametrize("bad", [float("nan"), -1e-9])
+def test_every_scheduling_entry_point_rejects_nan_and_past_times(bad):
+    # A NaN key compares false with everything and would silently corrupt
+    # the heap order, so it must be refused at the door like a past time.
+    sim = Simulator()
+    sim.post(1.0, lambda: None)
+    sim.run()
+    when = sim.now + bad  # just behind the clock, or NaN again
+    for schedule, value in (
+        (sim.schedule, bad), (sim.post, bad), (sim.at, when), (sim.post_at, when),
+    ):
+        with pytest.raises(SimulationError):
+            schedule(value, lambda: None)
     assert sim.pending_events == 0
 
 
