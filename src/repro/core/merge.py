@@ -122,6 +122,14 @@ class DeterministicMerge:
         while idle_visits < n_rings:
             ring_id = self.ring_order[self._cursor]
             queue = self._queues[ring_id]
+            if (
+                self._quota == self.m
+                and queue
+                and isinstance(queue[0], list)
+                and self._skip_rounds()
+            ):
+                idle_visits = 0
+                continue
             consumed_any = False
             while self._quota > 0 and queue:
                 head = queue[0]
@@ -164,6 +172,38 @@ class DeterministicMerge:
                 return
             else:  # pragma: no cover - loop invariant: quota>0 and queue
                 return
+
+    def _skip_rounds(self) -> bool:
+        """Absorb whole rounds of skips at once; False if there is none.
+
+        Called at the start of a visit. When every ring's head is a skip
+        range with at least M instances left, the next ``min(head // M)``
+        rounds consume M skips from each ring and end where they began —
+        same cursor, full quota — delivering nothing, so taking them in
+        one step is what the per-instance walk would have done.
+        """
+        m = self.m
+        take = None
+        for queue in self._queues.values():
+            if not queue:
+                return False
+            head = queue[0]
+            if not isinstance(head, list) or head[0] < m:
+                return False
+            if take is None or head[0] < take:
+                take = head[0]
+        take -= take % m
+        for ring_id, queue in self._queues.items():
+            head = queue[0]
+            head[0] -= take
+            if head[0] == 0:
+                queue.popleft()
+            self.queue_gauges[ring_id].add(-take)
+        total = take * len(self._queues)
+        self.skipped_instances.inc(total)
+        self.consumed_instances.inc(total)
+        self.buffered_instances.add(-total)
+        return True
 
     def _next_ring(self) -> None:
         self._cursor = (self._cursor + 1) % len(self.ring_order)

@@ -9,17 +9,15 @@ a given seed.
 Every entry is a plain ``(time, seq, fn, args, event-or-None)`` tuple, so
 ordering runs as C tuple comparison and never reaches the third element
 (``seq`` is unique). The last slot is ``None`` on the **fast path**
-(:meth:`EventQueue.push_fast`): the ~95% of events that are never
-cancelled (message arrivals, queue completions) pay one tuple and one
+(``Simulator.post`` / ``post_at`` and ``FifoServer.submit``, which push
+their tuple themselves): the ~95% of events that are never cancelled
+(message arrivals, queue completions) pay one tuple and one
 ``heappush``. Only cancellable timers go through :meth:`EventQueue.push`,
 which allocates the :class:`Event` handle :meth:`EventQueue.cancel` needs.
 
 Cancellation is lazy: a cancelled entry stays in the heap until it
 surfaces at the head, where the next look (``peek_entry``, ``pop_entry``,
-``Simulator.run``) discards it. ``peek_entry`` never consumes a live
-entry, so callbacks may peek mid-run — the completion strips
-(``completion.py``) do, to sweep several completions through one kernel
-event in exact total order.
+``Simulator.run``) discards it.
 """
 
 from __future__ import annotations
@@ -88,16 +86,12 @@ class EventQueue:
 
     def __init__(self) -> None:
         self._heap: list[tuple] = []
-        # itertools.count: one C call per ticket; Simulator and the strips share it.
+        # itertools.count: one C call per ticket; Simulator aliases it as `_seq`.
         self._seq = count()
         self._cancelled = 0  # cancelled entries still buried in the heap
 
     def __len__(self) -> int:
         return len(self._heap) - self._cancelled
-
-    def _push_entry(self, entry: tuple) -> None:
-        """Insert a ready-made entry (its ``seq`` already reserved)."""
-        heappush(self._heap, entry)
 
     def push(self, time: float, fn: Callable[..., None], args: tuple[Any, ...] = ()) -> Event:
         """Insert a cancellable callback firing at ``time``; returns its Event."""
@@ -105,10 +99,6 @@ class EventQueue:
         event = Event(time=time, seq=seq, fn=fn, args=args)
         heappush(self._heap, (time, seq, fn, args, event))
         return event
-
-    def push_fast(self, time: float, fn: Callable[..., None], args: tuple[Any, ...] = ()) -> None:
-        """Fast path: insert a fire-and-forget callback; no Event is allocated."""
-        heappush(self._heap, (time, next(self._seq), fn, args, None))
 
     def cancel(self, event: Event) -> None:
         """Cancel ``event`` if it has not fired yet (idempotent).
@@ -124,8 +114,7 @@ class EventQueue:
     def peek_entry(self) -> tuple | None:
         """The next live entry without consuming it, or None if empty.
 
-        Safe to call from inside a running callback (the completion
-        strips do). Cancelled entries at the head are discarded.
+        Cancelled entries at the head are discarded.
         """
         heap = self._heap
         while heap:

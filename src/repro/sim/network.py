@@ -24,7 +24,6 @@ from __future__ import annotations
 from typing import Any, Callable
 
 from ..errors import NetworkError
-from .completion import CompletionStrip
 from .loss import LossModel, NoLoss
 from .node import Node
 from .server import FifoServer
@@ -51,7 +50,7 @@ class Nic:
     """Full-duplex network interface: an egress and an ingress queue."""
 
     __slots__ = (
-        "name", "bandwidth", "egress", "ingress", "tx_local", "tx_remote",
+        "name", "bandwidth", "egress", "ingress",
         "bytes_sent", "bytes_received", "messages_sent", "messages_received",
     )
 
@@ -60,13 +59,6 @@ class Nic:
         self.bandwidth = bandwidth
         self.egress = FifoServer(sim, rate=bandwidth, name=f"{name}.tx")
         self.ingress = FifoServer(sim, rate=bandwidth, name=f"{name}.rx")
-        # Outbound message legs batched per NIC (see completion.py). Two
-        # strips because the two leg kinds ride different offsets of the
-        # same egress timeline and would interleave non-monotonically in
-        # one FIFO: loopback legs arrive at depart, switched legs at
-        # depart + propagation_delay.
-        self.tx_local = CompletionStrip(sim)
-        self.tx_remote = CompletionStrip(sim)
         self.bytes_sent = 0
         self.bytes_received = 0
         self.messages_sent = 0
@@ -232,7 +224,7 @@ class Network:
                 "net.enqueue", self.sim.now, src,
                 dst=dst, port=port, msg=type(msg).__name__, size=size,
             )
-        self._propagate(depart, nic, src, dst, port, msg, size)
+        self._propagate(depart, src, dst, port, msg, size)
 
     def multicast(self, src: str, group: str, port: str, msg: Any, size: int) -> None:
         """IP-multicast ``msg`` to every subscriber of ``group``.
@@ -274,9 +266,7 @@ class Network:
             for dst in members:
                 if dst == src:
                     # Kernel loopback: no switch hop, no ingress queue.
-                    # Batched on the sender NIC's loopback strip — depart
-                    # times share the egress FIFO, so they never decrease.
-                    nic.tx_local.post_at(depart, self._deliver, dst, port, src, msg, 0)
+                    sim.post_at(depart, self._deliver, dst, port, src, msg, 0)
                 else:
                     targets.append(dst)
         else:
@@ -284,7 +274,7 @@ class Network:
             should_drop = self._loss.should_drop
             for dst in members:
                 if dst == src:
-                    nic.tx_local.post_at(depart, self._deliver, dst, port, src, msg, 0)
+                    sim.post_at(depart, self._deliver, dst, port, src, msg, 0)
                 elif should_drop(rng, src, dst, size):
                     self.messages_dropped += 1
                     if probe is not None and probe.wants("net.drop"):
@@ -295,9 +285,8 @@ class Network:
                 else:
                     targets.append(dst)
         if targets:
-            # One switched-arrival event for the whole fan-out, riding the
-            # sender NIC's strip of depart + propagation legs.
-            nic.tx_remote.post_at(
+            # One switched-arrival event for the whole fan-out.
+            sim.post_at(
                 depart + self.propagation_delay,
                 self._fan_in, targets, port, src, msg, size,
             )
@@ -306,7 +295,7 @@ class Network:
     # Internal plumbing
     # ------------------------------------------------------------------
     def _propagate(
-        self, depart: float, nic: Nic, src: str, dst: str, port: str, msg: Any, size: int
+        self, depart: float, src: str, dst: str, port: str, msg: Any, size: int
     ) -> None:
         if not self._lossless and self._loss.should_drop(self._rng, src, dst, size):
             self.messages_dropped += 1
@@ -317,7 +306,7 @@ class Network:
                 )
             return
         arrival = depart + self.propagation_delay
-        nic.tx_remote.post_at(arrival, self._deliver, dst, port, src, msg, size)
+        self.sim.post_at(arrival, self._deliver, dst, port, src, msg, size)
 
     def _fan_in(self, targets: list[str], port: str, src: str, msg: Any, size: int) -> None:
         # The coalesced multicast arrival: one event, every subscriber's
@@ -340,11 +329,7 @@ class Network:
                 src=src, port=port, msg=type(msg).__name__, size=size,
             )
         if size > 0:
-            # The ingress queue schedules the dispatch itself, which
-            # batches it on the receiving NIC's completion strip — a
-            # multicast burst serializing here becomes one kernel event.
-            # The seq draw happens inside submit, at the same point in
-            # the draw sequence post_at used to make it.
+            # The ingress queue schedules the dispatch itself.
             nic.ingress.submit(float(size), dispatch, port, src, msg)
             nic.bytes_received += size
             nic.messages_received += 1

@@ -7,10 +7,9 @@ There is no wall-clock anywhere in the library: simulated seconds are the
 only notion of time, which is what makes throughput/latency experiments
 reproducible and hardware-independent (see DESIGN.md, substitution rule).
 
-The queue is the binary heap of ``events.py``; :meth:`Simulator.run`
-takes one entry off it per event, so ``EventQueue.peek_entry`` — and the
-completion strips in ``completion.py`` that call it — see the exact
-global ``(time, seq)`` frontier even mid-run.
+The queue is the binary heap of ``events.py``. Every callback — timer,
+message leg, resource completion — is one entry on it, and
+:meth:`Simulator.run` takes one entry off it per event.
 """
 
 from __future__ import annotations
@@ -96,7 +95,7 @@ class Simulator:
     # dict lookup at that frequency.
     __slots__ = (
         "now", "random", "_queue", "_seq",
-        "_events_executed", "_running", "_run_until", "_probe",
+        "_events_executed", "_running", "_probe",
     )
 
     def __init__(self, seed: int = 0) -> None:
@@ -108,7 +107,6 @@ class Simulator:
         self._seq = self._queue._seq
         self._events_executed = 0
         self._running = False
-        self._run_until: float | None = None  # active run(until=...) bound
         self._probe = None  # ProbeBus | None; None keeps the hot path bare
         if _simulator_observers:
             for registration in list(_simulator_observers):
@@ -209,14 +207,12 @@ class Simulator:
 
         Semantics are identical to calling :meth:`step` in a loop; this
         being the hottest loop, it works on the queue's heap directly
-        (same package). ``max_events`` counts kernel dispatches:
-        completions swept by a completion strip ride on one dispatch
-        (they still count towards :attr:`events_executed`).
+        (same package). A ``max_events`` budget of *n* fires exactly *n*
+        callbacks.
         """
         if self._running:
             raise SimulationError("Simulator.run() is not reentrant")
         self._running = True
-        self._run_until = until
         executed = 0
         queue = self._queue
         heap = queue._heap
@@ -246,8 +242,8 @@ class Simulator:
                 if probe is not None and probe.wants("sim.event"):
                     name = getattr(fn, "__qualname__", None) or repr(fn)
                     probe.emit("sim.event", time, name, seq=seq)
-                # Empty-args callbacks (completion ticks, timer pokes)
-                # take the plain CALL path, not CALL_FUNCTION_EX.
+                # Empty-args callbacks (timer pokes) take the plain CALL
+                # path, not CALL_FUNCTION_EX.
                 if args:
                     fn(*args)
                 else:
@@ -261,22 +257,13 @@ class Simulator:
         finally:
             self._events_executed += executed
             self._running = False
-            self._run_until = None
 
     @property
     def events_executed(self) -> int:
-        """Total number of events executed since construction.
-
-        Includes every completion swept by the resource models'
-        completion strips (each sweep is one kernel dispatch).
-        """
+        """Total number of callbacks fired since construction."""
         return self._events_executed
 
     @property
     def pending_events(self) -> int:
-        """Number of live (non-cancelled) events currently queued.
-
-        Completions held by a resource's completion strip are represented
-        by that strip's single armed kernel event.
-        """
+        """Number of live (non-cancelled) events currently queued."""
         return len(self._queue)

@@ -36,7 +36,6 @@ from dataclasses import dataclass
 from typing import Any, Iterable, Mapping
 
 from ..errors import ConfigurationError, NetworkError
-from .completion import CompletionStrip
 from .loss import LossModel
 from .network import Network
 from .node import Node
@@ -171,7 +170,7 @@ class _LiveLink:
     """Run-time state of one *direction* of a WAN link."""
 
     __slots__ = (
-        "src_region", "dst_region", "latency", "jitter", "fifo", "strip",
+        "src_region", "dst_region", "latency", "jitter", "fifo",
         "last_arrival", "down", "messages_carried", "bytes_carried",
         "messages_dropped",
     )
@@ -182,7 +181,6 @@ class _LiveLink:
         self.latency = spec.latency
         self.jitter = spec.jitter
         self.fifo = FifoServer(sim, rate=spec.bandwidth, name=f"wan.{src_region}->{dst_region}")
-        self.strip = CompletionStrip(sim)
         self.last_arrival = 0.0
         self.down = False
         self.messages_carried = 0
@@ -368,7 +366,7 @@ class GeoNetwork(Network):
         if self._lossless:
             for dst in members:
                 if dst == src:
-                    nic.tx_local.post_at(depart, self._deliver, dst, port, src, msg, 0)
+                    sim.post_at(depart, self._deliver, dst, port, src, msg, 0)
                 elif region_of[dst] == src_region:
                     local.append(dst)
                 else:
@@ -378,7 +376,7 @@ class GeoNetwork(Network):
             should_drop = self._loss.should_drop
             for dst in members:
                 if dst == src:
-                    nic.tx_local.post_at(depart, self._deliver, dst, port, src, msg, 0)
+                    sim.post_at(depart, self._deliver, dst, port, src, msg, 0)
                 elif should_drop(rng, src, dst, size):
                     self.messages_dropped += 1
                     if probe is not None and probe.wants("net.drop"):
@@ -391,7 +389,7 @@ class GeoNetwork(Network):
                 else:
                     remote.setdefault(region_of[dst], []).append(dst)
         if local:
-            nic.tx_remote.post_at(
+            sim.post_at(
                 depart + self.propagation_delay,
                 self._fan_in, local, port, src, msg, size,
             )
@@ -442,4 +440,4 @@ class GeoNetwork(Network):
         if arrival < link.last_arrival:
             arrival = link.last_arrival
         link.last_arrival = arrival
-        link.strip.post_at(arrival, self._fan_in, targets, port, src, msg, size)
+        self.sim.post_at(arrival, self._fan_in, targets, port, src, msg, size)

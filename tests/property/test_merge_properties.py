@@ -174,3 +174,95 @@ def test_buffered_instances_accounting_is_exact(raw):
             pushed += item.instance_count
     assert merge.buffered_instances.value == pushed - merge.consumed_instances.value
     assert merge.buffered_instances.value >= 0
+
+
+class _PerInstanceMerge:
+    """Reference merge that walks one logical instance at a time.
+
+    The live merge absorbs whole rounds of skips in one step; after every
+    push it must be in exactly the state this walk reaches.
+    """
+
+    def __init__(self, ring_order, m):
+        self.m = m
+        self.order = list(ring_order)
+        self.queues = {rid: [] for rid in ring_order}  # payload, or None for a skip
+        self.cursor = 0
+        self.quota = m
+        self.consumed = self.skipped = 0
+        self.delivered = []
+
+    @property
+    def buffered(self):
+        return sum(len(q) for q in self.queues.values())
+
+    def set_ring_order(self, ring_order):
+        self.queues = {rid: self.queues.get(rid, []) for rid in ring_order}
+        self.order = list(ring_order)
+        self.cursor = 0
+        self.quota = self.m
+
+    def push(self, ring_id, item):
+        if ring_id not in self.queues:
+            return
+        if isinstance(item, SkipRange):
+            self.queues[ring_id].extend([None] * item.count)
+        else:
+            self.queues[ring_id].append(item.values[0].payload)
+        while self.queues[self.order[self.cursor]]:
+            value = self.queues[self.order[self.cursor]].pop(0)
+            self.consumed += 1
+            if value is None:
+                self.skipped += 1
+            else:
+                self.delivered.append(value)
+            self.quota -= 1
+            if self.quota == 0:
+                self.cursor = (self.cursor + 1) % len(self.order)
+                self.quota = self.m
+
+
+@given(
+    raw=st.lists(stream_strategy, min_size=1, max_size=4),
+    m=st.integers(1, 5),
+    seed=st.integers(0, 2**16),
+    new_order=st.lists(st.integers(0, 4), min_size=1, max_size=4, unique=True),
+    data=st.data(),
+)
+@settings(max_examples=300, deadline=None)
+def test_merge_state_matches_per_instance_walk_after_every_push(raw, m, seed, new_order, data):
+    """Taking skips a round at a time is invisible between pushes.
+
+    Position, counters and gauges equal the per-instance reference after
+    each push, across a ``set_ring_order`` somewhere in the stream.
+    """
+    import random
+
+    streams = build_streams(raw)
+    rings = list(range(len(streams)))
+    out = []
+    merge = DeterministicMerge(
+        ring_order=rings, m=m, on_deliver=lambda rid, inst, v: out.append(v.payload)
+    )
+    reference = _PerInstanceMerge(rings, m)
+    rng = random.Random(seed)
+    cursors = [0] * len(streams)
+    total = sum(len(s) for s in streams)
+    reorder_at = data.draw(st.integers(0, total))
+    for step in range(total):
+        if step == reorder_at:
+            merge.set_ring_order(new_order)
+            reference.set_ring_order(new_order)
+        ring = rng.choice([i for i in rings if cursors[i] < len(streams[i])])
+        instance, item = streams[ring][cursors[ring]]
+        cursors[ring] += 1
+        merge.push(ring, instance, item)
+        reference.push(ring, item)
+        assert merge.snapshot() == (reference.cursor, reference.quota)
+        assert merge.consumed_instances.value == reference.consumed
+        assert merge.skipped_instances.value == reference.skipped
+        assert merge.buffered_instances.value == reference.buffered
+        for rid in reference.order:
+            assert merge.queue_depth(rid) == len(reference.queues[rid])
+            assert merge.queue_gauges[rid].value == len(reference.queues[rid])
+        assert out == reference.delivered

@@ -48,8 +48,7 @@ def test_event_queue_matches_sorted_reference(data):
             pop_and_compare()
         else:
             t = now + data.draw(st.sampled_from(_DELAYS))
-            q.push_fast(t, lambda: None)
-            ref.append((t, next(q._seq) - 1))
+            ref.append((t, q.push(t, lambda: None).seq))
     while ref:
         pop_and_compare()
     assert q.pop_entry() is None
@@ -89,6 +88,42 @@ def test_fifo_server_conservation(demands, rate):
     sim.run()
     horizon = max(finishes)
     assert srv.busy_between(0.0, horizon) <= horizon + 1e-9
+
+
+@given(
+    ops=st.lists(
+        st.tuples(
+            st.integers(0, 3),  # which server
+            st.sampled_from([0.0, 0.5, 1.0, 1.0, 2.0]),  # demand: ties are common
+            st.sampled_from([0.0, 0.0, 0.5, 1.0, 3.0]),  # gap before the submission
+        ),
+        min_size=1,
+        max_size=80,
+    ),
+    rates=st.lists(st.sampled_from([0.5, 1.0, 2.0]), min_size=4, max_size=4),
+)
+@settings(max_examples=100, deadline=None)
+def test_completions_of_several_servers_fire_in_finish_then_submission_order(ops, rates):
+    """Completions are indistinguishable from a sorted list of
+    (finish time, submission index), whichever servers they came from."""
+    sim = Simulator()
+    servers = [FifoServer(sim, rate=rate) for rate in rates]
+    expected = []  # (finish, submission index)
+    fired = []  # (clock at the callback, submission index)
+
+    def submit(k, demand):
+        index = len(expected)
+        finish = servers[k].submit(demand, lambda: fired.append((sim.now, index)))
+        expected.append((finish, index))
+
+    t = 0.0
+    for k, demand, gap in ops:
+        t += gap
+        sim.post_at(t, submit, k, demand)  # submitted mid-run, between completions
+    sim.run()
+    assert fired == sorted(expected)
+    assert sim.events_executed == 2 * len(ops)
+    assert sim.pending_events == 0
 
 
 @given(

@@ -177,19 +177,23 @@ def test_cancelled_head_is_flushed_by_peek():
     assert len(q) == 1
 
 
-def test_push_fast_allocates_no_event():
-    q = EventQueue()
-    q.push_fast(1.0, lambda: None)
+def test_post_at_allocates_no_event():
+    from repro.sim import Simulator
+
+    sim = Simulator()
+    sim.post_at(1.0, lambda: None)
+    sim.post(2.0, lambda: None)
+    q = sim._queue
     assert q.peek_entry()[4] is None  # no Event handle on the fast path
-    entry = q.pop_entry()
-    assert entry[4] is None
+    assert q.pop_entry()[4] is None
+    assert q.pop_entry()[4] is None
 
 
 def test_far_future_event_pops_after_a_near_one():
     q = EventQueue()
     far = 0.08  # a retry-timer distance, far beyond the sub-µs near event
-    q.push_fast(far, lambda: None)
-    q.push_fast(1e-6, lambda: None)
+    q.push(far, lambda: None)
+    q.push(1e-6, lambda: None)
     assert q.pop_entry()[0] == 1e-6
     assert q.pop_entry()[0] == far
     assert q.pop_entry() is None
@@ -197,13 +201,13 @@ def test_far_future_event_pops_after_a_near_one():
 
 def test_push_during_drain_keeps_total_order():
     q = EventQueue()
-    q.push_fast(1e-7, lambda: None)  # seq 0
-    q.push_fast(4e-7, lambda: None)  # seq 1
+    q.push(1e-7, lambda: None)  # seq 0
+    q.push(4e-7, lambda: None)  # seq 1
     first = q.pop_entry()
     assert first[0] == 1e-7
     # A push that lands between the popped entry and the pending one
     # must still fire in (time, seq) position.
-    q.push_fast(2e-7, lambda: None)  # seq 2, between the two above
+    q.push(2e-7, lambda: None)  # seq 2, between the two above
     assert q.peek_entry()[0] == 2e-7
     assert [q.pop_entry()[0] for _ in range(2)] == [2e-7, 4e-7]
     assert q.pop_entry() is None
@@ -233,12 +237,10 @@ def test_order_matches_sorted_reference_on_random_schedules():
             action = rng.random()
             if action < 0.55 or not reference:
                 t = now + rng.choice(delays)
+                event = q.push(t, lambda: None)
+                reference.append((t, event.seq))
                 if rng.random() < 0.3:
-                    cancellable.append(q.push(t, lambda: None))
-                    reference.append((t, cancellable[-1].seq))
-                else:
-                    q.push_fast(t, lambda: None)
-                    reference.append((t, next(q._seq) - 1))
+                    cancellable.append(event)
             elif action < 0.7 and cancellable:
                 victim = cancellable.pop(rng.randrange(len(cancellable)))
                 q.cancel(victim)

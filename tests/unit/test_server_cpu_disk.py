@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.errors import SimulationError
 from repro.sim import Cpu, Disk, FifoServer, Simulator
 
 
@@ -92,6 +93,23 @@ def test_fifo_rejects_bad_args():
         srv.submit(-1.0)
     with pytest.raises(ValueError):
         srv.utilization(window=0.0)
+
+
+def test_fifo_nan_demand_is_rejected_and_leaves_the_server_untouched():
+    sim = Simulator()
+    srv = FifoServer(sim, rate=1.0)
+    srv.submit(1.0)
+    fired = []
+    with pytest.raises(ValueError):
+        srv.submit(float("nan"), fired.append, "nan job")
+    assert srv.busy_until == 1.0
+    assert srv.total_busy_time == 1.0
+    assert srv.jobs_served == 1
+    assert srv.demand_served == 1.0
+    assert srv._intervals == [(0.0, 1.0)]
+    assert sim.pending_events == 0
+    sim.run()
+    assert fired == [] and sim.now == 0.0
 
 
 def test_fifo_counters():
@@ -189,6 +207,127 @@ def test_disk_counters_and_validation():
     assert disk.writes == 2
     with pytest.raises(ValueError):
         Disk(sim, bandwidth=0.0)
+
+
+def test_disk_nan_write_is_rejected_and_leaves_the_disk_untouched():
+    sim = Simulator()
+    disk = Disk(sim, bandwidth=1000.0)
+    disk.write(100)
+    acked = []
+    for bad in (float("nan"), -1):
+        with pytest.raises(SimulationError):
+            disk.write(bad, acked.append, "bad write")
+    assert disk.bytes_written == 100
+    assert disk.writes == 1
+    assert disk.drain.jobs_served == 1
+    assert disk.drain.busy_until == pytest.approx(0.1)
+    assert sim.pending_events == 0
+    sim.run()
+    assert acked == []
+
+
+# ---------------------------------------------------------------------------
+# Completions are ordinary kernel events
+# ---------------------------------------------------------------------------
+def test_completions_and_timers_interleave_in_time_then_submission_order():
+    sim = Simulator()
+    fast = FifoServer(sim, rate=2.0, name="fast")
+    slow = FifoServer(sim, rate=1.0, name="slow")
+    disk = Disk(sim, bandwidth=1000.0, write_latency=1.0)
+    order = []
+    slow.submit(1.0, order.append, "slow#0 t=1")
+    fast.submit(1.0, order.append, "fast#0 t=0.5")
+    sim.post(1.0, order.append, "timer t=1")  # ties with slow#0: submitted later
+    fast.submit(1.0, order.append, "fast#1 t=1")  # ties too: later still
+    disk.write(10, order.append, "disk ack t=1")  # and this one is last
+    timer = sim.schedule(1.5, order.append, "cancelled timer")
+    slow.submit(1.0, order.append, "slow#1 t=2")
+    fast.submit(2.0, order.append, "fast#2 t=2")
+    sim.at(0.75, order.append, "timer t=0.75")
+    sim.cancel(timer)
+    sim.run()
+    assert order == [
+        "fast#0 t=0.5", "timer t=0.75",
+        "slow#0 t=1", "timer t=1", "fast#1 t=1", "disk ack t=1",
+        "slow#1 t=2", "fast#2 t=2",
+    ]
+    assert sim.events_executed == 8
+
+
+def test_every_queued_completion_is_a_pending_event():
+    sim = Simulator()
+    srv = FifoServer(sim, rate=1.0)
+    disk = Disk(sim, bandwidth=1000.0)
+    for i in range(5):
+        srv.submit(1.0, lambda: None)
+    srv.submit(1.0)  # no callback: nothing to queue
+    disk.write(10, lambda: None)
+    disk.write(10)
+    assert sim.pending_events == 6
+
+
+def test_event_budget_fires_exactly_that_many_completions():
+    sim = Simulator()
+    srv = FifoServer(sim, rate=1.0)
+    fired = []
+    for i in range(4):
+        srv.submit(1.0, fired.append, i)
+    sim.run(max_events=1)
+    assert fired == [0]
+    assert (sim.now, sim.events_executed, sim.pending_events) == (1.0, 1, 3)
+    sim.run(max_events=2)
+    assert fired == [0, 1, 2]
+    assert (sim.now, sim.events_executed, sim.pending_events) == (3.0, 3, 1)
+
+
+def test_run_window_stops_between_two_completions_of_one_server():
+    sim = Simulator()
+    srv = FifoServer(sim, rate=1.0)
+    fired = []
+    for i in range(4):
+        srv.submit(1.0, fired.append, i)  # completes at t = 1, 2, 3, 4
+    sim.run(until=2.5)
+    assert fired == [0, 1]
+    assert sim.now == 2.5
+    assert sim.pending_events == 2
+    sim.run()
+    assert fired == [0, 1, 2, 3]
+    assert sim.now == 4.0
+
+
+def test_step_fires_one_completion_at_a_time():
+    sim = Simulator()
+    srv = FifoServer(sim, rate=1.0)
+    fired = []
+    for i in range(3):
+        srv.submit(1.0, fired.append, i)
+    for n in (1, 2, 3):
+        assert sim.step()
+        assert fired == list(range(n))
+        assert sim.now == float(n)
+        assert sim.pending_events == 3 - n
+    assert not sim.step()
+
+
+def test_completion_callback_resubmitting_to_its_own_server_keeps_fifo():
+    sim = Simulator()
+    srv = FifoServer(sim, rate=1.0)
+    fired = []
+
+    def chain(n):
+        fired.append((f"chain{n}", sim.now))
+        if n:
+            srv.submit(1.0, chain, n - 1)
+
+    srv.submit(1.0, chain, 2)
+    srv.submit(1.0, lambda: fired.append(("queued behind", sim.now)))
+    sim.run()
+    # Each resubmission joins the back of the queue: behind the job that
+    # was already waiting, and behind its own predecessor.
+    assert fired == [
+        ("chain2", 1.0), ("queued behind", 2.0), ("chain1", 3.0), ("chain0", 4.0),
+    ]
+    assert sim.events_executed == 4
 
 
 class _CountingList(list):

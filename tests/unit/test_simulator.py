@@ -11,7 +11,7 @@ def test_clock_starts_at_zero():
     assert sim.now == 0.0
 
 
-def test_schedule_and_run_until():
+def test_schedule_and_run_to_a_bound():
     sim = Simulator()
     fired = []
     sim.schedule(1.5, lambda: fired.append(sim.now))
@@ -20,7 +20,7 @@ def test_schedule_and_run_until():
     assert sim.now == 2.0
 
 
-def test_run_until_excludes_later_events():
+def test_bounded_run_excludes_later_events():
     sim = Simulator()
     fired = []
     sim.schedule(1.0, fired.append, "early")
@@ -134,7 +134,7 @@ def test_run_fires_a_same_time_burst_in_post_order():
     assert sim.events_executed == 100
 
 
-def test_run_until_leaves_later_events_stored():
+def test_bounded_run_leaves_later_events_stored():
     sim = Simulator()
     fired = []
     for i in range(50):

@@ -83,6 +83,40 @@ def test_wan_partition_and_heal_bookkeeping():
         net.set_wan_jitter_scale(-1.0)
 
 
+def test_arrivals_reordered_by_a_mid_run_latency_change_fire_in_time_order():
+    # Fuzz delay spikes rewrite propagation_delay mid-run, so a frame sent
+    # once the spike is over reaches the WAN link (and a same-region
+    # receiver) before one sent during it: arrival times no longer follow
+    # submission order, and delivery must follow arrival times.
+    sim = Simulator(seed=1)
+    net = GeoNetwork(sim, Topology(["dc0", "dc1"], wan_latency=0.010, switch_delay=0.005))
+    net.add_node(Node(sim, "src"))
+    near = net.add_node(Node(sim, "near"))
+    far = net.add_node(Node(sim, "far"), region="dc1")
+    got = []
+    near.register("app", lambda src, msg: got.append(("near", msg, sim.now)))
+    far.register("app", lambda src, msg: got.append(("far", msg, sim.now)))
+
+    def send_both(msg):
+        net.send("src", "far", "app", msg, size=100)
+        net.send("src", "near", "app", msg, size=100)
+
+    def spike_ends():
+        net.propagation_delay = 50e-6
+        send_both("after")
+
+    send_both("during")
+    sim.post(0.001, spike_ends)
+    sim.run()
+    assert [(who, msg) for who, msg, _ in got] == [
+        ("near", "after"), ("near", "during"), ("far", "after"), ("far", "during"),
+    ]
+    times = [t for _, _, t in got]
+    assert times == sorted(times)
+    assert times[0] < 0.005 < times[1] < 0.011 < times[2] < 0.015 < times[3]
+    assert sim.pending_events == 0
+
+
 # ---------------------------------------------------------------------------
 # Latency-aware placement
 # ---------------------------------------------------------------------------
