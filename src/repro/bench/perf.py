@@ -183,11 +183,15 @@ def bench_kernel_events(n_events: int = 300_000, chains: int = 64, repeat: int =
 
 
 def bench_timer_churn(n_timers: int = 50_000, repeat: int = 3) -> dict:
-    """Cancellable-timer path: schedule + cancel churn, events per second.
+    """Cancellable-event path: schedule + cancel churn, events per second.
 
-    Guards the ``Event``-returning slow path (retry/failure timers): each
-    round schedules a timer, cancels the previous one, and lets every
-    fourth fire — the protocol pattern where most timers never fire.
+    Guards the ``Event``-returning slow path, ``Simulator.schedule`` +
+    ``cancel`` with lazily dropped tombstones: each round schedules an
+    event, cancels the previous one, and lets every fourth fire. Ring
+    Paxos's retry, heartbeat, batch and decision-flush deadlines no
+    longer take it (``Timer`` and the coordinator's retry FIFO queue bare
+    entries); ``PeriodicTimer`` restarts, ``Process.call_later``, fault
+    schedules and the basic ``paxos`` roles still do.
     """
     from ..sim.simulator import Simulator
 

@@ -72,7 +72,9 @@ class _Inflight:
     attempt: int = 0
     ring_accepted: bool = False
     self_persisted: bool = False
-    retry_event: object | None = None
+    # Kernel seq of the retry deadline that still counts; a queued retry
+    # with any other seq is stale (decided or re-armed since).
+    retry_seq: int = -1
 
 
 class RingCoordinator(Process):
@@ -105,6 +107,8 @@ class RingCoordinator(Process):
             )
         if config.durable and node.disk is None:
             raise ProtocolError("Recoverable mode requires a disk on the coordinator")
+        if not config.retry_timeout >= 0:  # NaN too
+            raise ProtocolError(f"retry_timeout must be non-negative, got {config.retry_timeout!r}")
         self.network = network
         self.node = node
         self.config = config
@@ -122,6 +126,13 @@ class RingCoordinator(Process):
         self.backlog_depth = self.metrics.gauge("backlog_depth")
         self.inflight_depth = self.metrics.gauge("inflight_depth")
         self._inflight: dict[int, _Inflight] = {}
+        # Retry deadlines, (deadline, seq, state, attempt) in arming order —
+        # sorted, since every deadline is now + the one retry_timeout. The
+        # head, and only the head, has a kernel event. An entry keeps its
+        # state (batch included) referenced until its deadline has passed,
+        # decided or not: retry_timeout x the decide rate of them.
+        self._retry_timeout = config.retry_timeout
+        self._retries: deque[tuple[float, int, _Inflight, int]] = deque()
         self._backlog: deque[DataBatch | SkipRange] = deque()
         self._pending_decisions: list[tuple[int, int]] = []
         self._submit_expected: dict[str, int] = {}
@@ -330,8 +341,7 @@ class RingCoordinator(Process):
         ring_ok = state.ring_accepted or self.config.ring_size == 1
         if not (ring_ok and state.self_persisted):
             return
-        if state.retry_event is not None:
-            self.sim.cancel(state.retry_event)
+        state.retry_seq = -1
         del self._inflight[state.instance]
         self.instances_decided.inc()
         self._record_decided(state.instance, state.item)
@@ -376,11 +386,29 @@ class RingCoordinator(Process):
     def _arm_retry(self, state: _Inflight) -> None:
         if state.instance not in self._inflight:
             return  # decided while the 2A was being processed
-        if state.retry_event is not None:
-            self.sim.cancel(state.retry_event)
-        state.retry_event = self.call_later(
-            self.config.retry_timeout, self._retry, state.instance, state.attempt
-        )
+        sim = self.sim
+        deadline = sim.now + self._retry_timeout
+        # One seq per arming, drawn where the kernel would draw it for a
+        # scheduled callback; it supersedes the state's earlier deadline.
+        state.retry_seq = seq = sim.reserve_seq()
+        if not self._retries:
+            sim.post_reserved(deadline, seq, self._on_retry_due)
+        self._retries.append((deadline, seq, state, state.attempt))
+
+    def _on_retry_due(self) -> None:
+        """The head of the retry FIFO is due: retry it if it still counts."""
+        retries = self._retries
+        _, seq, state, attempt = retries[0]
+        if state.retry_seq == seq and not self.crashed:
+            self._retry(state.instance, attempt)
+        retries.popleft()
+        # Next event at the first deadline that still counts, if any.
+        while retries:
+            deadline, seq, state, _ = retries[0]
+            if state.retry_seq == seq:
+                self.sim.post_reserved(deadline, seq, self._on_retry_due)
+                return
+            retries.popleft()
 
     def _retry(self, instance: int, attempt: int) -> None:
         state = self._inflight.get(instance)

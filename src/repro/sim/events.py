@@ -9,11 +9,14 @@ a given seed.
 Every entry is a plain ``(time, seq, fn, args, event-or-None)`` tuple, so
 ordering runs as C tuple comparison and never reaches the third element
 (``seq`` is unique). The last slot is ``None`` on the **fast path**
-(``Simulator.post`` / ``post_at`` and ``FifoServer.submit``, which push
-their tuple themselves): the ~95% of events that are never cancelled
-(message arrivals, queue completions) pay one tuple and one
-``heappush``. Only cancellable timers go through :meth:`EventQueue.push`,
-which allocates the :class:`Event` handle :meth:`EventQueue.cancel` needs.
+(``Simulator.post`` / ``post_at`` / ``post_reserved`` and
+``FifoServer.submit``, which push their tuple themselves): message
+arrivals, queue completions, ``Timer`` wake-ups and the coordinator's
+retry deadlines pay one tuple and one ``heappush``. Only callers that
+need a handle to cancel (``PeriodicTimer``, ``Process.call_later``,
+fault schedules, the basic ``paxos`` roles) go through
+:meth:`EventQueue.push`, which allocates the :class:`Event` that
+:meth:`EventQueue.cancel` needs.
 
 Cancellation is lazy: a cancelled entry stays in the heap until it
 surfaces at the head, where the next look (``peek_entry``, ``pop_entry``,
@@ -38,8 +41,8 @@ class Event:
     the queue orders its ``(time, seq)`` keys.
 
     A plain ``__slots__`` class rather than a dataclass: one is allocated
-    per cancellable timer (~10% of scheduled events in a protocol run),
-    and the hand-written ``__init__`` is measurably cheaper.
+    per ``schedule``/``at`` call, and the hand-written ``__init__`` is
+    measurably cheaper.
     """
 
     __slots__ = ("time", "seq", "fn", "args", "cancelled", "consumed")

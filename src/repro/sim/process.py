@@ -2,15 +2,18 @@
 
 Protocol roles (coordinators, acceptors, learners, clients) are written as
 event-driven actors: subclasses of :class:`Process` that react to message
-and timer callbacks. :class:`Timer` wraps the schedule/cancel/restart dance
-that periodic protocol tasks (batch timeouts, skip-interval sampling,
-failure detection) all need.
+and timer callbacks. :class:`Timer` is the restartable deadline that
+protocol tasks (batch timeouts, decision flushes, heartbeats, failure
+detection) all need — in the normal case it is restarted or stopped long
+before it fires, so restarting and stopping are a few attribute writes;
+:class:`PeriodicTimer` is the drift-free tick (skip-interval sampling).
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable
 
+from ..errors import SimulationError
 from .events import Event
 from .simulator import Simulator
 
@@ -72,33 +75,72 @@ class Timer:
     >>> t = Timer(sim, 0.5, lambda: fired.append(sim.now))
     >>> t.start(); sim.run(until=1.0); fired
     [0.5]
+
+    The callback of ``start()`` runs at exactly the ``(now + delay, seq)``
+    key ``sim.schedule(delay, fn)`` would have given it, but restarting
+    or stopping costs no heap traffic: the timer keeps **one** entry of
+    its own queued, and an entry that surfaces before the current
+    deadline re-queues itself at the key ``start()`` reserved (a stopped
+    timer's entry just lapses). Such an early entry is an ordinary
+    callback, not a cancelled event: it counts in
+    ``Simulator.events_executed`` and ``pending_events``, spends a
+    ``run(max_events=...)`` budget, and a ``run()`` to exhaustion ends at
+    its time.
     """
 
     def __init__(self, sim: Simulator, delay: float, fn: Callable[[], None]) -> None:
+        if not delay >= 0:  # written so that NaN is rejected too
+            raise ValueError("delay must be non-negative")
         self.sim = sim
         self.delay = delay
         self.fn = fn
-        self._event: Event | None = None
+        self._deadline: float | None = None  # None = disarmed
+        self._seq = -1  # kernel seq reserved by the latest start()
+        # (time, seq) of the timer's own heap entry; seq None = none queued.
+        self._queued_time = 0.0
+        self._queued_seq: int | None = None
 
     @property
     def armed(self) -> bool:
         """Whether the timer is currently scheduled to fire."""
-        return self._event is not None and not self._event.cancelled
+        return self._deadline is not None
 
     def start(self, delay: float | None = None) -> None:
         """Arm the timer (restarting it if already armed)."""
-        self.stop()
-        self._event = self.sim.schedule(self.delay if delay is None else delay, self._fire)
+        if delay is None:
+            delay = self.delay
+        if not delay >= 0:
+            raise SimulationError(f"cannot schedule {delay!r} seconds in the past")
+        sim = self.sim
+        self._deadline = deadline = sim.now + delay
+        # Drawn here, where Simulator.schedule drew it, and never again for
+        # this arming: every other event keeps the seq it always had.
+        self._seq = seq = sim.reserve_seq()
+        if self._queued_seq is None or self._queued_time > deadline:
+            # Nothing queued, or only after the deadline: that entry is
+            # now an orphan and will know it by its seq.
+            self._queued_time = deadline
+            self._queued_seq = seq
+            sim.post_reserved(deadline, seq, self._wake, seq)
 
     def stop(self) -> None:
         """Disarm the timer if armed (idempotent)."""
-        if self._event is not None:
-            self.sim.cancel(self._event)
-            self._event = None
+        self._deadline = None
 
-    def _fire(self) -> None:
-        self._event = None
-        self.fn()
+    def _wake(self, seq: int) -> None:
+        if seq != self._queued_seq:
+            return  # orphan, superseded by an earlier entry
+        deadline = self._deadline
+        if deadline is None:
+            self._queued_seq = None
+        elif seq == self._seq:
+            self._queued_seq = None
+            self._deadline = None
+            self.fn()
+        else:  # restarted since this entry was queued: move to the reserved key
+            self._queued_time = deadline
+            self._queued_seq = seq = self._seq
+            self.sim.post_reserved(deadline, seq, self._wake, seq)
 
 
 class PeriodicTimer:

@@ -94,7 +94,7 @@ class Simulator:
     # every simulated event, and slot access is measurably cheaper than a
     # dict lookup at that frequency.
     __slots__ = (
-        "now", "random", "_queue", "_seq",
+        "now", "random", "_queue", "_seq", "reserve_seq",
         "_events_executed", "_running", "_probe",
     )
 
@@ -105,6 +105,10 @@ class Simulator:
         # Alias of the queue's seq counter (never rebound): the resource
         # models reserve completion seqs through it on their hot path.
         self._seq = self._queue._seq
+        # reserve_seq() -> int: draw the next seq now, to queue an entry at
+        # it later with post_reserved (the two are one pair). Bound straight
+        # to the counter so that reserving costs no Python frame.
+        self.reserve_seq: Callable[[], int] = self._seq.__next__
         self._events_executed = 0
         self._running = False
         self._probe = None  # ProbeBus | None; None keeps the hot path bare
@@ -156,7 +160,12 @@ class Simulator:
         Identical ordering semantics to :meth:`schedule` (same time/seq
         keys), but no :class:`Event` is allocated and nothing is returned.
         The substrate's hot paths (message legs, queue completions) all
-        schedule through here: ~95% of events are never cancelled.
+        schedule through here, and so does nearly every event of a
+        protocol run: :class:`~repro.sim.process.Timer` and the Ring Paxos
+        coordinator's retries queue bare entries too
+        (:meth:`post_reserved`), which leaves the :class:`Event` path to
+        ``PeriodicTimer``, ``Process.call_later``, fault schedules and the
+        basic ``paxos`` roles.
         """
         if not delay >= 0:
             raise SimulationError(f"cannot schedule {delay!r} seconds in the past")
@@ -169,6 +178,23 @@ class Simulator:
                 f"cannot schedule at t={time!r}, clock is already at t={self.now!r}"
             )
         _heappush(self._queue._heap, (time, next(self._seq), fn, args, None))
+
+    def post_reserved(self, time: float, seq: int, fn: Callable[..., None], *args: Any) -> None:
+        """Fast path: run ``fn(*args)`` at the key ``(time, seq)``; not cancellable.
+
+        ``seq`` must come from ``sim.reserve_seq()``, called at the program
+        point where :meth:`schedule` would have been, and be queued at most
+        once at a time; nothing checks that. This is how a restartable
+        deadline keeps the exact order :meth:`schedule` would have given it
+        while queueing an entry only when one is needed
+        (:class:`~repro.sim.process.Timer`, the Ring Paxos coordinator's
+        retry FIFO).
+        """
+        if not time >= self.now:
+            raise SimulationError(
+                f"cannot schedule at t={time!r}, clock is already at t={self.now!r}"
+            )
+        _heappush(self._queue._heap, (time, seq, fn, args, None))
 
     def cancel(self, event: Event) -> None:
         """Cancel a previously scheduled event (idempotent)."""
@@ -208,7 +234,10 @@ class Simulator:
         Semantics are identical to calling :meth:`step` in a loop; this
         being the hottest loop, it works on the queue's heap directly
         (same package). A ``max_events`` budget of *n* fires exactly *n*
-        callbacks.
+        callbacks. The queued entry of a stopped or restarted
+        :class:`~repro.sim.process.Timer` is such a callback, not a
+        cancelled event: it spends budget, and a run to exhaustion ends at
+        its time even though nothing observable happens then.
         """
         if self._running:
             raise SimulationError("Simulator.run() is not reentrant")
@@ -260,10 +289,15 @@ class Simulator:
 
     @property
     def events_executed(self) -> int:
-        """Total number of callbacks fired since construction."""
+        """Total number of callbacks fired since construction (the early
+        wake-ups of restarted or stopped Timers included)."""
         return self._events_executed
 
     @property
     def pending_events(self) -> int:
-        """Number of live (non-cancelled) events currently queued."""
+        """Number of live (non-cancelled) events currently queued.
+
+        A stopped or restarted :class:`~repro.sim.process.Timer` still has
+        its one entry queued, and it counts here until it surfaces.
+        """
         return len(self._queue)

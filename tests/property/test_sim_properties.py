@@ -1,10 +1,10 @@
 """Property-based tests for simulation-kernel invariants."""
 
-from hypothesis import given, settings
+from hypothesis import find, given, settings
 from hypothesis import strategies as st
 
 from repro.metrics import BucketSeries, LatencyHistogram
-from repro.sim import FifoServer, GeoNetwork, Node, Simulator, Topology
+from repro.sim import FifoServer, GeoNetwork, Node, Simulator, Timer, Topology
 from repro.sim.events import EventQueue
 
 
@@ -279,3 +279,130 @@ def test_loss_is_drawn_per_leg_in_membership_order(order, seed):
     sender = order[0]
     net.multicast(sender, "g", "p", "m", 128)
     assert loss.legs == [n for n in order if n != sender]
+
+
+# ---------------------------------------------------------------------------
+# Timer: one lazily re-queued heap entry, the order of cancel-and-repush
+# ---------------------------------------------------------------------------
+class _CancelAndRepushTimer:
+    """The reference: a fresh cancellable Event per start(), cancelled by
+    stop() and by the next start() (the Timer this repository had before
+    it stopped leaving tombstones in the heap)."""
+
+    def __init__(self, sim, delay, fn):
+        self.sim, self.delay, self.fn = sim, delay, fn
+        self._event = None
+
+    @property
+    def armed(self):
+        return self._event is not None and not self._event.cancelled
+
+    def start(self, delay=None):
+        self.stop()
+        self._event = self.sim.schedule(self.delay if delay is None else delay, self._fire)
+
+    def stop(self):
+        if self._event is not None:
+            self.sim.cancel(self._event)
+            self._event = None
+
+    def _fire(self):
+        self._event = None
+        self.fn()
+
+
+class _SeqAtRepushTimer(Timer):
+    """Mutant: a restart that keeps the queued entry draws its seq only when
+    that entry surfaces and is re-queued, not at start()."""
+
+    def start(self, delay=None):
+        delay = self.delay if delay is None else delay
+        self._deadline = deadline = self.sim.now + delay
+        if self._queued_seq is None or self._queued_time > deadline:
+            self._seq = self._queued_seq = seq = self.sim.reserve_seq()
+            self._queued_time = deadline
+            self.sim.post_reserved(deadline, seq, self._wake, seq)
+        else:
+            self._seq = None  # drawn in _wake
+
+    def _wake(self, seq):
+        if seq == self._queued_seq and self._deadline is not None and self._seq is None:
+            self._seq = self.sim.reserve_seq()
+        super()._wake(seq)
+
+
+# Quarter steps are exact in binary, so timestamps collide all the time.
+_QUARTERS = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0])
+_WHO = st.integers(0, 2)
+_TIMER_OPS = st.one_of(
+    st.tuples(st.just("start"), _WHO),
+    st.tuples(st.just("start_delay"), _WHO, _QUARTERS),
+    st.tuples(st.just("stop"), _WHO),
+    st.tuples(st.just("bystander"), _QUARTERS),
+    st.tuples(st.just("advance"), _QUARTERS),
+)
+_TIMER_PROGRAMS = st.tuples(
+    st.lists(_QUARTERS, min_size=1, max_size=3),  # default delay of each timer
+    st.lists(_TIMER_OPS, min_size=1, max_size=40),
+    # What a firing timer does next: restart itself or its neighbour, with
+    # a delay (the heartbeat timer restarts itself from its own callback).
+    st.lists(st.one_of(st.none(), st.tuples(st.booleans(), _QUARTERS)), max_size=12),
+)
+
+
+def _run_timer_program(timer_class, program, check_entries=False):
+    """The log of ``(now, who)`` firings, and ``armed`` after every step."""
+    delays, ops, reactions = program
+    sim = Simulator()
+    log, armed = [], []
+    reactions = list(reactions)
+    timers = []
+
+    def fire(i):
+        log.append((sim.now, i))
+        reaction = reactions.pop() if reactions else None
+        if reaction is not None:
+            restart_self, delay = reaction
+            timers[i if restart_self else (i + 1) % len(timers)].start(delay=delay)
+
+    timers.extend(timer_class(sim, d, lambda i=i: fire(i)) for i, d in enumerate(delays))
+    bystanders = 0
+    for op in ops:
+        if op[0] == "advance":
+            sim.run(until=sim.now + op[1])
+        elif op[0] == "bystander":
+            sim.post_at(sim.now + op[1], log.append, (sim.now + op[1], f"b{bystanders}"))
+            bystanders += 1
+        else:
+            timer = timers[op[1] % len(timers)]
+            if op[0] == "start":
+                timer.start()
+            elif op[0] == "start_delay":
+                timer.start(delay=op[2])
+            else:
+                timer.stop()
+        armed.append([t.armed for t in timers])
+        if check_entries:
+            for t in timers:
+                own = [e for e in sim._queue._heap if e[2] == t._wake and e[3][0] == t._queued_seq]
+                assert len(own) == (t._queued_seq is not None)
+    sim.run()
+    return log, armed
+
+
+@given(program=_TIMER_PROGRAMS)
+@settings(max_examples=300, deadline=None)
+def test_timer_fires_in_the_order_of_cancel_and_repush(program):
+    expected = _run_timer_program(_CancelAndRepushTimer, program)
+    assert _run_timer_program(Timer, program, check_entries=True) == expected
+
+
+def test_timer_order_property_rejects_a_seq_drawn_at_repush():
+    """The property has teeth: it tells the mutant from the reference."""
+    program = find(
+        _TIMER_PROGRAMS,
+        lambda p: _run_timer_program(_SeqAtRepushTimer, p)
+        != _run_timer_program(_CancelAndRepushTimer, p),
+        settings=settings(max_examples=2000, derandomize=True, deadline=None),
+    )
+    assert _run_timer_program(Timer, program) == _run_timer_program(_CancelAndRepushTimer, program)

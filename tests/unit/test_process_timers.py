@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.errors import SimulationError
 from repro.sim import PeriodicTimer, Process, Simulator, Timer
 
 
@@ -79,6 +80,68 @@ def test_timer_custom_delay_on_start():
     t.start(delay=0.25)
     sim.run(until=2.0)
     assert fired == [0.25]
+
+
+@pytest.mark.parametrize("bad", [-0.5, float("nan")])
+def test_timer_rejects_negative_or_nan_default_delay(bad):
+    with pytest.raises(ValueError):
+        Timer(Simulator(), bad, lambda: None)
+
+
+@pytest.mark.parametrize("bad", [-0.5, float("nan")])
+def test_timer_start_rejects_bad_delay_and_changes_nothing(bad):
+    sim = Simulator()
+    fired = []
+    t = Timer(sim, 1.0, lambda: fired.append(sim.now))
+    with pytest.raises(SimulationError):
+        t.start(delay=bad)  # disarmed: stays disarmed, nothing queued
+    assert not t.armed and sim.pending_events == 0
+    t.start()
+    with pytest.raises(SimulationError):
+        t.start(delay=bad)  # armed: keeps its deadline
+    assert t.armed and sim.pending_events == 1
+    sim.run()
+    assert fired == [1.0]
+
+
+def test_stopped_timer_entry_is_an_ordinary_callback():
+    """The entry of a stopped timer lapses as a callback, not a tombstone."""
+    sim = Simulator()
+    fired = []
+    t = Timer(sim, 1.0, lambda: fired.append(sim.now))
+    t.start()
+    t.stop()
+    assert sim.pending_events == 1
+    sim.run()  # to exhaustion: ends at the lapsed entry's time
+    assert (fired, sim.now, sim.events_executed, sim.pending_events) == ([], 1.0, 1, 0)
+
+
+def test_restarts_reuse_the_one_queued_entry():
+    sim = Simulator()
+    fired = []
+    t = Timer(sim, 1.0, lambda: fired.append(sim.now))
+    t.start()
+    for k in range(1, 10):
+        sim.run(until=0.1 * k)
+        t.start()
+        assert sim.pending_events == 1
+    sim.run()
+    # One early wake-up at t=1.0 re-queued the entry at the last deadline.
+    assert fired == [0.1 * 9 + 1.0] and sim.events_executed == 2
+
+
+def test_restart_with_an_earlier_deadline_orphans_the_queued_entry():
+    sim = Simulator()
+    fired = []
+    t = Timer(sim, 1.0, lambda: fired.append(sim.now))
+    t.start()
+    t.start(delay=0.25)
+    sim.run(until=0.5)
+    assert fired == [0.25] and not t.armed
+    sim.post_at(1.0, fired.append, "bystander")
+    t.start(delay=0.5)  # deadline 1.0: the orphan's time, but not its turn
+    sim.run()
+    assert fired == [0.25, "bystander", 1.0]
 
 
 def test_periodic_timer_is_drift_free():

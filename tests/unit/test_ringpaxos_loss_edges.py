@@ -7,9 +7,13 @@ and a lost 2A stalling the ring until the coordinator's retry.
 """
 
 
-from repro.calibration import DEFAULT_VALUE_SIZE
+import pytest
+
+from repro.calibration import DEFAULT_VALUE_SIZE, mbps_to_bytes_per_s
+from repro.errors import ProtocolError
 from repro.ringpaxos import build_ring
 from repro.sim import Network, Simulator
+from repro.workload import ConstantRate, OpenLoopGenerator
 
 
 class DropMatching:
@@ -99,3 +103,142 @@ def test_duplicate_decisions_do_not_redeliver():
     learner._on_decisions(((0, 0),))
     sim.run(until=1.0)
     assert log == ["m0"]
+
+
+# ---------------------------------------------------------------------------
+# The coordinator's retry FIFO: one queue of deadlines, one kernel event
+# ---------------------------------------------------------------------------
+def spy(coord, name, sim):
+    """Record ``(now, *args)`` of every call of ``coord.<name>``."""
+    calls, original = [], getattr(coord, name)
+
+    def wrapper(*args):
+        calls.append((sim.now, *args))
+        original(*args)
+
+    setattr(coord, name, wrapper)
+    return calls
+
+
+def run_checked(sim, coord, until):
+    """``sim.run(until=...)``, checking after every event that the
+    coordinator has at most one retry entry in the kernel's heap."""
+    while (head := sim._queue.peek_time()) is not None and head <= until:
+        sim.step()
+        queued = [e for e in sim._queue._heap if e[2] == coord._on_retry_due]
+        assert len(queued) <= 1
+        assert bool(queued) == bool(coord._retries)  # the head's entry
+    sim.run(until=until)
+
+
+def test_decided_instances_never_retry():
+    sim, net, ring, log = deploy()
+    coord = ring.coordinator
+    retries = spy(coord, "_retry", sim)
+    for i in range(40):
+        ring.proposers[0].multicast(f"m{i}", DEFAULT_VALUE_SIZE)
+    run_checked(sim, coord, 2.0)
+    assert len(log) == 40
+    assert retries == [] and coord.retries.value == 0
+    # Every deadline lapsed unnoticed, and nothing is left behind.
+    assert not coord._retries
+
+
+def test_lost_2a_is_retried_exactly_one_timeout_after_its_multicast():
+    loss = DropMatching(lambda s, d, size: d == "r0-acc0" and size > 4096)
+    sim, net, ring, log = deploy(loss=loss)
+    coord = ring.coordinator
+    multicasts = spy(coord, "_multicast_phase2a", sim)
+    retries = spy(coord, "_retry", sim)
+    ring.proposers[0].multicast("m0", DEFAULT_VALUE_SIZE)
+    run_checked(sim, coord, 2.0)
+    assert log == ["m0"]
+    assert retries == [(multicasts[0][0] + ring.config.retry_timeout, 0, 0)]
+    assert [m.attempt for _, m, _ in multicasts] == [0, 1]
+
+
+def test_restart_redrive_supersedes_the_precrash_deadline():
+    """Crash after the 2A went out, restart before its retry deadline:
+    on_restart re-drives the instance, and only the re-drive's deadline
+    counts — it decides, so nothing ever retries."""
+    sim, net, ring, log = deploy()
+    coord = ring.coordinator
+    multicasts = spy(coord, "_multicast_phase2a", sim)
+    retries = spy(coord, "_retry", sim)
+    ring.proposers[0].multicast("m0", DEFAULT_VALUE_SIZE)
+    while not multicasts:
+        sim.step()
+    coord.crash()  # the 2B of attempt 0 reaches a dead coordinator
+    precrash_deadline = sim.now + ring.config.retry_timeout
+    run_checked(sim, coord, sim.now + ring.config.retry_timeout / 2)
+    coord.restart()
+    run_checked(sim, coord, precrash_deadline)
+    assert log == ["m0"] and [m.attempt for _, m, _ in multicasts] == [0, 1]
+    run_checked(sim, coord, 2.0)
+    assert retries == [] and coord.retries.value == 0
+    assert not coord._retries
+
+
+def test_due_retries_of_a_crashed_coordinator_do_nothing():
+    sim, net, ring, log = deploy()
+    coord = ring.coordinator
+    multicasts = spy(coord, "_multicast_phase2a", sim)
+    retries = spy(coord, "_retry", sim)
+    ring.proposers[0].multicast("m0", DEFAULT_VALUE_SIZE)
+    while not multicasts:
+        sim.step()
+    coord.crash()
+    run_checked(sim, coord, sim.now + 3 * ring.config.retry_timeout)
+    assert retries == [] and coord.retries.value == 0
+    assert len(multicasts) == 1 and 0 in coord._inflight
+    coord.restart()  # the instance is still there to re-drive
+    run_checked(sim, coord, 2.0)
+    assert log == ["m0"] and retries == []
+
+
+def test_rearmed_state_retries_once_at_the_later_deadline():
+    loss = DropMatching(lambda s, d, size: d == "r0-acc0" and size > 4096)
+    sim, net, ring, log = deploy(loss=loss)
+    coord = ring.coordinator
+    multicasts = spy(coord, "_multicast_phase2a", sim)
+    retries = spy(coord, "_retry", sim)
+    ring.proposers[0].multicast("m0", DEFAULT_VALUE_SIZE)
+    while not multicasts:
+        sim.step()
+    run_checked(sim, coord, sim.now + ring.config.retry_timeout / 2)
+    coord._arm_retry(coord._inflight[0])  # before the first deadline
+    rearmed_at = sim.now
+    run_checked(sim, coord, 2.0)
+    assert retries == [(rearmed_at + ring.config.retry_timeout, 0, 0)]
+    assert log == ["m0"] and coord.retries.value == 1
+
+
+def test_negative_or_nan_retry_timeout_is_rejected_at_construction():
+    for bad in (-0.01, float("nan")):
+        sim = Simulator(seed=10)
+        with pytest.raises(ProtocolError):
+            build_ring(sim, Network(sim), retry_timeout=bad)
+
+
+def test_heap_residency_stays_small_under_load():
+    """One In-memory ring at 650 Mbit/s: the heap holds live work only.
+
+    Counts every entry, cancelled ones included (``pending_events``
+    subtracts those). With an Event per retry and per timer restart the
+    heap held about 310 entries here, nearly all of them dead.
+    """
+    sim = Simulator(seed=1)
+    ring = build_ring(sim, Network(sim))
+    proposer = ring.proposers[0]
+    OpenLoopGenerator(
+        sim,
+        lambda: proposer.multicast(None, DEFAULT_VALUE_SIZE),
+        ConstantRate(mbps_to_bytes_per_s(650) / DEFAULT_VALUE_SIZE),
+        jitter=0.1,
+    ).start()
+    sizes = []
+    for k in range(1, 11):
+        sim.run(until=0.005 * k)
+        sizes.append(len(sim._queue._heap))
+    assert ring.coordinator.instances_decided.value > 400
+    assert max(sizes) < 100, sizes
