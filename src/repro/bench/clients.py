@@ -93,8 +93,10 @@ def run_population_point(
         if restart_coordinator_at > crash_coordinator_at:
             mrp.sim.at(restart_coordinator_at, lambda: mrp.restart_coordinator(0))
     completed = _window(lambda: population.completions.value, mrp.sim, warmup)
+    cpu_busy = _window(mrp.rings[0].coordinator.node.cpu.busy_time, mrp.sim, warmup)
     mrp.run(until=end)
     in_window = completed()
+    cpu_in_window = cpu_busy()
     # Drain the tail: outstanding requests get their full retry budget, so
     # timeout/abandonment counters and the latency tail are final.
     mrp.run(until=end + (population.max_retries + 1) * request_timeout)
@@ -110,7 +112,7 @@ def run_population_point(
         delivered_mbps=in_window / duration * _COMMAND_SIZE * 8 / 1e6,
         msgs_per_s=in_window / duration,
         latency_ms=p50 * 1e3,
-        cpu_pct=100.0 * mrp.rings[0].coordinator.node.cpu.busy_between(warmup, end) / duration,
+        cpu_pct=100.0 * cpu_in_window / duration,
         extra={
             "n_sessions": n_sessions,
             "zipf_s": zipf_s,
@@ -168,6 +170,7 @@ def run_per_actor_point(
     completed = _window(
         lambda: sum(c.completions.value for c in clients), mrp.sim, warmup
     )
+    cpu_busy = _window(mrp.rings[0].coordinator.node.cpu.busy_time, mrp.sim, warmup)
     mrp.run(until=end)
     in_window = completed()
     samples: list[float] = []
@@ -181,6 +184,6 @@ def run_per_actor_point(
         delivered_mbps=in_window / duration * _COMMAND_SIZE * 8 / 1e6,
         msgs_per_s=in_window / duration,
         latency_ms=p50 * 1e3,
-        cpu_pct=100.0 * mrp.rings[0].coordinator.node.cpu.busy_between(warmup, end) / duration,
+        cpu_pct=100.0 * cpu_busy() / duration,
         extra={"n_sessions": n_sessions, "completions": in_window},
     )

@@ -99,6 +99,7 @@ def run_geo_ring_point(
     end = warmup + duration
     delivered = _window(lambda: learner.delivered_bytes.value, sim, warmup)
     messages = _window(lambda: learner.delivered_messages.value, sim, warmup)
+    cpu_busy = _window(ring.coordinator.node.cpu.busy_time, sim, warmup)
     sim.run(until=end)
     return PointResult(
         label=f"stretch {far_ms:g}ms@{far_position}",
@@ -106,7 +107,7 @@ def run_geo_ring_point(
         delivered_mbps=bytes_per_s_to_mbps(delivered() / duration),
         msgs_per_s=messages() / duration,
         latency_ms=learner.latency.trimmed_mean() * 1e3,
-        cpu_pct=100.0 * ring.coordinator.node.cpu.busy_between(warmup, end) / duration,
+        cpu_pct=100.0 * cpu_busy() / duration,
         extra={"slowest_rtt_ms": 2.0 * far_ms},
     )
 
@@ -151,15 +152,15 @@ def run_geo_placement_point(
     end = warmup + duration
     delivered = _window(lambda: learner.delivered_bytes.value, sim, warmup)
     messages = _window(lambda: learner.delivered_messages.value, sim, warmup)
+    cpu_busy = _window(mrp.rings[0].coordinator.node.cpu.busy_time, sim, warmup)
     mrp.run(until=end)
     ring_region = mrp.ring_placement[0]
-    coord = mrp.rings[0].coordinator.node
     return PointResult(
         label=f"{placement} ring ({ring_region})",
         offered_mbps=offered_mbps,
         delivered_mbps=bytes_per_s_to_mbps(delivered() / duration),
         msgs_per_s=messages() / duration,
         latency_ms=learner.latency.trimmed_mean() * 1e3,
-        cpu_pct=100.0 * coord.cpu.busy_between(warmup, end) / duration,
+        cpu_pct=100.0 * cpu_busy() / duration,
         extra={"ring_region": ring_region, "wan_rtt_ms": 2.0 * wan_ms},
     )

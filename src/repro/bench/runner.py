@@ -88,6 +88,12 @@ def _window(counter_probe: Callable[[], float], sim: Simulator, start: float) ->
     return lambda: counter_probe() - snap["value"]
 
 
+def _busiest(servers, sim: Simulator, start: float) -> Callable[[], float]:
+    """Most busy seconds since ``start`` among FIFO ``servers``."""
+    windows = [_window(server.busy_time, sim, start) for server in servers]
+    return lambda: max(busy() for busy in windows)
+
+
 # ---------------------------------------------------------------------------
 # Figure 1 — single Ring Paxos, In-memory vs Recoverable
 # ---------------------------------------------------------------------------
@@ -110,20 +116,18 @@ def run_single_ring_point(
     end = warmup + duration
     delivered = _window(lambda: learner.delivered_bytes.value, sim, warmup)
     messages = _window(lambda: learner.delivered_messages.value, sim, warmup)
-    sim.run(until=end)
     coord_node = ring.coordinator.node
-    cpu = coord_node.cpu.busy_between(warmup, end) / duration
+    cpu_busy = _window(coord_node.cpu.busy_time, sim, warmup)
+    disk_busy = _window(coord_node.disk.drain.busy_time, sim, warmup) if coord_node.disk else None
+    sim.run(until=end)
     return PointResult(
         label=f"{'Recoverable' if durable else 'In-memory'} Ring Paxos",
         offered_mbps=offered_mbps,
         delivered_mbps=bytes_per_s_to_mbps(delivered() / duration),
         msgs_per_s=messages() / duration,
         latency_ms=learner.latency.trimmed_mean() * 1e3,
-        cpu_pct=100.0 * cpu,
-        extra={
-            "disk_util_pct": 100.0
-            * (coord_node.disk.busy_between(warmup, end) / duration if coord_node.disk else 0.0)
-        },
+        cpu_pct=100.0 * (cpu_busy() / duration),
+        extra={"disk_util_pct": 100.0 * (disk_busy() / duration if disk_busy else 0.0)},
     )
 
 
@@ -193,12 +197,14 @@ def run_multiring_point(
     end = warmup + duration
     delivered = _window(lambda: sum(ln.delivered_bytes.value for ln in learners), sim, warmup)
     messages = _window(lambda: sum(ln.delivered_messages.value for ln in learners), sim, warmup)
-    sim.run(until=end)
-    cpu = max(
-        handle.coordinator.node.cpu.busy_between(warmup, end) / duration
-        for handle in mrp.rings.values()
+    coord_busy = _busiest((h.coordinator.node.cpu for h in mrp.rings.values()), sim, warmup)
+    learner_busy = _busiest((ln.node.cpu for ln in learners), sim, warmup)
+    ingress_busy = _busiest(
+        (mrp.network.nic(ln.node.name).ingress for ln in learners), sim, warmup
     )
-    learner_cpu = max(ln.node.cpu.busy_between(warmup, end) / duration for ln in learners)
+    sim.run(until=end)
+    cpu = coord_busy() / duration
+    learner_cpu = learner_busy() / duration
     latencies = [ln.latency.trimmed_mean() for ln in learners if ln.latency.count]
     mode = "DISK M-RP" if durable else "RAM M-RP"
     return PointResult(
@@ -211,11 +217,7 @@ def run_multiring_point(
         extra={
             "coordinator_cpu_pct": 100.0 * cpu,
             "learner_cpu_pct": 100.0 * learner_cpu,
-            "learner_ingress_pct": 100.0
-            * max(
-                mrp.network.nic(ln.node.name).ingress.busy_between(warmup, end) / duration
-                for ln in learners
-            ),
+            "learner_ingress_pct": 100.0 * (ingress_busy() / duration),
         },
     )
 
@@ -259,6 +261,7 @@ def run_partitioned_single_ring_point(
         learner.on_deliver = hook
     end = warmup + duration
     delivered = _window(lambda: sum(ln.delivered_bytes.value for ln in learners), sim, warmup)
+    cpu_busy = _window(mrp.rings[0].coordinator.node.cpu.busy_time, sim, warmup)
     sim.run(until=end)
     return PointResult(
         label=f"partitioned x{n_partitions} (1 ring)",
@@ -266,7 +269,7 @@ def run_partitioned_single_ring_point(
         delivered_mbps=bytes_per_s_to_mbps(delivered() / duration),
         msgs_per_s=0.0,
         latency_ms=0.0,
-        cpu_pct=100.0 * mrp.coordinator_cpu(0, window=duration),
+        cpu_pct=100.0 * (cpu_busy() / duration),
         extra={
             "per_partition_mbps": bytes_per_s_to_mbps(delivered() / duration) / n_partitions
         },
@@ -309,8 +312,9 @@ def run_lcr_point(
     end = warmup + duration
     delivered = _window(lambda: observer.delivered_bytes.value, sim, warmup)
     messages = _window(lambda: observer.delivered.value, sim, warmup)
+    cpu_busy = _busiest((n.node.cpu for n in nodes), sim, warmup)
     sim.run(until=end)
-    cpu = max(n.node.cpu.busy_between(warmup, end) / duration for n in nodes)
+    cpu = cpu_busy() / duration
     return PointResult(
         label=f"LCR x{n_nodes}",
         offered_mbps=0.0,
@@ -349,8 +353,9 @@ def run_spread_point(
     end = warmup + duration
     delivered = _window(lambda: sum(c.delivered_bytes.value for c in clients), sim, warmup)
     messages = _window(lambda: sum(c.delivered.value for c in clients), sim, warmup)
+    cpu_busy = _busiest((d.node.cpu for d in daemons), sim, warmup)
     sim.run(until=end)
-    cpu = max(d.node.cpu.busy_between(warmup, end) / duration for d in daemons)
+    cpu = cpu_busy() / duration
     latencies = [c.latency.trimmed_mean() for c in clients if c.latency.count]
     return PointResult(
         label=f"Spread x{n_daemons}",
@@ -394,8 +399,9 @@ def run_mencius_point(
     end = warmup + duration
     delivered = _window(lambda: observer.delivered_bytes.value, sim, warmup)
     messages = _window(lambda: observer.delivered.value, sim, warmup)
+    cpu_busy = _busiest((s.node.cpu for s in servers), sim, warmup)
     sim.run(until=end)
-    cpu = max(s.node.cpu.busy_between(warmup, end) / duration for s in servers)
+    cpu = cpu_busy() / duration
     return PointResult(
         label=f"Mencius x{n_servers}",
         offered_mbps=0.0,
@@ -448,12 +454,11 @@ def run_two_ring_parameter_point(
         ).start()
     end = warmup + duration
     delivered = _window(lambda: learner.delivered_bytes.value, sim, warmup)
+    coord_busy = _busiest((h.coordinator.node.cpu for h in mrp.rings.values()), sim, warmup)
+    learner_busy = _window(learner.node.cpu.busy_time, sim, warmup)
     sim.run(until=end)
-    coord_cpu = max(
-        handle.coordinator.node.cpu.busy_between(warmup, end) / duration
-        for handle in mrp.rings.values()
-    )
-    learner_cpu = learner.node.cpu.busy_between(warmup, end) / duration
+    coord_cpu = coord_busy() / duration
+    learner_cpu = learner_busy() / duration
     return PointResult(
         label=f"delta={delta * 1e3:g}ms M={m} lambda={lambda_rate:g}",
         offered_mbps=offered_mbps_total,

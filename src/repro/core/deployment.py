@@ -283,10 +283,6 @@ class MultiRingPaxos:
         handle.coordinator.node.restart()
         handle.coordinator.restart()
 
-    def coordinator_cpu(self, ring_id: int, window: float = 1.0) -> float:
-        """Coordinator CPU utilization over the trailing ``window`` seconds."""
-        return self.rings[ring_id].coordinator.node.cpu.utilization(window)
-
     def _on_ring_failover(self, ring_id: int, coordinator: RingCoordinator) -> None:
         """Adopt a reconfigured ring: swap the handle's roles, re-seed the
         skip manager (so the outage's missed intervals are topped up on

@@ -578,9 +578,13 @@ class Autoscaler:
         self._backoff = 0
         self._prev_shed = 0
         self._prev_shed_time = mrp.sim.now
+        # Coordinator CPU -> its busy_time() at the previous reading.
+        self._prev_busy: dict = {}
+        self._prev_busy_time = mrp.sim.now
 
     def start(self) -> None:
         """Begin the policy loop."""
+        self._ring_cpu()  # the first tick's window opens here
         self._timer.start()
 
     def stop(self) -> None:
@@ -605,24 +609,34 @@ class Autoscaler:
         return max(depths) if depths else 0.0
 
     def _ring_cpu(self) -> dict[int, float]:
+        """Coordinator CPU utilization of each live ring since the previous
+        reading: two readings of ``busy_time()``, like :meth:`_shed_rate`.
+        A CPU first seen now (new ring, new coordinator) has no window yet."""
+        now = self.mrp.sim.now
+        elapsed = now - self._prev_busy_time
+        prev, self._prev_busy = self._prev_busy, {}
+        self._prev_busy_time = now
         out: dict[int, float] = {}
         for rid, handle in self.mrp.rings.items():
-            if handle.retired or handle.coordinator.crashed:
+            cpu = handle.coordinator.node.cpu
+            busy = self._prev_busy[cpu] = cpu.busy_time()
+            if handle.retired or handle.coordinator.crashed or cpu not in prev:
                 continue
-            out[rid] = handle.coordinator.node.cpu.utilization(self.policy.interval)
+            out[rid] = (busy - prev[cpu]) / elapsed if elapsed > 0 else 0.0
         return out
 
     # -- the loop -------------------------------------------------------
     def _tick(self) -> None:
         policy = self.policy
         now = self.mrp.sim.now
-        shed_rate = self._shed_rate()  # sampled every tick so deltas stay windowed
+        # Both sampled every tick so deltas stay windowed.
+        shed_rate = self._shed_rate()
+        cpu = self._ring_cpu()
         if self.mrp.reconfig.busy:
             return  # let the in-flight reconfiguration settle first
         wait = policy.cooldown * (2 ** self._backoff)
         if now - self._last_action < wait:
             return
-        cpu = self._ring_cpu()
         if not cpu:
             return
         active = len(cpu)

@@ -82,7 +82,8 @@ class SampledSeries:
     """Periodically samples ``probe()`` into (time, value) points.
 
     Used for the CPU-percentage curves: the probe is typically
-    ``lambda: cpu.utilization(window)``.
+    ``cpu.busy_time``, whose successive differences over ``period`` are
+    the utilization.
     """
 
     def __init__(

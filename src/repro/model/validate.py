@@ -74,7 +74,7 @@ def measure_saturation_mbps(
     tests: ``disk_bandwidth`` overrides the acceptors' disk exactly like
     ``Calibration.with_overrides`` does on the model side.
     """
-    from ..bench.runner import run_single_ring_point
+    from ..bench.runner import _window, run_single_ring_point
 
     if disk_bandwidth is None:
         return run_single_ring_point(
@@ -92,11 +92,9 @@ def measure_saturation_mbps(
         sim, lambda: prop.multicast(None, DEFAULT_VALUE_SIZE), ConstantRate(rate)
     ).start()
     end = warmup + duration
-    start_bytes = {}
-    sim.at(warmup, lambda: start_bytes.__setitem__("v", learner.delivered_bytes.value))
+    delivered = _window(lambda: learner.delivered_bytes.value, sim, warmup)
     sim.run(until=end)
-    delivered = learner.delivered_bytes.value - start_bytes["v"]
-    return delivered / duration * 8.0 / 1e6
+    return delivered() / duration * 8.0 / 1e6
 
 
 def _measure_utilizations(
@@ -105,9 +103,9 @@ def _measure_utilizations(
     """Profiler-measured busy fractions for one loaded ring."""
     sim = Simulator(seed=1)
     net = Network(sim)
-    ring = build_ring(sim, net, durable=durable)
     profiler = SimProfiler(sim)
-    profiler.watch_network(net)
+    profiler.watch_network(net)  # before the ring: windows need every submission
+    ring = build_ring(sim, net, durable=durable)
     prop = ring.proposers[0]
     rate = mbps_to_bytes_per_s(offered_mbps) / DEFAULT_VALUE_SIZE
     OpenLoopGenerator(

@@ -8,18 +8,26 @@ makes that directly observable: it walks every FIFO server on the fabric
 each over a window, and renders a saturation table whose top row names
 the bottleneck.
 
-No probes required: busy accounting already lives in
-:class:`~repro.sim.server.FifoServer`, so a profiler can be pointed at a
-network after the fact. Windowed queries beyond the servers'
-``history_window`` (30 s by default) fall back to lifetime busy time.
+The profiler is a ``server.busy`` reader. A
+:class:`~repro.sim.server.FifoServer` keeps only a busy-seconds counter,
+which answers the lifetime window ``[0, now]`` for any profiler, however
+late it was pointed at a network. Every other window is answered from the
+busy intervals the profiler itself merged out of the ``server.busy``
+probe events it saw, so watch a network (or track a server) before its
+first submission; a windowed report over a server whose submissions the
+profiler missed raises instead of under-counting.
 """
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_right
+from collections import defaultdict
 from dataclasses import dataclass
 
 from ..sim.network import Network
 from ..sim.simulator import Simulator
+from .probe import SERVER_BUSY, ProbeBus, ProbeEvent
 
 __all__ = ["ProfileRow", "SimProfiler"]
 
@@ -39,27 +47,102 @@ class ProfileRow:
                 "busy_s": self.busy_s, "utilization": self.utilization}
 
 
+class _BusyHistory:
+    """One server's busy intervals, merged: disjoint, sorted, never trimmed.
+
+    Two parallel ``array('d')`` (starts / ends) rather than a list of
+    tuples: 16 bytes per interval, and :meth:`between` bisects the starts
+    directly. ``jobs`` counts the submissions seen, to be compared with the
+    server's own ``jobs_served``.
+    """
+
+    __slots__ = ("starts", "ends", "jobs")
+
+    def __init__(self) -> None:
+        self.starts = array("d")
+        self.ends = array("d")
+        self.jobs = 0
+
+    def add(self, start: float, finish: float) -> None:
+        ends = self.ends
+        self.jobs += 1
+        if ends and ends[-1] >= start:
+            ends[-1] = finish  # the server never went idle: same interval
+        else:
+            self.starts.append(start)
+            ends.append(finish)
+
+    def between(self, start: float, end: float) -> float:
+        """Exact busy seconds within ``[start, end]``."""
+        if end <= start:
+            return 0.0
+        starts = self.starts
+        ends = self.ends
+        # Start at the last interval opening at or before ``start``: the
+        # only earlier one that can reach into the window.
+        i = max(bisect_right(starts, start) - 1, 0)
+        busy = 0.0
+        n = len(starts)
+        while i < n and starts[i] < end:
+            if ends[i] > start:
+                busy += min(ends[i], end) - max(starts[i], start)
+            i += 1
+        return busy
+
+
 class SimProfiler:
     """Attributes simulated busy time to the components of one simulator.
 
     Components are discovered from watched networks at report time, so a
     profiler attached at simulator creation also covers nodes added later.
     Extra servers (e.g. a standalone disk) can be tracked explicitly.
+    Busy intervals are keyed by server name, so the servers behind one
+    profiler need distinct names.
     """
 
     def __init__(self, sim: Simulator) -> None:
         self.sim = sim
         self._networks: list[Network] = []
         self._extra: dict[str, tuple[str, object]] = {}
+        self._buses: list[ProbeBus] = []
+        self._history: defaultdict[str, _BusyHistory] = defaultdict(_BusyHistory)
 
     def watch_network(self, network: Network) -> None:
-        """Include every node/NIC/disk of ``network`` in future reports."""
-        if network not in self._networks:
-            self._networks.append(network)
+        """Include every node/NIC/disk of ``network`` in future reports.
+
+        Subscribes to the network's probe bus, attaching a private one if
+        it has none.
+        """
+        if network in self._networks:
+            return
+        self._networks.append(network)
+        if network.probe is None:
+            network.attach_probe(ProbeBus())
+        self._listen(network.probe)
 
     def track(self, component: str, server, kind: str = "server") -> None:
-        """Track an arbitrary busy-interval server under ``component``."""
+        """Track an arbitrary FIFO server under ``component``."""
         self._extra[component] = (kind, server)
+        if server.probe is None:
+            server.probe = ProbeBus()
+        self._listen(server.probe)
+
+    def _listen(self, bus: ProbeBus) -> None:
+        if bus not in self._buses:
+            self._buses.append(bus)
+            bus.subscribe(self._on_busy, kind=SERVER_BUSY)
+
+    def _on_busy(self, event: ProbeEvent) -> None:
+        self._history[event.source].add(event.data["start"], event.data["finish"])
+
+    def _busy_between(self, server, start: float, end: float) -> float:
+        history = self._history[server.name]
+        if history.jobs != server.jobs_served:
+            raise RuntimeError(
+                f"profiler did not observe every submission to {server.name!r}: "
+                "only the lifetime window [0, now] can be reported"
+            )
+        return history.between(start, end)
 
     # ------------------------------------------------------------------
     # Reporting
@@ -82,15 +165,18 @@ class SimProfiler:
         ``end`` defaults to the simulator's current clock. Components that
         never did any work are omitted.
         """
+        now = self.sim.now
         if end is None:
-            end = self.sim.now
+            end = now
         span = max(end - start, 0.0)
         rows = []
         for component, kind, server in self._components():
-            if start == 0.0 and end >= self.sim.now:
-                busy = server.total_busy_time
+            if start == 0.0 and end >= now:
+                # Needs no history: busy so far, plus the accepted work
+                # the server will be doing from now to ``end``.
+                busy = server.busy_time() + min(server.backlog_time, end - now)
             else:
-                busy = server.busy_between(start, end)
+                busy = self._busy_between(server, start, end)
             if busy <= 0.0:
                 continue
             rows.append(

@@ -6,11 +6,14 @@ observability layer cannot be handed references up front. An
 (:func:`~repro.sim.simulator.observe_simulators`,
 :func:`~repro.sim.network.observe_networks`,
 :func:`~repro.metrics.registry.observe_registries`) for its lifetime:
-every :class:`Simulator` gets the session's probe bus and a
-:class:`SimProfiler`, every :class:`Network` is probe-instrumented down
-to its NIC/CPU/disk servers, and every root metrics registry is collected
-for the final snapshot. With no session active, none of those hooks exist
-and simulations run exactly as before.
+every :class:`Simulator` gets the session's probe bus, every
+:class:`Network` is probe-instrumented down to its NIC/CPU/disk servers,
+and every root metrics registry is collected for the final snapshot. On
+exit each simulator gets a :class:`SimProfiler` for the summary's lifetime
+busy rows — built that late because a profiler subscribes to
+``server.busy``, and a session that streams no such events should not pay
+one per submission. With no session active, none of those hooks exist and
+simulations run exactly as before.
 
 Typical use (also what ``python -m repro ... --emit-metrics`` does)::
 
@@ -60,7 +63,8 @@ class ObsSession:
     ) -> None:
         self.bus = ProbeBus()
         self.simulators: list[Simulator] = []
-        self.profilers: list[SimProfiler] = []
+        self.networks: list[Network] = []
+        self.profilers: list[SimProfiler] = []  # one per simulator, built on exit
         self.registries: list[MetricsRegistry] = []
         if collect:
             self.writer = MemoryTraceWriter()
@@ -74,22 +78,15 @@ class ObsSession:
     # ------------------------------------------------------------------
     def _on_simulator(self, sim: Simulator) -> None:
         sim.attach_probe(self.bus)
-        profiler = SimProfiler(sim)
         self.simulators.append(sim)
-        self.profilers.append(profiler)
 
     def _on_network(self, network: Network) -> None:
         network.attach_probe(self.bus)
-        for sim, profiler in zip(self.simulators, self.profilers):
-            if sim is network.sim:
-                profiler.watch_network(network)
-                return
+        self.networks.append(network)
         # A network over a simulator that predates the session: profile it
         # anyway so manually built setups still get attribution.
-        profiler = SimProfiler(network.sim)
-        profiler.watch_network(network)
-        self.simulators.append(network.sim)
-        self.profilers.append(profiler)
+        if network.sim not in self.simulators:
+            self.simulators.append(network.sim)
 
     def _on_registry(self, registry: MetricsRegistry) -> None:
         self.registries.append(registry)
@@ -111,6 +108,9 @@ class ObsSession:
         for remove in self._removers:
             remove()
         self._removers.clear()
+        self.profilers = [SimProfiler(sim) for sim in self.simulators]
+        for network in self.networks:
+            self.profilers[self.simulators.index(network.sim)].watch_network(network)
         if self.writer is not None:
             self._write_summary()
             self.writer.close()
@@ -155,7 +155,7 @@ class ObsSession:
             self.writer.write(record)
 
     # ------------------------------------------------------------------
-    # Queries
+    # Queries (once the session has exited)
     # ------------------------------------------------------------------
     def profile_table(self, index: int = -1) -> str:
         """The saturation table of one profiled simulator (default: last)."""

@@ -7,7 +7,9 @@ Protocol code charges explicit costs — per message and per byte — when it
 handles traffic; the calibration constants live in ``repro.calibration``.
 
 The CPU percentages reported in the paper's figures (e.g. the 97.6% at the
-In-memory Ring Paxos knee in Figure 1) map to :meth:`Cpu.utilization`.
+In-memory Ring Paxos knee in Figure 1) are two readings of
+:meth:`Cpu.busy_time <repro.sim.server.FifoServer.busy_time>` over the
+measured window.
 """
 
 from __future__ import annotations
@@ -29,14 +31,8 @@ class Cpu(FifoServer):
 
     __slots__ = ()
 
-    def __init__(
-        self,
-        sim: Simulator,
-        capacity: float = 1.0,
-        name: str = "cpu",
-        history_window: float = 30.0,
-    ) -> None:
-        super().__init__(sim, rate=capacity, name=name, history_window=history_window)
+    def __init__(self, sim: Simulator, capacity: float = 1.0, name: str = "cpu") -> None:
+        super().__init__(sim, rate=capacity, name=name)
 
     @property
     def capacity(self) -> float:

@@ -51,7 +51,6 @@ class Disk:
         buffer_bytes: int = 4 * 1024 * 1024,
         write_latency: float = 50e-6,
         name: str = "disk",
-        history_window: float = 30.0,
     ) -> None:
         if bandwidth <= 0:
             raise ValueError("disk bandwidth must be positive")
@@ -64,9 +63,7 @@ class Disk:
         self.name = name
         self.bytes_written = 0
         self.writes = 0
-        self._drain = FifoServer(
-            sim, rate=bandwidth, name=f"{name}.drain", history_window=history_window
-        )
+        self._drain = FifoServer(sim, rate=bandwidth, name=f"{name}.drain")
 
     def write(self, nbytes: int, fn: Callable[..., None] | None = None, *args: Any) -> float:
         """Buffered write of ``nbytes``; returns the ack (buffered) time.
@@ -79,7 +76,7 @@ class Disk:
         """
         if not nbytes >= 0:  # written so that NaN is rejected too
             raise SimulationError("cannot write a negative number of bytes")
-        drained_at = self._drain.submit(float(nbytes))
+        drained_at = self._drain.submit(nbytes)
         # The buffer holds whatever has been admitted but not yet drained.
         # A write is admitted when the buffer has room for it, i.e. when
         # everything that must drain to make room has drained:
@@ -106,11 +103,3 @@ class Disk:
     def drain(self) -> FifoServer:
         """The underlying drain server (for profiling/busy accounting)."""
         return self._drain
-
-    def utilization(self, window: float = 1.0) -> float:
-        """Fraction of the last ``window`` seconds the drain was busy."""
-        return self._drain.utilization(window)
-
-    def busy_between(self, start: float, end: float) -> float:
-        """Busy drain seconds in ``[start, end]`` (for figure CPU/IO bars)."""
-        return self._drain.busy_between(start, end)

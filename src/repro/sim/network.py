@@ -64,14 +64,6 @@ class Nic:
         self.messages_sent = 0
         self.messages_received = 0
 
-    def ingress_utilization(self, window: float = 1.0) -> float:
-        """Fraction of the last ``window`` seconds the receive link was busy."""
-        return self.ingress.utilization(window)
-
-    def egress_utilization(self, window: float = 1.0) -> float:
-        """Fraction of the last ``window`` seconds the transmit link was busy."""
-        return self.egress.utilization(window)
-
 
 class Network:
     """The cluster fabric: nodes, their NICs, and multicast groups.
@@ -216,7 +208,7 @@ class Network:
         node, nic, _ = endpoint
         if not node.up:
             return  # a crashed machine transmits nothing
-        depart = nic.egress.submit(float(size))
+        depart = nic.egress.submit(size)
         nic.bytes_sent += size
         nic.messages_sent += 1
         if self.probe is not None and self.probe.wants("net.enqueue"):
@@ -251,7 +243,7 @@ class Network:
             return
         sim = self.sim
         nic = self.nics[src]
-        depart = nic.egress.submit(float(size))
+        depart = nic.egress.submit(size)
         nic.bytes_sent += size
         nic.messages_sent += 1
         probe = self.probe
@@ -330,7 +322,7 @@ class Network:
             )
         if size > 0:
             # The ingress queue schedules the dispatch itself.
-            nic.ingress.submit(float(size), dispatch, port, src, msg)
+            nic.ingress.submit(size, dispatch, port, src, msg)
             nic.bytes_received += size
             nic.messages_received += 1
         else:

@@ -309,7 +309,7 @@ class GeoNetwork(Network):
         node, nic, _ = endpoint
         if not node.up:
             return
-        depart = nic.egress.submit(float(size))
+        depart = nic.egress.submit(size)
         nic.bytes_sent += size
         nic.messages_sent += 1
         if self.probe is not None and self.probe.wants("net.enqueue"):
@@ -349,7 +349,7 @@ class GeoNetwork(Network):
             return
         sim = self.sim
         nic = self.nics[src]
-        depart = nic.egress.submit(float(size))
+        depart = nic.egress.submit(size)
         nic.bytes_sent += size
         nic.messages_sent += 1
         probe = self.probe
@@ -429,7 +429,7 @@ class GeoNetwork(Network):
                         dst=dst, port=port, msg=type(msg).__name__, size=size,
                     )
             return
-        finish = link.fifo.submit(float(size))
+        finish = link.fifo.submit(size)
         link.messages_carried += 1
         link.bytes_carried += size
         delay = link.latency

@@ -401,3 +401,49 @@ def test_autoscaler_merges_idle_rings():
         p.multicast(i % 2, f"m{i}", SIZE)
     mrp.run(until=4.5)
     assert sorted(log) == sorted(f"m{i}" for i in range(6))
+
+
+def test_autoscaler_cpu_signal_is_busy_time_over_the_interval():
+    """The policy loop's CPU reading is two readings of each coordinator's
+    ``busy_time()`` one ``interval`` apart, taken every tick (also while a
+    cooldown or a reconfiguration keeps it from acting); a coordinator it
+    has not read before — a takeover's — has no window for one tick."""
+    mrp = deploy(n_groups=2)
+    mrp.add_learner(groups=[0, 1])
+    p = mrp.add_proposer()
+    scaler = Autoscaler(mrp, AutoscalePolicy(  # thresholds no load can reach
+        interval=0.1, cooldown=1000.0, cpu_split_threshold=2.0, idle_cpu_threshold=0.0,
+    ))
+    seen = []
+    ring_cpu = scaler._ring_cpu
+    scaler._ring_cpu = lambda: seen.append(ring_cpu()) or seen[-1]
+    ticks = []  # read independently: (coordinator node and liveness per ring, busy_time per node)
+
+    def read():
+        ticks.append((
+            {rid: (h.coordinator.node.name, h.coordinator.crashed) for rid, h in mrp.rings.items()},
+            {name: node.cpu.busy_time() for name, node in mrp.network.nodes.items()},
+        ))
+
+    for tick in range(11):
+        mrp.sim.at(0.1 * tick, read)
+    # Scripted load: ring 0 from 0.15 s on, ring 1 inside one interval only.
+    for i in range(400):
+        mrp.sim.at(0.15 + 0.002 * i, p.multicast, 0, f"a{i}", SIZE)
+    for i in range(20):
+        mrp.sim.at(0.42 + 0.001 * i, p.multicast, 1, f"b{i}", SIZE)
+    mrp.sim.at(0.65, mrp.crash_coordinator, 1)  # an acceptor takes over before 0.7 s
+    scaler.start()
+    mrp.run(until=1.0)
+    scaler.stop()
+    assert len(seen) == len(ticks) == 11 and seen[0] == {}  # start() opens the first window
+    for cpu, (coords, busy), (coords_before, busy_before) in zip(seen[1:], ticks[1:], ticks):
+        expected = {
+            rid: (busy[name] - busy_before[name]) / 0.1
+            for rid, (name, crashed) in coords.items()
+            if not crashed and coords_before[rid][0] == name
+        }
+        assert cpu == pytest.approx(expected, rel=1e-9)
+    assert [sorted(cpu) for cpu in seen[6:9]] == [[0, 1], [0], [0, 1]]  # 0.7 s: no window yet
+    assert seen[5][1] > 2 * seen[4][1] and seen[6][1] == pytest.approx(seen[4][1])
+    assert seen[4][0] > 4 * seen[1][0]

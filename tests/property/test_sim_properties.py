@@ -4,6 +4,7 @@ from hypothesis import find, given, settings
 from hypothesis import strategies as st
 
 from repro.metrics import BucketSeries, LatencyHistogram
+from repro.obs import SimProfiler
 from repro.sim import FifoServer, GeoNetwork, Node, Simulator, Timer, Topology
 from repro.sim.events import EventQueue
 
@@ -84,10 +85,11 @@ def test_fifo_server_conservation(demands, rate):
     assert srv.total_busy_time * rate == sum(demands) or abs(
         srv.total_busy_time - sum(demands) / rate
     ) < 1e-6 * max(1.0, sum(demands) / rate)
-    # Utilization can never exceed 1 over any window.
-    sim.run()
+    # Utilization can never exceed 1: not mid-backlog, not once drained.
     horizon = max(finishes)
-    assert srv.busy_between(0.0, horizon) <= horizon + 1e-9
+    for t in (horizon / 3, horizon):
+        sim.run(until=t)
+        assert srv.busy_time() <= t + 1e-9
 
 
 @given(
@@ -126,26 +128,86 @@ def test_completions_of_several_servers_fire_in_finish_then_submission_order(ops
     assert sim.pending_events == 0
 
 
+_BUSY_PROGRAMS = st.lists(
+    st.one_of(
+        st.tuples(st.just("submit"), st.sampled_from([0.0, 0.25, 1.0, 1.0, 4.0])),
+        st.tuples(st.just("advance"), st.sampled_from([0.0, 0.1, 0.5, 1.0, 3.0, 20.0])),
+        # check/schedule.py slows and restores disk.drain.rate mid-run.
+        st.tuples(st.just("rate"), st.sampled_from([0.25, 1.0, 2.0])),
+    ),
+    min_size=1,
+    max_size=60,
+)
+
+
+def _busy_readings_differ(program, reading):
+    """Run ``program``, taking ``reading(server)`` after every step; True
+    when one differs from the union of the accepted jobs' intervals
+    clipped at the clock."""
+    sim = Simulator()
+    srv = FifoServer(sim, rate=1.0)
+    intervals = []  # reference: every job's own (start, finish)
+    free_at = 0.0
+    for op, value in program:
+        if op == "submit":
+            start = max(sim.now, free_at)
+            free_at = start + value / srv.rate
+            intervals.append((start, free_at))
+            assert srv.submit(value) == free_at
+        elif op == "advance":
+            sim.run(until=sim.now + value)
+        else:
+            srv.rate = value
+        expected = sum(max(0.0, min(hi, sim.now) - lo) for lo, hi in intervals)
+        if abs(reading(srv) - expected) > 1e-9 * max(1.0, expected):
+            return True
+    return False
+
+
+@given(program=_BUSY_PROGRAMS)
+@settings(max_examples=300, deadline=None)
+def test_busy_time_is_the_union_of_job_intervals_clipped_at_now(program):
+    """Mid-job, idle, behind a backlog, across a rate change."""
+    assert not _busy_readings_differ(program, FifoServer.busy_time)
+
+
+def test_busy_time_property_rejects_a_reading_that_counts_the_backlog():
+    """The property has teeth: ``total_busy_time`` alone fails it."""
+    program = find(
+        _BUSY_PROGRAMS,
+        lambda p: _busy_readings_differ(p, lambda srv: srv.total_busy_time),
+        settings=settings(max_examples=2000, derandomize=True, deadline=None),
+    )
+    assert not _busy_readings_differ(program, FifoServer.busy_time)
+
+
 @given(
     demands=st.lists(st.floats(0.001, 5.0, allow_nan=False), min_size=1, max_size=50),
     gaps=st.lists(st.floats(0.0, 5.0, allow_nan=False), min_size=1, max_size=50),
+    cut=st.floats(0.0, 1.0),
 )
 @settings(max_examples=50, deadline=None)
-def test_fifo_busy_between_is_additive(demands, gaps):
-    """busy(a,c) == busy(a,b) + busy(b,c) for any split point."""
+def test_profiler_busy_windows_are_additive(demands, gaps, cut):
+    """busy(a,c) == busy(a,b) + busy(b,c) for any split point, and the
+    whole history adds up to the server's own counter."""
     sim = Simulator()
-    srv = FifoServer(sim, rate=1.0, history_window=1e9)
+    srv = FifoServer(sim, rate=1.0)
+    profiler = SimProfiler(sim)
+    profiler.track("srv", srv)
     t = 0.0
     for demand, gap in zip(demands, gaps):
         sim.run(until=t)
         srv.submit(demand)
         t += gap
-    sim.run()
-    end = srv.busy_until + 1.0
-    mid = end / 2
-    total = srv.busy_between(0.0, end)
-    split = srv.busy_between(0.0, mid) + srv.busy_between(mid, end)
-    assert abs(total - split) < 1e-9
+    sim.run(until=srv.busy_until + 1.0)
+    history = profiler._history[srv.name]
+    end = sim.now
+    mid = end * cut
+    total = history.between(0.0, end)
+    assert abs(total - (history.between(0.0, mid) + history.between(mid, end))) < 1e-9
+    assert abs(total - srv.busy_time()) < 1e-9
+    assert all(lo < hi for lo, hi in zip(history.starts, history.ends))
+    assert all(hi < lo for hi, lo in zip(history.ends, history.starts[1:]))  # disjoint: merged
 
 
 @given(samples=st.lists(st.floats(0.0, 1e3, allow_nan=False), min_size=1, max_size=500))

@@ -95,13 +95,13 @@ def test_suspect_timeout_must_exceed_heartbeat_interval():
         MultiRingConfig(n_groups=1, suspect_timeout=0.0)
 
 
-def test_coordinator_cpu_helper():
+def test_coordinator_cpu_is_read_off_its_node():
     mrp = MultiRingPaxos(MultiRingConfig(n_groups=1, lambda_rate=2000.0))
     prop = mrp.add_proposer()
     for i in range(20):
         prop.multicast(0, i, 8192)
     mrp.run(until=1.0)
-    assert 0.0 < mrp.coordinator_cpu(0, window=1.0) <= 1.0
+    assert 0.0 < mrp.rings[0].coordinator.node.cpu.busy_time() / 1.0 <= 1.0
 
 
 def test_run_advances_to_absolute_time():

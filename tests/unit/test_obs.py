@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.bench.report import read_jsonl, write_jsonl
 from repro.metrics import MetricsRegistry
 from repro.obs import (
@@ -170,6 +172,155 @@ def test_profiler_windowed_report():
 
 
 # ---------------------------------------------------------------------------
+# SimProfiler: busy intervals read from server.busy
+# ---------------------------------------------------------------------------
+def _tracked(rate=1.0):
+    """A standalone server under a profiler, and its exact-window reader."""
+    sim = Simulator()
+    server = FifoServer(sim, rate=rate, name="s")
+    profiler = SimProfiler(sim)
+    profiler.track("solo", server)
+
+    def busy(start, end):
+        rows = profiler.report(start, end)
+        return rows[0].busy_s if rows else 0.0
+
+    return sim, server, profiler, busy
+
+
+def test_profiler_windows_are_exact():
+    sim, server, _, busy = _tracked()
+    server.submit(1.0)  # busy [0, 1]
+    sim.run(until=2.0)
+    server.submit(0.5)  # busy [2, 2.5]
+    sim.run(until=3.0)
+    assert busy(0.0, 3.0) == pytest.approx(1.5)
+    assert busy(0.5, 2.25) == pytest.approx(0.75)
+    assert busy(1.0, 2.0) == 0.0
+    assert busy(2.25, 2.25) == 0.0
+    # Long after the run, a window entirely in the past reads the same.
+    sim.run(until=1000.0)
+    assert busy(0.5, 2.25) == pytest.approx(0.75)
+    assert busy(0.0, 1000.0) == pytest.approx(1.5)
+
+
+def test_profiler_merges_contiguous_jobs_into_one_interval():
+    sim, server, profiler, busy = _tracked()
+    for _ in range(100):
+        server.submit(0.01)
+    history = profiler._history["s"]
+    assert (len(history.starts), len(history.ends), history.jobs) == (1, 1, 100)
+    sim.run(until=2.0)
+    assert busy(0.0, 2.0) == pytest.approx(1.0)
+    assert busy(0.25, 0.75) == pytest.approx(0.5)
+
+
+class _CountingList(list):
+    """List that counts item reads, to bound the window scan."""
+
+    def __init__(self, items=()):
+        super().__init__(items)
+        self.reads = 0
+
+    def __getitem__(self, index):
+        self.reads += 1
+        return super().__getitem__(index)
+
+
+def test_profiler_window_is_exact_and_bounded_on_a_long_history():
+    sim, server, profiler, busy = _tracked()
+    # 10,000 disjoint busy intervals [2k, 2k + 0.5]; none is ever trimmed.
+    for k in range(10_000):
+        sim.run(until=2.0 * k)
+        server.submit(0.5)
+    history = profiler._history["s"]
+    assert len(history.starts) == 10_000
+    # Swap in read-counting lists, then query a 3-second window deep in
+    # the history: the answer must be exact and the scan must bisect to
+    # the window instead of walking all 10,000 entries.
+    history.starts = starts = _CountingList(history.starts)
+    history.ends = ends = _CountingList(history.ends)
+    assert busy(12_000.0, 12_003.0) == pytest.approx(1.0)
+    assert starts.reads + ends.reads < 64
+
+
+def test_profiler_bisect_agrees_with_linear_reference():
+    sim, server, profiler, busy = _tracked()
+    for k in range(50):
+        sim.run(until=3.0 * k)
+        server.submit(1.5)
+    history = profiler._history["s"]
+    intervals = list(zip(history.starts, history.ends))
+    assert len(intervals) == 50
+
+    def reference(start, end):
+        return sum(
+            max(0.0, min(hi, end) - max(lo, start)) for lo, hi in intervals
+        )
+
+    for start, end in [(0.0, 200.0), (10.2, 11.0), (74.9, 81.3), (149.0, 150.5),
+                       (-5.0, 1.0), (147.5, 400.0), (33.0, 33.0)]:
+        assert busy(start, end) == pytest.approx(reference(start, end))
+
+
+def test_profiler_lifetime_row_excludes_unserved_backlog():
+    """Regression: the lifetime short cut read ``total_busy_time``, which
+    counts accepted-but-unserved work, so a saturated resource reported a
+    utilization above 1 that grew with its backlog."""
+    sim, server, profiler, busy = _tracked()
+    for _ in range(100):
+        server.submit(0.5)  # 50 s of work accepted at t = 0
+    sim.run(until=2.0)
+    (row,) = profiler.report()
+    assert row.utilization == pytest.approx(1.0) and row.utilization <= 1.0
+    assert row.busy_s == pytest.approx(busy(-1.0, sim.now))  # the windowed path
+    (ahead,) = profiler.report(0.0, 5.0)  # accepted work counts once the window reaches it
+    assert ahead.busy_s == pytest.approx(busy(-1.0, 5.0)) and ahead.utilization <= 1.0
+    assert server.total_busy_time == pytest.approx(50.0)
+
+
+def test_profiler_covers_a_node_added_after_watch_network():
+    from repro.sim.node import Node
+
+    sim = Simulator()
+    net = Network(sim)
+    profiler = SimProfiler(sim)
+    profiler.watch_network(net)  # attaches a private bus: the network had none
+    assert net.probe is not None
+    net.add_node(Node(sim, "a"))
+    net.add_node(Node(sim, "b", disk_bandwidth=1000.0))
+    net.node("b").register("p", lambda src, msg: net.node("b").disk.write(500))
+    sim.at(1.0, net.send, "a", "b", "p", "x", int(net.default_bandwidth // 4))
+    sim.run(until=3.0)
+    assert profiler.utilizations(1.0, 2.0) == pytest.approx(
+        {"a.nic.tx": 0.25, "b.nic.rx": 0.25, "b.disk": 0.5}, rel=1e-3
+    )
+    assert profiler.utilizations(0.0, 1.0) == {}
+
+
+def test_profiler_shares_a_bus_that_is_already_attached():
+    sim = Simulator()
+    net = Network(sim)
+    bus = ProbeBus()
+    net.attach_probe(bus)
+    profiler = SimProfiler(sim)
+    profiler.watch_network(net)
+    profiler.watch_network(net)  # idempotent: one subscription
+    assert net.probe is bus
+    assert bus._by_kind[SERVER_BUSY] == [profiler._on_busy]
+
+
+def test_profiler_refuses_a_window_over_submissions_it_missed():
+    sim, net, _ = _loaded_ring()  # work submitted before anyone watches
+    profiler = SimProfiler(sim)
+    profiler.watch_network(net)
+    sim.run(until=1.0)
+    assert profiler.report()  # lifetime rows come from the servers' counters
+    with pytest.raises(RuntimeError, match="did not observe every submission"):
+        profiler.report(0.5, 1.0)
+
+
+# ---------------------------------------------------------------------------
 # JSONL export
 # ---------------------------------------------------------------------------
 def test_jsonl_writer_and_report_readers(tmp_path):
@@ -205,6 +356,10 @@ def test_obs_session_instruments_created_simulators(tmp_path):
     assert session.simulators == [sim]
     assert sim.probe is session.bus
     assert len(session.profilers) == 1
+    # Nobody asked for probe records, so not one ProbeEvent was built: the
+    # profilers read lifetime rows and subscribe only once the run is over.
+    assert session.bus.events_emitted == 0
+    assert sim.events_executed > 500
     assert session.registries  # build_ring created a root registry
     assert "saturated resource:" in session.profile_table()
     assert session.saturation_summary()
@@ -212,6 +367,7 @@ def test_obs_session_instruments_created_simulators(tmp_path):
     records = read_jsonl(str(path))
     types = {r["type"] for r in records}
     assert {"meta", "profile", "metric"} <= types
+    assert records[0]["type"] == "meta" and records[0]["probe_events"] == 0
     profile_rows = [r for r in records if r["type"] == "profile"]
     assert all("component" in r and "utilization" in r for r in profile_rows)
     metric_rows = [r for r in records if r["type"] == "metric"]
@@ -250,6 +406,8 @@ def test_obs_session_streams_probe_kinds(tmp_path):
         sim.run(until=1.0)
     probes = read_jsonl(str(path), type="probe")
     assert probes and all(r["kind"] == NET_ENQUEUE for r in probes)
+    (meta,) = read_jsonl(str(path), type="meta")
+    assert meta["probe_events"] == len(probes) == 1  # only the kind asked for
 
 
 # ---------------------------------------------------------------------------

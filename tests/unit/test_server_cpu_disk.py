@@ -1,5 +1,7 @@
 """Unit tests for the FIFO server, CPU, and disk resource models."""
 
+import tracemalloc
+
 import pytest
 
 from repro.errors import SimulationError
@@ -54,34 +56,71 @@ def test_fifo_backlog_time():
     assert srv.backlog_time == 0.0
 
 
-def test_fifo_busy_between_exact():
+def test_fifo_busy_time_is_the_busy_seconds_so_far():
     sim = Simulator()
     srv = FifoServer(sim, rate=1.0)
     srv.submit(1.0)  # busy [0, 1]
-    sim.run(until=2.0)
-    srv.submit(0.5)  # busy [2, 2.5]
+    assert srv.busy_time() == 0.0  # accepted, not yet served
+    readings = {}
+    for t in (0.5, 1.0, 1.5, 2.25, 3.0):
+        sim.at(t, lambda t=t: readings.__setitem__(t, srv.busy_time()))
+    sim.at(2.0, srv.submit, 0.5)  # busy [2, 2.5]
     sim.run(until=3.0)
-    assert srv.busy_between(0.0, 3.0) == pytest.approx(1.5)
-    assert srv.busy_between(0.5, 2.25) == pytest.approx(0.75)
-    assert srv.busy_between(1.0, 2.0) == pytest.approx(0.0)
+    assert readings == pytest.approx({0.5: 0.5, 1.0: 1.0, 1.5: 1.0, 2.25: 1.25, 3.0: 1.5})
+    # A window is two readings.
+    assert readings[2.25] - readings[0.5] == pytest.approx(0.75)
+    assert readings[1.5] - readings[1.0] == 0.0
 
 
-def test_fifo_utilization_window():
-    sim = Simulator()
-    srv = FifoServer(sim, rate=1.0)
-    srv.submit(0.5)
-    sim.run(until=1.0)
-    assert srv.utilization(window=1.0) == pytest.approx(0.5)
-
-
-def test_fifo_merges_contiguous_intervals():
+def test_fifo_busy_time_excludes_a_deep_backlog():
     sim = Simulator()
     srv = FifoServer(sim, rate=1.0)
     for _ in range(100):
-        srv.submit(0.01)
-    # Work is back-to-back: the interval history must have merged to 1.
-    assert len(srv._intervals) == 1
-    assert srv.busy_between(0.0, 2.0) == pytest.approx(1.0)
+        srv.submit(0.5)  # 50 s of work accepted at t = 0
+    sim.run(until=2.0)
+    assert srv.total_busy_time == pytest.approx(50.0)
+    assert srv.busy_time() == pytest.approx(2.0)
+    srv.rate = 4.0  # a fault schedule slows or speeds a drain mid-run
+    srv.submit(4.0)  # one more second, behind the backlog
+    sim.run(until=60.0)
+    assert srv.busy_time() == srv.total_busy_time == pytest.approx(51.0)
+
+
+def test_an_unobserved_server_retains_nothing_per_submission():
+    sim = Simulator()
+    srv = FifoServer(sim, rate=1.0)
+
+    def load(jobs):
+        for _ in range(jobs):
+            sim.run(until=sim.now + 2e-4)  # idle before every job: no two share an interval
+            srv.submit(5e-5)
+
+    load(100)
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        load(50_000)
+        after, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # A per-server interval history grew by megabytes here.
+    assert after - before < 4096
+    assert srv.jobs_served == 50_100
+    assert srv.busy_time() == pytest.approx(50_099 * 5e-5)  # the last job has just begun
+
+
+@pytest.mark.parametrize("rate", [1.0, 3.0, 1e9 / 8])
+def test_int_and_float_demands_finish_at_the_same_times(rate):
+    # Network and Disk pass byte counts straight through, without float().
+    sim = Simulator()
+    as_int, as_float = FifoServer(sim, rate=rate), FifoServer(sim, rate=rate)
+    for size in (0, 1, 7, 64, 1500, 8192, 2**31 + 1):
+        assert as_int.submit(size) == as_float.submit(float(size))
+    assert as_int.total_busy_time == as_float.total_busy_time
+    assert as_int.demand_served == as_float.demand_served
+    ints, floats = (Disk(sim, bandwidth=rate, buffer_bytes=100) for _ in range(2))
+    for size in (10, 333, 8192):
+        assert ints.write(size) == floats.write(float(size))
 
 
 def test_fifo_rejects_bad_args():
@@ -91,8 +130,6 @@ def test_fifo_rejects_bad_args():
     srv = FifoServer(sim, rate=1.0)
     with pytest.raises(ValueError):
         srv.submit(-1.0)
-    with pytest.raises(ValueError):
-        srv.utilization(window=0.0)
 
 
 def test_fifo_nan_demand_is_rejected_and_leaves_the_server_untouched():
@@ -106,7 +143,7 @@ def test_fifo_nan_demand_is_rejected_and_leaves_the_server_untouched():
     assert srv.total_busy_time == 1.0
     assert srv.jobs_served == 1
     assert srv.demand_served == 1.0
-    assert srv._intervals == [(0.0, 1.0)]
+    assert srv.busy_time() == 0.0 and srv.backlog_time == 1.0
     assert sim.pending_events == 0
     sim.run()
     assert fired == [] and sim.now == 0.0
@@ -142,7 +179,7 @@ def test_cpu_saturation_queues_work():
     # 100 jobs of 10 ms on a 1.0 CPU: last finishes at t=1.0.
     assert finishes[-1] == pytest.approx(1.0)
     sim.run(until=1.0)
-    assert cpu.utilization(window=1.0) == pytest.approx(1.0)
+    assert cpu.busy_time() == pytest.approx(1.0)
 
 
 def test_cpu_capacity_scales_service_time():
@@ -190,12 +227,12 @@ def test_disk_ack_callback():
     assert acked == [pytest.approx(0.001)]
 
 
-def test_disk_utilization():
+def test_disk_drain_busy_time():
     sim = Simulator()
     disk = Disk(sim, bandwidth=1000.0)
     disk.write(500)
     sim.run(until=1.0)
-    assert disk.utilization(window=1.0) == pytest.approx(0.5)
+    assert disk.drain.busy_time() == pytest.approx(0.5)
 
 
 def test_disk_counters_and_validation():
@@ -328,53 +365,3 @@ def test_completion_callback_resubmitting_to_its_own_server_keeps_fifo():
         ("chain2", 1.0), ("queued behind", 2.0), ("chain1", 3.0), ("chain0", 4.0),
     ]
     assert sim.events_executed == 4
-
-
-class _CountingList(list):
-    """List that counts item reads, to bound busy_between's scan."""
-
-    def __init__(self, items=()):
-        super().__init__(items)
-        self.reads = 0
-
-    def __getitem__(self, index):
-        self.reads += 1
-        return super().__getitem__(index)
-
-
-def test_busy_between_is_exact_and_bounded_on_long_history():
-    sim = Simulator()
-    # A huge history window so nothing is ever trimmed: 10,000 disjoint
-    # busy intervals [2k, 2k + 0.5].
-    srv = FifoServer(sim, rate=1.0, history_window=1e9)
-    for k in range(10_000):
-        sim.run(until=2.0 * k)
-        srv.submit(0.5)
-    assert len(srv._starts) == 10_000
-    # Swap in read-counting lists, then query a 3-second window deep in
-    # the history: the answer must be exact and the scan must bisect to
-    # the window instead of walking all 10,000 entries.
-    starts = _CountingList(srv._starts)
-    ends = _CountingList(srv._ends)
-    srv._starts = starts
-    srv._ends = ends
-    assert srv.busy_between(12_000.0, 12_003.0) == pytest.approx(1.0)
-    assert starts.reads + ends.reads < 64
-
-
-def test_busy_between_bisect_agrees_with_linear_reference():
-    sim = Simulator()
-    srv = FifoServer(sim, rate=1.0, history_window=1e9)
-    for k in range(50):
-        sim.run(until=3.0 * k)
-        srv.submit(1.5)
-    intervals = srv._intervals
-
-    def reference(start, end):
-        return sum(
-            max(0.0, min(hi, end) - max(lo, start)) for lo, hi in intervals
-        )
-
-    for start, end in [(0.0, 200.0), (10.2, 11.0), (74.9, 81.3), (149.0, 150.5),
-                       (-5.0, 1.0), (147.5, 400.0), (33.0, 33.0)]:
-        assert srv.busy_between(start, end) == pytest.approx(reference(start, end))
