@@ -3,12 +3,10 @@
 One runner per experiment family (steady-state points and time series);
 the ``benchmarks/`` directory contains one pytest-benchmark module per
 paper figure, each of which calls into this package and prints the rows
-the figure reports. ``repro.bench.perf`` adds the wall-clock suite
-(``python -m repro bench`` -> ``BENCH_perf.json``) — its ``time_call``
-timer and ``merge_results`` report hook are re-exported here.
+the figure reports. Wall-clock measurement lives outside this package,
+in the repo benchmark (``benchmarks/e2e``, ``BENCHMARK.json``).
 """
 
-from .perf import merge_results, time_call
 from .report import emit, format_table, series_to_rows
 from .runner import (
     PointResult,
@@ -29,8 +27,6 @@ __all__ = [
     "SeriesResult",
     "emit",
     "format_table",
-    "merge_results",
-    "time_call",
     "run_coordinator_failure_timeseries",
     "run_lcr_point",
     "run_mencius_point",

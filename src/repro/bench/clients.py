@@ -1,18 +1,17 @@
-"""Client-population experiment runners (million-session flyweight tier).
+"""Client-population experiment runner (million-session flyweight tier).
 
-Two runners drive the same partitioned KV service at the same offered
-load with the two client architectures:
+:func:`run_population_point` drives the partitioned KV service with one
+:class:`ClientPopulation` (aggregate arrivals, flyweight sessions, shared
+gateway proposers, optional admission control). Session counts in the
+millions are routine: simulation cost scales with the request *rate*.
 
-* :func:`run_population_point` — one :class:`ClientPopulation`
-  (aggregate arrivals, flyweight sessions, shared gateway proposers,
-  optional admission control). Session counts in the millions are
-  routine: simulation cost scales with the request *rate*.
-* :func:`run_per_actor_point` — the per-actor baseline: one
-  :class:`~repro.smr.client.SmrClient` plus one
-  :class:`~repro.workload.generator.OpenLoopGenerator` per session, each
-  with its own node, proposer, and kernel timer. Cost scales with the
-  session count; this is what the flyweight tier is benchmarked against
-  (``bench_clients`` in ``repro.bench.perf``).
+The per-actor architecture it replaced for load generation — one
+:class:`~repro.smr.client.SmrClient` plus one
+:class:`~repro.workload.generator.OpenLoopGenerator` per session — is
+still product API, and ``tests/property/test_population_properties.py``
+holds the population to n such independent generators; the last
+wall-clock comparison of the two is recorded in docs/simulation.md,
+"Client populations".
 
 Same contract as :mod:`repro.bench.runner`: pure functions of
 JSON-primitive kwargs, one fresh simulator per point, addressable as
@@ -24,15 +23,13 @@ from __future__ import annotations
 from ..core.admission import AdmissionPolicy
 from ..core.config import MultiRingConfig
 from ..core.deployment import MultiRingPaxos
-from ..smr.client import SmrClient
 from ..smr.kvstore import KeyValueStore
 from ..smr.partitioning import RangePartitioner
 from ..smr.replica import Replica
-from ..workload.generator import OpenLoopGenerator
 from ..workload.population import ClientPopulation, SessionMix
 from ..workload.rates import ConstantRate
 
-__all__ = ["run_population_point", "run_per_actor_point"]
+__all__ = ["run_population_point"]
 
 # Commands carry 64 bytes of header (repro.smr.statemachine.Command.size)
 # and no padding in these experiments.
@@ -60,7 +57,6 @@ def run_population_point(
     admission_queue: int = 0,
     crash_coordinator_at: float = 0.0,
     restart_coordinator_at: float = 0.0,
-    write_only: bool = False,
     seed: int = 1,
     label: str | None = None,
 ):
@@ -69,17 +65,12 @@ def run_population_point(
     ``admission_inflight`` > 0 enables gateway admission control with the
     given bounds; ``crash_coordinator_at`` > 0 crashes ring 0's
     coordinator at that time (restarting at ``restart_coordinator_at``)
-    for the overload/graceful-degradation scenario. ``write_only``
-    makes the mix 100% single-key inserts — the mix the per-actor
-    baseline drives, for identical-offered-load comparisons.
+    for the overload/graceful-degradation scenario.
     """
     from .runner import PointResult, _window
 
     mrp, partitioner = _build_service(n_partitions, seed)
-    if write_only:
-        mix = SessionMix(insert_fraction=1.0, delete_fraction=0.0, zipf_s=zipf_s)
-    else:
-        mix = SessionMix(zipf_s=zipf_s, multi_partition_fraction=multi_partition_fraction)
+    mix = SessionMix(zipf_s=zipf_s, multi_partition_fraction=multi_partition_fraction)
     admission = None
     if admission_inflight > 0:
         admission = AdmissionPolicy(max_inflight=admission_inflight, max_queue=admission_queue)
@@ -130,60 +121,4 @@ def run_population_point(
             "shed": shed,
             "delayed": delayed,
         },
-    )
-
-
-def run_per_actor_point(
-    n_sessions: int,
-    rate: float,
-    n_partitions: int = 2,
-    duration: float = 1.0,
-    warmup: float = 0.2,
-    seed: int = 1,
-    label: str | None = None,
-):
-    """The per-actor baseline: ``n_sessions`` SmrClients at ``rate/n`` each.
-
-    Offered load matches :func:`run_population_point` with ``write_only``
-    — same total request rate, same command size, same service — but
-    every session owns a node, a proposer, a generator, and a timer.
-    """
-    from .runner import PointResult, _window
-
-    mrp, partitioner = _build_service(n_partitions, seed)
-    rng = mrp.sim.random.get("bench.per_actor_keys")
-    end = warmup + duration
-    clients = []
-    for i in range(n_sessions):
-        client = SmrClient(mrp, partitioner, name=f"client{i}")
-        # Stagger starts uniformly over one per-client gap: deterministic
-        # generators otherwise all fire at t=0, bunching the aggregate
-        # load into periodic spikes instead of a steady ``rate``.
-        OpenLoopGenerator(
-            mrp.sim,
-            lambda c=client: c.insert(rng.randrange(partitioner.key_space)),
-            ConstantRate(rate / n_sessions),
-            stop_at=end,
-            name=f"gen{i}",
-        ).start(delay=i / rate)
-        clients.append(client)
-    completed = _window(
-        lambda: sum(c.completions.value for c in clients), mrp.sim, warmup
-    )
-    cpu_busy = _window(mrp.rings[0].coordinator.node.cpu.busy_time, mrp.sim, warmup)
-    mrp.run(until=end)
-    in_window = completed()
-    samples: list[float] = []
-    for client in clients:
-        samples.extend(client.request_latency._samples)
-    samples.sort()
-    p50 = samples[len(samples) // 2] if samples else 0.0
-    return PointResult(
-        label=label or f"{n_sessions} actor clients",
-        offered_mbps=rate * _COMMAND_SIZE * 8 / 1e6,
-        delivered_mbps=in_window / duration * _COMMAND_SIZE * 8 / 1e6,
-        msgs_per_s=in_window / duration,
-        latency_ms=p50 * 1e3,
-        cpu_pct=100.0 * cpu_busy() / duration,
-        extra={"n_sessions": n_sessions, "completions": in_window},
     )

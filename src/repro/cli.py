@@ -23,10 +23,9 @@ shape assertions); see ``repro.bench.figures``.
 (randomized fault schedules under safety oracles — see ``repro.check``
 and docs/fuzzing.md); run ``python -m repro fuzz --help`` for its options.
 
-``python -m repro bench ...`` runs the wall-clock performance suite
-(kernel events/sec, figure runners, a bounded fuzz round) and writes
-``BENCH_perf.json`` — see ``repro.bench.perf`` and docs/simulation.md's
-Performance section; run ``python -m repro bench --help`` for options.
+Wall-clock performance is measured by the repo benchmark, not by this
+CLI: ``python3 benchmarks/e2e/bench.py run|compare`` (``BENCHMARK.json``;
+docs/simulation.md, "Performance").
 
 ``python -m repro model ...`` prints the analytic model's capacity plan
 for an arbitrary deployment (works at scales the simulator cannot run,
@@ -114,11 +113,6 @@ def main(argv: list[str] | None = None) -> int:
         from .check.driver import fuzz_main
 
         return fuzz_main(argv[1:])
-    if argv and argv[0] == "bench":
-        # Same pattern for the wall-clock perf suite (repro.bench.perf).
-        from .bench.perf import bench_main
-
-        return bench_main(argv[1:])
     if argv and argv[0] == "model":
         # Analytic capacity planner (repro.model.capacity) — closed form,
         # so it answers for deployments far beyond simulator scale.

@@ -3,8 +3,8 @@
 The executor owns three promises:
 
 * **determinism** — results come back in *spec order* no matter how many
-  workers ran them or which finished first, so figure tables, CSV/JSON
-  outputs and ``BENCH_perf.json`` are byte-identical for any ``--jobs``;
+  workers ran them or which finished first, so figure tables and
+  CSV/JSON outputs are byte-identical for any ``--jobs``;
 * **isolation** — every point runs in a fresh forked process with the
   parent's observability creation-hooks cleared, so a worker simulation
   is bit-for-bit the simulation an in-process call would have run;

@@ -20,6 +20,7 @@ learner is assigned a *preferential acceptor* to ask for lost messages.
 
 from __future__ import annotations
 
+import dataclasses
 from collections import deque
 
 from ..calibration import (
@@ -50,7 +51,7 @@ from .messages import (
     RepairRequest,
     SkipRange,
 )
-from .valuestore import ValueStore
+from .valuestore import ValueStore, decided_run
 
 __all__ = ["RingAcceptor"]
 
@@ -157,7 +158,7 @@ class RingAcceptor(Process):
             state.rnd = msg.rnd
             state.vrnd = msg.rnd
             state.vval = msg.item
-            self._vids_by_instance_note(msg.instance, value_id)
+            self._accepted_vids[msg.instance] = value_id  # for PromiseRange answers
             self.accepts.inc()
             token = Phase2B(
                 instance=msg.instance,
@@ -174,10 +175,6 @@ class RingAcceptor(Process):
             self.parked_depth.set(len(self._parked_2b))
             if parked is not None and parked.value_id == value_id:
                 self._on_phase2b(parked)
-
-    def _vids_by_instance_note(self, instance: int, value_id: int) -> None:
-        # Record the accepted vid per instance for PromiseRange answers.
-        self._accepted_vids[instance] = value_id
 
     # ------------------------------------------------------------------
     # Ring traffic (Phase 2B)
@@ -216,7 +213,7 @@ class RingAcceptor(Process):
         state.rnd = msg.rnd
         state.vrnd = msg.rnd
         state.vval = item
-        self._vids_by_instance_note(msg.instance, msg.value_id)
+        self._accepted_vids[msg.instance] = msg.value_id
         self.accepts.inc()
         token = Phase2B(
             instance=msg.instance,
@@ -304,19 +301,10 @@ class RingAcceptor(Process):
     def _serve_repair(self, src: str, msg: RepairRequest) -> None:
         if self.crashed:
             return
-        items: list[DataBatch | SkipRange] = []
-        budget = 64 * 1024  # bound one reply to ~a switch-friendly burst
-        cursor = msg.instance
-        for _ in range(min(msg.count, 256)):
-            item = self._decided.get(cursor)
-            if item is None or budget <= 0:
-                break
-            items.append(item)
-            budget -= item.size
-            cursor += item.instance_count
+        items = decided_run(self._decided, msg.instance, msg.count)
         if not items:
             return
-        reply = RepairReply(msg.instance, tuple(items))
+        reply = RepairReply(msg.instance, items)
         self.repairs_served.inc()
         self.network.send(
             self.node.name, src, f"rp{self.config.ring_id}.learner", reply, reply.size
@@ -331,17 +319,8 @@ class RingAcceptor(Process):
         """
         if self.crashed:
             return
-        items: list[DataBatch | SkipRange] = []
-        budget = 64 * 1024
-        cursor = msg.instance
-        for _ in range(min(msg.count, 256)):
-            item = self._decided.get(cursor)
-            if item is None or budget <= 0:
-                break
-            items.append(item)
-            budget -= item.size
-            cursor += item.instance_count
-        reply = CatchupReply(msg.instance, tuple(items), frontier=self._decided_frontier)
+        items = decided_run(self._decided, msg.instance, msg.count)
+        reply = CatchupReply(msg.instance, items, frontier=self._decided_frontier)
         self.catchups_served.inc()
         self.network.send(
             self.node.name, src, f"rp{self.config.ring_id}.learner", reply, reply.size
@@ -426,17 +405,7 @@ class RingAcceptor(Process):
             return
         self.promised_floor = msg.rnd
         self.storage.note_floor(msg.rnd)
-        accepted: list[tuple[int, int, DataBatch | SkipRange]] = []
-        for instance in self.storage.known_instances():
-            if instance < msg.from_instance:
-                continue
-            state = self.storage.get(instance)
-            if state.vrnd >= 0:
-                vid = self._accepted_vids.get(instance)
-                item = self.values.get(vid) if vid is not None else None
-                if item is not None:
-                    accepted.append((instance, state.vrnd, item))
-        reply = PromiseRange(msg.from_instance, msg.rnd, tuple(accepted))
+        reply = PromiseRange(msg.from_instance, msg.rnd, self._accepted_from(msg.from_instance))
         self.storage.persist(
             -1,
             64,
@@ -455,8 +424,6 @@ class RingAcceptor(Process):
     def _on_coordinator_change(self, msg: CoordinatorChange) -> None:
         if self.crashed:
             return
-        import dataclasses
-
         new_config = dataclasses.replace(self.config, acceptors=list(msg.acceptors))
         self.adopt(new_config)
         self.last_coordinator_traffic = self.sim.now
@@ -471,6 +438,13 @@ class RingAcceptor(Process):
         if rnd > self.promised_floor:
             self.promised_floor = rnd
             self.storage.note_floor(rnd)
+        return PromiseRange(from_instance, rnd, self._accepted_from(from_instance))
+
+    def _accepted_from(
+        self, from_instance: int
+    ) -> tuple[tuple[int, int, DataBatch | SkipRange], ...]:
+        """``(instance, vrnd, item)`` of every accepted instance >=
+        ``from_instance`` whose value is still held: a PromiseRange body."""
         accepted: list[tuple[int, int, DataBatch | SkipRange]] = []
         for instance in self.storage.known_instances():
             if instance < from_instance:
@@ -481,7 +455,7 @@ class RingAcceptor(Process):
                 item = self.values.get(vid) if vid is not None else None
                 if item is not None:
                     accepted.append((instance, state.vrnd, item))
-        return PromiseRange(from_instance, rnd, tuple(accepted))
+        return tuple(accepted)
 
     def adopt(self, config: RingConfig) -> None:
         """Switch to a reconfigured ring layout (same ring id and ports)."""

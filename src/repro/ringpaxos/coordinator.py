@@ -58,6 +58,7 @@ from .messages import (
     Submit,
     SubmitAck,
 )
+from .valuestore import decided_run
 
 __all__ = ["RingCoordinator"]
 
@@ -271,9 +272,12 @@ class RingCoordinator(Process):
         self.backlog_depth.set(len(self._backlog))
         self.inflight_depth.set(len(self._inflight))
 
-    def _start_instance(self, item: DataBatch | SkipRange) -> None:
-        instance = self.next_instance
-        self.next_instance += item.instance_count
+    def _start_instance(self, item: DataBatch | SkipRange, instance: int | None = None) -> None:
+        """Drive Phase 2 for ``item`` at the next free instance — or, for an
+        item recovered by a takeover, at the fixed ``instance`` it held."""
+        if instance is None:
+            instance = self.next_instance
+            self.next_instance += item.instance_count
         value_id = item.value_id if isinstance(item, DataBatch) else -instance - 1
         state = _Inflight(instance=instance, value_id=value_id, item=item)
         self._inflight[instance] = state
@@ -530,19 +534,10 @@ class RingCoordinator(Process):
     def _serve_learner_repair(self, src: str, msg: RepairRequest) -> None:
         if self.crashed:
             return
-        items: list[DataBatch | SkipRange] = []
-        budget = 64 * 1024
-        cursor = msg.instance
-        for _ in range(min(msg.count, 256)):
-            item = self._decided_log.get(cursor)
-            if item is None or budget <= 0:
-                break
-            items.append(item)
-            budget -= item.size
-            cursor += item.instance_count
+        items = decided_run(self._decided_log, msg.instance, msg.count)
         if not items:
             return
-        reply = RepairReply(msg.instance, tuple(items))
+        reply = RepairReply(msg.instance, items)
         self.network.send(
             self.node.name, src, f"rp{self.config.ring_id}.learner", reply, reply.size
         )
@@ -551,17 +546,8 @@ class RingCoordinator(Process):
         """Answer a recovering learner; the coordinator knows the true frontier."""
         if self.crashed:
             return
-        items: list[DataBatch | SkipRange] = []
-        budget = 64 * 1024
-        cursor = msg.instance
-        for _ in range(min(msg.count, 256)):
-            item = self._decided_log.get(cursor)
-            if item is None or budget <= 0:
-                break
-            items.append(item)
-            budget -= item.size
-            cursor += item.instance_count
-        reply = CatchupReply(msg.instance, tuple(items), frontier=self.next_instance)
+        items = decided_run(self._decided_log, msg.instance, msg.count)
+        reply = CatchupReply(msg.instance, items, frontier=self.next_instance)
         self.network.send(
             self.node.name, src, f"rp{self.config.ring_id}.learner", reply, reply.size
         )
@@ -667,13 +653,13 @@ class RingCoordinator(Process):
                 item = held[1]
                 if isinstance(item, DataBatch):
                     max_vid = max(max_vid, item.value_id)
-                self._start_at(cursor, item)
+                self._start_instance(item, cursor)
                 cursor += item.instance_count
             else:
                 gap_end = cursor
                 while gap_end < horizon and gap_end not in best:
                     gap_end += 1
-                self._start_at(cursor, SkipRange(gap_end - cursor))
+                self._start_instance(SkipRange(gap_end - cursor), cursor)
                 cursor = gap_end
         self.next_instance = max(self.next_instance, horizon)
         self.next_value_id = max(self.next_value_id, max_vid + 1)
@@ -682,14 +668,6 @@ class RingCoordinator(Process):
         if self._on_recovered is not None:
             callback, self._on_recovered = self._on_recovered, None
             callback(self)
-
-    def _start_at(self, instance: int, item: DataBatch | SkipRange) -> None:
-        """Drive Phase 2 for a recovered item at a fixed instance."""
-        value_id = item.value_id if isinstance(item, DataBatch) else -instance - 1
-        state = _Inflight(instance=instance, value_id=value_id, item=item)
-        self._inflight[instance] = state
-        self.instances_started.inc()
-        self._send_phase2a(state)
 
     # ------------------------------------------------------------------
     # Failure injection

@@ -21,6 +21,7 @@ series used in Figure 12.
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Callable
 
 from ..calibration import (
@@ -204,8 +205,6 @@ class RingLearner(Process):
         """Adopt a reconfigured ring: repairs re-target the new members."""
         if self.crashed:
             return
-        import dataclasses
-
         self.config = dataclasses.replace(self.config, acceptors=list(msg.acceptors))
         self._repair_attempts = 0
         self._last_repair_instance = -1

@@ -15,7 +15,37 @@ from collections import deque
 
 from .messages import DataBatch, SkipRange
 
-__all__ = ["ValueStore"]
+__all__ = ["ValueStore", "decided_run"]
+
+# Bounds of one RepairReply / CatchupReply: a reply stops after this many
+# items, or at the first item past this many bytes (~a switch-friendly
+# burst); the learner asks again for the rest.
+REPLY_MAX_ITEMS = 256
+REPLY_BYTE_BUDGET = 64 * 1024
+
+
+def decided_run(
+    decided: dict[int, DataBatch | SkipRange], start: int, count: int
+) -> tuple[DataBatch | SkipRange, ...]:
+    """The consecutive decided items from instance ``start``, reply-sized.
+
+    What an acceptor or the coordinator puts in one repair or catch-up
+    reply: it walks ``decided`` (first instance -> item) from ``start``,
+    stepping over each item's ``instance_count``, and ends at the first
+    instance it does not hold, after ``count`` items, or at the reply
+    bounds above.
+    """
+    items: list[DataBatch | SkipRange] = []
+    budget = REPLY_BYTE_BUDGET
+    cursor = start
+    for _ in range(min(count, REPLY_MAX_ITEMS)):
+        item = decided.get(cursor)
+        if item is None or budget <= 0:
+            break
+        items.append(item)
+        budget -= item.size
+        cursor += item.instance_count
+    return tuple(items)
 
 
 class ValueStore:

@@ -19,7 +19,6 @@ from .rng import RandomStreams
 from .server import FifoServer
 from .simulator import Simulator
 from .topology import GeoNetwork, Topology, WanLink
-from .trace import TraceEvent, Tracer, trace_network
 
 __all__ = [
     "BurstLoss",
@@ -43,9 +42,6 @@ __all__ = [
     "Timer",
     "Topology",
     "TunableLoss",
-    "TraceEvent",
-    "Tracer",
     "UniformLoss",
     "WanLink",
-    "trace_network",
 ]

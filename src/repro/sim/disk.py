@@ -52,10 +52,13 @@ class Disk:
         write_latency: float = 50e-6,
         name: str = "disk",
     ) -> None:
-        if bandwidth <= 0:
+        # Each guard is written so that NaN is rejected too.
+        if not bandwidth > 0:
             raise ValueError("disk bandwidth must be positive")
-        if buffer_bytes <= 0:
+        if not buffer_bytes > 0:
             raise ValueError("buffer size must be positive")
+        if not write_latency >= 0:
+            raise ValueError("write latency must be non-negative")
         self.sim = sim
         self.bandwidth = bandwidth
         self.buffer_bytes = buffer_bytes

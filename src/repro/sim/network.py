@@ -80,8 +80,11 @@ class Network:
         independently per receiver leg.
     """
 
-    # No __slots__: trace_network replaces send/multicast per instance,
-    # and there is only one Network per simulation anyway.
+    __slots__ = (
+        "sim", "propagation_delay", "default_bandwidth", "_loss", "_lossless",
+        "_rng", "nodes", "nics", "_endpoints", "_groups",
+        "messages_dropped", "probe",
+    )
 
     def __init__(
         self,
@@ -90,6 +93,11 @@ class Network:
         bandwidth: float = 1e9 / 8,
         loss: LossModel | None = None,
     ) -> None:
+        # Each guard is written so that NaN is rejected too.
+        if not propagation_delay >= 0:
+            raise NetworkError("propagation delay must be non-negative")
+        if not bandwidth > 0:
+            raise NetworkError("NIC bandwidth must be positive")
         self.sim = sim
         self.propagation_delay = propagation_delay
         self.default_bandwidth = bandwidth
@@ -149,10 +157,11 @@ class Network:
         """Attach ``node`` to the switch with its own NIC."""
         if node.name in self.nodes:
             raise NetworkError(f"node {node.name!r} already attached")
-        self.nodes[node.name] = node
+        # The NIC first: a bad bandwidth raises before anything is registered.
         nic = Nic(
             self.sim, node.name, bandwidth if bandwidth is not None else self.default_bandwidth
         )
+        self.nodes[node.name] = node
         self.nics[node.name] = nic
         self._endpoints[node.name] = (node, nic, node.deliver)
         if self.probe is not None:

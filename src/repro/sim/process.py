@@ -152,7 +152,7 @@ class PeriodicTimer:
     """
 
     def __init__(self, sim: Simulator, period: float, fn: Callable[[], None]) -> None:
-        if period <= 0:
+        if not period > 0:  # written so that NaN is rejected too
             raise ValueError("period must be positive")
         self.sim = sim
         self.period = period

@@ -43,7 +43,7 @@ class FifoServer:
     )
 
     def __init__(self, sim: Simulator, rate: float, name: str = "server") -> None:
-        if rate <= 0:
+        if not rate > 0:  # written so that NaN is rejected too
             raise ValueError("service rate must be positive")
         self.sim = sim
         self.rate = rate

@@ -66,9 +66,10 @@ class WanLink:
     jitter: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.latency < 0 or self.jitter < 0:
+        # Written so that NaN is rejected too.
+        if not (self.latency >= 0 and self.jitter >= 0):
             raise ConfigurationError("WAN latency and jitter must be non-negative")
-        if self.bandwidth <= 0:
+        if not self.bandwidth > 0:
             raise ConfigurationError("WAN bandwidth must be positive")
 
 
@@ -110,7 +111,7 @@ class Topology:
             raise ConfigurationError("a topology needs at least one region")
         if len(set(self.regions)) != len(self.regions):
             raise ConfigurationError("region names must be distinct")
-        if switch_delay < 0:
+        if not switch_delay >= 0:  # written so that NaN is rejected too
             raise ConfigurationError("switch_delay must be non-negative")
         self.switch_delay = switch_delay
         known = set(self.regions)
@@ -198,6 +199,8 @@ class GeoNetwork(Network):
     the shared ``network.loss`` stream — link state (a partitioned WAN
     link) is evaluated at link-entry time, like a node's ``up`` flag.
     """
+
+    __slots__ = ("topology", "region_of", "wan_jitter_scale", "_wan_rng", "_wan")
 
     def __init__(
         self,

@@ -1,124 +1,13 @@
-"""Execution tracing for debugging simulated protocols.
+"""Where network tracing went.
 
-A :class:`Tracer` records structured events — message sends, deliveries,
-protocol state transitions — with their simulated timestamps, supports
-filtering, and renders readable timelines. Attach one to a
-:class:`~repro.sim.network.Network` with :func:`trace_network` to capture
-every transmission without touching protocol code.
+This module used to hold ``Tracer``, a bounded in-memory event recorder
+attached by replacing a network's ``send`` / ``multicast`` per instance.
+The probe bus supersedes it: ``net.enqueue`` / ``net.deliver`` /
+``net.drop`` events (``repro.obs.probe``) carry source, destination,
+port, message type and size, ``ProbeBus.subscribe`` filters by kind, and
+``repro.obs.export.JsonlTraceWriter`` persists them.
 
-This is a debugging instrument: it is never active unless explicitly
-installed, so it costs nothing in benchmarks.
+The file stays, empty, because ``benchmarks/e2e/layers.py::LAYER_FILES``
+still names it and a change under ``src/`` may not edit the benchmark
+(ROADMAP item 5).
 """
-
-from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Any, Callable, Iterable
-
-from .network import Network
-from .simulator import Simulator
-
-__all__ = ["TraceEvent", "Tracer", "trace_network"]
-
-
-@dataclass(frozen=True, slots=True)
-class TraceEvent:
-    """One recorded occurrence."""
-
-    time: float
-    category: str
-    source: str
-    detail: str
-    data: Any = None
-
-    def render(self) -> str:
-        """One readable line: time, category, actor, detail."""
-        return f"{self.time * 1e3:10.3f}ms  {self.category:<10s} {self.source:<16s} {self.detail}"
-
-
-class Tracer:
-    """Bounded in-memory event recorder with filters.
-
-    >>> tracer = Tracer()
-    >>> tracer.record(0.001, "send", "n0", "Submit -> coordinator")
-    >>> len(tracer.events)
-    1
-    """
-
-    def __init__(self, max_events: int = 100_000) -> None:
-        self.max_events = max_events
-        self.events: list[TraceEvent] = []
-        self.dropped = 0
-        self._filters: list[Callable[[TraceEvent], bool]] = []
-
-    def add_filter(self, predicate: Callable[[TraceEvent], bool]) -> None:
-        """Only record events for which every predicate returns True."""
-        self._filters.append(predicate)
-
-    def record(
-        self, time: float, category: str, source: str, detail: str, data: Any = None
-    ) -> None:
-        """Append one event (subject to filters and the size bound)."""
-        event = TraceEvent(time=time, category=category, source=source, detail=detail, data=data)
-        for predicate in self._filters:
-            if not predicate(event):
-                return
-        if len(self.events) >= self.max_events:
-            self.dropped += 1
-            return
-        self.events.append(event)
-
-    # ------------------------------------------------------------------
-    # Queries
-    # ------------------------------------------------------------------
-    def by_category(self, category: str) -> list[TraceEvent]:
-        """Events of one category, in time order."""
-        return [e for e in self.events if e.category == category]
-
-    def by_source(self, source: str) -> list[TraceEvent]:
-        """Events from one actor, in time order."""
-        return [e for e in self.events if e.source == source]
-
-    def between(self, start: float, end: float) -> list[TraceEvent]:
-        """Events with start <= time < end."""
-        return [e for e in self.events if start <= e.time < end]
-
-    def timeline(self, events: Iterable[TraceEvent] | None = None) -> str:
-        """Render events (default: all) as a readable multi-line timeline."""
-        chosen = self.events if events is None else list(events)
-        return "\n".join(e.render() for e in chosen)
-
-    def clear(self) -> None:
-        """Drop all recorded events."""
-        self.events.clear()
-        self.dropped = 0
-
-
-def trace_network(sim: Simulator, network: Network, tracer: Tracer) -> None:
-    """Wrap a network's send/multicast so every transmission is recorded.
-
-    Events carry the destination, port, message type and size — enough to
-    reconstruct a protocol exchange without dumping payloads.
-    """
-    original_send = network.send
-    original_multicast = network.multicast
-
-    def traced_send(src: str, dst: str, port: str, msg: Any, size: int) -> None:
-        tracer.record(
-            sim.now, "send", src, f"-> {dst} [{port}] {type(msg).__name__} ({size}B)", msg
-        )
-        original_send(src, dst, port, msg, size)
-
-    def traced_multicast(src: str, group: str, port: str, msg: Any, size: int) -> None:
-        members = len(network.members(group))
-        tracer.record(
-            sim.now,
-            "multicast",
-            src,
-            f"-> {group} x{members} [{port}] {type(msg).__name__} ({size}B)",
-            msg,
-        )
-        original_multicast(src, group, port, msg, size)
-
-    network.send = traced_send  # type: ignore[method-assign]
-    network.multicast = traced_multicast  # type: ignore[method-assign]

@@ -133,11 +133,3 @@ def test_population_point_overload_scenario_sheds():
     )
     assert r.extra["shed"] + r.extra["delayed"] > 0
     assert r.extra["retries"] > 0
-
-
-def test_per_actor_point_delivers_offered_load():
-    from repro.bench.clients import run_per_actor_point
-
-    r = run_per_actor_point(n_sessions=200, rate=400.0, duration=0.3, warmup=0.1, seed=2)
-    assert r.msgs_per_s == pytest.approx(400.0, rel=0.15)
-    assert r.extra["n_sessions"] == 200

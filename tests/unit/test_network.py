@@ -3,7 +3,8 @@
 import pytest
 
 from repro.errors import NetworkError
-from repro.sim import Network, NoLoss, Node, Simulator, UniformLoss
+from repro.obs import ProbeBus
+from repro.sim import GeoNetwork, Network, NoLoss, Node, Simulator, Topology, UniformLoss
 
 
 def make_net(n=3, **kwargs):
@@ -201,3 +202,18 @@ def test_nic_counters():
     assert net.nic("n0").messages_sent == 1
     assert net.nic("n1").bytes_received == 500
     assert net.nic("n1").messages_received == 1
+
+
+def test_network_attributes_are_declared():
+    # Nothing replaces send/multicast per instance any more, so Network and
+    # GeoNetwork are slotted; the attributes callers do assign still work.
+    sim, net, _ = make_net()
+    geo = GeoNetwork(sim, Topology(["a", "b"], wan_latency=0.01))
+    for fabric in (net, geo):
+        assert not hasattr(fabric, "__dict__")
+        with pytest.raises(AttributeError):
+            fabric.send_hook = print
+        fabric.loss = UniformLoss(0.5)
+        fabric.propagation_delay = 1e-3
+        fabric.probe = ProbeBus()
+        assert isinstance(fabric.loss, UniformLoss)

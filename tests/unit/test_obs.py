@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.bench.report import read_jsonl, write_jsonl
+from repro.calibration import DEFAULT_VALUE_SIZE
 from repro.metrics import MetricsRegistry
 from repro.obs import (
     EVENT_FIRED,
@@ -106,6 +107,26 @@ def test_network_emits_enqueue_and_deliver_probes():
     assert NET_DELIVER in kinds
     assert SERVER_BUSY in kinds  # NIC serialization was probed too
     assert received == ["hello"]
+
+
+def test_enqueue_probes_show_the_ring_paxos_exchange():
+    sim = Simulator(seed=2)
+    net = Network(sim)
+    bus = ProbeBus()
+    enqueues = []
+    bus.subscribe(enqueues.append, kind=NET_ENQUEUE)
+    net.attach_probe(bus)
+    ring = build_ring(sim, net)
+    ring.proposers[0].multicast("m", DEFAULT_VALUE_SIZE)
+    sim.run(until=0.1)
+    by_msg = {e.data["msg"]: e.data for e in enqueues}
+    # The full Figure 3 exchange is visible: Submit, 2A, 2B, acks.
+    assert {"Submit", "Phase2A", "Phase2B", "SubmitAck"} <= set(by_msg)
+    # The 2A is an ip-multicast (one enqueue, a group and its fan-out);
+    # the 2B travels the ring by unicast.
+    assert by_msg["Phase2A"]["group"] == ring.config.multicast_group
+    assert by_msg["Phase2A"]["fanout"] == len(net.members(ring.config.multicast_group))
+    assert "group" not in by_msg["Phase2B"] and "dst" in by_msg["Phase2B"]
 
 
 # ---------------------------------------------------------------------------

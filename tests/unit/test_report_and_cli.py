@@ -59,9 +59,10 @@ def test_cli_list(capsys):
 
 
 def test_cli_unknown_experiment(capsys):
-    assert main(["nonsense"]) == 2
-    err = capsys.readouterr().err
-    assert "unknown experiment" in err
+    # "bench" was a subcommand once; now it is as unknown as any other name.
+    for name in ("nonsense", "bench"):
+        assert main([name]) == 2
+        assert f"unknown experiment(s): {name}" in capsys.readouterr().err
 
 
 def test_cli_runs_experiment_and_writes_output(tmp_path, capsys, monkeypatch):

@@ -12,6 +12,7 @@ from repro.ringpaxos import (
     SkipRange,
     ValueStore,
 )
+from repro.ringpaxos.valuestore import REPLY_BYTE_BUDGET, REPLY_MAX_ITEMS, decided_run
 from repro.sim import Simulator
 
 
@@ -157,6 +158,25 @@ def test_valuestore_evicts_oldest_beyond_cap():
     assert vs.get(0) is None and vs.get(1) is None
     assert vs.get(4) is not None
     assert vs.evicted == 2
+
+
+def test_decided_run_follows_instance_counts_and_stops_at_a_gap():
+    decided = {0: DataBatch(0, (cv(10),)), 1: SkipRange(5), 6: DataBatch(1, (cv(10),)),
+               8: DataBatch(2, (cv(10),))}
+    assert decided_run(decided, 0, 100) == (decided[0], decided[1], decided[6])  # 7 is missing
+    assert decided_run(decided, 1, 2) == (decided[1], decided[6])
+    assert decided_run(decided, 2, 100) == ()  # inside the skip range: no item starts here
+    assert decided_run(decided, 0, 0) == ()
+
+
+def test_decided_run_is_bounded_by_items_and_bytes():
+    small = {i: SkipRange(1) for i in range(1000)}
+    assert len(decided_run(small, 0, 1000)) == REPLY_MAX_ITEMS == 256
+    big = {i: DataBatch(i, (cv(8192),)) for i in range(100)}
+    # The item that crosses the byte budget still goes; the next does not.
+    assert len(decided_run(big, 0, 100)) == REPLY_BYTE_BUDGET // 8192 == 8
+    odd = {i: DataBatch(i, (cv(60_000),)) for i in range(10)}
+    assert len(decided_run(odd, 0, 10)) == 2
 
 
 # ---------------------------------------------------------------------------

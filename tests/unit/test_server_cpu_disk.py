@@ -4,8 +4,18 @@ import tracemalloc
 
 import pytest
 
-from repro.errors import SimulationError
-from repro.sim import Cpu, Disk, FifoServer, Simulator
+from repro.errors import ConfigurationError, NetworkError, SimulationError
+from repro.sim import (
+    Cpu,
+    Disk,
+    FifoServer,
+    Network,
+    Node,
+    PeriodicTimer,
+    Simulator,
+    Topology,
+    WanLink,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -130,6 +140,51 @@ def test_fifo_rejects_bad_args():
     srv = FifoServer(sim, rate=1.0)
     with pytest.raises(ValueError):
         srv.submit(-1.0)
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "build, error",
+    [
+        (lambda sim: FifoServer(sim, rate=NAN), ValueError),
+        (lambda sim: Cpu(sim, capacity=NAN), ValueError),
+        (lambda sim: Disk(sim, bandwidth=NAN), ValueError),
+        (lambda sim: Disk(sim, bandwidth=1000.0, buffer_bytes=NAN), ValueError),
+        (lambda sim: Disk(sim, bandwidth=1000.0, write_latency=NAN), ValueError),
+        (lambda sim: Disk(sim, bandwidth=1000.0, write_latency=-1e-6), ValueError),
+        (lambda sim: Network(sim, propagation_delay=NAN), NetworkError),
+        (lambda sim: Network(sim, propagation_delay=-1e-6), NetworkError),
+        (lambda sim: Network(sim, bandwidth=NAN), NetworkError),
+        (lambda sim: Network(sim, bandwidth=0.0), NetworkError),
+        (lambda sim: WanLink(NAN), ConfigurationError),
+        (lambda sim: WanLink(0.05, bandwidth=NAN), ConfigurationError),
+        (lambda sim: WanLink(0.05, jitter=NAN), ConfigurationError),
+        (lambda sim: Topology(["a", "b"], wan_latency=NAN), ConfigurationError),
+        (lambda sim: Topology(["a"], switch_delay=NAN), ConfigurationError),
+        (lambda sim: PeriodicTimer(sim, NAN, lambda: None), ValueError),
+    ],
+)
+def test_nan_capacity_or_delay_is_rejected_at_construction(build, error):
+    # A NaN rate used to pass `rate <= 0`; the first submit then pushed a
+    # NaN-timed heap entry that fired and left sim.now == nan.
+    sim = Simulator()
+    with pytest.raises(error):
+        build(sim)
+    assert sim.pending_events == 0
+    sim.run()
+    assert sim.now == 0.0
+
+
+def test_add_node_with_a_bad_bandwidth_registers_nothing():
+    sim = Simulator()
+    net = Network(sim)
+    node = Node(sim, "n")
+    with pytest.raises(ValueError):
+        net.add_node(node, bandwidth=NAN)
+    assert not net.nodes and not net.nics
+    net.add_node(node)  # not a duplicate: the failed attempt left no trace
 
 
 def test_fifo_nan_demand_is_rejected_and_leaves_the_server_untouched():
