@@ -80,16 +80,16 @@ class AdmissionController:
         consumed, and the caller must retry (or give up) on its own.
         """
         if not self._queue and self.proposer.unacked < self.policy.max_inflight:
-            self.admitted.inc()
+            self.admitted.value += 1
             self.proposer.multicast(group_id, payload, size)
             return "admitted"
         if len(self._queue) < self.policy.max_queue:
             self._queue.append((group_id, payload, size))
-            self.delayed.inc()
-            self.intake_depth.set(len(self._queue))
+            self.delayed.value += 1
+            self.intake_depth.value = len(self._queue)
             self._emit("admission.delay", payload)
             return "delayed"
-        self.shed.inc()
+        self.shed.value += 1
         self._emit("admission.shed", payload)
         return "shed"
 
@@ -103,11 +103,11 @@ class AdmissionController:
         moved = False
         while self._queue and self.proposer.unacked < self.policy.max_inflight:
             group_id, payload, size = self._queue.popleft()
-            self.admitted.inc()
+            self.admitted.value += 1
             self.proposer.multicast(group_id, payload, size)
             moved = True
         if moved:
-            self.intake_depth.set(len(self._queue))
+            self.intake_depth.value = len(self._queue)
 
     def _emit(self, kind: str, payload: object) -> None:
         probe = self.proposer.sim.probe

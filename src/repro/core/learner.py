@@ -174,10 +174,10 @@ class MultiRingLearner(Process):
         if value.group not in self.group_bytes:
             # A co-hosted group this learner does not subscribe to: the
             # bandwidth and CPU were already spent; the message is dropped.
-            self.discarded_messages.inc()
+            self.discarded_messages.value += 1
             return
         now = self.sim.now
-        self.delivered_messages.inc()
+        self.delivered_messages.value += 1
         self.delivered_log_count += 1
         self.delivered_bytes.inc(value.size)
         self.delivery_series.record(now, value.size)

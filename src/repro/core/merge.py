@@ -99,12 +99,12 @@ class DeterministicMerge:
             return  # stale feed of a ring dropped by a reconfiguration
         if isinstance(item, SkipRange):
             queue.append([item.count])
-            self.buffered_instances.add(item.count)
-            self.queue_gauges[ring_id].add(item.count)
+            self.buffered_instances.value += item.count
+            self.queue_gauges[ring_id].value += item.count
         else:
             queue.append((instance, item))
-            self.buffered_instances.add(1)
-            self.queue_gauges[ring_id].add(1)
+            self.buffered_instances.value += 1
+            self.queue_gauges[ring_id].value += 1
         if self.halted:
             return
         if self.buffered_instances.value > self.buffer_limit:
@@ -142,17 +142,17 @@ class DeterministicMerge:
                     self._quota -= take
                     self.skipped_instances.inc(take)
                     self.consumed_instances.inc(take)
-                    self.buffered_instances.add(-take)
-                    self.queue_gauges[ring_id].add(-take)
+                    self.buffered_instances.value -= take
+                    self.queue_gauges[ring_id].value -= take
                     consumed_any = True
                 else:
                     instance, batch = queue.popleft()
                     self._quota -= 1
-                    self.consumed_instances.inc()
-                    self.buffered_instances.add(-1)
-                    self.queue_gauges[ring_id].add(-1)
+                    self.consumed_instances.value += 1
+                    self.buffered_instances.value -= 1
+                    self.queue_gauges[ring_id].value -= 1
                     for value in batch.values:
-                        self.delivered_messages.inc()
+                        self.delivered_messages.value += 1
                         self.on_deliver(ring_id, instance, value)
                     if self._restart:
                         # A delivery changed the ring set under us (a
@@ -198,11 +198,11 @@ class DeterministicMerge:
             head[0] -= take
             if head[0] == 0:
                 queue.popleft()
-            self.queue_gauges[ring_id].add(-take)
+            self.queue_gauges[ring_id].value -= take
         total = take * len(self._queues)
         self.skipped_instances.inc(total)
         self.consumed_instances.inc(total)
-        self.buffered_instances.add(-total)
+        self.buffered_instances.value -= total
         return True
 
     def _next_ring(self) -> None:
@@ -231,8 +231,8 @@ class DeterministicMerge:
         self._cursor, self._quota = state
         for ring_id, queue in self._queues.items():
             queue.clear()
-            self.queue_gauges[ring_id].set(0)
-        self.buffered_instances.set(0)
+            self.queue_gauges[ring_id].value = 0
+        self.buffered_instances.value = 0
 
     # ------------------------------------------------------------------
     # Reconfiguration
@@ -261,8 +261,8 @@ class DeterministicMerge:
             if rid not in ring_order:
                 dropped = self.queue_depth(rid)
                 if dropped:
-                    self.buffered_instances.add(-dropped)
-                self.queue_gauges[rid].set(0)
+                    self.buffered_instances.value -= dropped
+                self.queue_gauges[rid].value = 0
                 del self._queues[rid]
         self.ring_order = list(ring_order)
         self._cursor = 0

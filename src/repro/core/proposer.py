@@ -68,7 +68,7 @@ class MultiRingProposer(Process):
             held.append((payload, size))
             return None
         proposer = self._ring_proposer(self.registry.ring_for(group_id))
-        self.multicasts.inc()
+        self.multicasts.value += 1
         self.multicast_bytes.inc(size)
         return proposer.multicast(payload, size, group=group_id)
 
@@ -118,7 +118,7 @@ class MultiRingProposer(Process):
                 target.seq = max(target.seq, old.seq)
         if held:
             for payload, size in held:
-                self.multicasts.inc()
+                self.multicasts.value += 1
                 self.multicast_bytes.inc(size)
                 target.multicast(payload, size, group=group_id)
         return True

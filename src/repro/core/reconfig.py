@@ -145,7 +145,7 @@ class ReconfigManager:
             "on_done": on_done,
         }
         self._queue.append(op)
-        self.pending_ops.set(len(self._queue) + (1 if self._active else 0))
+        self.pending_ops.value = len(self._queue) + (1 if self._active else 0)
         self._kick()
         return op
 
@@ -157,7 +157,7 @@ class ReconfigManager:
         if len(groups) < 2:
             return None
         new_ring = self.mrp.add_ring(region=region)
-        self.ring_splits.inc()
+        self.ring_splits.value += 1
         for gid in groups[len(groups) // 2:]:
             self.remap_group(gid, new_ring)
         return new_ring
@@ -172,11 +172,11 @@ class ReconfigManager:
             raise ConfigurationError(f"ring {source} is not available")
         if target not in self.mrp.rings or self.mrp.rings[target].retired:
             raise ConfigurationError(f"ring {target} is not available")
-        self.ring_merges.inc()
+        self.ring_merges.value += 1
         for gid in self.mrp.registry.groups_on_ring(source):
             self.remap_group(gid, target)
         self._queue.append({"kind": "retire", "ring": source, "done": False})
-        self.pending_ops.set(len(self._queue) + (1 if self._active else 0))
+        self.pending_ops.value = len(self._queue) + (1 if self._active else 0)
         self._kick()
 
     @property
@@ -260,10 +260,10 @@ class ReconfigManager:
                 if not self.mrp.registry.groups_on_ring(op["ring"]):
                     self.mrp.retire_ring(op["ring"])
                     op["done"] = True
-                    self.ops_completed.inc()
+                    self.ops_completed.value += 1
                 continue
             self._start_op(op)
-        self.pending_ops.set(len(self._queue) + (1 if self._active else 0))
+        self.pending_ops.value = len(self._queue) + (1 if self._active else 0)
         if self._active is None:
             self._timer.stop()
         elif not self._timer.running:
@@ -274,14 +274,14 @@ class ReconfigManager:
         old_ring = self.mrp.registry.ring_for(group)
         if old_ring == op["new_ring"]:
             op["done"] = True
-            self.ops_completed.inc()
+            self.ops_completed.value += 1
             if op["on_done"] is not None:
                 op["on_done"](op)
             return
         op["old_ring"] = old_ring
         self.epoch += 1
         op["epoch"] = self.epoch
-        self.epoch_gauge.set(self.epoch)
+        self.epoch_gauge.value = self.epoch
         self._emit_epoch(op, phase="start")
         self._active = op
         # The group may be *returning* to a ring it drained off in an
@@ -320,7 +320,7 @@ class ReconfigManager:
         if retried:
             # The keyed submission actually re-entered a coordinator: the
             # previous copy died with a takeover before being recovered.
-            self.cut_retries.inc()
+            self.cut_retries.value += 1
         if cuts["join"] is not None:
             self._forward_bounces(op)
         self._check_complete(op)
@@ -338,8 +338,8 @@ class ReconfigManager:
         if not released:
             return
         op["done"] = True
-        self.remaps.inc()
-        self.ops_completed.inc()
+        self.remaps.value += 1
+        self.ops_completed.value += 1
         self._emit_epoch(op, phase="done")
         if op["on_done"] is not None:
             op["on_done"](op)
@@ -384,7 +384,7 @@ class ReconfigManager:
             ):
                 queue = op["bounced"].get(value.sender)
                 if queue is not None and queue.pop(value.seq, None) is not None:
-                    self.values_forwarded.inc()
+                    self.values_forwarded.value += 1
                     # The bounced value is now ordered (on the new ring):
                     # advance the old ring's sender watermark so the
                     # proposer can forget it and the release gate opens.
@@ -444,7 +444,7 @@ class ReconfigManager:
         if forward_next is not None and seq < forward_next and seq not in queue:
             return  # duplicate of an already-resolved submission
         if seq not in queue:
-            self.values_bounced.inc()
+            self.values_bounced.value += 1
         queue[seq] = value
         if op["cuts"]["join"] is not None:
             self._forward_bounces(op)
@@ -648,11 +648,11 @@ class Autoscaler:
         )
         if overloaded and active < policy.max_rings:
             if self.mrp.reconfig.split_ring(hottest) is not None:
-                self.splits.inc()
+                self.splits.value += 1
                 self._note_action(now, ok=True)
             else:
                 # One-group ring: splitting cannot shed its load.
-                self.deferred.inc()
+                self.deferred.value += 1
                 self._note_action(now, ok=False)
             return
         if active > policy.min_rings and len(cpu) >= 2:
@@ -661,7 +661,7 @@ class Autoscaler:
             if cpu[a] < policy.idle_cpu_threshold and cpu[b] < policy.idle_cpu_threshold:
                 # Fold the idlest ring into the second idlest.
                 self.mrp.reconfig.merge_rings(a, b)
-                self.merges.inc()
+                self.merges.value += 1
                 self._note_action(now, ok=True)
 
     def _note_action(self, now: float, ok: bool) -> None:

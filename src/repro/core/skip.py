@@ -78,14 +78,14 @@ class SkipManager(Process):
             return
         k = self.coordinator.planned_instance
         self._last_mu = (k - self.prev_k) / elapsed
-        self.mu_gauge.set(self._last_mu)
-        self.intervals_sampled.inc()
+        self.mu_gauge.value = self._last_mu
+        self.intervals_sampled.value += 1
         target = self.prev_k + int(round(self.lambda_rate * elapsed))
         if target > k:
             missing = target - k
             if self.batch_skips:
                 self.coordinator.propose_skip(missing)
-                self.skip_batches.inc()
+                self.skip_batches.value += 1
             else:
                 for _ in range(missing):
                     self.coordinator.propose_skip(1)

@@ -1,4 +1,13 @@
-"""Scalar metrics: counters and gauges."""
+"""Scalar metrics: counters and gauges.
+
+Both are a name and one number, ``value``, which is a documented field
+with a fixed slot: readers read it, and the protocol's per-message sites
+write it directly (``counter.value += 1``, ``gauge.value = len(queue)``)
+— a unit increment cannot violate monotonicity, so the call and its
+check would buy nothing there. A *computed* amount goes through
+:meth:`Counter.inc`, which rejects what would make the counter decrease
+or poison it (negative, NaN) and leaves it unchanged.
+"""
 
 from __future__ import annotations
 
@@ -6,7 +15,14 @@ __all__ = ["Counter", "Gauge"]
 
 
 class Counter:
-    """A monotonically increasing sum (messages delivered, bytes sent...)."""
+    """A monotonically increasing sum (messages delivered, bytes sent...).
+
+    ``value`` starts at 0.0 and only grows: by ``value += 1`` at a site
+    that counts one occurrence, by :meth:`inc` anywhere the amount is
+    computed.
+    """
+
+    __slots__ = ("name", "value")
 
     def __init__(self, name: str = "counter") -> None:
         self.name = name
@@ -14,7 +30,7 @@ class Counter:
 
     def inc(self, amount: float = 1.0) -> None:
         """Add ``amount`` (must be non-negative) to the counter."""
-        if amount < 0:
+        if not amount >= 0:  # written so that NaN is rejected too
             raise ValueError("counters only increase; use a Gauge instead")
         self.value += amount
 
@@ -23,7 +39,13 @@ class Counter:
 
 
 class Gauge:
-    """A point-in-time value that can move in either direction."""
+    """A point-in-time value that can move in either direction.
+
+    ``value`` may be assigned directly; :meth:`set` and :meth:`add` are
+    the same stores, for callers that want a callable.
+    """
+
+    __slots__ = ("name", "value")
 
     def __init__(self, name: str = "gauge", value: float = 0.0) -> None:
         self.name = name

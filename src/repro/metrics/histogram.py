@@ -33,7 +33,7 @@ class LatencyHistogram:
 
     def record(self, value: float) -> None:
         """Add one sample (seconds, or any non-negative quantity)."""
-        if value < 0:
+        if not value >= 0:  # written so that NaN is rejected too
             raise ValueError("latency samples must be non-negative")
         self.count += 1
         # Compensated (Neumaier) running sum: a naive ``total += value``

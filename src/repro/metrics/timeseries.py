@@ -27,7 +27,7 @@ class BucketSeries:
     """
 
     def __init__(self, bucket_width: float = 1.0, name: str = "series") -> None:
-        if bucket_width <= 0:
+        if not bucket_width > 0:  # written so that NaN is rejected too
             raise ValueError("bucket width must be positive")
         self.bucket_width = bucket_width
         self.name = name

@@ -100,9 +100,14 @@ RECONFIG_EPOCH = "reconfig.epoch"
 RECONFIG_DRAIN = "reconfig.drain"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class ProbeEvent:
-    """One published occurrence: when, what kind, who, and details."""
+    """One published occurrence: when, what kind, who, and details.
+
+    Immutable by contract, like the wire messages: every subscriber of a
+    kind receives the same object. The test suite enforces it
+    (``tests/conftest.py``); construction does not pay for it.
+    """
 
     time: float
     kind: str

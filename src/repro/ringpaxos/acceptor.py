@@ -159,7 +159,7 @@ class RingAcceptor(Process):
             state.vrnd = msg.rnd
             state.vval = msg.item
             self._accepted_vids[msg.instance] = value_id  # for PromiseRange answers
-            self.accepts.inc()
+            self.accepts.value += 1
             token = Phase2B(
                 instance=msg.instance,
                 rnd=msg.rnd,
@@ -172,7 +172,7 @@ class RingAcceptor(Process):
             # Later acceptors accept when the ring token reaches them; a 2B
             # that overtook our copy of the 2A can now proceed.
             parked = self._parked_2b.pop(msg.instance, None)
-            self.parked_depth.set(len(self._parked_2b))
+            self.parked_depth.value = len(self._parked_2b)
             if parked is not None and parked.value_id == value_id:
                 self._on_phase2b(parked)
 
@@ -199,7 +199,7 @@ class RingAcceptor(Process):
             # Section III-B safety check: we must know the client value
             # behind the ID before accepting. Park until the 2A arrives.
             self._parked_2b[msg.instance] = msg
-            self.parked_depth.set(len(self._parked_2b))
+            self.parked_depth.value = len(self._parked_2b)
             self.call_later(
                 self.config.repair_interval, self._repair_from_coordinator, msg.instance
             )
@@ -214,7 +214,7 @@ class RingAcceptor(Process):
         state.vrnd = msg.rnd
         state.vval = item
         self._accepted_vids[msg.instance] = msg.value_id
-        self.accepts.inc()
+        self.accepts.value += 1
         token = Phase2B(
             instance=msg.instance,
             rnd=msg.rnd,
@@ -231,7 +231,7 @@ class RingAcceptor(Process):
         if key in self._forwarded:
             return
         self._forwarded.add(key)
-        self.forwards.inc()
+        self.forwards.value += 1
         self.network.send(
             self.node.name, self.successor, self.config.ring_port, token, token.size
         )
@@ -305,7 +305,7 @@ class RingAcceptor(Process):
         if not items:
             return
         reply = RepairReply(msg.instance, items)
-        self.repairs_served.inc()
+        self.repairs_served.value += 1
         self.network.send(
             self.node.name, src, f"rp{self.config.ring_id}.learner", reply, reply.size
         )
@@ -321,7 +321,7 @@ class RingAcceptor(Process):
             return
         items = decided_run(self._decided, msg.instance, msg.count)
         reply = CatchupReply(msg.instance, items, frontier=self._decided_frontier)
-        self.catchups_served.inc()
+        self.catchups_served.value += 1
         self.network.send(
             self.node.name, src, f"rp{self.config.ring_id}.learner", reply, reply.size
         )
@@ -350,8 +350,8 @@ class RingAcceptor(Process):
         self.storage.forget_up_to(bound)
         for key in [k for k in self._accepted_vids if k <= bound]:
             del self._accepted_vids[key]
-        self.truncations.inc()
-        self.truncated_below.set(bound + 1)
+        self.truncations.value += 1
+        self.truncated_below.value = bound + 1
 
     # ------------------------------------------------------------------
     # Crash / recovery
@@ -375,7 +375,7 @@ class RingAcceptor(Process):
         self._accepted_vids = {}
         self._forwarded = set()
         self._parked_2b = {}
-        self.parked_depth.set(0)
+        self.parked_depth.value = 0
         self._decided = {}
         self._decided_order.clear()
         self._max_decided_seen = -1
@@ -393,8 +393,8 @@ class RingAcceptor(Process):
             self.values.put(vid, item)
             self._accepted_vids[instance] = vid
             recovered += 1
-        self.recoveries.inc()
-        self.recovered_instances.set(recovered)
+        self.recoveries.value += 1
+        self.recovered_instances.value = recovered
 
     # ------------------------------------------------------------------
     # Reconfiguration support (Phase 1 over an instance range)

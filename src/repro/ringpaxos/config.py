@@ -4,7 +4,13 @@ One :class:`RingConfig` describes a single ring (one Ring Paxos instance):
 its identity, the acceptors laid out in ring order, durability mode, and
 the protocol knobs (batching, windows, timeouts). Port and multicast-group
 names are derived from the ring id so several rings coexist on one network
-— which is exactly what Multi-Ring Paxos does.
+— which is exactly what Multi-Ring Paxos does. They are constant for the
+life of a ring and named on every send, so they are fields filled once in
+``__post_init__`` (``dataclasses.replace`` runs it again for the copy), not
+properties that format a string per message. The same ``__post_init__``
+validates every knob, so a bad configuration raises
+:class:`~repro.errors.ConfigurationError` where it is built — before
+``build_ring`` has attached a node.
 
 Ring layout follows the paper's Figure 3: the coordinator is one of the
 acceptors and sits at the *end* of the ring, so the Phase 2B message that
@@ -73,6 +79,17 @@ class RingConfig:
     piggyback_decisions: bool = True
     spares: list[str] = field(default_factory=list)
     acceptor_regions: list[str] | None = None
+    # Derived from ring_id in __post_init__; not constructor arguments.
+    # IP-multicast group joined by acceptors and learners of this ring:
+    multicast_group: str = field(init=False, repr=False, compare=False)
+    # Port where the coordinator receives proposer submissions:
+    coord_port: str = field(init=False, repr=False, compare=False)
+    # Port where 2A / decision / heartbeat multicasts arrive:
+    mcast_port: str = field(init=False, repr=False, compare=False)
+    # Port for Phase 2B messages travelling along the ring:
+    ring_port: str = field(init=False, repr=False, compare=False)
+    # Port where acceptors answer learner repair requests:
+    repair_port: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.ring_id < 0:
@@ -81,8 +98,16 @@ class RingConfig:
             raise ConfigurationError("a ring needs at least one acceptor")
         if len(set(self.acceptors)) != len(self.acceptors):
             raise ConfigurationError("ring acceptors must be distinct")
-        if self.batch_size <= 0 or self.window <= 0:
+        # Each guard is written so that NaN is rejected too.
+        if not (self.batch_size > 0 and self.window > 0):
             raise ConfigurationError("batch_size and window must be positive")
+        for knob in (
+            "batch_timeout", "retry_timeout", "heartbeat_interval",
+            "repair_interval", "suspect_timeout", "decision_flush_timeout",
+        ):
+            value = getattr(self, knob)
+            if not value >= 0:
+                raise ConfigurationError(f"{knob} must be non-negative, got {value!r}")
         if self.suspect_timeout <= self.heartbeat_interval:
             raise ConfigurationError(
                 "suspect_timeout must exceed heartbeat_interval "
@@ -95,6 +120,12 @@ class RingConfig:
                 "acceptor_regions must name one region per acceptor "
                 f"({len(self.acceptor_regions)} regions for {len(self.acceptors)} acceptors)"
             )
+        prefix = f"rp{self.ring_id}"
+        self.multicast_group = f"{prefix}.group"
+        self.coord_port = f"{prefix}.coord"
+        self.mcast_port = f"{prefix}.mcast"
+        self.ring_port = f"{prefix}.ring"
+        self.repair_port = f"{prefix}.repair"
 
     # ------------------------------------------------------------------
     # Derived names
@@ -108,31 +139,6 @@ class RingConfig:
     def ring_size(self) -> int:
         """Number of in-ring acceptors (f + 1 in the paper's deployment)."""
         return len(self.acceptors)
-
-    @property
-    def multicast_group(self) -> str:
-        """IP-multicast group joined by acceptors and learners of this ring."""
-        return f"rp{self.ring_id}.group"
-
-    @property
-    def coord_port(self) -> str:
-        """Port where the coordinator receives proposer submissions."""
-        return f"rp{self.ring_id}.coord"
-
-    @property
-    def mcast_port(self) -> str:
-        """Port where 2A / decision / heartbeat multicasts arrive."""
-        return f"rp{self.ring_id}.mcast"
-
-    @property
-    def ring_port(self) -> str:
-        """Port for Phase 2B messages travelling along the ring."""
-        return f"rp{self.ring_id}.ring"
-
-    @property
-    def repair_port(self) -> str:
-        """Port where acceptors answer learner repair requests."""
-        return f"rp{self.ring_id}.repair"
 
     def successor(self, node: str) -> str | None:
         """The next hop after ``node`` along the ring (None at the end)."""

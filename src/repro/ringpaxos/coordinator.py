@@ -236,7 +236,7 @@ class RingCoordinator(Process):
         if handler is not None:
             handler(value)
             return
-        self.submissions.inc()
+        self.submissions.value += 1
         self.batcher.add(value)
 
     def propose_skip(self, count: int) -> None:
@@ -269,8 +269,8 @@ class RingCoordinator(Process):
             return  # new work queues up until Phase 1 recovery completes
         while self._backlog and len(self._inflight) < self.config.window:
             self._start_instance(self._backlog.popleft())
-        self.backlog_depth.set(len(self._backlog))
-        self.inflight_depth.set(len(self._inflight))
+        self.backlog_depth.value = len(self._backlog)
+        self.inflight_depth.value = len(self._inflight)
 
     def _start_instance(self, item: DataBatch | SkipRange, instance: int | None = None) -> None:
         """Drive Phase 2 for ``item`` at the next free instance — or, for an
@@ -281,7 +281,7 @@ class RingCoordinator(Process):
         value_id = item.value_id if isinstance(item, DataBatch) else -instance - 1
         state = _Inflight(instance=instance, value_id=value_id, item=item)
         self._inflight[instance] = state
-        self.instances_started.inc()
+        self.instances_started.value += 1
         self._send_phase2a(state)
 
     # ------------------------------------------------------------------
@@ -349,7 +349,7 @@ class RingCoordinator(Process):
             return
         state.retry_seq = -1
         del self._inflight[state.instance]
-        self.instances_decided.inc()
+        self.instances_decided.value += 1
         self._record_decided(state.instance, state.item)
         if isinstance(state.item, DataBatch):
             self._ack_decided_batch(state.item)
@@ -423,7 +423,7 @@ class RingCoordinator(Process):
         state.attempt += 1
         state.ring_accepted = False
         state.self_persisted = False
-        self.retries.inc()
+        self.retries.value += 1
         self._send_phase2a(state)
 
     # ------------------------------------------------------------------

@@ -238,7 +238,7 @@ class RingLearner(Process):
         self._ready[instance] = item
         self.frontier = max(self.frontier, instance + item.instance_count)
         self._emit_ready()
-        self.reorder_depth.set(len(self._ready))
+        self.reorder_depth.value = len(self._ready)
 
     def _emit_ready(self) -> None:
         while self.next_instance in self._ready:
@@ -272,7 +272,7 @@ class RingLearner(Process):
                 self.on_deliver(instance, value)
 
     def _account_delivery(self, value: ClientValue) -> None:
-        self.delivered_messages.inc()
+        self.delivered_messages.value += 1
         self.delivered_bytes.inc(value.size)
         self.delivery_series.record(self.sim.now, value.size)
         lag = max(0.0, self.sim.now - value.created_at)
@@ -306,7 +306,7 @@ class RingLearner(Process):
         # catch-up after an outage a few round trips, not one per instance.
         count = max(1, min(self.frontier - self.next_instance, 256))
         req = RepairRequest(self.next_instance, count)
-        self.repairs_requested.inc()
+        self.repairs_requested.value += 1
         self.network.send(self.node.name, target, self.config.repair_port, req, req.size)
 
     # ------------------------------------------------------------------
@@ -348,7 +348,7 @@ class RingLearner(Process):
         target = ring[(self.learner_index + self._catchup_attempts) % len(ring)]
         count = max(1, min(self.frontier - self.next_instance, 256))
         req = CatchupRequest(self.next_instance, count)
-        self.catchups_requested.inc()
+        self.catchups_requested.value += 1
         self.network.send(self.node.name, target, self.config.repair_port, req, req.size)
         self._catchup_timer.start(delay=self._catchup_backoff)
 
@@ -397,7 +397,7 @@ class RingLearner(Process):
         self._ready.clear()
         self._awaiting_value.clear()
         self._awaiting_by_vid.clear()
-        self.reorder_depth.set(0)
+        self.reorder_depth.value = 0
         self._repair_attempts = 0
         self._last_repair_instance = -1
         probe = self.sim.probe
@@ -428,7 +428,7 @@ class RingLearner(Process):
             if waiting < instance:
                 vid = self._awaiting_value.pop(waiting)
                 self._awaiting_by_vid.pop(vid, None)
-        self.reorder_depth.set(len(self._ready))
+        self.reorder_depth.value = len(self._ready)
         self._repair_attempts = 0
         self._last_repair_instance = -1
         self._emit_ready()

@@ -6,6 +6,18 @@ other protocol message refers to them by ID. Decided items are either a
 :class:`DataBatch` (client values batched into one instance) or a
 :class:`SkipRange` (n consecutive empty instances decided by one consensus
 execution — Multi-Ring Paxos's skip mechanism, Section IV-B/IV-D).
+
+Every class here is a plain ``@dataclass(slots=True, unsafe_hash=True)``:
+equality and hash are by value, so messages are set members and dict
+keys, and construction is one slot store per field. Messages are
+*immutable by contract*: a value is built once and shared by reference
+by every hop, log and learner that sees it, so nothing may store to one
+after ``__init__`` returns. No instance enforces that (a frozen
+dataclass pays an ``object.__setattr__`` call per field per message);
+the test suite does, with the write-once ``__setattr__`` that
+``tests/conftest.py`` installs on every class exported here. What is
+constant for a message — a fixed wire size, a batch's byte count — is a
+class attribute or is computed once at construction, never on a hop.
 """
 
 from __future__ import annotations
@@ -45,7 +57,7 @@ _DECISION_ENTRY_BYTES = 12  # (instance, value id) pair on the wire
 CONTROL_GROUP = -1
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class ClientValue:
     """One application message multicast by a proposer.
 
@@ -66,7 +78,7 @@ class ClientValue:
     redirected: bool = False
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class DataBatch:
     """A batch of client values decided in one consensus instance.
 
@@ -78,16 +90,14 @@ class DataBatch:
     values: tuple[ClientValue, ...]
     size: int = field(init=False, compare=False, repr=False)
 
+    # A data batch occupies exactly one logical instance.
+    instance_count: ClassVar[int] = 1
+
     def __post_init__(self) -> None:
-        object.__setattr__(self, "size", sum(v.size for v in self.values))
-
-    @property
-    def instance_count(self) -> int:
-        """A data batch occupies exactly one logical instance."""
-        return 1
+        self.size = sum(v.size for v in self.values)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class SkipRange:
     """``count`` consecutive skip (no-op) instances, decided at once.
 
@@ -109,7 +119,7 @@ class SkipRange:
         return self.count
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Submit:
     """Proposer -> coordinator: please order this client value.
 
@@ -134,7 +144,7 @@ class Submit:
         return CONTROL_MESSAGE_SIZE + self.value.size
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class SubmitAck:
     """Coordinator -> proposer acknowledgement, with two watermarks.
 
@@ -153,7 +163,7 @@ class SubmitAck:
     size: ClassVar[int] = CONTROL_MESSAGE_SIZE
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Phase2A:
     """Coordinator's ip-multicast: instance, round, value id, full batch.
 
@@ -173,7 +183,7 @@ class Phase2A:
         return CONTROL_MESSAGE_SIZE + self.item.size + _DECISION_ENTRY_BYTES * len(self.decisions)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Phase2B:
     """The small accept token forwarded along the ring (one per instance)."""
 
@@ -186,7 +196,7 @@ class Phase2B:
     size: ClassVar[int] = CONTROL_MESSAGE_SIZE
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class DecisionAnnounce:
     """Standalone decision multicast (used when no 2A is due to carry it)."""
 
@@ -197,7 +207,7 @@ class DecisionAnnounce:
         return CONTROL_MESSAGE_SIZE + _DECISION_ENTRY_BYTES * len(self.decisions)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Heartbeat:
     """Idle-coordinator liveness beacon; carries the decision frontier."""
 
@@ -206,7 +216,7 @@ class Heartbeat:
     size: ClassVar[int] = CONTROL_MESSAGE_SIZE
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class RepairRequest:
     """Learner -> preferential acceptor (or acceptor -> coordinator):
     resend what is needed to decide ``count`` instances from ``instance``.
@@ -222,7 +232,7 @@ class RepairRequest:
     size: ClassVar[int] = CONTROL_MESSAGE_SIZE
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class RepairReply:
     """Answer to a repair: consecutive decided items from ``instance``.
 
@@ -240,7 +250,7 @@ class RepairReply:
         return CONTROL_MESSAGE_SIZE + sum(item.size for item in self.items)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class CatchupRequest:
     """Recovering learner -> ring member: state transfer from ``instance``.
 
@@ -256,7 +266,7 @@ class CatchupRequest:
     size: ClassVar[int] = CONTROL_MESSAGE_SIZE
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class CatchupReply:
     """Answer to a catch-up: consecutive decided items plus the frontier.
 
@@ -276,7 +286,7 @@ class CatchupReply:
         return CONTROL_MESSAGE_SIZE + sum(item.size for item in self.items)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class CheckpointAck:
     """Replica -> ring members: a checkpoint covering ``< instance`` is durable.
 
@@ -294,7 +304,7 @@ class CheckpointAck:
     size: ClassVar[int] = CONTROL_MESSAGE_SIZE
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class ConfigChange:
     """An epoch cut, decided *in-ring* as a control value's payload.
 
@@ -330,7 +340,7 @@ class ConfigChange:
     size: ClassVar[int] = CONTROL_MESSAGE_SIZE
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class PrepareRange:
     """Phase 1a for all instances >= ``from_instance`` (coordinator change)."""
 
@@ -340,7 +350,7 @@ class PrepareRange:
     size: ClassVar[int] = CONTROL_MESSAGE_SIZE
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class CoordinatorChange:
     """Announcement of a reconfigured ring: new layout and round.
 
@@ -358,7 +368,7 @@ class CoordinatorChange:
         return CONTROL_MESSAGE_SIZE + 16 * len(self.acceptors)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class PromiseRange:
     """Phase 1b for a range: every accepted (instance, vrnd, item) above it."""
 

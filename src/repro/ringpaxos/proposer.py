@@ -79,7 +79,7 @@ class RingProposer(Process):
         )
         if not self.crashed:
             self.seq += 1
-            self.sent.inc()
+            self.sent.value += 1
             self.sent_bytes.inc(size)
             self._unacked[value.seq] = value
             probe = self.sim.probe
@@ -137,7 +137,7 @@ class RingProposer(Process):
         for seq in self._unacked:  # ascending insertion order
             if seq <= self._received_cum:
                 continue
-            self.retransmissions.inc()
+            self.retransmissions.value += 1
             self._send(self._unacked[seq])
             burst += 1
             if burst >= self.retransmit_burst:
@@ -148,7 +148,7 @@ class RingProposer(Process):
             # acks. Probe with the oldest value — the duplicate elicits a
             # fresh ack carrying the current watermarks.
             oldest = next(iter(self._unacked))
-            self.retransmissions.inc()
+            self.retransmissions.value += 1
             self._send(self._unacked[oldest])
 
     def retarget(self, config: RingConfig) -> None:

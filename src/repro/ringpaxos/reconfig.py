@@ -87,7 +87,7 @@ class RingFailover:
         self._degraded_ctr = own.counter("degraded_takeovers")
         self._refused_ctr = own.counter("refused_takeovers")
         self._ring_size_gauge = own.gauge("ring_size")
-        self._ring_size_gauge.set(config.ring_size)
+        self._ring_size_gauge.value = config.ring_size
         # The total acceptor universe (in-ring + spares) defines majority.
         self.total_acceptors = config.ring_size + len(self.spare_nodes)
         self._in_progress = False
@@ -112,7 +112,7 @@ class RingFailover:
     def _on_suspect(self, suspecting: RingAcceptor) -> None:
         if self._in_progress or suspecting.crashed:
             return
-        self._suspects_ctr.inc()
+        self._suspects_ctr.value += 1
         self._emit(FAILOVER_SUSPECT, by=suspecting.node.name,
                    coordinator=self.config.coordinator)
         survivors = [a for a in self.acceptors if not a.crashed and a.node.up]
@@ -125,14 +125,14 @@ class RingFailover:
         new_size = len(survivors) + (1 if self.spare_nodes else 0)
         if new_size < self.min_ring_size:
             self.refused_takeovers += 1
-            self._refused_ctr.inc()
+            self._refused_ctr.value += 1
             self._emit(FAILOVER_TAKEOVER, refused=True, ring_size=new_size,
                        floor=self.min_ring_size)
             suspecting.watch_coordinator(self.suspect_timeout, self._on_suspect)
             return
         self._in_progress = True
         self.takeovers += 1
-        self._takeovers_ctr.inc()
+        self._takeovers_ctr.value += 1
         # Deterministic initiator: the lowest-indexed survivor. (The first
         # suspicion usually comes from it anyway; if another acceptor's
         # timer fired first, defer to the canonical choice.)
@@ -148,11 +148,11 @@ class RingFailover:
         self._last_degraded = spare_node is None
         if self._last_degraded:
             self.degraded_takeovers += 1
-            self._degraded_ctr.inc()
+            self._degraded_ctr.value += 1
         new_order.extend(a.node.name for a in others)
         new_order.append(initiator.node.name)
         new_config = dataclasses.replace(self.config, acceptors=new_order)
-        self._ring_size_gauge.set(len(new_order))
+        self._ring_size_gauge.value = len(new_order)
 
         if spare_node is not None:
             # Instantiate the spare's acceptor role with the new layout

@@ -21,6 +21,7 @@ reason Ring Paxos out-throughputs sender-replicated protocols.
 
 from __future__ import annotations
 
+from heapq import heappush
 from typing import Any, Callable
 
 from ..errors import NetworkError
@@ -72,7 +73,8 @@ class Network:
     ----------
     propagation_delay:
         One-way switch latency in seconds (default 50 us, i.e. the paper's
-        0.1 ms RTT).
+        0.1 ms RTT). Assignable mid-run (latency-spike faults); every
+        assignment is validated.
     bandwidth:
         Default NIC bandwidth in bytes per second (default 1 Gbps).
     loss:
@@ -81,7 +83,7 @@ class Network:
     """
 
     __slots__ = (
-        "sim", "propagation_delay", "default_bandwidth", "_loss", "_lossless",
+        "sim", "_propagation_delay", "default_bandwidth", "_loss", "_lossless",
         "_rng", "nodes", "nics", "_endpoints", "_groups",
         "messages_dropped", "probe",
     )
@@ -93,10 +95,7 @@ class Network:
         bandwidth: float = 1e9 / 8,
         loss: LossModel | None = None,
     ) -> None:
-        # Each guard is written so that NaN is rejected too.
-        if not propagation_delay >= 0:
-            raise NetworkError("propagation delay must be non-negative")
-        if not bandwidth > 0:
+        if not bandwidth > 0:  # written so that NaN is rejected too
             raise NetworkError("NIC bandwidth must be positive")
         self.sim = sim
         self.propagation_delay = propagation_delay
@@ -115,6 +114,19 @@ class Network:
         if _network_observers:
             for registration in list(_network_observers):
                 registration.callback(self)
+
+    @property
+    def propagation_delay(self) -> float:
+        """One-way switch latency in seconds (assignable mid-run)."""
+        return self._propagation_delay
+
+    @propagation_delay.setter
+    def propagation_delay(self, delay: float) -> None:
+        # Validated here, once per assignment, so that send/multicast may
+        # add it to a departure time and queue the arrival unchecked.
+        if not delay >= 0:  # written so that NaN is rejected too
+            raise NetworkError("propagation delay must be non-negative")
+        self._propagation_delay = delay
 
     @property
     def loss(self) -> LossModel:
@@ -207,7 +219,18 @@ class Network:
     # Transmission
     # ------------------------------------------------------------------
     def send(self, src: str, dst: str, port: str, msg: Any, size: int) -> None:
-        """Unicast ``msg`` (``size`` bytes) from ``src`` to ``dst``."""
+        """Unicast ``msg`` (``size`` bytes) from ``src`` to ``dst``.
+
+        One frame per message: egress serialization, the per-leg loss
+        draw and the queueing of the switched arrival all happen here.
+        The arrival is pushed onto the kernel's heap directly, as
+        :meth:`FifoServer.submit <repro.sim.server.FifoServer.submit>`
+        pushes its completion, at the program point where
+        ``Simulator.post_at`` would draw its seq. ``post_at``'s test that
+        the time is not behind the clock is omitted because it cannot
+        fail: the egress queue departs no earlier than now, and
+        ``propagation_delay`` is validated non-negative when assigned.
+        """
         endpoints = self._endpoints
         endpoint = endpoints.get(src)
         if endpoint is None:
@@ -220,12 +243,25 @@ class Network:
         depart = nic.egress.submit(size)
         nic.bytes_sent += size
         nic.messages_sent += 1
-        if self.probe is not None and self.probe.wants("net.enqueue"):
-            self.probe.emit(
-                "net.enqueue", self.sim.now, src,
+        sim = self.sim
+        probe = self.probe
+        if probe is not None and probe.wants("net.enqueue"):
+            probe.emit(
+                "net.enqueue", sim.now, src,
                 dst=dst, port=port, msg=type(msg).__name__, size=size,
             )
-        self._propagate(depart, src, dst, port, msg, size)
+        if not self._lossless and self._loss.should_drop(self._rng, src, dst, size):
+            self.messages_dropped += 1
+            if probe is not None and probe.wants("net.drop"):
+                probe.emit(
+                    "net.drop", sim.now, src,
+                    dst=dst, port=port, msg=type(msg).__name__, size=size,
+                )
+            return
+        heappush(sim._queue._heap, (
+            depart + self._propagation_delay, next(sim._seq),
+            self._deliver, (dst, port, src, msg, size), None,
+        ))
 
     def multicast(self, src: str, group: str, port: str, msg: Any, size: int) -> None:
         """IP-multicast ``msg`` to every subscriber of ``group``.
@@ -243,6 +279,10 @@ class Network:
         and because per-subscriber arrival events would carry consecutive
         sequence numbers at one instant, delivering them from a single
         event preserves the exact global event order.
+
+        Like :meth:`send`, it pushes its heap entries itself and unchecked
+        (loopback at the departure time, the fan-in one validated
+        ``propagation_delay`` later).
         """
         self._require_known(src)
         if not self.nodes[src].up:
@@ -262,12 +302,15 @@ class Network:
                 group=group, fanout=len(members), port=port,
                 msg=type(msg).__name__, size=size,
             )
+        heap = sim._queue._heap
+        seq = sim._seq
+        # Kernel loopback: no switch hop, no ingress queue (size 0).
+        loopback = (src, port, src, msg, 0)
         targets: list[str] = []
         if self._lossless:
             for dst in members:
                 if dst == src:
-                    # Kernel loopback: no switch hop, no ingress queue.
-                    sim.post_at(depart, self._deliver, dst, port, src, msg, 0)
+                    heappush(heap, (depart, next(seq), self._deliver, loopback, None))
                 else:
                     targets.append(dst)
         else:
@@ -275,7 +318,7 @@ class Network:
             should_drop = self._loss.should_drop
             for dst in members:
                 if dst == src:
-                    sim.post_at(depart, self._deliver, dst, port, src, msg, 0)
+                    heappush(heap, (depart, next(seq), self._deliver, loopback, None))
                 elif should_drop(rng, src, dst, size):
                     self.messages_dropped += 1
                     if probe is not None and probe.wants("net.drop"):
@@ -287,28 +330,14 @@ class Network:
                     targets.append(dst)
         if targets:
             # One switched-arrival event for the whole fan-out.
-            sim.post_at(
-                depart + self.propagation_delay,
-                self._fan_in, targets, port, src, msg, size,
-            )
+            heappush(heap, (
+                depart + self._propagation_delay, next(seq),
+                self._fan_in, (targets, port, src, msg, size), None,
+            ))
 
     # ------------------------------------------------------------------
     # Internal plumbing
     # ------------------------------------------------------------------
-    def _propagate(
-        self, depart: float, src: str, dst: str, port: str, msg: Any, size: int
-    ) -> None:
-        if not self._lossless and self._loss.should_drop(self._rng, src, dst, size):
-            self.messages_dropped += 1
-            if self.probe is not None and self.probe.wants("net.drop"):
-                self.probe.emit(
-                    "net.drop", self.sim.now, src,
-                    dst=dst, port=port, msg=type(msg).__name__, size=size,
-                )
-            return
-        arrival = depart + self.propagation_delay
-        self.sim.post_at(arrival, self._deliver, dst, port, src, msg, size)
-
     def _fan_in(self, targets: list[str], port: str, src: str, msg: Any, size: int) -> None:
         # The coalesced multicast arrival: one event, every subscriber's
         # ingress submission, in membership order (see multicast()).

@@ -330,7 +330,7 @@ class GeoNetwork(Network):
             return
         # Local switch hop first, then the WAN link once.
         self.sim.post_at(
-            depart + self.propagation_delay,
+            depart + self._propagation_delay,
             self._wan_entry, self._wan[(region_of[src], dst_region)],
             [dst], port, src, msg, size,
         )
@@ -393,13 +393,13 @@ class GeoNetwork(Network):
                     remote.setdefault(region_of[dst], []).append(dst)
         if local:
             sim.post_at(
-                depart + self.propagation_delay,
+                depart + self._propagation_delay,
                 self._fan_in, local, port, src, msg, size,
             )
         if remote:
             # One WAN crossing per destination region (insertion order ==
             # first occurrence in membership order: deterministic).
-            entry = depart + self.propagation_delay
+            entry = depart + self._propagation_delay
             wan = self._wan
             for region, targets in remote.items():
                 sim.post_at(

@@ -117,7 +117,7 @@ class SmrClient(Process):
         self._pending[req_id] = _PendingRequest(
             issued_at=self.sim.now, awaiting=awaiting, callback=on_done, is_query=is_query
         )
-        self.requests.inc()
+        self.requests.value += 1
         self.proposer.multicast(group, command, command.size)
         return req_id
 
@@ -135,7 +135,7 @@ class SmrClient(Process):
         if pending.awaiting > 0:
             return
         del self._pending[msg.req_id]
-        self.completions.inc()
+        self.completions.value += 1
         self.request_latency.record(max(0.0, self.sim.now - pending.issued_at))
         if pending.callback is not None:
             if pending.is_query:

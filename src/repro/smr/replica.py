@@ -126,7 +126,7 @@ class Replica(Process):
         if command.op == "query" and not self._concerns_me(command):
             # A replica that delivers a query whose range does not fall
             # within its partition simply discards it (Section II-C).
-            self.discarded.inc()
+            self.discarded.value += 1
             return
         cost = self.state_machine.execution_cost(command) + CPU_FIXED_COST_SMALL_MESSAGE
         self._pending_execs += 1
@@ -141,7 +141,7 @@ class Replica(Process):
             return
         self._pending_execs -= 1
         result = self.state_machine.apply(self._clip(command))
-        self.executed.inc()
+        self.executed.value += 1
         self._applied_total += 1
         probe = self.sim.probe
         if probe is not None and probe.wants("replica.apply"):
@@ -221,7 +221,7 @@ class Replica(Process):
         if self.crashed or epoch != self._checkpoint_epoch:
             return  # crashed between the snapshot write and its ack
         self._durable_checkpoint = snapshot
-        self.checkpoints_taken.inc()
+        self.checkpoints_taken.value += 1
         self._send_checkpoint_acks(snapshot)
 
     def _send_checkpoint_acks(self, snapshot: dict) -> None:
@@ -263,7 +263,7 @@ class Replica(Process):
         self._applied_total = checkpoint["applied"]
         self._applied_since_checkpoint = 0
         self.learner.restore_state(checkpoint["learner"])
-        self.restores.inc()
+        self.restores.value += 1
         probe = self.sim.probe
         if probe is not None and probe.wants("replica.restore"):
             probe.emit(

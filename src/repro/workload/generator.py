@@ -98,7 +98,7 @@ class OpenLoopGenerator(Process):
         # arrivals are what make the skip interval Delta observable.
         for _ in range(self.burst):
             self.send_fn()
-            self.sends.inc()
+            self.sends.value += 1
         gap = self.burst / rate
         if self.jitter:
             # Uniform multiplicative jitter: mean-preserving, so the
@@ -166,7 +166,7 @@ class ClosedLoopGenerator(Process):
         """Mark the message with ``seq`` as delivered; refills the window."""
         if seq in self._outstanding:
             self._outstanding.discard(seq)
-            self.completions.inc()
+            self.completions.value += 1
             self._fill()
 
     def _fill(self) -> None:
@@ -174,7 +174,7 @@ class ClosedLoopGenerator(Process):
             return
         while len(self._outstanding) < self.window:
             envelope = self.send_fn()
-            self.sends.inc()
+            self.sends.value += 1
             self._outstanding.add(envelope.seq)
 
 
@@ -230,7 +230,7 @@ class ThrottledGenerator(Process):
         """Mark a message delivered; resumes pacing if it was paused."""
         if seq in self._outstanding:
             self._outstanding.discard(seq)
-            self.completions.inc()
+            self.completions.value += 1
             if self._paused and len(self._outstanding) < self.max_outstanding:
                 self._paused = False
                 self._tick()
@@ -243,6 +243,6 @@ class ThrottledGenerator(Process):
             self._paused = True
             return
         envelope = self.send_fn()
-        self.sends.inc()
+        self.sends.value += 1
         self._outstanding.add(envelope.seq)
         self.call_later(1.0 / self.rate, self._tick)

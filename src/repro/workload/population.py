@@ -307,7 +307,7 @@ class ClientPopulation(Process):
     # Arrivals and the request mix
     # ------------------------------------------------------------------
     def _on_arrival(self) -> None:
-        self.arrivals.inc()
+        self.arrivals.value += 1
         sid = self._rng.randrange(self.n_sessions)
         if self.record_arrivals:
             self.arrival_trace.append((self.sim.now, sid))
@@ -315,7 +315,7 @@ class ClientPopulation(Process):
             # The session already has a request in flight: open-loop
             # sessions hold one outstanding slot, so this arrival is
             # dropped (counted — the offered load is still visible).
-            self.skipped_busy.inc()
+            self.skipped_busy.value += 1
             return
         op, args, group, awaiting = self._draw_request()
         req_id = self._next_req
@@ -323,7 +323,7 @@ class ClientPopulation(Process):
         entry = [sid, self.sim.now, awaiting, 0, op, args, group, 0.0, None]
         self._pending[req_id] = entry
         self._session_req[sid] = req_id
-        self.requests.inc()
+        self.requests.value += 1
         self._submit(req_id, entry)
 
     def _draw_request(self) -> tuple[str, tuple, int, int]:
@@ -373,7 +373,7 @@ class ClientPopulation(Process):
         if status == "shed":
             # Nothing was sent (and no seq consumed) — the timeout wheel
             # turns the rejection into a client-side delayed retry.
-            self.shed_submissions.inc()
+            self.shed_submissions.value += 1
         deadline = self.sim.now + self.request_timeout
         entry[_DEADLINE] = deadline
         bucket = int(deadline / self._gran) + 1
@@ -399,17 +399,17 @@ class ClientPopulation(Process):
             self._scanning = False
 
     def _expire(self, req_id: int, entry: list) -> None:
-        self.timeouts.inc()
+        self.timeouts.value += 1
         entry[_ATTEMPT] += 1
         if entry[_ATTEMPT] > self.max_retries:
-            self.abandoned.inc()
+            self.abandoned.value += 1
             del self._pending[req_id]
             self._session_req.pop(entry[_SID], None)
             return
         if entry[_ATTEMPT] >= self.failover_after and entry[_SID] not in self._failover:
             self._failover.add(entry[_SID])
-            self.failovers.inc()
-        self.retries.inc()
+            self.failovers.value += 1
+        self.retries.value += 1
         # Same req_id: a late response to the earlier attempt completes
         # the request, and replica-side duplicates of the command are
         # absorbed by the state machine exactly like SmrClient retries.
@@ -436,7 +436,7 @@ class ClientPopulation(Process):
             return
         del self._pending[msg.req_id]
         self._session_req.pop(entry[_SID], None)
-        self.completions.inc()
+        self.completions.value += 1
         self.request_latency.record(max(0.0, self.sim.now - entry[_ISSUED]))
         probe = self.sim.probe
         if probe is not None and probe.wants("population.complete"):

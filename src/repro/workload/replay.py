@@ -99,7 +99,7 @@ class TraceReplayer(Process):
     def _fire(self, index: int) -> None:
         record = self.records[index]
         self.send_fn(record.group, f"replay-{index}", record.size)
-        self.sent.inc()
+        self.sent.value += 1
 
 
 # ---------------------------------------------------------------------------

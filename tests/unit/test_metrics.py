@@ -28,11 +28,33 @@ def test_counter_rejects_negative():
         Counter().inc(-1)
 
 
+def test_counter_rejects_nan_and_keeps_its_value():
+    c = Counter()
+    c.inc(2.0)
+    for bad in (float("nan"), -1.0):
+        with pytest.raises(ValueError):
+            c.inc(bad)
+    assert c.value == 2.0
+
+
 def test_gauge_set_and_add():
     g = Gauge("g", 10.0)
     g.add(-3.0)
     g.set(5.0)
     assert g.value == 5.0
+
+
+def test_value_is_a_writable_field_and_nothing_else_is():
+    c, g = Counter("c"), Gauge("g")
+    c.value += 1
+    c.inc(0.5)
+    g.value = 7
+    g.add(1)
+    assert (c.value, g.value) == (1.5, 8)
+    for metric in (c, g):
+        assert not hasattr(metric, "__dict__")
+        with pytest.raises(AttributeError):
+            metric.valeu = 1
 
 
 # ---------------------------------------------------------------------------
@@ -83,6 +105,17 @@ def test_histogram_rejects_bad_input():
         h.percentile(101)
 
 
+def test_histogram_rejects_nan_and_keeps_its_statistics():
+    h = LatencyHistogram()
+    for v in (1.0, 2.0, 3.0):
+        h.record(v)
+    with pytest.raises(ValueError):
+        h.record(float("nan"))
+    assert h.count == 3
+    assert h.mean == pytest.approx(2.0)
+    assert h.percentile(50) == 2.0 and h.max == 3.0
+
+
 def test_histogram_decimation_keeps_mean_exact():
     h = LatencyHistogram(max_samples=100)
     for v in range(1000):
@@ -103,6 +136,12 @@ def test_bucket_series_accumulates():
     assert s.rate_at(0.5) == pytest.approx(15.0)
     assert s.rate_at(1.5) == pytest.approx(7.0)
     assert s.rate_at(9.0) == 0.0
+
+
+@pytest.mark.parametrize("bad", [float("nan"), 0.0, -1.0])
+def test_bucket_series_rejects_a_bad_width_at_construction(bad):
+    with pytest.raises(ValueError):
+        BucketSeries(bucket_width=bad)
 
 
 def test_bucket_series_mean():

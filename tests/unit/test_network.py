@@ -204,6 +204,41 @@ def test_nic_counters():
     assert net.nic("n1").messages_received == 1
 
 
+@pytest.mark.parametrize("bad", [float("nan"), -1e-6])
+def test_a_bad_propagation_delay_is_rejected_when_assigned(bad):
+    # The latency-spike fault assigns it mid-run. A bad value used to be
+    # caught one send later, after the egress queue had taken the frame.
+    sim, net, _ = make_net(2)
+    geo = GeoNetwork(sim, Topology(["a", "b"], wan_latency=0.01, switch_delay=2e-5))
+    for fabric, before in ((net, 50e-6), (geo, 2e-5)):
+        with pytest.raises(NetworkError):
+            fabric.propagation_delay = bad
+        assert fabric.propagation_delay == before
+    net.send("n0", "n1", "app", "x", size=100)
+    assert net.nic("n0").egress.jobs_served == 1 and sim.pending_events == 1
+
+
+def test_send_and_multicast_queue_arrivals_one_assigned_delay_after_departure():
+    # send/multicast push their own heap entries, unchecked: every time they
+    # queue is a departure (>= now) plus the delay validated at assignment.
+    sim, net, nodes = make_net(3, bandwidth=1000.0, propagation_delay=0.25)
+    arrivals = []
+    for node in nodes:
+        node.register("app", lambda src, msg, name=node.name: arrivals.append((sim.now, name, msg)))
+        net.join("g", node.name)
+    net.send("n0", "n1", "app", "uni", size=100)       # departs 0.1
+    net.propagation_delay = 0.0
+    net.multicast("n0", "g", "app", "multi", size=100)  # departs 0.2, overtakes
+    assert sim.pending_events == 3  # unicast arrival, loopback, one fan-in
+    sim.run()
+    assert arrivals == [
+        (pytest.approx(0.2), "n0", "multi"),  # loopback: no switch, no ingress
+        (pytest.approx(0.3), "n1", "multi"),
+        (pytest.approx(0.3), "n2", "multi"),
+        (pytest.approx(0.45), "n1", "uni"),   # 0.1 + 0.25, then ingress 0.1
+    ]
+
+
 def test_network_attributes_are_declared():
     # Nothing replaces send/multicast per instance any more, so Network and
     # GeoNetwork are slotted; the attributes callers do assign still work.

@@ -10,9 +10,9 @@ and a lost 2A stalling the ring until the coordinator's retry.
 import pytest
 
 from repro.calibration import DEFAULT_VALUE_SIZE, mbps_to_bytes_per_s
-from repro.errors import ProtocolError
-from repro.ringpaxos import build_ring
-from repro.sim import Network, Simulator
+from repro.errors import ConfigurationError, ProtocolError
+from repro.ringpaxos import RingConfig, RingCoordinator, build_ring
+from repro.sim import Network, Node, Simulator
 from repro.workload import ConstantRate, OpenLoopGenerator
 
 
@@ -216,8 +216,15 @@ def test_rearmed_state_retries_once_at_the_later_deadline():
 def test_negative_or_nan_retry_timeout_is_rejected_at_construction():
     for bad in (-0.01, float("nan")):
         sim = Simulator(seed=10)
-        with pytest.raises(ProtocolError):
+        with pytest.raises(ConfigurationError):
             build_ring(sim, Network(sim), retry_timeout=bad)
+        # RingConfig is mutable, so the coordinator, whose retry FIFO is
+        # sorted only for one non-negative timeout, checks again.
+        net = Network(sim)
+        config = RingConfig(ring_id=0, acceptors=["c"])
+        config.retry_timeout = bad
+        with pytest.raises(ProtocolError):
+            RingCoordinator(sim, net, net.add_node(Node(sim, "c")), config)
 
 
 def test_heap_residency_stays_small_under_load():

@@ -1,8 +1,12 @@
 """Unit tests for Ring Paxos config, batcher, value store, and messages."""
 
+import dataclasses
+
 import pytest
 
+from repro.calibration import CONTROL_MESSAGE_SIZE
 from repro.errors import ConfigurationError
+from repro.obs import ProbeEvent
 from repro.ringpaxos import (
     Batcher,
     ClientValue,
@@ -11,9 +15,11 @@ from repro.ringpaxos import (
     RingConfig,
     SkipRange,
     ValueStore,
+    build_ring,
+    messages,
 )
 from repro.ringpaxos.valuestore import REPLY_BYTE_BUDGET, REPLY_MAX_ITEMS, decided_run
-from repro.sim import Simulator
+from repro.sim import Network, Simulator
 
 
 # ---------------------------------------------------------------------------
@@ -33,12 +39,25 @@ def test_config_successor_chain():
     assert cfg.successor("c") is None
 
 
+def names(cfg):
+    return (cfg.multicast_group, cfg.coord_port, cfg.mcast_port, cfg.ring_port, cfg.repair_port)
+
+
 def test_config_derived_names_include_ring_id():
     cfg = RingConfig(ring_id=7, acceptors=["a"])
-    assert cfg.multicast_group == "rp7.group"
-    assert cfg.coord_port == "rp7.coord"
-    assert cfg.ring_port == "rp7.ring"
-    assert cfg.repair_port == "rp7.repair"
+    assert names(cfg) == ("rp7.group", "rp7.coord", "rp7.mcast", "rp7.ring", "rp7.repair")
+
+
+def test_config_derived_names_follow_a_replaced_config():
+    cfg = RingConfig(ring_id=7, acceptors=["a", "b"])
+    moved = dataclasses.replace(cfg, ring_id=3)
+    assert names(moved) == ("rp3.group", "rp3.coord", "rp3.mcast", "rp3.ring", "rp3.repair")
+    # The path RingLearner._on_coordinator_change takes: same ring, new layout.
+    rotated = dataclasses.replace(cfg, acceptors=["b", "a"])
+    assert names(rotated) == names(cfg) and rotated.coordinator == "a"
+    # They are derived, not constructor arguments.
+    with pytest.raises(TypeError):
+        RingConfig(ring_id=7, acceptors=["a"], ring_port="elsewhere")
 
 
 def test_config_preferential_acceptor_spreads_learners():
@@ -57,6 +76,29 @@ def test_config_validation():
         RingConfig(ring_id=0, acceptors=["a", "a"])
     with pytest.raises(ConfigurationError):
         RingConfig(ring_id=0, acceptors=["a"], window=0)
+
+
+@pytest.mark.parametrize("bad", [-1.0, float("nan")])
+@pytest.mark.parametrize(
+    "knob",
+    [
+        "batch_timeout", "retry_timeout", "heartbeat_interval", "repair_interval",
+        "suspect_timeout", "decision_flush_timeout", "window", "batch_size",
+    ],
+)
+def test_config_rejects_a_bad_knob_before_anything_is_attached(knob, bad):
+    sim = Simulator()
+    network = Network(sim)
+    with pytest.raises(ConfigurationError):
+        build_ring(sim, network, **{knob: bad})
+    assert network.nodes == {}
+
+
+def test_config_accepts_zero_durations_but_not_a_zero_window():
+    RingConfig(ring_id=0, acceptors=["a"], batch_timeout=0.0, decision_flush_timeout=0.0)
+    for knob in ("window", "batch_size"):
+        with pytest.raises(ConfigurationError):
+            RingConfig(ring_id=0, acceptors=["a"], **{knob: 0})
 
 
 # ---------------------------------------------------------------------------
@@ -192,6 +234,84 @@ def test_skiprange_represents_many_instances():
     skip = SkipRange(count=5000)
     assert skip.instance_count == 5000
     assert skip.size == 64  # one small message regardless of count
+
+
+def _every_message():
+    """One instance of every class of ``messages.py`` with its wire size."""
+    c = CONTROL_MESSAGE_SIZE
+    value = cv(100, seq=3)
+    batch = DataBatch(9, (cv(100), cv(200)))
+    skip = SkipRange(count=7)
+    m = messages
+    return [
+        (value, 100),
+        (batch, 300),
+        (skip, c),
+        (m.Submit(value, floor=2), c + 100),
+        (m.SubmitAck(4, 3), c),
+        (Phase2A(5, 1, batch, attempt=1, decisions=((3, 7), (4, 8))), c + 300 + 2 * 12),
+        (Phase2A(6, 1, skip), c + c),
+        (m.Phase2B(5, 1, 9, 0, 2), c),
+        (m.DecisionAnnounce(((3, 7), (4, 8), (5, 9))), c + 3 * 12),
+        (m.Heartbeat(6), c),
+        (m.RepairRequest(5, count=4), c),
+        (m.RepairReply(5, (batch, skip)), c + 300 + c),
+        (m.CatchupRequest(5, count=4), c),
+        (m.CatchupReply(5, (skip, batch, batch), frontier=20), c + c + 600),
+        (m.CheckpointAck("rep0", 0, 5), c),
+        (m.ConfigChange(2, 1, 0, 1, "leave"), c),
+        (m.PrepareRange(5, 2), c),
+        (m.PromiseRange(5, 2, ((5, 1, batch), (6, 1, skip))), c + 300 + c),
+        (m.CoordinatorChange(0, ("a", "b", "c"), 2), c + 3 * 16),
+    ]
+
+
+MESSAGE_CLASSES = [
+    cls for cls in (getattr(messages, name) for name in messages.__all__)
+    if dataclasses.is_dataclass(cls)
+]
+
+
+def test_every_message_class_has_its_byte_formula():
+    table = _every_message()
+    assert {type(msg) for msg, _ in table} == set(MESSAGE_CLASSES)
+    assert len(MESSAGE_CLASSES) == 18
+    for msg, size in table:
+        assert msg.size == size, msg
+    assert DataBatch(0, ()).size == 0 and DataBatch(0, ()).instance_count == 1
+    assert [item.instance_count for item, _ in table[1:3]] == [1, 7]
+
+
+def test_messages_keep_value_equality_and_hash():
+    for (a, _), (b, _) in zip(_every_message(), _every_message()):
+        assert a is not b and a == b and hash(a) == hash(b), a
+    value = cv(100, seq=3)
+    assert value in {cv(100, seq=3)} and cv(100, seq=4) not in {value}
+    assert {value: "kept"}[cv(100, seq=3)] == "kept"
+    assert cv(100, seq=3) != cv(101, seq=3)
+    # A batch's size is derived from its values, so it is in neither.
+    assert DataBatch(1, (value,)) == DataBatch(1, (cv(100, seq=3),))
+    assert DataBatch(1, (value,)) != DataBatch(2, (value,))
+
+
+def test_a_second_store_to_a_message_raises_under_the_suite():
+    # tests/conftest.py: messages are immutable by contract, and the suite
+    # enforces it with a write-once __setattr__ on every message class.
+    msg = Phase2A(5, 1, DataBatch(9, (cv(100),)))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        msg.instance = 6
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        msg.item.size = 0  # filled once, by __post_init__
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del msg.rnd
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        SkipRange(3).size = 1  # a class constant, not a slot
+    event = ProbeEvent(0.5, "net.enqueue", "n0", {})
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        event.time = 0.6
+    assert (msg.instance, msg.rnd, msg.item.size, event.time) == (5, 1, 100, 0.5)
+    for cls in (*MESSAGE_CLASSES, ProbeEvent):
+        assert cls.__setattr__ is not object.__setattr__, cls
 
 
 def test_phase2a_size_includes_batch_and_piggybacked_decisions():
