@@ -80,10 +80,6 @@ class MultiRingConfig:
     spares_per_ring: int = 0
     auto_failover: bool = False
     suspect_timeout: float = 0.05
-    # Failover refuses to shrink a ring below this many acceptors when
-    # the spare pool is exhausted (spare-less takeovers degrade the ring
-    # by one member; see RingFailover).
-    failover_floor: int = 1
     topology: "Topology | None" = None
     group_regions: list[str] | None = None
     ring_regions: list[str] | None = None
@@ -97,16 +93,18 @@ class MultiRingConfig:
             raise ConfigurationError("n_rings must be in [1, n_groups]")
         if self.acceptors_per_ring < 1:
             raise ConfigurationError("need at least one acceptor per ring")
-        if self.lambda_rate < 0 or self.delta <= 0 or self.m < 1:
+        # Each guard is written so that NaN is rejected too: a bad value
+        # raises here, before a deployment attaches its first node.
+        if not self.lambda_rate >= 0 or not self.delta > 0 or self.m < 1:
             raise ConfigurationError("invalid lambda/delta/M")
-        if self.spares_per_ring < 0 or self.suspect_timeout <= 0:
+        if self.spares_per_ring < 0 or not self.suspect_timeout > 0:
             raise ConfigurationError("invalid spares/suspect_timeout")
+        if not self.batch_size > 0 or not self.batch_timeout >= 0 or not self.window > 0:
+            raise ConfigurationError("invalid batch_size/batch_timeout/window")
+        if not self.buffer_limit >= 0 or not self.series_bucket > 0:
+            raise ConfigurationError("invalid buffer_limit/series_bucket")
         if self.auto_failover and self.acceptors_per_ring < 2:
             raise ConfigurationError("failover needs a surviving acceptor per ring")
-        if not 1 <= self.failover_floor <= self.acceptors_per_ring:
-            raise ConfigurationError(
-                "failover_floor must be in [1, acceptors_per_ring]"
-            )
         if self.topology is None:
             if self.group_regions is not None or self.ring_regions is not None:
                 raise ConfigurationError("regions require a topology")

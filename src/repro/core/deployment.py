@@ -184,7 +184,6 @@ class MultiRingPaxos:
                     lambda coord, ring_id=ring_id: self._on_ring_failover(ring_id, coord)
                 ),
                 metrics=self.metrics,
-                min_ring_size=cfg.failover_floor,
             )
         return handle
 

@@ -40,7 +40,7 @@ class _InstanceState:
     phase: str = "phase1"  # phase1 | phase2 | decided
     promises: dict[str, Promise] = field(default_factory=dict)
     accepts: set[str] = field(default_factory=set)
-    timeout_event: object | None = None
+    timeout_token: int = 0  # bumped per arming; a timeout carrying an older one is stale
     attempts: int = 0
 
 
@@ -172,7 +172,6 @@ class Proposer(Process):
             self._decide(msg.instance, state)
 
     def _decide(self, instance: int, state: _InstanceState) -> None:
-        self._disarm_timeout(state)
         state.phase = "decided"
         del self._instances[instance]
         self.decided[instance] = state.value
@@ -193,26 +192,20 @@ class Proposer(Process):
             return
         self._retry(msg.instance, state, above=msg.promised)
 
-    def _on_timeout(self, instance: int) -> None:
+    def _on_timeout(self, instance: int, token: int) -> None:
         state = self._instances.get(instance)
-        if state is None or state.phase == "decided":
-            return
+        if state is None or state.timeout_token != token:
+            return  # decided, or the phase this timeout guarded is over
         self._retry(instance, state, above=state.rnd)
 
     def _retry(self, instance: int, state: _InstanceState, above: int) -> None:
-        self._disarm_timeout(state)
         self.retries += 1
         state.rnd = next_round(above, self.proposer_id, self.n_proposers)
         self._start_phase1(instance, state)
 
     def _arm_timeout(self, instance: int, state: _InstanceState) -> None:
-        self._disarm_timeout(state)
-        state.timeout_event = self.call_later(self.phase_timeout, self._on_timeout, instance)
-
-    def _disarm_timeout(self, state: _InstanceState) -> None:
-        if state.timeout_event is not None:
-            self.sim.cancel(state.timeout_event)
-            state.timeout_event = None
+        state.timeout_token += 1
+        self.call_later(self.phase_timeout, self._on_timeout, instance, state.timeout_token)
 
     # ------------------------------------------------------------------
     # Inbound dispatch

@@ -55,6 +55,10 @@ from .valuestore import ValueStore, decided_run
 
 __all__ = ["RingAcceptor"]
 
+# Decided items kept for serving learner repairs and catch-ups; the oldest
+# are dropped beyond it.
+DECIDED_LOG_LIMIT = 100_000
+
 
 class RingAcceptor(Process):
     """One in-ring acceptor of a Ring Paxos instance."""
@@ -65,7 +69,6 @@ class RingAcceptor(Process):
         network: Network,
         node: Node,
         config: RingConfig,
-        decided_log_limit: int = 100_000,
         state_retention: int = 50_000,
         metrics: MetricsRegistry | None = None,
     ) -> None:
@@ -109,7 +112,6 @@ class RingAcceptor(Process):
         self._on_suspect = None
         self._decided: dict[int, DataBatch | SkipRange] = {}
         self._decided_order: deque[int] = deque()
-        self._decided_log_limit = decided_log_limit
         self.state_retention = state_retention
         self._gc_horizon = 0
         self._max_decided_seen = -1
@@ -263,7 +265,7 @@ class RingAcceptor(Process):
                 self._decided_frontier = instance + item.instance_count
             self._decided[instance] = item
             self._decided_order.append(instance)
-            while len(self._decided_order) > self._decided_log_limit:
+            while len(self._decided_order) > DECIDED_LOG_LIMIT:
                 old = self._decided_order.popleft()
                 self._decided.pop(old, None)
         self._maybe_gc()

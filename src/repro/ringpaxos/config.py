@@ -77,7 +77,6 @@ class RingConfig:
     suspect_timeout: float = 0.05
     decision_flush_timeout: float = 100e-6
     piggyback_decisions: bool = True
-    spares: list[str] = field(default_factory=list)
     acceptor_regions: list[str] | None = None
     # Derived from ring_id in __post_init__; not constructor arguments.
     # IP-multicast group joined by acceptors and learners of this ring:

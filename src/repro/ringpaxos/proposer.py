@@ -20,6 +20,10 @@ from .messages import ClientValue, Submit, SubmitAck
 
 __all__ = ["RingProposer"]
 
+# At most this many unreceived submissions are resent per retransmit tick
+# (every ``retry_timeout``), so a long backlog cannot flood the coordinator.
+RETRANSMIT_BURST = 64
+
 
 class RingProposer(Process):
     """Submits client values to one ring's coordinator, reliably."""
@@ -30,8 +34,6 @@ class RingProposer(Process):
         network: Network,
         node: Node,
         config: RingConfig,
-        retransmit_interval: float | None = None,
-        retransmit_burst: int = 64,
     ) -> None:
         super().__init__(sim, f"proposer@{node.name}/ring{config.ring_id}")
         self.network = network
@@ -44,9 +46,7 @@ class RingProposer(Process):
         self.retransmissions = Counter("retransmissions")
         self._unacked: dict[int, ClientValue] = {}
         self._received_cum = -1  # retransmission-suppression watermark
-        self.retransmit_burst = retransmit_burst
-        interval = retransmit_interval if retransmit_interval is not None else config.retry_timeout
-        self._retransmit_timer = PeriodicTimer(sim, interval, self._retransmit)
+        self._retransmit_timer = PeriodicTimer(sim, config.retry_timeout, self._retransmit)
         # Called (with no arguments) whenever a cumulative ack drains
         # outstanding submissions — admission controllers hook this to
         # release queued intake as capacity frees up.
@@ -140,7 +140,7 @@ class RingProposer(Process):
             self.retransmissions.value += 1
             self._send(self._unacked[seq])
             burst += 1
-            if burst >= self.retransmit_burst:
+            if burst >= RETRANSMIT_BURST:
                 break
         if burst == 0:
             # Everything outstanding is already in the coordinator's

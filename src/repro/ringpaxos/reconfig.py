@@ -58,12 +58,9 @@ class RingFailover:
         suspect_timeout: float | None = None,
         on_new_coordinator: Callable[[RingCoordinator], None] | None = None,
         metrics: MetricsRegistry | None = None,
-        min_ring_size: int = 1,
     ) -> None:
         if not acceptors:
             raise ConfigurationError("failover needs at least one non-coordinator acceptor")
-        if min_ring_size < 1:
-            raise ConfigurationError("min_ring_size must be at least 1")
         if suspect_timeout is None:
             suspect_timeout = config.suspect_timeout
         self.sim = sim
@@ -74,18 +71,15 @@ class RingFailover:
         self.suspect_timeout = suspect_timeout
         self.on_new_coordinator = on_new_coordinator
         self.metrics = metrics
-        self.min_ring_size = min_ring_size
         self.new_coordinator: RingCoordinator | None = None
         self.takeovers = 0
         self.degraded_takeovers = 0
-        self.refused_takeovers = 0
         self.last_rnd = 0
         base = metrics if metrics is not None else MetricsRegistry()
         own = base.child(ring=config.ring_id, role="failover")
         self._suspects_ctr = own.counter("suspects")
         self._takeovers_ctr = own.counter("takeovers")
         self._degraded_ctr = own.counter("degraded_takeovers")
-        self._refused_ctr = own.counter("refused_takeovers")
         self._ring_size_gauge = own.gauge("ring_size")
         self._ring_size_gauge.value = config.ring_size
         # The total acceptor universe (in-ring + spares) defines majority.
@@ -118,18 +112,6 @@ class RingFailover:
         survivors = [a for a in self.acceptors if not a.crashed and a.node.up]
         if suspecting not in survivors:
             survivors.append(suspecting)
-        # With the spare pool exhausted, a takeover shrinks the ring by
-        # one member. That degradation is explicit: refuse outright when
-        # it would take the ring below the floor, re-arming the watch so
-        # the takeover retries if membership recovers.
-        new_size = len(survivors) + (1 if self.spare_nodes else 0)
-        if new_size < self.min_ring_size:
-            self.refused_takeovers += 1
-            self._refused_ctr.value += 1
-            self._emit(FAILOVER_TAKEOVER, refused=True, ring_size=new_size,
-                       floor=self.min_ring_size)
-            suspecting.watch_coordinator(self.suspect_timeout, self._on_suspect)
-            return
         self._in_progress = True
         self.takeovers += 1
         self._takeovers_ctr.value += 1
@@ -145,6 +127,7 @@ class RingFailover:
         if self.spare_nodes:
             spare_node = self.spare_nodes.pop(0)
             new_order.append(spare_node.name)
+        # With the spare pool exhausted the ring shrinks by one member.
         self._last_degraded = spare_node is None
         if self._last_degraded:
             self.degraded_takeovers += 1

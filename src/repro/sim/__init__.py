@@ -9,7 +9,7 @@ rationale.
 
 from .cpu import Cpu
 from .disk import Disk
-from .events import Event, EventQueue
+from .events import EventQueue
 from .faults import FaultSchedule, NetworkPartition
 from .loss import BurstLoss, LossModel, NoLoss, TunableLoss, UniformLoss
 from .network import Network, Nic
@@ -24,7 +24,6 @@ __all__ = [
     "BurstLoss",
     "Cpu",
     "Disk",
-    "Event",
     "EventQueue",
     "FaultSchedule",
     "FifoServer",

@@ -90,7 +90,7 @@ class Disk:
         self.bytes_written += nbytes
         self.writes += 1
         if fn is not None:
-            self.sim.post_at(ack_time, fn, *args)
+            self.sim.at(ack_time, fn, *args)
         return ack_time
 
     @property

@@ -222,13 +222,14 @@ class Network:
         """Unicast ``msg`` (``size`` bytes) from ``src`` to ``dst``.
 
         One frame per message: egress serialization, the per-leg loss
-        draw and the queueing of the switched arrival all happen here.
-        The arrival is pushed onto the kernel's heap directly, as
+        draw and the queueing of the frame's first hop (:meth:`_route`,
+        one switch delay after departure) all happen here. The hop is
+        pushed onto the kernel's heap directly, as
         :meth:`FifoServer.submit <repro.sim.server.FifoServer.submit>`
         pushes its completion, at the program point where
-        ``Simulator.post_at`` would draw its seq. ``post_at``'s test that
-        the time is not behind the clock is omitted because it cannot
-        fail: the egress queue departs no earlier than now, and
+        ``Simulator.at`` would draw its seq. ``at``'s test that the time
+        is not behind the clock is omitted because it cannot fail: the
+        egress queue departs no earlier than now, and
         ``propagation_delay`` is validated non-negative when assigned.
         """
         endpoints = self._endpoints
@@ -260,7 +261,7 @@ class Network:
             return
         heappush(sim._queue._heap, (
             depart + self._propagation_delay, next(sim._seq),
-            self._deliver, (dst, port, src, msg, size), None,
+            self._route, (dst, port, src, msg, size),
         ))
 
     def multicast(self, src: str, group: str, port: str, msg: Any, size: int) -> None:
@@ -271,9 +272,10 @@ class Network:
         loopback skipping the physical ingress queue).
 
         The remote fan-out is *coalesced*: all surviving subscribers share
-        one scheduled arrival event (:meth:`_fan_in`) that performs every
-        ingress submission in membership order — one heap operation for
-        the propagation leg instead of one per subscriber. Loss is still
+        one scheduled first hop (:meth:`_route_group`, on a single switch
+        :meth:`_fan_in`) that performs every ingress submission in
+        membership order — one heap operation for the propagation leg
+        instead of one per subscriber. Loss is still
         decided per receiver leg at send time, in membership order, so the
         random draw sequence is identical to per-subscriber scheduling;
         and because per-subscriber arrival events would carry consecutive
@@ -310,7 +312,7 @@ class Network:
         if self._lossless:
             for dst in members:
                 if dst == src:
-                    heappush(heap, (depart, next(seq), self._deliver, loopback, None))
+                    heappush(heap, (depart, next(seq), self._deliver, loopback))
                 else:
                     targets.append(dst)
         else:
@@ -318,7 +320,7 @@ class Network:
             should_drop = self._loss.should_drop
             for dst in members:
                 if dst == src:
-                    heappush(heap, (depart, next(seq), self._deliver, loopback, None))
+                    heappush(heap, (depart, next(seq), self._deliver, loopback))
                 elif should_drop(rng, src, dst, size):
                     self.messages_dropped += 1
                     if probe is not None and probe.wants("net.drop"):
@@ -332,7 +334,7 @@ class Network:
             # One switched-arrival event for the whole fan-out.
             heappush(heap, (
                 depart + self._propagation_delay, next(seq),
-                self._fan_in, (targets, port, src, msg, size), None,
+                self._route_group, (targets, port, src, msg, size),
             ))
 
     # ------------------------------------------------------------------
@@ -366,6 +368,12 @@ class Network:
         else:
             nic.messages_received += 1
             dispatch(port, src, msg)
+
+    # What a frame does one switch delay after leaving its sender. On a
+    # single switch it has arrived; a fabric with more between sender and
+    # receiver (GeoNetwork) overrides these two and nothing else.
+    _route = _deliver  # unicast: (dst, port, src, msg, size)
+    _route_group = _fan_in  # multicast survivors: (targets, port, src, msg, size)
 
     def _require_known(self, name: str) -> None:
         if name not in self.nodes:

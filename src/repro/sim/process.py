@@ -6,7 +6,8 @@ and timer callbacks. :class:`Timer` is the restartable deadline that
 protocol tasks (batch timeouts, decision flushes, heartbeats, failure
 detection) all need — in the normal case it is restarted or stopped long
 before it fires, so restarting and stopping are a few attribute writes;
-:class:`PeriodicTimer` is the drift-free tick (skip-interval sampling).
+:class:`PeriodicTimer` is the drift-free tick (skip-interval sampling), a
+:class:`Timer` that re-arms itself from its own callback.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from __future__ import annotations
 from typing import Any, Callable
 
 from ..errors import SimulationError
-from .events import Event
 from .simulator import Simulator
 
 __all__ = ["Process", "Timer", "PeriodicTimer"]
@@ -36,9 +36,9 @@ class Process:
         self.name = name
         self.crashed = False
 
-    def call_later(self, delay: float, fn: Callable[..., None], *args: Any) -> Event:
+    def call_later(self, delay: float, fn: Callable[..., None], *args: Any) -> None:
         """Schedule ``fn(*args)`` after ``delay``; suppressed if crashed."""
-        return self.sim.schedule(delay, self._guarded, fn, args)
+        self.sim.schedule(delay, self._guarded, fn, args)
 
     def _guarded(self, fn: Callable[..., None], args: tuple[Any, ...]) -> None:
         if not self.crashed:
@@ -81,11 +81,10 @@ class Timer:
     or stopping costs no heap traffic: the timer keeps **one** entry of
     its own queued, and an entry that surfaces before the current
     deadline re-queues itself at the key ``start()`` reserved (a stopped
-    timer's entry just lapses). Such an early entry is an ordinary
-    callback, not a cancelled event: it counts in
-    ``Simulator.events_executed`` and ``pending_events``, spends a
-    ``run(max_events=...)`` budget, and a ``run()`` to exhaustion ends at
-    its time.
+    timer's entry just lapses). Such an early entry is a callback like
+    any other: it counts in ``Simulator.events_executed`` and
+    ``pending_events``, spends a ``run(max_events=...)`` budget, and a
+    ``run()`` to exhaustion ends at its time.
     """
 
     def __init__(self, sim: Simulator, delay: float, fn: Callable[[], None]) -> None:
@@ -111,8 +110,16 @@ class Timer:
             delay = self.delay
         if not delay >= 0:
             raise SimulationError(f"cannot schedule {delay!r} seconds in the past")
+        self.start_at(self.sim.now + delay)
+
+    def start_at(self, deadline: float) -> None:
+        """Arm the timer to fire at absolute time ``deadline`` (see :meth:`start`)."""
         sim = self.sim
-        self._deadline = deadline = sim.now + delay
+        if not deadline >= sim.now:
+            raise SimulationError(
+                f"cannot schedule at t={deadline!r}, clock is already at t={sim.now!r}"
+            )
+        self._deadline = deadline
         # Drawn here, where Simulator.schedule drew it, and never again for
         # this arming: every other event keeps the seq it always had.
         self._seq = seq = sim.reserve_seq()
@@ -148,7 +155,10 @@ class PeriodicTimer:
 
     The callback runs at ``start_time + k * period`` for k = 1, 2, ... —
     drift-free, because each firing is scheduled from the previous ideal
-    firing time rather than from "now".
+    firing time rather than from "now". It is a :class:`Timer` re-armed
+    from its own callback, before ``fn`` runs (where the next tick's seq
+    has always been drawn), so a ``stop()`` / ``start()`` cycle reuses the
+    one queued entry like any other restart.
     """
 
     def __init__(self, sim: Simulator, period: float, fn: Callable[[], None]) -> None:
@@ -157,27 +167,24 @@ class PeriodicTimer:
         self.sim = sim
         self.period = period
         self.fn = fn
-        self._event: Event | None = None
+        self._timer = Timer(sim, period, self._fire)
         self._next_time = 0.0
 
     @property
     def running(self) -> bool:
         """Whether the periodic timer is active."""
-        return self._event is not None
+        return self._timer.armed
 
     def start(self) -> None:
         """Begin firing every ``period`` seconds from now."""
-        self.stop()
         self._next_time = self.sim.now + self.period
-        self._event = self.sim.at(self._next_time, self._fire)
+        self._timer.start_at(self._next_time)
 
     def stop(self) -> None:
         """Stop firing (idempotent)."""
-        if self._event is not None:
-            self.sim.cancel(self._event)
-            self._event = None
+        self._timer.stop()
 
     def _fire(self) -> None:
         self._next_time += self.period
-        self._event = self.sim.at(self._next_time, self._fire)
+        self._timer.start_at(self._next_time)
         self.fn()

@@ -83,9 +83,9 @@ class FifoServer:
                 start=start, finish=finish, demand=demand,
             )
         if fn is not None:
-            # Simulator.post_at inlined (this is the per-message hot path of
+            # Simulator.at inlined (this is the per-message hot path of
             # every NIC/CPU/disk); finish >= now, so it needs no guard.
-            heappush(sim._queue._heap, (finish, next(sim._seq), fn, args, None))
+            heappush(sim._queue._heap, (finish, next(sim._seq), fn, args))
         return finish
 
     # ------------------------------------------------------------------

@@ -19,7 +19,7 @@ from heapq import heappop as _heappop, heappush as _heappush
 from typing import Any, Callable
 
 from ..errors import SimulationError
-from .events import Event, EventQueue
+from .events import EventQueue
 from .rng import RandomStreams
 
 __all__ = ["Simulator", "observe_simulators"]
@@ -84,7 +84,7 @@ class Simulator:
     -------
     >>> sim = Simulator(seed=7)
     >>> fired = []
-    >>> _ = sim.schedule(1.5, fired.append, "hello")
+    >>> sim.schedule(1.5, fired.append, "hello")
     >>> sim.run(until=2.0)
     >>> (sim.now, fired)
     (2.0, ['hello'])
@@ -135,52 +135,28 @@ class Simulator:
     # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------
-    def schedule(self, delay: float, fn: Callable[..., None], *args: Any) -> Event:
-        """Schedule ``fn(*args)`` to run ``delay`` simulated seconds from now.
+    def schedule(self, delay: float, fn: Callable[..., None], *args: Any) -> None:
+        """Run ``fn(*args)`` ``delay`` simulated seconds from now.
 
-        Returns the cancellable :class:`Event` handle. Use this (or
-        :meth:`at`) for timers that may be cancelled; use :meth:`post` /
-        :meth:`post_at` for fire-and-forget callbacks on hot paths.
+        Fire-and-forget: the entry cannot be taken back, and nothing is
+        returned. A deadline that may be called off or moved is a
+        :class:`~repro.sim.process.Timer`; a callback that may become moot
+        checks that itself when it runs.
         """
         if not delay >= 0:  # written so that NaN is rejected too
             raise SimulationError(f"cannot schedule {delay!r} seconds in the past")
-        return self._queue.push(self.now + delay, fn, args)
+        _heappush(self._queue._heap, (self.now + delay, next(self._seq), fn, args))
 
-    def at(self, time: float, fn: Callable[..., None], *args: Any) -> Event:
-        """Schedule ``fn(*args)`` at absolute simulated ``time``."""
+    def at(self, time: float, fn: Callable[..., None], *args: Any) -> None:
+        """Run ``fn(*args)`` at absolute simulated ``time`` (see :meth:`schedule`)."""
         if not time >= self.now:
             raise SimulationError(
                 f"cannot schedule at t={time!r}, clock is already at t={self.now!r}"
             )
-        return self._queue.push(time, fn, args)
-
-    def post(self, delay: float, fn: Callable[..., None], *args: Any) -> None:
-        """Fast path: run ``fn(*args)`` after ``delay``; not cancellable.
-
-        Identical ordering semantics to :meth:`schedule` (same time/seq
-        keys), but no :class:`Event` is allocated and nothing is returned.
-        The substrate's hot paths (message legs, queue completions) all
-        schedule through here, and so does nearly every event of a
-        protocol run: :class:`~repro.sim.process.Timer` and the Ring Paxos
-        coordinator's retries queue bare entries too
-        (:meth:`post_reserved`), which leaves the :class:`Event` path to
-        ``PeriodicTimer``, ``Process.call_later``, fault schedules and the
-        basic ``paxos`` roles.
-        """
-        if not delay >= 0:
-            raise SimulationError(f"cannot schedule {delay!r} seconds in the past")
-        _heappush(self._queue._heap, (self.now + delay, next(self._seq), fn, args, None))
-
-    def post_at(self, time: float, fn: Callable[..., None], *args: Any) -> None:
-        """Fast path: run ``fn(*args)`` at absolute ``time``; not cancellable."""
-        if not time >= self.now:
-            raise SimulationError(
-                f"cannot schedule at t={time!r}, clock is already at t={self.now!r}"
-            )
-        _heappush(self._queue._heap, (time, next(self._seq), fn, args, None))
+        _heappush(self._queue._heap, (time, next(self._seq), fn, args))
 
     def post_reserved(self, time: float, seq: int, fn: Callable[..., None], *args: Any) -> None:
-        """Fast path: run ``fn(*args)`` at the key ``(time, seq)``; not cancellable.
+        """Run ``fn(*args)`` at the key ``(time, seq)``.
 
         ``seq`` must come from ``sim.reserve_seq()``, called at the program
         point where :meth:`schedule` would have been, and be queued at most
@@ -194,31 +170,11 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule at t={time!r}, clock is already at t={self.now!r}"
             )
-        _heappush(self._queue._heap, (time, seq, fn, args, None))
-
-    def cancel(self, event: Event) -> None:
-        """Cancel a previously scheduled event (idempotent)."""
-        self._queue.cancel(event)
+        _heappush(self._queue._heap, (time, seq, fn, args))
 
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def step(self) -> bool:
-        """Execute the next event. Returns False when the queue is empty."""
-        entry = self._queue.pop_entry()
-        if entry is None:
-            return False
-        time = entry[0]
-        if time < self.now:
-            raise SimulationError("event queue produced an event in the past")
-        self.now = time
-        self._events_executed += 1
-        if self._probe is not None and self._probe.wants("sim.event"):
-            name = getattr(entry[2], "__qualname__", None) or repr(entry[2])
-            self._probe.emit("sim.event", time, name, seq=entry[1])
-        entry[2](*entry[3])
-        return True
-
     def run(self, until: float | None = None, max_events: int | None = None) -> None:
         """Run events until the queue empties, ``until`` passes, or the budget.
 
@@ -229,18 +185,19 @@ class Simulator:
         back-to-back ``run(until=...)`` calls partition simulated time
         cleanly. When a ``max_events`` budget stops the run while events
         at or before ``until`` are still pending, the clock stays at the
-        last executed event.
+        last executed event. An ``until`` behind the clock runs nothing.
 
-        Semantics are identical to calling :meth:`step` in a loop; this
-        being the hottest loop, it works on the queue's heap directly
+        This being the hottest loop, it works on the queue's heap directly
         (same package). A ``max_events`` budget of *n* fires exactly *n*
-        callbacks. The queued entry of a stopped or restarted
-        :class:`~repro.sim.process.Timer` is such a callback, not a
-        cancelled event: it spends budget, and a run to exhaustion ends at
-        its time even though nothing observable happens then.
+        callbacks: every queued entry is one, the entry of a stopped or
+        restarted :class:`~repro.sim.process.Timer` included — it spends
+        budget, and a run to exhaustion ends at its time even though
+        nothing observable happens then.
         """
         if self._running:
             raise SimulationError("Simulator.run() is not reentrant")
+        if until is not None and until != until:
+            raise SimulationError("cannot run until t=nan")
         self._running = True
         executed = 0
         queue = self._queue
@@ -250,21 +207,8 @@ class Simulator:
         horizon = until if until is not None else float("inf")
         budget = max_events if max_events is not None else sys.maxsize
         try:
-            while heap:
-                entry = heap[0]
-                if entry[0] > horizon:
-                    break
-                event = entry[4]
-                if event is not None and event.cancelled:
-                    _heappop(heap)
-                    queue._cancelled -= 1
-                    continue
-                if executed >= budget:
-                    break  # budget spent: events remain queued
-                _heappop(heap)
-                if event is not None:
-                    event.consumed = True
-                time, seq, fn, args, _ = entry
+            while heap and heap[0][0] <= horizon and executed < budget:
+                time, seq, fn, args = _heappop(heap)
                 self.now = time
                 executed += 1  # before dispatch: a raising callback counts
                 probe = self._probe
@@ -295,7 +239,7 @@ class Simulator:
 
     @property
     def pending_events(self) -> int:
-        """Number of live (non-cancelled) events currently queued.
+        """Number of events currently queued.
 
         A stopped or restarted :class:`~repro.sim.process.Timer` still has
         its one entry queued, and it counts here until it surfaces.

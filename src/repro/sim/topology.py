@@ -10,17 +10,20 @@ the switch's fixed hop, per-receiver-leg loss — stays as it is.
 
 :class:`Topology` is the static description (region names, per-region
 switch delay, a :class:`WanLink` per region pair); :class:`GeoNetwork`
-is the live fabric. Cross-region traffic serializes at the sender NIC,
-crosses the local switch, then traverses the WAN link **once per
-destination region** and fans out at the remote switch — so an
+is the live fabric. It changes that one thing and nothing else:
+``send`` and ``multicast`` are the base class's, and only the two hooks
+they queue a frame's first hop under — what the frame does at the
+sender's switch — are overridden. Cross-region traffic serializes at the
+sender NIC, crosses the local switch, then traverses the WAN link **once
+per destination region** and fans out at the remote switch — so an
 ip-multicast spanning three regions pays the sender's egress once and
 each WAN link once, preserving the NIC-egress asymmetry that makes Ring
 Paxos cheap.
 
-A one-region :class:`GeoNetwork` is the degenerate case: every path takes
-the base class's code with the same random draws in the same order, so
-traces are byte-identical to a plain :class:`Network`. The golden-trace
-suite pins that equivalence.
+A one-region :class:`GeoNetwork` is the degenerate case: both hooks
+deliver as the base class does, with the same random draws in the same
+order, so traces are byte-identical to a plain :class:`Network`. The
+golden-trace suite pins that equivalence.
 
 Jitter draws come from the dedicated ``network.wan`` stream of
 :class:`~repro.sim.rng.RandomStreams`, so enabling jitter never perturbs
@@ -192,12 +195,14 @@ class _LiveLink:
 class GeoNetwork(Network):
     """A multi-region fabric: one switch per region, WAN links between.
 
-    Intra-region traffic takes the base class's paths unchanged (same
-    code, same random draws); only a leg whose destination sits in a
-    different region is routed over the region pair's WAN link. Loss is
-    still decided per receiver leg at send time, in membership order, on
-    the shared ``network.loss`` stream — link state (a partitioned WAN
-    link) is evaluated at link-entry time, like a node's ``up`` flag.
+    Sending is the base class's (egress, counters, probes, loss draws);
+    this class routes a frame at its first hop. Intra-region legs are
+    delivered there as on a single switch; only a leg whose destination
+    sits in a different region is routed over the region pair's WAN
+    link. Loss is still decided per receiver leg at send time, in
+    membership order, on the shared ``network.loss`` stream — link state
+    (a partitioned WAN link) is evaluated at link-entry time, like a
+    node's ``up`` flag.
     """
 
     __slots__ = ("topology", "region_of", "wan_jitter_scale", "_wan_rng", "_wan")
@@ -280,7 +285,7 @@ class GeoNetwork(Network):
 
     def set_wan_jitter_scale(self, factor: float) -> None:
         """Scale every link's jitter amplitude (1.0 = configured level)."""
-        if factor < 0:
+        if not factor >= 0:  # written so that NaN is rejected too
             raise ConfigurationError("jitter scale must be non-negative")
         self.wan_jitter_scale = float(factor)
 
@@ -295,121 +300,39 @@ class GeoNetwork(Network):
             raise NetworkError(f"no WAN link between {a!r} and {b!r}")
 
     # ------------------------------------------------------------------
-    # Transmission
+    # Routing: the two first-hop hooks of Network.send / multicast
     # ------------------------------------------------------------------
-    def send(self, src: str, dst: str, port: str, msg: Any, size: int) -> None:
-        """Unicast; cross-region legs route over the WAN link."""
-        endpoint = self._endpoints.get(src)
-        if endpoint is None:
-            raise NetworkError(f"unknown node {src!r}")
-        if dst not in self._endpoints:
-            raise NetworkError(f"unknown node {dst!r}")
-        region_of = self.region_of
-        dst_region = region_of[dst]
-        if region_of[src] == dst_region:
-            super().send(src, dst, port, msg, size)
-            return
-        node, nic, _ = endpoint
-        if not node.up:
-            return
-        depart = nic.egress.submit(size)
-        nic.bytes_sent += size
-        nic.messages_sent += 1
-        if self.probe is not None and self.probe.wants("net.enqueue"):
-            self.probe.emit(
-                "net.enqueue", self.sim.now, src,
-                dst=dst, port=port, msg=type(msg).__name__, size=size,
-            )
-        if not self._lossless and self._loss.should_drop(self._rng, src, dst, size):
-            self.messages_dropped += 1
-            if self.probe is not None and self.probe.wants("net.drop"):
-                self.probe.emit(
-                    "net.drop", self.sim.now, src,
-                    dst=dst, port=port, msg=type(msg).__name__, size=size,
-                )
-            return
-        # Local switch hop first, then the WAN link once.
-        self.sim.post_at(
-            depart + self._propagation_delay,
-            self._wan_entry, self._wan[(region_of[src], dst_region)],
-            [dst], port, src, msg, size,
-        )
-
-    def multicast(self, src: str, group: str, port: str, msg: Any, size: int) -> None:
-        """IP-multicast; each destination region's WAN link is crossed once.
-
-        Same contract as the base class — sender serializes the frame
-        once, loss decided per receiver leg in membership order — but
-        survivors are bucketed by region: in-region subscribers share the
-        base coalesced fan-in, and each remote region gets a single WAN
-        crossing that fans out at the remote switch.
-        """
-        self._require_known(src)
-        if not self.nodes[src].up:
-            return
-        members = self._groups.get(group, [])
-        if not members:
-            return
-        sim = self.sim
-        nic = self.nics[src]
-        depart = nic.egress.submit(size)
-        nic.bytes_sent += size
-        nic.messages_sent += 1
-        probe = self.probe
-        if probe is not None and probe.wants("net.enqueue"):
-            probe.emit(
-                "net.enqueue", sim.now, src,
-                group=group, fanout=len(members), port=port,
-                msg=type(msg).__name__, size=size,
-            )
+    def _route(self, dst: str, port: str, src: str, msg: Any, size: int) -> None:
+        """A unicast frame at the sender's switch: deliver, or cross the WAN."""
         region_of = self.region_of
         src_region = region_of[src]
-        local: list[str] = []
-        remote: dict[str, list[str]] = {}
-        if self._lossless:
-            for dst in members:
-                if dst == src:
-                    sim.post_at(depart, self._deliver, dst, port, src, msg, 0)
-                elif region_of[dst] == src_region:
-                    local.append(dst)
-                else:
-                    remote.setdefault(region_of[dst], []).append(dst)
+        dst_region = region_of[dst]
+        if src_region == dst_region:
+            self._deliver(dst, port, src, msg, size)
         else:
-            rng = self._rng
-            should_drop = self._loss.should_drop
-            for dst in members:
-                if dst == src:
-                    sim.post_at(depart, self._deliver, dst, port, src, msg, 0)
-                elif should_drop(rng, src, dst, size):
-                    self.messages_dropped += 1
-                    if probe is not None and probe.wants("net.drop"):
-                        probe.emit(
-                            "net.drop", sim.now, src,
-                            dst=dst, port=port, msg=type(msg).__name__, size=size,
-                        )
-                elif region_of[dst] == src_region:
-                    local.append(dst)
-                else:
-                    remote.setdefault(region_of[dst], []).append(dst)
-        if local:
-            sim.post_at(
-                depart + self._propagation_delay,
-                self._fan_in, local, port, src, msg, size,
-            )
-        if remote:
-            # One WAN crossing per destination region (insertion order ==
-            # first occurrence in membership order: deterministic).
-            entry = depart + self._propagation_delay
-            wan = self._wan
-            for region, targets in remote.items():
-                sim.post_at(
-                    entry, self._wan_entry, wan[(src_region, region)],
-                    targets, port, src, msg, size,
-                )
+            self._wan_entry(self._wan[(src_region, dst_region)], [dst], port, src, msg, size)
 
-    # ------------------------------------------------------------------
-    # Internal plumbing
-    # ------------------------------------------------------------------
+    def _route_group(self, targets: list[str], port: str, src: str, msg: Any, size: int) -> None:
+        """A multicast frame's survivors at the sender's switch.
+
+        In-region subscribers are delivered in membership order, as on a
+        single switch; then each remote region's subscribers enter that
+        region's WAN link **once** and fan out at the remote switch
+        (regions in first-occurrence order: deterministic).
+        """
+        region_of = self.region_of
+        src_region = region_of[src]
+        deliver = self._deliver
+        remote: dict[str, list[str]] = {}
+        for dst in targets:
+            region = region_of[dst]
+            if region == src_region:
+                deliver(dst, port, src, msg, size)
+            else:
+                remote.setdefault(region, []).append(dst)
+        for region, bucket in remote.items():
+            self._wan_entry(self._wan[(src_region, region)], bucket, port, src, msg, size)
+
     def _wan_entry(
         self, link: _LiveLink, targets: list[str], port: str, src: str, msg: Any, size: int
     ) -> None:
@@ -443,4 +366,4 @@ class GeoNetwork(Network):
         if arrival < link.last_arrival:
             arrival = link.last_arrival
         link.last_arrival = arrival
-        self.sim.post_at(arrival, self._fan_in, targets, port, src, msg, size)
+        self.sim.at(arrival, self._fan_in, targets, port, src, msg, size)

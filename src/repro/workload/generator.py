@@ -17,9 +17,11 @@ from ..sim.process import Process
 from ..sim.simulator import Simulator
 from .rates import RateSchedule, next_change_after
 
-# While idle with no known transition ahead, poll intervals double up to
-# this multiple of ``idle_poll`` — bounded staleness for schedules that
-# cannot announce their next change (e.g. a custom mutable schedule).
+# While idle with no known transition ahead, poll intervals start at
+# IDLE_POLL seconds and double up to IDLE_BACKOFF_CAP times it — bounded
+# staleness for schedules that cannot announce their next change (e.g. a
+# custom mutable schedule).
+IDLE_POLL = 10e-3
 IDLE_BACKOFF_CAP = 128
 
 __all__ = ["OpenLoopGenerator", "ClosedLoopGenerator", "ThrottledGenerator"]
@@ -35,9 +37,9 @@ class OpenLoopGenerator(Process):
     schedule reports a zero rate the generator asks the schedule for its
     next transition (``rates.next_change_after``) and sleeps until exactly
     then; schedules without a known transition are polled with geometric
-    backoff from ``idle_poll`` (capped at ``IDLE_BACKOFF_CAP`` times it),
+    backoff from ``IDLE_POLL`` (capped at ``IDLE_BACKOFF_CAP`` times it),
     so idle phases cost O(log idle) kernel events instead of one per
-    ``idle_poll``.
+    ``IDLE_POLL``.
     """
 
     def __init__(
@@ -46,7 +48,6 @@ class OpenLoopGenerator(Process):
         send_fn: SendFn,
         schedule: RateSchedule,
         stop_at: float | None = None,
-        idle_poll: float = 10e-3,
         jitter: float = 0.0,
         burst: int = 1,
         name: str = "openloop",
@@ -59,7 +60,6 @@ class OpenLoopGenerator(Process):
         self.send_fn = send_fn
         self.schedule = schedule
         self.stop_at = stop_at
-        self.idle_poll = idle_poll
         self.jitter = jitter
         self.burst = burst
         self.sends = Counter("sends")
@@ -70,11 +70,10 @@ class OpenLoopGenerator(Process):
     def start(self, delay: float = 0.0) -> "OpenLoopGenerator":
         """Begin generating ``delay`` seconds from now; returns self."""
         self._running = True
-        # Ticks self-check ``_running``/``crashed``, so they ride the
-        # allocation-free scheduling fast path instead of call_later's
-        # cancellable (Event + crash-guard wrapper) one. One tick per
-        # generated value makes this one of the hottest schedule sites.
-        self.sim.post(delay, self._tick)
+        # Ticks self-check ``_running``/``crashed``, so they skip
+        # call_later's crash-guard wrapper. One tick per generated value
+        # makes this one of the hottest schedule sites.
+        self.sim.schedule(delay, self._tick)
         return self
 
     def stop(self) -> None:
@@ -90,7 +89,7 @@ class OpenLoopGenerator(Process):
             return
         rate = self.schedule.rate_at(now)
         if rate <= 0:
-            self.sim.post(self._idle_delay(now), self._tick)
+            self.sim.schedule(self._idle_delay(now), self._tick)
             return
         self._idle_backoff = 0.0
         # ``burst`` > 1 models clients that submit in clumps (the offered
@@ -106,7 +105,7 @@ class OpenLoopGenerator(Process):
             # independent generators drifts apart like a random walk —
             # the out-of-sync effect of the paper's Figure 9 at lambda=0.
             gap *= 1.0 + self.jitter * (2.0 * self._rng.random() - 1.0)
-        self.sim.post(gap, self._tick)
+        self.sim.schedule(gap, self._tick)
 
     def _idle_delay(self, now: float) -> float:
         """How long to sleep while the schedule reports a zero rate."""
@@ -114,9 +113,9 @@ class OpenLoopGenerator(Process):
         if wake is not None and wake > now:
             self._idle_backoff = 0.0
             return wake - now
-        # No announced transition: geometric backoff from idle_poll.
-        delay = self._idle_backoff or self.idle_poll
-        self._idle_backoff = min(delay * 2.0, self.idle_poll * IDLE_BACKOFF_CAP)
+        # No announced transition: geometric backoff from IDLE_POLL.
+        delay = self._idle_backoff or IDLE_POLL
+        self._idle_backoff = min(delay * 2.0, IDLE_POLL * IDLE_BACKOFF_CAP)
         return delay
 
 

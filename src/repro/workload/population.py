@@ -52,6 +52,7 @@ from ..sim.simulator import Simulator
 from ..smr.partitioning import RangePartitioner
 from ..smr.replica import Response
 from ..smr.statemachine import Command
+from .generator import IDLE_BACKOFF_CAP, IDLE_POLL
 from .rates import RateSchedule, next_change_after
 
 __all__ = ["BatchArrivalProcess", "ClientPopulation", "SessionMix", "poisson"]
@@ -109,7 +110,6 @@ class BatchArrivalProcess(Process):
         batch_target: float = 64.0,
         min_interval: float = 100e-6,
         max_interval: float = 10e-3,
-        idle_poll: float = 10e-3,
         stop_at: float | None = None,
     ) -> None:
         super().__init__(sim, name)
@@ -122,7 +122,6 @@ class BatchArrivalProcess(Process):
         self.batch_target = batch_target
         self.min_interval = min_interval
         self.max_interval = max_interval
-        self.idle_poll = idle_poll
         self.stop_at = stop_at
         self.arrivals = 0
         self._rng = sim.random.get(f"workload.{name}")
@@ -132,7 +131,7 @@ class BatchArrivalProcess(Process):
     def start(self, delay: float = 0.0) -> "BatchArrivalProcess":
         """Begin drawing batches ``delay`` seconds from now; returns self."""
         self._running = True
-        self.sim.post(delay, self._tick)
+        self.sim.schedule(delay, self._tick)
         return self
 
     def stop(self) -> None:
@@ -153,9 +152,9 @@ class BatchArrivalProcess(Process):
                 self._idle_backoff = 0.0
                 delay = wake - now
             else:
-                delay = self._idle_backoff or self.idle_poll
-                self._idle_backoff = min(delay * 2.0, self.idle_poll * 128)
-            self.sim.post(delay, self._tick)
+                delay = self._idle_backoff or IDLE_POLL
+                self._idle_backoff = min(delay * 2.0, IDLE_POLL * IDLE_BACKOFF_CAP)
+            self.sim.schedule(delay, self._tick)
             return
         self._idle_backoff = 0.0
         dt = min(max(self.batch_target / rate, self.min_interval), self.max_interval)
@@ -163,7 +162,7 @@ class BatchArrivalProcess(Process):
         self.arrivals += k
         for _ in range(k):
             self.on_arrival()
-        self.sim.post(dt, self._tick)
+        self.sim.schedule(dt, self._tick)
 
 
 @dataclass(frozen=True, slots=True)
@@ -381,7 +380,7 @@ class ClientPopulation(Process):
         if not self._scanning:
             self._scanning = True
             self._last_bucket = int(self.sim.now / self._gran)
-            self.sim.post(self._gran, self._scan)
+            self.sim.schedule(self._gran, self._scan)
 
     def _scan(self) -> None:
         now = self.sim.now
@@ -394,7 +393,7 @@ class ClientPopulation(Process):
                 self._expire(req_id, entry)
         self._last_bucket = target
         if self._pending or self.arrival_process._running:
-            self.sim.post(self._gran, self._scan)
+            self.sim.schedule(self._gran, self._scan)
         else:
             self._scanning = False
 

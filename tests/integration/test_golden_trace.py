@@ -1,13 +1,17 @@
 """Golden-trace regression: the kernel fast path must not change results.
 
-Records the full observable outcome of two fixed-seed scenarios — every
-``net.deliver`` (message handed to a node), ``learner.decide`` (ring
-order) and ``learner.deliver`` (merged order) event — and compares the
-sequence *bit for bit* against a committed fixture. The fixture was
-recorded before the fast-path kernel (fused run loop, allocation-free
-scheduling, coalesced multicast fan-out) landed, so a pass means the
-optimized kernel reproduces the exact delivery and decision order of the
-reference implementation, timestamps included.
+Records the full observable outcome of three fixed-seed scenarios — every
+``net.deliver`` (message handed to a node), ``net.drop`` (a leg lost or
+cut), ``learner.decide`` (ring order) and ``learner.deliver`` (merged
+order) event — and compares the sequence *bit for bit* against a
+committed fixture. The two single-switch fixtures were recorded before
+the fast-path kernel (fused run loop, allocation-free scheduling,
+coalesced multicast fan-out) landed, so a pass means the optimized kernel
+reproduces the exact delivery and decision order of the reference
+implementation, timestamps included. The three-region fixture was
+recorded while ``GeoNetwork`` still had its own ``send`` / ``multicast``
+and pins the WAN path (per-region crossings, jitter clamping, a cut link)
+the same way.
 
 Regenerate the fixture only for a *deliberate* semantic change::
 
@@ -30,9 +34,10 @@ from repro.core.config import MultiRingConfig
 from repro.core.deployment import MultiRingPaxos
 from repro.obs.probe import ProbeBus
 from repro.ringpaxos.builder import build_ring
+from repro.sim.loss import UniformLoss
 from repro.sim.network import Network
 from repro.sim.simulator import Simulator
-from repro.sim.topology import GeoNetwork, Topology
+from repro.sim.topology import GeoNetwork, Topology, WanLink
 from repro.workload import ConstantRate, OpenLoopGenerator
 
 FIXTURE = Path(__file__).parent / "golden" / "golden_traces.json"
@@ -51,7 +56,7 @@ def safety_oracles():
 # Recording
 # ---------------------------------------------------------------------------
 def _subscribe(sim, network) -> list:
-    """Record normalized (net.deliver | learner.*) events from a run."""
+    """Record normalized (net.deliver | net.drop | learner.*) events from a run."""
     bus = sim.probe
     if bus is None:
         bus = ProbeBus()
@@ -65,6 +70,12 @@ def _subscribe(sim, network) -> list:
         d = ev.data
         records.append(
             [ev.time, "net.deliver", ev.source, d["src"], d["port"], d["msg"], d["size"]]
+        )
+
+    def on_net_drop(ev) -> None:
+        d = ev.data
+        records.append(
+            [ev.time, "net.drop", ev.source, d["dst"], d["port"], d["msg"], d["size"]]
         )
 
     def on_decide(ev) -> None:
@@ -82,6 +93,7 @@ def _subscribe(sim, network) -> list:
         )
 
     bus.subscribe(on_net_deliver, kind="net.deliver")
+    bus.subscribe(on_net_drop, kind="net.drop")
     bus.subscribe(on_decide, kind="learner.decide")
     bus.subscribe(on_deliver, kind="learner.deliver")
     return records
@@ -125,9 +137,52 @@ def scenario_three_rings(topology=None) -> list:
     return records
 
 
+def scenario_three_regions() -> list:
+    """Three rings in three regions: jittered WAN links, lossy legs, one cut.
+
+    Every learner hears at least one remote ring (each 2A / decision
+    multicast crosses one or two WAN links once, beside its in-region
+    fan-in) and every proposer submits across a link (unicast both ways),
+    so the WAN path carries most of the trace. The eu-us link is cut for
+    150 ms mid-run with frames queued toward it.
+    """
+    topology = Topology(
+        ["eu", "us", "ap"],
+        links={("eu", "us"): WanLink(0.004, jitter=0.001)},
+        wan_latency=0.009,
+        wan_jitter=0.003,
+    )
+    mrp = MultiRingPaxos(
+        MultiRingConfig(
+            n_groups=3, lambda_rate=2000.0, seed=23, topology=topology,
+            group_regions=["eu", "us", "ap"],
+        )
+    )
+    sim, net = mrp.sim, mrp.network
+    net.loss = UniformLoss(0.01)
+    records = _subscribe(sim, net)
+    mrp.add_learner(groups=[0, 1, 2])  # eu
+    mrp.add_learner(groups=[1, 2])  # us
+    mrp.add_learner(groups=[2, 0], region="ap")
+    for g, region in enumerate(["us", "ap", "eu"]):
+        prop = mrp.add_proposer(region=region)
+        OpenLoopGenerator(
+            sim,
+            lambda p=prop, g=g: p.multicast(g, f"g{g}", 4096),
+            ConstantRate(300.0),
+            jitter=0.25,
+            name=f"golden-geo{g}",
+        ).start()
+    sim.at(0.25, net.partition_wan, "eu", "us")
+    sim.at(0.40, net.heal_wan, "eu", "us")
+    mrp.run(until=0.7)
+    return records
+
+
 SCENARIOS = {
     "fig1_single_ring": scenario_fig1,
     "three_rings": scenario_three_rings,
+    "three_regions": scenario_three_regions,
 }
 
 

@@ -5,20 +5,19 @@ from hypothesis import strategies as st
 
 from repro.metrics import BucketSeries, LatencyHistogram
 from repro.obs import SimProfiler
-from repro.sim import FifoServer, GeoNetwork, Node, Simulator, Timer, Topology
-from repro.sim.events import EventQueue
+from repro.sim import FifoServer, GeoNetwork, Node, PeriodicTimer, Simulator, Timer, Topology
 
 
 @given(times=st.lists(st.floats(0.0, 1e6, allow_nan=False), min_size=1, max_size=200))
 @settings(max_examples=100, deadline=None)
-def test_event_queue_pops_in_nondecreasing_time_order(times):
-    q = EventQueue()
+def test_events_fire_in_nondecreasing_time_order(times):
+    sim = Simulator()
+    fired = []
     for t in times:
-        q.push(t, lambda: None)
-    popped = []
-    while (e := q.pop()) is not None:
-        popped.append(e.time)
-    assert popped == sorted(times)
+        sim.at(t, fired.append, t)
+    sim.run()
+    assert fired == sorted(times)
+    assert sim.events_executed == len(times)
 
 
 _DELAYS = [0.0, 1e-7, 5e-7, 3e-6, 5e-5, 2e-3, 0.04, 0.2, 5.0]
@@ -26,49 +25,59 @@ _DELAYS = [0.0, 1e-7, 5e-7, 3e-6, 5e-5, 2e-3, 0.04, 0.2, 5.0]
 
 @given(data=st.data())
 @settings(max_examples=60, deadline=None)
-def test_event_queue_matches_sorted_reference(data):
-    """Interleaved pushes and pops deliver the exact (time, seq) order.
+def test_firing_order_matches_sorted_reference(data):
+    """Interleaved pushes and single steps fire in the exact (time, seq) order.
 
-    For any schedule the queue must be indistinguishable from a sorted
+    For any schedule the kernel must be indistinguishable from a sorted
     list of (time, seq) keys — a list, not a heap, so that the oracle is
-    not the implementation.
+    not the implementation. Entries are queued with ``post_reserved`` at
+    a seq drawn on the spot or some pushes earlier; the next property
+    holds ``schedule`` and ``at`` to the same order.
     """
-    q = EventQueue()
+    sim = Simulator()
     ref = []  # (time, seq) of every pending entry
-    now = 0.0
+    fired = []
+    held = []  # seqs reserved but not queued yet
 
-    def pop_and_compare():
-        nonlocal now
+    def step_and_compare():
         ref.sort()
-        entry = q.pop_entry()
-        assert (entry[0], entry[1]) == ref.pop(0)
-        now = entry[0]
+        sim.run(max_events=1)
+        assert fired[-1] == ref.pop(0)
+        assert sim.now == fired[-1][0]
 
     for _ in range(data.draw(st.integers(10, 200))):
-        if ref and data.draw(st.booleans()):
-            pop_and_compare()
+        action = data.draw(st.integers(0, 4))
+        if ref and action <= 1:
+            step_and_compare()
+        elif action == 2:
+            held.append(sim.reserve_seq())
         else:
-            t = now + data.draw(st.sampled_from(_DELAYS))
-            ref.append((t, q.push(t, lambda: None).seq))
+            delay = data.draw(st.sampled_from(_DELAYS))
+            key = (sim.now + delay, held.pop(0) if held and action == 3 else sim.reserve_seq())
+            sim.post_reserved(*key, fired.append, key)
+            ref.append(key)
+        assert sim.pending_events == len(ref)
     while ref:
-        pop_and_compare()
-    assert q.pop_entry() is None
+        step_and_compare()
+    assert sim.pending_events == 0 and sim.events_executed == len(fired)
 
 
 @given(
-    times=st.lists(st.floats(0.0, 100.0, allow_nan=False), min_size=2, max_size=100),
-    cancel_idx=st.data(),
+    entries=st.lists(st.tuples(st.sampled_from(_DELAYS), st.booleans()), min_size=1, max_size=100)
 )
 @settings(max_examples=100, deadline=None)
-def test_cancelled_events_never_fire(times, cancel_idx):
+def test_schedule_and_at_draw_their_seq_where_they_are_called(entries):
+    """``schedule`` and ``at`` are ``post_reserved`` at a seq drawn on the
+    spot: ties fire in call order, whichever entry point queued them."""
     sim = Simulator()
     fired = []
-    events = [sim.at(t, fired.append, i) for i, t in enumerate(times)]
-    n_cancel = cancel_idx.draw(st.integers(0, len(events)))
-    for e in events[:n_cancel]:
-        sim.cancel(e)
+    for i, (delay, use_at) in enumerate(entries):
+        if use_at:
+            sim.at(sim.now + delay, fired.append, (delay, i))
+        else:
+            sim.schedule(delay, fired.append, (delay, i))
     sim.run()
-    assert sorted(fired) == list(range(n_cancel, len(events)))
+    assert fired == sorted((delay, i) for i, (delay, _) in enumerate(entries))
 
 
 @given(
@@ -121,7 +130,7 @@ def test_completions_of_several_servers_fire_in_finish_then_submission_order(ops
     t = 0.0
     for k, demand, gap in ops:
         t += gap
-        sim.post_at(t, submit, k, demand)  # submitted mid-run, between completions
+        sim.at(t, submit, k, demand)  # submitted mid-run, between completions
     sim.run()
     assert fired == sorted(expected)
     assert sim.events_executed == 2 * len(ops)
@@ -347,30 +356,32 @@ def test_loss_is_drawn_per_leg_in_membership_order(order, seed):
 # Timer: one lazily re-queued heap entry, the order of cancel-and-repush
 # ---------------------------------------------------------------------------
 class _CancelAndRepushTimer:
-    """The reference: a fresh cancellable Event per start(), cancelled by
-    stop() and by the next start() (the Timer this repository had before
-    it stopped leaving tombstones in the heap)."""
+    """The reference: a fresh heap entry per start(), drawn by
+    ``sim.schedule`` right there, and called off by stop() and by the next
+    start() (the Timer this repository had before it stopped leaving
+    tombstones in the heap). The kernel has no cancel any more, so the
+    calling-off is a flag kept here: an entry fires only while the arming
+    that queued it is still the current one."""
 
     def __init__(self, sim, delay, fn):
         self.sim, self.delay, self.fn = sim, delay, fn
-        self._event = None
+        self._arming = None  # token of the live entry; None = cancelled or fired
 
     @property
     def armed(self):
-        return self._event is not None and not self._event.cancelled
+        return self._arming is not None
 
     def start(self, delay=None):
-        self.stop()
-        self._event = self.sim.schedule(self.delay if delay is None else delay, self._fire)
+        self._arming = arming = object()
+        self.sim.schedule(self.delay if delay is None else delay, self._fire, arming)
 
     def stop(self):
-        if self._event is not None:
-            self.sim.cancel(self._event)
-            self._event = None
+        self._arming = None
 
-    def _fire(self):
-        self._event = None
-        self.fn()
+    def _fire(self, arming):
+        if arming is self._arming:
+            self._arming = None
+            self.fn()
 
 
 class _SeqAtRepushTimer(Timer):
@@ -433,7 +444,7 @@ def _run_timer_program(timer_class, program, check_entries=False):
         if op[0] == "advance":
             sim.run(until=sim.now + op[1])
         elif op[0] == "bystander":
-            sim.post_at(sim.now + op[1], log.append, (sim.now + op[1], f"b{bystanders}"))
+            sim.at(sim.now + op[1], log.append, (sim.now + op[1], f"b{bystanders}"))
             bystanders += 1
         else:
             timer = timers[op[1] % len(timers)]
@@ -468,3 +479,139 @@ def test_timer_order_property_rejects_a_seq_drawn_at_repush():
         settings=settings(max_examples=2000, derandomize=True, deadline=None),
     )
     assert _run_timer_program(Timer, program) == _run_timer_program(_CancelAndRepushTimer, program)
+
+
+# ---------------------------------------------------------------------------
+# PeriodicTimer: a Timer re-armed from its own callback, the order and the
+# ticks of cancel-and-repush
+# ---------------------------------------------------------------------------
+class _CancelAndRepushPeriodic:
+    """The reference: the PeriodicTimer this repository had while the
+    kernel could cancel — a fresh entry per tick, drawn by ``sim.at``
+    before ``fn`` runs, called off by stop() and by the next start().
+    The calling-off is a test-local flag, as in `_CancelAndRepushTimer`."""
+
+    def __init__(self, sim, period, fn):
+        self.sim, self.period, self.fn = sim, period, fn
+        self._arming = None
+        self._next_time = 0.0
+
+    @property
+    def running(self):
+        return self._arming is not None
+
+    def start(self):
+        self._next_time = self.sim.now + self.period
+        self._arm()
+
+    def stop(self):
+        self._arming = None
+
+    def _arm(self):
+        self._arming = arming = object()
+        self.sim.at(self._next_time, self._fire, arming)
+
+    def _fire(self, arming):
+        if arming is self._arming:
+            self._next_time += self.period
+            self._arm()
+            self.fn()
+
+
+class _SeqAfterCallbackPeriodic(PeriodicTimer):
+    """Mutant: a tick whose callback leaves the timer alone re-arms only
+    after ``fn`` has run, so the next tick's seq is drawn behind whatever
+    the callback queued."""
+
+    def stop(self):
+        super().stop()
+        self._stopped = True
+
+    def _fire(self):
+        self._next_time += self.period
+        self._stopped = False
+        self.fn()
+        if not self._stopped and not self.running:
+            self._timer.start_at(self._next_time)
+
+
+_PERIODS = st.sampled_from([0.25, 0.5, 0.75, 1.0])
+_PERIODIC_OPS = st.one_of(
+    st.tuples(st.just("start"), _WHO),
+    st.tuples(st.just("stop"), _WHO),
+    st.tuples(st.just("bystander"), _QUARTERS),
+    st.tuples(st.just("advance"), _QUARTERS),
+)
+_PERIODIC_PROGRAMS = st.tuples(
+    st.lists(_PERIODS, min_size=1, max_size=3),  # period of each timer
+    st.lists(_PERIODIC_OPS, min_size=1, max_size=40),
+    # What a tick does next: start (restart) or stop itself or its
+    # neighbour (the proposer's retransmit timer stops itself from its own
+    # callback; a failover restarts a neighbour's).
+    st.lists(st.one_of(st.none(), st.tuples(st.booleans(), st.booleans())), max_size=16),
+)
+
+
+def _run_periodic_program(timer_class, program, check_entries=False):
+    """The log of ``(now, who)`` ticks, and ``running`` after every step."""
+    periods, ops, reactions = program
+    sim = Simulator()
+    log, running = [], []
+    reactions = list(reactions)
+    timers = []
+    origin, ticks = {}, {}  # who -> time of the latest start(), ticks since
+
+    def act(i, start):
+        if start:
+            timers[i].start()
+            origin[i], ticks[i] = sim.now, 0
+        else:
+            timers[i].stop()
+
+    def tick(i):
+        log.append((sim.now, i))
+        ticks[i] += 1
+        # Quarter steps: start + k * period is exact, so this is equality.
+        assert sim.now == origin[i] + ticks[i] * periods[i]
+        reaction = reactions.pop() if reactions else None
+        if reaction is not None:
+            on_self, start = reaction
+            act(i if on_self else (i + 1) % len(timers), start)
+
+    timers.extend(timer_class(sim, p, lambda i=i: tick(i)) for i, p in enumerate(periods))
+    bystanders = 0
+    for op in ops:
+        if op[0] == "advance":
+            sim.run(until=sim.now + op[1])
+        elif op[0] == "bystander":
+            sim.at(sim.now + op[1], log.append, (sim.now + op[1], f"b{bystanders}"))
+            bystanders += 1
+        else:
+            act(op[1] % len(timers), op[0] == "start")
+        running.append([t.running for t in timers])
+        if check_entries:
+            for t in timers:
+                own = [e for e in sim._queue._heap if e[2] == t._timer._wake]
+                assert len(own) == (t._timer._queued_seq is not None) <= 1
+    sim.run(until=sim.now + 3.0)  # a running timer never drains: a window instead
+    return log, running
+
+
+@given(program=_PERIODIC_PROGRAMS)
+@settings(max_examples=300, deadline=None)
+def test_periodic_timer_ticks_in_the_order_of_cancel_and_repush(program):
+    expected = _run_periodic_program(_CancelAndRepushPeriodic, program)
+    assert _run_periodic_program(PeriodicTimer, program, check_entries=True) == expected
+
+
+def test_periodic_order_property_rejects_a_seq_drawn_after_the_callback():
+    """The property has teeth: it tells the mutant from the reference."""
+    program = find(
+        _PERIODIC_PROGRAMS,
+        lambda p: _run_periodic_program(_SeqAfterCallbackPeriodic, p)
+        != _run_periodic_program(_CancelAndRepushPeriodic, p),
+        settings=settings(max_examples=2000, derandomize=True, deadline=None),
+    )
+    assert _run_periodic_program(PeriodicTimer, program) == _run_periodic_program(
+        _CancelAndRepushPeriodic, program
+    )

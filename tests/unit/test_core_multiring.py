@@ -32,6 +32,22 @@ def test_config_validation():
     assert cfg.ring_of_group(3) == 3
 
 
+@pytest.mark.parametrize(
+    "knob, bad",
+    [(knob, float("nan")) for knob in (
+        "lambda_rate", "delta", "suspect_timeout", "series_bucket",
+        "batch_timeout", "buffer_limit", "window", "batch_size",
+    )]
+    + [("lambda_rate", -1.0), ("delta", 0.0), ("suspect_timeout", 0.0), ("series_bucket", 0.0),
+       ("batch_timeout", -1e-3), ("buffer_limit", -1), ("window", 0), ("batch_size", 0)],
+)
+def test_config_rejects_bad_and_nan_knobs_where_it_is_built(knob, bad):
+    # Not one layer down (RingConfig, PeriodicTimer, add_learner), after a
+    # deployment has attached some of its nodes — or never.
+    with pytest.raises(ConfigurationError):
+        MultiRingConfig(**{knob: bad})
+
+
 def test_config_group_mapping_round_robin():
     cfg = MultiRingConfig(n_groups=4, n_rings=2)
     assert [cfg.ring_of_group(g) for g in range(4)] == [0, 1, 0, 1]

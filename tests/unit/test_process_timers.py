@@ -138,7 +138,7 @@ def test_restart_with_an_earlier_deadline_orphans_the_queued_entry():
     t.start(delay=0.25)
     sim.run(until=0.5)
     assert fired == [0.25] and not t.armed
-    sim.post_at(1.0, fired.append, "bystander")
+    sim.at(1.0, fired.append, "bystander")
     t.start(delay=0.5)  # deadline 1.0: the orphan's time, but not its turn
     sim.run()
     assert fired == [0.25, "bystander", 1.0]

@@ -124,7 +124,7 @@ def run_checked(sim, coord, until):
     """``sim.run(until=...)``, checking after every event that the
     coordinator has at most one retry entry in the kernel's heap."""
     while (head := sim._queue.peek_time()) is not None and head <= until:
-        sim.step()
+        sim.run(max_events=1)
         queued = [e for e in sim._queue._heap if e[2] == coord._on_retry_due]
         assert len(queued) <= 1
         assert bool(queued) == bool(coord._retries)  # the head's entry
@@ -167,7 +167,7 @@ def test_restart_redrive_supersedes_the_precrash_deadline():
     retries = spy(coord, "_retry", sim)
     ring.proposers[0].multicast("m0", DEFAULT_VALUE_SIZE)
     while not multicasts:
-        sim.step()
+        sim.run(max_events=1)
     coord.crash()  # the 2B of attempt 0 reaches a dead coordinator
     precrash_deadline = sim.now + ring.config.retry_timeout
     run_checked(sim, coord, sim.now + ring.config.retry_timeout / 2)
@@ -186,7 +186,7 @@ def test_due_retries_of_a_crashed_coordinator_do_nothing():
     retries = spy(coord, "_retry", sim)
     ring.proposers[0].multicast("m0", DEFAULT_VALUE_SIZE)
     while not multicasts:
-        sim.step()
+        sim.run(max_events=1)
     coord.crash()
     run_checked(sim, coord, sim.now + 3 * ring.config.retry_timeout)
     assert retries == [] and coord.retries.value == 0
@@ -204,7 +204,7 @@ def test_rearmed_state_retries_once_at_the_later_deadline():
     retries = spy(coord, "_retry", sim)
     ring.proposers[0].multicast("m0", DEFAULT_VALUE_SIZE)
     while not multicasts:
-        sim.step()
+        sim.run(max_events=1)
     run_checked(sim, coord, sim.now + ring.config.retry_timeout / 2)
     coord._arm_retry(coord._inflight[0])  # before the first deadline
     rearmed_at = sim.now
@@ -230,9 +230,8 @@ def test_negative_or_nan_retry_timeout_is_rejected_at_construction():
 def test_heap_residency_stays_small_under_load():
     """One In-memory ring at 650 Mbit/s: the heap holds live work only.
 
-    Counts every entry, cancelled ones included (``pending_events``
-    subtracts those). With an Event per retry and per timer restart the
-    heap held about 310 entries here, nearly all of them dead.
+    With a cancellable entry per retry and per timer restart the heap
+    held about 310 entries here, nearly all of them dead.
     """
     sim = Simulator(seed=1)
     ring = build_ring(sim, Network(sim))
@@ -246,6 +245,6 @@ def test_heap_residency_stays_small_under_load():
     sizes = []
     for k in range(1, 11):
         sim.run(until=0.005 * k)
-        sizes.append(len(sim._queue._heap))
+        sizes.append(sim.pending_events)
     assert ring.coordinator.instances_decided.value > 400
     assert max(sizes) < 100, sizes

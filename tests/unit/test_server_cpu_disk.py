@@ -329,14 +329,12 @@ def test_completions_and_timers_interleave_in_time_then_submission_order():
     order = []
     slow.submit(1.0, order.append, "slow#0 t=1")
     fast.submit(1.0, order.append, "fast#0 t=0.5")
-    sim.post(1.0, order.append, "timer t=1")  # ties with slow#0: submitted later
+    sim.schedule(1.0, order.append, "timer t=1")  # ties with slow#0: submitted later
     fast.submit(1.0, order.append, "fast#1 t=1")  # ties too: later still
     disk.write(10, order.append, "disk ack t=1")  # and this one is last
-    timer = sim.schedule(1.5, order.append, "cancelled timer")
     slow.submit(1.0, order.append, "slow#1 t=2")
     fast.submit(2.0, order.append, "fast#2 t=2")
     sim.at(0.75, order.append, "timer t=0.75")
-    sim.cancel(timer)
     sim.run()
     assert order == [
         "fast#0 t=0.5", "timer t=0.75",
@@ -385,20 +383,6 @@ def test_run_window_stops_between_two_completions_of_one_server():
     sim.run()
     assert fired == [0, 1, 2, 3]
     assert sim.now == 4.0
-
-
-def test_step_fires_one_completion_at_a_time():
-    sim = Simulator()
-    srv = FifoServer(sim, rate=1.0)
-    fired = []
-    for i in range(3):
-        srv.submit(1.0, fired.append, i)
-    for n in (1, 2, 3):
-        assert sim.step()
-        assert fired == list(range(n))
-        assert sim.now == float(n)
-        assert sim.pending_events == 3 - n
-    assert not sim.step()
 
 
 def test_completion_callback_resubmitting_to_its_own_server_keeps_fifo():

@@ -65,15 +65,6 @@ def test_at_in_the_past_rejected():
         sim.at(0.5, lambda: None)
 
 
-def test_cancel_prevents_firing():
-    sim = Simulator()
-    fired = []
-    event = sim.schedule(1.0, fired.append, "no")
-    sim.cancel(event)
-    sim.run()
-    assert fired == []
-
-
 def test_events_scheduled_during_run_are_honoured():
     sim = Simulator()
     fired = []
@@ -122,13 +113,13 @@ def test_different_streams_are_independent():
 
 
 # ---------------------------------------------------------------------------
-# Run loop: ordering, windows, tombstones, failures, and mid-run peeks
+# Run loop: ordering, windows, failures
 # ---------------------------------------------------------------------------
-def test_run_fires_a_same_time_burst_in_post_order():
+def test_run_fires_a_same_time_burst_in_schedule_order():
     sim = Simulator()
     fired = []
     for i in range(100):
-        sim.post(1e-3, fired.append, i)
+        sim.schedule(1e-3, fired.append, i)
     sim.run()
     assert fired == list(range(100))
     assert sim.events_executed == 100
@@ -138,8 +129,8 @@ def test_bounded_run_leaves_later_events_stored():
     sim = Simulator()
     fired = []
     for i in range(50):
-        sim.post(0.1 + i * 1e-6, fired.append, i)
-    sim.post(10.0, fired.append, "late")
+        sim.schedule(0.1 + i * 1e-6, fired.append, i)
+    sim.schedule(10.0, fired.append, "late")
     sim.run(until=1.0)
     assert fired == list(range(50))
     # The event beyond ``until`` is peeked but never consumed: it stays
@@ -150,19 +141,6 @@ def test_bounded_run_leaves_later_events_stored():
     assert sim.pending_events == 0
 
 
-def test_cancelled_event_is_skipped_without_dispatch():
-    sim = Simulator()
-    fired = []
-    doomed = sim.schedule(0.5, fired.append, "cancelled")
-    sim.post(1.0, fired.append, "kept")
-    sim.cancel(doomed)
-    sim.run()
-    assert fired == ["kept"]
-    # The tombstone is discarded inside the drain, not dispatched:
-    assert sim.events_executed == 1
-    assert sim.pending_events == 0
-
-
 def test_raising_callback_leaves_exact_counts_and_a_rerunnable_simulator():
     sim = Simulator()
     fired = []
@@ -170,11 +148,9 @@ def test_raising_callback_leaves_exact_counts_and_a_rerunnable_simulator():
     def boom():
         raise RuntimeError("callback failed")
 
-    sim.post(1.0, fired.append, "before")
-    sim.post(2.0, boom)
-    doomed = sim.schedule(2.5, fired.append, "cancelled")
-    sim.post(3.0, fired.append, "after")
-    sim.cancel(doomed)
+    sim.schedule(1.0, fired.append, "before")
+    sim.schedule(2.0, boom)
+    sim.schedule(3.0, fired.append, "after")
     with pytest.raises(RuntimeError):
         sim.run()
     # The failing callback was dispatched, so it counts; nothing after it ran.
@@ -189,41 +165,49 @@ def test_raising_callback_leaves_exact_counts_and_a_rerunnable_simulator():
     assert sim.pending_events == 0
 
 
-def test_mid_run_peek_sees_past_a_cancelled_head():
-    sim = Simulator()
-    seen = []
-    timer = sim.schedule(2.0, seen.append, "cancelled timer fired")
-
-    def cancel_and_look():
-        sim.cancel(timer)  # the head of the queue is now a tombstone
-        seen.append((sim.pending_events, sim._queue.peek_time(), sim.pending_events))
-
-    sim.post(1.0, cancel_and_look)
-    sim.post(3.0, seen.append, "live")
-    sim.post(4.0, seen.append, "last")
-    sim.run(until=3.5)
-    assert seen == [(2, 3.0, 2), "live"]
-    assert sim.events_executed == 2
-    assert sim.pending_events == 1
-    sim.run()
-    assert seen[-1] == "last"
-    assert sim.pending_events == 0
-
-
 @pytest.mark.parametrize("bad", [float("nan"), -1e-9])
 def test_every_scheduling_entry_point_rejects_nan_and_past_times(bad):
     # A NaN key compares false with everything and would silently corrupt
     # the heap order, so it must be refused at the door like a past time.
     sim = Simulator()
-    sim.post(1.0, lambda: None)
+    sim.schedule(1.0, lambda: None)
     sim.run()
     when = sim.now + bad  # just behind the clock, or NaN again
-    for schedule, value in (
-        (sim.schedule, bad), (sim.post, bad), (sim.at, when), (sim.post_at, when),
-    ):
-        with pytest.raises(SimulationError):
-            schedule(value, lambda: None)
+    with pytest.raises(SimulationError):
+        sim.schedule(bad, lambda: None)
+    with pytest.raises(SimulationError):
+        sim.at(when, lambda: None)
+    with pytest.raises(SimulationError):
+        sim.post_reserved(when, sim.reserve_seq(), lambda: None)
     assert sim.pending_events == 0
+
+
+def test_scheduling_is_fire_and_forget():
+    # One kind of heap entry and no handle to it: nothing is returned, so
+    # nothing can be taken back. A deadline that may be called off is a Timer.
+    sim = Simulator()
+    assert sim.schedule(1.0, lambda: None) is None
+    assert sim.at(2.0, lambda: None) is None
+    assert sim.post_reserved(3.0, sim.reserve_seq(), lambda: None) is None
+    assert sim.pending_events == 3
+    assert all(len(entry) == 4 for entry in sim._queue._heap)
+
+
+def test_run_rejects_a_nan_horizon_before_anything_runs():
+    # Regression: `time > nan` is never true, so run(until=nan) used to
+    # ignore its horizon and execute every queued event.
+    sim = Simulator()
+    fired = []
+    sim.schedule(1.0, fired.append, 1.0)
+    sim.run(until=0.5)
+    sim.schedule(4.5, fired.append, 5.0)
+    with pytest.raises(SimulationError):
+        sim.run(until=float("nan"))
+    assert (fired, sim.now, sim.pending_events, sim.events_executed) == ([], 0.5, 2, 0)
+    sim.run(until=0.25)  # a horizon behind the clock stays the no-op it is
+    assert (fired, sim.now) == ([], 0.5)
+    sim.run()  # and the simulator still runs
+    assert (fired, sim.now, sim.pending_events) == ([1.0, 5.0], 5.0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -236,8 +220,8 @@ def test_budget_and_window_exhaust_simultaneously_advances_clock():
     sim = Simulator()
     fired = []
     for t in (0.5, 1.0, 1.5):
-        sim.post(t, fired.append, t)
-    sim.post(5.0, fired.append, 5.0)  # beyond the window
+        sim.schedule(t, fired.append, t)
+    sim.schedule(5.0, fired.append, 5.0)  # beyond the window
     sim.run(until=2.0, max_events=3)
     assert fired == [0.5, 1.0, 1.5]
     assert sim.now == 2.0
@@ -248,7 +232,7 @@ def test_budget_stop_with_runnable_events_keeps_clock():
     sim = Simulator()
     fired = []
     for t in (0.5, 1.0, 1.5):
-        sim.post(t, fired.append, t)
+        sim.schedule(t, fired.append, t)
     sim.run(until=2.0, max_events=2)
     assert fired == [0.5, 1.0]
     # An event at t=1.5 <= until is still runnable, so the clock must NOT
@@ -263,8 +247,8 @@ def test_budget_stop_with_runnable_events_keeps_clock():
 def test_window_drained_under_budget_advances_clock():
     sim = Simulator()
     fired = []
-    sim.post(0.5, fired.append, 0.5)
-    sim.post(3.0, fired.append, 3.0)
+    sim.schedule(0.5, fired.append, 0.5)
+    sim.schedule(3.0, fired.append, 3.0)
     sim.run(until=2.0, max_events=100)
     assert fired == [0.5]
     assert sim.now == 2.0
@@ -274,7 +258,7 @@ def test_window_drained_under_budget_advances_clock():
 def test_zero_budget_runs_nothing_and_keeps_clock():
     sim = Simulator()
     fired = []
-    sim.post(0.5, fired.append, 0.5)
+    sim.schedule(0.5, fired.append, 0.5)
     sim.run(until=1.0, max_events=0)
     assert fired == []
     # The pending event precedes ``until``, so the clock may not advance.
@@ -286,7 +270,7 @@ def test_zero_budget_runs_nothing_and_keeps_clock():
 
 def test_zero_budget_on_empty_window_still_advances_clock():
     sim = Simulator()
-    sim.post(5.0, lambda: None)
+    sim.schedule(5.0, lambda: None)
     sim.run(until=1.0, max_events=0)
     assert sim.now == 1.0  # nothing runnable inside the window
 

@@ -79,8 +79,12 @@ def test_wan_partition_and_heal_bookkeeping():
     assert net.wan_links_down() == []
     with pytest.raises(NetworkError):
         net.partition_wan("dc0", "dc9")
-    with pytest.raises(ConfigurationError):
-        net.set_wan_jitter_scale(-1.0)
+    for bad in (-1.0, float("nan")):  # nan * jitter > 0 is false: jitter silently off
+        with pytest.raises(ConfigurationError):
+            net.set_wan_jitter_scale(bad)
+        assert net.wan_jitter_scale == 1.0
+    net.set_wan_jitter_scale(2)
+    assert net.wan_jitter_scale == 2.0
 
 
 def test_arrivals_reordered_by_a_mid_run_latency_change_fire_in_time_order():
@@ -106,7 +110,7 @@ def test_arrivals_reordered_by_a_mid_run_latency_change_fire_in_time_order():
         send_both("after")
 
     send_both("during")
-    sim.post(0.001, spike_ends)
+    sim.schedule(0.001, spike_ends)
     sim.run()
     assert [(who, msg) for who, msg, _ in got] == [
         ("near", "after"), ("near", "during"), ("far", "after"), ("far", "during"),
@@ -115,6 +119,32 @@ def test_arrivals_reordered_by_a_mid_run_latency_change_fire_in_time_order():
     assert times == sorted(times)
     assert times[0] < 0.005 < times[1] < 0.011 < times[2] < 0.015 < times[3]
     assert sim.pending_events == 0
+
+
+def test_a_frame_takes_one_first_hop_and_each_remote_link_once():
+    # One send path: GeoNetwork routes a frame at its first hop and does
+    # not re-implement egress, counters, probes and loss draws beside it.
+    assert not {"send", "multicast"} & vars(GeoNetwork).keys()
+    sim = Simulator(seed=1)
+    net = GeoNetwork(sim, Topology(["a", "b", "c"], wan_latency=0.010))
+    got = []
+    for name in ("a0", "c0", "a1", "b0", "c1"):  # membership order: c before b
+        node = net.add_node(Node(sim, name), region=name[0])
+        node.register("app", lambda src, msg, name=name: got.append((name, round(sim.now, 6))))
+        net.join("g", name)
+    net.multicast("a0", "g", "app", "m", size=125)  # 1 us per NIC / WAN hop
+    # Loopback, and one first hop for the in-region fan-in and both links.
+    assert sim.pending_events == 2
+    sim.run()
+    assert got == [
+        ("a0", 0.000001), ("a1", 0.000052),
+        ("c0", 0.010053), ("c1", 0.010053), ("b0", 0.010053),
+    ]
+    assert [net._wan[("a", r)].messages_carried for r in "bc"] == [1, 1]
+    net.send("b0", "a1", "app", "u", size=125)
+    assert sim.pending_events == 1
+    sim.run()
+    assert got[-1] == ("a1", 0.020106) and net._wan[("b", "a")].messages_carried == 1
 
 
 # ---------------------------------------------------------------------------

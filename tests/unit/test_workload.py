@@ -266,7 +266,7 @@ def test_open_loop_sleeps_to_known_transition():
 
 
 def test_open_loop_geometric_backoff_without_transition_info():
-    from repro.workload.generator import IDLE_BACKOFF_CAP
+    from repro.workload.generator import IDLE_BACKOFF_CAP, IDLE_POLL
 
     sim = Simulator()
 
@@ -288,9 +288,9 @@ def test_open_loop_geometric_backoff_without_transition_info():
     sim.run(until=100.0)
     # Geometric backoff: O(log idle) polls, then capped linear scanning —
     # far fewer than the 10_000 fixed-interval polls of 100s / 10ms.
-    assert schedule.calls < 2 + 100.0 / (gen.idle_poll * IDLE_BACKOFF_CAP) + 10
+    assert schedule.calls < 2 + 100.0 / (IDLE_POLL * IDLE_BACKOFF_CAP) + 10
     # The generator is still alive: raising the rate resumes sending
     # within the capped poll interval.
     schedule.rate = 50.0
     sim.run(until=103.0)
-    assert sends and min(sends) <= 100.0 + gen.idle_poll * IDLE_BACKOFF_CAP
+    assert sends and min(sends) <= 100.0 + IDLE_POLL * IDLE_BACKOFF_CAP
