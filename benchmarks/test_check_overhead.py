@@ -8,15 +8,16 @@ unless someone subscribes:
 * **bare** — no probe bus attached: every emission site is one attribute
   read plus an ``is not None`` test;
 * **bus, no subscriber** — a bus is attached but nothing subscribes:
-  every site additionally asks ``bus.wants(kind)`` (one set probe) and
-  skips building the event payload entirely.
+  every site additionally tests ``kind in bus.subscribers`` (one dict
+  membership test, no call) and skips building the event payload
+  entirely.
 
 Both must (a) leave the simulation bit-for-bit identical — probes are
 passive — and (b) cost ≤5% wall time on the Figure 1 runner. The timing
 assertion is deliberately looser (25%) than the contract so a noisy CI
 box cannot flake it; the measured ratio is printed for the record and is
-~1–2% locally (it was ~7% before ``wants`` gating, dominated by kernel
-``sim.event`` payload construction).
+~1–2% locally (it was ~7% before the sites were gated, dominated by
+kernel ``sim.event`` payload construction).
 
 A third run with the full :class:`SafetyOracles` set subscribed checks
 that even *active* oracles never perturb the simulation — they read

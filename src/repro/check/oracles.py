@@ -173,15 +173,17 @@ class SafetyOracles:
     # ------------------------------------------------------------------
     def _on_propose(self, ev: ProbeEvent) -> None:
         self.events_checked += 1
-        sender = ev.data["sender"]
-        self._proposed.add((sender, ev.data["seq"], ev.data["group"]))
+        data = ev.data
+        sender = data["sender"]
+        self._proposed.add((sender, data["seq"], data["group"]))
         self._tracked_senders.add(sender)
 
     def _on_decide(self, ev: ProbeEvent) -> None:
         self.events_checked += 1
-        ring = ev.data["ring"]
-        instance = ev.data["instance"]
-        fingerprint = ev.data["item"]
+        data = ev.data
+        ring = data["ring"]
+        instance = data["instance"]
+        fingerprint = data["item"]
         key = (ring, instance)
         previous = self._decided.get(key)
         if previous is None:
@@ -205,15 +207,17 @@ class SafetyOracles:
                 source=ev.source,
                 context={"ring": ring, "instance": instance, "expected": expected},
             )
-        self._next_instance[ev.source] = instance + ev.data["count"]
-        frontier = instance + ev.data["count"]
+        frontier = instance + data["count"]
+        self._next_instance[ev.source] = frontier
         if frontier > self._ring_frontier.get(ring, 0):
             self._ring_frontier[ring] = frontier
 
     def _on_deliver(self, ev: ProbeEvent) -> None:
         self.events_checked += 1
         learner = ev.source
-        message = (ev.data["sender"], ev.data["seq"], ev.data["group"])
+        data = ev.data
+        sender = data["sender"]
+        message = (sender, data["seq"], data["group"])
         seen = self._delivered.setdefault(learner, set())
         if message in seen:
             raise OracleViolation(
@@ -229,7 +233,7 @@ class SafetyOracles:
         # proposal exactly. (Values injected below the proposer API —
         # hand-built streams in unit tests, interop feeds — have no
         # proposal record and are exempt.)
-        if ev.data["sender"] in self._tracked_senders and message not in self._proposed:
+        if sender in self._tracked_senders and message not in self._proposed:
             raise OracleViolation(
                 "integrity",
                 f"delivered message {message} was never proposed",
@@ -240,9 +244,9 @@ class SafetyOracles:
 
     def _on_apply(self, ev: ProbeEvent) -> None:
         self.events_checked += 1
-        key = (ev.data["partition"], ev.source)
-        self._apply_log.setdefault(key, []).append(
-            (ev.data["client"], ev.data["req_id"], ev.data["op"])
+        data = ev.data
+        self._apply_log.setdefault((data["partition"], ev.source), []).append(
+            (data["client"], data["req_id"], data["op"])
         )
 
     # ------------------------------------------------------------------

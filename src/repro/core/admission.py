@@ -46,9 +46,9 @@ class AdmissionPolicy:
     max_queue: int = 512
 
     def __post_init__(self) -> None:
-        if self.max_inflight < 1:
+        if not self.max_inflight >= 1:  # written so that NaN is rejected too
             raise ValueError("max_inflight must be at least 1")
-        if self.max_queue < 0:
+        if not self.max_queue >= 0:
             raise ValueError("max_queue must be non-negative")
 
 
@@ -111,13 +111,12 @@ class AdmissionController:
 
     def _emit(self, kind: str, payload: object) -> None:
         probe = self.proposer.sim.probe
-        if probe is None or not probe.wants(kind):
-            return
-        probe.emit(
-            kind, self.proposer.sim.now, self.proposer.name,
-            node=self.proposer.node.name,
-            req_id=getattr(payload, "req_id", None),
-            client=getattr(payload, "client", None),
-            depth=len(self._queue),
-            bound=self.policy.max_queue,
-        )
+        if probe is not None and kind in probe.subscribers:
+            probe.emit(
+                kind, self.proposer.sim.now, self.proposer.name,
+                node=self.proposer.node.name,
+                req_id=getattr(payload, "req_id", None),
+                client=getattr(payload, "client", None),
+                depth=len(self._queue),
+                bound=self.policy.max_queue,
+            )

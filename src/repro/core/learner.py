@@ -187,7 +187,7 @@ class MultiRingLearner(Process):
         self.latency.record(lag)
         self.latency_series.record(now, lag)
         probe = self.sim.probe
-        if probe is not None and probe.wants("learner.deliver"):
+        if probe is not None and "learner.deliver" in probe.subscribers:
             probe.emit(
                 "learner.deliver", now, self.name,
                 node=self.node.name, group=value.group,
@@ -291,7 +291,7 @@ class MultiRingLearner(Process):
             metrics=self._metrics_base,
         )
         probe = self.sim.probe
-        if probe is not None and probe.wants(RECONFIG_DRAIN):
+        if probe is not None and RECONFIG_DRAIN in probe.subscribers:
             probe.emit(
                 RECONFIG_DRAIN, self.sim.now, self.name,
                 node=self.node.name, ring=ring_id,
@@ -307,7 +307,7 @@ class MultiRingLearner(Process):
             return
         self.epoch = cut.epoch
         probe = self.sim.probe
-        if probe is not None and probe.wants(RECONFIG_EPOCH):
+        if probe is not None and RECONFIG_EPOCH in probe.subscribers:
             probe.emit(
                 RECONFIG_EPOCH, self.sim.now, self.name,
                 node=self.node.name, role="learner", epoch=cut.epoch,
@@ -376,7 +376,7 @@ class MultiRingLearner(Process):
         self.merge.restore(state["merge"])
         self.delivered_log_count = state["delivered"]
         probe = self.sim.probe
-        if probe is not None and probe.wants("learner.rewind"):
+        if probe is not None and "learner.rewind" in probe.subscribers:
             probe.emit(
                 "learner.rewind", self.sim.now, self.name,
                 node=self.node.name, delivered=state["delivered"],

@@ -523,7 +523,7 @@ class ReconfigManager:
     # ------------------------------------------------------------------
     def _emit_epoch(self, op: dict, phase: str) -> None:
         probe = self.sim.probe
-        if probe is not None and probe.wants(RECONFIG_EPOCH):
+        if probe is not None and RECONFIG_EPOCH in probe.subscribers:
             probe.emit(
                 RECONFIG_EPOCH, self.sim.now, "reconfig/mgr",
                 role="manager", epoch=op["epoch"], group=op["group"],

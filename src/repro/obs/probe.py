@@ -44,10 +44,10 @@ passive checkers subscribe to them and verify agreement, integrity,
 per-ring total order and cross-ring partial order while a simulation
 runs.
 
-Emitters hold an optional bus reference and guard every emission with a
-single ``is not None`` check, so an unobserved simulation pays one
-attribute test per event — effectively nothing. With a bus attached but
-no subscriber for a kind, ``emit`` returns after one dict lookup.
+Emitters hold an optional bus reference and guard every emission with
+``probe is not None and "<kind>" in probe.subscribers``: an unobserved
+site costs an attribute test, plus one dict membership test under an
+attached bus — never a call — and builds no ``emit`` arguments.
 """
 
 from __future__ import annotations
@@ -61,6 +61,7 @@ __all__ = [
     "EVENT_FIRED",
     "FAILOVER_SUSPECT",
     "FAILOVER_TAKEOVER",
+    "KINDS",
     "LEARNER_DECIDE",
     "LEARNER_DELIVER",
     "NET_DELIVER",
@@ -99,6 +100,16 @@ FAILOVER_TAKEOVER = "failover.takeover"
 RECONFIG_EPOCH = "reconfig.epoch"
 RECONFIG_DRAIN = "reconfig.drain"
 
+# The closed set of kinds: what a subscriber without a kind receives, and
+# what every emit site under src/repro names (tests/unit/test_obs.py).
+KINDS = (
+    EVENT_FIRED, NET_ENQUEUE, NET_DELIVER, NET_DROP, SERVER_BUSY,
+    PROPOSER_MULTICAST, LEARNER_DECIDE, LEARNER_DELIVER, LEARNER_ROLLBACK,
+    LEARNER_REWIND, REPLICA_APPLY, REPLICA_RESTORE, ADMISSION_DELAY,
+    ADMISSION_SHED, POPULATION_COMPLETE, FAILOVER_SUSPECT, FAILOVER_TAKEOVER,
+    RECONFIG_EPOCH, RECONFIG_DRAIN,
+)
+
 
 @dataclass(slots=True)
 class ProbeEvent:
@@ -135,64 +146,46 @@ class ProbeBus:
     """
 
     def __init__(self) -> None:
-        self._by_kind: dict[str, list[Subscriber]] = {}
-        self._wildcard: list[Subscriber] = []
-        # Kinds with at least one subscriber, mirrored from _by_kind:
-        # wants() is called from the simulator's per-event hot path, and a
-        # single set probe is measurably cheaper than a dict lookup plus
-        # truthiness checks.
-        self._active: set[str] = set()
+        # kind -> subscribers in subscription order; a key exists only
+        # while its kind has one (the emitters' gate). A removal installs
+        # a new list, so a dispatch in flight finishes over the one it began.
+        self.subscribers: dict[str, list[Subscriber]] = {}
         self.events_emitted = 0
 
     def subscribe(self, fn: Subscriber, kind: str | None = None) -> Callable[[], None]:
-        """Receive events of ``kind`` (or all events when kind is None).
+        """Receive events of ``kind`` (every kind of ``KINDS`` when None).
 
-        Returns a zero-argument unsubscriber.
+        Returns a zero-argument unsubscriber; calling it again is a no-op.
         """
-        if kind is None:
-            self._wildcard.append(fn)
+        kinds = KINDS if kind is None else (kind,)
+        for k in kinds:
+            self.subscribers.setdefault(k, []).append(fn)
 
-            def remove() -> None:
-                if fn in self._wildcard:
-                    self._wildcard.remove(fn)
-
-        else:
-            self._by_kind.setdefault(kind, []).append(fn)
-            self._active.add(kind)
-
-            def remove() -> None:
-                subs = self._by_kind.get(kind, [])
-                if fn in subs:
-                    subs.remove(fn)
-                if not subs:
-                    self._active.discard(kind)
+        def remove() -> None:
+            nonlocal kinds
+            for k in kinds:
+                subs = self.subscribers[k]
+                at = subs.index(fn)
+                rest = subs[:at] + subs[at + 1:]
+                if rest:
+                    self.subscribers[k] = rest
+                else:
+                    del self.subscribers[k]
+            kinds = ()
 
         return remove
 
     @property
     def has_subscribers(self) -> bool:
         """True when at least one subscriber is registered."""
-        return bool(self._wildcard) or any(self._by_kind.values())
-
-    def wants(self, kind: str) -> bool:
-        """True when an emission of ``kind`` would reach a subscriber.
-
-        Hot emitters whose event payload is itself costly to build (item
-        fingerprints, multi-field dicts) check this before constructing
-        the ``emit`` arguments, so an attached-but-unobserved kind stays
-        as close to free as an absent bus.
-        """
-        return kind in self._active or bool(self._wildcard)
+        return bool(self.subscribers)
 
     def emit(self, kind: str, time: float, source: str, **data: Any) -> None:
         """Publish one event; no-op (after one lookup) with no subscriber."""
-        subs = self._by_kind.get(kind)
-        if not subs and not self._wildcard:
+        subs = self.subscribers.get(kind)
+        if subs is None:
             return
         self.events_emitted += 1
-        event = ProbeEvent(time=time, kind=kind, source=source, data=data)
-        for fn in self._wildcard:
+        event = ProbeEvent(time, kind, source, data)
+        for fn in subs:
             fn(event)
-        if subs:
-            for fn in subs:
-                fn(event)

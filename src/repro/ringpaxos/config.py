@@ -5,9 +5,10 @@ its identity, the acceptors laid out in ring order, durability mode, and
 the protocol knobs (batching, windows, timeouts). Port and multicast-group
 names are derived from the ring id so several rings coexist on one network
 — which is exactly what Multi-Ring Paxos does. They are constant for the
-life of a ring and named on every send, so they are fields filled once in
+life of a ring and named on every send, so they — like ``coordinator`` and
+``ring_size``, derived from the layout — are fields filled once in
 ``__post_init__`` (``dataclasses.replace`` runs it again for the copy), not
-properties that format a string per message. The same ``__post_init__``
+properties computed per message. The same ``__post_init__``
 validates every knob, so a bad configuration raises
 :class:`~repro.errors.ConfigurationError` where it is built — before
 ``build_ring`` has attached a node.
@@ -89,6 +90,12 @@ class RingConfig:
     ring_port: str = field(init=False, repr=False, compare=False)
     # Port where acceptors answer learner repair requests:
     repair_port: str = field(init=False, repr=False, compare=False)
+    # Derived from acceptors the same way (a ring is reconfigured only by
+    # ``dataclasses.replace``, never by mutating ``acceptors`` in place).
+    # The coordinator: the acceptor at the end of the ring.
+    coordinator: str = field(init=False, repr=False, compare=False)
+    # Number of in-ring acceptors (f + 1 in the paper's deployment):
+    ring_size: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.ring_id < 0:
@@ -125,19 +132,8 @@ class RingConfig:
         self.mcast_port = f"{prefix}.mcast"
         self.ring_port = f"{prefix}.ring"
         self.repair_port = f"{prefix}.repair"
-
-    # ------------------------------------------------------------------
-    # Derived names
-    # ------------------------------------------------------------------
-    @property
-    def coordinator(self) -> str:
-        """The coordinator: the acceptor at the end of the ring."""
-        return self.acceptors[-1]
-
-    @property
-    def ring_size(self) -> int:
-        """Number of in-ring acceptors (f + 1 in the paper's deployment)."""
-        return len(self.acceptors)
+        self.coordinator = self.acceptors[-1]
+        self.ring_size = len(self.acceptors)
 
     def successor(self, node: str) -> str | None:
         """The next hop after ``node`` along the ring (None at the end)."""

@@ -250,7 +250,7 @@ class RingLearner(Process):
             else:
                 self.skipped_instances.inc(item.count)
             probe = self.sim.probe
-            if probe is not None and probe.wants("learner.decide"):
+            if probe is not None and "learner.decide" in probe.subscribers:
                 probe.emit(
                     "learner.decide", self.sim.now, self.name,
                     ring=self.config.ring_id, node=self.node.name,
@@ -401,7 +401,7 @@ class RingLearner(Process):
         self._repair_attempts = 0
         self._last_repair_instance = -1
         probe = self.sim.probe
-        if probe is not None and probe.wants("learner.rollback"):
+        if probe is not None and "learner.rollback" in probe.subscribers:
             probe.emit(
                 "learner.rollback", self.sim.now, self.name,
                 ring=self.config.ring_id, node=self.node.name, instance=instance,

@@ -108,15 +108,17 @@ class SkipRange:
     """
 
     count: int
+    # Logical instances covered; read on every hop, so a slot filled at
+    # construction (``DataBatch``'s is the class attribute), not a property.
+    instance_count: int = field(init=False, compare=False, repr=False)
 
     # Constant wire size: a class attribute, not a property — ``size`` is
     # read on every hop of every message, and the descriptor call is
     # measurable at that frequency.
     size: ClassVar[int] = CONTROL_MESSAGE_SIZE
 
-    @property
-    def instance_count(self) -> int:
-        return self.count
+    def __post_init__(self) -> None:
+        self.instance_count = self.count
 
 
 @dataclass(slots=True, unsafe_hash=True)

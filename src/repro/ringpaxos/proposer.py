@@ -83,7 +83,7 @@ class RingProposer(Process):
             self.sent_bytes.inc(size)
             self._unacked[value.seq] = value
             probe = self.sim.probe
-            if probe is not None and probe.wants("proposer.multicast"):
+            if probe is not None and "proposer.multicast" in probe.subscribers:
                 probe.emit(
                     "proposer.multicast", self.sim.now, self.name,
                     sender=value.sender, seq=value.seq, group=group,

@@ -86,13 +86,14 @@ class RingFailover:
         self.total_acceptors = config.ring_size + len(self.spare_nodes)
         self._in_progress = False
         self._last_degraded = False
+        self._probe_source = f"failover/ring{config.ring_id}"
         for acceptor in self.acceptors:
             acceptor.watch_coordinator(suspect_timeout, self._on_suspect)
 
     def _emit(self, kind: str, **data) -> None:
         bus = self.sim.probe
-        if bus is not None and bus.wants(kind):
-            bus.emit(kind, self.sim.now, f"failover/ring{self.config.ring_id}",
+        if bus is not None and kind in bus.subscribers:
+            bus.emit(kind, self.sim.now, self._probe_source,
                      ring=self.config.ring_id, **data)
 
     @property

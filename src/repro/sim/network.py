@@ -246,14 +246,14 @@ class Network:
         nic.messages_sent += 1
         sim = self.sim
         probe = self.probe
-        if probe is not None and probe.wants("net.enqueue"):
+        if probe is not None and "net.enqueue" in probe.subscribers:
             probe.emit(
                 "net.enqueue", sim.now, src,
                 dst=dst, port=port, msg=type(msg).__name__, size=size,
             )
         if not self._lossless and self._loss.should_drop(self._rng, src, dst, size):
             self.messages_dropped += 1
-            if probe is not None and probe.wants("net.drop"):
+            if probe is not None and "net.drop" in probe.subscribers:
                 probe.emit(
                     "net.drop", sim.now, src,
                     dst=dst, port=port, msg=type(msg).__name__, size=size,
@@ -298,7 +298,7 @@ class Network:
         nic.bytes_sent += size
         nic.messages_sent += 1
         probe = self.probe
-        if probe is not None and probe.wants("net.enqueue"):
+        if probe is not None and "net.enqueue" in probe.subscribers:
             probe.emit(
                 "net.enqueue", sim.now, src,
                 group=group, fanout=len(members), port=port,
@@ -323,7 +323,7 @@ class Network:
                     heappush(heap, (depart, next(seq), self._deliver, loopback))
                 elif should_drop(rng, src, dst, size):
                     self.messages_dropped += 1
-                    if probe is not None and probe.wants("net.drop"):
+                    if probe is not None and "net.drop" in probe.subscribers:
                         probe.emit(
                             "net.drop", sim.now, src,
                             dst=dst, port=port, msg=type(msg).__name__, size=size,
@@ -355,7 +355,7 @@ class Network:
         if not node.up:
             return
         probe = self.probe
-        if probe is not None and probe.wants("net.deliver"):
+        if probe is not None and "net.deliver" in probe.subscribers:
             probe.emit(
                 "net.deliver", self.sim.now, dst,
                 src=src, port=port, msg=type(msg).__name__, size=size,

@@ -77,7 +77,7 @@ class FifoServer:
         self.jobs_served += 1
         self.demand_served += demand
         probe = self.probe
-        if probe is not None and probe.wants("server.busy"):
+        if probe is not None and "server.busy" in probe.subscribers:
             probe.emit(
                 "server.busy", now, self.name,
                 start=start, finish=finish, demand=demand,

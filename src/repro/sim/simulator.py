@@ -212,7 +212,7 @@ class Simulator:
                 self.now = time
                 executed += 1  # before dispatch: a raising callback counts
                 probe = self._probe
-                if probe is not None and probe.wants("sim.event"):
+                if probe is not None and "sim.event" in probe.subscribers:
                     name = getattr(fn, "__qualname__", None) or repr(fn)
                     probe.emit("sim.event", time, name, seq=seq)
                 # Empty-args callbacks (timer pokes) take the plain CALL

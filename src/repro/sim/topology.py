@@ -348,7 +348,7 @@ class GeoNetwork(Network):
             link.messages_dropped += len(targets)
             self.messages_dropped += len(targets)
             probe = self.probe
-            if probe is not None and probe.wants("net.drop"):
+            if probe is not None and "net.drop" in probe.subscribers:
                 for dst in targets:
                     probe.emit(
                         "net.drop", self.sim.now, src,

@@ -144,7 +144,7 @@ class Replica(Process):
         self.executed.value += 1
         self._applied_total += 1
         probe = self.sim.probe
-        if probe is not None and probe.wants("replica.apply"):
+        if probe is not None and "replica.apply" in probe.subscribers:
             probe.emit(
                 "replica.apply", self.sim.now, self.name,
                 node=self.node.name, partition=self.partition,
@@ -265,7 +265,7 @@ class Replica(Process):
         self.learner.restore_state(checkpoint["learner"])
         self.restores.value += 1
         probe = self.sim.probe
-        if probe is not None and probe.wants("replica.restore"):
+        if probe is not None and "replica.restore" in probe.subscribers:
             probe.emit(
                 "replica.restore", self.sim.now, self.name,
                 node=self.node.name, partition=self.partition,

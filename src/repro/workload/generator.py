@@ -57,6 +57,8 @@ class OpenLoopGenerator(Process):
             raise ValueError("jitter must be in [0, 1)")
         if burst < 1:
             raise ValueError("burst must be at least 1")
+        if stop_at is not None and not stop_at >= 0:  # rejects NaN too
+            raise ValueError("stop_at must be non-negative")
         self.send_fn = send_fn
         self.schedule = schedule
         self.stop_at = stop_at

@@ -185,13 +185,14 @@ class SessionMix:
     hot_keys: int = 10_000
 
     def __post_init__(self) -> None:
-        if self.insert_fraction < 0 or self.delete_fraction < 0:
+        # Each guard is written so that NaN is rejected too.
+        if not (self.insert_fraction >= 0 and self.delete_fraction >= 0):
             raise ValueError("operation fractions must be non-negative")
         if self.insert_fraction + self.delete_fraction > 1.0:
             raise ValueError("insert + delete fractions exceed 1")
         if not 0.0 <= self.multi_partition_fraction <= 1.0:
             raise ValueError("multi_partition_fraction must be in [0, 1]")
-        if self.zipf_s < 0:
+        if not self.zipf_s >= 0:
             raise ValueError("zipf_s must be non-negative")
         if self.hot_keys < 1:
             raise ValueError("hot_keys must be at least 1")
@@ -438,7 +439,7 @@ class ClientPopulation(Process):
         self.completions.value += 1
         self.request_latency.record(max(0.0, self.sim.now - entry[_ISSUED]))
         probe = self.sim.probe
-        if probe is not None and probe.wants("population.complete"):
+        if probe is not None and "population.complete" in probe.subscribers:
             probe.emit(
                 "population.complete", self.sim.now, self.name,
                 req_id=msg.req_id, session=entry[_SID], op=entry[_OP],

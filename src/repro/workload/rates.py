@@ -55,7 +55,7 @@ class ConstantRate:
     """A fixed rate forever."""
 
     def __init__(self, rate: float) -> None:
-        if rate < 0:
+        if not rate >= 0:  # written so that NaN is rejected too
             raise ValueError("rate must be non-negative")
         self.rate = rate
 
@@ -77,9 +77,9 @@ class StepRate:
         if not steps:
             raise ValueError("need at least one step")
         times = [t for t, _ in steps]
-        if times != sorted(times):
+        if times != sorted(times) or any(t != t for t in times):  # or NaN
             raise ValueError("step times must be ascending")
-        if any(r < 0 for _, r in steps):
+        if any(not r >= 0 for _, r in steps):
             raise ValueError("rates must be non-negative")
         self.steps = list(steps)
         self._times = times
@@ -107,7 +107,7 @@ class OscillatingRate:
     """
 
     def __init__(self, base: float, amplitude: float = 0.5, period: float = 10.0) -> None:
-        if base < 0 or period <= 0:
+        if not (base >= 0 and period > 0):
             raise ValueError("base must be >= 0 and period > 0")
         if not 0 <= amplitude <= 1:
             raise ValueError("amplitude must be in [0, 1] to keep rates non-negative")
@@ -127,7 +127,7 @@ class ScaledRate:
     """
 
     def __init__(self, inner: RateSchedule, factor: float) -> None:
-        if factor < 0:
+        if not factor >= 0:
             raise ValueError("factor must be non-negative")
         self.inner = inner
         self.factor = factor
@@ -150,7 +150,7 @@ class ModulatedRate:
     def __init__(self, base: RateSchedule, amplitude: float = 0.5, period: float = 10.0) -> None:
         if not 0 <= amplitude <= 1:
             raise ValueError("amplitude must be in [0, 1]")
-        if period <= 0:
+        if not period > 0:
             raise ValueError("period must be positive")
         self.base = base
         self.amplitude = amplitude

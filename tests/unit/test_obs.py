@@ -1,8 +1,12 @@
 """Unit tests for the observability layer (repro.obs)."""
 
+import ast
 import json
+from pathlib import Path
 
 import pytest
+
+import repro
 
 from repro.bench.report import read_jsonl, write_jsonl
 from repro.calibration import DEFAULT_VALUE_SIZE
@@ -10,6 +14,7 @@ from repro.metrics import MetricsRegistry
 from repro.obs import (
     EVENT_FIRED,
     NET_DELIVER,
+    NET_DROP,
     NET_ENQUEUE,
     SERVER_BUSY,
     JsonlTraceWriter,
@@ -17,6 +22,8 @@ from repro.obs import (
     ProbeBus,
     SimProfiler,
 )
+from repro.obs import probe as probe_module
+from repro.obs.probe import KINDS
 from repro.ringpaxos import build_ring
 from repro.sim import Network, Simulator
 from repro.sim.server import FifoServer
@@ -55,6 +62,112 @@ def test_probe_bus_without_subscribers_is_a_noop():
     bus = ProbeBus()
     bus.emit(NET_ENQUEUE, 0.0, "n0", size=1)
     assert bus.events_emitted == 0
+
+
+# The kind constants ``obs/probe.py`` exports, by name.
+_KIND_CONSTANTS = {name: getattr(probe_module, name) for name in probe_module.__all__
+                   if name.isupper() and name != "KINDS"}
+
+
+def test_probe_bus_unsubscribing_during_dispatch_does_not_starve_the_next():
+    bus = ProbeBus()
+    seen = []
+
+    def first(event):
+        seen.append("first")
+        remove_first()
+
+    remove_first = bus.subscribe(first, kind=NET_DROP)
+    bus.subscribe(lambda event: seen.append("second"), kind=NET_DROP)
+    bus.emit(NET_DROP, 0.0, "n0")
+    assert seen == ["first", "second"]
+    bus.emit(NET_DROP, 1.0, "n0")
+    assert seen == ["first", "second", "second"]
+
+
+def test_probe_bus_removal_is_per_subscription_and_idempotent():
+    bus = ProbeBus()
+    seen = []
+    remove_a = bus.subscribe(seen.append, kind=NET_DROP)
+    bus.subscribe(seen.append, kind=NET_DROP)  # the same fn, twice
+    remove_a()
+    remove_a()  # a second call is a no-op, not the other subscription's removal
+    bus.emit(NET_DROP, 0.0, "n0")
+    assert len(seen) == 1
+    assert bus.subscribers == {NET_DROP: [seen.append]}
+
+
+def test_probe_bus_all_kinds_subscriber_is_one_entry_per_kind():
+    assert len(KINDS) == len(set(KINDS)) == 19
+    assert set(KINDS) == set(_KIND_CONSTANTS.values())
+    bus = ProbeBus()
+    order = []
+    bus.subscribe(lambda event: order.append("kind"), kind=NET_DROP)
+    before = {kind: list(subs) for kind, subs in bus.subscribers.items()}
+    remove = bus.subscribe(lambda event: order.append("all"))
+    assert set(bus.subscribers) == set(KINDS)
+    bus.emit(NET_DROP, 0.0, "n0")
+    assert order == ["kind", "all"]  # subscription order, no wildcard-first
+    remove()
+    assert bus.subscribers == before
+    assert bus.has_subscribers
+
+
+def _kind_of(node):
+    """The kind an emit/gate names: a literal, a constant, or a parameter."""
+    if isinstance(node, ast.Constant):
+        return node.value
+    name = getattr(node, "id", None)
+    return _KIND_CONSTANTS.get(name, name)
+
+
+def test_every_emit_site_is_gated_on_its_own_kind_in_the_subscriber_table():
+    """`x.emit(kind, ...)` sits under `if ... kind in x.subscribers`.
+
+    With that, subscribing to "every kind" (one table entry per member of
+    ``KINDS``) reaches every site, and an unobserved kind builds no event.
+    """
+    root = Path(repro.__file__).parent
+    sites = 0
+    for path in sorted(root.rglob("*.py")):
+        if path == root / "obs" / "probe.py":
+            continue
+        tree = ast.parse(path.read_text())
+        parents = {child: parent for parent in ast.walk(tree)
+                   for child in ast.iter_child_nodes(parent)}
+        for call in ast.walk(tree):
+            if not (isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+                    and call.func.attr == "emit"):
+                continue
+            sites += 1
+            where = f"{path.relative_to(root)}:{call.lineno}"
+            bus = ast.dump(call.func.value)
+            kind = _kind_of(call.args[0])
+            node, gated, function = call, False, None
+            while node in parents:
+                child, node = node, parents[node]
+                if isinstance(node, ast.If) and child in node.body:
+                    gated = gated or any(
+                        isinstance(test, ast.Compare) and isinstance(test.ops[0], ast.In)
+                        and _kind_of(test.left) == kind
+                        and isinstance(test.comparators[0], ast.Attribute)
+                        and test.comparators[0].attr == "subscribers"
+                        and ast.dump(test.comparators[0].value) == bus
+                        for test in ast.walk(node.test)
+                    )
+                if function is None and isinstance(node, ast.FunctionDef):
+                    function = node
+            assert gated, f"{where}: emit({kind!r}) is not under `{kind!r} in <bus>.subscribers`"
+            if kind in KINDS:
+                continue
+            # A helper that takes the kind as its parameter (`_emit(kind, ...)`):
+            # every call of it in the module names a member of KINDS.
+            assert kind in {a.arg for a in function.args.args}, f"{where}: unknown kind {kind!r}"
+            passed = [_kind_of(c.args[0]) for c in ast.walk(tree)
+                      if isinstance(c, ast.Call) and isinstance(c.func, ast.Attribute)
+                      and c.func.attr == function.name]
+            assert passed and set(passed) <= set(KINDS), f"{where}: {passed}"
+    assert sites == 21
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +441,7 @@ def test_profiler_shares_a_bus_that_is_already_attached():
     profiler.watch_network(net)
     profiler.watch_network(net)  # idempotent: one subscription
     assert net.probe is bus
-    assert bus._by_kind[SERVER_BUSY] == [profiler._on_busy]
+    assert bus.subscribers[SERVER_BUSY] == [profiler._on_busy]
 
 
 def test_profiler_refuses_a_window_over_submissions_it_missed():

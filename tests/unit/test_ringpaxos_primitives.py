@@ -1,9 +1,12 @@
 """Unit tests for Ring Paxos config, batcher, value store, and messages."""
 
+import ast
 import dataclasses
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.calibration import CONTROL_MESSAGE_SIZE
 from repro.errors import ConfigurationError
 from repro.obs import ProbeEvent
@@ -58,6 +61,49 @@ def test_config_derived_names_follow_a_replaced_config():
     # They are derived, not constructor arguments.
     with pytest.raises(TypeError):
         RingConfig(ring_id=7, acceptors=["a"], ring_port="elsewhere")
+
+
+def test_config_ring_shape_follows_a_replaced_layout():
+    # coordinator / ring_size are fields filled in __post_init__, so the one
+    # way a ring is reconfigured (RingAcceptor / RingLearner on a
+    # CoordinatorChange, RingFailover) recomputes them.
+    cfg = RingConfig(ring_id=0, acceptors=["a", "b", "c"])
+    shrunk = dataclasses.replace(cfg, acceptors=["c", "a"])
+    assert (shrunk.coordinator, shrunk.ring_size) == ("a", 2)
+    assert (cfg.coordinator, cfg.ring_size) == ("c", 3)
+    assert cfg == RingConfig(ring_id=0, acceptors=["a", "b", "c"])
+    assert "coordinator" not in repr(cfg) and "ring_size" not in repr(cfg)
+    with pytest.raises(TypeError):
+        RingConfig(ring_id=0, acceptors=["a"], coordinator="a")
+
+
+def _through_config_acceptors(node):
+    """True for an expression that reaches ``<...>config.acceptors``."""
+    while isinstance(node, (ast.Subscript, ast.Attribute)):
+        if (isinstance(node, ast.Attribute) and node.attr == "acceptors"
+                and "config" in ast.unparse(node.value)):
+            return True
+        node = node.value
+    return False
+
+
+def test_nothing_mutates_a_ring_configs_acceptor_list_in_place():
+    """The stored ``coordinator`` / ``ring_size`` are sound only while this holds."""
+    root = Path(repro.__file__).parent
+    mutators = {"append", "remove", "pop", "insert", "extend", "clear", "sort", "reverse"}
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            where = f"{path.relative_to(root)}:{getattr(node, 'lineno', 0)}"
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                assert not (node.func.attr in mutators
+                            and _through_config_acceptors(node.func.value)), where
+            targets = []
+            if isinstance(node, (ast.Assign, ast.Delete)):
+                targets = node.targets
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                targets = [node.target]
+            for target in targets:
+                assert not _through_config_acceptors(target), where
 
 
 def test_config_preferential_acceptor_spreads_learners():
@@ -234,6 +280,19 @@ def test_skiprange_represents_many_instances():
     skip = SkipRange(count=5000)
     assert skip.instance_count == 5000
     assert skip.size == 64  # one small message regardless of count
+
+
+def test_skiprange_instance_count_is_a_derived_write_once_slot():
+    skip = SkipRange(3)
+    assert skip.instance_count == 3
+    assert skip == SkipRange(count=3) and hash(skip) == hash(SkipRange(3))
+    assert skip != SkipRange(4) and repr(skip) == "SkipRange(count=3)"
+    with pytest.raises(TypeError):
+        SkipRange(3, 3)  # not a constructor argument
+    # tests/conftest.py accepted __post_init__'s store and rejects a later one.
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        skip.instance_count = 4
+    assert skip.instance_count == 3
 
 
 def _every_message():

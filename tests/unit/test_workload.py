@@ -1,14 +1,19 @@
 """Tests for rate schedules and load generators."""
 
+from math import nan
+
 import pytest
 
+from repro.core.admission import AdmissionPolicy
 from repro.sim import Simulator
 from repro.workload import (
     ClosedLoopGenerator,
     ConstantRate,
+    ModulatedRate,
     OpenLoopGenerator,
     OscillatingRate,
     ScaledRate,
+    SessionMix,
     StepRate,
 )
 
@@ -60,6 +65,34 @@ def test_oscillating_rate_validation():
         OscillatingRate(base=1.0, amplitude=2.0)
     with pytest.raises(ValueError):
         OscillatingRate(base=1.0, period=0.0)
+
+
+@pytest.mark.parametrize("build", [
+    lambda sim: ConstantRate(nan),
+    lambda sim: StepRate([(0.0, nan)]),
+    lambda sim: StepRate([(0.0, 1.0), (nan, 2.0)]),
+    lambda sim: OscillatingRate(nan),
+    lambda sim: OscillatingRate(1.0, 0.5, nan),
+    lambda sim: ScaledRate(ConstantRate(1.0), nan),
+    lambda sim: ModulatedRate(ConstantRate(1.0), 0.5, nan),
+    lambda sim: SessionMix(zipf_s=nan),
+    lambda sim: SessionMix(insert_fraction=nan),
+    lambda sim: SessionMix(delete_fraction=nan),
+    lambda sim: AdmissionPolicy(nan, 10),
+    lambda sim: AdmissionPolicy(10, nan),
+    lambda sim: OpenLoopGenerator(sim, lambda: None, ConstantRate(1.0), stop_at=nan),
+], ids=[
+    "ConstantRate", "StepRate-rate", "StepRate-time", "OscillatingRate-base",
+    "OscillatingRate-period", "ScaledRate", "ModulatedRate-period", "SessionMix-zipf_s",
+    "SessionMix-insert", "SessionMix-delete", "AdmissionPolicy-max_inflight",
+    "AdmissionPolicy-max_queue", "OpenLoopGenerator-stop_at",
+])
+def test_workload_constructors_reject_nan(build):
+    # NaN fails every ordering test, so `x < 0` guards let it through.
+    sim = Simulator()
+    with pytest.raises(ValueError):
+        build(sim)
+    assert sim.pending_events == 0
 
 
 def test_scaled_rate():
