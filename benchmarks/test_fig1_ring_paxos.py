@@ -15,6 +15,5 @@ from repro.bench.shapes import assert_figure1_shapes
 def test_fig1_ring_paxos(benchmark):
     rows, table = benchmark.pedantic(figure1, rounds=1, iterations=1)
     emit("fig1_ring_paxos", table)
-    # The paper's qualitative claims live in repro.bench.shapes so the
-    # pruned-vs-unpruned CI equivalence check asserts the exact same set.
+    # The paper's qualitative claims live in repro.bench.shapes.
     assert_figure1_shapes(rows)

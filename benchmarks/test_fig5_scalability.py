@@ -16,6 +16,5 @@ from repro.bench.shapes import assert_figure5_shapes
 def test_fig5_scalability(benchmark):
     rows, table = benchmark.pedantic(figure5, rounds=1, iterations=1)
     emit("fig5_scalability", table)
-    # The paper's qualitative claims live in repro.bench.shapes so the
-    # pruned-vs-unpruned CI equivalence check asserts the exact same set.
+    # The paper's qualitative claims live in repro.bench.shapes.
     assert_figure5_shapes(rows)

@@ -49,23 +49,6 @@ def _point(runner: str, **kwargs) -> Spec:
     return Spec(fn=f"repro.bench.runner:{runner}", kwargs=kwargs, label=f"{runner}:{kwargs}")
 
 
-def _run_specs(specs: list[Spec], prune: bool, figure: str, grid):
-    """Run a figure's sweep, optionally through the model-guided pruner.
-
-    With ``prune`` the analytic model plans which grid points sit deep
-    inside a predicted flat/linear region; those are interpolated from
-    the simulated anchors and tagged ``extra["model"] == "interpolated"``
-    instead of being simulated (imported lazily so plain sweeps never
-    touch the model package).
-    """
-    if not prune:
-        return run_sweep(specs)
-    from ..model.prune import figure1_plan, figure5_plan, run_pruned_sweep
-
-    plan = {"fig1": figure1_plan, "fig5": figure5_plan}[figure](grid)
-    return run_pruned_sweep(specs, plan)
-
-
 def _lambda_case(
     levels: list[float],
     lam: float,
@@ -106,13 +89,8 @@ def _lambda_spec(levels: list[float], lam: float, **kwargs) -> Spec:
 # ---------------------------------------------------------------------------
 # Figures
 # ---------------------------------------------------------------------------
-def figure1(prune: bool = False):
-    """In-memory vs Recoverable Ring Paxos (latency vs throughput).
-
-    ``prune=True`` lets the analytic model skip points deep inside each
-    mode's predicted-flat region, interpolating them from the simulated
-    anchors (tagged ``model:interpolated``); see :mod:`repro.model.prune`.
-    """
+def figure1():
+    """In-memory vs Recoverable Ring Paxos (latency vs throughput)."""
     grid = [
         (durable, offered)
         for durable, offered_list in (
@@ -125,11 +103,10 @@ def figure1(prune: bool = False):
         _point("run_single_ring_point", offered_mbps=float(offered), durable=durable)
         for durable, offered in grid
     ]
-    results = _run_specs(specs, prune, "fig1", grid)
     rows = [
         (r.label, offered, r.delivered_mbps, r.latency_ms, r.cpu_pct,
          r.extra["disk_util_pct"])
-        for (durable, offered), r in zip(grid, results)
+        for (durable, offered), r in zip(grid, run_sweep(specs))
     ]
     table = format_table(
         "Figure 1: latency vs delivery throughput per server (single Ring Paxos)",
@@ -155,13 +132,8 @@ def figure2():
     return rows, table
 
 
-def figure5(prune: bool = False):
-    """Scalability: M-RP (RAM/DISK) vs Spread, Ring Paxos, LCR.
-
-    ``prune=True`` simulates only each series' endpoints when the model
-    certifies the span as linear (M-RP) or flat (the baselines),
-    interpolating the interior; see :mod:`repro.model.prune`.
-    """
+def figure5():
+    """Scalability: M-RP (RAM/DISK) vs Spread, Ring Paxos, LCR."""
     grid: list[tuple[str, int, Spec]] = []
     for n in (1, 2, 4, 8):
         grid.append(("RAM M-RP", n, _point("run_multiring_point", n_rings=n, durable=False)))
@@ -173,12 +145,8 @@ def figure5(prune: bool = False):
         grid.append(("Spread", n, _point("run_spread_point", n_daemons=n)))
     for n in (2, 4, 8, 16):
         grid.append(("LCR", n, _point("run_lcr_point", n_nodes=n)))
-    results = _run_specs(
-        [spec for _, _, spec in grid], prune, "fig5",
-        [(system, n) for system, n, _ in grid],
-    )
     rows = []
-    for (system, n, _), r in zip(grid, results):
+    for (system, n, _), r in zip(grid, run_sweep([spec for _, _, spec in grid])):
         msgs = 0.0 if system == "Ring Paxos" else r.msgs_per_s
         rows.append((system, n, r.delivered_mbps / 1e3, msgs, r.latency_ms, r.cpu_pct))
     table = format_table(
@@ -577,13 +545,11 @@ FIGURES = {
 }
 
 
-def run_figure(name: str, quick: bool = False, prune: bool = False):
+def run_figure(name: str, quick: bool = False):
     """Run one named figure; returns (data, table_text).
 
     ``quick=True`` shortens measurement windows on figures that support
     it (those taking a ``quick`` keyword); others run at full size.
-    ``prune=True`` enables model-guided sweep pruning on figures that
-    support it (those taking a ``prune`` keyword).
     """
     try:
         fn = FIGURES[name]
@@ -591,10 +557,6 @@ def run_figure(name: str, quick: bool = False, prune: bool = False):
         raise KeyError(
             f"unknown figure {name!r}; available: {', '.join(sorted(FIGURES))}"
         ) from None
-    params = inspect.signature(fn).parameters
-    kwargs = {}
-    if quick and "quick" in params:
-        kwargs["quick"] = True
-    if prune and "prune" in params:
-        kwargs["prune"] = True
-    return fn(**kwargs)
+    if quick and "quick" in inspect.signature(fn).parameters:
+        return fn(quick=True)
+    return fn()

@@ -2,11 +2,9 @@
 
 The benchmark suite (``benchmarks/test_fig1_ring_paxos.py``,
 ``benchmarks/test_fig5_scalability.py``) asserts the qualitative claims
-of Figures 1 and 5 against simulator output. The pruned-vs-unpruned
-equivalence check in CI needs the *same* assertions on both runs, so
-they live here as plain functions over the figure row tuples — pytest
-files and scripts both call them, and a shape can never drift between
-the two callers.
+of Figures 1 and 5 against simulator output. The claims live here as
+plain functions over the figure row tuples, so a script or a notebook
+holding a figure's rows can check them without going through pytest.
 
 Each function raises ``AssertionError`` on the first violated claim and
 returns ``None`` on success.

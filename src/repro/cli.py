@@ -83,14 +83,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "(currently: geo, clients) — CI smoke mode",
     )
     parser.add_argument(
-        "--prune",
-        action="store_true",
-        help="model-guided sweep pruning on experiments that support it "
-        "(currently: fig1, fig5) — points deep inside a model-predicted "
-        "flat region are interpolated from simulated anchors and tagged "
-        "'model:interpolated' instead of simulated (see docs/model.md)",
-    )
-    parser.add_argument(
         "--no-cache",
         action="store_true",
         help="do not read or write the on-disk result cache",
@@ -173,7 +165,7 @@ def main(argv: list[str] | None = None) -> int:
         for name in names:
             started = time.time()
             before = cache.stats() if cache is not None else None
-            _, table = run_figure(name, quick=args.quick, prune=args.prune)
+            _, table = run_figure(name, quick=args.quick)
             elapsed = time.time() - started
             print()
             print(table)

@@ -26,6 +26,7 @@ from ..calibration import DISK_BANDWIDTH_BYTES_PER_S, DISK_BUFFER_BYTES
 from ..errors import ConfigurationError
 from ..metrics import MetricsRegistry
 from ..ringpaxos.acceptor import RingAcceptor
+from ..ringpaxos.builder import attach_node
 from ..ringpaxos.config import RingConfig
 from ..ringpaxos.coordinator import RingCoordinator
 from ..ringpaxos.messages import ClientValue
@@ -106,17 +107,6 @@ class MultiRingPaxos:
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
-    def _add_node(self, node: Node, region: str | None) -> Node:
-        """Attach ``node``; in ``region`` when placement assigned one."""
-        if region is None:
-            return self.network.add_node(node)
-        if not hasattr(self.network, "region_of"):
-            raise ConfigurationError(
-                f"node {node.name!r} is placed in region {region!r} but the "
-                "network has no regions (use a GeoNetwork)"
-            )
-        return self.network.add_node(node, region=region)
-
     def _build_ring(self, ring_id: int) -> RingHandle:
         cfg = self.config
         region = self.ring_placement.get(ring_id)
@@ -140,7 +130,7 @@ class MultiRingPaxos:
                 disk_bandwidth=DISK_BANDWIDTH_BYTES_PER_S if cfg.durable else None,
                 disk_buffer_bytes=DISK_BUFFER_BYTES,
             )
-            self._add_node(node, region)
+            attach_node(self.network, node, region)
             nodes.append(node)
         coordinator = RingCoordinator(
             self.sim, self.network, nodes[-1], ring_config, metrics=self.metrics
@@ -164,7 +154,7 @@ class MultiRingPaxos:
                 disk_bandwidth=DISK_BANDWIDTH_BYTES_PER_S if cfg.durable else None,
                 disk_buffer_bytes=DISK_BUFFER_BYTES,
             )
-            self._add_node(spare, region)
+            attach_node(self.network, spare, region)
             spares.append(spare)
         handle = RingHandle(
             config=ring_config,
@@ -219,7 +209,7 @@ class MultiRingPaxos:
         if region is None and groups:
             region = self.config.region_of_group(groups[0])
         node = Node(self.sim, name, disk_bandwidth=disk_bandwidth)
-        self._add_node(node, region)
+        attach_node(self.network, node, region)
         learner = MultiRingLearner(
             self.sim,
             self.network,
@@ -252,7 +242,7 @@ class MultiRingPaxos:
         if name is None:
             name = f"mr-prop{self._proposer_count}"
         node = Node(self.sim, name)
-        self._add_node(node, region)
+        attach_node(self.network, node, region)
         proposer = MultiRingProposer(
             self.sim, self.network, node, self.registry, self.ring_configs,
             metrics=self.metrics,

@@ -61,6 +61,7 @@ from typing import TYPE_CHECKING, Callable
 from ..calibration import CONTROL_MESSAGE_SIZE
 from ..errors import ConfigurationError
 from ..obs.probe import RECONFIG_EPOCH
+from ..ringpaxos.builder import attach_node
 from ..ringpaxos.messages import CONTROL_GROUP, ClientValue, ConfigChange
 from ..sim.node import Node
 from ..sim.process import PeriodicTimer
@@ -195,24 +196,16 @@ class ReconfigManager:
         n = self._spare_seq.get(ring_id, 0)
         self._spare_seq[ring_id] = n + 1
         node = Node(self.sim, f"mr{ring_id}-xspare{n}")
-        self.mrp._add_node(node, self.mrp.ring_placement.get(ring_id))
+        attach_node(self.mrp.network, node, self.mrp.ring_placement.get(ring_id))
         handle.spares.append(node)
-        if handle.failover is not None:
-            handle.failover.spare_nodes.append(node)
         return node
 
     def remove_spare(self, ring_id: int) -> Node | None:
         """Decommission one spare of ``ring_id`` (None when the pool is
         empty). Taken from the tail — failover consumes from the head, so
         an imminent takeover keeps its first choice."""
-        handle = self.mrp.rings[ring_id]
-        pool = handle.failover.spare_nodes if handle.failover is not None else handle.spares
-        if not pool:
-            return None
-        node = pool.pop()
-        if handle.failover is not None and node in handle.spares:
-            handle.spares.remove(node)
-        return node
+        spares = self.mrp.rings[ring_id].spares
+        return spares.pop() if spares else None
 
     def rotate_coordinator(self, ring_id: int) -> None:
         """Replace a ring's coordinator online: crash it and let the

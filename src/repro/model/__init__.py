@@ -2,8 +2,6 @@
 
 * :mod:`repro.model.analytic` — the closed-form queueing/bottleneck
   model itself (pure arithmetic, no simulator imports);
-* :mod:`repro.model.prune` — model-guided sweep pruning for the figure
-  sweeps (``--prune``);
 * :mod:`repro.model.validate` — model-vs-sim cross-checks
   (``repro validate``);
 * :mod:`repro.model.capacity` — capacity-planning tables
@@ -13,6 +11,6 @@ Only the arithmetic core is re-exported here so importing the package
 stays light; the sweep/validation wiring imports the simulator stack.
 """
 
-from .analytic import Calibration, MultiRingModel, RingModel, baseline_saturation_mbps
+from .analytic import Calibration, MultiRingModel, RingModel
 
-__all__ = ["Calibration", "MultiRingModel", "RingModel", "baseline_saturation_mbps"]
+__all__ = ["Calibration", "MultiRingModel", "RingModel"]

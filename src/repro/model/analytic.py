@@ -33,8 +33,8 @@ ring runs below λ) enters as a background load on the coordinator and
 on subscribed learners' links.
 
 Everything here is deterministic arithmetic — no simulator imports, so
-the model is importable from sweep planning code (``repro.model.prune``)
-and from the CLI without pulling in the event kernel.
+the model is importable from the CLI without pulling in the event
+kernel.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from dataclasses import dataclass, replace
 from .. import calibration as _cal
 from ..ringpaxos.messages import _DECISION_ENTRY_BYTES
 
-__all__ = ["Calibration", "RingModel", "MultiRingModel", "baseline_saturation_mbps"]
+__all__ = ["Calibration", "RingModel", "MultiRingModel"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -389,33 +389,7 @@ class MultiRingModel:
         }
         return min(ceilings, key=ceilings.get)
 
-    def scaling_curve(self, ns: list[int] | tuple[int, ...]) -> list[float]:
-        """Predicted aggregate Mbps at each ring count (Figure 5's curve)."""
-        return [
-            MultiRingModel(self.ring, n).aggregate_saturation_mbps() for n in ns
-        ]
-
     def geo_latency_s(self) -> float:
         """Decision latency of the (slowest) ring including WAN stretch."""
         return self.ring.base_latency_s()
 
-
-def baseline_saturation_mbps(system: str, calibration: Calibration | None = None) -> float:
-    """Coarse capacity claims for the Figure 5 baselines — all **flat**.
-
-    These are not protocol models; they exist so the sweep pruner can
-    ask "does the model place this whole series in a flat region?" and
-    interpolate interior points. A single Ring Paxos instance carries
-    any number of service partitions at one ring's saturation; Spread
-    and LCR deliver at a per-node rate bounded by the shared substrate
-    regardless of daemon/node count (the paper's point: adding nodes
-    does not add throughput without independent rings).
-    """
-    cal = calibration or Calibration()
-    if system in ("Ring Paxos", "partitioned"):
-        return RingModel(cal, lambda_rate=0.0).saturation_mbps
-    if system in ("Spread", "LCR"):
-        # Token-/ring-based broadcast: per-node delivery bounded by the
-        # shared 1 Gbps fabric minus framing — flat in the node count.
-        return _mbps(cal.link_bandwidth)
-    raise ValueError(f"unknown baseline system {system!r}")

@@ -7,7 +7,7 @@ both halves:
 
 * :mod:`repro.parallel.spec` — the picklable unit of work;
 * :mod:`repro.parallel.pool` — process-pool fan-out with deterministic
-  spec-order merging, per-task timeout and crashed-worker retry;
+  spec-order merging and crashed-worker retry;
 * :mod:`repro.parallel.cache` — content-addressed on-disk result cache
   keyed by canonical spec + code fingerprint;
 * :mod:`repro.parallel.fingerprint` — the code-version hash.
@@ -20,7 +20,6 @@ from .fingerprint import clear_fingerprint_cache, code_fingerprint
 from .pool import (
     ExecutorConfig,
     SweepError,
-    SweepPool,
     configure_executor,
     get_executor_config,
     parse_jobs,
@@ -37,7 +36,6 @@ __all__ = [
     "code_fingerprint",
     "ExecutorConfig",
     "SweepError",
-    "SweepPool",
     "configure_executor",
     "get_executor_config",
     "parse_jobs",

@@ -1,31 +1,31 @@
-"""Process-pool sweep executor: fan specs out, merge results in order.
+"""Sweep executor: fan specs out over worker processes, merge in order.
 
 The executor owns three promises:
 
 * **determinism** — results come back in *spec order* no matter how many
   workers ran them or which finished first, so figure tables and
   CSV/JSON outputs are byte-identical for any ``--jobs``;
-* **isolation** — every point runs in a fresh forked process with the
-  parent's observability creation-hooks cleared, so a worker simulation
-  is bit-for-bit the simulation an in-process call would have run;
-* **robustness** — a worker that crashes or exceeds the per-task timeout
-  is killed and respawned and its task retried exactly once; a second
-  failure surfaces as a :class:`SweepError` naming the spec.
+* **isolation** — every worker process starts with the parent's
+  observability creation-hooks cleared, so a worker simulation is
+  bit-for-bit the simulation an in-process call would have run;
+* **robustness** — a point whose worker dies is retried exactly once, on
+  a worker of its own; a second death surfaces as a :class:`SweepError`
+  naming exactly that spec.
 
-``run_specs`` is the high-level entry point (cache lookup, inline
-fallback for ``jobs <= 1``, obs-record merging); :class:`SweepPool` is
-the work-queue machinery underneath it.
+``run_specs`` is the entry point (cache lookup, inline path for
+``jobs <= 1``, obs-record merging); the processes underneath are a
+:class:`concurrent.futures.ProcessPoolExecutor`.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
-import queue as queue_mod
 import time
 import traceback
 from collections import deque
-from dataclasses import dataclass
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures.process import BrokenProcessPool
+from dataclasses import dataclass, replace
 from typing import Any, Callable
 
 from .cache import MISS, ResultCache
@@ -33,7 +33,6 @@ from .spec import Spec, execute_spec
 
 __all__ = [
     "SweepError",
-    "SweepPool",
     "run_specs",
     "run_sweep",
     "parse_jobs",
@@ -41,12 +40,6 @@ __all__ = [
     "get_executor_config",
     "configure_executor",
 ]
-
-# How often the parent wakes to look for dead/overdue workers while
-# blocked on the result queue.
-_POLL_S = 0.05
-# Grace given to a worker to exit after its shutdown sentinel.
-_JOIN_S = 2.0
 
 
 class SweepError(RuntimeError):
@@ -92,166 +85,92 @@ def _reset_inherited_observers() -> None:
     registry._registry_observers.clear()
 
 
-def _worker_main(task_q, result_q) -> None:  # pragma: no cover - subprocess body
-    _reset_inherited_observers()
-    while True:
-        item = task_q.get()
-        if item is None:
-            return
-        index, spec, capture_obs = item
-        try:
-            result, records = execute_spec(spec, capture_obs)
-        except BaseException as exc:
-            message = f"{type(exc).__name__}: {exc}\n{traceback.format_exc()}"
-            result_q.put((index, "error", message, None))
-        else:
-            result_q.put((index, "ok", result, records))
+def _run_in_worker(spec: Spec, capture_obs: bool):  # pragma: no cover - subprocess body
+    """One point in a worker: ``("ok", result, records)`` or ``("error", text, None)``.
 
-
-class _Worker:
-    """One pool slot: a process, its private task queue, its current task."""
-
-    __slots__ = ("task_q", "proc", "task", "started")
-
-    def __init__(self, ctx, result_q):
-        self.task_q = ctx.Queue()
-        self.proc = ctx.Process(target=_worker_main, args=(self.task_q, result_q), daemon=True)
-        self.proc.start()
-        self.task: tuple[int, Spec] | None = None
-        self.started = 0.0
-
-    def dispatch(self, task: tuple[int, Spec], capture_obs: bool) -> None:
-        self.task = task
-        self.started = time.monotonic()
-        self.task_q.put((task[0], task[1], capture_obs))
-
-    def kill(self) -> None:
-        if self.proc.is_alive():
-            self.proc.terminate()
-        self.proc.join(_JOIN_S)
-        if self.proc.is_alive():  # pragma: no cover - stubborn process
-            self.proc.kill()
-            self.proc.join(_JOIN_S)
-
-    def shutdown(self) -> None:
-        try:
-            self.task_q.put(None)
-        except (OSError, ValueError):  # pragma: no cover - queue already gone
-            pass
-        self.proc.join(_JOIN_S)
-        if self.proc.is_alive():
-            self.kill()
-
-
-class SweepPool:
-    """Work-queue pool over ``jobs`` forked workers.
-
-    ``run`` takes ``(index, spec)`` tasks and returns
-    ``{index: (status, value, obs_records)}`` with ``status`` one of
-    ``"ok"``/``"error"``. Tasks never dispatched (deadline reached) are
-    simply absent from the mapping.
+    The failure travels as text so the parent never has to unpickle an
+    arbitrary exception; ``SystemExit`` and friends are reported the same
+    way rather than re-raised in the parent.
     """
+    try:
+        return ("ok", *execute_spec(spec, capture_obs))
+    except BaseException as exc:
+        return "error", f"{type(exc).__name__}: {exc}\n{traceback.format_exc()}", None
 
-    def __init__(
-        self,
-        jobs: int,
-        task_timeout: float | None = None,
-        capture_obs: bool = False,
-    ):
-        self.jobs = max(1, int(jobs))
-        self.task_timeout = task_timeout
-        self.capture_obs = capture_obs
 
-    def run(
-        self,
-        tasks: list[tuple[int, Spec]],
-        on_result: Callable[[int, str, Any], None] | None = None,
-        deadline: float | None = None,
-    ) -> dict[int, tuple[str, Any, Any]]:
-        if not tasks:
-            return {}
-        ctx = multiprocessing.get_context()
-        result_q = ctx.Queue()
-        workers = [_Worker(ctx, result_q) for _ in range(min(self.jobs, len(tasks)))]
-        pending: deque[tuple[int, Spec]] = deque(tasks)
-        outcomes: dict[int, tuple[str, Any, Any]] = {}
-        retried: set[int] = set()
-        specs_by_index = {index: spec for index, spec in tasks}
-        try:
-            while pending or any(w.task is not None for w in workers):
-                self._dispatch(workers, pending, ctx, result_q, deadline)
-                if not any(w.task is not None for w in workers):
-                    break  # deadline cleared the queue and nothing is running
+def _past(deadline: float | None) -> bool:
+    return deadline is not None and time.monotonic() >= deadline
+
+
+def _drain(
+    batch: deque[tuple[int, Spec]],
+    width: int,
+    capture_obs: bool,
+    deadline: float | None,
+    settle: Callable[[int, Spec, str, Any, Any], None],
+) -> list[tuple[int, Spec]]:
+    """Run ``batch`` on one executor, in order, ``width`` points in flight.
+
+    Each completed point is handed to ``settle`` in this process. No point
+    starts once ``deadline`` has passed (the rest of ``batch`` is dropped)
+    or once a worker has died; returns, in index order, the points that
+    were in flight when one did.
+
+    The executor uses the platform's start method, as the sweep always
+    has (fork on Linux): its workers all start at the first ``submit``,
+    before its manager thread does, and the ``with`` block joins that
+    thread before the next executor is built, so no fork ever happens in
+    a process with a second thread.
+    """
+    in_flight: dict[Any, tuple[int, Spec]] = {}
+    unfinished: list[tuple[int, Spec]] = []
+    broken = False
+    with ProcessPoolExecutor(width, initializer=_reset_inherited_observers) as pool:
+        while True:
+            while batch and not broken and len(in_flight) < width:
+                if _past(deadline):
+                    batch.clear()
+                    break
                 try:
-                    index, status, value, records = result_q.get(timeout=_POLL_S)
-                except queue_mod.Empty:
-                    self._reap(workers, pending, outcomes, retried, ctx, result_q,
-                               specs_by_index, on_result)
-                    continue
-                for worker in workers:
-                    if worker.task is not None and worker.task[0] == index:
-                        worker.task = None
-                        break
-                if index in outcomes:
-                    continue  # late duplicate from a worker we already gave up on
-                outcomes[index] = (status, value, records)
-                if on_result is not None:
-                    on_result(index, status, value)
-        finally:
-            for worker in workers:
-                worker.shutdown()
-            result_q.close()
-            result_q.cancel_join_thread()
-        return outcomes
+                    future = pool.submit(_run_in_worker, batch[0][1], capture_obs)
+                except BrokenProcessPool:
+                    broken = True
+                    break
+                in_flight[future] = batch.popleft()
+            if not in_flight:
+                return sorted(unfinished, key=lambda task: task[0])
+            for future in wait(in_flight, return_when=FIRST_COMPLETED).done:
+                index, spec = in_flight.pop(future)
+                try:
+                    outcome = future.result()
+                except BrokenProcessPool:
+                    broken = True
+                    unfinished.append((index, spec))
+                else:
+                    settle(index, spec, *outcome)
 
-    # ------------------------------------------------------------------
-    def _dispatch(self, workers, pending, ctx, result_q, deadline) -> None:
-        for slot, worker in enumerate(workers):
-            if worker.task is not None or not pending:
-                continue
-            if deadline is not None and time.monotonic() >= deadline:
-                pending.clear()
-                return
-            if not worker.proc.is_alive():
-                worker.kill()
-                workers[slot] = worker = _Worker(ctx, result_q)
-            worker.dispatch(pending.popleft(), self.capture_obs)
 
-    def _reap(self, workers, pending, outcomes, retried, ctx, result_q,
-              specs_by_index, on_result) -> None:
-        """Handle crashed and overdue workers; retry their task once."""
-        now = time.monotonic()
-        for slot, worker in enumerate(workers):
-            if worker.task is None:
-                continue
-            crashed = not worker.proc.is_alive()
-            overdue = (
-                self.task_timeout is not None
-                and now - worker.started > self.task_timeout
-            )
-            if not crashed and not overdue:
-                continue
-            index, spec = worker.task
-            worker.task = None
-            worker.kill()
-            workers[slot] = _Worker(ctx, result_q)
-            if index in outcomes:
-                continue  # its result arrived before the worker died
-            if index not in retried:
-                retried.add(index)
-                pending.appendleft((index, spec))
-                continue
-            reason = "timed out" if overdue else "worker crashed"
-            timeout_note = (
-                f" after {self.task_timeout:g}s" if overdue and self.task_timeout else ""
-            )
-            outcomes[index] = (
-                "error",
-                f"{reason}{timeout_note} (after one retry): {spec.display()}",
-                None,
-            )
-            if on_result is not None:
-                on_result(index, "error", outcomes[index][1])
+def _fan_out(
+    tasks: list[tuple[int, Spec]],
+    jobs: int,
+    capture_obs: bool,
+    deadline: float | None,
+    settle: Callable[[int, Spec, str, Any, Any], None],
+) -> None:
+    """Run ``tasks`` over ``jobs`` worker processes, retrying dead workers' points.
+
+    A dead worker breaks its executor and takes the in-flight siblings
+    down with it, so every unfinished point is retried alone on a
+    one-worker executor: a second death is charged to that point and to
+    no other. The rest of the sweep then resumes on a fresh pool. (Past
+    the deadline ``_drain`` starts nothing, retries included.)
+    """
+    pending = deque(tasks)
+    while pending:
+        for index, spec in _drain(pending, min(jobs, len(pending)), capture_obs, deadline, settle):
+            if _drain(deque([(index, spec)]), 1, capture_obs, deadline, settle):
+                settle(index, spec, "error",
+                       f"worker crashed (after one retry): {spec.display()}", None)
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +180,6 @@ def run_specs(
     specs: list[Spec],
     jobs: int | str | None = 1,
     cache: ResultCache | None = None,
-    task_timeout: float | None = None,
     obs_sink: Callable[[list[dict], str], None] | None = None,
     time_budget: float | None = None,
     on_result: Callable[[int, str, Any], None] | None = None,
@@ -272,14 +190,16 @@ def run_specs(
       inline in this process, which is still byte-identical because every
       runner builds a fresh simulator.
     * ``cache`` — a :class:`ResultCache`; hits skip execution entirely
-      and completed points are stored back atomically.
+      and each point is stored back atomically, by this process, as soon
+      as it completes — an interrupted sweep resumes where it stopped.
     * ``obs_sink(records, origin)`` — receives each point's observability
-      summary records (pool mode; inline runs are observed directly by
-      whatever session is active in this process).
+      summary records as ``spec:<index>``, in spec order (pool mode;
+      inline runs are observed directly by whatever session is active in
+      this process).
     * ``time_budget`` — wall seconds after which no *new* point starts;
       never-started points stay ``None`` in the result list.
     * ``on_result(index, status, value)`` — progress callback; ``status``
-      is ``"cached"``/``"ok"``.
+      is ``"cached"``/``"ok"``, or ``"error"`` with the failure text.
 
     Raises :class:`SweepError` if any point fails (pool mode) — inline
     failures propagate their original exception.
@@ -291,7 +211,7 @@ def run_specs(
 
     to_run: list[tuple[int, Spec]] = []
     for index, spec in enumerate(specs):
-        if cache is not None and spec.cacheable:
+        if cache is not None:
             hit = cache.get(spec)
             if hit is not MISS:
                 results[index] = hit
@@ -300,41 +220,36 @@ def run_specs(
                 continue
         to_run.append((index, spec))
 
-    if not to_run:
-        return results
+    failures: dict[int, tuple[Spec, str]] = {}
+    obs_records: dict[int, list[dict]] = {}
+
+    def flush_obs() -> None:
+        for index in sorted(obs_records):
+            obs_sink(obs_records.pop(index), f"spec:{index}")
+
+    def settle(index: int, spec: Spec, status: str, value: Any, records: Any) -> None:
+        if status == "ok":
+            results[index] = value
+            if cache is not None:
+                cache.put(spec, value)
+            if records:
+                obs_records[index] = records
+        else:
+            failures[index] = (spec, str(value))
+        if on_result is not None:
+            on_result(index, status, value)
 
     if jobs <= 1:
         for index, spec in to_run:
-            if deadline is not None and time.monotonic() >= deadline:
+            if _past(deadline):
                 break
-            result, records = execute_spec(spec, capture_obs)
-            results[index] = result
-            if cache is not None and spec.cacheable:
-                cache.put(spec, result)
-            if obs_sink is not None and records:
-                obs_sink(records, f"spec:{index}")
-            if on_result is not None:
-                on_result(index, "ok", result)
-        return results
-
-    pool = SweepPool(jobs, task_timeout=task_timeout, capture_obs=capture_obs)
-    outcomes = pool.run(to_run, on_result=on_result, deadline=deadline)
-    failures: list[tuple[Spec, str]] = []
-    for index, spec in to_run:
-        outcome = outcomes.get(index)
-        if outcome is None:
-            continue  # deadline: never started
-        status, value, records = outcome
-        if status != "ok":
-            failures.append((spec, str(value)))
-            continue
-        results[index] = value
-        if cache is not None and spec.cacheable:
-            cache.put(spec, value)
-        if obs_sink is not None and records:
-            obs_sink(records, f"spec:{index}")
+            settle(index, spec, "ok", *execute_spec(spec, capture_obs))
+            flush_obs()
+    elif to_run:
+        _fan_out(to_run, jobs, capture_obs, deadline, settle)
+        flush_obs()
     if failures:
-        raise SweepError(failures)
+        raise SweepError([failures[index] for index in sorted(failures)])
     return results
 
 
@@ -353,7 +268,6 @@ class ExecutorConfig:
     jobs: int = 1
     cache: ResultCache | None = None
     obs_sink: Callable[[list[dict], str], None] | None = None
-    task_timeout: float | None = None
 
 
 _config = ExecutorConfig()
@@ -367,17 +281,7 @@ def configure_executor(**overrides: Any) -> Callable[[], None]:
     """Set executor config fields; returns a zero-arg restore callable."""
     global _config
     previous = _config
-    merged = ExecutorConfig(
-        jobs=previous.jobs,
-        cache=previous.cache,
-        obs_sink=previous.obs_sink,
-        task_timeout=previous.task_timeout,
-    )
-    for name, value in overrides.items():
-        if not hasattr(merged, name):
-            raise TypeError(f"unknown executor config field {name!r}")
-        setattr(merged, name, value)
-    _config = merged
+    _config = replace(previous, **overrides)
 
     def restore() -> None:
         global _config
@@ -389,10 +293,4 @@ def configure_executor(**overrides: Any) -> Callable[[], None]:
 def run_sweep(specs: list[Spec]) -> list[Any]:
     """Run a sweep under the process-wide executor configuration."""
     cfg = _config
-    return run_specs(
-        specs,
-        jobs=cfg.jobs,
-        cache=cfg.cache,
-        obs_sink=cfg.obs_sink,
-        task_timeout=cfg.task_timeout,
-    )
+    return run_specs(specs, jobs=cfg.jobs, cache=cfg.cache, obs_sink=cfg.obs_sink)

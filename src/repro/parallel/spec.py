@@ -62,11 +62,10 @@ class Spec:
     fn: str
     kwargs: dict[str, Any] = field(default_factory=dict)
     label: str = ""
-    cacheable: bool = True
 
     def canonical(self) -> dict:
-        """The content-addressed identity of this spec (``label`` and
-        ``cacheable`` are presentation/policy, not identity)."""
+        """The content-addressed identity of this spec (``label`` is
+        presentation, not identity)."""
         return {"fn": self.fn, "kwargs": canonical_value(self.kwargs)}
 
     def canonical_json(self) -> str:

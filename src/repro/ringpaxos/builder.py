@@ -24,10 +24,10 @@ from .coordinator import RingCoordinator
 from .learner import RingLearner
 from .proposer import RingProposer
 
-__all__ = ["RingDeployment", "build_ring"]
+__all__ = ["RingDeployment", "attach_node", "build_ring"]
 
 
-def _attach(network: Network, node: Node, region: str | None, bandwidth=None) -> Node:
+def attach_node(network: Network, node: Node, region: str | None) -> Node:
     """Add ``node`` to ``network``, in ``region`` when one is requested.
 
     The region keyword exists only on :class:`~repro.sim.topology.
@@ -35,13 +35,13 @@ def _attach(network: Network, node: Node, region: str | None, bandwidth=None) ->
     configuration error rather than a silent collapse to one site.
     """
     if region is None:
-        return network.add_node(node, bandwidth)
+        return network.add_node(node)
     if not hasattr(network, "region_of"):
         raise ConfigurationError(
             f"node {node.name!r} requests region {region!r} but the network "
             "has no regions (use a GeoNetwork)"
         )
-    return network.add_node(node, bandwidth, region=region)
+    return network.add_node(node, region=region)
 
 
 @dataclass(slots=True)
@@ -103,7 +103,7 @@ def build_ring(
             disk_bandwidth=disk_bandwidth if durable else None,
             disk_buffer_bytes=DISK_BUFFER_BYTES,
         )
-        _attach(network, node, acceptor_regions[i] if acceptor_regions else None)
+        attach_node(network, node, acceptor_regions[i] if acceptor_regions else None)
         acc_nodes.append(node)
 
     if metrics is None:
@@ -117,7 +117,7 @@ def build_ring(
         learner_nodes = []
         for i in range(n_learners):
             node = Node(sim, f"r{ring_id}-lrn{i}")
-            _attach(network, node, learner_regions[i] if learner_regions else None)
+            attach_node(network, node, learner_regions[i] if learner_regions else None)
             learner_nodes.append(node)
     learners = [
         RingLearner(
@@ -130,7 +130,7 @@ def build_ring(
     proposers = []
     for i in range(n_proposers):
         node = Node(sim, f"r{ring_id}-prop{i}")
-        _attach(network, node, proposer_regions[i] if proposer_regions else None)
+        attach_node(network, node, proposer_regions[i] if proposer_regions else None)
         proposers.append(RingProposer(sim, network, node, config))
 
     return RingDeployment(

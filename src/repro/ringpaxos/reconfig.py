@@ -67,7 +67,10 @@ class RingFailover:
         self.network = network
         self.config = config
         self.acceptors = list(acceptors)
-        self.spare_nodes = list(spare_nodes)
+        # The caller's list, not a copy: a deployment's RingHandle.spares and
+        # this pool are one list, so a takeover that promotes a spare or an
+        # online add/remove is seen by both.
+        self.spare_nodes = spare_nodes
         self.suspect_timeout = suspect_timeout
         self.on_new_coordinator = on_new_coordinator
         self.metrics = metrics

@@ -10,7 +10,7 @@ last bit.
 
 from repro.bench.runner import run_single_ring_point
 from repro.check.driver import run_case
-from repro.parallel import Spec, SweepPool, run_specs
+from repro.parallel import Spec, run_specs
 
 _POINT_KWARGS = {"offered_mbps": 150.0, "durable": False,
                  "duration": 0.4, "warmup": 0.2}
@@ -18,9 +18,7 @@ _CASE_KWARGS = {"seed": 1234, "grace": 4.0, "duration": 3.0}
 
 
 def _via_pool(spec: Spec):
-    outcomes = SweepPool(jobs=2).run([(0, spec)])
-    status, value, _records = outcomes[0]
-    assert status == "ok", value
+    [value] = run_specs([spec], jobs=2)
     return value
 
 

@@ -300,6 +300,33 @@ def test_add_and_remove_spare():
     assert mrp.reconfig.remove_spare(0) is None
 
 
+def test_takeover_consumes_the_spare_from_the_one_pool():
+    # The deployment's handle and the failover orchestrator share one
+    # spare list: a promoted spare leaves both, so it can never be
+    # "decommissioned" while serving as the ring's acceptor.
+    mrp = deploy(spares_per_ring=2)
+    handle = mrp.rings[0]
+    mrp.crash_coordinator(0)
+    mrp.run(until=1.0)
+    assert "mr0-spare0" in handle.coordinator.config.acceptors
+    assert [n.name for n in handle.spares] == ["mr0-spare1"]
+    assert [n.name for n in handle.failover.spare_nodes] == ["mr0-spare1"]
+    assert mrp.reconfig.remove_spare(0).name == "mr0-spare1"
+    assert mrp.reconfig.remove_spare(0) is None
+    assert handle.spares == []
+
+
+@pytest.mark.parametrize("auto_failover", [True, False])
+def test_spare_add_remove_round_trips(auto_failover):
+    mrp = deploy(auto_failover=auto_failover)
+    spares = mrp.rings[0].spares
+    before = list(spares)
+    node = mrp.reconfig.add_spare(0)
+    assert spares == before + [node]
+    assert mrp.reconfig.remove_spare(0) is node
+    assert spares == before
+
+
 def test_rotate_coordinator_replaces_ring_head():
     mrp = deploy()
     log = []

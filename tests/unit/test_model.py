@@ -1,4 +1,4 @@
-"""Unit tests for the analytic model: arithmetic, pruning, tolerance bands.
+"""Unit tests for the analytic model: arithmetic, tolerance bands.
 
 The model-vs-sim tolerance-band tests run the same check suite
 ``repro validate --quick`` runs in CI — one simulation pass, asserted
@@ -11,31 +11,9 @@ require the predictions to move together.
 import pytest
 
 from repro.calibration import DISK_BANDWIDTH_BYTES_PER_S
-from repro.model.analytic import (
-    Calibration,
-    MultiRingModel,
-    RingModel,
-    baseline_saturation_mbps,
-)
+from repro.model.analytic import Calibration, MultiRingModel, RingModel
 from repro.model.capacity import capacity_table
-from repro.model.prune import FLAT_UTILIZATION, PrunePlan, figure1_plan, figure5_plan
 from repro.model.validate import Check, measure_saturation_mbps, run_checks
-
-FIG1_GRID = [
-    (durable, offered)
-    for durable, offered_list in (
-        (False, [100, 300, 500, 650, 700, 750]),
-        (True, [100, 200, 300, 380, 420, 500]),
-    )
-    for offered in offered_list
-]
-FIG5_GRID = (
-    [("RAM M-RP", n) for n in (1, 2, 4, 8)]
-    + [("DISK M-RP", n) for n in (1, 2, 4, 8)]
-    + [("Ring Paxos", n) for n in (1, 2, 4, 8)]
-    + [("Spread", n) for n in (1, 2, 4, 8)]
-    + [("LCR", n) for n in (2, 4, 8, 16)]
-)
 
 
 # ---------------------------------------------------------------------------
@@ -93,16 +71,6 @@ def test_multi_ring_aggregate_and_ingress_ceiling():
     assert mrp.bottleneck(subscribe_all=True) == "learner.nic.rx"
 
 
-def test_baseline_claims_are_flat():
-    assert baseline_saturation_mbps("Ring Paxos") == pytest.approx(
-        RingModel(lambda_rate=0.0).saturation_mbps
-    )
-    for system in ("Spread", "LCR"):
-        assert baseline_saturation_mbps(system) > 0
-    with pytest.raises(ValueError):
-        baseline_saturation_mbps("Zab")
-
-
 def test_capacity_table_renders_and_flags_infeasible_demand():
     table = capacity_table(64, durable=True, clients=1_000_000, client_rate=3.0)
     assert "bottleneck: acceptor.disk" in table
@@ -110,78 +78,6 @@ def test_capacity_table_renders_and_flags_infeasible_demand():
     feasible = capacity_table(64, clients=100_000, client_rate=3.0)
     assert "INFEASIBLE" not in feasible
     assert "headroom" in feasible
-
-
-# ---------------------------------------------------------------------------
-# Prune plans
-# ---------------------------------------------------------------------------
-def _assert_plan_sound(plan: PrunePlan):
-    kept = set(plan.kept)
-    for idx, (left, right, t) in plan.interp.items():
-        assert idx not in kept
-        assert left in kept and right in kept, "anchors must be simulated"
-        assert 0.0 <= t <= 1.0, "interpolation never extrapolates"
-
-
-def test_figure1_plan_prunes_only_flat_interiors():
-    plan = figure1_plan(FIG1_GRID)
-    _assert_plan_sound(plan)
-    assert plan.n_pruned > 0
-    for idx in plan.interp:
-        durable, offered = FIG1_GRID[idx]
-        sat = RingModel(durable=durable, lambda_rate=0.0).saturation_mbps
-        assert offered <= FLAT_UTILIZATION * sat
-    # Knee and endpoint rows are always simulated.
-    for i, (durable, offered) in enumerate(FIG1_GRID):
-        if offered >= (420 if durable else 700):
-            assert i not in plan.interp
-
-
-def test_figure5_plan_keeps_series_endpoints():
-    plan = figure5_plan(FIG5_GRID)
-    _assert_plan_sound(plan)
-    by_system: dict[str, list[int]] = {}
-    for i, (system, _) in enumerate(FIG5_GRID):
-        by_system.setdefault(system, []).append(i)
-    for indices in by_system.values():
-        assert indices[0] not in plan.interp
-        assert indices[-1] not in plan.interp
-        for idx in indices[1:-1]:
-            assert idx in plan.interp
-
-
-def test_figure5_plan_refuses_series_it_cannot_certify():
-    # A system the model has no claim about must run in full.
-    assert figure5_plan([("Zab", n) for n in (1, 2, 4, 8)]).n_pruned == 0
-    # Short series have no prunable interior.
-    assert figure5_plan([("RAM M-RP", n) for n in (1, 8)]).n_pruned == 0
-    # Unordered series are never pruned (anchors would not bracket).
-    assert figure5_plan([("RAM M-RP", n) for n in (8, 1, 4, 2)]).n_pruned == 0
-
-
-def test_prune_interpolates_tagged_points():
-    from repro.model.prune import run_pruned_sweep
-    from repro.parallel import Spec
-
-    specs = [
-        Spec(
-            fn="repro.bench.runner:run_single_ring_point",
-            kwargs={"offered_mbps": float(o), "durable": False,
-                    "duration": 0.2, "warmup": 0.1},
-            label=f"pt{o}",
-        )
-        for o in (100, 200, 300)
-    ]
-    plan = PrunePlan(3, {1: (0, 2, 0.5)})
-    results = run_pruned_sweep(specs, plan)
-    assert len(results) == 3
-    mid = results[1]
-    assert mid.extra["model"] == "interpolated"
-    assert mid.delivered_mbps == pytest.approx(
-        (results[0].delivered_mbps + results[2].delivered_mbps) / 2
-    )
-    # Simulated anchors carry no tag.
-    assert "model" not in results[0].extra and "model" not in results[2].extra
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,7 @@ def test_identical_spec_same_key_changed_field_different_key(tmp_path):
 def test_label_and_cacheable_are_not_identity(tmp_path):
     cache = ResultCache(tmp_path, fingerprint="f1")
     assert cache.key(_spec()) == cache.key(
-        Spec(fn=_spec().fn, kwargs=_spec().kwargs, label="pretty", cacheable=False)
+        Spec(fn=_spec().fn, kwargs=_spec().kwargs, label="pretty")
     )
 
 
@@ -152,13 +152,3 @@ def test_changed_spec_field_reexecutes(tmp_path, monkeypatch):
     run_specs([_spec(duration=0.2, warmup=0.1)], jobs=1, cache=cache)
     run_specs([_spec(duration=0.2, warmup=0.1, seed=2)], jobs=1, cache=cache)
     assert calls["n"] == 2  # both were misses
-
-
-def test_non_cacheable_spec_bypasses_cache(tmp_path):
-    cache = ResultCache(tmp_path, fingerprint="f")
-    spec = Spec(fn="repro.bench.runner:run_single_ring_point",
-                kwargs={"offered_mbps": 50.0, "durable": False,
-                        "duration": 0.2, "warmup": 0.1},
-                cacheable=False)
-    run_specs([spec], jobs=1, cache=cache)
-    assert cache.stats() == {"hits": 0, "misses": 0, "stores": 0}

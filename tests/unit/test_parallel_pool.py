@@ -1,4 +1,4 @@
-"""The sweep executor: ordering, retry, timeout, budget, config plumbing.
+"""The sweep executor: ordering, retry, isolation, budget, config plumbing.
 
 Worker targets live at module level so a forked worker can resolve them
 by dotted path (``tests.unit.test_parallel_pool:<name>``).
@@ -12,7 +12,6 @@ import pytest
 from repro.parallel import (
     Spec,
     SweepError,
-    SweepPool,
     canonical_value,
     configure_executor,
     get_executor_config,
@@ -53,6 +52,20 @@ def crash_until_flag(flag_path):
 
 def boom():
     raise ValueError("boom")
+
+
+def logged(log_path, value, seconds, crash=False):
+    """Records that it started (one line per start, any process), works
+    for ``seconds``, then returns ``value`` or dies."""
+    with open(log_path, "a") as fh:
+        fh.write(f"{value}\n")
+    time.sleep(seconds)
+    if crash:
+        os._exit(13)
+    return value
+
+
+_POINT = {"offered_mbps": 50.0, "durable": False, "duration": 0.2, "warmup": 0.1}
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +124,7 @@ def test_more_tasks_than_workers_drain_through_the_queue():
 
 
 # ---------------------------------------------------------------------------
-# Crash and timeout handling
+# Crash handling
 # ---------------------------------------------------------------------------
 def test_crashed_worker_is_retried_once_and_recovers(tmp_path):
     flag = str(tmp_path / "attempted")
@@ -130,14 +143,19 @@ def test_persistent_crash_surfaces_as_sweep_error():
     assert "crashed" in str(excinfo.value)
 
 
-def test_task_timeout_kills_and_reports():
-    specs = [Spec(fn=f"{_HERE}:slow_echo", kwargs={"value": 1, "seconds": 30.0},
-                  label="sleeper")]
-    start = time.monotonic()
+def test_a_persistent_crash_is_charged_to_that_spec_alone():
+    # The crasher's death breaks the executor under its in-flight healthy
+    # sibling too; the sibling's retry succeeds, the crasher's does not.
+    crasher = Spec(fn=f"{_HERE}:crash_hard", label="always-dies")
+    specs = [Spec(fn=f"{_HERE}:slow_echo", kwargs={"value": i, "seconds": 0.3})
+             for i in range(3)]
+    specs.insert(1, crasher)
+    ok: list[int] = []
     with pytest.raises(SweepError) as excinfo:
-        run_specs(specs, jobs=2, task_timeout=0.3)
-    assert time.monotonic() - start < 20.0  # killed, not waited out
-    assert "timed out" in str(excinfo.value)
+        run_specs(specs, jobs=2,
+                  on_result=lambda i, status, value: status == "ok" and ok.append(i))
+    assert [spec for spec, _ in excinfo.value.failures] == [crasher]
+    assert sorted(ok) == [0, 2, 3]
 
 
 def test_worker_exception_propagates_with_traceback():
@@ -148,18 +166,6 @@ def test_worker_exception_propagates_with_traceback():
     with pytest.raises(SweepError) as excinfo:
         run_specs(specs, jobs=2)
     assert "ValueError: boom" in str(excinfo.value)
-
-
-def test_other_results_survive_a_failing_spec_via_pool_api():
-    # SweepPool (the layer under run_specs) reports per-task outcomes, so
-    # a caller can keep the good points of a partially failing sweep.
-    pool = SweepPool(jobs=2)
-    outcomes = pool.run([
-        (0, Spec(fn=f"{_HERE}:echo", kwargs={"value": 10})),
-        (1, Spec(fn=f"{_HERE}:boom")),
-    ])
-    assert outcomes[0][:2] == ("ok", 10)
-    assert outcomes[1][0] == "error"
 
 
 # ---------------------------------------------------------------------------
@@ -174,6 +180,52 @@ def test_time_budget_skips_unstarted_points_inline():
     assert results == [0, None]  # first ran (budget checked before start), second skipped
 
 
+def test_time_budget_with_workers_starts_a_prefix_and_nothing_after(tmp_path):
+    def sweep(first_crashes):
+        log = tmp_path / f"starts-{first_crashes}"
+        specs = [
+            Spec(fn=f"{_HERE}:logged",
+                 kwargs={"log_path": str(log), "value": 0, "seconds": 0.3,
+                         "crash": first_crashes}),
+            Spec(fn=f"{_HERE}:logged",
+                 kwargs={"log_path": str(log), "value": 1,
+                         "seconds": 30.0 if first_crashes else 0.3}),
+        ] + [
+            Spec(fn=f"{_HERE}:logged", kwargs={"log_path": str(log), "value": i, "seconds": 0.0})
+            for i in range(2, 6)
+        ]
+        results = run_specs(specs, jobs=2, time_budget=0.1)
+        return results, sorted(log.read_text().split())
+
+    # Two points are in flight when the deadline passes: they finish,
+    # nothing else starts.
+    assert sweep(False) == ([0, 1, None, None, None, None], ["0", "1"])
+    # Same when the first one's worker dies after the deadline: neither it
+    # nor the sibling its death took down is started again.
+    assert sweep(True) == ([None] * 6, ["0", "1"])
+
+
+def test_pool_mode_caches_each_point_as_it_completes(tmp_path):
+    from repro.parallel import ResultCache
+
+    cache = ResultCache(tmp_path, fingerprint="f")
+    specs = [
+        Spec(fn=f"{_HERE}:echo", kwargs={"value": 1}),
+        Spec(fn=f"{_HERE}:slow_echo", kwargs={"value": 2, "seconds": 0.3}),
+    ]
+
+    def interrupt_on_second(index, status, value):
+        if index == 1:
+            raise KeyboardInterrupt
+
+    with pytest.raises(KeyboardInterrupt):
+        run_specs(specs, jobs=2, cache=cache, on_result=interrupt_on_second)
+    seen: list[tuple[int, str]] = []
+    run_specs(specs[:1], jobs=2, cache=cache,
+              on_result=lambda i, status, value: seen.append((i, status)))
+    assert seen == [(0, "cached")]  # the interrupted sweep resumes, not restarts
+
+
 def test_on_result_reports_cached_and_ok(tmp_path):
     from repro.parallel import ResultCache
 
@@ -185,6 +237,51 @@ def test_on_result_reports_cached_and_ok(tmp_path):
     run_specs([spec], jobs=1, cache=cache,
               on_result=lambda i, status, value: seen.append((i, status)))
     assert seen == [(0, "ok"), (0, "cached")]
+
+
+# ---------------------------------------------------------------------------
+# Isolation and observability merging
+# ---------------------------------------------------------------------------
+def test_parent_creation_observers_never_fire_in_a_worker(tmp_path):
+    from repro.metrics.registry import observe_registries
+    from repro.sim.network import observe_networks
+    from repro.sim.simulator import observe_simulators
+
+    log = tmp_path / "observed"
+
+    def observed(_created):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+
+    specs = [
+        Spec(fn="repro.bench.runner:run_single_ring_point",
+             kwargs={**_POINT, "offered_mbps": float(mbps)})
+        for mbps in (50, 100, 150)
+    ]
+    removers = [observe(observed)
+                for observe in (observe_simulators, observe_networks, observe_registries)]
+    try:
+        from_workers = run_specs(specs, jobs=2)
+        assert not log.exists()
+        assert run_specs(specs, jobs=1) == from_workers
+        assert set(log.read_text().split()) == {str(os.getpid())}  # the hooks do fire
+    finally:
+        for remove in removers:
+            remove()
+
+
+def test_obs_sink_gets_each_points_records_once_in_spec_order():
+    # The first point runs longest, so completion order is not spec order.
+    specs = [
+        Spec(fn="repro.bench.runner:run_single_ring_point",
+             kwargs={**_POINT, "duration": duration})
+        for duration in (0.6, 0.1, 0.1)
+    ]
+    sunk: list[tuple[str, list[dict]]] = []
+    run_specs(specs, jobs=2, obs_sink=lambda records, origin: sunk.append((origin, records)))
+    assert [origin for origin, _ in sunk] == ["spec:0", "spec:1", "spec:2"]
+    for _, records in sunk:
+        assert records[0]["type"] == "meta" and records[0]["simulators"] == 1
 
 
 # ---------------------------------------------------------------------------
