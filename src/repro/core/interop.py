@@ -173,7 +173,7 @@ class LcrBackedGroup(Process):
         missing = target - planned
         if missing > 0:
             # One broadcast covers the whole interval's worth of skips.
-            self.skips_proposed.inc(missing)
+            self.skips_proposed.value += missing
             self._outstanding_skips += missing
             self.members[self._monitor_name].broadcast(SkipMarker(missing), 64)
         self._prev_planned = self._logical_at_monitor + self._outstanding_skips

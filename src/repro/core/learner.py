@@ -179,9 +179,9 @@ class MultiRingLearner(Process):
         now = self.sim.now
         self.delivered_messages.value += 1
         self.delivered_log_count += 1
-        self.delivered_bytes.inc(value.size)
+        self.delivered_bytes.value += value.size
         self.delivery_series.record(now, value.size)
-        self.group_bytes[value.group].inc(value.size)
+        self.group_bytes[value.group].value += value.size
         self.group_series[value.group].record(now, value.size)
         lag = max(0.0, now - value.created_at)
         self.latency.record(lag)

@@ -140,8 +140,8 @@ class DeterministicMerge:
                     if head[0] == 0:
                         queue.popleft()
                     self._quota -= take
-                    self.skipped_instances.inc(take)
-                    self.consumed_instances.inc(take)
+                    self.skipped_instances.value += take
+                    self.consumed_instances.value += take
                     self.buffered_instances.value -= take
                     self.queue_gauges[ring_id].value -= take
                     consumed_any = True
@@ -200,8 +200,8 @@ class DeterministicMerge:
                 queue.popleft()
             self.queue_gauges[ring_id].value -= take
         total = take * len(self._queues)
-        self.skipped_instances.inc(total)
-        self.consumed_instances.inc(total)
+        self.skipped_instances.value += total
+        self.consumed_instances.value += total
         self.buffered_instances.value -= total
         return True
 

@@ -61,15 +61,18 @@ class MultiRingProposer(Process):
 
         Returns None while the group is held by a live remap — the
         payload is queued and multicast (in order) when the move
-        completes, so callers see at most added latency, never loss.
+        completes, so callers see at most added latency, never loss. A bad
+        ``size`` (negative, NaN) raises before anything is counted or queued.
         """
+        if not size >= 0:  # written so that NaN is rejected too
+            raise ValueError(f"message size must be non-negative, got {size!r}")
         held = self._held.get(group_id)
         if held is not None:
             held.append((payload, size))
             return None
         proposer = self._ring_proposer(self.registry.ring_for(group_id))
         self.multicasts.value += 1
-        self.multicast_bytes.inc(size)
+        self.multicast_bytes.value += size
         return proposer.multicast(payload, size, group=group_id)
 
     def _ring_proposer(self, ring_id: int) -> RingProposer:
@@ -119,7 +122,7 @@ class MultiRingProposer(Process):
         if held:
             for payload, size in held:
                 self.multicasts.value += 1
-                self.multicast_bytes.inc(size)
+                self.multicast_bytes.value += size
                 target.multicast(payload, size, group=group_id)
         return True
 
@@ -130,8 +133,10 @@ class MultiRingProposer(Process):
         :class:`~repro.core.admission.AdmissionController.offer`. Without
         an admission policy every submission is admitted immediately,
         making this a drop-in request path for clients that want to
-        respect backpressure.
+        respect backpressure. A bad ``size`` raises before admission.
         """
+        if not size >= 0:  # written so that NaN is rejected too
+            raise ValueError(f"message size must be non-negative, got {size!r}")
         if self.admission is None:
             self.multicast(group_id, payload, size)
             return "admitted"

@@ -89,8 +89,8 @@ class SkipManager(Process):
             else:
                 for _ in range(missing):
                     self.coordinator.propose_skip(1)
-                self.skip_batches.inc(missing)
-            self.skips_proposed.inc(missing)
+                self.skip_batches.value += missing
+            self.skips_proposed.value += missing
         self.prev_k = self.coordinator.planned_instance
         self.prev_time = now
 

@@ -2,11 +2,13 @@
 
 Both are a name and one number, ``value``, which is a documented field
 with a fixed slot: readers read it, and the protocol's per-message sites
-write it directly (``counter.value += 1``, ``gauge.value = len(queue)``)
-— a unit increment cannot violate monotonicity, so the call and its
-check would buy nothing there. A *computed* amount goes through
-:meth:`Counter.inc`, which rejects what would make the counter decrease
-or poison it (negative, NaN) and leaves it unchanged.
+write it directly (``counter.value += 1``, ``counter.value += size``,
+``gauge.value = len(queue)``). A unit increment cannot violate
+monotonicity, and a message size is checked once where it enters — the
+proposers reject a negative or NaN size before anything is counted — so
+a call and its check per message would buy nothing. Callers off the
+message path use :meth:`Counter.inc`, which rejects what would make the
+counter decrease or poison it (negative, NaN) and leaves it unchanged.
 """
 
 from __future__ import annotations
@@ -17,9 +19,9 @@ __all__ = ["Counter", "Gauge"]
 class Counter:
     """A monotonically increasing sum (messages delivered, bytes sent...).
 
-    ``value`` starts at 0.0 and only grows: by ``value += 1`` at a site
-    that counts one occurrence, by :meth:`inc` anywhere the amount is
-    computed.
+    ``value`` starts at 0.0 and only grows: by ``value += amount`` on the
+    message path, where the amount was validated as it entered, by
+    :meth:`inc` anywhere else.
     """
 
     __slots__ = ("name", "value")

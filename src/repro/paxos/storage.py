@@ -25,7 +25,7 @@ disk cache.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Any, Callable
 
 from ..errors import ConfigurationError
 from ..sim.disk import Disk
@@ -87,11 +87,13 @@ class AcceptorStorage:
         if rnd > self.floor:
             self.floor = rnd
 
-    def persist(self, instance: int, nbytes: int, fn: Callable[[], None]) -> None:
-        """Make the latest mutation of ``instance`` durable, then run ``fn``.
+    def persist(self, instance: int, nbytes: int, fn: Callable[..., None], *args: Any) -> None:
+        """Make the latest mutation of ``instance`` durable, then run ``fn(*args)``.
 
-        ``instance < 0`` persists only the promise floor (a Phase 1
-        answer must not be sent before the promise survives a crash).
+        The continuation comes as ``Cpu.execute`` and ``Disk.write`` take
+        theirs: no closure per instance. ``instance < 0`` persists only the
+        promise floor (a Phase 1 answer must not be sent before the promise
+        survives a crash).
         """
         raise NotImplementedError
 
@@ -118,8 +120,8 @@ class AcceptorStorage:
 class InMemoryStorage(AcceptorStorage):
     """RAM-only storage: persistence is a no-op barrier."""
 
-    def persist(self, instance: int, nbytes: int, fn: Callable[[], None]) -> None:
-        fn()
+    def persist(self, instance: int, nbytes: int, fn: Callable[..., None], *args: Any) -> None:
+        fn(*args)
 
 
 class DurableStorage(AcceptorStorage):
@@ -143,22 +145,23 @@ class DurableStorage(AcceptorStorage):
         self._epoch = 0
         self.writes_invalidated = 0
 
-    def persist(self, instance: int, nbytes: int, fn: Callable[[], None]) -> None:
-        epoch = self._epoch
-        floor = self.floor
+    def persist(self, instance: int, nbytes: int, fn: Callable[..., None], *args: Any) -> None:
         image = self.get(instance).copy() if instance >= 0 else None
+        self.disk.write(
+            nbytes, self._commit, self._epoch, self.floor, instance, image, fn, args
+        )
 
-        def commit() -> None:
-            if epoch != self._epoch:
-                self.writes_invalidated += 1
-                return
-            if floor > self._durable_floor:
-                self._durable_floor = floor
-            if image is not None:
-                self._durable[instance] = image
-            fn()
-
-        self.disk.write(nbytes, commit)
+    def _commit(self, epoch: int, floor: int, instance: int, image: AcceptorState | None,
+                fn: Callable[..., None], args: tuple[Any, ...]) -> None:
+        """The disk acked: the snapshot joins the image, then ``fn`` runs."""
+        if epoch != self._epoch:
+            self.writes_invalidated += 1
+            return
+        if floor > self._durable_floor:
+            self._durable_floor = floor
+        if image is not None:
+            self._durable[instance] = image
+        fn(*args)
 
     def on_crash(self) -> None:
         self._epoch += 1

@@ -169,7 +169,7 @@ class RingAcceptor(Process):
                 attempt=msg.attempt,
                 accepts=1,
             )
-            self.storage.persist(msg.instance, msg.item.size, lambda: self._forward(token))
+            self.storage.persist(msg.instance, msg.item.size, self._forward, token)
         else:
             # Later acceptors accept when the ring token reaches them; a 2B
             # that overtook our copy of the 2A can now proceed.
@@ -224,7 +224,7 @@ class RingAcceptor(Process):
             attempt=msg.attempt,
             accepts=msg.accepts + 1,
         )
-        self.storage.persist(msg.instance, item.size, lambda: self._forward(token))
+        self.storage.persist(msg.instance, item.size, self._forward, token)
 
     def _forward(self, token: Phase2B) -> None:
         if self.crashed or self.successor is None:
@@ -268,27 +268,20 @@ class RingAcceptor(Process):
             while len(self._decided_order) > DECIDED_LOG_LIMIT:
                 old = self._decided_order.popleft()
                 self._decided.pop(old, None)
-        self._maybe_gc()
-
-    def _maybe_gc(self) -> None:
-        """Prune per-instance Paxos state far below the decided frontier.
-
-        Decided instances never change; keeping a generous retention
-        window (for takeover recovery and learner repairs) bounds memory
-        on long runs. A real deployment would checkpoint instead.
-        """
+        # Prune per-instance Paxos state far below the decided frontier:
+        # decided instances never change, and a generous retention window
+        # (for takeover recovery and learner repairs) bounds memory on long
+        # runs; a real deployment would checkpoint instead. Amortised: the
+        # O(live state) sweep runs only after the frontier moved a chunk.
         horizon = self._max_decided_seen - self.state_retention
-        # Amortise: sweep only after the frontier moved a decent chunk,
-        # so the O(live state) scan cannot dominate the hot path.
-        if horizon <= self._gc_horizon + max(1, self.state_retention // 10):
-            return
-        self.storage.forget_up_to(horizon)
-        for key in [k for k in self._accepted_vids if k <= horizon]:
-            del self._accepted_vids[key]
-        self._forwarded = {
-            (inst, attempt) for inst, attempt in self._forwarded if inst > horizon
-        }
-        self._gc_horizon = horizon
+        if horizon > self._gc_horizon + max(1, self.state_retention // 10):
+            self.storage.forget_up_to(horizon)
+            for key in [k for k in self._accepted_vids if k <= horizon]:
+                del self._accepted_vids[key]
+            self._forwarded = {
+                (inst, attempt) for inst, attempt in self._forwarded if inst > horizon
+            }
+            self._gc_horizon = horizon
 
     def _on_repair(self, src: str, msg) -> None:
         if self.crashed:
@@ -409,11 +402,8 @@ class RingAcceptor(Process):
         self.storage.note_floor(msg.rnd)
         reply = PromiseRange(msg.from_instance, msg.rnd, self._accepted_from(msg.from_instance))
         self.storage.persist(
-            -1,
-            64,
-            lambda: self.network.send(
-                self.node.name, src, self.config.coord_port, reply, reply.size
-            ),
+            -1, 64, self.network.send,
+            self.node.name, src, self.config.coord_port, reply, reply.size,
         )
 
     def decided_item(self, instance: int) -> DataBatch | SkipRange | None:

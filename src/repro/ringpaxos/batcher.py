@@ -55,7 +55,8 @@ class Batcher:
         """Add one value; may trigger an immediate flush."""
         if value.size >= self.batch_size:
             # Oversized value: flush what's pending, then ship it alone.
-            self.flush()
+            if self._pending:  # nothing pending: the timer is disarmed too
+                self.flush()
             self.flush_fn([value])
             self.flushes += 1
             self.values_batched += 1
@@ -65,12 +66,12 @@ class Batcher:
         self.values_batched += 1
         if self._pending_bytes >= self.batch_size:
             self.flush()
-        elif not self._timer.armed:
+        elif self._timer.deadline is None:
             self._timer.start()
 
     def flush(self) -> None:
         """Force out the current batch, if any."""
-        self._timer.stop()
+        self._timer.deadline = None  # stop()
         if not self._pending:
             return
         batch = self._pending

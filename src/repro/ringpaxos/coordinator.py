@@ -245,12 +245,13 @@ class RingCoordinator(Process):
         This is the Multi-Ring Paxos optimization of Section IV-D: any
         number of skips costs a single instance.
         """
-        if count <= 0:
-            raise ProtocolError("skip count must be positive")
+        if not count > 0:  # written so that NaN is rejected too
+            raise ProtocolError(f"skip count must be positive, got {count!r}")
         if self.crashed:
             return
-        self.skips_proposed.inc(count)
-        self._enqueue(SkipRange(count))
+        self.skips_proposed.value += count
+        self._backlog.append(SkipRange(count))
+        self._pump()
 
     # ------------------------------------------------------------------
     # Batching and windowing
@@ -258,10 +259,7 @@ class RingCoordinator(Process):
     def _on_batch(self, values: list[ClientValue]) -> None:
         value_id = self.next_value_id
         self.next_value_id += 1
-        self._enqueue(DataBatch(value_id, tuple(values)))
-
-    def _enqueue(self, item: DataBatch | SkipRange) -> None:
-        self._backlog.append(item)
+        self._backlog.append(DataBatch(value_id, tuple(values)))
         self._pump()
 
     def _pump(self) -> None:
@@ -292,7 +290,7 @@ class RingCoordinator(Process):
         if self.config.piggyback_decisions:
             decisions = tuple(self._pending_decisions)
             self._pending_decisions.clear()
-            self._decision_timer.stop()
+            self._decision_timer.deadline = None  # stop(): they ride on this 2A
         msg = Phase2A(
             instance=state.instance,
             rnd=self.rnd,
@@ -311,17 +309,20 @@ class RingCoordinator(Process):
         )
         self._heartbeat_timer.start()  # any multicast is a liveness signal
         # The coordinator accepts its own proposal: in Recoverable mode the
-        # accept must be durable before it can count towards the decision.
+        # accept must be durable before it can count towards the decision
+        # (the disk ack is the barrier); in In-memory mode it counts now.
         if self.config.durable:
-            assert self.node.disk is not None
             self.node.disk.write(
                 state.item.size, self._on_self_persisted, state.instance, state.attempt
             )
         else:
-            self._on_self_persisted(state.instance, state.attempt)
+            state.self_persisted = True
+            if state.ring_accepted or self.config.ring_size == 1:
+                self._maybe_decide(state)
         self._arm_retry(state)
 
     def _on_self_persisted(self, instance: int, attempt: int) -> None:
+        """Recoverable mode: the disk acked the coordinator's own accept."""
         state = self._inflight.get(instance)
         if state is None or state.attempt != attempt:
             return
@@ -350,7 +351,11 @@ class RingCoordinator(Process):
         state.retry_seq = -1
         del self._inflight[state.instance]
         self.instances_decided.value += 1
-        self._record_decided(state.instance, state.item)
+        # The decided log serves learner repairs, bounded FIFO.
+        self._decided_log[state.instance] = state.item
+        self._decided_order.append(state.instance)
+        while len(self._decided_order) > self._decided_log_limit:
+            self._decided_log.pop(self._decided_order.popleft(), None)
         if isinstance(state.item, DataBatch):
             self._ack_decided_batch(state.item)
         self._pending_decisions.append((state.instance, state.value_id))
@@ -359,7 +364,7 @@ class RingCoordinator(Process):
             self._flush_decisions()
         elif not (self._backlog and len(self._inflight) < self.config.window):
             # Piggyback on the next 2A if one is imminent; else flush soon.
-            if not self._decision_timer.armed:
+            if self._decision_timer.deadline is None:
                 self._decision_timer.start()
         if self.on_decide is not None:
             self.on_decide(state.instance, state.item)
@@ -492,15 +497,17 @@ class RingCoordinator(Process):
         self.network.send(self.node.name, src, self._ack_port, ack, ack.size)
 
     def _ack_decided_batch(self, batch: DataBatch) -> None:
-        """Advance the decided watermark for every sender in the batch."""
-        senders = set()
+        """Advance the decided watermark for every sender in the batch and
+        ack them in first-occurrence order (a set would iterate the names
+        in hash order, making the trace depend on ``PYTHONHASHSEED``)."""
+        senders: dict[str, None] = {}
         for value in batch.values:
             # A redirected value carries a seq from the sender's stream on
             # the ring it was bounced off — folding it into this ring's
             # watermark would ack (and drop) undecided local submissions.
             # Its origin coordinator is acked via note_foreign_decide.
             if value.sender and not value.redirected:
-                senders.add(value.sender)
+                senders[value.sender] = None
                 acked = max(self._submit_acked.get(value.sender, -1), value.seq)
                 self._submit_acked[value.sender] = acked
         for sender in senders:
@@ -551,13 +558,6 @@ class RingCoordinator(Process):
         self.network.send(
             self.node.name, src, f"rp{self.config.ring_id}.learner", reply, reply.size
         )
-
-    def _record_decided(self, instance: int, item: DataBatch | SkipRange) -> None:
-        self._decided_log[instance] = item
-        self._decided_order.append(instance)
-        while len(self._decided_order) > self._decided_log_limit:
-            old = self._decided_order.popleft()
-            self._decided_log.pop(old, None)
 
     def decided_item(self, instance: int) -> DataBatch | SkipRange | None:
         """Recently decided item for ``instance`` (None once GC'd)."""

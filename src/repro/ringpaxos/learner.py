@@ -156,7 +156,7 @@ class RingLearner(Process):
         if self.crashed:
             return
         if isinstance(msg, Phase2A):
-            self.received_bytes.inc(msg.item.size)
+            self.received_bytes.value += msg.item.size
             self.receive_series.record(self.sim.now, msg.item.size)
             cost = CPU_FIXED_COST_LEARNER + CPU_BYTE_COST_LEARNER * msg.item.size
             self.node.cpu.execute(cost, self._on_phase2a, msg)
@@ -248,7 +248,7 @@ class RingLearner(Process):
             if isinstance(item, DataBatch):
                 self.values.forget(item.value_id)
             else:
-                self.skipped_instances.inc(item.count)
+                self.skipped_instances.value += item.count
             probe = self.sim.probe
             if probe is not None and "learner.decide" in probe.subscribers:
                 probe.emit(
@@ -263,21 +263,16 @@ class RingLearner(Process):
                 # the deterministic-merge buffering.
                 self.on_decide(instance, item)
             elif isinstance(item, DataBatch):
-                self._deliver_batch(instance, item)
-
-    def _deliver_batch(self, instance: int, batch: DataBatch) -> None:
-        for value in batch.values:
-            self._account_delivery(value)
-            if self.on_deliver is not None:
-                self.on_deliver(instance, value)
-
-    def _account_delivery(self, value: ClientValue) -> None:
-        self.delivered_messages.value += 1
-        self.delivered_bytes.inc(value.size)
-        self.delivery_series.record(self.sim.now, value.size)
-        lag = max(0.0, self.sim.now - value.created_at)
-        self.latency.record(lag)
-        self.latency_series.record(self.sim.now, lag)
+                now = self.sim.now
+                for value in item.values:
+                    self.delivered_messages.value += 1
+                    self.delivered_bytes.value += value.size
+                    self.delivery_series.record(now, value.size)
+                    lag = max(0.0, now - value.created_at)
+                    self.latency.record(lag)
+                    self.latency_series.record(now, lag)
+                    if self.on_deliver is not None:
+                        self.on_deliver(instance, value)
 
     # ------------------------------------------------------------------
     # Recovery

@@ -23,6 +23,7 @@ class attribute or is computed once at construction, never on a hop.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import ClassVar
 
 from ..calibration import CONTROL_MESSAGE_SIZE
@@ -50,6 +51,7 @@ __all__ = [
 ]
 
 _DECISION_ENTRY_BYTES = 12  # (instance, value id) pair on the wire
+_size_of = attrgetter("size")
 
 # Sentinel group id for in-ring control traffic (reconfiguration cuts).
 # Real groups are non-negative; every learner receives control values on
@@ -94,7 +96,7 @@ class DataBatch:
     instance_count: ClassVar[int] = 1
 
     def __post_init__(self) -> None:
-        self.size = sum(v.size for v in self.values)
+        self.size = sum(map(_size_of, self.values))  # no generator frame
 
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -249,7 +251,7 @@ class RepairReply:
 
     @property
     def size(self) -> int:
-        return CONTROL_MESSAGE_SIZE + sum(item.size for item in self.items)
+        return CONTROL_MESSAGE_SIZE + sum(map(_size_of, self.items))
 
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -285,7 +287,7 @@ class CatchupReply:
 
     @property
     def size(self) -> int:
-        return CONTROL_MESSAGE_SIZE + sum(item.size for item in self.items)
+        return CONTROL_MESSAGE_SIZE + sum(map(_size_of, self.items))
 
 
 @dataclass(slots=True, unsafe_hash=True)

@@ -67,8 +67,11 @@ class RingProposer(Process):
         A crashed proposer drops the submission without consuming a
         sequence number: the coordinator restores per-sender FIFO order by
         buffering seq gaps, and a seq burned while down would leave a hole
-        nothing can ever fill — wedging the sender's stream for good.
+        nothing can ever fill — wedging the sender's stream for good. A bad
+        ``size`` (negative, NaN) raises before anything is counted or sent.
         """
+        if not size >= 0:  # written so that NaN is rejected too
+            raise ValueError(f"message size must be non-negative, got {size!r}")
         value = ClientValue(
             payload=payload,
             size=size,
@@ -80,7 +83,7 @@ class RingProposer(Process):
         if not self.crashed:
             self.seq += 1
             self.sent.value += 1
-            self.sent_bytes.inc(size)
+            self.sent_bytes.value += size
             self._unacked[value.seq] = value
             probe = self.sim.probe
             if probe is not None and "proposer.multicast" in probe.subscribers:

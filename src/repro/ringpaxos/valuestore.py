@@ -54,11 +54,15 @@ class ValueStore:
     Eviction is FIFO on insertion order (value ids are assigned
     monotonically by the coordinator, so FIFO == oldest-id-first) and
     amortised O(1) — this store sits on the acceptors' hot path.
+
+    ``get(value_id)`` (the item, or None) is the bound ``dict.get`` of the
+    never-rebound map: the Section III-B lookup costs no Python frame.
     """
 
     def __init__(self, max_entries: int = 100_000) -> None:
         self.max_entries = max_entries
         self._items: dict[int, DataBatch | SkipRange] = {}
+        self.get = self._items.get
         self._insertion_order: deque[int] = deque()
         self.stored = 0
         self.evicted = 0
@@ -81,14 +85,14 @@ class ValueStore:
                     del self._items[oldest]
                     self.evicted += 1
 
-    def get(self, value_id: int) -> DataBatch | SkipRange | None:
-        """The item for ``value_id``, or None if unknown/evicted."""
-        return self._items.get(value_id)
-
     def forget(self, value_id: int) -> None:
         """Drop ``value_id`` once its instance is decided and consumed.
 
-        The insertion-order queue keeps a stale entry; eviction skips it
-        lazily (the idempotent ``in`` check above).
+        Its id leaves the insertion-order queue when eviction reaches it or
+        when forgotten ids fill most of the queue (amortised O(1), C-level).
         """
         self._items.pop(value_id, None)
+        if len(self._insertion_order) > 2 * len(self._items) + 64:
+            self._insertion_order = deque(
+                dict.fromkeys(filter(self._items.__contains__, self._insertion_order))
+            )

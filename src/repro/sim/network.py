@@ -286,14 +286,16 @@ class Network:
         (loopback at the departure time, the fan-in one validated
         ``propagation_delay`` later).
         """
-        self._require_known(src)
-        if not self.nodes[src].up:
+        endpoint = self._endpoints.get(src)
+        if endpoint is None:
+            raise NetworkError(f"unknown node {src!r}")
+        node, nic, _ = endpoint
+        if not node.up:
             return
         members = self._groups.get(group, [])
         if not members:
             return
         sim = self.sim
-        nic = self.nics[src]
         depart = nic.egress.submit(size)
         nic.bytes_sent += size
         nic.messages_sent += 1
@@ -374,7 +376,3 @@ class Network:
     # receiver (GeoNetwork) overrides these two and nothing else.
     _route = _deliver  # unicast: (dst, port, src, msg, size)
     _route_group = _fan_in  # multicast survivors: (targets, port, src, msg, size)
-
-    def _require_known(self, name: str) -> None:
-        if name not in self.nodes:
-            raise NetworkError(f"unknown node {name!r}")

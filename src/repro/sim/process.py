@@ -85,6 +85,10 @@ class Timer:
     any other: it counts in ``Simulator.events_executed`` and
     ``pending_events``, spends a ``run(max_events=...)`` budget, and a
     ``run()`` to exhaustion ends at its time.
+
+    ``deadline`` is a public field: the time the timer fires at, or None
+    while it is disarmed (never started, stopped, or fired). Assigning it
+    None is exactly :meth:`stop`.
     """
 
     def __init__(self, sim: Simulator, delay: float, fn: Callable[[], None]) -> None:
@@ -93,16 +97,11 @@ class Timer:
         self.sim = sim
         self.delay = delay
         self.fn = fn
-        self._deadline: float | None = None  # None = disarmed
+        self.deadline: float | None = None
         self._seq = -1  # kernel seq reserved by the latest start()
         # (time, seq) of the timer's own heap entry; seq None = none queued.
         self._queued_time = 0.0
         self._queued_seq: int | None = None
-
-    @property
-    def armed(self) -> bool:
-        """Whether the timer is currently scheduled to fire."""
-        return self._deadline is not None
 
     def start(self, delay: float | None = None) -> None:
         """Arm the timer (restarting it if already armed)."""
@@ -119,7 +118,7 @@ class Timer:
             raise SimulationError(
                 f"cannot schedule at t={deadline!r}, clock is already at t={sim.now!r}"
             )
-        self._deadline = deadline
+        self.deadline = deadline
         # Drawn here, where Simulator.schedule drew it, and never again for
         # this arming: every other event keeps the seq it always had.
         self._seq = seq = sim.reserve_seq()
@@ -131,18 +130,18 @@ class Timer:
             sim.post_reserved(deadline, seq, self._wake, seq)
 
     def stop(self) -> None:
-        """Disarm the timer if armed (idempotent)."""
-        self._deadline = None
+        """Disarm the timer if armed (idempotent): ``deadline = None``."""
+        self.deadline = None
 
     def _wake(self, seq: int) -> None:
         if seq != self._queued_seq:
             return  # orphan, superseded by an earlier entry
-        deadline = self._deadline
+        deadline = self.deadline
         if deadline is None:
             self._queued_seq = None
         elif seq == self._seq:
             self._queued_seq = None
-            self._deadline = None
+            self.deadline = None
             self.fn()
         else:  # restarted since this entry was queued: move to the reserved key
             self._queued_time = deadline
@@ -159,6 +158,8 @@ class PeriodicTimer:
     from its own callback, before ``fn`` runs (where the next tick's seq
     has always been drawn), so a ``stop()`` / ``start()`` cycle reuses the
     one queued entry like any other restart.
+
+    ``running`` is a field that :meth:`start` sets and :meth:`stop` clears.
     """
 
     def __init__(self, sim: Simulator, period: float, fn: Callable[[], None]) -> None:
@@ -169,20 +170,18 @@ class PeriodicTimer:
         self.fn = fn
         self._timer = Timer(sim, period, self._fire)
         self._next_time = 0.0
-
-    @property
-    def running(self) -> bool:
-        """Whether the periodic timer is active."""
-        return self._timer.armed
+        self.running = False
 
     def start(self) -> None:
         """Begin firing every ``period`` seconds from now."""
         self._next_time = self.sim.now + self.period
         self._timer.start_at(self._next_time)
+        self.running = True
 
     def stop(self) -> None:
         """Stop firing (idempotent)."""
-        self._timer.stop()
+        self._timer.deadline = None
+        self.running = False
 
     def _fire(self) -> None:
         self._next_time += self.period

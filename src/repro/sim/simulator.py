@@ -80,6 +80,9 @@ class Simulator:
     seed:
         Master seed for all named random streams (see :class:`RandomStreams`).
 
+    ``probe`` is a plain field, the attached :class:`~repro.obs.ProbeBus` or
+    None; :meth:`attach_probe` / :meth:`detach_probe` set it.
+
     Example
     -------
     >>> sim = Simulator(seed=7)
@@ -90,12 +93,12 @@ class Simulator:
     (2.0, ['hello'])
     """
 
-    # Fixed layout: `self.now` / `self._queue` / `self._probe` are read on
+    # Fixed layout: `self.now` / `self._queue` / `self.probe` are read on
     # every simulated event, and slot access is measurably cheaper than a
     # dict lookup at that frequency.
     __slots__ = (
         "now", "random", "_queue", "_seq", "reserve_seq",
-        "_events_executed", "_running", "_probe",
+        "_events_executed", "_running", "probe",
     )
 
     def __init__(self, seed: int = 0) -> None:
@@ -111,7 +114,7 @@ class Simulator:
         self.reserve_seq: Callable[[], int] = self._seq.__next__
         self._events_executed = 0
         self._running = False
-        self._probe = None  # ProbeBus | None; None keeps the hot path bare
+        self.probe = None  # ProbeBus | None; None keeps the hot path bare
         if _simulator_observers:
             for registration in list(_simulator_observers):
                 registration.callback(self)
@@ -119,18 +122,13 @@ class Simulator:
     # ------------------------------------------------------------------
     # Observability
     # ------------------------------------------------------------------
-    @property
-    def probe(self):
-        """The attached :class:`~repro.obs.ProbeBus`, or None."""
-        return self._probe
-
     def attach_probe(self, bus) -> None:
         """Publish kernel events (``sim.event``) to ``bus``."""
-        self._probe = bus
+        self.probe = bus
 
     def detach_probe(self) -> None:
         """Stop publishing kernel events."""
-        self._probe = None
+        self.probe = None
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -211,7 +209,7 @@ class Simulator:
                 time, seq, fn, args = _heappop(heap)
                 self.now = time
                 executed += 1  # before dispatch: a raising callback counts
-                probe = self._probe
+                probe = self.probe
                 if probe is not None and "sim.event" in probe.subscribers:
                     name = getattr(fn, "__qualname__", None) or repr(fn)
                     probe.emit("sim.event", time, name, seq=seq)

@@ -366,21 +366,20 @@ class _CancelAndRepushTimer:
     def __init__(self, sim, delay, fn):
         self.sim, self.delay, self.fn = sim, delay, fn
         self._arming = None  # token of the live entry; None = cancelled or fired
-
-    @property
-    def armed(self):
-        return self._arming is not None
+        self.deadline = None  # when the live entry fires
 
     def start(self, delay=None):
         self._arming = arming = object()
-        self.sim.schedule(self.delay if delay is None else delay, self._fire, arming)
+        delay = self.delay if delay is None else delay
+        self.deadline = self.sim.now + delay
+        self.sim.schedule(delay, self._fire, arming)
 
     def stop(self):
-        self._arming = None
+        self._arming = self.deadline = None
 
     def _fire(self, arming):
         if arming is self._arming:
-            self._arming = None
+            self._arming = self.deadline = None
             self.fn()
 
 
@@ -390,7 +389,7 @@ class _SeqAtRepushTimer(Timer):
 
     def start(self, delay=None):
         delay = self.delay if delay is None else delay
-        self._deadline = deadline = self.sim.now + delay
+        self.deadline = deadline = self.sim.now + delay
         if self._queued_seq is None or self._queued_time > deadline:
             self._seq = self._queued_seq = seq = self.sim.reserve_seq()
             self._queued_time = deadline
@@ -399,7 +398,7 @@ class _SeqAtRepushTimer(Timer):
             self._seq = None  # drawn in _wake
 
     def _wake(self, seq):
-        if seq == self._queued_seq and self._deadline is not None and self._seq is None:
+        if seq == self._queued_seq and self.deadline is not None and self._seq is None:
             self._seq = self.sim.reserve_seq()
         super()._wake(seq)
 
@@ -424,10 +423,10 @@ _TIMER_PROGRAMS = st.tuples(
 
 
 def _run_timer_program(timer_class, program, check_entries=False):
-    """The log of ``(now, who)`` firings, and ``armed`` after every step."""
+    """The log of ``(now, who)`` firings, and ``deadline`` after every step."""
     delays, ops, reactions = program
     sim = Simulator()
-    log, armed = [], []
+    log, deadlines = [], []
     reactions = list(reactions)
     timers = []
 
@@ -454,13 +453,13 @@ def _run_timer_program(timer_class, program, check_entries=False):
                 timer.start(delay=op[2])
             else:
                 timer.stop()
-        armed.append([t.armed for t in timers])
+        deadlines.append([t.deadline for t in timers])
         if check_entries:
             for t in timers:
                 own = [e for e in sim._queue._heap if e[2] == t._wake and e[3][0] == t._queued_seq]
                 assert len(own) == (t._queued_seq is not None)
     sim.run()
-    return log, armed
+    return log, deadlines
 
 
 @given(program=_TIMER_PROGRAMS)
@@ -531,7 +530,7 @@ class _SeqAfterCallbackPeriodic(PeriodicTimer):
         self._next_time += self.period
         self._stopped = False
         self.fn()
-        if not self._stopped and not self.running:
+        if not self._stopped and self._timer.deadline is None:
             self._timer.start_at(self._next_time)
 
 

@@ -3,6 +3,7 @@
 import pytest
 
 from repro import MultiRingConfig, MultiRingPaxos
+from repro.core import AdmissionPolicy
 from repro.errors import ConfigurationError
 
 SIZE = 8192
@@ -227,3 +228,26 @@ def test_latency_accounting_at_multiring_learner():
     assert 0 < learner.latency.mean < 0.1
     assert learner.delivered_bytes.value == 10 * SIZE
     assert learner.group_bytes[0].value == 5 * SIZE
+
+
+@pytest.mark.parametrize("bad", [-5, float("nan")])
+@pytest.mark.parametrize("entry", ["multicast", "submit", "submit behind admission"])
+def test_a_bad_size_raises_at_the_entry_point_and_changes_nothing(entry, bad):
+    mrp = make(n_groups=1)
+    admission = AdmissionPolicy(max_inflight=1, max_queue=4) if "admission" in entry else None
+    proposer = mrp.add_proposer(admission=admission)
+    proposer.submit(0, "ok", SIZE)  # behind admission, the next offer would be delayed
+    ring_proposer = proposer._ring_proposers[0]
+
+    def state():
+        queued = proposer.admission.queue_depth if proposer.admission else 0
+        return (ring_proposer.seq, ring_proposer.sent.value, proposer.multicasts.value,
+                proposer.multicast_bytes.value, proposer.unacked, queued,
+                mrp.sim.pending_events)
+
+    before = state()
+    with pytest.raises(ValueError, match="size"):
+        getattr(proposer, entry.split()[0])(0, "bad", bad)
+    assert state() == before
+    mrp.sim.run(until=0.05)  # the good value drains; nothing raises out of run
+    assert proposer.unacked == 0 and ring_proposer.seq == 1

@@ -49,7 +49,7 @@ def test_timer_fires_once():
     t.start()
     sim.run(until=2.0)
     assert fired == [0.5]
-    assert not t.armed
+    assert t.deadline is None
 
 
 def test_timer_restart_resets_deadline():
@@ -95,11 +95,11 @@ def test_timer_start_rejects_bad_delay_and_changes_nothing(bad):
     t = Timer(sim, 1.0, lambda: fired.append(sim.now))
     with pytest.raises(SimulationError):
         t.start(delay=bad)  # disarmed: stays disarmed, nothing queued
-    assert not t.armed and sim.pending_events == 0
+    assert t.deadline is None and sim.pending_events == 0
     t.start()
     with pytest.raises(SimulationError):
         t.start(delay=bad)  # armed: keeps its deadline
-    assert t.armed and sim.pending_events == 1
+    assert t.deadline == 1.0 and sim.pending_events == 1
     sim.run()
     assert fired == [1.0]
 
@@ -137,7 +137,7 @@ def test_restart_with_an_earlier_deadline_orphans_the_queued_entry():
     t.start()
     t.start(delay=0.25)
     sim.run(until=0.5)
-    assert fired == [0.25] and not t.armed
+    assert fired == [0.25] and t.deadline is None
     sim.at(1.0, fired.append, "bystander")
     t.start(delay=0.5)  # deadline 1.0: the orphan's time, but not its turn
     sim.run()
@@ -169,3 +169,56 @@ def test_periodic_timer_rejects_nonpositive_period():
     sim = Simulator()
     with pytest.raises(ValueError):
         PeriodicTimer(sim, 0.0, lambda: None)
+
+
+def test_deadline_is_none_exactly_while_disarmed():
+    sim = Simulator()
+    fired = []
+    t = Timer(sim, 1.0, lambda: fired.append(t.deadline))
+    assert t.deadline is None  # never started
+    t.start()
+    assert t.deadline == 1.0
+    t.stop()
+    assert t.deadline is None  # stopped
+    sim.run()  # the stopped timer's entry lapses at 1.0
+    assert (sim.now, fired, t.deadline) == (1.0, [], None)
+    t.start(delay=0.5)
+    sim.run(until=1.25)
+    t.start()  # restart: the entry queued for 1.5 lapses and re-queues
+    sim.run(until=2.0)
+    assert (fired, t.deadline) == ([], 2.25)
+    sim.run()
+    assert (fired, t.deadline) == ([None], None)  # disarmed before fn runs
+
+
+def test_assigning_no_deadline_is_stop():
+    sim = Simulator()
+    fired = []
+    t = Timer(sim, 1.0, lambda: fired.append(sim.now))
+    t.start()
+    t.deadline = None
+    sim.run()
+    assert fired == [] and sim.events_executed == 1
+    t.start()
+    sim.run()
+    assert fired == [2.0]
+
+
+def test_periodic_running_follows_start_and_stop():
+    sim = Simulator()
+    seen = []
+    t = PeriodicTimer(sim, 0.1, lambda: seen.append(t.running))
+    assert not t.running
+    t.start()
+    assert t.running
+    sim.run(until=0.25)
+    assert t.running and seen == [True, True]
+    t.stop()
+    assert not t.running
+    sim.run(until=1.0)
+    assert not t.running and seen == [True, True]
+    t.start()
+    assert t.running
+    t.fn = t.stop  # a tick that stops its own timer
+    sim.run(until=2.0)
+    assert not t.running and sim.now == 2.0

@@ -114,6 +114,24 @@ class TestDurablePersistOrdering:
         _, states = st.recover()
         assert states[0].vrnd == 1  # the image is the call-time snapshot
 
+    def test_the_continuation_gets_its_arguments_at_the_barrier(self):
+        done = []
+        InMemoryStorage().persist(0, 100, done.append, "at once")
+        assert done == ["at once"]
+        sim, st = self._storage()
+        st.get(2).vrnd = 1
+        st.persist(2, 100, lambda *args: done.append((sim.now, args)), "token", 7)
+        assert done == ["at once"]  # not before the disk ack
+        sim.run()
+        assert done == ["at once", (0.01, ("token", 7))]  # write_latency later
+        st.get(3).vrnd = 1
+        st.persist(3, 100, done.append, "lost")
+        st.on_crash()  # between the write and its ack: image and call void
+        sim.run()
+        assert done[-1] != "lost" and st.writes_invalidated == 1
+        _, states = st.recover()
+        assert sorted(states) == [2]
+
     def test_inmemory_recovery_is_amnesia(self):
         st = InMemoryStorage()
         st.note_floor(5)

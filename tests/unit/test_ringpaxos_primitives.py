@@ -2,6 +2,7 @@
 
 import ast
 import dataclasses
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -246,6 +247,57 @@ def test_valuestore_evicts_oldest_beyond_cap():
     assert vs.get(0) is None and vs.get(1) is None
     assert vs.get(4) is not None
     assert vs.evicted == 2
+
+
+def test_valuestore_forgetting_in_order_leaves_no_trail():
+    # A learner puts each value at its 2A and forgets it at delivery.
+    vs = ValueStore()
+    item = DataBatch(0, (cv(10),))
+    for i in range(100_000):
+        vs.put(i, item)
+        if i >= 32:  # a window of undelivered values, as on a ring
+            vs.forget(i - 32)
+    assert len(vs) == 32 and len(vs._insertion_order) <= 2 * 32 + 65
+    # The 32 now stay; a forgotten id behind a live one goes all the same.
+    for i in range(100_000):
+        vs.put(100_000 + i, item)
+        vs.forget(100_000 + i)
+    assert len(vs) == 32 and len(vs._insertion_order) <= 2 * 32 + 65
+    assert (vs.stored, vs.evicted) == (200_000, 0)
+    assert sorted(vs._items) == list(range(100_000 - 32, 100_000))
+
+
+def test_valuestore_without_forget_still_evicts_oldest_first():
+    vs = ValueStore(max_entries=100)
+    item = DataBatch(0, (cv(10),))
+    for i in range(1000):
+        vs.put(i, item)
+    assert list(vs._items) == list(range(900, 1000)) and vs.evicted == 900
+    vs.forget(950)  # a forgotten id in the middle is skipped, not counted
+    for i in range(1000, 1100):
+        vs.put(i, item)
+    assert list(vs._items) == list(range(1000, 1100)) and vs.evicted == 999
+
+
+def test_valuestore_retains_nothing_per_forgotten_value():
+    vs = ValueStore()
+    item = DataBatch(0, (cv(10),))
+
+    def churn(start, n):
+        for i in range(start, start + n):
+            vs.put(i, item)
+            vs.forget(i)
+
+    tracemalloc.start()
+    try:
+        churn(0, 1000)  # the queue reaches its steady length
+        before, _ = tracemalloc.get_traced_memory()
+        churn(1000, 50_000)
+        after, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # Keeping every id in the insertion-order queue cost megabytes here.
+    assert after - before < 4096
 
 
 def test_decided_run_follows_instance_counts_and_stops_at_a_gap():

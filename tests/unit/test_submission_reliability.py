@@ -5,6 +5,7 @@ deduplicated and FIFO-restored at the coordinator, and acknowledged only
 once *decided* — so an ack implies the value survives coordinator crashes.
 """
 
+import pytest
 
 from repro.calibration import DEFAULT_VALUE_SIZE
 from repro.ringpaxos import build_ring
@@ -114,3 +115,21 @@ def test_crashed_proposer_stops_retransmitting():
     prop.crash()
     sim.run(until=1.0)
     assert prop.retransmissions.value == sent_before
+
+
+@pytest.mark.parametrize("bad", [-1, float("nan")])
+def test_a_bad_size_raises_before_the_proposer_burns_a_seq(bad):
+    sim, net, ring = deploy()
+    prop = ring.proposers[0]
+    prop.multicast("ok", DEFAULT_VALUE_SIZE)
+
+    def state():
+        return (prop.seq, prop.sent.value, prop.sent_bytes.value, prop.unacked,
+                sim.pending_events)
+
+    before = state()
+    with pytest.raises(ValueError, match="size"):
+        prop.multicast(None, bad)
+    assert state() == before
+    sim.run(until=0.5)  # the good value decides; nothing is left to raise later
+    assert prop.unacked == 0 and prop.seq == 1
