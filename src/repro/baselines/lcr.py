@@ -44,6 +44,9 @@ from ..sim.simulator import Simulator
 __all__ = ["LcrMessage", "LcrNode", "build_lcr_ring"]
 
 LCR_MESSAGE_SIZE = 32 * 1024
+# Seconds between a member's clock heartbeats (they unblock delivery on an
+# idle ring).
+HEARTBEAT_INTERVAL = 2e-3
 
 
 @dataclass(frozen=True, slots=True)
@@ -84,7 +87,6 @@ class LcrNode(Process):
         node: Node,
         ring: list[str],
         on_deliver: Callable[[LcrMessage], None] | None = None,
-        heartbeat_interval: float = 2e-3,
         port: str = "lcr",
     ) -> None:
         super().__init__(sim, f"lcr@{node.name}")
@@ -109,7 +111,7 @@ class LcrNode(Process):
         self._highest_seen: dict[str, int] = {name: -1 for name in ring}
         self._pending: dict[tuple[int, str, int], LcrMessage] = {}
         node.register(port, self._on_message)
-        self._hb_timer = PeriodicTimer(sim, heartbeat_interval, self._heartbeat)
+        self._hb_timer = PeriodicTimer(sim, HEARTBEAT_INTERVAL, self._heartbeat)
         self._hb_timer.start()
 
     # ------------------------------------------------------------------
@@ -214,7 +216,6 @@ def build_lcr_ring(
     network: Network,
     n_nodes: int,
     on_deliver: Callable[[str, LcrMessage], None] | None = None,
-    heartbeat_interval: float = 2e-3,
 ) -> list[LcrNode]:
     """Create ``n_nodes`` machines and wire them into an LCR ring."""
     if n_nodes < 2:
@@ -234,7 +235,6 @@ def build_lcr_ring(
                 node,
                 ring=names,
                 on_deliver=deliver,
-                heartbeat_interval=heartbeat_interval,
             )
         )
     return members

@@ -47,6 +47,9 @@ from ..sim.simulator import Simulator
 __all__ = ["MenciusValue", "MenciusServer", "build_mencius"]
 
 MENCIUS_GROUP = "mencius.mcast"
+MENCIUS_PORT = "mencius"
+# Seconds between a server's checks for owned instances to skip while idle.
+IDLE_SKIP_INTERVAL = 2e-3
 
 
 @dataclass(frozen=True, slots=True)
@@ -111,8 +114,6 @@ class MenciusServer(Process):
         node: Node,
         servers: list[str],
         on_deliver: Callable[[MenciusValue], None] | None = None,
-        idle_skip_interval: float = 2e-3,
-        port: str = "mencius",
     ) -> None:
         super().__init__(sim, f"mencius@{node.name}")
         if node.name not in servers:
@@ -121,7 +122,6 @@ class MenciusServer(Process):
         self.node = node
         self.servers = list(servers)
         self.on_deliver = on_deliver
-        self.port = port
         self.my_index = servers.index(node.name)
         self.n = len(servers)
         self.seq = 0
@@ -138,8 +138,8 @@ class MenciusServer(Process):
         self._next_deliver = 0
         self._highest_seen = -1
         network.join(MENCIUS_GROUP, node.name)
-        node.register(port, self._on_message)
-        self._idle_timer = PeriodicTimer(sim, idle_skip_interval, self._idle_skip)
+        node.register(MENCIUS_PORT, self._on_message)
+        self._idle_timer = PeriodicTimer(sim, IDLE_SKIP_INTERVAL, self._idle_skip)
         self._idle_timer.start()
 
     @property
@@ -192,7 +192,7 @@ class MenciusServer(Process):
         self._highest_seen = max(self._highest_seen, msg.instance)
         self._proposed[msg.instance] = msg.value
         ack = _Ack(msg.instance)
-        self.network.send(self.node.name, src, self.port, ack, ack.wire_size)
+        self.network.send(self.node.name, src, MENCIUS_PORT, ack, ack.wire_size)
         # Mencius's key rule: skip my unused instances below the suggested
         # one, so instance msg.instance can be delivered without waiting.
         self._skip_below(msg.instance)
@@ -271,7 +271,7 @@ class MenciusServer(Process):
     def _multicast(self, msg) -> None:
         if self.crashed:
             return
-        self.network.multicast(self.node.name, MENCIUS_GROUP, self.port, msg, msg.wire_size)
+        self.network.multicast(self.node.name, MENCIUS_GROUP, MENCIUS_PORT, msg, msg.wire_size)
 
     def on_crash(self) -> None:
         self._idle_timer.stop()

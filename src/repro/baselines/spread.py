@@ -46,6 +46,10 @@ SPREAD_MESSAGE_SIZE = 16 * 1024
 # the system at the few-hundred-Mbps plateau of the paper's Figure 5.
 SPREAD_CPU_BYTE_COST = 1.6e-8
 SPREAD_CPU_FIXED_COST = 10e-6
+# Port every daemon listens on, and the most messages a token holder
+# orders per token visit.
+DAEMON_PORT = "spread.daemon"
+MAX_BURST = 16
 
 
 @dataclass(frozen=True, slots=True)
@@ -86,8 +90,6 @@ class SpreadDaemon(Process):
         network: Network,
         node: Node,
         daemons: list[str],
-        max_burst: int = 16,
-        port: str = "spread.daemon",
     ) -> None:
         super().__init__(sim, f"spreadd@{node.name}")
         if node.name not in daemons:
@@ -95,8 +97,6 @@ class SpreadDaemon(Process):
         self.network = network
         self.node = node
         self.daemons = list(daemons)
-        self.max_burst = max_burst
-        self.port = port
         my_index = daemons.index(node.name)
         self.successor = daemons[(my_index + 1) % len(daemons)]
         self.is_token_origin = my_index == 0
@@ -105,7 +105,7 @@ class SpreadDaemon(Process):
         self._clients_by_group: dict[int, list[str]] = {}
         self._next_deliver_seq = 0
         self._out_of_order: dict[int, SpreadMessage] = {}
-        node.register(port, self._on_message)
+        node.register(DAEMON_PORT, self._on_message)
         network.join("spread.mcast", node.name)
         if self.is_token_origin:
             # The ring's first daemon injects the token at startup.
@@ -151,7 +151,7 @@ class SpreadDaemon(Process):
         burst = 0
         cpu_cost = CPU_FIXED_COST_SMALL_MESSAGE
         to_send: list[SpreadMessage] = []
-        while self.pending and burst < self.max_burst:
+        while self.pending and burst < MAX_BURST:
             msg = self.pending.popleft()
             stamped = SpreadMessage(
                 group=msg.group,
@@ -174,10 +174,10 @@ class SpreadDaemon(Process):
             return
         for msg in to_send:
             self.ordered.inc()
-            self.network.multicast(self.node.name, "spread.mcast", self.port, msg, msg.wire_size)
+            self.network.multicast(self.node.name, "spread.mcast", DAEMON_PORT, msg, msg.wire_size)
             # The sender's daemon also processes its own messages.
             self._on_ordered(msg)
-        self.network.send(self.node.name, self.successor, self.port, token, token.wire_size)
+        self.network.send(self.node.name, self.successor, DAEMON_PORT, token, token.wire_size)
 
     # ------------------------------------------------------------------
     # Ordered delivery to clients
@@ -203,14 +203,14 @@ class SpreadClient(Process):
         node: Node,
         daemon: SpreadDaemon,
         groups: list[int],
-        on_deliver: Callable[[SpreadMessage], None] | None = None,
     ) -> None:
         super().__init__(sim, f"spreadc@{node.name}")
         self.network = network
         self.node = node
         self.daemon = daemon
         self.groups = list(groups)
-        self.on_deliver = on_deliver
+        # Delivery callback ``(message)``; the runner assigns it per client.
+        self.on_deliver: Callable[[SpreadMessage], None] | None = None
         self.sent = Counter("sent")
         self.delivered = Counter("delivered")
         self.delivered_bytes = Counter("delivered_bytes")
@@ -233,7 +233,7 @@ class SpreadClient(Process):
         )
         self.sent.inc()
         self.network.send(
-            self.node.name, self.daemon.node.name, self.daemon.port, msg, msg.wire_size
+            self.node.name, self.daemon.node.name, DAEMON_PORT, msg, msg.wire_size
         )
         return msg
 
@@ -259,7 +259,6 @@ def build_spread(
     n_daemons: int,
     clients_per_daemon: int = 1,
     client_groups: Callable[[int, int], list[int]] | None = None,
-    on_deliver: Callable[[SpreadMessage], None] | None = None,
 ) -> tuple[list[SpreadDaemon], list[SpreadClient]]:
     """Deploy daemons in a token ring plus clients attached round-robin.
 
@@ -281,7 +280,5 @@ def build_spread(
             node = Node(sim, f"spc{d_idx}-{c_idx}")
             network.add_node(node)
             groups = client_groups(d_idx, c_idx) if client_groups else [d_idx]
-            clients.append(
-                SpreadClient(sim, network, node, daemon, groups, on_deliver=on_deliver)
-            )
+            clients.append(SpreadClient(sim, network, node, daemon, groups))
     return daemons, clients

@@ -430,10 +430,6 @@ class SafetyOracles:
         """The (sender, seq, group) set a learner has delivered."""
         return set(self._delivered.get(learner, ()))
 
-    def delivery_count(self, learner: str) -> int:
-        """Number of messages a learner has delivered."""
-        return len(self._delivery_log.get(learner, ()))
-
     def ring_frontiers(self) -> dict[int, int]:
         """Highest decided logical frontier any learner reached, per ring.
 

@@ -20,7 +20,6 @@ deployment — resolution happens when the step fires.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -152,13 +151,6 @@ class Schedule:
     @classmethod
     def from_dict(cls, data: dict) -> "Schedule":
         return cls([ScheduleStep.from_dict(s) for s in data["steps"]])
-
-    def to_json(self) -> str:
-        return json.dumps(self.as_dict(), indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "Schedule":
-        return cls.from_dict(json.loads(text))
 
 
 class ScheduleRunner:

@@ -28,8 +28,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from ..metrics import MetricsRegistry
-
 __all__ = ["AdmissionPolicy", "AdmissionController"]
 
 
@@ -55,15 +53,14 @@ class AdmissionPolicy:
 class AdmissionController:
     """Shed-or-delay intake gate in front of one :class:`MultiRingProposer`."""
 
-    def __init__(self, proposer, policy: AdmissionPolicy,
-                 metrics: MetricsRegistry | None = None) -> None:
+    def __init__(self, proposer, policy: AdmissionPolicy) -> None:
         self.proposer = proposer
         self.policy = policy
-        base = metrics if metrics is not None else proposer.metrics
-        self.admitted = base.counter("admitted")
-        self.delayed = base.counter("delayed")
-        self.shed = base.counter("shed")
-        self.intake_depth = base.gauge("intake_depth")
+        metrics = proposer.metrics
+        self.admitted = metrics.counter("admitted")
+        self.delayed = metrics.counter("delayed")
+        self.shed = metrics.counter("shed")
+        self.intake_depth = metrics.gauge("intake_depth")
         self._queue: deque[tuple[int, object, int]] = deque()
 
     @property

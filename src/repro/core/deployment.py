@@ -50,7 +50,6 @@ __all__ = ["RingHandle", "MultiRingPaxos"]
 class RingHandle:
     """Everything belonging to one deployed ring."""
 
-    config: RingConfig
     coordinator: RingCoordinator
     skip_manager: SkipManager
     acceptors: list[RingAcceptor] = field(default_factory=list)
@@ -60,6 +59,11 @@ class RingHandle:
     # (its skip manager is down) but its processes stay up: learners that
     # have not yet consumed their switch cut still drain its stream.
     retired: bool = False
+
+    @property
+    def config(self) -> RingConfig:
+        """The ring's current layout: its serving coordinator's."""
+        return self.coordinator.config
 
 
 class MultiRingPaxos:
@@ -87,11 +91,13 @@ class MultiRingPaxos:
         self.metrics = MetricsRegistry()
         self.registry = GroupRegistry()
         self.rings: dict[int, RingHandle] = {}
+        # Ring id -> current layout. One table, shared by every learner and
+        # proposer: a takeover or a new ring updates it in one place.
+        self.ring_configs: dict[int, RingConfig] = {}
         self.learners: list[MultiRingLearner] = []
         self.proposers: list[MultiRingProposer] = []
         self._learner_count = 0
         self._proposer_count = 0
-        self._coordinator_change_cbs: list[Callable[[int, RingCoordinator], None]] = []
         assert self.config.n_rings is not None
         for ring_id in range(self.config.n_rings):
             self.rings[ring_id] = self._build_ring(ring_id)
@@ -157,7 +163,6 @@ class MultiRingPaxos:
             attach_node(self.network, spare, region)
             spares.append(spare)
         handle = RingHandle(
-            config=ring_config,
             coordinator=coordinator,
             skip_manager=skip_manager,
             acceptors=acceptors,
@@ -167,7 +172,7 @@ class MultiRingPaxos:
             handle.failover = RingFailover(
                 self.sim,
                 self.network,
-                ring_config,
+                coordinator,
                 acceptors,
                 spare_nodes=spares,
                 on_new_coordinator=(
@@ -175,16 +180,12 @@ class MultiRingPaxos:
                 ),
                 metrics=self.metrics,
             )
+        self.ring_configs[ring_id] = ring_config
         return handle
 
     # ------------------------------------------------------------------
     # Participants
     # ------------------------------------------------------------------
-    @property
-    def ring_configs(self) -> dict[int, RingConfig]:
-        """Ring id -> ring configuration."""
-        return {rid: handle.config for rid, handle in self.rings.items()}
-
     def add_learner(
         self,
         groups: list[int],
@@ -273,67 +274,30 @@ class MultiRingPaxos:
         handle.coordinator.restart()
 
     def _on_ring_failover(self, ring_id: int, coordinator: RingCoordinator) -> None:
-        """Adopt a reconfigured ring: swap the handle's roles, re-seed the
-        skip manager (so the outage's missed intervals are topped up on
-        its first tick), and point proposers at the new coordinator."""
+        """A takeover recovered: record the ring's new coordinator and
+        layout, and tell the proposers where to submit. The coordinator
+        already holds the ring's hooks, and the skip manager keeps its
+        rate window, so the first tick tops up the whole outage."""
         handle = self.rings[ring_id]
-        old_manager = handle.skip_manager
-        old_manager.crash()
         handle.coordinator = coordinator
-        handle.config = coordinator.config
-        new_manager = SkipManager(
-            self.sim,
-            coordinator,
-            lambda_rate=self.config.lambda_rate,
-            delta=self.config.delta,
-            metrics=self.metrics,
-        )
-        # Inherit the rate-accounting epoch: the first tick then covers
-        # the entire outage, exactly like a restarted coordinator's would.
-        new_manager.prev_k = old_manager.prev_k
-        new_manager.prev_time = old_manager.prev_time
-        handle.skip_manager = new_manager
-        if handle.failover is not None:
-            handle.failover.config = coordinator.config
+        self.ring_configs[ring_id] = coordinator.config
+        handle.skip_manager.follow(coordinator)
         for proposer in self.proposers:
-            proposer.retarget(ring_id, coordinator.config)
-        # Learners carry a ring-config map for rings they may join later
-        # (reconfiguration); keep it pointing at the live layout.
-        for learner in self.learners:
-            learner.ring_configs[ring_id] = coordinator.config
-        for callback in self._coordinator_change_cbs:
-            callback(ring_id, coordinator)
-
-    def on_coordinator_change(
-        self, callback: Callable[[int, RingCoordinator], None]
-    ) -> None:
-        """Run ``callback(ring_id, coordinator)`` after each failover.
-
-        Invoked once the deployment has re-pointed proposers and the skip
-        manager — per-coordinator state (group redirects, decide hooks)
-        re-installs here."""
-        self._coordinator_change_cbs.append(callback)
+            proposer.retarget(ring_id)
 
     # ------------------------------------------------------------------
     # Elastic membership (ring add / retire)
     # ------------------------------------------------------------------
-    def add_ring(self, region: str | None = None) -> int:
+    def add_ring(self) -> int:
         """Deploy a fresh, empty ring; returns its id.
 
         The ring starts with no groups — traffic arrives once the
-        reconfiguration manager remaps a group onto it. Every existing
-        learner and proposer learns the new ring's configuration so it
+        reconfiguration manager remaps a group onto it. Its configuration
+        enters the shared ``ring_configs``, so every learner and proposer
         can subscribe or submit there later.
         """
         ring_id = max(self.rings) + 1 if self.rings else 0
-        if region is not None:
-            self.ring_placement[ring_id] = region
-        handle = self._build_ring(ring_id)
-        self.rings[ring_id] = handle
-        for learner in self.learners:
-            learner.ring_configs[ring_id] = handle.config
-        for proposer in self.proposers:
-            proposer.ring_configs[ring_id] = handle.config
+        self.rings[ring_id] = self._build_ring(ring_id)
         return ring_id
 
     def retire_ring(self, ring_id: int) -> None:

@@ -36,6 +36,9 @@ from ..sim.simulator import Simulator
 
 __all__ = ["SkipMarker", "LcrBackedGroup"]
 
+# Δ: seconds between the group's rate-monitor checks.
+SKIP_INTERVAL = 1e-3
+
 
 @dataclass(frozen=True, slots=True)
 class SkipMarker:
@@ -55,9 +58,9 @@ class LcrBackedGroup(Process):
         Nodes forming the LCR ring. LCR has no separate learner role, so
         any node that wants the group's stream must be a ring member —
         pass the learner's node among them and call :meth:`stream_at`.
-    lambda_rate / delta:
-        The skip mechanism's parameters; the first member acts as the
-        group's rate monitor.
+    lambda_rate:
+        The skip mechanism's λ; the first member acts as the group's rate
+        monitor, every ``SKIP_INTERVAL`` (Δ).
     """
 
     def __init__(
@@ -67,8 +70,6 @@ class LcrBackedGroup(Process):
         group_id: int,
         member_nodes: list[Node],
         lambda_rate: float = 0.0,
-        delta: float = 1e-3,
-        message_size_default: int = 8 * 1024,
     ) -> None:
         super().__init__(sim, f"lcrgroup{group_id}")
         if len(member_nodes) < 2:
@@ -76,8 +77,6 @@ class LcrBackedGroup(Process):
         self.network = network
         self.group_id = group_id
         self.lambda_rate = lambda_rate
-        self.delta = delta
-        self.message_size_default = message_size_default
         self.skips_proposed = Counter("skips_proposed")
         ring_names = [node.name for node in member_nodes]
         self._streams: dict[str, _MemberStream] = {}
@@ -98,17 +97,16 @@ class LcrBackedGroup(Process):
         self._outstanding_skips = 0  # proposed skips not yet delivered
         self._prev_planned = 0
         self._prev_time = sim.now
-        self._skip_timer = PeriodicTimer(sim, delta, self._skip_tick)
+        self._skip_timer = PeriodicTimer(sim, SKIP_INTERVAL, self._skip_tick)
         if lambda_rate > 0:
             self._skip_timer.start()
 
     # ------------------------------------------------------------------
     # Group API
     # ------------------------------------------------------------------
-    def multicast(self, member: str, payload: object, size: int | None = None) -> ClientValue:
-        """Multicast ``payload`` to the group through ``member``'s node."""
-        if size is None:
-            size = self.message_size_default
+    def multicast(self, member: str, payload: object, size: int) -> ClientValue:
+        """Multicast ``payload`` (``size`` bytes) to the group through
+        ``member``'s node."""
         value = ClientValue(
             payload=payload,
             size=size,

@@ -116,9 +116,9 @@ class MultiRingLearner(Process):
             on_halt=self._on_halt,
             metrics=self.metrics,
         )
-        # Reconfiguration state. ``ring_configs`` is this learner's own
-        # map (the deployment keeps it current) so a ring joined later can
-        # be subscribed; ``_group_rings`` is the local group->ring view,
+        # Reconfiguration state. ``ring_configs`` is the deployment's map
+        # (kept current by it) so a ring joined later can be subscribed;
+        # ``_group_rings`` is the local group->ring view,
         # advanced only at cut consumption so the merge switches at the
         # decided boundary, not at the wall-clock moment of the remap.
         self.ring_configs = ring_configs

@@ -278,11 +278,6 @@ class DeterministicMerge:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    @property
-    def current_ring(self) -> int:
-        """Ring whose turn it currently is."""
-        return self.ring_order[self._cursor]
-
     def queue_depth(self, ring_id: int) -> int:
         """Buffered logical instances for one ring."""
         total = 0

@@ -147,12 +147,11 @@ class MultiRingProposer(Process):
         """Submissions not yet acknowledged across all rings."""
         return sum(p.unacked for p in self._ring_proposers.values())
 
-    def retarget(self, ring_id: int, config: RingConfig) -> None:
-        """Follow ring ``ring_id``'s reconfiguration to a new coordinator."""
-        self.ring_configs[ring_id] = config
+    def retarget(self, ring_id: int) -> None:
+        """Follow ring ``ring_id`` to the coordinator ``ring_configs`` names."""
         proposer = self._ring_proposers.get(ring_id)
         if proposer is not None:
-            proposer.retarget(config)
+            proposer.retarget(self.ring_configs[ring_id])
 
     def on_crash(self) -> None:
         for proposer in self._ring_proposers.values():

@@ -67,7 +67,6 @@ from ..sim.node import Node
 from ..sim.process import PeriodicTimer
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..ringpaxos.coordinator import RingCoordinator
     from .deployment import MultiRingPaxos
     from .learner import MultiRingLearner
 
@@ -101,6 +100,9 @@ class ReconfigManager:
         # the sink can only ack, never lose).
         self._drains: dict[tuple[int, int], dict] = {}
         self._spare_seq: dict[int, int] = {}
+        # Rings whose decide hook observes cuts and forwarded values. The
+        # hook is ring state: a takeover hands it to the new coordinator.
+        self._hooked: set[int] = set()
         self._timer = PeriodicTimer(self.sim, RETRY_INTERVAL, self._tick)
         self.metrics = mrp.metrics.child(role="reconfig")
         self.remaps = self.metrics.counter("remaps")
@@ -112,7 +114,6 @@ class ReconfigManager:
         self.values_forwarded = self.metrics.counter("values_forwarded")
         self.pending_ops = self.metrics.gauge("pending_ops")
         self.epoch_gauge = self.metrics.gauge("epoch")
-        mrp.on_coordinator_change(self._on_coordinator_change)
 
     # ------------------------------------------------------------------
     # Public operations
@@ -150,14 +151,14 @@ class ReconfigManager:
         self._kick()
         return op
 
-    def split_ring(self, ring_id: int, region: str | None = None) -> int | None:
+    def split_ring(self, ring_id: int) -> int | None:
         """Split an overloaded ring: move the upper half of its groups
         onto a freshly deployed ring. Returns the new ring id, or None
         when the ring orders fewer than two groups (nothing to split)."""
         groups = self.mrp.registry.groups_on_ring(ring_id)
         if len(groups) < 2:
             return None
-        new_ring = self.mrp.add_ring(region=region)
+        new_ring = self.mrp.add_ring()
         self.ring_splits.value += 1
         for gid in groups[len(groups) // 2:]:
             self.remap_group(gid, new_ring)
@@ -283,9 +284,8 @@ class ReconfigManager:
         # uninstall it now (the proposers hold the group for the whole
         # move, and the old stream's stragglers are covered by the
         # coordinator's ordinary per-sender dedup watermarks).
-        stale = self._drains.pop((op["new_ring"], group), None)
-        if stale is not None:
-            self.mrp.rings[op["new_ring"]].coordinator.clear_redirect(group)
+        if self._drains.pop((op["new_ring"], group), None) is not None:
+            self.mrp.rings[op["new_ring"]].coordinator.redirects.pop(group, None)
         for proposer in self.mrp.proposers:
             proposer.hold_group(group)
         # Redirect before the leave cut: FIFO ingestion then guarantees
@@ -415,10 +415,8 @@ class ReconfigManager:
     # Bounce / forward (the drain path)
     # ------------------------------------------------------------------
     def _install_drain(self, ring_id: int, group: int) -> None:
-        coordinator = self.mrp.rings[ring_id].coordinator
-        coordinator.redirect_group(
-            group,
-            lambda value, _r=ring_id, _g=group: self._drain_value(_r, _g, value),
+        self.mrp.rings[ring_id].coordinator.redirects[group] = (
+            lambda value, _r=ring_id, _g=group: self._drain_value(_r, _g, value)
         )
 
     def _drain_value(self, ring_id: int, group: int, value: ClientValue) -> None:
@@ -475,15 +473,16 @@ class ReconfigManager:
             op["forward_next"][sender] = nxt
 
     # ------------------------------------------------------------------
-    # Coordinator hooks (survive takeovers)
+    # Decide hook (ring state: a takeover hands it over as it is)
     # ------------------------------------------------------------------
     def _hook_ring(self, ring_id: int) -> None:
-        self._hook_coordinator(ring_id, self.mrp.rings[ring_id].coordinator)
-
-    def _hook_coordinator(self, ring_id: int, coordinator: "RingCoordinator") -> None:
-        if getattr(coordinator, "_reconfig_hooked", False):
+        """Observe ``ring_id``'s decisions from now on. A successor
+        coordinator re-decides the recovered prefix; every observation
+        here is idempotent."""
+        if ring_id in self._hooked:
             return
-        coordinator._reconfig_hooked = True
+        self._hooked.add(ring_id)
+        coordinator = self.mrp.rings[ring_id].coordinator
         prev = coordinator.on_decide
 
         def hooked(instance, item, _prev=prev, _ring=ring_id):
@@ -492,24 +491,6 @@ class ReconfigManager:
             self._on_ring_decide(_ring, instance, item)
 
         coordinator.on_decide = hooked
-
-    def _on_coordinator_change(self, ring_id: int, coordinator: "RingCoordinator") -> None:
-        """Re-install per-coordinator state after a ring failover.
-
-        Redirects and decide hooks live on the coordinator object; the
-        replacement recovered the decided prefix (re-announcing decisions
-        the manager may have observed already — all observations here are
-        idempotent) but starts with no hooks."""
-        relevant = False
-        for (rid, group), _op in self._drains.items():
-            if rid == ring_id:
-                self._install_drain(rid, group)
-                relevant = True
-        op = self._active
-        if op is not None and ring_id in (op["old_ring"], op["new_ring"]):
-            relevant = True
-        if relevant:
-            self._hook_coordinator(ring_id, coordinator)
 
     # ------------------------------------------------------------------
     # Probes

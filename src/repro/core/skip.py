@@ -53,21 +53,16 @@ class SkipManager(Process):
         self.batch_skips = batch_skips
         self.prev_k = coordinator.planned_instance
         self.prev_time = sim.now
-        self._last_mu = 0.0
         base = metrics if metrics is not None else MetricsRegistry()
         self.metrics = base.child(ring=coordinator.config.ring_id, role="skipmgr")
         self.intervals_sampled = self.metrics.counter("intervals_sampled")
         self.skip_batches = self.metrics.counter("skip_batches")
         self.skips_proposed = self.metrics.counter("skips_proposed")
+        # µ, the instance rate observed in the last completed interval.
         self.mu_gauge = self.metrics.gauge("observed_rate")
         self._timer = PeriodicTimer(sim, delta, self._tick)
         if lambda_rate > 0:
             self._timer.start()
-
-    @property
-    def mu(self) -> float:
-        """Instance rate observed in the last completed interval."""
-        return self._last_mu
 
     def _tick(self) -> None:
         if self.crashed or self.coordinator.crashed:
@@ -77,8 +72,7 @@ class SkipManager(Process):
         if elapsed <= 0:
             return
         k = self.coordinator.planned_instance
-        self._last_mu = (k - self.prev_k) / elapsed
-        self.mu_gauge.value = self._last_mu
+        self.mu_gauge.value = (k - self.prev_k) / elapsed
         self.intervals_sampled.value += 1
         target = self.prev_k + int(round(self.lambda_rate * elapsed))
         if target > k:
@@ -104,6 +98,18 @@ class SkipManager(Process):
         """
         self.prev_k = self.coordinator.planned_instance
         self.prev_time = self.sim.now
+
+    def follow(self, coordinator: RingCoordinator) -> None:
+        """Serve the ring's new coordinator after a takeover.
+
+        The Δ clock restarts now; the rate window (``prev_k``,
+        ``prev_time``) is kept, so the first tick covers the entire
+        outage, exactly like a restarted coordinator's would. A crashed
+        manager — a retired ring's — stays down.
+        """
+        self.coordinator = coordinator
+        if not self.crashed and self.lambda_rate > 0:
+            self._timer.start()
 
     def on_crash(self) -> None:
         self._timer.stop()

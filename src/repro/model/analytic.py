@@ -46,6 +46,10 @@ from ..ringpaxos.messages import _DECISION_ENTRY_BYTES
 
 __all__ = ["Calibration", "RingModel", "MultiRingModel"]
 
+# The rings' default ``RingConfig.decision_flush_timeout``: how long a
+# decision waits for a 2A to piggyback on before it is multicast alone.
+_DECISION_FLUSH_TIMEOUT = 100e-6
+
 
 @dataclass(frozen=True, slots=True)
 class Calibration:
@@ -102,7 +106,6 @@ class RingModel:
         lambda_rate: float = 9000.0,
         delta: float = 1e-3,
         member_rtts: tuple[float, ...] | list[float] | None = None,
-        decision_flush_timeout: float = 100e-6,
     ) -> None:
         if value_size <= 0 or ring_size < 1 or delta <= 0:
             raise ValueError("value_size/ring_size/delta must be positive")
@@ -113,7 +116,6 @@ class RingModel:
         self.lambda_rate = lambda_rate
         self.delta = delta
         self.member_rtts = tuple(member_rtts or ())
-        self.decision_flush_timeout = decision_flush_timeout
 
     # ------------------------------------------------------------------
     # Per-value service demands (seconds or bytes per decided value)
@@ -255,7 +257,7 @@ class RingModel:
         )
         ring_hop = small + prop + small + c.cpu_small_message
         decision_leg = (
-            self.decision_flush_timeout + small + prop + small + c.cpu_small_message
+            _DECISION_FLUSH_TIMEOUT + small + prop + small + c.cpu_small_message
         )
         wan = sum(self.member_rtts)
         return (
@@ -313,11 +315,7 @@ class MultiRingModel:
         self.n_rings = n_rings
 
     @classmethod
-    def from_config(
-        cls,
-        config,
-        calibration: Calibration | None = None,
-    ) -> "MultiRingModel":
+    def from_config(cls, config) -> "MultiRingModel":
         """Build from a :class:`~repro.core.config.MultiRingConfig`.
 
         With a topology, each ring's member RTTs are taken relative to
@@ -338,7 +336,6 @@ class MultiRingModel:
                     rtts.append(topo.rtt(ring_region, sub_region))
             member_rtts = (max(rtts),) if rtts else ()
         ring = RingModel(
-            calibration,
             value_size=config.batch_size,
             durable=config.durable,
             ring_size=config.acceptors_per_ring,
@@ -351,16 +348,15 @@ class MultiRingModel:
     # ------------------------------------------------------------------
     # Aggregate capacity
     # ------------------------------------------------------------------
-    def learner_ingress_ceiling_mbps(self, n_subscribed: int | None = None) -> float:
+    def learner_ingress_ceiling_mbps(self) -> float:
         """Payload Mbps one learner's ingress link can carry.
 
         The link serializes full 2A frames (header + batch + piggyback)
         from every subscribed ring plus their skip 2As; only the batch
         bytes count as delivered payload.
         """
-        n = self.n_rings if n_subscribed is None else n_subscribed
         ring = self.ring
-        link = ring.cal.link_bandwidth - n * ring.skip_wire_bytes_per_s
+        link = ring.cal.link_bandwidth - self.n_rings * ring.skip_wire_bytes_per_s
         payload_share = ring.value_size / ring.wire_2a_bytes
         return _mbps(max(link, 0.0) * payload_share)
 
@@ -388,8 +384,4 @@ class MultiRingModel:
             "learner.cpu": self.learner_cpu_ceiling_mbps(),
         }
         return min(ceilings, key=ceilings.get)
-
-    def geo_latency_s(self) -> float:
-        """Decision latency of the (slowest) ring including WAN stretch."""
-        return self.ring.base_latency_s()
 

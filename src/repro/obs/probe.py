@@ -175,11 +175,6 @@ class ProbeBus:
 
         return remove
 
-    @property
-    def has_subscribers(self) -> bool:
-        """True when at least one subscriber is registered."""
-        return bool(self.subscribers)
-
     def emit(self, kind: str, time: float, source: str, **data: Any) -> None:
         """Publish one event; no-op (after one lookup) with no subscriber."""
         subs = self.subscribers.get(kind)

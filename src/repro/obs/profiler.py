@@ -31,6 +31,9 @@ from .probe import SERVER_BUSY, ProbeBus, ProbeEvent
 
 __all__ = ["ProfileRow", "SimProfiler"]
 
+# Components listed by :meth:`SimProfiler.table`, busiest first.
+TABLE_ROWS = 20
+
 
 @dataclass(frozen=True, slots=True)
 class ProfileRow:
@@ -200,17 +203,18 @@ class SimProfiler:
         """
         return {row.component: row.utilization for row in self.report(start, end)}
 
-    def saturated(self, start: float = 0.0, end: float | None = None) -> ProfileRow | None:
-        """The most-utilized component over the window (None if all idle)."""
-        rows = self.report(start, end)
+    def saturated(self) -> ProfileRow | None:
+        """The most-utilized component so far (None if all idle)."""
+        rows = self.report()
         return rows[0] if rows else None
 
-    def table(self, start: float = 0.0, end: float | None = None, top: int = 20) -> str:
-        """Readable saturation table; the verdict line names the bottleneck."""
-        rows = self.report(start, end)
+    def table(self) -> str:
+        """Readable saturation table of the busiest ``TABLE_ROWS``
+        components; the verdict line names the bottleneck."""
+        rows = self.report()
         lines = ["simulated-time profile (busiest first)"]
         lines.append(f"{'component':<28s} {'kind':<8s} {'busy s':>10s} {'util %':>8s}")
-        for row in rows[:top]:
+        for row in rows[:TABLE_ROWS]:
             lines.append(
                 f"{row.component:<28s} {row.kind:<8s} "
                 f"{row.busy_s:>10.4f} {row.utilization * 100:>8.1f}"

@@ -144,24 +144,22 @@ class ObsSession:
             return list(self.writer.records)
         return []
 
-    def absorb(self, records: list[dict], origin: str = "") -> None:
+    def absorb(self, records: list[dict], origin: str) -> None:
         """Merge another session's records (e.g. from a sweep worker) into
         this session's trace, tagging each with ``origin``."""
-        if self.writer is None or not records:
+        if self.writer is None:
             return
         for record in records:
-            if origin:
-                record = {**record, "origin": origin}
-            self.writer.write(record)
+            self.writer.write({**record, "origin": origin})
 
     # ------------------------------------------------------------------
     # Queries (once the session has exited)
     # ------------------------------------------------------------------
-    def profile_table(self, index: int = -1) -> str:
-        """The saturation table of one profiled simulator (default: last)."""
+    def profile_table(self) -> str:
+        """The saturation table of the last profiled simulator."""
         if not self.profilers:
             return "no simulators were created during this session"
-        return self.profilers[index].table()
+        return self.profilers[-1].table()
 
     def saturation_summary(self) -> list[tuple[int, ProfileRow]]:
         """Per-simulator saturated resource: ``(sim_index, top_row)``."""

@@ -17,21 +17,15 @@ from ..calibration import CPU_FIXED_COST_SMALL_MESSAGE
 from ..sim.network import Network
 from ..sim.node import Node
 from ..sim.process import Process
-from .messages import Accept, Accepted, Nack, Prepare, Promise
+from .messages import ACCEPTOR_PORT, PROPOSER_PORT, Accept, Accepted, Nack, Prepare, Promise
 from .storage import AcceptorStorage
 
 __all__ = ["Acceptor"]
 
 
 class Acceptor(Process):
-    """A Paxos acceptor bound to a node and a network port.
-
-    Parameters
-    ----------
-    port:
-        The port this acceptor listens on; replies go to the sender's
-        ``reply_port``.
-    """
+    """A Paxos acceptor bound to a node; it listens on ``ACCEPTOR_PORT``
+    and replies to the proposer's ``PROPOSER_PORT``."""
 
     def __init__(
         self,
@@ -39,19 +33,15 @@ class Acceptor(Process):
         network: Network,
         node: Node,
         storage: AcceptorStorage,
-        port: str = "paxos.acceptor",
-        reply_port: str = "paxos.proposer",
     ) -> None:
         super().__init__(sim, f"acceptor@{node.name}")
         self.network = network
         self.node = node
         self.storage = storage
-        self.port = port
-        self.reply_port = reply_port
         self.promises_made = 0
         self.accepts_made = 0
         self.nacks_sent = 0
-        node.register(port, self._on_message)
+        node.register(ACCEPTOR_PORT, self._on_message)
 
     # ------------------------------------------------------------------
     # Message handling
@@ -98,4 +88,4 @@ class Acceptor(Process):
     def _reply(self, dst: str, msg) -> None:
         if self.crashed:
             return
-        self.network.send(self.node.name, dst, self.reply_port, msg, msg.size)
+        self.network.send(self.node.name, dst, PROPOSER_PORT, msg, msg.size)

@@ -11,16 +11,17 @@ with ip-multicast plus a preferential acceptor; see
 
 from __future__ import annotations
 
-from typing import Callable
-
 from ..calibration import CPU_FIXED_COST_SMALL_MESSAGE
 from ..sim.network import Network
 from ..sim.node import Node
 from ..sim.process import PeriodicTimer, Process
-from .messages import Decision, LearnRequest
+from .messages import LEARNER_PORT, PROPOSER_PORT, Decision, LearnRequest
 from .value import Value
 
 __all__ = ["Learner"]
+
+# Seconds between gap checks of a learner with recovery peers.
+RECOVERY_INTERVAL = 0.05
 
 
 class Learner(Process):
@@ -40,28 +41,21 @@ class Learner(Process):
         sim,
         network: Network,
         node: Node,
-        on_deliver: Callable[[int, Value], None] | None = None,
-        port: str = "paxos.learner",
         recovery_peers: list[str] | None = None,
-        recovery_port: str = "paxos.proposer",
-        recovery_interval: float = 0.05,
     ) -> None:
         super().__init__(sim, f"learner@{node.name}")
         self.network = network
         self.node = node
-        self.on_deliver = on_deliver
-        self.port = port
         self.recovery_peers = list(recovery_peers or [])
-        self.recovery_port = recovery_port
         self.next_instance = 0
         self.delivered: list[tuple[int, Value]] = []
         self.recovery_requests = 0
         self._pending: dict[int, Value] = {}
         self._recovery_rr = 0
-        node.register(port, self._on_message)
+        node.register(LEARNER_PORT, self._on_message)
         self._recovery_timer: PeriodicTimer | None = None
         if self.recovery_peers:
-            self._recovery_timer = PeriodicTimer(sim, recovery_interval, self._check_gaps)
+            self._recovery_timer = PeriodicTimer(sim, RECOVERY_INTERVAL, self._check_gaps)
             self._recovery_timer.start()
 
     @property
@@ -81,8 +75,6 @@ class Learner(Process):
         while self.next_instance in self._pending:
             value = self._pending.pop(self.next_instance)
             self.delivered.append((self.next_instance, value))
-            if self.on_deliver is not None:
-                self.on_deliver(self.next_instance, value)
             self.next_instance += 1
 
     def _check_gaps(self) -> None:
@@ -98,7 +90,7 @@ class Learner(Process):
         peer = self.recovery_peers[self._recovery_rr % len(self.recovery_peers)]
         self._recovery_rr += 1
         req = LearnRequest(self.next_instance)
-        self.network.send(self.node.name, peer, self.recovery_port, req, req.size)
+        self.network.send(self.node.name, peer, PROPOSER_PORT, req, req.size)
         self.recovery_requests += 1
 
     def on_crash(self) -> None:

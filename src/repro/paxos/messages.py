@@ -11,7 +11,15 @@ from dataclasses import dataclass
 from ..calibration import CONTROL_MESSAGE_SIZE
 from .value import Value
 
-__all__ = ["Prepare", "Promise", "Accept", "Accepted", "Nack", "Decision", "LearnRequest"]
+__all__ = [
+    "Prepare", "Promise", "Accept", "Accepted", "Nack", "Decision", "LearnRequest",
+    "ACCEPTOR_PORT", "LEARNER_PORT", "PROPOSER_PORT",
+]
+
+# The port each role listens on; every role addresses the others by them.
+ACCEPTOR_PORT = "paxos.acceptor"
+LEARNER_PORT = "paxos.learner"
+PROPOSER_PORT = "paxos.proposer"
 
 
 @dataclass(frozen=True, slots=True)

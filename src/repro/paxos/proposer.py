@@ -24,10 +24,24 @@ from ..sim.network import Network
 from ..sim.node import Node
 from ..sim.process import Process
 from .ballot import first_round, next_round
-from .messages import Accept, Accepted, Decision, LearnRequest, Nack, Prepare, Promise
+from .messages import (
+    ACCEPTOR_PORT,
+    LEARNER_PORT,
+    PROPOSER_PORT,
+    Accept,
+    Accepted,
+    Decision,
+    LearnRequest,
+    Nack,
+    Prepare,
+    Promise,
+)
 from .value import Value
 
 __all__ = ["Proposer"]
+
+# Seconds a phase waits for a quorum before retrying with a higher round.
+PHASE_TIMEOUT = 0.05
 
 
 @dataclass(slots=True)
@@ -55,8 +69,9 @@ class Proposer(Process):
         Node names that receive Decision messages.
     proposer_id / n_proposers:
         Identify this proposer's ballot arithmetic (see ``ballot``).
-    phase_timeout:
-        Seconds to wait for a quorum before retrying with a higher round.
+
+    A phase that gathers no quorum within ``PHASE_TIMEOUT`` seconds is
+    retried with a higher round.
     """
 
     def __init__(
@@ -68,10 +83,6 @@ class Proposer(Process):
         learners: list[str] | None = None,
         proposer_id: int = 0,
         n_proposers: int = 1,
-        port: str = "paxos.proposer",
-        acceptor_port: str = "paxos.acceptor",
-        learner_port: str = "paxos.learner",
-        phase_timeout: float = 0.05,
     ) -> None:
         super().__init__(sim, f"proposer@{node.name}")
         if not acceptors:
@@ -82,14 +93,10 @@ class Proposer(Process):
         self.learners = list(learners or [])
         self.proposer_id = proposer_id
         self.n_proposers = n_proposers
-        self.port = port
-        self.acceptor_port = acceptor_port
-        self.learner_port = learner_port
-        self.phase_timeout = phase_timeout
         self.decided: dict[int, Value] = {}
         self.retries = 0
         self._instances: dict[int, _InstanceState] = {}
-        node.register(port, self._on_message)
+        node.register(PROPOSER_PORT, self._on_message)
 
     @property
     def quorum_size(self) -> int:
@@ -135,7 +142,7 @@ class Proposer(Process):
         state.attempts += 1
         msg = Prepare(instance, state.rnd)
         for acc in self.acceptors:
-            self.network.send(self.node.name, acc, self.acceptor_port, msg, msg.size)
+            self.network.send(self.node.name, acc, ACCEPTOR_PORT, msg, msg.size)
         self._arm_timeout(instance, state)
 
     def _on_promise(self, src: str, msg: Promise) -> None:
@@ -159,7 +166,7 @@ class Proposer(Process):
         proposal = best.vval if best is not None else state.value
         msg = Accept(instance, state.rnd, proposal)
         for acc in self.acceptors:
-            self.network.send(self.node.name, acc, self.acceptor_port, msg, msg.size)
+            self.network.send(self.node.name, acc, ACCEPTOR_PORT, msg, msg.size)
         state.value = proposal
         self._arm_timeout(instance, state)
 
@@ -178,7 +185,7 @@ class Proposer(Process):
         decision = Decision(instance, state.value)
         for learner in self.learners:
             self.network.send(
-                self.node.name, learner, self.learner_port, decision, decision.size
+                self.node.name, learner, LEARNER_PORT, decision, decision.size
             )
         if state.on_decide is not None:
             state.on_decide(instance, state.value)
@@ -205,7 +212,7 @@ class Proposer(Process):
 
     def _arm_timeout(self, instance: int, state: _InstanceState) -> None:
         state.timeout_token += 1
-        self.call_later(self.phase_timeout, self._on_timeout, instance, state.timeout_token)
+        self.call_later(PHASE_TIMEOUT, self._on_timeout, instance, state.timeout_token)
 
     # ------------------------------------------------------------------
     # Inbound dispatch
@@ -229,5 +236,5 @@ class Proposer(Process):
             if value is not None:
                 reply = Decision(msg.instance, value)
                 self.network.send(
-                    self.node.name, src, self.learner_port, reply, reply.size
+                    self.node.name, src, LEARNER_PORT, reply, reply.size
                 )

@@ -25,10 +25,5 @@ class Value:
         if self.size < 0:
             raise ValueError("value size must be non-negative")
 
-    @property
-    def is_noop(self) -> bool:
-        """True when this is the reserved no-op (gap-filler) value."""
-        return self.payload is None and self.size == 0
-
 
 NOOP = Value(payload=None, size=0)

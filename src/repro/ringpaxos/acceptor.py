@@ -42,7 +42,6 @@ from .messages import (
     CoordinatorChange,
     DataBatch,
     DecisionAnnounce,
-    Heartbeat,
     Phase2A,
     Phase2B,
     PrepareRange,
@@ -58,6 +57,9 @@ __all__ = ["RingAcceptor"]
 # Decided items kept for serving learner repairs and catch-ups; the oldest
 # are dropped beyond it.
 DECIDED_LOG_LIMIT = 100_000
+# Instances of accepted state kept behind the highest decided one seen
+# before the sweep garbage-collects them (``RingAcceptor.state_retention``).
+STATE_RETENTION = 50_000
 
 
 class RingAcceptor(Process):
@@ -69,7 +71,6 @@ class RingAcceptor(Process):
         network: Network,
         node: Node,
         config: RingConfig,
-        state_retention: int = 50_000,
         metrics: MetricsRegistry | None = None,
     ) -> None:
         super().__init__(sim, f"acceptor@{node.name}/ring{config.ring_id}")
@@ -112,7 +113,7 @@ class RingAcceptor(Process):
         self._on_suspect = None
         self._decided: dict[int, DataBatch | SkipRange] = {}
         self._decided_order: deque[int] = deque()
-        self.state_retention = state_retention
+        self.state_retention = STATE_RETENTION
         self._gc_horizon = 0
         self._max_decided_seen = -1
         self._decided_frontier = 0
@@ -186,7 +187,7 @@ class RingAcceptor(Process):
             return
         if isinstance(msg, PrepareRange):
             self.node.cpu.execute(
-                CPU_FIXED_COST_SMALL_MESSAGE, self.handle_prepare_range, src, msg
+                CPU_FIXED_COST_SMALL_MESSAGE, self._on_prepare_range, src, msg
             )
             return
         if self.retired or not isinstance(msg, Phase2B):
@@ -394,7 +395,7 @@ class RingAcceptor(Process):
     # ------------------------------------------------------------------
     # Reconfiguration support (Phase 1 over an instance range)
     # ------------------------------------------------------------------
-    def handle_prepare_range(self, src: str, msg: PrepareRange) -> None:
+    def _on_prepare_range(self, src: str, msg: PrepareRange) -> None:
         """Promise every instance >= from_instance to a new coordinator."""
         if self.crashed or msg.rnd <= self.promised_floor:
             return
@@ -465,15 +466,18 @@ class RingAcceptor(Process):
         self.retired = True
         self.stop_watching()
 
-    def watch_coordinator(self, timeout: float, on_suspect) -> None:
-        """Suspect the coordinator after ``timeout`` of multicast silence.
+    def watch_coordinator(self, on_suspect) -> None:
+        """Suspect the coordinator after ``config.suspect_timeout`` of
+        multicast silence.
 
         The coordinator's heartbeats (and any 2A/decision traffic) reset
         the clock, so a healthy idle ring is never suspected.
         """
         self._on_suspect = on_suspect
         self.last_coordinator_traffic = self.sim.now
-        self._watch_timer = Timer(self.sim, timeout, self._check_coordinator)
+        self._watch_timer = Timer(
+            self.sim, self.config.suspect_timeout, self._check_coordinator
+        )
         self._watch_timer.start()
 
     def stop_watching(self) -> None:

@@ -81,14 +81,11 @@ class _Inflight:
 class RingCoordinator(Process):
     """Coordinator role of one Ring Paxos instance.
 
-    Parameters
-    ----------
-    on_decide:
-        Optional callback ``(instance, item)`` fired at decision time —
-        used by Multi-Ring Paxos's rate monitor and by tests.
-    metrics:
-        Registry to create this coordinator's metrics in (labeled with
-        ``ring``/``role``/``node``). A private registry is used when None.
+    ``on_decide`` (None, or ``(instance, item)`` fired at decision time)
+    and ``redirects`` (group id -> drain handler, see :meth:`_ingest`) are
+    the ring's hooks: a takeover hands both to the successor as they are.
+    ``metrics`` is the registry to create this coordinator's metrics in
+    (labeled with ``ring``/``role``/``node``); a private one when None.
     """
 
     def __init__(
@@ -98,7 +95,6 @@ class RingCoordinator(Process):
         node: Node,
         config: RingConfig,
         rnd: int = 0,
-        on_decide: Callable[[int, DataBatch | SkipRange], None] | None = None,
         metrics: MetricsRegistry | None = None,
     ) -> None:
         super().__init__(sim, f"coord@{node.name}/ring{config.ring_id}")
@@ -114,7 +110,7 @@ class RingCoordinator(Process):
         self.node = node
         self.config = config
         self.rnd = rnd
-        self.on_decide = on_decide
+        self.on_decide: Callable[[int, DataBatch | SkipRange], None] | None = None
         self.next_instance = 0
         self.next_value_id = 0
         base = metrics if metrics is not None else MetricsRegistry()
@@ -142,8 +138,11 @@ class RingCoordinator(Process):
         self._submit_acked: dict[str, int] = {}
         self._submit_buffer: dict[str, dict[int, ClientValue]] = {}
         # Group drains (reconfiguration): values of a redirected group are
-        # bounced to the handler instead of being ordered here.
-        self._redirects: dict[int, Callable[[ClientValue], None]] = {}
+        # bounced to the handler instead of being ordered here. Installed
+        # before the group's leave cut is submitted, so no value of the
+        # group is ordered after the cut; a bounced value has passed
+        # per-sender dedup, so its handler sees it once per coordinator.
+        self.redirects: dict[int, Callable[[ClientValue], None]] = {}
         # Idempotence keys of externally injected values (reconfiguration
         # cuts, forwarded bounces) already accepted for ordering here.
         self._foreign_keys: set = set()
@@ -167,11 +166,6 @@ class RingCoordinator(Process):
     # Public API
     # ------------------------------------------------------------------
     @property
-    def window_free(self) -> int:
-        """Instances that may still be started before the window fills."""
-        return self.config.window - len(self._inflight)
-
-    @property
     def planned_instance(self) -> int:
         """First instance number not yet claimed by started or queued work.
 
@@ -185,12 +179,6 @@ class RingCoordinator(Process):
     def backlog(self) -> int:
         """Batches/skips waiting for a window slot."""
         return len(self._backlog)
-
-    def submit_local(self, value: ClientValue) -> None:
-        """Inject a client value as if received from a proposer (no network)."""
-        if self.crashed:
-            return
-        self._ingest(value)
 
     def submit_unique(self, key, value: ClientValue) -> bool:
         """Inject ``value`` locally at most once per ``key``.
@@ -206,20 +194,6 @@ class RingCoordinator(Process):
         self._ingest(value)
         return True
 
-    def redirect_group(self, group_id: int, handler: Callable[[ClientValue], None]) -> None:
-        """Bounce future submissions of ``group_id`` to ``handler``.
-
-        Installed at the start of a group drain, *before* the leave cut
-        is submitted, so no value of the group can be ordered after the
-        cut. Bounced values have already passed per-sender dedup — the
-        handler receives each exactly once per coordinator incarnation.
-        """
-        self._redirects[group_id] = handler
-
-    def clear_redirect(self, group_id: int) -> None:
-        """Remove a group drain installed by :meth:`redirect_group`."""
-        self._redirects.pop(group_id, None)
-
     def note_foreign_decide(self, sender: str, seq: int) -> None:
         """Advance ``sender``'s decided watermark for a value ordered
         elsewhere (a bounced value decided on the group's new ring), and
@@ -232,7 +206,7 @@ class RingCoordinator(Process):
 
     def _ingest(self, value: ClientValue) -> None:
         """Order ``value`` here — or bounce it if its group is draining."""
-        handler = self._redirects.get(value.group)
+        handler = self.redirects.get(value.group)
         if handler is not None:
             handler(value)
             return
@@ -447,7 +421,7 @@ class RingCoordinator(Process):
         elif isinstance(msg, PromiseRange):
             self.node.cpu.execute(CPU_FIXED_COST_SMALL_MESSAGE, self._on_promise_range, msg)
 
-    def _accept_submission(self, src: str, value: ClientValue, floor: int = 0) -> None:
+    def _accept_submission(self, src: str, value: ClientValue, floor: int) -> None:
         """Dedup/reorder per-proposer submissions, then batch them.
 
         Proposer->coordinator links can lose messages; proposers

@@ -20,10 +20,12 @@ cannot deliver.
   every such quorum in at least one surviving acceptor, so every possibly
   decided value is recovered and re-proposed under the higher round;
 * the new coordinator announces a :class:`CoordinatorChange` on the
-  ring's multicast group (learners and surviving acceptors re-chain), and
-  this orchestrator — standing in for the deployment's configuration
-  service — re-targets proposers and re-seeds the skip manager so that
-  the instances "missed" by learners during the outage are topped up.
+  ring's multicast group (learners and surviving acceptors re-chain);
+* the ring's hooks are ring state, not coordinator state: the successor
+  takes over its predecessor's decide observer and group-redirect table
+  (the very dict, so a drain installed mid-takeover is seen by both), and
+  ``on_new_coordinator`` — the deployment, standing in for the
+  configuration service — re-targets proposers. Nothing is re-installed.
 """
 
 from __future__ import annotations
@@ -52,37 +54,33 @@ class RingFailover:
         self,
         sim: Simulator,
         network: Network,
-        config: RingConfig,
+        coordinator: RingCoordinator,
         acceptors: list[RingAcceptor],
         spare_nodes: list[Node],
-        suspect_timeout: float | None = None,
-        on_new_coordinator: Callable[[RingCoordinator], None] | None = None,
+        on_new_coordinator: Callable[[RingCoordinator], None],
         metrics: MetricsRegistry | None = None,
     ) -> None:
         if not acceptors:
             raise ConfigurationError("failover needs at least one non-coordinator acceptor")
-        if suspect_timeout is None:
-            suspect_timeout = config.suspect_timeout
+        config = coordinator.config
         self.sim = sim
         self.network = network
-        self.config = config
+        # The ring's serving coordinator; a takeover replaces it once the
+        # successor has recovered.
+        self.coordinator = coordinator
         self.acceptors = list(acceptors)
         # The caller's list, not a copy: a deployment's RingHandle.spares and
         # this pool are one list, so a takeover that promotes a spare or an
         # online add/remove is seen by both.
         self.spare_nodes = spare_nodes
-        self.suspect_timeout = suspect_timeout
         self.on_new_coordinator = on_new_coordinator
         self.metrics = metrics
-        self.new_coordinator: RingCoordinator | None = None
-        self.takeovers = 0
-        self.degraded_takeovers = 0
         self.last_rnd = 0
         base = metrics if metrics is not None else MetricsRegistry()
         own = base.child(ring=config.ring_id, role="failover")
         self._suspects_ctr = own.counter("suspects")
-        self._takeovers_ctr = own.counter("takeovers")
-        self._degraded_ctr = own.counter("degraded_takeovers")
+        self.takeovers = own.counter("takeovers")
+        self.degraded_takeovers = own.counter("degraded_takeovers")
         self._ring_size_gauge = own.gauge("ring_size")
         self._ring_size_gauge.value = config.ring_size
         # The total acceptor universe (in-ring + spares) defines majority.
@@ -91,13 +89,18 @@ class RingFailover:
         self._last_degraded = False
         self._probe_source = f"failover/ring{config.ring_id}"
         for acceptor in self.acceptors:
-            acceptor.watch_coordinator(suspect_timeout, self._on_suspect)
+            acceptor.watch_coordinator(self._on_suspect)
 
     def _emit(self, kind: str, **data) -> None:
         bus = self.sim.probe
         if bus is not None and kind in bus.subscribers:
             bus.emit(kind, self.sim.now, self._probe_source,
                      ring=self.config.ring_id, **data)
+
+    @property
+    def config(self) -> RingConfig:
+        """The ring's layout: its serving coordinator's."""
+        return self.coordinator.config
 
     @property
     def majority(self) -> int:
@@ -117,8 +120,7 @@ class RingFailover:
         if suspecting not in survivors:
             survivors.append(suspecting)
         self._in_progress = True
-        self.takeovers += 1
-        self._takeovers_ctr.value += 1
+        self.takeovers.value += 1
         # Deterministic initiator: the lowest-indexed survivor. (The first
         # suspicion usually comes from it anyway; if another acceptor's
         # timer fired first, defer to the canonical choice.)
@@ -134,8 +136,7 @@ class RingFailover:
         # With the spare pool exhausted the ring shrinks by one member.
         self._last_degraded = spare_node is None
         if self._last_degraded:
-            self.degraded_takeovers += 1
-            self._degraded_ctr.value += 1
+            self.degraded_takeovers.value += 1
         new_order.extend(a.node.name for a in others)
         new_order.append(initiator.node.name)
         new_config = dataclasses.replace(self.config, acceptors=new_order)
@@ -161,7 +162,6 @@ class RingFailover:
             self.sim, self.network, initiator.node, new_config, rnd=rnd,
             metrics=self.metrics,
         )
-        self.new_coordinator = coordinator
         if spare_acceptor is not None:
             self.acceptors.append(spare_acceptor)
         local = initiator.local_promise(0, rnd)
@@ -179,7 +179,9 @@ class RingFailover:
 
     def _recovered(self, coordinator: RingCoordinator) -> None:
         self._in_progress = False
-        self.config = coordinator.config
+        predecessor, self.coordinator = self.coordinator, coordinator
+        coordinator.on_decide = predecessor.on_decide
+        coordinator.redirects = predecessor.redirects
         self._emit(FAILOVER_TAKEOVER, coordinator=coordinator.node.name,
                    rnd=coordinator.rnd, ring_size=coordinator.config.ring_size,
                    degraded=self._last_degraded)
@@ -192,9 +194,8 @@ class RingFailover:
                 and not acceptor.retired
                 and acceptor.node.name in coordinator.config.acceptors[:-1]
             ):
-                acceptor.watch_coordinator(self.suspect_timeout, self._on_suspect)
-        if self.on_new_coordinator is not None:
-            self.on_new_coordinator(coordinator)
+                acceptor.watch_coordinator(self._on_suspect)
+        self.on_new_coordinator(coordinator)
 
     # ------------------------------------------------------------------
     # Helpers

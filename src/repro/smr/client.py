@@ -40,15 +40,12 @@ class SmrClient(Process):
         self,
         mrp: MultiRingPaxos,
         partitioner: RangePartitioner,
-        name: str | None = None,
-        request_padding: int = 0,
         replicas_per_partition: int = 1,
     ) -> None:
         self.mrp = mrp
         self.partitioner = partitioner
-        self.request_padding = request_padding
         self.replicas_per_partition = replicas_per_partition
-        self.proposer: MultiRingProposer = mrp.add_proposer(name=name)
+        self.proposer: MultiRingProposer = mrp.add_proposer()
         super().__init__(mrp.sim, f"smrclient@{self.proposer.node.name}")
         self.network = mrp.network
         self.requests = Counter("requests")
@@ -112,7 +109,6 @@ class SmrClient(Process):
             args=args,
             client=self.proposer.node.name,
             req_id=req_id,
-            padding=self.request_padding,
         )
         self._pending[req_id] = _PendingRequest(
             issued_at=self.sim.now, awaiting=awaiting, callback=on_done, is_query=is_query

@@ -21,8 +21,7 @@ __all__ = ["QueueService"]
 class QueueService:
     """A deterministic FIFO queue usable as a replica state machine."""
 
-    def __init__(self, per_op_cost: float = 0.0, capacity: int | None = None) -> None:
-        self.per_op_cost = per_op_cost
+    def __init__(self, capacity: int | None = None) -> None:
         self.capacity = capacity
         self._items: deque[Any] = deque()
         self.enqueued = 0
@@ -47,7 +46,7 @@ class QueueService:
         raise ValueError(f"unknown operation {command.op!r}")
 
     def execution_cost(self, command: Command) -> float:
-        return self.per_op_cost
+        return 0.0
 
     # ------------------------------------------------------------------
     # Operations

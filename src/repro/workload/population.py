@@ -62,6 +62,9 @@ __all__ = ["BatchArrivalProcess", "ClientPopulation", "SessionMix", "poisson"]
 # not all land in partition 0.
 _RANK_SPREAD = 2654435761
 
+# Longest gap between two arrival batches, however low the rate.
+MAX_INTERVAL = 10e-3
+
 # Pending-request entries are flat lists (cheaper than objects at
 # million-session scale); these name the slots.
 _SID, _ISSUED, _AWAITING, _ATTEMPT, _OP, _ARGS, _GROUP, _DEADLINE, _SEEN = range(9)
@@ -109,19 +112,17 @@ class BatchArrivalProcess(Process):
         name: str = "arrivals",
         batch_target: float = 64.0,
         min_interval: float = 100e-6,
-        max_interval: float = 10e-3,
         stop_at: float | None = None,
     ) -> None:
         super().__init__(sim, name)
         if batch_target <= 0:
             raise ValueError("batch_target must be positive")
-        if not 0 < min_interval <= max_interval:
-            raise ValueError("need 0 < min_interval <= max_interval")
+        if not 0 < min_interval <= MAX_INTERVAL:
+            raise ValueError(f"need 0 < min_interval <= {MAX_INTERVAL}")
         self.on_arrival = on_arrival
         self.schedule = schedule
         self.batch_target = batch_target
         self.min_interval = min_interval
-        self.max_interval = max_interval
         self.stop_at = stop_at
         self.arrivals = 0
         self._rng = sim.random.get(f"workload.{name}")
@@ -157,7 +158,7 @@ class BatchArrivalProcess(Process):
             self.sim.schedule(delay, self._tick)
             return
         self._idle_backoff = 0.0
-        dt = min(max(self.batch_target / rate, self.min_interval), self.max_interval)
+        dt = min(max(self.batch_target / rate, self.min_interval), MAX_INTERVAL)
         k = poisson(self._rng, rate * dt)
         self.arrivals += k
         for _ in range(k):
@@ -209,12 +210,9 @@ class ClientPopulation(Process):
         schedule: RateSchedule,
         mix: SessionMix | None = None,
         name: str = "pop0",
-        region: str | None = None,
         request_timeout: float = 0.25,
         max_retries: int = 3,
         failover_after: int = 2,
-        request_padding: int = 0,
-        batch_target: float = 64.0,
         stop_at: float | None = None,
         admission: AdmissionPolicy | None = None,
         record_arrivals: bool = False,
@@ -233,13 +231,12 @@ class ClientPopulation(Process):
         self.request_timeout = request_timeout
         self.max_retries = max_retries
         self.failover_after = failover_after
-        self.request_padding = request_padding
         # Two shared gateway proposers: all sessions multicast through the
         # primary until timeouts push them to the spare. Both join
         # ``mrp.proposers``, so fault schedules crash them like any other
         # proposer.
-        self.primary = mrp.add_proposer(name=f"{name}-gw0", region=region, admission=admission)
-        self.spare = mrp.add_proposer(name=f"{name}-gw1", region=region, admission=admission)
+        self.primary = mrp.add_proposer(name=f"{name}-gw0", admission=admission)
+        self.spare = mrp.add_proposer(name=f"{name}-gw1", admission=admission)
         self.primary.node.register("smr.client", self._on_response)
         self.spare.node.register("smr.client", self._on_response)
         self.metrics = mrp.metrics.child(role="population", node=name)
@@ -255,7 +252,7 @@ class ClientPopulation(Process):
         self.request_latency = self.metrics.histogram("request_latency")
         self.arrival_process = BatchArrivalProcess(
             mrp.sim, self._on_arrival, schedule,
-            name=f"{name}.arrivals", batch_target=batch_target, stop_at=stop_at,
+            name=f"{name}.arrivals", stop_at=stop_at,
         )
         self.record_arrivals = record_arrivals
         self.arrival_trace: list[tuple[float, int]] = []
@@ -367,7 +364,6 @@ class ClientPopulation(Process):
             args=entry[_ARGS],
             client=gateway.node.name,
             req_id=req_id,
-            padding=self.request_padding,
         )
         status = gateway.submit(entry[_GROUP], command, command.size)
         if status == "shed":

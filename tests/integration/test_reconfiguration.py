@@ -38,7 +38,79 @@ def test_takeover_installs_new_coordinator():
     assert new.node.name == "mr0-acc0"  # the surviving acceptor promoted
     assert new.rnd > old.rnd
     assert "mr0-spare0" in new.config.acceptors  # spare joined the ring
-    assert mrp.rings[0].failover.takeovers == 1
+    assert mrp.rings[0].failover.takeovers.value == 1
+
+
+def test_takeover_hands_over_the_ring_and_rewires_nothing():
+    """The ring's hooks, skip manager and layout table outlive the
+    coordinator object: the successor holds the very decide hook and
+    redirect table, and every participant reads the one ring_configs."""
+    mrp = deploy(n_groups=2)
+    learner = mrp.add_learner(groups=[0, 1])
+    proposer = mrp.add_proposer()
+    handle = mrp.rings[0]
+    old, manager = handle.coordinator, handle.skip_manager
+    mrp.reconfig.remap_group(0, 1)  # hooks ring 0's decisions, drains group 0
+    mrp.run(until=0.5)
+    hook, redirects = old.on_decide, old.redirects
+    assert hook is not None and 0 in redirects
+    mrp.crash_coordinator(0)
+    mrp.run(until=1.0)
+    new = handle.coordinator
+    assert new is not old and handle.failover.coordinator is new
+    assert new.on_decide is hook and new.redirects is redirects
+    assert handle.skip_manager is manager and manager.coordinator is new
+    assert not manager.crashed and manager._timer.running
+    assert handle.config is new.config is mrp.ring_configs[0]
+    assert learner.ring_configs is mrp.ring_configs is proposer.ring_configs
+
+
+def test_drain_installed_mid_takeover_reaches_the_successor():
+    """A remap that starts after the suspicion but before the successor
+    has recovered installs its drain on the deposed coordinator; the
+    successor takes the same table, and the move completes exactly once."""
+    mrp = deploy(n_groups=2)
+    log = []
+    mrp.add_learner(groups=[0, 1], on_deliver=lambda g, v: log.append(v.payload))
+    p = mrp.add_proposer()
+    for i in range(4):
+        p.multicast(i % 2, f"pre-{i}", SIZE)
+    mrp.run(until=0.5)
+    old = mrp.rings[0].coordinator
+    mrp.crash_coordinator(0)
+    failover = mrp.rings[0].failover
+    while failover.takeovers.value == 0:
+        mrp.sim.run(max_events=1)
+    assert mrp.rings[0].coordinator is old  # recovering: not swapped yet
+    completed = []
+    mrp.reconfig.remap_group(0, 1, on_done=completed.append)
+    for i in range(4):
+        p.multicast(0, f"mid-{i}", SIZE)
+    mrp.run(until=3.0)
+    assert mrp.rings[0].coordinator is not old
+    assert mrp.rings[0].coordinator.redirects is old.redirects
+    assert 0 in old.redirects
+    assert completed and completed[0]["done"]
+    assert mrp.registry.ring_for(0) == 1
+    assert sorted(log) == sorted([f"pre-{i}" for i in range(4)] + [f"mid-{i}" for i in range(4)])
+
+
+def test_takeover_of_a_retired_ring_leaves_its_skip_manager_down():
+    """A ring merge retires the source ring and stops its skip manager; a
+    later takeover of that ring must not bring skip production back."""
+    mrp = deploy(n_groups=2)
+    mrp.add_learner(groups=[0, 1])
+    mrp.reconfig.merge_rings(1, 0)
+    mrp.run(until=2.0)
+    handle = mrp.rings[1]
+    assert handle.retired and handle.skip_manager.crashed
+    skips = handle.skip_manager.skips_proposed.value
+    old = handle.coordinator
+    mrp.crash_coordinator(1)
+    mrp.run(until=3.0)
+    assert handle.coordinator is not old
+    assert handle.skip_manager.crashed
+    assert handle.skip_manager.skips_proposed.value == skips
 
 
 def test_messages_survive_coordinator_failure_exactly_once():
@@ -85,8 +157,9 @@ def test_undecided_inflight_values_are_recovered():
 
 
 def test_multi_group_learner_drains_after_takeover():
-    """The new coordinator's skip manager covers the outage interval, so a
-    learner merged across rings drains its buffered backlog."""
+    """The ring's skip manager, following the new coordinator, covers the
+    outage interval, so a learner merged across rings drains its buffered
+    backlog."""
     mrp = deploy(n_groups=2)
     log = []
     learner = mrp.add_learner(groups=[0, 1], on_deliver=lambda g, v: log.append(v.payload))
@@ -142,7 +215,7 @@ def test_second_failover_uses_remaining_spare():
     p.multicast(0, "c", SIZE)
     mrp.run(until=5.0)
     assert log == ["a", "b", "c"]
-    assert mrp.rings[0].failover.takeovers == 2
+    assert mrp.rings[0].failover.takeovers.value == 2
 
 
 def test_takeover_races_concurrent_acceptor_crash():
@@ -169,7 +242,7 @@ def test_takeover_races_concurrent_acceptor_crash():
     for i in range(5):
         p.multicast(0, f"post-{i}", SIZE)
     mrp.run(until=4.0)
-    assert mrp.rings[0].failover.takeovers == 1
+    assert mrp.rings[0].failover.takeovers.value == 1
     assert len(log) == 15
     assert len(set(log)) == 15
     assert [m for m in log if m.startswith("mid")] == [f"mid-{i}" for i in range(5)]
@@ -185,7 +258,7 @@ def test_no_false_takeover_while_coordinator_is_healthy():
     for i in range(5):
         p.multicast(0, f"m{i}", SIZE)
     mrp.run(until=2.0)  # idle for many suspect timeouts (heartbeats flow)
-    assert mrp.rings[0].failover.takeovers == 0
+    assert mrp.rings[0].failover.takeovers.value == 0
     assert len(log) == 5
 
 
@@ -338,7 +411,7 @@ def test_rotate_coordinator_replaces_ring_head():
     mrp.reconfig.rotate_coordinator(0)
     mrp.run(until=2.0)
     assert mrp.rings[0].coordinator is not old
-    assert mrp.rings[0].failover.takeovers == 1
+    assert mrp.rings[0].failover.takeovers.value == 1
     p.multicast(0, "after", SIZE)
     mrp.run(until=3.0)
     assert log == ["before", "after"]

@@ -5,6 +5,8 @@ shrinker's ``without`` move) and the :class:`ScheduleRunner` translating
 steps into live faults on a real deployment.
 """
 
+import json
+
 import pytest
 
 from repro.check import Schedule, ScheduleRunner, ScheduleStep
@@ -51,7 +53,7 @@ class TestScheduleData:
 
     def test_json_round_trip_preserves_every_field(self):
         sched = Schedule(_steps())
-        again = Schedule.from_json(sched.to_json())
+        again = Schedule.from_dict(json.loads(json.dumps(sched.as_dict())))
         assert again.steps == sched.steps
 
     def test_describe_mentions_each_step(self):

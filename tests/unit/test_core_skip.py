@@ -34,7 +34,7 @@ def test_busy_ring_gets_no_skips():
 
     def feed():
         nonlocal n
-        coord.submit_local(ClientValue(payload=n, size=DEFAULT_VALUE_SIZE, seq=n))
+        coord.submit_unique(n, ClientValue(payload=n, size=DEFAULT_VALUE_SIZE, seq=n))
         n += 1
         if sim.now < 1.0:
             sim.schedule(0.005, feed)
@@ -54,7 +54,7 @@ def test_partial_load_filled_to_lambda():
 
     def feed():
         nonlocal n
-        coord.submit_local(ClientValue(payload=n, size=DEFAULT_VALUE_SIZE, seq=n))
+        coord.submit_unique(n, ClientValue(payload=n, size=DEFAULT_VALUE_SIZE, seq=n))
         n += 1
         if sim.now < 1.0:
             sim.schedule(0.002, feed)  # 500 data instances/s
@@ -103,14 +103,14 @@ def test_mu_reflects_observed_data_rate():
 
     def feed():
         nonlocal n
-        coord.submit_local(ClientValue(payload=n, size=DEFAULT_VALUE_SIZE, seq=n))
+        coord.submit_unique(n, ClientValue(payload=n, size=DEFAULT_VALUE_SIZE, seq=n))
         n += 1
         if sim.now < 1.0:
             sim.schedule(0.005, feed)  # 200 data instances/s > lambda
 
     feed()
     sim.run(until=1.0)
-    assert mgr.mu == pytest.approx(200.0, rel=0.2)
+    assert mgr.mu_gauge.value == pytest.approx(200.0, rel=0.2)
 
 
 def test_mu_is_zero_on_idle_ring():
@@ -118,7 +118,7 @@ def test_mu_is_zero_on_idle_ring():
     ring kept alive purely by skips reports mu ~ 0 next interval."""
     sim, coord, mgr = make_ring(lambda_rate=1000.0, delta=100e-3)
     sim.run(until=1.0)
-    assert mgr.mu == pytest.approx(0.0, abs=20.0)
+    assert mgr.mu_gauge.value == pytest.approx(0.0, abs=20.0)
 
 
 def test_manager_restart_does_not_double_schedule_ticks():
@@ -156,7 +156,7 @@ def test_manager_restart_does_not_skew_mu_or_double_count_skips():
     assert coord.planned_instance >= k_during_outage + 450
     assert 1400 <= coord.planned_instance <= 1600
     # Steady state again: the ring is pure skips, so observed mu ~ 0.
-    assert mgr.mu == pytest.approx(0.0, abs=50.0)
+    assert mgr.mu_gauge.value == pytest.approx(0.0, abs=50.0)
 
 
 def test_validation():

@@ -83,7 +83,9 @@ def test_suspect_timeout_threads_down_to_rings_and_failover():
     handle = mrp.rings[0]
     assert handle.config.suspect_timeout == 0.25
     assert handle.failover is not None
-    assert handle.failover.suspect_timeout == 0.25
+    assert handle.failover.config.suspect_timeout == 0.25
+    # The failure detectors run on the ring's own timeout.
+    assert all(a._watch_timer.delay == 0.25 for a in handle.acceptors)
 
 
 def test_suspect_timeout_must_exceed_heartbeat_interval():

@@ -4,7 +4,7 @@ import pytest
 
 from repro.calibration import bytes_per_s_to_mbps, mbps_to_bytes_per_s
 from repro.errors import BufferOverflowError, ProtocolError, ReproError, SimulationError
-from repro.paxos import Value
+from repro.paxos import NOOP, Value
 from repro.ringpaxos import ClientValue, DataBatch, PromiseRange, SkipRange
 from repro.sim import Network, Node, RandomStreams, Simulator
 
@@ -55,8 +55,8 @@ def test_node_unregister_stops_dispatch():
 
 
 def test_value_noop_detection_edge():
-    assert not Value(payload=None, size=1).is_noop
-    assert not Value(payload="x", size=0).is_noop
+    assert Value(payload=None, size=1) != NOOP
+    assert Value(payload="x", size=0) != NOOP
 
 
 def test_promise_range_size_accounts_items():

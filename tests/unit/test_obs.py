@@ -49,10 +49,10 @@ def test_probe_bus_unsubscribe_and_counters():
     bus = ProbeBus()
     seen = []
     remove = bus.subscribe(seen.append, kind=EVENT_FIRED)
-    assert bus.has_subscribers
+    assert bus.subscribers
     bus.emit(EVENT_FIRED, 0.0, "fn")
     remove()
-    assert not bus.has_subscribers
+    assert not bus.subscribers
     bus.emit(EVENT_FIRED, 1.0, "fn")  # nobody listening: not even counted
     assert len(seen) == 1
     assert bus.events_emitted == 1
@@ -110,7 +110,7 @@ def test_probe_bus_all_kinds_subscriber_is_one_entry_per_kind():
     assert order == ["kind", "all"]  # subscription order, no wildcard-first
     remove()
     assert bus.subscribers == before
-    assert bus.has_subscribers
+    assert bus.subscribers
 
 
 def _kind_of(node):

@@ -64,11 +64,11 @@ def test_ballot_validation():
 # ---------------------------------------------------------------------------
 def test_value_holds_payload_and_size():
     v = Value("cmd", size=100)
-    assert v.payload == "cmd" and v.size == 100 and not v.is_noop
+    assert v.payload == "cmd" and v.size == 100 and v != NOOP
 
 
 def test_noop_sentinel():
-    assert NOOP.is_noop
+    assert NOOP == Value(payload=None, size=0)
     assert NOOP.size == 0
 
 

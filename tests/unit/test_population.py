@@ -18,6 +18,7 @@ from repro.workload import (
     StepRate,
     poisson,
 )
+from repro.workload.population import MAX_INTERVAL
 
 
 # ---------------------------------------------------------------------------
@@ -85,7 +86,7 @@ def test_batch_arrivals_sleep_through_zero_rate():
     assert times and min(times) >= 1.0
     # The zero-rate phase is one sleep to the announced transition, not
     # a poll every idle interval (which would be ~100 extra evaluations).
-    ticks_while_live = 0.5 / proc.max_interval
+    ticks_while_live = 0.5 / MAX_INTERVAL
     assert calls[0] < ticks_while_live + 10
 
 

@@ -152,8 +152,8 @@ def test_window_limits_inflight_instances():
     sim, net, ring = deploy(window=2, batch_timeout=10.0)
     (log,) = attach_log(ring)
     for i in range(10):  # each 8 KB value fills a batch immediately
-        ring.coordinator.submit_local(
-            ClientValue(payload=f"m{i}", size=DEFAULT_VALUE_SIZE, seq=i, created_at=sim.now)
+        ring.coordinator.submit_unique(
+            i, ClientValue(payload=f"m{i}", size=DEFAULT_VALUE_SIZE, seq=i, created_at=sim.now)
         )
     assert ring.coordinator.backlog >= 1  # window of 2 throttles starts
     sim.run(until=2.0)
