@@ -142,9 +142,9 @@ class LcrNode(Process):
             return
         if isinstance(msg, LcrMessage):
             cost = CPU_FIXED_COST_ACCEPTOR + CPU_BYTE_COST_ACCEPTOR * msg.size
-            self.node.cpu.execute(cost, self._on_data, msg)
+            self.node.cpu.execute(cost, self._on_data, (msg,))
         elif isinstance(msg, _LcrHeartbeat):
-            self.node.cpu.execute(CPU_FIXED_COST_SMALL_MESSAGE, self._on_heartbeat, msg)
+            self.node.cpu.execute(CPU_FIXED_COST_SMALL_MESSAGE, self._on_heartbeat, (msg,))
 
     def _on_data(self, msg: LcrMessage) -> None:
         if self.crashed or msg.origin == self.node.name:

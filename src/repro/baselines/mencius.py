@@ -167,7 +167,7 @@ class MenciusServer(Process):
         self._acks[instance] = 1  # my own accept
         msg = _Suggest(instance, value)
         cost = CPU_FIXED_COST_COORDINATOR + CPU_BYTE_COST_COORDINATOR * size
-        self.node.cpu.execute(cost, self._multicast, msg)
+        self.node.cpu.execute(cost, self._multicast, (msg,))
         return value
 
     # ------------------------------------------------------------------
@@ -178,13 +178,13 @@ class MenciusServer(Process):
             return
         if isinstance(msg, _Suggest):
             cost = CPU_FIXED_COST_SMALL_MESSAGE + CPU_BYTE_COST_COORDINATOR * msg.value.size / 4
-            self.node.cpu.execute(cost, self._on_suggest, src, msg)
+            self.node.cpu.execute(cost, self._on_suggest, (src, msg))
         elif isinstance(msg, _Ack):
-            self.node.cpu.execute(CPU_FIXED_COST_SMALL_MESSAGE, self._on_ack, msg)
+            self.node.cpu.execute(CPU_FIXED_COST_SMALL_MESSAGE, self._on_ack, (msg,))
         elif isinstance(msg, _Decide):
-            self.node.cpu.execute(CPU_FIXED_COST_SMALL_MESSAGE, self._on_decide, msg)
+            self.node.cpu.execute(CPU_FIXED_COST_SMALL_MESSAGE, self._on_decide, (msg,))
         elif isinstance(msg, _SkipRange):
-            self.node.cpu.execute(CPU_FIXED_COST_SMALL_MESSAGE, self._on_skiprange, msg)
+            self.node.cpu.execute(CPU_FIXED_COST_SMALL_MESSAGE, self._on_skiprange, (msg,))
 
     def _on_suggest(self, src: str, msg: _Suggest) -> None:
         if self.crashed:

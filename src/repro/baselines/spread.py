@@ -129,17 +129,17 @@ class SpreadDaemon(Process):
         if self.crashed:
             return
         if isinstance(msg, _Token):
-            self.node.cpu.execute(CPU_FIXED_COST_SMALL_MESSAGE, self._on_token, msg)
+            self.node.cpu.execute(CPU_FIXED_COST_SMALL_MESSAGE, self._on_token, (msg,))
         elif isinstance(msg, SpreadMessage):
             if msg.global_seq < 0:
                 # From a local client: queue for our next token visit.
                 self.node.cpu.execute(
-                    CPU_FIXED_COST_SMALL_MESSAGE, self._queue_client_message, msg
+                    CPU_FIXED_COST_SMALL_MESSAGE, self._queue_client_message, (msg,)
                 )
             else:
                 # From another daemon: ordered traffic.
                 cost = SPREAD_CPU_FIXED_COST + SPREAD_CPU_BYTE_COST * msg.size
-                self.node.cpu.execute(cost, self._on_ordered, msg)
+                self.node.cpu.execute(cost, self._on_ordered, (msg,))
 
     def _queue_client_message(self, msg: SpreadMessage) -> None:
         self.pending.append(msg)
@@ -167,7 +167,7 @@ class SpreadDaemon(Process):
             to_send.append(stamped)
             cpu_cost += SPREAD_CPU_FIXED_COST + SPREAD_CPU_BYTE_COST * msg.size
         next_token = _Token(seq=seq, rotation=token.rotation + 1)
-        self.node.cpu.execute(cpu_cost, self._flush_token_burst, to_send, next_token)
+        self.node.cpu.execute(cpu_cost, self._flush_token_burst, (to_send, next_token))
 
     def _flush_token_burst(self, to_send: list[SpreadMessage], token: _Token) -> None:
         if self.crashed:
@@ -240,7 +240,7 @@ class SpreadClient(Process):
     def _on_delivery(self, src: str, msg) -> None:
         if self.crashed or not isinstance(msg, SpreadMessage):
             return
-        self.node.cpu.execute(CPU_FIXED_COST_SMALL_MESSAGE, self._deliver, msg)
+        self.node.cpu.execute(CPU_FIXED_COST_SMALL_MESSAGE, self._deliver, (msg,))
 
     def _deliver(self, msg: SpreadMessage) -> None:
         if self.crashed:

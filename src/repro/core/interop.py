@@ -107,13 +107,8 @@ class LcrBackedGroup(Process):
     def multicast(self, member: str, payload: object, size: int) -> ClientValue:
         """Multicast ``payload`` (``size`` bytes) to the group through
         ``member``'s node."""
-        value = ClientValue(
-            payload=payload,
-            size=size,
-            sender=member,
-            created_at=self.sim.now,
-            group=self.group_id,
-        )
+        # (payload, size, sender, seq, created_at, group)
+        value = ClientValue(payload, size, member, 0, self.sim.now, self.group_id)
         self.members[member].broadcast(value, size)
         return value
 
@@ -135,11 +130,7 @@ class LcrBackedGroup(Process):
                 item = DataBatch(value_id=stream.next_instance, values=(payload,))
             else:  # foreign traffic (e.g. raw LCR users): wrap it
                 wrapped = ClientValue(
-                    payload=payload,
-                    size=msg.size,
-                    sender=msg.origin,
-                    created_at=msg.created_at,
-                    group=self.group_id,
+                    payload, msg.size, msg.origin, 0, msg.created_at, self.group_id
                 )
                 item = DataBatch(value_id=stream.next_instance, values=(wrapped,))
             instance = stream.next_instance

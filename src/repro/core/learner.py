@@ -150,7 +150,7 @@ class MultiRingLearner(Process):
         def feed(instance: int, item: DataBatch | SkipRange) -> None:
             if self.crashed:
                 return
-            self.merge.push(ring_id, instance, item, now=self.sim.now)
+            self.merge.push(ring_id, instance, item, self.sim.now)
 
         return feed
 
@@ -346,8 +346,9 @@ class MultiRingLearner(Process):
         """Everything needed to resume merged delivery from this point.
 
         Captured between deliveries (the replica checkpoints after fully
-        applying a command), so per-ring positions plus the merge cursor
-        describe the delivery sequence position exactly.
+        applying a command), so the per-ring input positions plus the merge
+        state — cursor, quota and what it has buffered — describe the
+        delivery sequence position exactly.
         """
         return {
             "ring_positions": {

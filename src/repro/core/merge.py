@@ -212,27 +212,35 @@ class DeterministicMerge:
     # ------------------------------------------------------------------
     # Checkpoint support
     # ------------------------------------------------------------------
-    def snapshot(self) -> tuple[int, int]:
-        """The merge position — (cursor, remaining quota) — for a checkpoint.
+    def snapshot(self) -> tuple[int, int, dict[int, list]]:
+        """The merge state for a checkpoint: (cursor, remaining quota,
+        each ring's buffered entries).
 
-        Positions between deliveries are fully described by these two
-        values: the per-ring input positions live in the ring learners,
-        and buffered items are recovered by replaying the rings.
+        The ring learners' checkpointed positions are their *input*
+        positions, past everything buffered here, so a restore cannot
+        replay the buffered items: they are part of the checkpoint. Skip
+        entries are copied (the merge consumes them in place); batch
+        entries are immutable and shared.
         """
-        return (self._cursor, self._quota)
+        queues = {ring_id: _copy_entries(queue) for ring_id, queue in self._queues.items()}
+        return (self._cursor, self._quota, queues)
 
-    def restore(self, state: tuple[int, int]) -> None:
-        """Rewind to a checkpointed position, discarding buffered items.
+    def restore(self, state: tuple[int, int, dict[int, list]]) -> None:
+        """Rewind to a checkpointed state, buffered items included.
 
         The owning learner rolls its ring learners back to the matching
-        per-ring positions; everything buffered here will be replayed
-        through ``push`` in the same order, so the queues start empty.
+        input positions, so ``push`` resumes right after what the queues
+        hold. A ring joined since the checkpoint starts empty. The entries
+        are copied again: one checkpoint may be restored more than once.
         """
-        self._cursor, self._quota = state
-        for ring_id, queue in self._queues.items():
-            queue.clear()
-            self.queue_gauges[ring_id].value = 0
-        self.buffered_instances.value = 0
+        self._cursor, self._quota, queues = state
+        buffered = 0
+        for ring_id in self._queues:
+            self._queues[ring_id] = deque(_copy_entries(queues.get(ring_id, ())))
+            depth = self.queue_depth(ring_id)
+            self.queue_gauges[ring_id].value = depth
+            buffered += depth
+        self.buffered_instances.value = buffered
 
     # ------------------------------------------------------------------
     # Reconfiguration
@@ -284,3 +292,8 @@ class DeterministicMerge:
         for entry in self._queues[ring_id]:
             total += entry[0] if isinstance(entry, list) else 1
         return total
+
+
+def _copy_entries(queue) -> list:
+    """A queue's entries with each skip entry (``[remaining]``) copied."""
+    return [entry[:] if isinstance(entry, list) else entry for entry in queue]

@@ -73,7 +73,7 @@ class MultiRingProposer(Process):
         proposer = self._ring_proposer(self.registry.ring_for(group_id))
         self.multicasts.value += 1
         self.multicast_bytes.value += size
-        return proposer.multicast(payload, size, group=group_id)
+        return proposer.multicast(payload, size, group_id)
 
     def _ring_proposer(self, ring_id: int) -> RingProposer:
         proposer = self._ring_proposers.get(ring_id)
@@ -123,7 +123,7 @@ class MultiRingProposer(Process):
             for payload, size in held:
                 self.multicasts.value += 1
                 self.multicast_bytes.value += size
-                target.multicast(payload, size, group=group_id)
+                target.multicast(payload, size, group_id)
         return True
 
     def submit(self, group_id: int, payload: object, size: int) -> str:

@@ -352,10 +352,8 @@ class ReconfigManager:
             kind=kind,
             join_instance=op["cuts"]["join"] if kind == "switch" else -1,
         )
-        value = ClientValue(
-            payload=cut, size=CONTROL_MESSAGE_SIZE,
-            created_at=self.sim.now, group=CONTROL_GROUP,
-        )
+        # (payload, size, sender, seq, created_at, group)
+        value = ClientValue(cut, CONTROL_MESSAGE_SIZE, "", 0, self.sim.now, CONTROL_GROUP)
         coordinator = self.mrp.rings[ring_id].coordinator
         return coordinator.submit_unique(("cut", op["epoch"], kind), value)
 

@@ -49,7 +49,7 @@ class Acceptor(Process):
     def _on_message(self, src: str, msg) -> None:
         if self.crashed:
             return
-        self.node.cpu.execute(CPU_FIXED_COST_SMALL_MESSAGE, self._dispatch, src, msg)
+        self.node.cpu.execute(CPU_FIXED_COST_SMALL_MESSAGE, self._dispatch, (src, msg))
 
     def _dispatch(self, src: str, msg) -> None:
         if self.crashed:
@@ -67,7 +67,7 @@ class Acceptor(Process):
             return
         state.rnd = msg.rnd
         reply = Promise(msg.instance, msg.rnd, state.vrnd, state.vval)
-        self.storage.persist(msg.instance, msg.size, lambda: self._reply(src, reply))
+        self.storage.persist(msg.instance, msg.size, self._reply, (src, reply))
         self.promises_made += 1
 
     def _on_accept(self, src: str, msg: Accept) -> None:
@@ -80,9 +80,7 @@ class Acceptor(Process):
         state.vrnd = msg.rnd
         state.vval = msg.value
         reply = Accepted(msg.instance, msg.rnd)
-        self.storage.persist(
-            msg.instance, msg.size, lambda: self._reply(src, reply)
-        )
+        self.storage.persist(msg.instance, msg.size, self._reply, (src, reply))
         self.accepts_made += 1
 
     def _reply(self, dst: str, msg) -> None:

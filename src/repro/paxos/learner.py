@@ -66,7 +66,7 @@ class Learner(Process):
     def _on_message(self, src: str, msg) -> None:
         if self.crashed or not isinstance(msg, Decision):
             return
-        self.node.cpu.execute(CPU_FIXED_COST_SMALL_MESSAGE, self._learn, msg)
+        self.node.cpu.execute(CPU_FIXED_COST_SMALL_MESSAGE, self._learn, (msg,))
 
     def _learn(self, msg: Decision) -> None:
         if self.crashed or msg.instance < self.next_instance:

@@ -220,7 +220,7 @@ class Proposer(Process):
     def _on_message(self, src: str, msg) -> None:
         if self.crashed:
             return
-        self.node.cpu.execute(CPU_FIXED_COST_SMALL_MESSAGE, self._dispatch, src, msg)
+        self.node.cpu.execute(CPU_FIXED_COST_SMALL_MESSAGE, self._dispatch, (src, msg))
 
     def _dispatch(self, src: str, msg) -> None:
         if self.crashed:

@@ -87,13 +87,13 @@ class AcceptorStorage:
         if rnd > self.floor:
             self.floor = rnd
 
-    def persist(self, instance: int, nbytes: int, fn: Callable[..., None], *args: Any) -> None:
+    def persist(self, instance: int, nbytes: int, fn: Callable[..., None], args: tuple) -> None:
         """Make the latest mutation of ``instance`` durable, then run ``fn(*args)``.
 
         The continuation comes as ``Cpu.execute`` and ``Disk.write`` take
-        theirs: no closure per instance. ``instance < 0`` persists only the
-        promise floor (a Phase 1 answer must not be sent before the promise
-        survives a crash).
+        theirs, ``fn`` and one tuple ``args``: no closure per instance.
+        ``instance < 0`` persists only the promise floor (a Phase 1 answer
+        must not be sent before the promise survives a crash).
         """
         raise NotImplementedError
 
@@ -120,7 +120,7 @@ class AcceptorStorage:
 class InMemoryStorage(AcceptorStorage):
     """RAM-only storage: persistence is a no-op barrier."""
 
-    def persist(self, instance: int, nbytes: int, fn: Callable[..., None], *args: Any) -> None:
+    def persist(self, instance: int, nbytes: int, fn: Callable[..., None], args: tuple) -> None:
         fn(*args)
 
 
@@ -145,10 +145,10 @@ class DurableStorage(AcceptorStorage):
         self._epoch = 0
         self.writes_invalidated = 0
 
-    def persist(self, instance: int, nbytes: int, fn: Callable[..., None], *args: Any) -> None:
+    def persist(self, instance: int, nbytes: int, fn: Callable[..., None], args: tuple) -> None:
         image = self.get(instance).copy() if instance >= 0 else None
         self.disk.write(
-            nbytes, self._commit, self._epoch, self.floor, instance, image, fn, args
+            nbytes, self._commit, (self._epoch, self.floor, instance, image, fn, args)
         )
 
     def _commit(self, epoch: int, floor: int, instance: int, image: AcceptorState | None,

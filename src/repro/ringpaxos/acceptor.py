@@ -133,15 +133,17 @@ class RingAcceptor(Process):
         if src == self.config.coordinator:
             self.last_coordinator_traffic = self.sim.now
         if isinstance(msg, CoordinatorChange):
-            self.node.cpu.execute(CPU_FIXED_COST_SMALL_MESSAGE, self._on_coordinator_change, msg)
+            self.node.cpu.execute(CPU_FIXED_COST_SMALL_MESSAGE, self._on_coordinator_change, (msg,))
             return
         if self.retired:
             return
         if isinstance(msg, Phase2A):
             cost = CPU_FIXED_COST_ACCEPTOR + CPU_BYTE_COST_ACCEPTOR * msg.item.size
-            self.node.cpu.execute(cost, self._on_phase2a, msg)
+            self.node.cpu.execute(cost, self._on_phase2a, (msg,))
         elif isinstance(msg, DecisionAnnounce):
-            self.node.cpu.execute(CPU_FIXED_COST_SMALL_MESSAGE, self._on_decisions, msg.decisions)
+            self.node.cpu.execute(
+                CPU_FIXED_COST_SMALL_MESSAGE, self._on_decisions, (msg.decisions,)
+            )
         # Heartbeats carry nothing an acceptor needs beyond liveness.
 
     def _on_phase2a(self, msg: Phase2A) -> None:
@@ -163,14 +165,9 @@ class RingAcceptor(Process):
             state.vval = msg.item
             self._accepted_vids[msg.instance] = value_id  # for PromiseRange answers
             self.accepts.value += 1
-            token = Phase2B(
-                instance=msg.instance,
-                rnd=msg.rnd,
-                value_id=value_id,
-                attempt=msg.attempt,
-                accepts=1,
-            )
-            self.storage.persist(msg.instance, msg.item.size, self._forward, token)
+            # (instance, rnd, value_id, attempt, accepts)
+            token = Phase2B(msg.instance, msg.rnd, value_id, msg.attempt, 1)
+            self.storage.persist(msg.instance, msg.item.size, self._forward, (token,))
         else:
             # Later acceptors accept when the ring token reaches them; a 2B
             # that overtook our copy of the 2A can now proceed.
@@ -187,12 +184,12 @@ class RingAcceptor(Process):
             return
         if isinstance(msg, PrepareRange):
             self.node.cpu.execute(
-                CPU_FIXED_COST_SMALL_MESSAGE, self._on_prepare_range, src, msg
+                CPU_FIXED_COST_SMALL_MESSAGE, self._on_prepare_range, (src, msg)
             )
             return
         if self.retired or not isinstance(msg, Phase2B):
             return
-        self.node.cpu.execute(CPU_FIXED_COST_SMALL_MESSAGE, self._on_phase2b, msg)
+        self.node.cpu.execute(CPU_FIXED_COST_SMALL_MESSAGE, self._on_phase2b, (msg,))
 
     def _on_phase2b(self, msg: Phase2B) -> None:
         if self.crashed:
@@ -218,14 +215,8 @@ class RingAcceptor(Process):
         state.vval = item
         self._accepted_vids[msg.instance] = msg.value_id
         self.accepts.value += 1
-        token = Phase2B(
-            instance=msg.instance,
-            rnd=msg.rnd,
-            value_id=msg.value_id,
-            attempt=msg.attempt,
-            accepts=msg.accepts + 1,
-        )
-        self.storage.persist(msg.instance, item.size, self._forward, token)
+        token = Phase2B(msg.instance, msg.rnd, msg.value_id, msg.attempt, msg.accepts + 1)
+        self.storage.persist(msg.instance, item.size, self._forward, (token,))
 
     def _forward(self, token: Phase2B) -> None:
         if self.crashed or self.successor is None:
@@ -288,11 +279,11 @@ class RingAcceptor(Process):
         if self.crashed:
             return
         if isinstance(msg, RepairRequest):
-            self.node.cpu.execute(CPU_FIXED_COST_SMALL_MESSAGE, self._serve_repair, src, msg)
+            self.node.cpu.execute(CPU_FIXED_COST_SMALL_MESSAGE, self._serve_repair, (src, msg))
         elif isinstance(msg, CatchupRequest):
-            self.node.cpu.execute(CPU_FIXED_COST_SMALL_MESSAGE, self._serve_catchup, src, msg)
+            self.node.cpu.execute(CPU_FIXED_COST_SMALL_MESSAGE, self._serve_catchup, (src, msg))
         elif isinstance(msg, CheckpointAck):
-            self.node.cpu.execute(CPU_FIXED_COST_SMALL_MESSAGE, self._on_checkpoint_ack, msg)
+            self.node.cpu.execute(CPU_FIXED_COST_SMALL_MESSAGE, self._on_checkpoint_ack, (msg,))
 
     def _serve_repair(self, src: str, msg: RepairRequest) -> None:
         if self.crashed:
@@ -404,7 +395,7 @@ class RingAcceptor(Process):
         reply = PromiseRange(msg.from_instance, msg.rnd, self._accepted_from(msg.from_instance))
         self.storage.persist(
             -1, 64, self.network.send,
-            self.node.name, src, self.config.coord_port, reply, reply.size,
+            (self.node.name, src, self.config.coord_port, reply, reply.size),
         )
 
     def decided_item(self, instance: int) -> DataBatch | SkipRange | None:

@@ -251,7 +251,7 @@ class RingCoordinator(Process):
             instance = self.next_instance
             self.next_instance += item.instance_count
         value_id = item.value_id if isinstance(item, DataBatch) else -instance - 1
-        state = _Inflight(instance=instance, value_id=value_id, item=item)
+        state = _Inflight(instance, value_id, item)
         self._inflight[instance] = state
         self.instances_started.value += 1
         self._send_phase2a(state)
@@ -265,15 +265,9 @@ class RingCoordinator(Process):
             decisions = tuple(self._pending_decisions)
             self._pending_decisions.clear()
             self._decision_timer.deadline = None  # stop(): they ride on this 2A
-        msg = Phase2A(
-            instance=state.instance,
-            rnd=self.rnd,
-            item=state.item,
-            attempt=state.attempt,
-            decisions=decisions,
-        )
+        msg = Phase2A(state.instance, self.rnd, state.item, state.attempt, decisions)
         cost = CPU_FIXED_COST_COORDINATOR + CPU_BYTE_COST_COORDINATOR * state.item.size
-        self.node.cpu.execute(cost, self._multicast_phase2a, msg, state)
+        self.node.cpu.execute(cost, self._multicast_phase2a, (msg, state))
 
     def _multicast_phase2a(self, msg: Phase2A, state: _Inflight) -> None:
         if self.crashed or state.instance not in self._inflight:
@@ -287,7 +281,7 @@ class RingCoordinator(Process):
         # (the disk ack is the barrier); in In-memory mode it counts now.
         if self.config.durable:
             self.node.disk.write(
-                state.item.size, self._on_self_persisted, state.instance, state.attempt
+                state.item.size, self._on_self_persisted, (state.instance, state.attempt)
             )
         else:
             state.self_persisted = True
@@ -306,7 +300,7 @@ class RingCoordinator(Process):
     def _on_ring_message(self, src: str, msg) -> None:
         if self.crashed or not isinstance(msg, Phase2B):
             return
-        self.node.cpu.execute(CPU_FIXED_COST_SMALL_MESSAGE, self._on_phase2b, msg)
+        self.node.cpu.execute(CPU_FIXED_COST_SMALL_MESSAGE, self._on_phase2b, (msg,))
 
     def _on_phase2b(self, msg: Phase2B) -> None:
         if self.crashed:
@@ -352,13 +346,13 @@ class RingCoordinator(Process):
             return
         msg = DecisionAnnounce(tuple(self._pending_decisions))
         self._pending_decisions.clear()
-        self.node.cpu.execute(CPU_FIXED_COST_SMALL_MESSAGE, self._multicast_small, msg)
+        self.node.cpu.execute(CPU_FIXED_COST_SMALL_MESSAGE, self._multicast_small, (msg,))
 
     def _heartbeat(self) -> None:
         if self.crashed:
             return
         msg = Heartbeat(self.next_instance)
-        self.node.cpu.execute(CPU_FIXED_COST_SMALL_MESSAGE, self._multicast_small, msg)
+        self.node.cpu.execute(CPU_FIXED_COST_SMALL_MESSAGE, self._multicast_small, (msg,))
         self._heartbeat_timer.start()
 
     def _multicast_small(self, msg) -> None:
@@ -377,7 +371,7 @@ class RingCoordinator(Process):
         # scheduled callback; it supersedes the state's earlier deadline.
         state.retry_seq = seq = sim.reserve_seq()
         if not self._retries:
-            sim.post_reserved(deadline, seq, self._on_retry_due)
+            sim.post_reserved(deadline, seq, self._on_retry_due, ())
         self._retries.append((deadline, seq, state, state.attempt))
 
     def _on_retry_due(self) -> None:
@@ -391,7 +385,7 @@ class RingCoordinator(Process):
         while retries:
             deadline, seq, state, _ = retries[0]
             if state.retry_seq == seq:
-                self.sim.post_reserved(deadline, seq, self._on_retry_due)
+                self.sim.post_reserved(deadline, seq, self._on_retry_due, ())
                 return
             retries.popleft()
 
@@ -413,13 +407,13 @@ class RingCoordinator(Process):
             return
         if isinstance(msg, Submit):
             self.node.cpu.execute(
-                CPU_FIXED_COST_SMALL_MESSAGE, self._accept_submission, src, msg.value,
-                msg.floor,
+                CPU_FIXED_COST_SMALL_MESSAGE, self._accept_submission,
+                (src, msg.value, msg.floor),
             )
         elif isinstance(msg, RepairRequest):
-            self.node.cpu.execute(CPU_FIXED_COST_SMALL_MESSAGE, self._repair, src, msg)
+            self.node.cpu.execute(CPU_FIXED_COST_SMALL_MESSAGE, self._repair, (src, msg))
         elif isinstance(msg, PromiseRange):
-            self.node.cpu.execute(CPU_FIXED_COST_SMALL_MESSAGE, self._on_promise_range, msg)
+            self.node.cpu.execute(CPU_FIXED_COST_SMALL_MESSAGE, self._on_promise_range, (msg,))
 
     def _accept_submission(self, src: str, value: ClientValue, floor: int) -> None:
         """Dedup/reorder per-proposer submissions, then batch them.
@@ -464,10 +458,8 @@ class RingCoordinator(Process):
         self._send_ack(src)
 
     def _send_ack(self, src: str) -> None:
-        ack = SubmitAck(
-            received_cum=self._submit_expected.get(src, 0) - 1,
-            decided_cum=self._submit_acked.get(src, -1),
-        )
+        # (received_cum, decided_cum)
+        ack = SubmitAck(self._submit_expected.get(src, 0) - 1, self._submit_acked.get(src, -1))
         self.network.send(self.node.name, src, self._ack_port, ack, ack.size)
 
     def _ack_decided_batch(self, batch: DataBatch) -> None:
@@ -503,11 +495,11 @@ class RingCoordinator(Process):
             return
         if isinstance(msg, RepairRequest):
             self.node.cpu.execute(
-                CPU_FIXED_COST_SMALL_MESSAGE, self._serve_learner_repair, src, msg
+                CPU_FIXED_COST_SMALL_MESSAGE, self._serve_learner_repair, (src, msg)
             )
         elif isinstance(msg, CatchupRequest):
             self.node.cpu.execute(
-                CPU_FIXED_COST_SMALL_MESSAGE, self._serve_learner_catchup, src, msg
+                CPU_FIXED_COST_SMALL_MESSAGE, self._serve_learner_catchup, (src, msg)
             )
         # CheckpointAcks are an acceptor concern; the coordinator's decided
         # log is already FIFO-bounded.

@@ -159,13 +159,15 @@ class RingLearner(Process):
             self.received_bytes.value += msg.item.size
             self.receive_series.record(self.sim.now, msg.item.size)
             cost = CPU_FIXED_COST_LEARNER + CPU_BYTE_COST_LEARNER * msg.item.size
-            self.node.cpu.execute(cost, self._on_phase2a, msg)
+            self.node.cpu.execute(cost, self._on_phase2a, (msg,))
         elif isinstance(msg, DecisionAnnounce):
-            self.node.cpu.execute(CPU_FIXED_COST_SMALL_MESSAGE, self._on_decisions, msg.decisions)
+            self.node.cpu.execute(
+                CPU_FIXED_COST_SMALL_MESSAGE, self._on_decisions, (msg.decisions,)
+            )
         elif isinstance(msg, Heartbeat):
-            self.node.cpu.execute(CPU_FIXED_COST_SMALL_MESSAGE, self._on_heartbeat, msg)
+            self.node.cpu.execute(CPU_FIXED_COST_SMALL_MESSAGE, self._on_heartbeat, (msg,))
         elif isinstance(msg, CoordinatorChange):
-            self.node.cpu.execute(CPU_FIXED_COST_SMALL_MESSAGE, self._on_coordinator_change, msg)
+            self.node.cpu.execute(CPU_FIXED_COST_SMALL_MESSAGE, self._on_coordinator_change, (msg,))
 
     def _on_phase2a(self, msg: Phase2A) -> None:
         if self.crashed:
@@ -215,9 +217,9 @@ class RingLearner(Process):
         total = sum(item.size for item in msg.items)
         cost = CPU_FIXED_COST_LEARNER + CPU_BYTE_COST_LEARNER * total
         if isinstance(msg, CatchupReply):
-            self.node.cpu.execute(cost, self._on_catchup_reply, msg)
+            self.node.cpu.execute(cost, self._on_catchup_reply, (msg,))
         else:
-            self.node.cpu.execute(cost, self._on_repair_reply, msg)
+            self.node.cpu.execute(cost, self._on_repair_reply, (msg,))
 
     def _on_repair_reply(self, msg: RepairReply) -> None:
         if self.crashed:

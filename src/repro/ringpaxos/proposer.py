@@ -72,14 +72,8 @@ class RingProposer(Process):
         """
         if not size >= 0:  # written so that NaN is rejected too
             raise ValueError(f"message size must be non-negative, got {size!r}")
-        value = ClientValue(
-            payload=payload,
-            size=size,
-            sender=self.node.name,
-            seq=self.seq,
-            created_at=self.sim.now,
-            group=group,
-        )
+        # (payload, size, sender, seq, created_at, group)
+        value = ClientValue(payload, size, self.node.name, self.seq, self.sim.now, group)
         if not self.crashed:
             self.seq += 1
             self.sent.value += 1
@@ -102,7 +96,7 @@ class RingProposer(Process):
         # ranges this proposer will never send — a bumped seq after a
         # group remap must not read as a gap to wait on.
         floor = next(iter(self._unacked)) if self._unacked else self.seq
-        msg = Submit(value, floor=floor)
+        msg = Submit(value, floor)
         self.network.send(
             self.node.name, self.coordinator, self.config.coord_port, msg, msg.size
         )

@@ -14,7 +14,7 @@ measured window.
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from typing import Callable
 
 from .server import FifoServer
 from .simulator import Simulator
@@ -25,8 +25,9 @@ __all__ = ["Cpu"]
 class Cpu(FifoServer):
     """A node's processor, measured in processing-seconds of demand.
 
-    ``submit(cost, fn)`` runs ``fn`` once the processor has spent ``cost``
-    seconds of compute on it, after all previously queued work.
+    ``execute(cost, fn, args)`` runs ``fn(*args)`` once the processor has
+    spent ``cost`` seconds of compute on it, after all previously queued
+    work.
     """
 
     __slots__ = ()
@@ -39,7 +40,7 @@ class Cpu(FifoServer):
         """Processing-seconds deliverable per simulated second."""
         return self.rate
 
-    # Charge ``cost`` processor-seconds, then run ``fn(*args)``: exactly
-    # FifoServer.submit, aliased at class level so the per-message hot path
-    # skips a pure forwarding frame.
+    # ``execute(cost, fn, args)``: charge ``cost`` processor-seconds, then run
+    # ``fn(*args)``. Exactly FifoServer.submit, aliased at class level so the
+    # per-message hot path skips a pure forwarding frame.
     execute: Callable[..., float] = FifoServer.submit

@@ -15,7 +15,8 @@ is space and delayed by the drain otherwise.
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from heapq import heappush
+from typing import Callable
 
 from ..errors import SimulationError
 from .server import FifoServer
@@ -68,8 +69,12 @@ class Disk:
         self.writes = 0
         self._drain = FifoServer(sim, rate=bandwidth, name=f"{name}.drain")
 
-    def write(self, nbytes: int, fn: Callable[..., None] | None = None, *args: Any) -> float:
+    def write(self, nbytes: int, fn: Callable[..., None] | None = None, args: tuple = ()) -> float:
         """Buffered write of ``nbytes``; returns the ack (buffered) time.
+
+        If ``fn`` is given, ``fn(*args)`` runs at the ack time; ``args`` is
+        one tuple, as :meth:`FifoServer.submit <repro.sim.server.FifoServer.submit>`
+        takes it.
 
         The ack time is when the caller may proceed (data safely in the
         buffer). The data itself reaches the platter when the drain queue
@@ -90,7 +95,10 @@ class Disk:
         self.bytes_written += nbytes
         self.writes += 1
         if fn is not None:
-            self.sim.at(ack_time, fn, *args)
+            # Simulator.at inlined, ``args`` queued as it came (no unpacking
+            # to re-pack); ack_time >= now, so it needs no guard.
+            sim = self.sim
+            heappush(sim._queue._heap, (ack_time, next(sim._seq), fn, args))
         return ack_time
 
     @property

@@ -364,7 +364,7 @@ class Network:
             )
         if size > 0:
             # The ingress queue schedules the dispatch itself.
-            nic.ingress.submit(size, dispatch, port, src, msg)
+            nic.ingress.submit(size, dispatch, (port, src, msg))
             nic.bytes_received += size
             nic.messages_received += 1
         else:

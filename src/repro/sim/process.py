@@ -127,7 +127,7 @@ class Timer:
             # now an orphan and will know it by its seq.
             self._queued_time = deadline
             self._queued_seq = seq
-            sim.post_reserved(deadline, seq, self._wake, seq)
+            sim.post_reserved(deadline, seq, self._wake, (seq,))
 
     def stop(self) -> None:
         """Disarm the timer if armed (idempotent): ``deadline = None``."""
@@ -146,7 +146,7 @@ class Timer:
         else:  # restarted since this entry was queued: move to the reserved key
             self._queued_time = deadline
             self._queued_seq = seq = self._seq
-            self.sim.post_reserved(deadline, seq, self._wake, seq)
+            self.sim.post_reserved(deadline, seq, self._wake, (seq,))
 
 
 class PeriodicTimer:

@@ -13,7 +13,7 @@ scripted.
 from __future__ import annotations
 
 from heapq import heappush
-from typing import Any, Callable
+from typing import Callable
 
 from .simulator import Simulator
 
@@ -57,12 +57,14 @@ class FifoServer:
     # ------------------------------------------------------------------
     # Submission
     # ------------------------------------------------------------------
-    def submit(self, demand: float, fn: Callable[..., None] | None = None, *args: Any) -> float:
+    def submit(self, demand: float, fn: Callable[..., None] | None = None, args: tuple = ()) -> float:
         """Enqueue a job with ``demand`` units of work; returns finish time.
 
-        If ``fn`` is given it is scheduled to run at the finish time. The
-        finish time is also returned so callers that only need the value
-        (e.g. to chain resources) can skip the callback.
+        If ``fn`` is given, ``fn(*args)`` is scheduled to run at the finish
+        time. ``args`` is one tuple, stored in the heap entry as it comes
+        (no ``*args`` here: CPython specialises a call only when the callee
+        has none). The finish time is also returned so callers that only
+        need the value (e.g. to chain resources) can skip the callback.
         """
         if not demand >= 0:  # written so that NaN is rejected too
             raise ValueError("demand must be non-negative")

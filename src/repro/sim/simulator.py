@@ -153,8 +153,8 @@ class Simulator:
             )
         _heappush(self._queue._heap, (time, next(self._seq), fn, args))
 
-    def post_reserved(self, time: float, seq: int, fn: Callable[..., None], *args: Any) -> None:
-        """Run ``fn(*args)`` at the key ``(time, seq)``.
+    def post_reserved(self, time: float, seq: int, fn: Callable[..., None], args: tuple) -> None:
+        """Run ``fn(*args)`` at the key ``(time, seq)``; ``args`` is one tuple.
 
         ``seq`` must come from ``sim.reserve_seq()``, called at the program
         point where :meth:`schedule` would have been, and be queued at most

@@ -27,10 +27,10 @@ __all__ = ["SmrClient"]
 class _PendingRequest:
     issued_at: float
     awaiting: int
-    results: list[Any] = field(default_factory=list)
-    responded_partitions: set[int] = field(default_factory=set)
     callback: Callable[[Any], None] | None = None
     is_query: bool = False
+    results: list[Any] = field(default_factory=list)
+    responded_partitions: set[int] = field(default_factory=set)
 
 
 class SmrClient(Process):
@@ -104,15 +104,8 @@ class SmrClient(Process):
     ) -> int:
         req_id = self._next_req
         self._next_req += 1
-        command = Command(
-            op=op,
-            args=args,
-            client=self.proposer.node.name,
-            req_id=req_id,
-        )
-        self._pending[req_id] = _PendingRequest(
-            issued_at=self.sim.now, awaiting=awaiting, callback=on_done, is_query=is_query
-        )
+        command = Command(op, args, self.proposer.node.name, req_id)
+        self._pending[req_id] = _PendingRequest(self.sim.now, awaiting, on_done, is_query)
         self.requests.value += 1
         self.proposer.multicast(group, command, command.size)
         return req_id

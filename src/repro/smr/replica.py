@@ -130,7 +130,7 @@ class Replica(Process):
             return
         cost = self.state_machine.execution_cost(command) + CPU_FIXED_COST_SMALL_MESSAGE
         self._pending_execs += 1
-        self.node.cpu.execute(cost, self._execute, command)
+        self.node.cpu.execute(cost, self._execute, (command,))
 
     def _concerns_me(self, command: Command) -> bool:
         kmin, kmax = command.args
@@ -165,12 +165,7 @@ class Replica(Process):
                 self._checkpoint_due = False
                 self._take_checkpoint()
         if self.respond and command.client:
-            response = Response(
-                req_id=command.req_id,
-                replica=self.node.name,
-                partition=self.partition,
-                result=result,
-            )
+            response = Response(command.req_id, self.node.name, self.partition, result)
             self.network.send(
                 self.node.name, command.client, "smr.client", response, response.size
             )
@@ -182,11 +177,8 @@ class Replica(Process):
         kmin, kmax = command.args
         lo, hi = self.partitioner.range_of_partition(self.partition)
         return Command(
-            op="query",
-            args=(max(kmin, lo), min(kmax, hi - 1)),
-            client=command.client,
-            req_id=command.req_id,
-            padding=command.padding,
+            "query", (max(kmin, lo), min(kmax, hi - 1)), command.client, command.req_id,
+            command.padding,
         )
 
     # ------------------------------------------------------------------
@@ -213,7 +205,7 @@ class Replica(Process):
         nbytes = CONTROL_MESSAGE_SIZE + int(self.state_machine.snapshot_bytes())
         disk = self.node.disk
         if disk is not None:
-            disk.write(nbytes, self._commit_checkpoint, self._checkpoint_epoch, snapshot)
+            disk.write(nbytes, self._commit_checkpoint, (self._checkpoint_epoch, snapshot))
         else:
             self._commit_checkpoint(self._checkpoint_epoch, snapshot)
 

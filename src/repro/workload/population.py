@@ -359,12 +359,7 @@ class ClientPopulation(Process):
     # ------------------------------------------------------------------
     def _submit(self, req_id: int, entry: list) -> None:
         gateway = self.spare if entry[_SID] in self._failover else self.primary
-        command = Command(
-            op=entry[_OP],
-            args=entry[_ARGS],
-            client=gateway.node.name,
-            req_id=req_id,
-        )
+        command = Command(entry[_OP], entry[_ARGS], gateway.node.name, req_id)
         status = gateway.submit(entry[_GROUP], command, command.size)
         if status == "shed":
             # Nothing was sent (and no seq consumed) — the timeout wheel

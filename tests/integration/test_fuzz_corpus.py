@@ -48,6 +48,11 @@ def test_corpus_seed_runs_clean(seed):
 # liveness-after-restart oracle are all live. seed: (durable, what the
 # drawn schedule crashes).
 RESTART_CORPUS = {
+    # 4 and 17: a replica restore lost what its merge had buffered at the
+    # checkpoint (partial order, liveness) until the merge snapshot took
+    # its queues along.
+    4: (False, "replica"),      # two rings, replica + coordinator crash
+    17: (False, "replica"),     # three rings, four replicas, ckpt=8
     100: (False, "acceptor"),   # amnesiac acceptor rejoins the ring
     102: (True, "both"),        # replica AND in-ring acceptor, ckpt=4
     105: (False, "replica"),    # three rings, replica crash, ckpt=16

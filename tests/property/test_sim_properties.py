@@ -54,7 +54,7 @@ def test_firing_order_matches_sorted_reference(data):
         else:
             delay = data.draw(st.sampled_from(_DELAYS))
             key = (sim.now + delay, held.pop(0) if held and action == 3 else sim.reserve_seq())
-            sim.post_reserved(*key, fired.append, key)
+            sim.post_reserved(*key, fired.append, (key,))
             ref.append(key)
         assert sim.pending_events == len(ref)
     while ref:
@@ -393,7 +393,7 @@ class _SeqAtRepushTimer(Timer):
         if self._queued_seq is None or self._queued_time > deadline:
             self._seq = self._queued_seq = seq = self.sim.reserve_seq()
             self._queued_time = deadline
-            self.sim.post_reserved(deadline, seq, self._wake, seq)
+            self.sim.post_reserved(deadline, seq, self._wake, (seq,))
         else:
             self._seq = None  # drawn in _wake
 

@@ -31,7 +31,7 @@ def test_every_entry_point_queues_the_same_four_tuple():
     sim.schedule(1.0, fn, "a")  # seq 0
     seq = sim.reserve_seq()  # seq 1, queued last
     sim.at(2.0, fn)  # seq 2
-    sim.post_reserved(2.0, seq, fn, "c", "d")
+    sim.post_reserved(2.0, seq, fn, ("c", "d"))
     assert sorted(sim._queue._heap) == [
         (1.0, 0, fn, ("a",)), (2.0, 1, fn, ("c", "d")), (2.0, 2, fn, ()),
     ]
@@ -71,7 +71,7 @@ def test_a_reserved_seq_fires_in_its_reserved_position():
     fired = []
     early = sim.reserve_seq()  # drawn before "b"'s, queued after it
     sim.at(1.0, fired.append, "b")
-    sim.post_reserved(1.0, early, fired.append, "a")
+    sim.post_reserved(1.0, early, fired.append, ("a",))
     _drain(sim)
     assert fired == ["a", "b"]
 
@@ -95,7 +95,7 @@ def test_pending_events_counts_every_queued_entry():
     sim = Simulator()
     sim.schedule(1.0, lambda: None)
     sim.at(2.0, lambda: None)
-    sim.post_reserved(3.0, sim.reserve_seq(), lambda: None)
+    sim.post_reserved(3.0, sim.reserve_seq(), lambda: None, ())
     assert sim.pending_events == 3
     sim.run(until=2.5)
     assert (sim.pending_events, sim.events_executed) == (1, 2)
@@ -148,7 +148,7 @@ def test_order_matches_sorted_reference_on_random_schedules():
             delay = rng.choice(delays)
             t = sim.now + delay
             if seq is not None:
-                sim.post_reserved(t, seq, fired.append, (t, seq))
+                sim.post_reserved(t, seq, fired.append, ((t, seq),))
             else:
                 seq = next_seq
                 next_seq += 1

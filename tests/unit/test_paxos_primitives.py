@@ -109,7 +109,7 @@ def test_inmemory_storage_state_lifecycle():
 def test_inmemory_persist_is_immediate():
     st = InMemoryStorage()
     done = []
-    st.persist(0, 100, lambda: done.append(True))
+    st.persist(0, 100, lambda: done.append(True), ())
     assert done == [True]
 
 
@@ -118,7 +118,7 @@ def test_durable_persist_waits_for_disk():
     disk = Disk(sim, bandwidth=1000.0, write_latency=0.01)
     st = DurableStorage(disk)
     done = []
-    st.persist(0, 100, lambda: done.append(sim.now))
+    st.persist(0, 100, lambda: done.append(sim.now), ())
     assert done == []
     sim.run()
     assert done == [pytest.approx(0.01)]

@@ -63,7 +63,7 @@ class TestDurablePersistOrdering:
         state = st.get(0)
         state.rnd = state.vrnd = 3
         done = []
-        st.persist(0, 100, lambda: done.append(sim.now))
+        st.persist(0, 100, lambda: done.append(sim.now), ())
         # Before the write completes: no callback, and a crash right now
         # would recover to a blank image — the accept never happened.
         assert done == []
@@ -78,7 +78,7 @@ class TestDurablePersistOrdering:
         state = st.get(4)
         state.rnd = state.vrnd = 2
         done = []
-        st.persist(4, 100, lambda: done.append(True))
+        st.persist(4, 100, lambda: done.append(True), ())
         st.on_crash()  # power loss with the write in the disk cache
         sim.run()
         assert done == []
@@ -92,7 +92,7 @@ class TestDurablePersistOrdering:
         state = st.get(0)
         state.rnd = state.vrnd = 7
         state.vval = "item"
-        st.persist(0, 100, lambda: None)
+        st.persist(0, 100, lambda: None, ())
         sim.run()
         # Later volatile mutations without a persist are lost on recovery.
         st.get(0).vrnd = 99
@@ -107,7 +107,7 @@ class TestDurablePersistOrdering:
         sim, st = self._storage()
         state = st.get(0)
         state.rnd = state.vrnd = 1
-        st.persist(0, 100, lambda: None)
+        st.persist(0, 100, lambda: None, ())
         state.vrnd = 50  # mutated while the write is in flight
         sim.run()
         st.on_crash()
@@ -116,16 +116,16 @@ class TestDurablePersistOrdering:
 
     def test_the_continuation_gets_its_arguments_at_the_barrier(self):
         done = []
-        InMemoryStorage().persist(0, 100, done.append, "at once")
+        InMemoryStorage().persist(0, 100, done.append, ("at once",))
         assert done == ["at once"]
         sim, st = self._storage()
         st.get(2).vrnd = 1
-        st.persist(2, 100, lambda *args: done.append((sim.now, args)), "token", 7)
+        st.persist(2, 100, lambda *args: done.append((sim.now, args)), ("token", 7))
         assert done == ["at once"]  # not before the disk ack
         sim.run()
         assert done == ["at once", (0.01, ("token", 7))]  # write_latency later
         st.get(3).vrnd = 1
-        st.persist(3, 100, done.append, "lost")
+        st.persist(3, 100, done.append, ("lost",))
         st.on_crash()  # between the write and its ack: image and call void
         sim.run()
         assert done[-1] != "lost" and st.writes_invalidated == 1
@@ -189,7 +189,7 @@ class TestAcceptorRecovery:
         sim.run(until=0.5)
         acc = ring.acceptors[0]
         acc.local_promise(0, 500)           # promise round 500...
-        acc.storage.persist(-1, 64, lambda: None)  # ...and make it durable
+        acc.storage.persist(-1, 64, lambda: None, ())  # ...and make it durable
         sim.run(until=1.0)
         self._restart(acc)
         assert acc.promised_floor == 500
@@ -355,6 +355,45 @@ class TestMergeSnapshotRestore:
         merge.push(1, 0, self._batch(2))
         merge.push(0, 1, self._batch(3))
         assert delivered[-2:] == ["v2", "v3"]
+
+    def test_round_trip_keeps_buffered_items_and_partly_consumed_skips(self):
+        from repro.ringpaxos.messages import SkipRange
+
+        # Ring 0 runs ahead: a 5-instance skip range (2 consumed at once,
+        # 3 left in the queue) and a batch wait for ring 1's turn.
+        prefix = [(0, 0, SkipRange(5)), (0, 5, self._batch(1))]
+        suffix = [(1, 0, self._batch(2)), (1, 1, SkipRange(1)), (1, 2, SkipRange(4))]
+
+        def merge_of(delivered):
+            return DeterministicMerge(
+                ring_order=[0, 1], m=2,
+                on_deliver=lambda r, i, v: delivered.append(v.payload),
+            )
+
+        expected = []
+        reference = merge_of(expected)
+        for push in prefix + suffix:
+            reference.push(*push)
+
+        delivered = []
+        merge = merge_of(delivered)
+        for push in prefix:
+            merge.push(*push)
+        assert merge.queue_depth(0) == 4  # [3 skips] + the batch
+        snap = merge.snapshot()
+        at_checkpoint = len(delivered)
+        for push in suffix[:2]:
+            merge.push(*push)  # consumes 2 of the 3 buffered skips in place
+        for _ in range(2):  # one checkpoint can be restored twice
+            merge.restore(snap)
+            assert merge.queue_depth(0) == 4 and merge.queue_depth(1) == 0
+            assert merge.queue_gauges[0].value == 4 and merge.queue_gauges[1].value == 0
+            assert merge.buffered_instances.value == 4
+            del delivered[at_checkpoint:]
+            for push in suffix:
+                merge.push(*push)
+            assert delivered == expected
+            assert merge.buffered_instances.value == reference.buffered_instances.value
 
 
 # ---------------------------------------------------------------------------

@@ -193,7 +193,7 @@ def test_fifo_nan_demand_is_rejected_and_leaves_the_server_untouched():
     srv.submit(1.0)
     fired = []
     with pytest.raises(ValueError):
-        srv.submit(float("nan"), fired.append, "nan job")
+        srv.submit(float("nan"), fired.append, ("nan job",))
     assert srv.busy_until == 1.0
     assert srv.total_busy_time == 1.0
     assert srv.jobs_served == 1
@@ -221,10 +221,21 @@ def test_cpu_execute_charges_and_runs():
     sim = Simulator()
     cpu = Cpu(sim, capacity=1.0)
     ran = []
-    cpu.execute(0.010, ran.append, "job")
+    cpu.execute(0.010, ran.append, ("job",))
     sim.run()
     assert ran == ["job"]
     assert sim.now == pytest.approx(0.010)
+
+
+def test_cpu_execute_passes_a_tuple_argument_whole():
+    # The continuation's arguments are one tuple: a tuple-valued argument
+    # (a message's decisions, say) goes in a 1-tuple and arrives unsplatted.
+    sim = Simulator()
+    cpu = Cpu(sim, capacity=1.0)
+    ran = []
+    cpu.execute(0.010, ran.append, ((1, 2),))
+    sim.run()
+    assert ran == [(1, 2)]
 
 
 def test_cpu_saturation_queues_work():
@@ -308,7 +319,7 @@ def test_disk_nan_write_is_rejected_and_leaves_the_disk_untouched():
     acked = []
     for bad in (float("nan"), -1):
         with pytest.raises(SimulationError):
-            disk.write(bad, acked.append, "bad write")
+            disk.write(bad, acked.append, ("bad write",))
     assert disk.bytes_written == 100
     assert disk.writes == 1
     assert disk.drain.jobs_served == 1
@@ -327,13 +338,13 @@ def test_completions_and_timers_interleave_in_time_then_submission_order():
     slow = FifoServer(sim, rate=1.0, name="slow")
     disk = Disk(sim, bandwidth=1000.0, write_latency=1.0)
     order = []
-    slow.submit(1.0, order.append, "slow#0 t=1")
-    fast.submit(1.0, order.append, "fast#0 t=0.5")
+    slow.submit(1.0, order.append, ("slow#0 t=1",))
+    fast.submit(1.0, order.append, ("fast#0 t=0.5",))
     sim.schedule(1.0, order.append, "timer t=1")  # ties with slow#0: submitted later
-    fast.submit(1.0, order.append, "fast#1 t=1")  # ties too: later still
-    disk.write(10, order.append, "disk ack t=1")  # and this one is last
-    slow.submit(1.0, order.append, "slow#1 t=2")
-    fast.submit(2.0, order.append, "fast#2 t=2")
+    fast.submit(1.0, order.append, ("fast#1 t=1",))  # ties too: later still
+    disk.write(10, order.append, ("disk ack t=1",))  # and this one is last
+    slow.submit(1.0, order.append, ("slow#1 t=2",))
+    fast.submit(2.0, order.append, ("fast#2 t=2",))
     sim.at(0.75, order.append, "timer t=0.75")
     sim.run()
     assert order == [
@@ -361,7 +372,7 @@ def test_event_budget_fires_exactly_that_many_completions():
     srv = FifoServer(sim, rate=1.0)
     fired = []
     for i in range(4):
-        srv.submit(1.0, fired.append, i)
+        srv.submit(1.0, fired.append, (i,))
     sim.run(max_events=1)
     assert fired == [0]
     assert (sim.now, sim.events_executed, sim.pending_events) == (1.0, 1, 3)
@@ -375,7 +386,7 @@ def test_run_window_stops_between_two_completions_of_one_server():
     srv = FifoServer(sim, rate=1.0)
     fired = []
     for i in range(4):
-        srv.submit(1.0, fired.append, i)  # completes at t = 1, 2, 3, 4
+        srv.submit(1.0, fired.append, (i,))  # completes at t = 1, 2, 3, 4
     sim.run(until=2.5)
     assert fired == [0, 1]
     assert sim.now == 2.5
@@ -393,9 +404,9 @@ def test_completion_callback_resubmitting_to_its_own_server_keeps_fifo():
     def chain(n):
         fired.append((f"chain{n}", sim.now))
         if n:
-            srv.submit(1.0, chain, n - 1)
+            srv.submit(1.0, chain, (n - 1,))
 
-    srv.submit(1.0, chain, 2)
+    srv.submit(1.0, chain, (2,))
     srv.submit(1.0, lambda: fired.append(("queued behind", sim.now)))
     sim.run()
     # Each resubmission joins the back of the queue: behind the job that

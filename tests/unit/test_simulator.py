@@ -178,7 +178,7 @@ def test_every_scheduling_entry_point_rejects_nan_and_past_times(bad):
     with pytest.raises(SimulationError):
         sim.at(when, lambda: None)
     with pytest.raises(SimulationError):
-        sim.post_reserved(when, sim.reserve_seq(), lambda: None)
+        sim.post_reserved(when, sim.reserve_seq(), lambda: None, ())
     assert sim.pending_events == 0
 
 
@@ -188,7 +188,7 @@ def test_scheduling_is_fire_and_forget():
     sim = Simulator()
     assert sim.schedule(1.0, lambda: None) is None
     assert sim.at(2.0, lambda: None) is None
-    assert sim.post_reserved(3.0, sim.reserve_seq(), lambda: None) is None
+    assert sim.post_reserved(3.0, sim.reserve_seq(), lambda: None, ()) is None
     assert sim.pending_events == 3
     assert all(len(entry) == 4 for entry in sim._queue._heap)
 
