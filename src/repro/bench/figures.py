@@ -19,12 +19,24 @@ are byte-identical regardless of job count.
 from __future__ import annotations
 
 import inspect
+from typing import Callable
 
 from ..parallel import Spec, run_sweep
 from ..workload.rates import ModulatedRate, ScaledRate, StepRate
 from .plots import ascii_multi_series
 from .report import format_table, series_to_rows
-from .runner import run_two_ring_timeseries
+from .runner import (
+    run_coordinator_failure_timeseries,
+    run_elasticity_timeseries,
+    run_lcr_point,
+    run_mencius_point,
+    run_multiring_point,
+    run_partitioned_single_ring_point,
+    run_single_ring_point,
+    run_spread_point,
+    run_two_ring_parameter_point,
+    run_two_ring_timeseries,
+)
 
 __all__ = ["FIGURES", "run_figure"]
 
@@ -44,9 +56,10 @@ def _stepped(levels: list[float]) -> StepRate:
     return StepRate([(i * STEP_SECONDS, _msgs(v)) for i, v in enumerate(levels)])
 
 
-def _point(runner: str, **kwargs) -> Spec:
+def _point(runner: Callable[..., object], **kwargs) -> Spec:
     """A spec for one ``repro.bench.runner`` call (JSON-primitive kwargs)."""
-    return Spec(fn=f"repro.bench.runner:{runner}", kwargs=kwargs, label=f"{runner}:{kwargs}")
+    name = runner.__name__
+    return Spec(fn=f"repro.bench.runner:{name}", kwargs=kwargs, label=f"{name}:{kwargs}")
 
 
 def _lambda_case(
@@ -100,7 +113,7 @@ def figure1():
         for offered in offered_list
     ]
     specs = [
-        _point("run_single_ring_point", offered_mbps=float(offered), durable=durable)
+        _point(run_single_ring_point, offered_mbps=float(offered), durable=durable)
         for durable, offered in grid
     ]
     rows = [
@@ -119,7 +132,7 @@ def figure1():
 def figure2():
     """Partitioned dummy service over one Ring Paxos instance."""
     ns = (1, 2, 4, 8)
-    specs = [_point("run_partitioned_single_ring_point", n_partitions=n) for n in ns]
+    specs = [_point(run_partitioned_single_ring_point, n_partitions=n) for n in ns]
     rows = [
         (n, r.delivered_mbps, r.extra["per_partition_mbps"], r.cpu_pct)
         for n, r in zip(ns, run_sweep(specs))
@@ -136,15 +149,15 @@ def figure5():
     """Scalability: M-RP (RAM/DISK) vs Spread, Ring Paxos, LCR."""
     grid: list[tuple[str, int, Spec]] = []
     for n in (1, 2, 4, 8):
-        grid.append(("RAM M-RP", n, _point("run_multiring_point", n_rings=n, durable=False)))
+        grid.append(("RAM M-RP", n, _point(run_multiring_point, n_rings=n, durable=False)))
     for n in (1, 2, 4, 8):
-        grid.append(("DISK M-RP", n, _point("run_multiring_point", n_rings=n, durable=True)))
+        grid.append(("DISK M-RP", n, _point(run_multiring_point, n_rings=n, durable=True)))
     for n in (1, 2, 4, 8):
-        grid.append(("Ring Paxos", n, _point("run_partitioned_single_ring_point", n_partitions=n)))
+        grid.append(("Ring Paxos", n, _point(run_partitioned_single_ring_point, n_partitions=n)))
     for n in (1, 2, 4, 8):
-        grid.append(("Spread", n, _point("run_spread_point", n_daemons=n)))
+        grid.append(("Spread", n, _point(run_spread_point, n_daemons=n)))
     for n in (2, 4, 8, 16):
-        grid.append(("LCR", n, _point("run_lcr_point", n_nodes=n)))
+        grid.append(("LCR", n, _point(run_lcr_point, n_nodes=n)))
     rows = []
     for (system, n, _), r in zip(grid, run_sweep([spec for _, _, spec in grid])):
         msgs = 0.0 if system == "Ring Paxos" else r.msgs_per_s
@@ -161,7 +174,7 @@ def figure6():
     """Every learner subscribes to all groups (ingress-bound)."""
     grid = [(durable, n) for durable in (False, True) for n in (1, 2, 4, 8)]
     specs = [
-        _point("run_multiring_point", n_rings=n, durable=durable, subscribe_all=True)
+        _point(run_multiring_point, n_rings=n, durable=durable, subscribe_all=True)
         for durable, n in grid
     ]
     rows = [
@@ -186,7 +199,7 @@ def figure7():
         for offered in (50, 200, 400, 800)
     ]
     specs = [
-        _point("run_two_ring_parameter_point",
+        _point(run_two_ring_parameter_point,
                offered_mbps_total=float(offered), delta=delta, burst=8)
         for delta, offered in grid
     ]
@@ -206,7 +219,7 @@ def figure8():
     """The effect of M."""
     grid = [(m, offered) for m in (1, 10, 100) for offered in (200, 400, 600, 800)]
     specs = [
-        _point("run_two_ring_parameter_point",
+        _point(run_two_ring_parameter_point,
                offered_mbps_total=float(offered), m=m, burst=1, jitter=0.0)
         for m, offered in grid
     ]
@@ -283,7 +296,7 @@ def figure11():
 def figure12():
     """Coordinator failure at t=20 s, restart 3 s later."""
     [res] = run_sweep([
-        _point("run_coordinator_failure_timeseries",
+        _point(run_coordinator_failure_timeseries,
                rate_msgs_per_s=4000.0, fail_at=20.0, restart_after=3.0, duration=32.0)
     ])
     delivered = dict((round(t), v) for t, v in res.delivered_mbps)
@@ -313,9 +326,9 @@ def related_mencius():
     """Related work: Mencius vs Multi-Ring Paxos (Section V)."""
     grid: list[tuple[str, int, Spec]] = []
     for n in (2, 4, 8):
-        grid.append(("Mencius", n, _point("run_mencius_point", n_servers=n)))
+        grid.append(("Mencius", n, _point(run_mencius_point, n_servers=n)))
     for n in (2, 4, 8):
-        grid.append(("RAM M-RP", n, _point("run_multiring_point", n_rings=n, durable=False)))
+        grid.append(("RAM M-RP", n, _point(run_multiring_point, n_rings=n, durable=False)))
     rows = [
         (system, n, r.delivered_mbps / 1e3, r.latency_ms, r.cpu_pct)
         for (system, n, _), r in zip(grid, run_sweep([s for _, _, s in grid]))
@@ -488,7 +501,7 @@ def figure_elasticity(quick: bool = False):
         {"duration": 40.0, "remap_at": 10.0, "split_at": 25.0}
     )
     [res] = run_sweep([
-        _point("run_elasticity_timeseries", rate_msgs_per_s=3000.0, **timing)
+        _point(run_elasticity_timeseries, rate_msgs_per_s=3000.0, **timing)
     ])
     delivered = dict((round(t), v) for t, v in res.delivered_mbps)
     g0 = dict((round(t), v) for t, v in res.multicast_mbps[0])

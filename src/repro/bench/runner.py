@@ -22,8 +22,10 @@ keyword arguments — no module-level mutable state, results picklable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
+from operator import attrgetter
 from types import SimpleNamespace
-from typing import Callable
+from typing import Any, Callable, Iterable
 
 from ..baselines.lcr import LCR_MESSAGE_SIZE, build_lcr_ring
 from ..baselines.mencius import build_mencius
@@ -92,6 +94,52 @@ def _busiest(servers, sim: Simulator, start: float) -> Callable[[], float]:
     """Most busy seconds since ``start`` among FIFO ``servers``."""
     windows = [_window(server.busy_time, sim, start) for server in servers]
     return lambda: max(busy() for busy in windows)
+
+
+def _closed_loop(
+    sim: Simulator,
+    sends: Iterable[tuple[Any, Callable[[], Any]]],
+    make: Callable[..., Any] = ClosedLoopGenerator,
+    ticket: Callable[[Any], Any] = attrgetter("seq"),
+    **kwargs: Any,
+) -> Callable[[Any, Any], None]:
+    """Build and start one generator per ``(key, send)`` of ``sends``, in order.
+
+    ``make(sim, send, **kwargs)`` builds each generator. Returns the
+    completion hook ``complete(key, value)``: it releases ``ticket(value)``
+    on the generator ``key`` names, if there is one. ``sends`` may be lazy
+    (:func:`_group_sends`), so whatever it builds for a generator is
+    built just before that generator starts.
+    """
+    gens = {}
+    for key, send in sends:
+        gens[key] = gen = make(sim, send, **kwargs)
+        gen.start()
+
+    def complete(key: Any, value: Any) -> None:
+        gen = gens.get(key)
+        if gen is not None:
+            gen.notify(ticket(value))
+
+    return complete
+
+
+def _group_sends(
+    mrp: MultiRingPaxos,
+    n_groups: int,
+    message_size: int,
+    send: Callable[[Any, int], Callable[[], Any]] | None = None,
+):
+    """Per group, add a proposer; yield ``((proposer name, group), send)``.
+
+    ``send`` multicasts a ``message_size`` value to the group, or is
+    ``send(proposer, group)`` when given.
+    """
+    for g in range(n_groups):
+        prop = mrp.add_proposer()
+        yield (prop.node.name, g), (
+            partial(prop.multicast, g, None, message_size) if send is None else send(prop, g)
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -171,28 +219,10 @@ def run_multiring_point(
     else:
         for g in range(n_rings):
             learners.append(mrp.add_learner(groups=[g]))
-    gens: dict[tuple[str, int], ClosedLoopGenerator] = {}
-    for g in range(n_rings):
-        prop = mrp.add_proposer()
-        gen = ClosedLoopGenerator(
-            sim,
-            (lambda p=prop, g=g: p.multicast(g, None, message_size)),
-            window=window,
-        )
-        gens[(prop.node.name, g)] = gen
-        gen.start()
-
-    def completion_hook(group: int, value) -> None:
-        gen = gens.get((value.sender, group))
-        if gen is not None:
-            gen.notify(value.seq)
-
+    complete = _closed_loop(sim, _group_sends(mrp, n_rings, message_size), window=window)
     # Exactly one learner notifies each generator (the one for its group).
-    if subscribe_all:
-        learners[0].on_deliver = completion_hook
-    else:
-        for learner in learners:
-            learner.on_deliver = completion_hook
+    for learner in learners:
+        learner.on_deliver = lambda group, value: complete((value.sender, group), value)
 
     end = warmup + duration
     delivered = _window(lambda: sum(ln.delivered_bytes.value for ln in learners), sim, warmup)
@@ -243,22 +273,11 @@ def run_partitioned_single_ring_point(
     )
     sim = mrp.sim
     learners = [mrp.add_learner(groups=[g]) for g in range(n_partitions)]
-    gens: dict[tuple[str, int], ClosedLoopGenerator] = {}
-    for g in range(n_partitions):
-        prop = mrp.add_proposer()
-        gen = ClosedLoopGenerator(
-            sim, (lambda p=prop, g=g: p.multicast(g, None, message_size)), window=window
-        )
-        gens[(prop.node.name, g)] = gen
-        gen.start()
-
-    def hook(group: int, value) -> None:
-        gen = gens.get((value.sender, group))
-        if gen is not None:
-            gen.notify(value.seq)
-
+    complete = _closed_loop(
+        sim, _group_sends(mrp, n_partitions, message_size), window=window
+    )
     for learner in learners:
-        learner.on_deliver = hook
+        learner.on_deliver = lambda group, value: complete((value.sender, group), value)
     end = warmup + duration
     delivered = _window(lambda: sum(ln.delivered_bytes.value for ln in learners), sim, warmup)
     cpu_busy = _window(mrp.rings[0].coordinator.node.cpu.busy_time, sim, warmup)
@@ -290,38 +309,11 @@ def run_lcr_point(
     """Closed-loop LCR: every node broadcasts; throughput is per-node
     delivery rate (every node delivers every message)."""
     sim = Simulator(seed=seed)
-    net = Network(sim)
-    nodes = build_lcr_ring(sim, net, n_nodes)
-    gens = []
-    for node in nodes:
-        gen = ClosedLoopGenerator(
-            sim, (lambda n=node: n.broadcast(None, message_size)), window=window
-        )
-        gens.append(gen)
-    # Completion: a broadcaster's own delivery of its message.
-    by_name = {node.node.name: gen for node, gen in zip(nodes, gens)}
-    for node in nodes:
-        node.on_deliver = (
-            lambda msg, me=node.node.name: by_name[msg.origin].notify(msg.seq)
-            if msg.origin == me
-            else None
-        )
-    for gen in gens:
-        gen.start()
-    observer = nodes[0]
-    end = warmup + duration
-    delivered = _window(lambda: observer.delivered_bytes.value, sim, warmup)
-    messages = _window(lambda: observer.delivered.value, sim, warmup)
-    cpu_busy = _busiest((n.node.cpu for n in nodes), sim, warmup)
-    sim.run(until=end)
-    cpu = cpu_busy() / duration
-    return PointResult(
-        label=f"LCR x{n_nodes}",
-        offered_mbps=0.0,
-        delivered_mbps=bytes_per_s_to_mbps(delivered() / duration),
-        msgs_per_s=messages() / duration,
-        latency_ms=observer.latency.trimmed_mean() * 1e3,
-        cpu_pct=100.0 * cpu,
+    nodes = build_lcr_ring(sim, Network(sim), n_nodes)
+    return _broadcast_point(
+        f"LCR x{n_nodes}", sim, nodes,
+        [(n.node.name, partial(n.broadcast, None, message_size)) for n in nodes],
+        attrgetter("origin"), nodes[:1], nodes, duration, warmup, window,
     )
 
 
@@ -335,35 +327,11 @@ def run_spread_point(
 ) -> PointResult:
     """Closed-loop Spread-like system: one client/group per daemon."""
     sim = Simulator(seed=seed)
-    net = Network(sim)
-    daemons, clients = build_spread(sim, net, n_daemons)
-    gens = []
-    for idx, client in enumerate(clients):
-        gen = ClosedLoopGenerator(
-            sim, (lambda c=client, g=idx: c.multicast(g, None, message_size)), window=window
-        )
-        gens.append(gen)
-
-        def on_deliver(msg, gen=gen, me=client.node.name):
-            if msg.sender == me:
-                gen.notify(msg.seq)
-
-        client.on_deliver = on_deliver
-        gen.start()
-    end = warmup + duration
-    delivered = _window(lambda: sum(c.delivered_bytes.value for c in clients), sim, warmup)
-    messages = _window(lambda: sum(c.delivered.value for c in clients), sim, warmup)
-    cpu_busy = _busiest((d.node.cpu for d in daemons), sim, warmup)
-    sim.run(until=end)
-    cpu = cpu_busy() / duration
-    latencies = [c.latency.trimmed_mean() for c in clients if c.latency.count]
-    return PointResult(
-        label=f"Spread x{n_daemons}",
-        offered_mbps=0.0,
-        delivered_mbps=bytes_per_s_to_mbps(delivered() / duration),
-        msgs_per_s=messages() / duration,
-        latency_ms=(sum(latencies) / len(latencies) * 1e3 if latencies else 0.0),
-        cpu_pct=100.0 * cpu,
+    daemons, clients = build_spread(sim, Network(sim), n_daemons)
+    return _broadcast_point(
+        f"Spread x{n_daemons}", sim, clients,
+        [(c.node.name, partial(c.multicast, g, None, message_size)) for g, c in enumerate(clients)],
+        attrgetter("sender"), clients, daemons, duration, warmup, window,
     )
 
 
@@ -378,37 +346,42 @@ def run_mencius_point(
     """Closed-loop Mencius: every server broadcasts; throughput is the
     per-server delivery rate (every server delivers everything)."""
     sim = Simulator(seed=seed)
-    net = Network(sim)
-    servers = build_mencius(sim, net, n_servers)
-    gens = []
-    for server in servers:
-        gen = ClosedLoopGenerator(
-            sim, (lambda s=server: s.broadcast(None, message_size)), window=window
+    servers = build_mencius(sim, Network(sim), n_servers)
+    return _broadcast_point(
+        f"Mencius x{n_servers}", sim, servers,
+        [(s.node.name, partial(s.broadcast, None, message_size)) for s in servers],
+        attrgetter("sender"), servers[:1], servers, duration, warmup, window,
+    )
+
+
+def _broadcast_point(
+    label, sim, members, sends, sender, observed, machines, duration, warmup, window
+) -> PointResult:
+    """The closed-loop body of the Figure 5 baselines and Mencius.
+
+    Each of ``members`` sends through its generator of ``sends`` (keyed
+    by the member's node name) and completes a send on delivering its own
+    message, the one whose ``sender(msg)`` is that name. Throughput and latency are read at the
+    ``observed`` members, CPU at the busiest of the ``machines``.
+    """
+    complete = _closed_loop(sim, sends, window=window)
+    for member in members:
+        member.on_deliver = lambda msg, me=member.node.name: (
+            complete(me, msg) if sender(msg) == me else None
         )
-        gens.append(gen)
-    by_name = {server.node.name: gen for server, gen in zip(servers, gens)}
-    for server in servers:
-        server.on_deliver = (
-            lambda value, me=server.node.name: by_name[value.sender].notify(value.seq)
-            if value.sender == me
-            else None
-        )
-    for gen in gens:
-        gen.start()
-    observer = servers[0]
     end = warmup + duration
-    delivered = _window(lambda: observer.delivered_bytes.value, sim, warmup)
-    messages = _window(lambda: observer.delivered.value, sim, warmup)
-    cpu_busy = _busiest((s.node.cpu for s in servers), sim, warmup)
+    delivered = _window(lambda: sum(m.delivered_bytes.value for m in observed), sim, warmup)
+    messages = _window(lambda: sum(m.delivered.value for m in observed), sim, warmup)
+    cpu_busy = _busiest((m.node.cpu for m in machines), sim, warmup)
     sim.run(until=end)
-    cpu = cpu_busy() / duration
+    latencies = [m.latency.trimmed_mean() for m in observed if m.latency.count]
     return PointResult(
-        label=f"Mencius x{n_servers}",
+        label=label,
         offered_mbps=0.0,
         delivered_mbps=bytes_per_s_to_mbps(delivered() / duration),
         msgs_per_s=messages() / duration,
-        latency_ms=observer.latency.trimmed_mean() * 1e3,
-        cpu_pct=100.0 * cpu,
+        latency_ms=(sum(latencies) / len(latencies) * 1e3 if latencies else 0.0),
+        cpu_pct=100.0 * (cpu_busy() / duration),
     )
 
 
@@ -568,24 +541,11 @@ def run_coordinator_failure_timeseries(
     )
     sim = mrp.sim
     learner = mrp.add_learner(groups=[0, 1])
-    gens: dict[tuple[str, int], ThrottledGenerator] = {}
-    for g in range(2):
-        prop = mrp.add_proposer()
-        gen = ThrottledGenerator(
-            sim,
-            (lambda p=prop, g=g: p.multicast(g, None, message_size)),
-            rate=rate_msgs_per_s,
-            max_outstanding=window,
-        )
-        gens[(prop.node.name, g)] = gen
-        gen.start()
-
-    def hook(group: int, value) -> None:
-        gen = gens.get((value.sender, group))
-        if gen is not None:
-            gen.notify(value.seq)
-
-    learner.on_deliver = hook
+    complete = _closed_loop(
+        sim, _group_sends(mrp, 2, message_size), ThrottledGenerator,
+        rate=rate_msgs_per_s, max_outstanding=window,
+    )
+    learner.on_deliver = lambda group, value: complete((value.sender, group), value)
     sim.at(fail_at, lambda: mrp.crash_coordinator(0))
     sim.at(fail_at + restart_after, lambda: mrp.restart_coordinator(0))
     sim.run(until=duration)
@@ -639,33 +599,27 @@ def run_elasticity_timeseries(
     )
     sim = mrp.sim
     learner = mrp.add_learner(groups=[0, 1])
-    gens: dict[tuple[str, int], ThrottledGenerator] = {}
-    for g in range(2):
-        prop = mrp.add_proposer()
+
+    def numbered(prop, g):
+        # Close the loop on a payload id rather than the proposer seq: a
+        # multicast during the remap's hold window returns None (the
+        # payload is queued and flushed at release, when it gets its real
+        # seq), but the payload travels unchanged, so delivery can always
+        # be matched back to the send.
         counter = iter(range(10**9))
 
-        def send(prop=prop, g=g, counter=counter):
-            # Close the loop on a payload id rather than the proposer
-            # seq: a multicast during the remap's hold window returns
-            # None (the payload is queued and flushed at release, when
-            # it gets its real seq), but the payload travels unchanged,
-            # so delivery can always be matched back to the send.
+        def send():
             i = next(counter)
             prop.multicast(g, i, message_size)
             return SimpleNamespace(seq=i)
 
-        gen = ThrottledGenerator(
-            sim, send, rate=rate_msgs_per_s, max_outstanding=window,
-        )
-        gens[(prop.node.name, g)] = gen
-        gen.start()
+        return send
 
-    def hook(group: int, value) -> None:
-        gen = gens.get((value.sender, group))
-        if gen is not None and isinstance(value.payload, int):
-            gen.notify(value.payload)
-
-    learner.on_deliver = hook
+    complete = _closed_loop(
+        sim, _group_sends(mrp, 2, message_size, numbered), ThrottledGenerator,
+        ticket=attrgetter("payload"), rate=rate_msgs_per_s, max_outstanding=window,
+    )
+    learner.on_deliver = lambda group, value: complete((value.sender, group), value)
     done_at: dict[str, float] = {}
     sim.at(remap_at, lambda: mrp.reconfig.remap_group(
         1, 0, on_done=lambda op: done_at.__setitem__("remap", sim.now)))

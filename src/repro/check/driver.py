@@ -33,7 +33,7 @@ import json
 import random
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from ..calibration import DISK_BANDWIDTH_BYTES_PER_S
@@ -98,32 +98,6 @@ class CaseConfig:
     population_rate: float = 0.0
     admission_inflight: int = 0
     admission_queue: int = 0
-
-    def as_dict(self) -> dict:
-        return {
-            "n_groups": self.n_groups,
-            "acceptors_per_ring": self.acceptors_per_ring,
-            "durable": self.durable,
-            "lambda_rate": self.lambda_rate,
-            "delta": self.delta,
-            "sim_seed": self.sim_seed,
-            "workload_seed": self.workload_seed,
-            "learners": [list(subs) for subs in self.learners],
-            "n_proposers": self.n_proposers,
-            "messages_per_proposer": self.messages_per_proposer,
-            "value_size": self.value_size,
-            "duration": self.duration,
-            "profile": self.profile,
-            "replicas": self.replicas,
-            "checkpoint_interval": self.checkpoint_interval,
-            "regions": self.regions,
-            "wan_ms": self.wan_ms,
-            "wan_jitter_ms": self.wan_jitter_ms,
-            "population_sessions": self.population_sessions,
-            "population_rate": self.population_rate,
-            "admission_inflight": self.admission_inflight,
-            "admission_queue": self.admission_queue,
-        }
 
     @classmethod
     def from_dict(cls, data: dict) -> "CaseConfig":
@@ -560,7 +534,7 @@ def failure_to_dict(result: CaseResult, shrunk: Schedule | None = None) -> dict:
         "message": result.message,
         "original_steps": len(result.schedule),
         "shrunk_steps": len(final),
-        "config": result.config.as_dict(),
+        "config": asdict(result.config),
         "schedule": final.as_dict(),
     }
 

@@ -9,43 +9,30 @@ whole schedule round-trips through JSON, which is what makes a failing
 fuzz run a *file* (``repro fuzz --replay failure.json``) rather than a
 stack trace.
 
-:class:`ScheduleRunner` resolves the step targets against a live
-:class:`~repro.core.deployment.MultiRingPaxos` deployment and installs
-them on the simulator timeline through a
-:class:`~repro.sim.faults.FaultSchedule`. Targets are *role names*
-(``coordinator:0``, ``acceptor:1:0``, ``learner:2``, ``proposer:0``), not
-object references, so the same schedule file applies to a freshly rebuilt
-deployment — resolution happens when the step fires.
+Every action is one row of :data:`ACTIONS`: the step fields it requires
+(a step without them is rejected when it is built, so a bad replay file
+fails on load) and the handler :class:`ScheduleRunner` runs when the step
+fires. The runner installs each step as one ``sim.at(step.time,
+handler, runner, step)`` entry, so steps at the same instant fire in
+listed order. Targets are *role names* (``coordinator:0``,
+``acceptor:1:0``, ``learner:2``, ``proposer:0``), not object references,
+so the same schedule file applies to a freshly rebuilt deployment —
+resolution happens when the step fires.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 from ..errors import ConfigurationError
-from ..sim.faults import FaultSchedule, NetworkPartition
+from ..sim.faults import NetworkPartition
 from ..sim.loss import TunableLoss
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from ..core.deployment import MultiRingPaxos
 
 __all__ = ["ScheduleStep", "Schedule", "ScheduleRunner", "ACTIONS"]
-
-# Paired phase actions: the second member ends what the first started.
-# The elasticity actions (remap, ring_split, ring_merge) are unpaired:
-# each hands one operation to the deployment's reconfiguration manager,
-# which drives it to completion (or queues it) on its own.
-ACTIONS = (
-    "crash", "restart",
-    "partition", "heal",
-    "loss", "loss_end",
-    "slow_net", "slow_net_end",
-    "slow_disk", "slow_disk_end",
-    "wan_partition", "wan_heal",
-    "wan_jitter", "wan_jitter_end",
-    "remap", "ring_split", "ring_merge",
-)
 
 
 @dataclass(frozen=True, slots=True)
@@ -70,10 +57,16 @@ class ScheduleStep:
     ring: int | None = None
 
     def __post_init__(self) -> None:
-        if self.action not in ACTIONS:
+        row = ACTIONS.get(self.action)
+        if row is None:
             raise ConfigurationError(f"unknown schedule action {self.action!r}")
-        if self.time < 0:
-            raise ConfigurationError("schedule steps cannot be scheduled in the past")
+        if not self.time >= 0:  # written so that NaN is rejected too
+            raise ConfigurationError(f"a schedule step needs a time >= 0, not {self.time!r}")
+        for name in row[0]:
+            if getattr(self, name) is None:
+                raise ConfigurationError(f"a {self.action!r} step needs {name!r}")
+        if self.action in _PAIR_ACTIONS and len(self.island) != 2:
+            raise ConfigurationError(f"a {self.action!r} step needs a two-element island")
 
     def as_dict(self) -> dict:
         out: dict = {"t": self.time, "action": self.action}
@@ -189,7 +182,6 @@ class ScheduleRunner:
         self.loss = loss
         self.extra_roles: dict[str, object] = dict(extra_roles or {})
         self.restarted: set[str] = set()
-        self.faults = FaultSchedule(mrp.sim)
         self._base_delay = mrp.network.propagation_delay
         self._base_disk_rates = {
             name: node.disk.drain.rate
@@ -202,58 +194,10 @@ class ScheduleRunner:
     # ------------------------------------------------------------------
     def install(self, schedule: Schedule) -> "ScheduleRunner":
         """Schedule every step; resolution happens when each step fires."""
+        at = self.mrp.sim.at
         for step in schedule.steps:
-            self._install_step(step)
+            at(step.time, ACTIONS[step.action][1], self, step)
         return self
-
-    def _install_step(self, step: ScheduleStep) -> None:
-        t, action = step.time, step.action
-        if action in ("crash", "restart"):
-            assert step.target is not None
-            self.faults.act_at(t, f"{action} {step.target}", self._role_action, action, step.target)
-        elif action == "partition":
-            assert step.island is not None
-            self.faults.repartition_at(t, self.partition, step.island)
-        elif action == "heal":
-            self.faults.heal_at(t, self.partition)
-        elif action == "loss":
-            assert step.p is not None
-            self.faults.set_loss_at(t, self.loss, step.p)
-        elif action == "loss_end":
-            self.faults.set_loss_at(t, self.loss, 0.0)
-        elif action == "slow_net":
-            assert step.factor is not None
-            self.faults.act_at(t, f"slow_net x{step.factor:g}", self._set_delay, step.factor)
-        elif action == "slow_net_end":
-            self.faults.act_at(t, "slow_net_end", self._set_delay, 1.0)
-        elif action == "slow_disk":
-            assert step.factor is not None
-            self.faults.act_at(t, f"slow_disk /{step.factor:g}", self._scale_disks, step.factor)
-        elif action == "slow_disk_end":
-            self.faults.act_at(t, "slow_disk_end", self._scale_disks, 1.0)
-        elif action == "wan_partition":
-            assert step.island is not None and len(step.island) == 2
-            a, b = step.island
-            self.faults.act_at(t, f"wan_partition {a}|{b}", self._wan_partition, a, b)
-        elif action == "wan_heal":
-            self.faults.act_at(t, "wan_heal", self._wan_heal)
-        elif action == "wan_jitter":
-            assert step.factor is not None
-            self.faults.act_at(t, f"wan_jitter x{step.factor:g}", self._wan_jitter, step.factor)
-        elif action == "wan_jitter_end":
-            self.faults.act_at(t, "wan_jitter_end", self._wan_jitter, 1.0)
-        elif action == "remap":
-            assert step.group is not None and step.ring is not None
-            self.faults.act_at(t, f"remap group {step.group} -> ring {step.ring}",
-                               self._remap, step.group, step.ring)
-        elif action == "ring_split":
-            assert step.ring is not None
-            self.faults.act_at(t, f"ring_split {step.ring}", self._ring_split, step.ring)
-        elif action == "ring_merge":
-            assert step.island is not None and len(step.island) == 2
-            src, dst = step.island
-            self.faults.act_at(t, f"ring_merge {src} -> {dst}",
-                               self._ring_merge, int(src), int(dst))
 
     # ------------------------------------------------------------------
     # Step actions
@@ -319,30 +263,29 @@ class ScheduleRunner:
             role.node.restart()
             role.restart()
 
+    def _partition(self, step: ScheduleStep) -> None:
+        """Re-cut the partition around the step's island and activate it.
+
+        One partition object models a sequence of different cuts: the
+        island is swapped and the cut activated in the same event.
+        """
+        self.partition.island = set(step.island)
+        self.partition.activate()
+
     def _set_delay(self, factor: float) -> None:
         self.mrp.network.propagation_delay = self._base_delay * factor
-
-    # WAN steps resolve against the network lazily (and no-op on a
-    # single-switch fabric), so one schedule file stays applicable to
-    # both kinds of deployment — like role targets that no longer exist.
-    def _wan_partition(self, a: str, b: str) -> None:
-        network = self.mrp.network
-        if hasattr(network, "partition_wan"):
-            network.partition_wan(a, b)
-
-    def _wan_heal(self) -> None:
-        network = self.mrp.network
-        if hasattr(network, "heal_wan"):
-            network.heal_wan()
-
-    def _wan_jitter(self, factor: float) -> None:
-        network = self.mrp.network
-        if hasattr(network, "set_wan_jitter_scale"):
-            network.set_wan_jitter_scale(factor)
 
     def _scale_disks(self, factor: float) -> None:
         for name, base_rate in self._base_disk_rates.items():
             self.mrp.network.nodes[name].disk.drain.rate = base_rate / factor
+
+    # WAN steps resolve against the network lazily (and no-op on a
+    # single-switch fabric), so one schedule file stays applicable to
+    # both kinds of deployment — like role targets that no longer exist.
+    def _wan(self, method: str, *args: object) -> None:
+        fn = getattr(self.mrp.network, method, None)
+        if fn is not None:
+            fn(*args)
 
     # Elasticity steps hand operations to the reconfiguration manager,
     # which queues and retries them on its own. Like role targets that no
@@ -350,21 +293,9 @@ class ScheduleRunner:
     # group already moved away, a ring retired by an earlier merge — is
     # skipped, so a schedule stays applicable to whatever the deployment
     # has become (and to shrunk variants of itself).
-    def _remap(self, group: int, ring: int) -> None:
+    def _reconfig(self, operation: str, *args: int) -> None:
         try:
-            self.mrp.reconfig.remap_group(group, ring)
-        except ConfigurationError:
-            pass
-
-    def _ring_split(self, ring: int) -> None:
-        try:
-            self.mrp.reconfig.split_ring(ring)
-        except ConfigurationError:
-            pass
-
-    def _ring_merge(self, source: int, target: int) -> None:
-        try:
-            self.mrp.reconfig.merge_rings(source, target)
+            getattr(self.mrp.reconfig, operation)(*args)
         except ConfigurationError:
             pass
 
@@ -384,8 +315,8 @@ class ScheduleRunner:
         self.loss.set(0.0)
         self._set_delay(1.0)
         self._scale_disks(1.0)
-        self._wan_heal()
-        self._wan_jitter(1.0)
+        self._wan("heal_wan")
+        self._wan("set_wan_jitter_scale", 1.0)
         for ring_id, handle in self.mrp.rings.items():
             for i, acceptor in enumerate(handle.acceptors):
                 if acceptor.crashed:
@@ -409,3 +340,34 @@ class ScheduleRunner:
                     self.restarted.add(f"{kind}:{i}")
                 role.node.restart()
                 role.restart()
+
+
+# Every action: the step fields it requires, and the handler the runner
+# calls with ``(runner, step)`` when the step fires. The ``*_end`` actions
+# end the phase their namesake started; the elasticity actions (remap,
+# ring_split, ring_merge) each hand one operation to the deployment's
+# reconfiguration manager, which drives it to completion (or queues it).
+ACTIONS: dict[str, tuple[tuple[str, ...], Callable[[ScheduleRunner, ScheduleStep], None]]] = {
+    "crash": (("target",), lambda run, step: run._role_action("crash", step.target)),
+    "restart": (("target",), lambda run, step: run._role_action("restart", step.target)),
+    "partition": (("island",), ScheduleRunner._partition),
+    "heal": ((), lambda run, step: run.partition.heal()),
+    "loss": (("p",), lambda run, step: run.loss.set(step.p)),
+    "loss_end": ((), lambda run, step: run.loss.set(0.0)),
+    "slow_net": (("factor",), lambda run, step: run._set_delay(step.factor)),
+    "slow_net_end": ((), lambda run, step: run._set_delay(1.0)),
+    "slow_disk": (("factor",), lambda run, step: run._scale_disks(step.factor)),
+    "slow_disk_end": ((), lambda run, step: run._scale_disks(1.0)),
+    "wan_partition": (("island",), lambda run, step: run._wan("partition_wan", *step.island)),
+    "wan_heal": ((), lambda run, step: run._wan("heal_wan")),
+    "wan_jitter": (("factor",), lambda run, step: run._wan("set_wan_jitter_scale", step.factor)),
+    "wan_jitter_end": ((), lambda run, step: run._wan("set_wan_jitter_scale", 1.0)),
+    "remap": (("group", "ring"),
+              lambda run, step: run._reconfig("remap_group", step.group, step.ring)),
+    "ring_split": (("ring",), lambda run, step: run._reconfig("split_ring", step.ring)),
+    "ring_merge": (("island",),
+                   lambda run, step: run._reconfig("merge_rings", *map(int, step.island))),
+}
+# Actions whose island is a pair: two region names (wan_partition) or the
+# source and destination ring ids, as strings (ring_merge).
+_PAIR_ACTIONS = ("wan_partition", "ring_merge")

@@ -3,7 +3,7 @@
 from .counters import Counter, Gauge
 from .histogram import LatencyHistogram
 from .registry import MetricsRegistry
-from .timeseries import BucketSeries, SampledSeries
+from .timeseries import BucketSeries
 
 __all__ = [
     "BucketSeries",
@@ -11,5 +11,4 @@ __all__ = [
     "Gauge",
     "LatencyHistogram",
     "MetricsRegistry",
-    "SampledSeries",
 ]

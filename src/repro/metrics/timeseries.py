@@ -3,18 +3,12 @@
 Figures 9-12 of the paper plot per-second multicast rate, delivery
 throughput, and latency against the experiment timeline. A
 :class:`BucketSeries` accumulates (time, amount) observations into fixed
-buckets; a :class:`SampledSeries` records periodic samples of a probe
-callable (used for CPU utilization curves).
+buckets.
 """
 
 from __future__ import annotations
 
-from typing import Callable
-
-from ..sim.process import PeriodicTimer
-from ..sim.simulator import Simulator
-
-__all__ = ["BucketSeries", "SampledSeries"]
+__all__ = ["BucketSeries"]
 
 
 class BucketSeries:
@@ -77,50 +71,3 @@ class BucketSeries:
             out.append((idx * self.bucket_width, mean))
         return out
 
-
-class SampledSeries:
-    """Periodically samples ``probe()`` into (time, value) points.
-
-    Used for the CPU-percentage curves: the probe is typically
-    ``cpu.busy_time``, whose successive differences over ``period`` are
-    the utilization.
-    """
-
-    def __init__(
-        self,
-        sim: Simulator,
-        probe: Callable[[], float],
-        period: float = 1.0,
-        name: str = "sampled",
-    ) -> None:
-        self.sim = sim
-        self.probe = probe
-        self.period = period
-        self.name = name
-        self.points: list[tuple[float, float]] = []
-        self._timer = PeriodicTimer(sim, period, self._sample)
-
-    def start(self) -> "SampledSeries":
-        """Begin sampling every ``period`` seconds; returns self."""
-        self._timer.start()
-        return self
-
-    def stop(self) -> None:
-        """Stop sampling."""
-        self._timer.stop()
-
-    def _sample(self) -> None:
-        self.points.append((self.sim.now, self.probe()))
-
-    def last(self) -> float:
-        """Most recent sampled value (0.0 if none yet)."""
-        return self.points[-1][1] if self.points else 0.0
-
-    def max(self) -> float:
-        """Largest sampled value (0.0 if none yet)."""
-        return max((v for _, v in self.points), default=0.0)
-
-    def mean_over(self, start: float, end: float) -> float:
-        """Average of samples whose timestamps fall within [start, end]."""
-        vals = [v for t, v in self.points if start <= t <= end]
-        return sum(vals) / len(vals) if vals else 0.0

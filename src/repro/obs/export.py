@@ -14,20 +14,23 @@ from typing import IO, Any
 
 from .probe import ProbeBus, ProbeEvent
 
-__all__ = ["JsonlTraceWriter", "MemoryTraceWriter"]
+__all__ = ["JsonlTraceWriter"]
 
 
 class JsonlTraceWriter:
-    """Streams observability records to a ``.jsonl`` file.
+    """Streams observability records as JSON lines to a file or a stream.
 
-    Can be used standalone (``write`` / ``write_probe``) or subscribed to
-    a :class:`ProbeBus` for selected event kinds. Context-manager friendly.
+    ``target`` is a path, opened on the first write and closed by
+    :meth:`close`, or an open text stream, which stays the caller's (a
+    sweep worker's collecting session writes to an ``io.StringIO``). Can
+    be used standalone (``write`` / ``write_probe``) or subscribed to a
+    :class:`ProbeBus` for selected event kinds. Context-manager friendly.
     """
 
-    def __init__(self, path: str) -> None:
-        self.path = str(path)
+    def __init__(self, target: str | IO[str]) -> None:
+        self.path = None if hasattr(target, "write") else str(target)
         self.records_written = 0
-        self._fh: IO[str] | None = None
+        self._fh: IO[str] | None = target if self.path is None else None
         self._unsubscribers: list = []
 
     def _file(self) -> IO[str]:
@@ -50,11 +53,11 @@ class JsonlTraceWriter:
             self._unsubscribers.append(bus.subscribe(self.write_probe, kind=kind))
 
     def close(self) -> None:
-        """Unsubscribe from any bus and flush/close the file."""
+        """Unsubscribe from any bus and close the file (not a caller's stream)."""
         for remove in self._unsubscribers:
             remove()
         self._unsubscribers.clear()
-        if self._fh is not None:
+        if self.path is not None and self._fh is not None:
             self._fh.close()
             self._fh = None
 
@@ -64,42 +67,3 @@ class JsonlTraceWriter:
     def __exit__(self, *exc: object) -> None:
         self.close()
 
-
-class MemoryTraceWriter:
-    """The :class:`JsonlTraceWriter` interface, buffering records in memory.
-
-    Used by sweep worker processes: the worker runs its point under a
-    collecting :class:`~repro.obs.session.ObsSession`, and the buffered
-    records travel back to the parent (pickled with the result) to be
-    merged into the parent's single trace file.
-    """
-
-    def __init__(self) -> None:
-        self.records: list[dict[str, Any]] = []
-        self.records_written = 0
-        self._unsubscribers: list = []
-
-    def write(self, record: dict[str, Any]) -> None:
-        """Buffer one record."""
-        # Round-trip through JSON so buffered records are exactly as
-        # serializable as the ones a JsonlTraceWriter would have written.
-        self.records.append(json.loads(json.dumps(record, default=str)))
-        self.records_written += 1
-
-    def write_probe(self, event: ProbeEvent) -> None:
-        self.write(event.as_record())
-
-    def subscribe(self, bus: ProbeBus, kinds: tuple[str, ...]) -> None:
-        for kind in kinds:
-            self._unsubscribers.append(bus.subscribe(self.write_probe, kind=kind))
-
-    def close(self) -> None:
-        for remove in self._unsubscribers:
-            remove()
-        self._unsubscribers.clear()
-
-    def __enter__(self) -> "MemoryTraceWriter":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.close()

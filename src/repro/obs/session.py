@@ -25,10 +25,13 @@ Typical use (also what ``python -m repro ... --emit-metrics`` does)::
 
 from __future__ import annotations
 
+import io
+import json
+
 from ..metrics.registry import MetricsRegistry, observe_registries
 from ..sim.network import Network, observe_networks
 from ..sim.simulator import Simulator, observe_simulators
-from .export import JsonlTraceWriter, MemoryTraceWriter
+from .export import JsonlTraceWriter
 from .probe import ProbeBus
 from .profiler import ProfileRow, SimProfiler
 
@@ -50,9 +53,9 @@ class ObsSession:
         Defaults to none: per-event records for a saturated run are huge,
         and the profile/metric summaries carry the evaluation's signal.
     collect:
-        Buffer the trace in memory (a :class:`MemoryTraceWriter`) instead
-        of a file. Sweep worker processes use this: their buffered records
-        ride back to the parent, which merges them via :meth:`absorb`.
+        Write the trace to an in-memory ``io.StringIO`` instead of a file.
+        Sweep worker processes use this: their :meth:`records` ride back
+        to the parent, which merges them via :meth:`absorb`.
     """
 
     def __init__(
@@ -66,8 +69,9 @@ class ObsSession:
         self.networks: list[Network] = []
         self.profilers: list[SimProfiler] = []  # one per simulator, built on exit
         self.registries: list[MetricsRegistry] = []
-        if collect:
-            self.writer = MemoryTraceWriter()
+        self._buffer = io.StringIO() if collect else None
+        if self._buffer is not None:
+            self.writer = JsonlTraceWriter(self._buffer)
         else:
             self.writer = JsonlTraceWriter(emit_path) if emit_path else None
         self.probe_kinds = tuple(probe_kinds)
@@ -139,10 +143,10 @@ class ObsSession:
     # Cross-process merging
     # ------------------------------------------------------------------
     def records(self) -> list[dict]:
-        """Buffered records of a ``collect=True`` session (else empty)."""
-        if isinstance(self.writer, MemoryTraceWriter):
-            return list(self.writer.records)
-        return []
+        """The trace of a ``collect=True`` session, parsed (else empty)."""
+        if self._buffer is None:
+            return []
+        return [json.loads(line) for line in self._buffer.getvalue().splitlines()]
 
     def absorb(self, records: list[dict], origin: str) -> None:
         """Merge another session's records (e.g. from a sweep worker) into

@@ -46,11 +46,10 @@ from .messages import (
     Phase2B,
     PrepareRange,
     PromiseRange,
-    RepairReply,
     RepairRequest,
     SkipRange,
 )
-from .valuestore import ValueStore, decided_run
+from .valuestore import ValueStore, learner_reply
 
 __all__ = ["RingAcceptor"]
 
@@ -278,37 +277,22 @@ class RingAcceptor(Process):
     def _on_repair(self, src: str, msg) -> None:
         if self.crashed:
             return
-        if isinstance(msg, RepairRequest):
-            self.node.cpu.execute(CPU_FIXED_COST_SMALL_MESSAGE, self._serve_repair, (src, msg))
-        elif isinstance(msg, CatchupRequest):
-            self.node.cpu.execute(CPU_FIXED_COST_SMALL_MESSAGE, self._serve_catchup, (src, msg))
+        if isinstance(msg, (RepairRequest, CatchupRequest)):
+            self.node.cpu.execute(CPU_FIXED_COST_SMALL_MESSAGE, self._serve_learner, (src, msg))
         elif isinstance(msg, CheckpointAck):
             self.node.cpu.execute(CPU_FIXED_COST_SMALL_MESSAGE, self._on_checkpoint_ack, (msg,))
 
-    def _serve_repair(self, src: str, msg: RepairRequest) -> None:
+    def _serve_learner(self, src: str, msg: RepairRequest | CatchupRequest) -> None:
+        """Answer a learner's gap repair or restart catch-up from the decided log."""
         if self.crashed:
             return
-        items = decided_run(self._decided, msg.instance, msg.count)
-        if not items:
+        reply = learner_reply(self._decided, msg, self._decided_frontier)
+        if reply is None:
             return
-        reply = RepairReply(msg.instance, items)
-        self.repairs_served.value += 1
-        self.network.send(
-            self.node.name, src, f"rp{self.config.ring_id}.learner", reply, reply.size
-        )
-
-    def _serve_catchup(self, src: str, msg: CatchupRequest) -> None:
-        """State transfer for a recovering learner.
-
-        Unlike a gap repair, a catch-up is always answered — even with no
-        items, the reply's frontier tells the learner how far behind it
-        still is (and an empty reply makes it rotate to another member).
-        """
-        if self.crashed:
-            return
-        items = decided_run(self._decided, msg.instance, msg.count)
-        reply = CatchupReply(msg.instance, items, frontier=self._decided_frontier)
-        self.catchups_served.value += 1
+        if isinstance(reply, CatchupReply):
+            self.catchups_served.value += 1
+        else:
+            self.repairs_served.value += 1
         self.network.send(
             self.node.name, src, f"rp{self.config.ring_id}.learner", reply, reply.size
         )
@@ -397,10 +381,6 @@ class RingAcceptor(Process):
             -1, 64, self.network.send,
             (self.node.name, src, self.config.coord_port, reply, reply.size),
         )
-
-    def decided_item(self, instance: int) -> DataBatch | SkipRange | None:
-        """Recently decided item for ``instance`` (None once GC'd)."""
-        return self._decided.get(instance)
 
     # ------------------------------------------------------------------
     # Reconfiguration (paper, Section IV-C)

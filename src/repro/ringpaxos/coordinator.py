@@ -40,7 +40,6 @@ from ..sim.process import Process, Timer
 from .batcher import Batcher
 from .config import RingConfig
 from .messages import (
-    CatchupReply,
     CatchupRequest,
     ClientValue,
     ConfigChange,
@@ -52,13 +51,12 @@ from .messages import (
     Phase2B,
     PrepareRange,
     PromiseRange,
-    RepairReply,
     RepairRequest,
     SkipRange,
     Submit,
     SubmitAck,
 )
-from .valuestore import decided_run
+from .valuestore import learner_reply
 
 __all__ = ["RingCoordinator"]
 
@@ -493,41 +491,20 @@ class RingCoordinator(Process):
         """Serve learner repairs and catch-ups from the own decided log."""
         if self.crashed:
             return
-        if isinstance(msg, RepairRequest):
-            self.node.cpu.execute(
-                CPU_FIXED_COST_SMALL_MESSAGE, self._serve_learner_repair, (src, msg)
-            )
-        elif isinstance(msg, CatchupRequest):
-            self.node.cpu.execute(
-                CPU_FIXED_COST_SMALL_MESSAGE, self._serve_learner_catchup, (src, msg)
-            )
+        if isinstance(msg, (RepairRequest, CatchupRequest)):
+            self.node.cpu.execute(CPU_FIXED_COST_SMALL_MESSAGE, self._serve_learner, (src, msg))
         # CheckpointAcks are an acceptor concern; the coordinator's decided
         # log is already FIFO-bounded.
 
-    def _serve_learner_repair(self, src: str, msg: RepairRequest) -> None:
+    def _serve_learner(self, src: str, msg: RepairRequest | CatchupRequest) -> None:
+        """Answer a learner; the coordinator knows the true frontier."""
         if self.crashed:
             return
-        items = decided_run(self._decided_log, msg.instance, msg.count)
-        if not items:
-            return
-        reply = RepairReply(msg.instance, items)
-        self.network.send(
-            self.node.name, src, f"rp{self.config.ring_id}.learner", reply, reply.size
-        )
-
-    def _serve_learner_catchup(self, src: str, msg: CatchupRequest) -> None:
-        """Answer a recovering learner; the coordinator knows the true frontier."""
-        if self.crashed:
-            return
-        items = decided_run(self._decided_log, msg.instance, msg.count)
-        reply = CatchupReply(msg.instance, items, frontier=self.next_instance)
-        self.network.send(
-            self.node.name, src, f"rp{self.config.ring_id}.learner", reply, reply.size
-        )
-
-    def decided_item(self, instance: int) -> DataBatch | SkipRange | None:
-        """Recently decided item for ``instance`` (None once GC'd)."""
-        return self._decided_log.get(instance)
+        reply = learner_reply(self._decided_log, msg, self.next_instance)
+        if reply is not None:
+            self.network.send(
+                self.node.name, src, f"rp{self.config.ring_id}.learner", reply, reply.size
+            )
 
     # ------------------------------------------------------------------
     # Takeover (reconfiguration, paper Section IV-C)

@@ -222,8 +222,11 @@ class RingLearner(Process):
             self.node.cpu.execute(cost, self._on_repair_reply, (msg,))
 
     def _on_repair_reply(self, msg: RepairReply) -> None:
-        if self.crashed:
-            return
+        if not self.crashed:
+            self._place_run(msg)
+
+    def _place_run(self, msg: RepairReply | CatchupReply) -> None:
+        """Place a reply's consecutive decided items from ``msg.instance``."""
         cursor = msg.instance
         for item in msg.items:
             if cursor >= self.next_instance:
@@ -364,12 +367,7 @@ class RingLearner(Process):
             return
         self.frontier = max(self.frontier, msg.frontier)
         before = self.next_instance
-        cursor = msg.instance
-        for item in msg.items:
-            if cursor >= self.next_instance:
-                self._awaiting_value.pop(cursor, None)
-                self._place(cursor, item)
-            cursor += item.instance_count
+        self._place_run(msg)
         if not self._catching_up:
             return
         self._catchup_timer.stop()
@@ -378,7 +376,7 @@ class RingLearner(Process):
             self._catchup_backoff = self.config.repair_interval
         else:
             # An empty (or useless) reply: this member GC'd the prefix or
-            # is as lost as we are — try the next one after a backoff.
+            # is as lost as we are — ask the next one now.
             self._catchup_attempts += 1
         self._pull_catchup()
 

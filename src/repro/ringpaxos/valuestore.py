@@ -13,9 +13,9 @@ from __future__ import annotations
 
 from collections import deque
 
-from .messages import DataBatch, SkipRange
+from .messages import CatchupReply, CatchupRequest, DataBatch, RepairReply, RepairRequest, SkipRange
 
-__all__ = ["ValueStore", "decided_run"]
+__all__ = ["ValueStore", "decided_run", "learner_reply"]
 
 # Bounds of one RepairReply / CatchupReply: a reply stops after this many
 # items, or at the first item past this many bytes (~a switch-friendly
@@ -46,6 +46,25 @@ def decided_run(
         budget -= item.size
         cursor += item.instance_count
     return tuple(items)
+
+
+def learner_reply(
+    decided: dict[int, DataBatch | SkipRange],
+    msg: RepairRequest | CatchupRequest,
+    frontier: int,
+) -> RepairReply | CatchupReply | None:
+    """The answer to a learner pulling decided instances, or None.
+
+    A gap repair (the paper's Section III-B, served by the preferential
+    acceptor) is answered only when the replier holds the instance. A
+    catch-up after a restart is always answered: even with no items, the
+    replier's decision ``frontier`` tells the learner how far behind it
+    still is, and an empty reply makes it ask another member.
+    """
+    items = decided_run(decided, msg.instance, msg.count)
+    if isinstance(msg, CatchupRequest):
+        return CatchupReply(msg.instance, items, frontier)
+    return RepairReply(msg.instance, items) if items else None
 
 
 class ValueStore:

@@ -10,8 +10,8 @@ rationale.
 from .cpu import Cpu
 from .disk import Disk
 from .events import EventQueue
-from .faults import FaultSchedule, NetworkPartition
-from .loss import BurstLoss, LossModel, NoLoss, TunableLoss, UniformLoss
+from .faults import NetworkPartition
+from .loss import LossModel, NoLoss, TunableLoss, UniformLoss
 from .network import Network, Nic
 from .node import Node
 from .process import PeriodicTimer, Process, Timer
@@ -21,11 +21,9 @@ from .simulator import Simulator
 from .topology import GeoNetwork, Topology, WanLink
 
 __all__ = [
-    "BurstLoss",
     "Cpu",
     "Disk",
     "EventQueue",
-    "FaultSchedule",
     "FifoServer",
     "GeoNetwork",
     "LossModel",

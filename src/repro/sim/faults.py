@@ -1,31 +1,24 @@
-"""Declarative fault injection: crashes, restarts, and network partitions.
-
-Failure experiments read better as schedules than as ad-hoc callbacks::
-
-    faults = FaultSchedule(sim)
-    faults.crash_at(20.0, node, process)
-    faults.restart_at(23.0, node, process)
+"""Network partitions, modelled as a loss model::
 
     partition = NetworkPartition({"a", "b"})   # isolate {a, b} from the rest
     net.loss = partition
-    faults.partition_at(5.0, partition)
-    faults.heal_at(8.0, partition)
+    sim.at(5.0, partition.activate)
+    sim.at(8.0, partition.heal)
 
-Partitions are modelled in the loss layer: while active, any message
-crossing the cut is dropped. Protocols recover through their normal
-retransmission/repair paths — nothing is notified explicitly, exactly as
-on a real network.
+While active, any message crossing the cut is dropped. Protocols recover
+through their normal retransmission/repair paths — nothing is notified
+explicitly, exactly as on a real network. Fuzz schedules drive one
+partition through many cuts (:class:`repro.check.schedule.ScheduleRunner`).
 """
 
 from __future__ import annotations
 
 import random
-from typing import Any, Callable, Iterable
+from typing import Iterable
 
-from .loss import LossModel, NoLoss, TunableLoss
-from .simulator import Simulator
+from .loss import LossModel, NoLoss
 
-__all__ = ["NetworkPartition", "FaultSchedule"]
+__all__ = ["NetworkPartition"]
 
 
 class NetworkPartition:
@@ -56,91 +49,3 @@ class NetworkPartition:
             return True
         return self.underlying.should_drop(rng, src, dst, size)
 
-
-class FaultSchedule:
-    """Schedules crashes, restarts, and partition toggles on the timeline.
-
-    ``crash_at``/``restart_at`` accept any mix of objects exposing
-    ``crash()``/``restart()`` — simulated :class:`~repro.sim.node.Node`
-    machines and protocol :class:`~repro.sim.process.Process` roles alike.
-    For a machine-level failure pass both the node and its processes, like
-    ``MultiRingPaxos.crash_coordinator`` does.
-    """
-
-    def __init__(self, sim: Simulator) -> None:
-        self.sim = sim
-        self.events: list[tuple[float, str, object]] = []
-
-    def crash_at(self, time: float, *targets: object) -> "FaultSchedule":
-        """Crash every target at ``time``; returns self for chaining."""
-        for target in targets:
-            self.events.append((time, "crash", target))
-            self.sim.at(time, target.crash)  # type: ignore[attr-defined]
-        return self
-
-    def restart_at(self, time: float, *targets: object) -> "FaultSchedule":
-        """Restart every target at ``time``; returns self for chaining."""
-        for target in targets:
-            self.events.append((time, "restart", target))
-            self.sim.at(time, target.restart)  # type: ignore[attr-defined]
-        return self
-
-    def partition_at(self, time: float, partition: NetworkPartition) -> "FaultSchedule":
-        """Activate ``partition`` at ``time``."""
-        self.events.append((time, "partition", partition))
-        self.sim.at(time, partition.activate)
-        return self
-
-    def heal_at(self, time: float, partition: NetworkPartition) -> "FaultSchedule":
-        """Heal ``partition`` at ``time``."""
-        self.events.append((time, "heal", partition))
-        self.sim.at(time, partition.heal)
-        return self
-
-    def repartition_at(
-        self, time: float, partition: NetworkPartition, island: Iterable[str]
-    ) -> "FaultSchedule":
-        """Re-cut ``partition`` around a new ``island`` at ``time``.
-
-        Lets one partition object model a sequence of different cuts (as
-        generated fault schedules do): the island is swapped and the
-        partition activated in the same event.
-        """
-        members = set(island)
-        self.events.append((time, "partition", partition))
-
-        def recut() -> None:
-            partition.island = members
-            partition.activate()
-
-        self.sim.at(time, recut)
-        return self
-
-    def set_loss_at(self, time: float, loss: TunableLoss, p: float) -> "FaultSchedule":
-        """Set ``loss``'s drop probability to ``p`` at ``time``.
-
-        Schedules both edges of a loss phase: a positive ``p`` starts it,
-        a later ``set_loss_at(..., 0.0)`` ends it.
-        """
-        self.events.append((time, f"loss p={p:g}", loss))
-        self.sim.at(time, loss.set, p)
-        return self
-
-    def act_at(self, time: float, label: str, fn: Callable[..., None], *args: Any) -> "FaultSchedule":
-        """Schedule an arbitrary fault action (slow-link/slow-disk phases).
-
-        ``label`` is what :meth:`describe` prints; ``fn(*args)`` runs at
-        ``time``. Generated schedules use this for phases that have no
-        dedicated helper, keeping every injected fault on one timeline.
-        """
-        self.events.append((time, label, fn))
-        self.sim.at(time, fn, *args)
-        return self
-
-    def describe(self) -> str:
-        """A readable, time-ordered summary of the planned faults."""
-        lines = []
-        for time, kind, target in sorted(self.events, key=lambda e: e[0]):
-            name = getattr(target, "name", type(target).__name__)
-            lines.append(f"t={time:g}s {kind} {name}")
-        return "\n".join(lines)

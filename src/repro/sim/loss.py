@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from typing import Protocol
 
-__all__ = ["LossModel", "NoLoss", "UniformLoss", "BurstLoss", "TunableLoss"]
+__all__ = ["LossModel", "NoLoss", "UniformLoss", "TunableLoss"]
 
 
 class LossModel(Protocol):
@@ -79,31 +79,3 @@ class TunableLoss:
             return True
         return False
 
-
-class BurstLoss:
-    """Gilbert-Elliott style bursty loss.
-
-    Two states per (src, dst) pair: GOOD (no loss) and BAD (all loss).
-    Transitions happen per transmission with the given probabilities. This
-    models switch-buffer overruns, which drop runs of consecutive packets —
-    the worst case for gap-detection-based recovery.
-    """
-
-    def __init__(self, p_enter_bad: float = 0.001, p_exit_bad: float = 0.3) -> None:
-        if not 0.0 <= p_enter_bad <= 1.0 or not 0.0 <= p_exit_bad <= 1.0:
-            raise ValueError("transition probabilities must be within [0, 1]")
-        self.p_enter_bad = p_enter_bad
-        self.p_exit_bad = p_exit_bad
-        self._bad: set[tuple[str, str]] = set()
-
-    def should_drop(self, rng: random.Random, src: str, dst: str, size: int) -> bool:
-        key = (src, dst)
-        if key in self._bad:
-            if rng.random() < self.p_exit_bad:
-                self._bad.discard(key)
-                return False
-            return True
-        if rng.random() < self.p_enter_bad:
-            self._bad.add(key)
-            return True
-        return False

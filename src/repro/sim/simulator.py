@@ -81,7 +81,7 @@ class Simulator:
         Master seed for all named random streams (see :class:`RandomStreams`).
 
     ``probe`` is a plain field, the attached :class:`~repro.obs.ProbeBus` or
-    None; :meth:`attach_probe` / :meth:`detach_probe` set it.
+    None; :meth:`attach_probe` sets it.
 
     Example
     -------
@@ -125,10 +125,6 @@ class Simulator:
     def attach_probe(self, bus) -> None:
         """Publish kernel events (``sim.event``) to ``bus``."""
         self.probe = bus
-
-    def detach_probe(self) -> None:
-        """Stop publishing kernel events."""
-        self.probe = None
 
     # ------------------------------------------------------------------
     # Scheduling

@@ -6,7 +6,6 @@ from .replay import TraceRecord, TraceRecorder, TraceReplayer, dump_trace, load_
 from .rates import (
     ConstantRate,
     ModulatedRate,
-    OscillatingRate,
     RateSchedule,
     ScaledRate,
     StepRate,
@@ -20,7 +19,6 @@ __all__ = [
     "ConstantRate",
     "ModulatedRate",
     "OpenLoopGenerator",
-    "OscillatingRate",
     "RateSchedule",
     "ScaledRate",
     "SessionMix",

@@ -16,7 +16,6 @@ __all__ = [
     "RateSchedule",
     "ConstantRate",
     "StepRate",
-    "OscillatingRate",
     "ScaledRate",
     "ModulatedRate",
     "next_change_after",
@@ -36,8 +35,8 @@ def next_change_after(schedule: RateSchedule, t: float) -> float | None:
 
     ``None`` means "no known future transition" — either the schedule is
     genuinely constant (:class:`ConstantRate`, an exhausted
-    :class:`StepRate`) or it varies continuously
-    (:class:`OscillatingRate`), where there is no discrete transition to
+    :class:`StepRate`) or it varies continuously (the sinusoid of a
+    :class:`ModulatedRate` over a constant base), where there is no discrete transition to
     wake at. Callers idling on a zero rate should wake exactly at the
     returned time, and fall back to polling with backoff on ``None``.
 
@@ -96,27 +95,6 @@ class StepRate:
     def next_change_after(self, t: float) -> float | None:
         idx = bisect.bisect_right(self._times, t)
         return self._times[idx] if idx < len(self._times) else None
-
-
-class OscillatingRate:
-    """A rate oscillating sinusoidally around ``base``.
-
-    ``rate(t) = base * (1 + amplitude * sin(2π t / period))``, clamped at
-    zero. The time average equals ``base``, matching Figure 11's setup
-    where oscillating rates average to the constant rates of Figure 10.
-    """
-
-    def __init__(self, base: float, amplitude: float = 0.5, period: float = 10.0) -> None:
-        if not (base >= 0 and period > 0):
-            raise ValueError("base must be >= 0 and period > 0")
-        if not 0 <= amplitude <= 1:
-            raise ValueError("amplitude must be in [0, 1] to keep rates non-negative")
-        self.base = base
-        self.amplitude = amplitude
-        self.period = period
-
-    def rate_at(self, t: float) -> float:
-        return max(0.0, self.base * (1.0 + self.amplitude * math.sin(2 * math.pi * t / self.period)))
 
 
 class ScaledRate:

@@ -9,7 +9,8 @@ import json
 
 import pytest
 
-from repro.check import Schedule, ScheduleRunner, ScheduleStep
+from repro.check import Schedule, ScheduleRunner, ScheduleStep, load_failure
+from repro.check.schedule import ACTIONS
 from repro.core import MultiRingConfig, MultiRingPaxos
 from repro.errors import ConfigurationError
 from repro.sim.faults import NetworkPartition
@@ -34,6 +35,43 @@ class TestScheduleData:
     def test_negative_time_rejected(self):
         with pytest.raises(ConfigurationError):
             ScheduleStep(-0.1, "crash", target="learner:0")
+
+    def test_nan_time_rejected(self):
+        # Sorting on a NaN key could reorder the steps after it.
+        with pytest.raises(ConfigurationError):
+            ScheduleStep(float("nan"), "crash", target="coordinator:0")
+
+    @pytest.mark.parametrize("action, name", [
+        (action, name) for action, (required, _) in ACTIONS.items() for name in required
+    ])
+    def test_every_required_field_is_checked(self, action, name):
+        # E.g. a crash with no target, a loss with no p.
+        fields = {"target": "learner:0", "island": ("0", "1"), "p": 0.1,
+                  "factor": 2.0, "group": 0, "ring": 0}
+        fields[name] = None
+        with pytest.raises(ConfigurationError, match=name):
+            ScheduleStep(0.1, action, **fields)
+
+    @pytest.mark.parametrize("action", ["wan_partition", "ring_merge"])
+    @pytest.mark.parametrize("island", [("dc0",), ("dc0", "dc1", "dc2")])
+    def test_pair_actions_need_a_two_element_island(self, action, island):
+        with pytest.raises(ConfigurationError, match="two-element"):
+            ScheduleStep(0.1, action, island=island)
+
+    @pytest.mark.parametrize("step", [
+        {"t": float("nan"), "action": "crash", "target": "coordinator:0"},
+        {"t": 0.1, "action": "crash"},
+        {"t": 0.1, "action": "loss"},
+        {"t": 0.1, "action": "wan_partition", "island": ["dc0"]},
+    ])
+    def test_load_failure_rejects_a_malformed_step(self, tmp_path, step):
+        path = tmp_path / "failure.json"
+        path.write_text(json.dumps({
+            "version": 1, "seed": 1, "config": {},
+            "schedule": {"steps": [{"t": 0.05, "action": "heal"}, step]},
+        }))
+        with pytest.raises(ConfigurationError):
+            load_failure(path)
 
     def test_steps_sorted_by_time(self):
         sched = Schedule(_steps())
@@ -166,3 +204,124 @@ class TestScheduleRunner:
         runner.heal_everything()
         runner.heal_everything()
         assert not mrp.rings[0].coordinator.crashed
+
+    def test_each_step_is_one_kernel_entry(self):
+        mrp, partition, loss = _deployment()
+        before = mrp.sim.pending_events
+        ScheduleRunner(mrp, partition, loss).install(Schedule(_steps()))
+        assert mrp.sim.pending_events == before + len(_steps())
+
+    def test_runner_handles_exactly_the_action_tables_keys(self):
+        # The table is the whole vocabulary of a replay file: every action
+        # in it installs and fires on a live deployment, and a step naming
+        # anything else cannot be built.
+        assert set(ACTIONS) == {
+            "crash", "restart", "partition", "heal", "loss", "loss_end",
+            "slow_net", "slow_net_end", "slow_disk", "slow_disk_end",
+            "wan_partition", "wan_heal", "wan_jitter", "wan_jitter_end",
+            "remap", "ring_split", "ring_merge",
+        }
+        fields = {"target": "learner:0", "p": 0.1, "factor": 2.0, "group": 0, "ring": 0}
+        steps = []
+        for i, (action, (required, _)) in enumerate(sorted(ACTIONS.items())):
+            given = {name: fields[name] for name in required if name != "island"}
+            if "island" in required:
+                given["island"] = ("1", "0") if action == "ring_merge" else ("dc0", "dc1")
+            steps.append(ScheduleStep(0.05 + 0.01 * i, action, **given))
+        mrp, partition, loss = _deployment()
+        ScheduleRunner(mrp, partition, loss).install(Schedule(steps))
+        mrp.run(until=0.5)
+        with pytest.raises(ConfigurationError):
+            ScheduleStep(0.1, "install")
+
+
+class TestScheduledFaults:
+    """Fault semantics the generated schedules rely on."""
+
+    def test_crash_and_restart_fire_on_time(self):
+        mrp, partition, loss = _deployment()
+        learner = mrp.learners[0]
+        ScheduleRunner(mrp, partition, loss).install(Schedule([
+            ScheduleStep(0.1, "crash", target="learner:0"),
+            ScheduleStep(0.2, "restart", target="learner:0"),
+        ]))
+        mrp.run(until=0.05)
+        assert not learner.crashed and learner.node.up
+        mrp.run(until=0.15)
+        assert learner.crashed and not learner.node.up
+        mrp.run(until=0.25)
+        assert not learner.crashed and learner.node.up
+
+    def test_crash_of_a_crashed_role_is_idempotent(self):
+        mrp, partition, loss = _deployment()
+        coord = mrp.rings[0].coordinator
+        runner = ScheduleRunner(mrp, partition, loss).install(Schedule([
+            ScheduleStep(0.1, "crash", target="coordinator:0"),
+            ScheduleStep(0.2, "crash", target="coordinator:0"),
+            ScheduleStep(0.3, "restart", target="coordinator:0"),
+        ]))
+        mrp.run(until=0.25)
+        assert coord.crashed
+        mrp.run(until=0.35)
+        assert not coord.crashed  # one restart undoes any number of crashes
+        assert runner.restarted == {"coordinator:0"}
+
+    def test_restart_without_prior_crash_is_a_noop(self):
+        mrp, partition, loss = _deployment()
+        log = []
+        mrp.learners[0].on_deliver = lambda group, value: log.append(value.payload)
+        runner = ScheduleRunner(mrp, partition, loss).install(Schedule([
+            ScheduleStep(0.1, "restart", target="coordinator:0"),
+            ScheduleStep(0.1, "restart", target="acceptor:0:0"),
+        ]))
+        mrp.run(until=0.2)
+        assert not mrp.rings[0].coordinator.crashed
+        assert runner.restarted == set()  # nothing was brought back
+        # The ring still works: a restart must not reset protocol state.
+        mrp.proposers[0].multicast(0, "after", 1024)
+        mrp.run(until=1.0)
+        assert log == ["after"]
+
+    @pytest.mark.parametrize("order, up", [(("crash", "restart"), True),
+                                           (("restart", "crash"), False)])
+    def test_same_instant_steps_fire_in_listed_order(self, order, up):
+        mrp, partition, loss = _deployment()
+        ScheduleRunner(mrp, partition, loss).install(Schedule([
+            ScheduleStep(0.1, action, target="learner:0") for action in order
+        ]))
+        mrp.run(until=0.2)
+        assert mrp.learners[0].node.up is up
+
+    def test_partition_swaps_island_and_activates_in_one_event(self):
+        mrp, partition, loss = _deployment()
+        partition.island = {"mr0-coord"}
+        before = mrp.sim.pending_events
+        ScheduleRunner(mrp, partition, loss).install(Schedule([
+            ScheduleStep(0.1, "partition", island=("mr-lrn0",)),
+        ]))
+        assert mrp.sim.pending_events == before + 1
+        mrp.run(until=0.1)
+        assert partition.island == {"mr-lrn0"} and partition.active
+
+    def test_partition_activated_twice_heals_with_one_heal(self):
+        mrp, partition, loss = _deployment()
+        ScheduleRunner(mrp, partition, loss).install(Schedule([
+            ScheduleStep(0.1, "partition", island=("mr-lrn0",)),
+            ScheduleStep(0.2, "partition", island=("mr-lrn0",)),
+            ScheduleStep(0.3, "heal"),
+        ]))
+        mrp.run(until=0.25)
+        assert partition.active
+        mrp.run(until=0.35)
+        assert not partition.active  # activation is a flag, not a count
+
+    def test_loss_phase_has_both_edges(self):
+        mrp, partition, loss = _deployment()
+        ScheduleRunner(mrp, partition, loss).install(Schedule([
+            ScheduleStep(0.1, "loss", p=1.0),
+            ScheduleStep(0.2, "loss_end"),
+        ]))
+        mrp.run(until=0.15)
+        assert loss.p == 1.0
+        mrp.run(until=0.25)
+        assert loss.p == 0.0

@@ -1,11 +1,15 @@
-"""Tests for fault injection: schedules and network partitions."""
+"""Tests for network partitions and the protocols' recovery from them.
+
+Scheduled faults (crash/restart, partition steps, loss phases) are
+tested through ``ScheduleRunner`` in ``test_check_schedule.py``.
+"""
 
 
 from repro import MultiRingConfig, MultiRingPaxos
 from repro.calibration import DEFAULT_VALUE_SIZE
 from repro.ringpaxos import build_ring
 from repro.sim import Network, Node, Simulator, UniformLoss
-from repro.sim.faults import FaultSchedule, NetworkPartition
+from repro.sim.faults import NetworkPartition
 
 SIZE = DEFAULT_VALUE_SIZE
 
@@ -49,32 +53,6 @@ def test_partition_composes_with_underlying_loss():
 
 
 # ---------------------------------------------------------------------------
-# FaultSchedule
-# ---------------------------------------------------------------------------
-def test_schedule_crash_and_restart_fire_on_time():
-    sim = Simulator()
-    net = Network(sim)
-    node = net.add_node(Node(sim, "n"))
-    FaultSchedule(sim).crash_at(1.0, node).restart_at(2.0, node)
-    sim.run(until=0.5)
-    assert node.up
-    sim.run(until=1.5)
-    assert not node.up
-    sim.run(until=2.5)
-    assert node.up
-
-
-def test_schedule_describe_is_time_ordered():
-    sim = Simulator()
-    net = Network(sim)
-    node = net.add_node(Node(sim, "n"))
-    schedule = FaultSchedule(sim).restart_at(5.0, node).crash_at(1.0, node)
-    text = schedule.describe()
-    assert text.splitlines()[0].startswith("t=1")
-    assert "crash" in text and "restart" in text
-
-
-# ---------------------------------------------------------------------------
 # Protocol behaviour under partitions
 # ---------------------------------------------------------------------------
 def test_ring_stalls_across_partition_and_heals():
@@ -90,7 +68,8 @@ def test_ring_stalls_across_partition_and_heals():
     prop.multicast("before", SIZE)
     sim.run(until=0.5)
     assert log == ["before"]
-    FaultSchedule(sim).partition_at(0.5, partition).heal_at(1.5, partition)
+    sim.at(0.5, partition.activate)
+    sim.at(1.5, partition.heal)
     sim.run(until=0.6)
     prop.multicast("during", SIZE)
     sim.run(until=1.4)
@@ -108,7 +87,8 @@ def test_multiring_learner_partition_recovery():
     log = []
     mrp.add_learner(groups=[0], on_deliver=lambda g, v: log.append(v.payload))
     prop = mrp.add_proposer()
-    FaultSchedule(mrp.sim).partition_at(0.2, partition).heal_at(1.0, partition)
+    mrp.sim.at(0.2, partition.activate)
+    mrp.sim.at(1.0, partition.heal)
     # Spread sends across the partition window: some messages are ordered
     # while the learner is cut off and must be recovered by repairs.
     for i in range(10):
@@ -118,123 +98,3 @@ def test_multiring_learner_partition_recovery():
     assert n_before_heal < 10  # some were genuinely cut off
     mrp.run(until=8.0)
     assert log == [f"m{i}" for i in range(10)]
-
-
-# ---------------------------------------------------------------------------
-# FaultSchedule edge cases (fuzz generator relies on these semantics)
-# ---------------------------------------------------------------------------
-def test_crash_of_already_crashed_process_is_idempotent():
-    sim = Simulator(seed=1)
-    net = Network(sim)
-    ring = build_ring(sim, net)
-    coord = ring.coordinator
-    FaultSchedule(sim).crash_at(0.1, coord).crash_at(0.2, coord).restart_at(0.3, coord)
-    sim.run(until=0.25)
-    assert coord.crashed
-    sim.run(until=0.35)
-    assert not coord.crashed  # one restart undoes any number of crashes
-
-
-def test_restart_without_prior_crash_is_a_noop():
-    sim = Simulator(seed=2)
-    net = Network(sim)
-    node = net.add_node(Node(sim, "n"))
-    ring = build_ring(sim, net)
-    coord = ring.coordinator
-    FaultSchedule(sim).restart_at(0.1, coord, node)
-    sim.run(until=0.2)
-    assert not coord.crashed
-    assert node.up
-    # The ring still works: restart must not have reset protocol state.
-    ring.proposers[0].multicast("after", SIZE)
-    log = []
-    ring.learners[0].on_deliver = lambda inst, v: log.append(v.payload)
-    sim.run(until=1.0)
-    assert log == ["after"]
-
-
-def test_partition_activated_twice_heals_with_one_heal():
-    sim = Simulator(seed=3)
-    partition = NetworkPartition({"a"})
-    net = Network(sim, loss=partition)
-    net.add_node(Node(sim, "a"))
-    b = net.add_node(Node(sim, "b"))
-    got = []
-    b.register("app", lambda src, msg: got.append(msg))
-    schedule = FaultSchedule(sim)
-    schedule.partition_at(0.1, partition).partition_at(0.2, partition)
-    schedule.heal_at(0.3, partition)
-    sim.run(until=0.25)
-    net.send("a", "b", "app", "cut", 64)
-    sim.run(until=0.29)
-    assert got == []  # doubly-activated partition still drops
-    sim.run(until=0.35)
-    net.send("a", "b", "app", "healed", 64)
-    sim.run()
-    assert got == ["healed"]  # activation is a flag, not a count
-
-
-def test_identical_timestamp_faults_fire_in_scheduling_order():
-    """Two fault events at the same instant run in the order they were
-    scheduled (the event queue's (time, seq) tie-break), so the outcome
-    is deterministic, not arbitrary."""
-    sim = Simulator(seed=4)
-    net = Network(sim)
-    node = net.add_node(Node(sim, "n"))
-    FaultSchedule(sim).crash_at(1.0, node).restart_at(1.0, node)
-    sim.run(until=1.5)
-    assert node.up  # crash scheduled first, restart second: ends up
-
-    sim2 = Simulator(seed=4)
-    net2 = Network(sim2)
-    node2 = net2.add_node(Node(sim2, "n"))
-    FaultSchedule(sim2).restart_at(1.0, node2).crash_at(1.0, node2)
-    sim2.run(until=1.5)
-    assert not node2.up  # reversed scheduling order: ends down
-
-
-def test_repartition_swaps_island_and_activates_atomically():
-    sim = Simulator(seed=5)
-    partition = NetworkPartition({"a"})
-    net = Network(sim, loss=partition)
-    for name in ("a", "b", "c"):
-        net.add_node(Node(sim, name))
-    got = []
-    net.nodes["c"].register("app", lambda src, msg: got.append(msg))
-    FaultSchedule(sim).repartition_at(0.1, partition, {"c"})
-    sim.run(until=0.2)
-    assert partition.island == {"c"} and partition.active
-    net.send("a", "c", "app", "x", 64)
-    sim.run()
-    assert got == []  # the new cut, not the constructor's, is in force
-
-
-def test_set_loss_at_schedules_both_edges_of_a_loss_phase():
-    from repro.sim import TunableLoss
-
-    sim = Simulator(seed=6)
-    loss = TunableLoss()
-    net = Network(sim, loss=loss)
-    net.add_node(Node(sim, "a"))
-    b = net.add_node(Node(sim, "b"))
-    got = []
-    b.register("app", lambda src, msg: got.append(msg))
-    schedule = FaultSchedule(sim).set_loss_at(0.1, loss, 1.0).set_loss_at(0.2, loss, 0.0)
-    assert "loss p=1" in schedule.describe()
-    sim.run(until=0.15)
-    net.send("a", "b", "app", "lost", 64)
-    sim.run(until=0.19)
-    assert got == []
-    sim.run(until=0.25)
-    net.send("a", "b", "app", "kept", 64)
-    sim.run()
-    assert got == ["kept"]
-
-
-def test_act_at_runs_arbitrary_action_and_shows_in_describe():
-    sim = Simulator(seed=7)
-    fired = []
-    schedule = FaultSchedule(sim).act_at(0.5, "slow_net x4", fired.append, "done")
-    assert "slow_net x4" in schedule.describe()
-    sim.run(until=1.0)
-    assert fired == ["done"]

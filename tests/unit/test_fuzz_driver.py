@@ -7,6 +7,7 @@ stubbed runner, so essential-step sets are exact), failure-file round
 trips, and the CLI.
 """
 
+import dataclasses
 import json
 import random
 
@@ -50,7 +51,7 @@ class TestDrawConfig:
 
     def test_config_round_trips_through_dict(self):
         config = draw_config(random.Random(9))
-        assert CaseConfig.from_dict(json.loads(json.dumps(config.as_dict()))) == config
+        assert CaseConfig.from_dict(json.loads(json.dumps(dataclasses.asdict(config)))) == config
 
 
 class TestRunCase:
@@ -241,7 +242,7 @@ class TestOverloadProfile:
 
     def test_overload_config_round_trips(self):
         config = draw_config(random.Random(3), profile="overload")
-        assert CaseConfig.from_dict(json.loads(json.dumps(config.as_dict()))) == config
+        assert CaseConfig.from_dict(json.loads(json.dumps(dataclasses.asdict(config)))) == config
 
     def test_overload_schedule_targets_service_side_roles(self):
         from repro.check.generator import Topology, generate_schedule

@@ -8,9 +8,7 @@ from repro.metrics import (
     Gauge,
     LatencyHistogram,
     MetricsRegistry,
-    SampledSeries,
 )
-from repro.sim import Simulator
 
 
 # ---------------------------------------------------------------------------
@@ -164,29 +162,6 @@ def test_bucket_series_subsecond_buckets():
     s = BucketSeries(bucket_width=0.1)
     s.record(0.05, 1.0)
     assert s.rate_at(0.05) == pytest.approx(10.0)
-
-
-# ---------------------------------------------------------------------------
-# SampledSeries
-# ---------------------------------------------------------------------------
-def test_sampled_series_collects_points():
-    sim = Simulator()
-    values = iter([0.1, 0.5, 0.9])
-    s = SampledSeries(sim, lambda: next(values), period=1.0).start()
-    sim.run(until=3.0)
-    assert [v for _, v in s.points] == [0.1, 0.5, 0.9]
-    assert s.last() == 0.9
-    assert s.max() == 0.9
-    assert s.mean_over(0.0, 2.0) == pytest.approx(0.3)
-
-
-def test_sampled_series_stop():
-    sim = Simulator()
-    s = SampledSeries(sim, lambda: 1.0, period=1.0).start()
-    sim.run(until=2.0)
-    s.stop()
-    sim.run(until=10.0)
-    assert len(s.points) == 2
 
 
 # ---------------------------------------------------------------------------

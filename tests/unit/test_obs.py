@@ -1,6 +1,7 @@
 """Unit tests for the observability layer (repro.obs)."""
 
 import ast
+import io
 import json
 from pathlib import Path
 
@@ -470,6 +471,30 @@ def test_jsonl_writer_and_report_readers(tmp_path):
     assert records[0] == {"type": "meta", "x": 1}
     assert records[1]["kind"] == NET_ENQUEUE
     assert read_jsonl(str(path), type="probe") == [records[1]]
+
+
+def test_jsonl_writer_leaves_a_caller_stream_open():
+    stream = io.StringIO()
+    with JsonlTraceWriter(stream) as writer:
+        writer.write({"type": "meta", "x": 1})
+    assert not stream.closed
+    assert stream.getvalue() == '{"type": "meta", "x": 1}\n'
+    assert writer.records_written == 1
+
+
+def test_collecting_session_records_equal_the_emitted_file(tmp_path):
+    # One writer: a sweep worker's collected records are the lines a file
+    # trace of the same run holds.
+    path = tmp_path / "session.jsonl"
+    with ObsSession(emit_path=str(path), probe_kinds=(NET_DROP,)) as emitted:
+        sim, _, _ = _loaded_ring()
+        sim.run(until=0.5)
+    with ObsSession(collect=True, probe_kinds=(NET_DROP,)) as collected:
+        sim, _, _ = _loaded_ring()
+        sim.run(until=0.5)
+    assert emitted.records() == []
+    assert collected.records() == read_jsonl(str(path))
+    assert collected.records()[0]["type"] == "meta"
 
 
 def test_write_jsonl_round_trip(tmp_path):

@@ -22,7 +22,13 @@ from repro.ringpaxos import (
     build_ring,
     messages,
 )
-from repro.ringpaxos.valuestore import REPLY_BYTE_BUDGET, REPLY_MAX_ITEMS, decided_run
+from repro.ringpaxos.messages import CatchupReply, CatchupRequest, RepairReply, RepairRequest
+from repro.ringpaxos.valuestore import (
+    REPLY_BYTE_BUDGET,
+    REPLY_MAX_ITEMS,
+    decided_run,
+    learner_reply,
+)
 from repro.sim import Network, Simulator
 
 
@@ -317,6 +323,16 @@ def test_decided_run_is_bounded_by_items_and_bytes():
     assert len(decided_run(big, 0, 100)) == REPLY_BYTE_BUDGET // 8192 == 8
     odd = {i: DataBatch(i, (cv(60_000),)) for i in range(10)}
     assert len(decided_run(odd, 0, 10)) == 2
+
+
+def test_learner_reply_answers_a_catchup_always_and_a_repair_only_with_items():
+    decided = {0: DataBatch(0, (cv(10),)), 1: SkipRange(5)}
+    assert learner_reply(decided, RepairRequest(0, 4), 6) == RepairReply(0, (decided[0], decided[1]))
+    assert learner_reply(decided, RepairRequest(6, 4), 6) is None
+    assert learner_reply(decided, CatchupRequest(0, 1), 6) == CatchupReply(0, (decided[0],), 6)
+    # Nothing to send: the frontier alone still tells the learner how far
+    # behind it is (and that it should ask another member).
+    assert learner_reply(decided, CatchupRequest(6, 4), 6) == CatchupReply(6, (), 6)
 
 
 # ---------------------------------------------------------------------------

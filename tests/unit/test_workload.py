@@ -11,7 +11,6 @@ from repro.workload import (
     ConstantRate,
     ModulatedRate,
     OpenLoopGenerator,
-    OscillatingRate,
     ScaledRate,
     SessionMix,
     StepRate,
@@ -50,29 +49,28 @@ def test_step_rate_validation():
         StepRate([(0.0, -1.0)])
 
 
-def test_oscillating_rate_averages_to_base():
-    r = OscillatingRate(base=100.0, amplitude=0.5, period=10.0)
+def test_modulated_constant_rate_averages_to_base():
+    r = ModulatedRate(ConstantRate(100.0), amplitude=0.5, period=10.0)
     samples = [r.rate_at(t / 10.0) for t in range(1000)]
     assert sum(samples) / len(samples) == pytest.approx(100.0, rel=0.02)
     assert min(samples) >= 0.0
     assert max(samples) <= 150.0 + 1e-9
 
 
-def test_oscillating_rate_validation():
+def test_modulated_constant_rate_validation():
     with pytest.raises(ValueError):
-        OscillatingRate(base=-1.0)
+        ModulatedRate(ConstantRate(-1.0))
     with pytest.raises(ValueError):
-        OscillatingRate(base=1.0, amplitude=2.0)
+        ModulatedRate(ConstantRate(1.0), amplitude=2.0)
     with pytest.raises(ValueError):
-        OscillatingRate(base=1.0, period=0.0)
+        ModulatedRate(ConstantRate(1.0), period=0.0)
 
 
 @pytest.mark.parametrize("build", [
     lambda sim: ConstantRate(nan),
     lambda sim: StepRate([(0.0, nan)]),
     lambda sim: StepRate([(0.0, 1.0), (nan, 2.0)]),
-    lambda sim: OscillatingRate(nan),
-    lambda sim: OscillatingRate(1.0, 0.5, nan),
+    lambda sim: ModulatedRate(ConstantRate(nan)),
     lambda sim: ScaledRate(ConstantRate(1.0), nan),
     lambda sim: ModulatedRate(ConstantRate(1.0), 0.5, nan),
     lambda sim: SessionMix(zipf_s=nan),
@@ -82,8 +80,8 @@ def test_oscillating_rate_validation():
     lambda sim: AdmissionPolicy(10, nan),
     lambda sim: OpenLoopGenerator(sim, lambda: None, ConstantRate(1.0), stop_at=nan),
 ], ids=[
-    "ConstantRate", "StepRate-rate", "StepRate-time", "OscillatingRate-base",
-    "OscillatingRate-period", "ScaledRate", "ModulatedRate-period", "SessionMix-zipf_s",
+    "ConstantRate", "StepRate-rate", "StepRate-time", "ModulatedRate-base",
+    "ScaledRate", "ModulatedRate-period", "SessionMix-zipf_s",
     "SessionMix-insert", "SessionMix-delete", "AdmissionPolicy-max_inflight",
     "AdmissionPolicy-max_queue", "OpenLoopGenerator-stop_at",
 ])
