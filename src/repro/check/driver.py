@@ -199,6 +199,10 @@ def draw_config(rng: random.Random, profile: str = "default") -> CaseConfig:
         if config.n_groups == 1:
             config.n_groups = 2
         config.learners = [list(range(config.n_groups)) for _ in config.learners]
+    elif profile == "false-suspicion":
+        # The frozen base as drawn: _build turns on the message-driven
+        # takeover, one spare per ring, for this profile.
+        config.profile = profile
     elif profile != "default":
         raise ValueError(f"unknown fuzz profile {profile!r}")
     return config
@@ -230,6 +234,7 @@ def _build(config: CaseConfig):
             wan_jitter=config.wan_jitter_ms * 1e-3,
         )
         group_regions = [f"dc{g % config.regions}" for g in range(config.n_groups)]
+    failover = config.profile == "false-suspicion"
     mrp = MultiRingPaxos(
         MultiRingConfig(
             n_groups=config.n_groups,
@@ -240,6 +245,8 @@ def _build(config: CaseConfig):
             seed=config.sim_seed,
             topology=topology,
             group_regions=group_regions,
+            auto_failover=failover,
+            spares_per_ring=int(failover),
         )
     )
     mrp.network.loss = partition
@@ -349,7 +356,7 @@ def _undelivered(
 
 
 def _restart_laggards(
-    runner: ScheduleRunner, frontiers: dict[int, int], accept_base: dict[str, float]
+    runner: ScheduleRunner, frontiers: dict[int, int], accept_base: dict[str, tuple]
 ) -> dict[str, str]:
     """Restarted roles whose recovery has not converged yet.
 
@@ -357,16 +364,23 @@ def _restart_laggards(
     every subscribed ring learner has caught up to the ring's decided
     frontier as of the forced heal. A restarted acceptor converges when
     it accepts again (its ``accepts`` counter moves past the heal-time
-    baseline — λ-skips guarantee ring traffic). Coordinators and
-    proposers keep volatile state across restarts and need no recovery,
-    and the plain liveness check already covers them.
+    baseline — λ-skips guarantee ring traffic), and is judged only while
+    its ring's layout names it an in-ring acceptor: one a takeover
+    promoted to coordinator or left out accepts nothing more.
+    Coordinators and proposers keep volatile state across restarts and
+    need no recovery, and the plain liveness check already covers them.
     """
     lag: dict[str, str] = {}
     for target in sorted(runner.restarted):
-        role = runner.resolve(target)
+        kind = target.partition(":")[0]
+        if kind == "acceptor":
+            # The object the target named at the heal: a takeover may
+            # hand its index to another acceptor since.
+            role, base = accept_base.get(target, (None, 0))
+        else:
+            role = runner.resolve(target)
         if role is None or role.crashed:
             continue
-        kind = target.partition(":")[0]
         if kind in ("learner", "replica"):
             learner = role.learner if kind == "replica" else role
             for ring_id, frontier in sorted(frontiers.items()):
@@ -377,15 +391,16 @@ def _restart_laggards(
                         f"below the heal-time decided frontier {frontier}"
                     )
                     break
-        elif kind == "acceptor" and target in accept_base:
+        elif kind == "acceptor":
             # A ring retired by a completed merge stops deciding (its skip
             # manager is down), so its restarted acceptors legitimately
             # never accept again — there is nothing left to converge to.
-            ring_id = int(target.split(":")[1])
-            handle = runner.mrp.rings.get(ring_id)
-            if handle is not None and handle.retired:
+            handle = runner.mrp.rings.get(int(target.split(":")[1]))
+            if handle is None or handle.retired:
                 continue
-            if role.accepts.value <= accept_base[target]:
+            if role.node.name not in handle.config.acceptors[:-1]:
+                continue
+            if role.accepts.value <= base:
                 lag[target] = (
                     f"no accepts since restart (stuck at {role.accepts.value:g})"
                 )
@@ -442,10 +457,10 @@ def run_case(
         # did, the network is made whole before liveness is judged.
         runner.heal_everything()
         # Liveness-after-restart baselines: every ring's decided frontier
-        # and every restarted acceptor's accept count, as of the heal.
+        # and every restarted acceptor with its accept count, as of the heal.
         frontiers = oracles.ring_frontiers()
         accept_base = {
-            target: role.accepts.value
+            target: (role, role.accepts.value)
             for target in runner.restarted
             if target.startswith("acceptor:")
             and (role := runner.resolve(target)) is not None
@@ -568,15 +583,18 @@ def fuzz_main(argv: list[str] | None = None) -> int:
                         help="override the per-case fault/workload window (s)")
     parser.add_argument("--profile", default="default",
                         choices=("default", "restart-heavy", "geo", "overload",
-                                 "reconfig"),
+                                 "reconfig", "false-suspicion"),
                         help="fault/config mix: 'default' (balanced), "
                              "'restart-heavy' (crash/restart churn with "
                              "checkpointing replicas), 'geo' (multi-"
                              "datacenter with WAN partitions and jitter), "
                              "'overload' (client-population surge into "
                              "admission-controlled gateways under outages), "
-                             "or 'reconfig' (live group remaps and ring "
-                             "splits/merges racing crashes and partitions)")
+                             "'reconfig' (live group remaps and ring "
+                             "splits/merges racing crashes and partitions), "
+                             "or 'false-suspicion' (a live coordinator cut off "
+                             "past its suspect timeout and taken over, racing "
+                             "a remap)")
     parser.add_argument("--grace", type=float, default=6.0,
                         help="liveness grace after forced heal (simulated s)")
     parser.add_argument("--out", default="fuzz-failures",

@@ -115,6 +115,9 @@ def generate_schedule(
     admission-queue pressure. ``"reconfig"`` interleaves live elasticity
     operations — group remaps, ring splits and merges — with crash churn
     and partitions, aimed at the epoch-cut protocol's hand-off paths.
+    ``"false-suspicion"`` is the default mix plus a live coordinator cut
+    off from its ring past its suspect timeout, and a remap racing the
+    takeover that follows.
     """
     lo, hi = 0.05 * duration, 0.85 * duration
     if profile == "restart-heavy":
@@ -125,6 +128,8 @@ def generate_schedule(
         return _overload_schedule(rng, topology, duration, lo, hi)
     if profile == "reconfig":
         return _reconfig_schedule(rng, topology, duration, lo, hi)
+    if profile == "false-suspicion":
+        return _false_suspicion_schedule(rng, topology, duration, lo, hi)
     if profile != "default":
         raise ValueError(f"unknown schedule profile {profile!r}")
     steps: list[ScheduleStep] = []
@@ -265,6 +270,37 @@ def _reconfig_schedule(
         steps.append(ScheduleStep(start, "loss", p=round(rng.uniform(0.01, 0.15), 4)))
         steps.append(ScheduleStep(end, "loss_end"))
 
+    return Schedule(steps)
+
+
+def _false_suspicion_schedule(
+    rng: random.Random, topology: Topology, duration: float, lo: float, hi: float
+) -> Schedule:
+    """The default mix, plus a takeover of a coordinator that is alive.
+
+    One coordinator is cut off from everything for 0.1-0.25 s — longer
+    than its members' suspect timeout (0.05 s in the fuzz deployment), so
+    they depose it by a Phase 1 it never sees, and after the heal it is
+    still proposing under its old round. The cut takes a gap between the
+    default mix's own partition windows (one partition object serves
+    them all). One group remap lands inside the cut, so a takeover races
+    the epoch-cut protocol.
+    """
+    steps = generate_schedule(rng, topology, duration).steps
+    width = rng.uniform(0.1, 0.25)
+    bounds = [lo, *(s.time for s in steps if s.action in ("partition", "heal")), hi]
+    gaps = list(zip(bounds[::2], bounds[1::2]))
+    fits = [gap for gap in gaps if gap[1] - gap[0] > width]
+    a, b = rng.choice(fits) if fits else max(gaps, key=lambda gap: gap[1] - gap[0])
+    start = rng.uniform(a, max(a, b - width))
+    end = min(start + width, b)
+    coordinator = rng.choice([n for n in topology.nodes if n.endswith("-coord")])
+    steps.append(ScheduleStep(start, "partition", island=(coordinator,)))
+    steps.append(ScheduleStep(end, "heal"))
+    steps.append(ScheduleStep(
+        rng.uniform(start, end), "remap",
+        group=rng.choice(topology.groups or (0,)), ring=rng.choice(topology.rings or (0,)),
+    ))
     return Schedule(steps)
 
 

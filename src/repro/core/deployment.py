@@ -20,6 +20,7 @@ Failure injection for the Figure 12 experiment is built in:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 from ..calibration import DISK_BANDWIDTH_BYTES_PER_S, DISK_BUFFER_BYTES
@@ -129,7 +130,7 @@ class MultiRingPaxos:
             acceptor_regions=[region] * len(acc_names) if region is not None else None,
         )
         nodes = []
-        for name in acc_names:
+        for name in acc_names + [f"mr{ring_id}-spare{i}" for i in range(cfg.spares_per_ring)]:
             node = Node(
                 self.sim,
                 name,
@@ -138,13 +139,30 @@ class MultiRingPaxos:
             )
             attach_node(self.network, node, region)
             nodes.append(node)
+        nodes, spares = nodes[: len(acc_names)], nodes[len(acc_names):]
+        failover = host = None
+        if cfg.auto_failover:
+            failover = RingFailover(
+                self.sim, ring_id, spares, partial(self._on_ring_failover, ring_id), self.metrics
+            )
+            # Dormant acceptors: the coordinator's node's own, which a higher
+            # round's Phase 1 deposes the coordinator into, and the spares'.
+            host, *_ = [
+                RingAcceptor(self.sim, self.network, node, ring_config,
+                             metrics=self.metrics, service=failover)
+                for node in (nodes[-1], *spares)
+            ]
         coordinator = RingCoordinator(
-            self.sim, self.network, nodes[-1], ring_config, metrics=self.metrics
+            self.sim, self.network, nodes[-1], ring_config, metrics=self.metrics, host=host
         )
         acceptors = [
-            RingAcceptor(self.sim, self.network, node, ring_config, metrics=self.metrics)
+            RingAcceptor(
+                self.sim, self.network, node, ring_config, metrics=self.metrics, service=failover
+            )
             for node in nodes[:-1]
         ]
+        if failover is not None:
+            failover.coordinator = coordinator
         skip_manager = SkipManager(
             self.sim,
             coordinator,
@@ -152,34 +170,13 @@ class MultiRingPaxos:
             delta=cfg.delta,
             metrics=self.metrics,
         )
-        spares = []
-        for i in range(cfg.spares_per_ring):
-            spare = Node(
-                self.sim,
-                f"mr{ring_id}-spare{i}",
-                disk_bandwidth=DISK_BANDWIDTH_BYTES_PER_S if cfg.durable else None,
-                disk_buffer_bytes=DISK_BUFFER_BYTES,
-            )
-            attach_node(self.network, spare, region)
-            spares.append(spare)
         handle = RingHandle(
             coordinator=coordinator,
             skip_manager=skip_manager,
             acceptors=acceptors,
             spares=spares,
+            failover=failover,
         )
-        if cfg.auto_failover:
-            handle.failover = RingFailover(
-                self.sim,
-                self.network,
-                coordinator,
-                acceptors,
-                spare_nodes=spares,
-                on_new_coordinator=(
-                    lambda coord, ring_id=ring_id: self._on_ring_failover(ring_id, coord)
-                ),
-                metrics=self.metrics,
-            )
         self.ring_configs[ring_id] = ring_config
         return handle
 
@@ -274,12 +271,14 @@ class MultiRingPaxos:
         handle.coordinator.restart()
 
     def _on_ring_failover(self, ring_id: int, coordinator: RingCoordinator) -> None:
-        """A takeover recovered: record the ring's new coordinator and
-        layout, and tell the proposers where to submit. The coordinator
-        already holds the ring's hooks, and the skip manager keeps its
-        rate window, so the first tick tops up the whole outage."""
+        """A takeover recovered: record the ring's new coordinator, layout
+        and in-ring acceptors, and tell the proposers where to submit. The
+        coordinator already holds the ring's hooks, and the skip manager
+        keeps its rate window, so the first tick tops up the whole outage."""
         handle = self.rings[ring_id]
         handle.coordinator = coordinator
+        members = handle.failover.acceptors
+        handle.acceptors = [members[name] for name in coordinator.config.acceptors[:-1]]
         self.ring_configs[ring_id] = coordinator.config
         handle.skip_manager.follow(coordinator)
         for proposer in self.proposers:

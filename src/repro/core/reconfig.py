@@ -61,6 +61,7 @@ from typing import TYPE_CHECKING, Callable
 from ..calibration import CONTROL_MESSAGE_SIZE
 from ..errors import ConfigurationError
 from ..obs.probe import RECONFIG_EPOCH
+from ..ringpaxos.acceptor import RingAcceptor
 from ..ringpaxos.builder import attach_node
 from ..ringpaxos.messages import CONTROL_GROUP, ClientValue, ConfigChange
 from ..sim.node import Node
@@ -190,15 +191,17 @@ class ReconfigManager:
     def add_spare(self, ring_id: int) -> Node:
         """Provision a fresh spare acceptor node for ``ring_id``.
 
-        The spare joins the failover pool; it enters the ring at the next
-        coordinator takeover (Cheap Paxos style). The ballot universe is
-        left unchanged — quorum arithmetic stays conservative."""
+        The spare joins the failover pool: with failover on, a dormant
+        acceptor that enters the ring when a takeover names it."""
         handle = self.mrp.rings[ring_id]
         n = self._spare_seq.get(ring_id, 0)
         self._spare_seq[ring_id] = n + 1
         node = Node(self.sim, f"mr{ring_id}-xspare{n}")
         attach_node(self.mrp.network, node, self.mrp.ring_placement.get(ring_id))
         handle.spares.append(node)
+        if handle.failover is not None:
+            RingAcceptor(self.sim, self.mrp.network, node, handle.config,
+                         metrics=self.mrp.metrics, service=handle.failover)
         return node
 
     def remove_spare(self, ring_id: int) -> Node | None:
@@ -583,7 +586,8 @@ class Autoscaler:
     def _ring_cpu(self) -> dict[int, float]:
         """Coordinator CPU utilization of each live ring since the previous
         reading: two readings of ``busy_time()``, like :meth:`_shed_rate`.
-        A CPU first seen now (new ring, new coordinator) has no window yet."""
+        A CPU first seen now (new ring, new coordinator) has no window yet;
+        one that read flat is stopped (a live one's heartbeats cost CPU)."""
         now = self.mrp.sim.now
         elapsed = now - self._prev_busy_time
         prev, self._prev_busy = self._prev_busy, {}
@@ -592,7 +596,7 @@ class Autoscaler:
         for rid, handle in self.mrp.rings.items():
             cpu = handle.coordinator.node.cpu
             busy = self._prev_busy[cpu] = cpu.busy_time()
-            if handle.retired or handle.coordinator.crashed or cpu not in prev:
+            if handle.retired or cpu not in prev or busy == prev[cpu]:
                 continue
             out[rid] = (busy - prev[cpu]) / elapsed if elapsed > 0 else 0.0
         return out

@@ -16,12 +16,19 @@ the coordinator if the wait persists.
 Acceptors also remember recently decided items (learned from piggybacked
 decision announcements) so they can serve learner repair requests — each
 learner is assigned a *preferential acceptor* to ask for lost messages.
+
+With a :class:`~repro.ringpaxos.reconfig.RingFailover` record, acceptors
+also reconfigure the ring by messages alone (paper, Section IV-C; see
+docs/protocol.md, "Reconfiguration"): a member that hears no coordinator
+for ``suspect_timeout * (1 + index)`` runs Phase 1 with a round it owns
+and hosts the successor coordinator once a majority has promised.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from collections import deque
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from ..calibration import (
     CPU_BYTE_COST_ACCEPTOR,
@@ -30,11 +37,13 @@ from ..calibration import (
 )
 from ..errors import ProtocolError
 from ..metrics import MetricsRegistry
+from ..paxos.ballot import next_round
 from ..paxos.storage import AcceptorStorage, DurableStorage, InMemoryStorage
 from ..sim.network import Network
 from ..sim.node import Node
 from ..sim.process import Process, Timer
 from .config import RingConfig
+from .coordinator import RingCoordinator
 from .messages import (
     CatchupReply,
     CatchupRequest,
@@ -51,6 +60,9 @@ from .messages import (
 )
 from .valuestore import ValueStore, learner_reply
 
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
+    from .reconfig import RingFailover
+
 __all__ = ["RingAcceptor"]
 
 # Decided items kept for serving learner repairs and catch-ups; the oldest
@@ -59,6 +71,19 @@ DECIDED_LOG_LIMIT = 100_000
 # Instances of accepted state kept behind the highest decided one seen
 # before the sweep garbage-collects them (``RingAcceptor.state_retention``).
 STATE_RETENTION = 50_000
+# Acceptor k of a ring owns the rounds congruent to k modulo this, so no two
+# candidates ever pick the same round (round 0 is the first coordinator's,
+# whose Phase 1 is pre-executed).
+ROUND_OWNERS = 1 << 16
+
+
+@dataclass(slots=True)
+class _Candidacy:
+    """A suspecting member's Phase 1: its round, whom it asks, who promised."""
+
+    rnd: int
+    asked: list[str]
+    promises: dict[str, PromiseRange]
 
 
 class RingAcceptor(Process):
@@ -71,14 +96,14 @@ class RingAcceptor(Process):
         node: Node,
         config: RingConfig,
         metrics: MetricsRegistry | None = None,
+        service: RingFailover | None = None,
     ) -> None:
         super().__init__(sim, f"acceptor@{node.name}/ring{config.ring_id}")
-        if node.name not in config.acceptors:
-            raise ProtocolError(f"{node.name!r} is not an acceptor of ring {config.ring_id}")
-        if node.name == config.coordinator:
-            raise ProtocolError(
-                "the coordinator's acceptor duties are handled by RingCoordinator"
-            )
+        # Without a RingFailover record an acceptor is an in-ring member
+        # (the coordinator's acceptor duties are RingCoordinator's).
+        member = node.name in config.acceptors[:-1]
+        if service is None and not member:
+            raise ProtocolError(f"{node.name!r} is not an in-ring acceptor of ring {config.ring_id}")
         if config.durable and node.disk is None:
             raise ProtocolError("Recoverable mode requires a disk on every acceptor")
         self.network = network
@@ -88,10 +113,13 @@ class RingAcceptor(Process):
             DurableStorage(node.disk) if config.durable else InMemoryStorage()
         )
         self.values = ValueStore()
-        self.index = config.acceptors.index(node.name)
-        self.successor = config.successor(node.name)
+        self.index = config.acceptors.index(node.name) if member else -1
+        self.successor = config.successor(node.name) if member else None
         self.is_first = node.name == config.first_acceptor()
         self.promised_floor = -1
+        # Highest round a PrepareRange carried (never reset): a candidate bids
+        # above it, so an amnesiac restart never reuses its last round.
+        self._rnd_seen = 0
         base = metrics if metrics is not None else MetricsRegistry()
         self.metrics = base.child(ring=config.ring_id, role="acceptor", node=node.name)
         self.accepts = self.metrics.counter("accepts")
@@ -106,10 +134,18 @@ class RingAcceptor(Process):
         self._forwarded: set[tuple[int, int]] = set()
         self._parked_2b: dict[int, Phase2B] = {}
         self._accepted_vids: dict[int, int] = {}
-        self.retired = False
-        self.last_coordinator_traffic = 0.0
-        self._watch_timer: Timer | None = None
-        self._on_suspect = None
+        # A spare or a coordinator's own acceptor is dormant until a
+        # CoordinatorChange names it a member.
+        self.retired = not member
+        self.last_coordinator_traffic = sim.now
+        self.service = service
+        self._candidacy: _Candidacy | None = None
+        self._watch_timer = None
+        if service is not None:
+            self.owner = service.enlist(self)
+            self._watch_timer = Timer(sim, config.suspect_timeout, self._check_coordinator)
+            if member:
+                self._watch_timer.start()
         self._decided: dict[int, DataBatch | SkipRange] = {}
         self._decided_order: deque[int] = deque()
         self.state_retention = STATE_RETENTION
@@ -118,10 +154,15 @@ class RingAcceptor(Process):
         self._decided_frontier = 0
         self._ckpt_watermarks: dict[str, int] = {}
         self._truncate_bound = -1
-        network.join(config.multicast_group, node.name)
+        if member:
+            network.join(config.multicast_group, node.name)
         node.register(config.mcast_port, self._on_mcast)
-        node.register(config.ring_port, self._on_ring)
-        node.register(config.repair_port, self._on_repair)
+        self.serve()
+
+    def serve(self) -> None:
+        """Answer the node's ring and repair ports (also after a step-down)."""
+        self.node.register(self.config.ring_port, self._on_ring)
+        self.node.register(self.config.repair_port, self._on_repair)
 
     # ------------------------------------------------------------------
     # Multicast traffic (Phase 2A, decisions, heartbeats)
@@ -129,13 +170,15 @@ class RingAcceptor(Process):
     def _on_mcast(self, src: str, msg) -> None:
         if self.crashed:
             return
-        if src == self.config.coordinator:
-            self.last_coordinator_traffic = self.sim.now
         if isinstance(msg, CoordinatorChange):
             self.node.cpu.execute(CPU_FIXED_COST_SMALL_MESSAGE, self._on_coordinator_change, (msg,))
             return
-        if self.retired:
+        # Only the coordinator the layout names drives this acceptor: a
+        # deposed one, or a successor whose CoordinatorChange has not
+        # arrived, is not heard.
+        if self.retired or src != self.config.coordinator:
             return
+        self.last_coordinator_traffic = self.sim.now
         if isinstance(msg, Phase2A):
             cost = CPU_FIXED_COST_ACCEPTOR + CPU_BYTE_COST_ACCEPTOR * msg.item.size
             self.node.cpu.execute(cost, self._on_phase2a, (msg,))
@@ -150,8 +193,9 @@ class RingAcceptor(Process):
             return
         if msg.decisions:
             self._on_decisions(msg.decisions)
-        value_id = msg.item.value_id if isinstance(msg.item, DataBatch) else -msg.instance - 1
-        self.values.put(value_id, msg.item)
+        item = msg.item
+        value_id = item.value_id if isinstance(item, DataBatch) else -msg.instance - 1 - (msg.rnd << 32)
+        self.values.put(value_id, item)
         if self.is_first:
             # The first acceptor accepts directly from the 2A and creates
             # the Phase 2B token (Figure 3, step 4). Each acceptor persists
@@ -161,12 +205,12 @@ class RingAcceptor(Process):
                 return
             state.rnd = msg.rnd
             state.vrnd = msg.rnd
-            state.vval = msg.item
+            state.vval = item
             self._accepted_vids[msg.instance] = value_id  # for PromiseRange answers
             self.accepts.value += 1
             # (instance, rnd, value_id, attempt, accepts)
             token = Phase2B(msg.instance, msg.rnd, value_id, msg.attempt, 1)
-            self.storage.persist(msg.instance, msg.item.size, self._forward, (token,))
+            self.storage.persist(msg.instance, item.size, self._forward, (token,))
         else:
             # Later acceptors accept when the ring token reaches them; a 2B
             # that overtook our copy of the 2A can now proceed.
@@ -360,49 +404,48 @@ class RingAcceptor(Process):
             if state.vrnd < 0 or state.vval is None:
                 continue
             item = state.vval
-            vid = item.value_id if isinstance(item, DataBatch) else -instance - 1
+            vid = item.value_id if isinstance(item, DataBatch) else -instance - 1 - (state.vrnd << 32)
             self.values.put(vid, item)
             self._accepted_vids[instance] = vid
             recovered += 1
         self.recoveries.value += 1
         self.recovered_instances.value = recovered
+        self._candidacy = None
+        if self._watch_timer is not None and not self.retired:
+            self.last_coordinator_traffic = self.sim.now
+            self._watch_timer.start()
 
     # ------------------------------------------------------------------
-    # Reconfiguration support (Phase 1 over an instance range)
+    # Phase 1 over an instance range (paper, Section IV-C)
     # ------------------------------------------------------------------
     def _on_prepare_range(self, src: str, msg: PrepareRange) -> None:
-        """Promise every instance >= from_instance to a new coordinator."""
-        if self.crashed or msg.rnd <= self.promised_floor:
-            return
-        self.promised_floor = msg.rnd
-        self.storage.note_floor(msg.rnd)
-        reply = PromiseRange(msg.from_instance, msg.rnd, self._accepted_from(msg.from_instance))
-        self.storage.persist(
-            -1, 64, self.network.send,
-            (self.node.name, src, self.config.coord_port, reply, reply.size),
-        )
+        reply = self.promise(msg)
+        if reply is not None:
+            self.storage.persist(
+                -1, 64, self.network.send,
+                (self.node.name, src, self.config.coord_port, reply, reply.size),
+            )
 
-    # ------------------------------------------------------------------
-    # Reconfiguration (paper, Section IV-C)
-    # ------------------------------------------------------------------
-    def _on_coordinator_change(self, msg: CoordinatorChange) -> None:
-        if self.crashed:
-            return
-        new_config = dataclasses.replace(self.config, acceptors=list(msg.acceptors))
-        self.adopt(new_config)
-        self.last_coordinator_traffic = self.sim.now
-
-    def local_promise(self, from_instance: int, rnd: int) -> PromiseRange:
-        """Promise ``rnd`` and return accepted state, without the network.
-
-        Used by a co-located takeover coordinator: the node that promotes
-        itself reads its own acceptor state directly instead of messaging
-        itself.
-        """
-        if rnd > self.promised_floor:
-            self.promised_floor = rnd
-            self.storage.note_floor(rnd)
-        return PromiseRange(from_instance, rnd, self._accepted_from(from_instance))
+    def promise(self, msg: PrepareRange) -> PromiseRange | None:
+        """Promise every instance >= from_instance to a candidate, or None
+        when this acceptor has promised a higher round already. A repeated
+        PrepareRange (its promise was lost) is answered again."""
+        self._rnd_seen = max(self._rnd_seen, msg.rnd)
+        if self.crashed or msg.rnd < self.promised_floor:
+            return None
+        if msg.rnd > self.promised_floor:
+            self.promised_floor = msg.rnd
+            self.storage.note_floor(msg.rnd)
+            self.last_coordinator_traffic = self.sim.now
+            if self._candidacy is not None and msg.rnd > self._candidacy.rnd:
+                self._stand_down()
+            # A dormant acceptor listens from here on: a CoordinatorChange
+            # may name it, and the 2As that follow must reach it.
+            self.network.join(self.config.multicast_group, self.node.name)
+        # Below a checkpoint truncation everything is decided and forgotten:
+        # the answer starts above it, and so does the successor's recovery.
+        start = max(msg.from_instance, self._truncate_bound + 1)
+        return PromiseRange(start, msg.rnd, self._accepted_from(start))
 
     def _accepted_from(
         self, from_instance: int
@@ -421,10 +464,96 @@ class RingAcceptor(Process):
                     accepted.append((instance, state.vrnd, item))
         return tuple(accepted)
 
+    def hold(self, instance: int, rnd: int, item: DataBatch | SkipRange) -> int:
+        """Record ``item`` as accepted at ``rnd``, returning its value ID: a
+        deposed coordinator's proposals, which its node's acceptor answers."""
+        state = self.storage.get(instance)
+        state.rnd = state.vrnd = rnd
+        state.vval = item
+        vid = item.value_id if isinstance(item, DataBatch) else -instance - 1 - (rnd << 32)
+        self.values.put(vid, item)
+        self._accepted_vids[instance] = vid
+        return vid
+
+    # ------------------------------------------------------------------
+    # Suspicion and candidacy
+    # ------------------------------------------------------------------
+    def _check_coordinator(self) -> None:
+        if self.crashed or self.retired or self._candidacy is not None:
+            return
+        timeout = self.config.suspect_timeout * (1 + self.index)
+        silence = self.sim.now - self.last_coordinator_traffic
+        # Tolerance guards against a float-precision livelock: rescheduling
+        # by (timeout - silence) when the difference underflows would pin
+        # the event loop at a single timestamp.
+        if silence < timeout * (1.0 - 1e-9):
+            self._watch_timer.start(delay=max(timeout - silence, timeout * 0.05))
+            return
+        if self.node.name not in self.service.config.acceptors:
+            return  # excluded by a takeover whose CoordinatorChange never came
+        self.service.suspected(self.node.name)
+        rnd = next_round(max(self._rnd_seen, self.promised_floor), self.owner, ROUND_OWNERS)
+        # The candidate's own promise is read locally, not sent to itself.
+        own = self.promise(PrepareRange(0, rnd))
+        self._candidacy = _Candidacy(rnd, self.service.universe(), {self.node.name: own})
+        self.node.register(self.config.coord_port, self._on_coord_port)
+        self._solicit(rnd)
+
+    def _solicit(self, rnd: int) -> None:
+        """(Re-)send the candidacy's PrepareRange to whoever has not promised."""
+        bid = self._candidacy
+        if bid is None or bid.rnd != rnd:
+            return
+        prepare = PrepareRange(0, rnd)
+        for name in bid.asked:
+            if name not in bid.promises:
+                self.network.send(self.node.name, name, self.config.ring_port, prepare, prepare.size)
+        self.call_later(self.config.retry_timeout, self._solicit, rnd)
+
+    def _stand_down(self) -> None:
+        """End the candidacy (a higher round is running) and watch again."""
+        self._candidacy = None
+        self.last_coordinator_traffic = self.sim.now
+        self._watch_timer.start()
+
+    def _on_coord_port(self, src: str, msg) -> None:
+        if not self.crashed and isinstance(msg, PromiseRange):
+            self.node.cpu.execute(CPU_FIXED_COST_SMALL_MESSAGE, self._on_promise, (src, msg))
+
+    def _on_promise(self, src: str, msg: PromiseRange) -> None:
+        bid = self._candidacy
+        if self.crashed or bid is None or msg.rnd != bid.rnd:
+            return
+        bid.promises[src] = msg
+        if 2 * len(bid.promises) <= len(bid.asked):
+            return
+        # A majority promised: the new layout is the spares that did, then
+        # the members that did, then this candidate, the coordinator.
+        self._candidacy = None
+        me = self.node.name
+        layout = [name for name in bid.asked if name in bid.promises and name != me] + [me]
+        config = self.config.with_layout(layout, self.network)
+        coordinator = RingCoordinator(
+            self.sim, self.network, self.node, config, rnd=bid.rnd,
+            metrics=self.service.metrics, host=self,
+        )
+        coordinator.recover(bid.promises.values())
+        self.service.recovered(coordinator)
+
+    # ------------------------------------------------------------------
+    # Reconfiguration (paper, Section IV-C)
+    # ------------------------------------------------------------------
+    def _on_coordinator_change(self, msg: CoordinatorChange) -> None:
+        if self.crashed or msg.rnd < self.promised_floor:
+            return
+        self.adopt(self.config.with_layout(msg.acceptors, self.network))
+        if self._watch_timer is not None and not self.retired:
+            self._stand_down()
+
     def adopt(self, config: RingConfig) -> None:
         """Switch to a reconfigured ring layout (same ring id and ports)."""
         self.config = config
-        if self.node.name in config.acceptors:
+        if self.node.name in config.acceptors[:-1]:
             self.index = config.acceptors.index(self.node.name)
             self.successor = config.successor(self.node.name)
             self.is_first = self.node.name == config.first_acceptor()
@@ -433,42 +562,6 @@ class RingAcceptor(Process):
             self.retire()
 
     def retire(self) -> None:
-        """Stop participating in the data path (keeps state for Phase 1)."""
+        """Leave the data path, state kept for Phase 1 (excluded, or coordinator)."""
         self.retired = True
-        self.stop_watching()
-
-    def watch_coordinator(self, on_suspect) -> None:
-        """Suspect the coordinator after ``config.suspect_timeout`` of
-        multicast silence.
-
-        The coordinator's heartbeats (and any 2A/decision traffic) reset
-        the clock, so a healthy idle ring is never suspected.
-        """
-        self._on_suspect = on_suspect
-        self.last_coordinator_traffic = self.sim.now
-        self._watch_timer = Timer(
-            self.sim, self.config.suspect_timeout, self._check_coordinator
-        )
-        self._watch_timer.start()
-
-    def stop_watching(self) -> None:
-        """Disarm the coordinator failure detector."""
-        if self._watch_timer is not None:
-            self._watch_timer.stop()
-            self._watch_timer = None
-
-    def _check_coordinator(self) -> None:
-        if self.crashed or self._watch_timer is None:
-            return
-        timeout = self._watch_timer.delay
-        silence = self.sim.now - self.last_coordinator_traffic
-        # Tolerance guards against a float-precision livelock: rescheduling
-        # by (timeout - silence) when the difference underflows would pin
-        # the event loop at a single timestamp.
-        if silence >= timeout * (1.0 - 1e-9):
-            callback, self._on_suspect = self._on_suspect, None
-            self.stop_watching()
-            if callback is not None:
-                callback(self)
-        else:
-            self._watch_timer.start(delay=max(timeout - silence, timeout * 0.05))
+        self._candidacy = None

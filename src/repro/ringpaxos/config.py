@@ -22,7 +22,7 @@ other acceptor's accept. With the paper's f+1 in-ring acceptors (out of
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from ..calibration import BATCH_SIZE_BYTES, BATCH_TIMEOUT_S
 from ..errors import ConfigurationError
@@ -55,11 +55,12 @@ class RingConfig:
         Idle coordinators multicast a small heartbeat at this period (used
         for failure detection and learner liveness).
     suspect_timeout:
-        How long an acceptor tolerates coordinator silence before
-        suspecting it and triggering failover (when a
-        :class:`~repro.ringpaxos.reconfig.RingFailover` watches the
-        ring). Must exceed the heartbeat interval, or a merely idle
-        coordinator would be suspected between beats.
+        How long the first in-ring acceptor tolerates coordinator silence
+        before suspecting it and standing for coordinator (when the ring
+        has a :class:`~repro.ringpaxos.reconfig.RingFailover` record); the
+        acceptor at ring index ``i`` waits ``(1 + i)`` times as long. Must
+        exceed the heartbeat interval, or a merely idle coordinator would
+        be suspected between beats.
     acceptor_regions:
         Region name per acceptor (parallel to ``acceptors``), for
         deployments on a :class:`~repro.sim.topology.GeoNetwork`. None
@@ -149,3 +150,9 @@ class RingConfig:
     def preferential_acceptor(self, learner_index: int) -> str:
         """The acceptor a learner directs repair requests to (paper III-B)."""
         return self.acceptors[learner_index % len(self.acceptors)]
+
+    def with_layout(self, acceptors: list[str], network) -> "RingConfig":
+        """This ring laid out over ``acceptors`` (a takeover's new layout),
+        each member's region read from the network where regions apply."""
+        regions = self.acceptor_regions and [network.region_of[name] for name in acceptors]
+        return replace(self, acceptors=list(acceptors), acceptor_regions=regions)

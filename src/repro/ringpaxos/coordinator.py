@@ -14,7 +14,9 @@ The coordinator is the distinguished acceptor at the end of the ring
 
 Phase 1 is value-independent and pre-executed (Section III-A): acceptors
 start promised to the coordinator's round; an explicit PrepareRange is run
-only by a *new* coordinator after reconfiguration (see ``reconfig``).
+only by an acceptor that suspects its coordinator, then hosts the successor
+(:meth:`~RingCoordinator.recover`). Value IDs belong to the round — round
+``r`` numbers batches from ``r << 32`` and skips ``-i - 1 - (r << 32)``.
 
 The per-instance CPU charges on this path are what saturate In-memory Ring
 Paxos at ~700 Mbps in Figure 1; in Recoverable mode the coordinator also
@@ -25,7 +27,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 from ..calibration import (
     CPU_BYTE_COST_COORDINATOR,
@@ -83,7 +85,8 @@ class RingCoordinator(Process):
     and ``redirects`` (group id -> drain handler, see :meth:`_ingest`) are
     the ring's hooks: a takeover hands both to the successor as they are.
     ``metrics`` is the registry to create this coordinator's metrics in
-    (labeled with ``ring``/``role``/``node``); a private one when None.
+    (labeled with ``ring``/``role``/``node``); a private one when None;
+    ``host``, the node's own acceptor on a ring that reconfigures itself.
     """
 
     def __init__(
@@ -94,6 +97,7 @@ class RingCoordinator(Process):
         config: RingConfig,
         rnd: int = 0,
         metrics: MetricsRegistry | None = None,
+        host=None,
     ) -> None:
         super().__init__(sim, f"coord@{node.name}/ring{config.ring_id}")
         if node.name != config.coordinator:
@@ -108,9 +112,11 @@ class RingCoordinator(Process):
         self.node = node
         self.config = config
         self.rnd = rnd
+        self.host = host
+        self.deposed = False
         self.on_decide: Callable[[int, DataBatch | SkipRange], None] | None = None
         self.next_instance = 0
-        self.next_value_id = 0
+        self.next_value_id = rnd << 32
         base = metrics if metrics is not None else MetricsRegistry()
         self.metrics = base.child(ring=config.ring_id, role="coordinator", node=node.name)
         self.submissions = self.metrics.counter("submissions")
@@ -151,10 +157,8 @@ class RingCoordinator(Process):
         self.batcher = Batcher(sim, config.batch_size, config.batch_timeout, self._on_batch)
         self._decision_timer = Timer(sim, config.decision_flush_timeout, self._flush_decisions)
         self._heartbeat_timer = Timer(sim, config.heartbeat_interval, self._heartbeat)
-        self._recovering = False
-        self._promises: list[PromiseRange] = []
-        self._promises_needed = 0
-        self._on_recovered = None
+        # A takeover repeats its CoordinatorChange twice per suspect timeout.
+        self._announce_timer = Timer(sim, config.suspect_timeout / 2, self._announce)
         node.register(config.coord_port, self._on_coord_message)
         node.register(config.ring_port, self._on_ring_message)
         node.register(config.repair_port, self._on_repair_port)
@@ -235,8 +239,6 @@ class RingCoordinator(Process):
         self._pump()
 
     def _pump(self) -> None:
-        if self._recovering:
-            return  # new work queues up until Phase 1 recovery completes
         while self._backlog and len(self._inflight) < self.config.window:
             self._start_instance(self._backlog.popleft())
         self.backlog_depth.value = len(self._backlog)
@@ -248,7 +250,7 @@ class RingCoordinator(Process):
         if instance is None:
             instance = self.next_instance
             self.next_instance += item.instance_count
-        value_id = item.value_id if isinstance(item, DataBatch) else -instance - 1
+        value_id = item.value_id if isinstance(item, DataBatch) else -instance - 1 - (self.rnd << 32)
         state = _Inflight(instance, value_id, item)
         self._inflight[instance] = state
         self.instances_started.value += 1
@@ -296,9 +298,12 @@ class RingCoordinator(Process):
         self._maybe_decide(state)
 
     def _on_ring_message(self, src: str, msg) -> None:
-        if self.crashed or not isinstance(msg, Phase2B):
+        if self.crashed:
             return
-        self.node.cpu.execute(CPU_FIXED_COST_SMALL_MESSAGE, self._on_phase2b, (msg,))
+        if isinstance(msg, Phase2B):
+            self.node.cpu.execute(CPU_FIXED_COST_SMALL_MESSAGE, self._on_phase2b, (msg,))
+        elif isinstance(msg, PrepareRange) and self.host is not None:
+            self.node.cpu.execute(CPU_FIXED_COST_SMALL_MESSAGE, self._step_down, (src, msg))
 
     def _on_phase2b(self, msg: Phase2B) -> None:
         if self.crashed:
@@ -410,8 +415,6 @@ class RingCoordinator(Process):
             )
         elif isinstance(msg, RepairRequest):
             self.node.cpu.execute(CPU_FIXED_COST_SMALL_MESSAGE, self._repair, (src, msg))
-        elif isinstance(msg, PromiseRange):
-            self.node.cpu.execute(CPU_FIXED_COST_SMALL_MESSAGE, self._on_promise_range, (msg,))
 
     def _accept_submission(self, src: str, value: ClientValue, floor: int) -> None:
         """Dedup/reorder per-proposer submissions, then batch them.
@@ -497,10 +500,13 @@ class RingCoordinator(Process):
         # log is already FIFO-bounded.
 
     def _serve_learner(self, src: str, msg: RepairRequest | CatchupRequest) -> None:
-        """Answer a learner; the coordinator knows the true frontier."""
+        """Answer a learner; the coordinator knows the true frontier. What
+        its bounded log lacks, its node's acceptor may have seen decided."""
         if self.crashed:
             return
         reply = learner_reply(self._decided_log, msg, self.next_instance)
+        if reply is None and self.host is not None:
+            reply = learner_reply(self.host._decided, msg, self.next_instance)
         if reply is not None:
             self.network.send(
                 self.node.name, src, f"rp{self.config.ring_id}.learner", reply, reply.size
@@ -509,65 +515,30 @@ class RingCoordinator(Process):
     # ------------------------------------------------------------------
     # Takeover (reconfiguration, paper Section IV-C)
     # ------------------------------------------------------------------
-    def begin_takeover(
-        self,
-        local_promise: PromiseRange,
-        promises_needed: int,
-        on_recovered=None,
-    ) -> None:
-        """Run Phase 1 over all instances and recover accepted values.
+    def recover(self, promises: Iterable[PromiseRange]) -> None:
+        """Take the ring over from a Phase 1 majority's promises.
 
-        ``local_promise`` is the new coordinator's own acceptor state
-        (read directly — it is co-located). ``promises_needed`` is how
-        many *additional* PromiseRanges must arrive so that, together
-        with the local one, a majority of the original acceptor set has
-        promised. Once recovered, the coordinator announces the new ring,
-        re-proposes every recovered value at its original instance, fills
-        observable gaps with skips, and resumes normal service.
+        Announces the new layout, re-proposes every recovered value at its
+        original instance (the highest-round one per instance: Paxos value
+        selection), fills observable gaps with skips, and resumes normal
+        service. Nothing below an instance some promiser has truncated
+        (decided, and checkpointed by every replica) is proposed again.
         """
-        self._recovering = True
-        self._heartbeat_timer.stop()
-        self._promises = [local_promise]
-        self._promises_needed = promises_needed
-        self._on_recovered = on_recovered
-        prepare = PrepareRange(local_promise.from_instance, self.rnd)
-        for member in self.config.acceptors[:-1]:
-            self.network.send(self.node.name, member, self.config.ring_port, prepare, prepare.size)
-        if promises_needed <= 0:
-            self._finish_recovery()
-
-    def _on_promise_range(self, msg: PromiseRange) -> None:
-        if self.crashed or not self._recovering or msg.rnd != self.rnd:
-            return
-        self._promises.append(msg)
-        if len(self._promises) - 1 >= self._promises_needed:
-            self._finish_recovery()
-
-    def _finish_recovery(self) -> None:
-        if not self._recovering:
-            return
-        self._recovering = False
-        # Highest-vrnd accepted item per instance (Paxos value selection).
+        promises = list(promises)
+        start = max(promise.from_instance for promise in promises)
         best: dict[int, tuple[int, DataBatch | SkipRange]] = {}
-        for promise in self._promises:
+        for promise in promises:
             for instance, vrnd, item in promise.accepted:
                 held = best.get(instance)
                 if held is None or vrnd > held[0]:
                     best[instance] = (vrnd, item)
-        self._promises = []
         # Announce the new layout before any 2A so surviving acceptors
         # re-chain their successors first (FIFO links keep the order).
-        announce = CoordinatorChange(
-            self.config.ring_id, tuple(self.config.acceptors), self.rnd
-        )
-        self.network.multicast(
-            self.node.name, self.config.multicast_group, self.config.mcast_port,
-            announce, announce.size,
-        )
+        self._announce()
         # Re-propose recovered values at their instances; fill gaps (an
         # instance below the recovered horizon with no accepted value
         # anywhere in the quorum cannot have been decided) with skips.
-        horizon = 0
+        horizon = start
         for instance, (_, item) in best.items():
             horizon = max(horizon, instance + item.instance_count)
         # Seed per-sender dedup state from recovered values so proposers'
@@ -588,14 +559,11 @@ class RingCoordinator(Process):
                         self._foreign_keys.add(("cut", cut.epoch, cut.kind))
                     if value.redirected:
                         self._foreign_keys.add(("fwd", value.sender, value.seq))
-        max_vid = -1
-        cursor = 0
+        cursor = start
         while cursor < horizon:
             held = best.get(cursor)
             if held is not None:
                 item = held[1]
-                if isinstance(item, DataBatch):
-                    max_vid = max(max_vid, item.value_id)
                 self._start_instance(item, cursor)
                 cursor += item.instance_count
             else:
@@ -605,20 +573,47 @@ class RingCoordinator(Process):
                 self._start_instance(SkipRange(gap_end - cursor), cursor)
                 cursor = gap_end
         self.next_instance = max(self.next_instance, horizon)
-        self.next_value_id = max(self.next_value_id, max_vid + 1)
-        self._heartbeat_timer.start()
         self._pump()
-        if self._on_recovered is not None:
-            callback, self._on_recovered = self._on_recovered, None
-            callback(self)
+
+    def _announce(self) -> None:
+        self._announce_timer.start()  # stopped by on_crash
+        announce = CoordinatorChange(self.config.ring_id, tuple(self.config.acceptors), self.rnd)
+        self.network.multicast(
+            self.node.name, self.config.multicast_group, self.config.mcast_port,
+            announce, announce.size,
+        )
+
+    def _step_down(self, src: str, msg: PrepareRange) -> None:
+        """Fencing: a higher round's Phase 1 deposes this coordinator. It
+        stops proposing, leaves what it proposed to its node's acceptor as
+        accepted at its round, and that acceptor answers like any member."""
+        if self.crashed or msg.rnd <= self.rnd:
+            return
+        self.deposed = True
+        self.crash()
+        host = self.host
+        for state in self._inflight.values():
+            host.hold(state.instance, self.rnd, state.item)
+        # What it decided stays available to learner repairs.
+        host._on_decisions(tuple(
+            (instance, host.hold(instance, self.rnd, item))
+            for instance, item in self._decided_log.items()
+        ))
+        host.serve()
+        host._on_prepare_range(src, msg)
 
     # ------------------------------------------------------------------
     # Failure injection
     # ------------------------------------------------------------------
+    def restart(self) -> None:
+        if not self.deposed:  # a deposed coordinator never comes back
+            super().restart()
+
     def on_crash(self) -> None:
         self.batcher.stop()
         self._decision_timer.stop()
         self._heartbeat_timer.stop()
+        self._announce_timer.stop()
 
     def on_restart(self) -> None:
         """Resume after a forced restart (same node, Figure 12 scenario).
@@ -631,6 +626,8 @@ class RingCoordinator(Process):
         not wedge a reconfiguration.
         """
         self._heartbeat_timer.start()
+        if self.rnd:
+            self._announce()
         self.batcher.flush()
         for state in self._inflight.values():
             state.attempt += 1

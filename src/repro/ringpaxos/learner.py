@@ -21,7 +21,6 @@ series used in Figure 12.
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Callable
 
 from ..calibration import (
@@ -120,6 +119,7 @@ class RingLearner(Process):
         self._ready: dict[int, DataBatch | SkipRange] = {}
         self._repair_attempts = 0
         self._last_repair_instance = -1
+        self._layout_rnd = 0  # round of the CoordinatorChange adopted last
         self._awaiting_value: dict[int, int] = {}  # instance -> value id
         self._awaiting_by_vid: dict[int, int] = {}  # value id -> instance
         self._learner_port = f"rp{config.ring_id}.learner"
@@ -172,14 +172,15 @@ class RingLearner(Process):
     def _on_phase2a(self, msg: Phase2A) -> None:
         if self.crashed:
             return
-        value_id = msg.item.value_id if isinstance(msg.item, DataBatch) else -msg.instance - 1
-        self.values.put(value_id, msg.item)
-        self.frontier = max(self.frontier, msg.instance + msg.item.instance_count)
+        item = msg.item
+        value_id = item.value_id if isinstance(item, DataBatch) else -msg.instance - 1 - (msg.rnd << 32)
+        self.values.put(value_id, item)
+        self.frontier = max(self.frontier, msg.instance + item.instance_count)
         # A decision that was waiting for this value can now be placed.
         waiting = self._awaiting_by_vid.pop(value_id, None)
         if waiting is not None:
             self._awaiting_value.pop(waiting, None)
-            self._place(waiting, msg.item)
+            self._place(waiting, item)
         if msg.decisions:
             self._on_decisions(msg.decisions)
 
@@ -204,10 +205,12 @@ class RingLearner(Process):
         self.frontier = max(self.frontier, msg.next_instance)
 
     def _on_coordinator_change(self, msg: CoordinatorChange) -> None:
-        """Adopt a reconfigured ring: repairs re-target the new members."""
-        if self.crashed:
+        """Adopt a reconfigured ring: repairs re-target the new members. A
+        deposed coordinator's announcement, or a repeat, changes nothing."""
+        if self.crashed or msg.rnd <= self._layout_rnd:
             return
-        self.config = dataclasses.replace(self.config, acceptors=list(msg.acceptors))
+        self._layout_rnd = msg.rnd
+        self.config = self.config.with_layout(msg.acceptors, self.network)
         self._repair_attempts = 0
         self._last_repair_instance = -1
 

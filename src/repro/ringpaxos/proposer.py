@@ -102,7 +102,8 @@ class RingProposer(Process):
         )
 
     def _on_ack(self, src: str, msg) -> None:
-        if self.crashed or not isinstance(msg, SubmitAck):
+        # A deposed coordinator's late ack would stop the retransmissions.
+        if self.crashed or src != self.coordinator or not isinstance(msg, SubmitAck):
             return
         self._received_cum = max(self._received_cum, msg.received_cum)
         # Values are kept until *decided* (they must survive coordinator

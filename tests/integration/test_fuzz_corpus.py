@@ -254,3 +254,25 @@ def test_corpus_seed_is_deterministic():
     assert a.ok and b.ok
     assert a.events_checked == b.events_checked
     assert a.schedule.steps == b.schedule.steps
+
+
+# False-suspicion profile: the default mix plus a live coordinator cut off
+# past its suspect timeout and a group remap racing the takeover, on rings
+# with one spare each. Every seed here failed while takeovers were run by
+# an orchestrator reading liveness; seed: the oracle it failed then.
+FALSE_SUSPICION_CORPUS = {
+    3: "liveness-after-restart",  # ring 0's takeover wedged on a one-shot Phase 1
+    13: "liveness",               # ring 0 suspected its coordinator, never took over
+    17: "agreement",              # two coordinators gave ring 2 instance 2230 one ID
+}
+
+
+@pytest.mark.parametrize("seed", sorted(FALSE_SUSPICION_CORPUS))
+def test_false_suspicion_corpus_seed_runs_clean(seed):
+    result = run_case(seed, profile="false-suspicion")
+    assert result.ok, f"false-suspicion seed {seed} regressed: {result.message}"
+    assert result.events_checked > 100
+    assert result.config.profile == "false-suspicion"
+    cuts = [s.island for s in result.schedule.steps if s.action == "partition"]
+    assert any(len(island) == 1 and island[0].endswith("-coord") for island in cuts)
+    assert any(s.action == "remap" for s in result.schedule.steps)

@@ -1,10 +1,12 @@
 """Integration: automatic ring reconfiguration (paper, Section IV-C).
 
 A coordinator crash is detected by the surviving acceptors through
-heartbeat silence; the lowest-indexed survivor promotes itself, includes
-a spare acceptor in the new ring, recovers accepted values with a
-range-Phase 1, and resumes service. No message may be lost, duplicated,
-or reordered across the reconfiguration.
+heartbeat silence; the first to suspect it stands for coordinator, runs
+a range-Phase 1 over the ring and its spares, lays the new ring out from
+those that promised, recovers accepted values, and resumes service. No
+message may be lost, duplicated, or reordered across the
+reconfiguration — also when the suspected coordinator is alive, or the
+Phase 1 loses messages.
 
 The second half covers planned elasticity through the
 ``ReconfigManager``: live group remaps, ring splits and merges, online
@@ -16,6 +18,8 @@ import pytest
 from repro import MultiRingConfig, MultiRingPaxos
 from repro.core.reconfig import Autoscaler, AutoscalePolicy
 from repro.errors import ConfigurationError
+from repro.sim.faults import NetworkPartition
+from repro.sim.topology import Topology
 
 SIZE = 8192
 
@@ -219,10 +223,11 @@ def test_second_failover_uses_remaining_spare():
 
 
 def test_takeover_races_concurrent_acceptor_crash():
-    """The coordinator and a mid-ring acceptor die together. The failover
-    must not wedge on the dead acceptor's missing promise: the degraded
-    quorum cap counts only reachable survivors, and the replacement ring
-    is chained from live nodes plus spares. Nothing may be lost."""
+    """The coordinator and a mid-ring acceptor die together. The takeover
+    must not wedge on the dead acceptor's missing promise: its Phase 1
+    also asks f = 2 spares, so acc0 and both spares are a majority of the
+    five, and the replacement ring is chained from those that promised.
+    Nothing may be lost."""
     mrp = deploy(acceptors_per_ring=3, spares_per_ring=2)
     log = []
     mrp.add_learner(groups=[0], on_deliver=lambda g, v: log.append(v.payload))
@@ -260,6 +265,120 @@ def test_no_false_takeover_while_coordinator_is_healthy():
     mrp.run(until=2.0)  # idle for many suspect timeouts (heartbeats flow)
     assert mrp.rings[0].failover.takeovers.value == 0
     assert len(log) == 5
+
+
+# ---------------------------------------------------------------------------
+# The takeover is message-driven: what a failure detector that is wrong,
+# or a lossy network, must not break
+# ---------------------------------------------------------------------------
+def cut(mrp, island, start, end):
+    """Cut ``island`` off from every other node between ``start`` and ``end``."""
+    partition = NetworkPartition(island)
+    mrp.network.loss = partition
+    mrp.sim.at(start, partition.activate)
+    mrp.sim.at(end, partition.heal)
+
+
+def test_learner_resolves_a_successors_decision_to_the_successors_batch():
+    """A learner cut off together with a live coordinator and one proposer
+    holds the batches that coordinator numbered and never got decided. The
+    successor numbers fewer batches meanwhile, then more after the heal:
+    its decisions must resolve to its own batches, which carry value IDs
+    of its own round, not to the deposed coordinator's."""
+    mrp = deploy(n_groups=1, lambda_rate=0.0)
+    inside, outside = [], []
+    mrp.add_learner(groups=[0], on_deliver=lambda g, v: inside.append(v.payload))
+    mrp.add_learner(groups=[0], on_deliver=lambda g, v: outside.append(v.payload))
+    deposed, successor = mrp.add_proposer(), mrp.add_proposer()
+    cut(mrp, {"mr0-coord", "mr-lrn0", "mr-prop0"}, 0.1, 0.4)
+    for i in range(20):  # all before the takeover at ~0.15 s
+        mrp.sim.at(0.101 + 0.002 * i, deposed.multicast, 0, f"d{i}", SIZE)
+    for i in range(5):
+        mrp.sim.at(0.2 + 0.005 * i, successor.multicast, 0, f"s{i}", SIZE)
+    mrp.run(until=3.0)
+    assert mrp.rings[0].coordinator.node.name == "mr0-acc0"
+    expected = sorted([f"d{i}" for i in range(20)] + [f"s{i}" for i in range(5)])
+    assert sorted(inside) == expected
+    assert inside == outside
+
+
+def test_a_lost_prepare_is_resent_and_the_takeover_completes():
+    """The candidate's first PrepareRange to the spare is lost; it asks
+    again every retry_timeout until a majority has promised."""
+    mrp = deploy()
+    log = []
+    mrp.add_learner(groups=[0], on_deliver=lambda g, v: log.append(v.payload))
+    p = mrp.add_proposer()
+    p.multicast(0, "before", SIZE)
+    mrp.run(until=0.5)
+    # Detection lands at ~0.55 s; the spare hears nothing from acc0 until 0.58 s.
+    mrp.network.loss = DropBetween(mrp.sim, "mr0-acc0", "mr0-spare0", until=0.58)
+    mrp.crash_coordinator(0)
+    mrp.run(until=1.5)
+    assert mrp.rings[0].coordinator.node.name == "mr0-acc0"
+    assert mrp.rings[0].failover.takeovers.value == 1
+    p.multicast(0, "after", SIZE)
+    mrp.run(until=2.5)
+    assert log == ["before", "after"]
+
+
+def test_live_coordinator_cut_off_past_its_timeout_is_fenced():
+    """The ring's coordinator is alive, and cut off with one proposer for
+    longer than suspect_timeout: its acceptor takes over by a Phase 1 it
+    never sees, while it keeps batching. After the heal it re-sends its
+    undecided 2As under round 0, which no member accepts: it decides
+    nothing more, and the learners deliver one sequence, every message
+    once."""
+    mrp = deploy(n_groups=1, lambda_rate=0.0)
+    logs = [[], []]
+    for log in logs:
+        mrp.add_learner(groups=[0], on_deliver=lambda g, v, log=log: log.append(v.payload))
+    deposed, successor = mrp.add_proposer(), mrp.add_proposer()
+    old = mrp.rings[0].coordinator
+    cut(mrp, {"mr0-coord", "mr-prop0"}, 0.1, 0.35)
+    for i in range(20):  # all before the takeover at ~0.15 s
+        mrp.sim.at(0.101 + 0.002 * i, deposed.multicast, 0, f"d{i}", SIZE)
+    for i in range(5):
+        mrp.sim.at(0.2 + 0.005 * i, successor.multicast, 0, f"s{i}", SIZE)
+    mrp.run(until=0.35)
+    assert mrp.rings[0].coordinator is not old and not old.crashed
+    decided = old.instances_decided.value
+    mrp.run(until=3.0)
+    assert old.instances_decided.value == decided
+    assert logs[0] == logs[1]
+    assert sorted(logs[0]) == sorted([f"d{i}" for i in range(20)] + [f"s{i}" for i in range(5)])
+
+
+def test_spare_exhausted_takeover_on_a_geo_ring():
+    """No spare left: the ring shrinks to its surviving members, and the
+    new layout's regions are those members' (not the old layout's)."""
+    topology = Topology(["eu", "us"], wan_latency=0.01)
+    mrp = deploy(n_groups=1, acceptors_per_ring=3, spares_per_ring=0,
+                 topology=topology, group_regions=["eu"])
+    log = []
+    mrp.add_learner(groups=[0], on_deliver=lambda g, v: log.append(v.payload))
+    p = mrp.add_proposer()
+    p.multicast(0, "before", SIZE)
+    mrp.run(until=0.5)
+    mrp.crash_coordinator(0)
+    mrp.run(until=1.5)
+    config = mrp.rings[0].config
+    assert config.acceptors == ["mr0-acc1", "mr0-acc0"]
+    assert config.acceptor_regions == ["eu", "eu"]
+    assert mrp.rings[0].failover.degraded_takeovers.value == 1
+    p.multicast(0, "after", SIZE)
+    mrp.run(until=2.5)
+    assert log == ["before", "after"]
+
+
+class DropBetween:
+    """Loss model: drop every message from ``src`` to ``dst`` until ``until``."""
+
+    def __init__(self, sim, src, dst, until):
+        self.sim, self.src, self.dst, self.until = sim, src, dst, until
+
+    def should_drop(self, rng, src, dst, size):
+        return (src, dst) == (self.src, self.dst) and self.sim.now < self.until
 
 
 # ---------------------------------------------------------------------------
@@ -501,6 +620,23 @@ def test_autoscaler_merges_idle_rings():
         p.multicast(i % 2, f"m{i}", SIZE)
     mrp.run(until=4.5)
     assert sorted(log) == sorted(f"m{i}" for i in range(6))
+
+
+def test_autoscaler_does_not_merge_a_ring_whose_coordinator_crashed():
+    """A crashed coordinator's CPU reads flat over a window, where a live
+    one's heartbeats always cost some: the policy loop skips that ring, so
+    with one other ring there is no pair of idle rings to fold."""
+    mrp = MultiRingPaxos(MultiRingConfig(n_groups=2, lambda_rate=2000.0))
+    mrp.add_learner(groups=[0, 1])
+    scaler = Autoscaler(mrp, AutoscalePolicy(
+        interval=0.1, cooldown=0.2, idle_cpu_threshold=1.0, min_rings=1,
+    ))
+    mrp.crash_coordinator(1)
+    scaler.start()
+    mrp.run(until=3.0)
+    scaler.stop()
+    assert scaler.merges.value == 0
+    assert not mrp.rings[0].retired and not mrp.rings[1].retired
 
 
 def test_autoscaler_cpu_signal_is_busy_time_over_the_interval():

@@ -23,7 +23,7 @@ from repro.obs.probe import (
 )
 from repro.paxos import DurableStorage, InMemoryStorage
 from repro.ringpaxos import build_ring
-from repro.ringpaxos.messages import CheckpointAck, DataBatch
+from repro.ringpaxos.messages import CheckpointAck, DataBatch, PrepareRange
 from repro.sim import Disk, Network, Simulator
 from repro.smr import KeyValueStore, RangePartitioner, Replica, SmrClient
 
@@ -162,7 +162,7 @@ class TestAcceptorRecovery:
         self._restart(acc)
         assert acc.recoveries.value == 1
         assert acc.recovered_instances.value > 0
-        promise = acc.local_promise(0, 10_000)
+        promise = acc.promise(PrepareRange(0, 10_000))
         instances = [inst for inst, _, _ in promise.accepted]
         assert instances  # non-empty Phase 1 answer from persisted state
         assert set(instances) <= set(accepted_before)
@@ -177,7 +177,7 @@ class TestAcceptorRecovery:
         acc = ring.acceptors[0]
         assert acc.storage.known_instances()
         self._restart(acc)
-        assert acc.local_promise(0, 10_000).accepted == ()
+        assert acc.promise(PrepareRange(0, 10_000)).accepted == ()
         assert acc.promised_floor == 10_000
 
     def test_recovered_floor_backs_phase1_refusals(self):
@@ -188,7 +188,7 @@ class TestAcceptorRecovery:
         pump(ring, 5)
         sim.run(until=0.5)
         acc = ring.acceptors[0]
-        acc.local_promise(0, 500)           # promise round 500...
+        acc.promise(PrepareRange(0, 500))           # promise round 500...
         acc.storage.persist(-1, 64, lambda: None, ())  # ...and make it durable
         sim.run(until=1.0)
         self._restart(acc)
