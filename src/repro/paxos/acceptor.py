@@ -3,8 +3,8 @@
 Implements the standard promise/accept state machine from Section III-A of
 the paper: an acceptor rejects any request (Phase 1 or 2) whose round is
 below the round it last promised, returns previously accepted values with
-their rounds in Phase 1b, and acknowledges Phase 2a messages by updating
-``(rnd, vrnd, vval)``.
+their rounds in Phase 1b, and votes on Phase 2a messages through
+``AcceptorStorage.accept``, the Phase 2 rule the ring acceptors share.
 
 Message handling charges the node's CPU (receive + send costs) and, for
 durable storage, waits for the write barrier before replying — these are
@@ -71,14 +71,10 @@ class Acceptor(Process):
         self.promises_made += 1
 
     def _on_accept(self, src: str, msg: Accept) -> None:
-        state = self.storage.get(msg.instance)
-        if msg.rnd < state.rnd:
-            self._reply(src, Nack(msg.instance, msg.rnd, state.rnd))
+        if not self.storage.accept(msg.instance, msg.rnd, msg.value):
+            self._reply(src, Nack(msg.instance, msg.rnd, self.storage.get(msg.instance).rnd))
             self.nacks_sent += 1
             return
-        state.rnd = msg.rnd
-        state.vrnd = msg.rnd
-        state.vval = msg.value
         reply = Accepted(msg.instance, msg.rnd)
         self.storage.persist(msg.instance, msg.size, self._reply, (src, reply))
         self.accepts_made += 1

@@ -36,6 +36,7 @@ from .messages import (
     Prepare,
     Promise,
 )
+from .storage import select_value
 from .value import Value
 
 __all__ = ["Proposer"]
@@ -159,11 +160,9 @@ class Proposer(Process):
     def _start_phase2(self, instance: int, state: _InstanceState) -> None:
         state.phase = "phase2"
         # The coordinator must adopt the value with the highest vrnd, if any.
-        best: Promise | None = None
-        for promise in state.promises.values():
-            if promise.vval is not None and (best is None or promise.vrnd > best.vrnd):
-                best = promise
-        proposal = best.vval if best is not None else state.value
+        proposal = select_value((p.vrnd, p.vval) for p in state.promises.values())
+        if proposal is None:
+            proposal = state.value
         msg = Accept(instance, state.rnd, proposal)
         for acc in self.acceptors:
             self.network.send(self.node.name, acc, ACCEPTOR_PORT, msg, msg.size)

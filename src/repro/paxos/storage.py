@@ -25,12 +25,12 @@ disk cache.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
-from ..errors import ConfigurationError
+from ..errors import ConfigurationError, ProtocolError
 from ..sim.disk import Disk
 
-__all__ = ["AcceptorState", "AcceptorStorage", "InMemoryStorage", "DurableStorage"]
+__all__ = ["AcceptorState", "AcceptorStorage", "InMemoryStorage", "DurableStorage", "select_value"]
 
 
 @dataclass(slots=True)
@@ -50,20 +50,32 @@ class AcceptorState:
         return AcceptorState(self.rnd, self.vrnd, self.vval)
 
 
-class AcceptorStorage:
-    """Keyed store of :class:`AcceptorState`, with a persistence barrier.
+def select_value(votes: Iterable[tuple[int, object]]) -> object | None:
+    """Paxos value selection over a Phase 1 quorum's ``(vrnd, vval)`` votes:
+    the value of the highest-``vrnd`` vote (the first one seen on a tie),
+    or None when no vote carries a value."""
+    best_rnd, best = -1, None
+    for vrnd, value in votes:
+        if value is not None and vrnd > best_rnd:
+            best_rnd, best = vrnd, value
+    return best
 
-    ``get`` returns the (mutable) state for an instance, creating it on
-    first touch. ``persist`` is the write barrier: the callback runs once
-    the mutation is durable according to the storage class. ``floor`` is
-    the storage's view of the highest promised round (Phase 1 promises
-    cover instance ranges, so the floor is a single value, not per
-    instance); acceptors record it with ``note_floor`` before persisting.
+
+class AcceptorStorage:
+    """An acceptor's one vote record, with a persistence barrier.
+
+    ``floor`` is the highest promised round (Phase 1 promises cover
+    instance ranges, so the floor is a single value, not per instance),
+    recorded with ``note_floor`` before persisting; ``get`` returns an
+    instance's :class:`AcceptorState`, created on first touch; ``accept``
+    is the Phase 2 rule every acceptor votes through. ``persist`` is the
+    write barrier: the callback runs once the mutation is durable
+    according to the storage class.
 
     Crash/recovery: ``on_crash`` marks the moment of failure (in-flight
     writes become invalid), ``recover`` rebuilds the volatile state from
-    whatever the storage class preserves and returns it for the owning
-    acceptor to replay.
+    whatever the storage class preserves, and the owning acceptor replays
+    the recovered ``votes``.
     """
 
     def __init__(self) -> None:
@@ -78,9 +90,32 @@ class AcceptorStorage:
             self._states[instance] = state
         return state
 
+    def accept(self, instance: int, rnd: int, value: object) -> bool:
+        """The Phase 2 rule: refused (False, nothing recorded) below the
+        promise floor or the instance's round, else ``rnd = vrnd = rnd``,
+        ``vval = value``. A round votes for one value per instance."""
+        state = self._states.get(instance)
+        if state is None:
+            state = self._states[instance] = AcceptorState()
+        if rnd < state.rnd or rnd < self.floor:
+            return False
+        if state.vrnd == rnd and state.vval is not value and state.vval != value:
+            raise ProtocolError(f"round {rnd} votes twice at instance {instance}: "
+                                f"{state.vval!r}, then {value!r}")
+        state.rnd = state.vrnd = rnd
+        state.vval = value
+        return True
+
     def known_instances(self) -> list[int]:
         """Instances with any recorded state, ascending."""
         return sorted(self._states)
+
+    def votes(self, from_instance: int = 0) -> tuple[tuple[int, int, Any], ...]:
+        """``(instance, vrnd, vval)`` of every vote at ``from_instance`` or above,
+        ascending: the body of a Phase 1b over an instance range."""
+        return tuple((instance, state.vrnd, state.vval)
+                     for instance, state in sorted(self._states.items())
+                     if instance >= from_instance and state.vrnd >= 0)
 
     def note_floor(self, rnd: int) -> None:
         """Record a Phase 1 promise floor (made durable by the next persist)."""

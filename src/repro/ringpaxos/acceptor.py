@@ -57,6 +57,7 @@ from .messages import (
     PromiseRange,
     RepairRequest,
     SkipRange,
+    value_id_of,
 )
 from .valuestore import ValueStore, learner_reply
 
@@ -116,7 +117,6 @@ class RingAcceptor(Process):
         self.index = config.acceptors.index(node.name) if member else -1
         self.successor = config.successor(node.name) if member else None
         self.is_first = node.name == config.first_acceptor()
-        self.promised_floor = -1
         # Highest round a PrepareRange carried (never reset): a candidate bids
         # above it, so an amnesiac restart never reuses its last round.
         self._rnd_seen = 0
@@ -133,7 +133,6 @@ class RingAcceptor(Process):
         self.parked_depth = self.metrics.gauge("parked_phase2b")
         self._forwarded: set[tuple[int, int]] = set()
         self._parked_2b: dict[int, Phase2B] = {}
-        self._accepted_vids: dict[int, int] = {}
         # A spare or a coordinator's own acceptor is dormant until a
         # CoordinatorChange names it a member.
         self.retired = not member
@@ -194,19 +193,14 @@ class RingAcceptor(Process):
         if msg.decisions:
             self._on_decisions(msg.decisions)
         item = msg.item
-        value_id = item.value_id if isinstance(item, DataBatch) else -msg.instance - 1 - (msg.rnd << 32)
+        value_id = msg.value_id
         self.values.put(value_id, item)
         if self.is_first:
             # The first acceptor accepts directly from the 2A and creates
             # the Phase 2B token (Figure 3, step 4). Each acceptor persists
             # its accept exactly once per instance.
-            state = self.storage.get(msg.instance)
-            if state.rnd > msg.rnd or msg.rnd < self.promised_floor:
+            if not self.storage.accept(msg.instance, msg.rnd, item):
                 return
-            state.rnd = msg.rnd
-            state.vrnd = msg.rnd
-            state.vval = item
-            self._accepted_vids[msg.instance] = value_id  # for PromiseRange answers
             self.accepts.value += 1
             # (instance, rnd, value_id, attempt, accepts)
             token = Phase2B(msg.instance, msg.rnd, value_id, msg.attempt, 1)
@@ -247,16 +241,10 @@ class RingAcceptor(Process):
                 self.config.repair_interval, self._repair_from_coordinator, msg.instance
             )
             return
-        state = self.storage.get(msg.instance)
-        if state.rnd > msg.rnd or msg.rnd < self.promised_floor:
+        if (msg.instance, msg.attempt) in self._forwarded:
             return
-        key = (msg.instance, msg.attempt)
-        if key in self._forwarded:
+        if not self.storage.accept(msg.instance, msg.rnd, item):
             return
-        state.rnd = msg.rnd
-        state.vrnd = msg.rnd
-        state.vval = item
-        self._accepted_vids[msg.instance] = msg.value_id
         self.accepts.value += 1
         token = Phase2B(msg.instance, msg.rnd, msg.value_id, msg.attempt, msg.accepts + 1)
         self.storage.persist(msg.instance, item.size, self._forward, (token,))
@@ -311,8 +299,6 @@ class RingAcceptor(Process):
         horizon = self._max_decided_seen - self.state_retention
         if horizon > self._gc_horizon + max(1, self.state_retention // 10):
             self.storage.forget_up_to(horizon)
-            for key in [k for k in self._accepted_vids if k <= horizon]:
-                del self._accepted_vids[key]
             self._forwarded = {
                 (inst, attempt) for inst, attempt in self._forwarded if inst > horizon
             }
@@ -363,8 +349,6 @@ class RingAcceptor(Process):
             return
         self._truncate_bound = bound
         self.storage.forget_up_to(bound)
-        for key in [k for k in self._accepted_vids if k <= bound]:
-            del self._accepted_vids[key]
         self.truncations.value += 1
         self.truncated_below.value = bound + 1
 
@@ -384,10 +368,8 @@ class RingAcceptor(Process):
         RAM-only acceptor must. Volatile caches (parked tokens, decided
         log, forward dedup) start empty either way.
         """
-        floor, states = self.storage.recover()
-        self.promised_floor = floor
+        self.storage.recover()
         self.values = ValueStore()
-        self._accepted_vids = {}
         self._forwarded = set()
         self._parked_2b = {}
         self.parked_depth.value = 0
@@ -398,18 +380,11 @@ class RingAcceptor(Process):
         self._gc_horizon = 0
         self._ckpt_watermarks = {}
         self._truncate_bound = -1
-        recovered = 0
-        for instance in sorted(states):
-            state = states[instance]
-            if state.vrnd < 0 or state.vval is None:
-                continue
-            item = state.vval
-            vid = item.value_id if isinstance(item, DataBatch) else -instance - 1 - (state.vrnd << 32)
-            self.values.put(vid, item)
-            self._accepted_vids[instance] = vid
-            recovered += 1
+        votes = self.storage.votes()
+        for instance, vrnd, item in votes:
+            self.values.put(value_id_of(instance, vrnd, item), item)
         self.recoveries.value += 1
-        self.recovered_instances.value = recovered
+        self.recovered_instances.value = len(votes)
         self._candidacy = None
         if self._watch_timer is not None and not self.retired:
             self.last_coordinator_traffic = self.sim.now
@@ -431,10 +406,9 @@ class RingAcceptor(Process):
         when this acceptor has promised a higher round already. A repeated
         PrepareRange (its promise was lost) is answered again."""
         self._rnd_seen = max(self._rnd_seen, msg.rnd)
-        if self.crashed or msg.rnd < self.promised_floor:
+        if self.crashed or msg.rnd < self.storage.floor:
             return None
-        if msg.rnd > self.promised_floor:
-            self.promised_floor = msg.rnd
+        if msg.rnd > self.storage.floor:
             self.storage.note_floor(msg.rnd)
             self.last_coordinator_traffic = self.sim.now
             if self._candidacy is not None and msg.rnd > self._candidacy.rnd:
@@ -445,34 +419,15 @@ class RingAcceptor(Process):
         # Below a checkpoint truncation everything is decided and forgotten:
         # the answer starts above it, and so does the successor's recovery.
         start = max(msg.from_instance, self._truncate_bound + 1)
-        return PromiseRange(start, msg.rnd, self._accepted_from(start))
-
-    def _accepted_from(
-        self, from_instance: int
-    ) -> tuple[tuple[int, int, DataBatch | SkipRange], ...]:
-        """``(instance, vrnd, item)`` of every accepted instance >=
-        ``from_instance`` whose value is still held: a PromiseRange body."""
-        accepted: list[tuple[int, int, DataBatch | SkipRange]] = []
-        for instance in self.storage.known_instances():
-            if instance < from_instance:
-                continue
-            state = self.storage.get(instance)
-            if state.vrnd >= 0:
-                vid = self._accepted_vids.get(instance)
-                item = self.values.get(vid) if vid is not None else None
-                if item is not None:
-                    accepted.append((instance, state.vrnd, item))
-        return tuple(accepted)
+        return PromiseRange(start, msg.rnd, self.storage.votes(start))
 
     def hold(self, instance: int, rnd: int, item: DataBatch | SkipRange) -> int:
-        """Record ``item`` as accepted at ``rnd``, returning its value ID: a
-        deposed coordinator's proposals, which its node's acceptor answers."""
-        state = self.storage.get(instance)
-        state.rnd = state.vrnd = rnd
-        state.vval = item
-        vid = item.value_id if isinstance(item, DataBatch) else -instance - 1 - (rnd << 32)
+        """Vote for ``item`` at ``rnd`` where the rule allows, returning its
+        value ID: a deposed coordinator's proposals, which its node's
+        acceptor answers and serves to learners."""
+        self.storage.accept(instance, rnd, item)
+        vid = value_id_of(instance, rnd, item)
         self.values.put(vid, item)
-        self._accepted_vids[instance] = vid
         return vid
 
     # ------------------------------------------------------------------
@@ -492,7 +447,7 @@ class RingAcceptor(Process):
         if self.node.name not in self.service.config.acceptors:
             return  # excluded by a takeover whose CoordinatorChange never came
         self.service.suspected(self.node.name)
-        rnd = next_round(max(self._rnd_seen, self.promised_floor), self.owner, ROUND_OWNERS)
+        rnd = next_round(max(self._rnd_seen, self.storage.floor), self.owner, ROUND_OWNERS)
         # The candidate's own promise is read locally, not sent to itself.
         own = self.promise(PrepareRange(0, rnd))
         self._candidacy = _Candidacy(rnd, self.service.universe(), {self.node.name: own})
@@ -544,7 +499,7 @@ class RingAcceptor(Process):
     # Reconfiguration (paper, Section IV-C)
     # ------------------------------------------------------------------
     def _on_coordinator_change(self, msg: CoordinatorChange) -> None:
-        if self.crashed or msg.rnd < self.promised_floor:
+        if self.crashed or msg.rnd < self.storage.floor:
             return
         self.adopt(self.config.with_layout(msg.acceptors, self.network))
         if self._watch_timer is not None and not self.retired:

@@ -15,8 +15,10 @@ The coordinator is the distinguished acceptor at the end of the ring
 Phase 1 is value-independent and pre-executed (Section III-A): acceptors
 start promised to the coordinator's round; an explicit PrepareRange is run
 only by an acceptor that suspects its coordinator, then hosts the successor
-(:meth:`~RingCoordinator.recover`). Value IDs belong to the round — round
-``r`` numbers batches from ``r << 32`` and skips ``-i - 1 - (r << 32)``.
+(:meth:`~RingCoordinator.recover`). Value IDs belong to the round: round
+``r`` numbers batches from ``r * 2**32``. An instance's ID is computed here,
+once (:func:`~.messages.value_id_of`), and acceptors and learners read it
+from the Phase 2A.
 
 The per-instance CPU charges on this path are what saturate In-memory Ring
 Paxos at ~700 Mbps in Figure 1; in Recoverable mode the coordinator also
@@ -36,6 +38,7 @@ from ..calibration import (
 )
 from ..errors import ProtocolError
 from ..metrics import MetricsRegistry
+from ..paxos.storage import select_value
 from ..sim.network import Network
 from ..sim.node import Node
 from ..sim.process import Process, Timer
@@ -57,6 +60,7 @@ from .messages import (
     SkipRange,
     Submit,
     SubmitAck,
+    value_id_of,
 )
 from .valuestore import learner_reply
 
@@ -250,8 +254,7 @@ class RingCoordinator(Process):
         if instance is None:
             instance = self.next_instance
             self.next_instance += item.instance_count
-        value_id = item.value_id if isinstance(item, DataBatch) else -instance - 1 - (self.rnd << 32)
-        state = _Inflight(instance, value_id, item)
+        state = _Inflight(instance, value_id_of(instance, self.rnd, item), item)
         self._inflight[instance] = state
         self.instances_started.value += 1
         self._send_phase2a(state)
@@ -265,7 +268,9 @@ class RingCoordinator(Process):
             decisions = tuple(self._pending_decisions)
             self._pending_decisions.clear()
             self._decision_timer.deadline = None  # stop(): they ride on this 2A
-        msg = Phase2A(state.instance, self.rnd, state.item, state.attempt, decisions)
+        msg = Phase2A(
+            state.instance, self.rnd, state.value_id, state.item, state.attempt, decisions
+        )
         cost = CPU_FIXED_COST_COORDINATOR + CPU_BYTE_COST_COORDINATOR * state.item.size
         self.node.cpu.execute(cost, self._multicast_phase2a, (msg, state))
 
@@ -487,7 +492,7 @@ class RingCoordinator(Process):
         state = self._inflight.get(msg.instance)
         if state is None:
             return
-        reply = Phase2A(state.instance, self.rnd, state.item, state.attempt)
+        reply = Phase2A(state.instance, self.rnd, state.value_id, state.item, state.attempt)
         self.network.send(self.node.name, src, self.config.mcast_port, reply, reply.size)
 
     def _on_repair_port(self, src: str, msg) -> None:
@@ -526,12 +531,11 @@ class RingCoordinator(Process):
         """
         promises = list(promises)
         start = max(promise.from_instance for promise in promises)
-        best: dict[int, tuple[int, DataBatch | SkipRange]] = {}
+        votes: dict[int, list[tuple[int, DataBatch | SkipRange]]] = {}
         for promise in promises:
             for instance, vrnd, item in promise.accepted:
-                held = best.get(instance)
-                if held is None or vrnd > held[0]:
-                    best[instance] = (vrnd, item)
+                votes.setdefault(instance, []).append((vrnd, item))
+        best = {instance: select_value(held) for instance, held in votes.items()}
         # Announce the new layout before any 2A so surviving acceptors
         # re-chain their successors first (FIFO links keep the order).
         self._announce()
@@ -539,12 +543,12 @@ class RingCoordinator(Process):
         # instance below the recovered horizon with no accepted value
         # anywhere in the quorum cannot have been decided) with skips.
         horizon = start
-        for instance, (_, item) in best.items():
+        for instance, item in best.items():
             horizon = max(horizon, instance + item.instance_count)
         # Seed per-sender dedup state from recovered values so proposers'
         # retransmissions of already-ordered submissions are recognised
         # (they will be acked when the re-proposed batches re-decide).
-        for _, item in best.values():
+        for item in best.values():
             if isinstance(item, DataBatch):
                 for value in item.values:
                     if value.sender and not value.redirected:
@@ -561,9 +565,8 @@ class RingCoordinator(Process):
                         self._foreign_keys.add(("fwd", value.sender, value.seq))
         cursor = start
         while cursor < horizon:
-            held = best.get(cursor)
-            if held is not None:
-                item = held[1]
+            item = best.get(cursor)
+            if item is not None:
                 self._start_instance(item, cursor)
                 cursor += item.instance_count
             else:

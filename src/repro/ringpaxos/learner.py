@@ -173,7 +173,7 @@ class RingLearner(Process):
         if self.crashed:
             return
         item = msg.item
-        value_id = item.value_id if isinstance(item, DataBatch) else -msg.instance - 1 - (msg.rnd << 32)
+        value_id = msg.value_id
         self.values.put(value_id, item)
         self.frontier = max(self.frontier, msg.instance + item.instance_count)
         # A decision that was waiting for this value can now be placed.

@@ -48,6 +48,7 @@ __all__ = [
     "PrepareRange",
     "PromiseRange",
     "CoordinatorChange",
+    "value_id_of",
 ]
 
 _DECISION_ENTRY_BYTES = 12  # (instance, value id) pair on the wire
@@ -123,6 +124,12 @@ class SkipRange:
         self.instance_count = self.count
 
 
+def value_id_of(instance: int, rnd: int, item: DataBatch | SkipRange) -> int:
+    """The ID consensus on ``item`` at ``instance`` in round ``rnd`` runs on:
+    a batch's own (numbered from ``rnd * 2**32``), else one only this skip has."""
+    return item.value_id if isinstance(item, DataBatch) else -instance - 1 - (rnd << 32)
+
+
 @dataclass(slots=True, unsafe_hash=True)
 class Submit:
     """Proposer -> coordinator: please order this client value.
@@ -171,6 +178,8 @@ class SubmitAck:
 class Phase2A:
     """Coordinator's ip-multicast: instance, round, value id, full batch.
 
+    The coordinator sets ``value_id`` (:func:`value_id_of` the item) for
+    acceptors and learners to read; it rides in the fixed header.
     ``decisions`` piggybacks recently decided (instance, value id) pairs so
     learners usually learn outcomes at zero extra message cost (paper,
     Figure 3 step 6).
@@ -178,6 +187,7 @@ class Phase2A:
 
     instance: int
     rnd: int
+    value_id: int
     item: DataBatch | SkipRange
     attempt: int = 0
     decisions: tuple[tuple[int, int], ...] = ()

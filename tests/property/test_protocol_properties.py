@@ -3,7 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.paxos import first_round, next_round, round_owner
+from repro.paxos import InMemoryStorage, first_round, next_round, round_owner
 from repro.smr import Command, KeyValueStore, RangePartitioner
 
 
@@ -46,6 +46,50 @@ def test_round_sequences_never_collide(n, p, steps):
         ra = next_round(ra, pa, n)
         rb = next_round(rb, pb, n)
     assert not (seq_a & seq_b)
+
+
+# ---------------------------------------------------------------------------
+# The acceptor's vote record: AcceptorStorage.accept / note_floor
+# ---------------------------------------------------------------------------
+vote_op = st.one_of(
+    st.tuples(st.just("accept"), st.integers(0, 4), st.integers(0, 12)),
+    st.tuples(st.just("floor"), st.integers(-1, 12)),
+)
+
+
+@given(ops=st.lists(vote_op, max_size=60))
+@settings(max_examples=300, deadline=None)
+def test_accept_rule_over_random_votes_and_promises(ops):
+    """No vote below the floor or the instance's round; the floor and every
+    instance's rnd never decrease; a refused accept changes nothing."""
+    storage = InMemoryStorage()
+
+    def record():
+        return storage.floor, {
+            i: (s.rnd, s.vrnd, s.vval)
+            for i in storage.known_instances()
+            for s in [storage.get(i)]
+        }
+
+    for op in ops:
+        if op[0] == "accept":
+            storage.get(op[1])  # the instance's record, blank if new
+        floor, states = record()
+        if op[0] == "floor":
+            storage.note_floor(op[1])
+        else:
+            _, instance, rnd = op
+            # One value per (instance, round), as one proposer per round sends.
+            if storage.accept(instance, rnd, f"v{instance}.{rnd}"):
+                assert rnd >= floor and rnd >= states[instance][0]
+                assert storage.get(instance).vrnd == rnd
+            else:
+                assert rnd < max(floor, states[instance][0])
+                assert record() == (floor, states)
+        new_floor, new_states = record()
+        assert new_floor >= floor
+        for i, (r, _, _) in states.items():
+            assert new_states[i][0] >= r
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ProtocolError
 from repro.paxos import (
     NOOP,
     Accept,
@@ -19,6 +19,7 @@ from repro.paxos import (
     next_round,
     round_owner,
 )
+from repro.paxos.storage import select_value
 from repro.sim import Disk, Simulator
 
 
@@ -127,6 +128,46 @@ def test_durable_persist_waits_for_disk():
 def test_durable_storage_requires_disk():
     with pytest.raises(ConfigurationError):
         DurableStorage(None)
+
+
+def test_accept_is_the_phase2_rule():
+    st = InMemoryStorage()
+    st.note_floor(4)
+    assert not st.accept(0, 3, "a")  # below the promise floor
+    assert st.get(0) == AcceptorState()
+    assert st.accept(0, 4, "a")
+    assert st.get(0) == AcceptorState(rnd=4, vrnd=4, vval="a")
+    assert st.accept(0, 4, "a")  # a repeated 2A votes again, for the same value
+    assert st.accept(0, 6, "b")  # a higher round may vote for another value
+    assert not st.accept(0, 5, "c")  # below the instance's own round
+    assert st.get(0) == AcceptorState(rnd=6, vrnd=6, vval="b")
+    assert st.votes() == ((0, 6, "b"),)
+
+
+def test_one_round_votes_for_one_value_per_instance():
+    st = InMemoryStorage()
+    assert st.accept(3, 2, Value("x", size=8))
+    assert st.accept(3, 2, Value("x", size=8))  # an equal value is the same vote
+    with pytest.raises(ProtocolError, match="round 2 votes twice at instance 3"):
+        st.accept(3, 2, Value("y", size=8))
+    assert st.get(3).vval == Value("x", size=8)
+
+
+def test_votes_lists_accepted_instances_from_a_bound():
+    st = InMemoryStorage()
+    for instance in (4, 1, 7):
+        st.accept(instance, instance, f"v{instance}")
+    st.get(9)  # touched, never voted in
+    assert st.votes() == ((1, 1, "v1"), (4, 4, "v4"), (7, 7, "v7"))
+    assert st.votes(4) == ((4, 4, "v4"), (7, 7, "v7"))
+
+
+def test_select_value_takes_the_highest_round_and_the_first_on_a_tie():
+    assert select_value([]) is None
+    assert select_value([(-1, None), (-1, None)]) is None
+    assert select_value([(1, "a"), (3, "b"), (2, "c")]) == "b"
+    assert select_value([(2, "a"), (2, "b")]) == "a"
+    assert select_value([(-1, None), (0, "a")]) == "a"
 
 
 def test_forget_up_to_garbage_collects():

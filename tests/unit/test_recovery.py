@@ -169,6 +169,20 @@ class TestAcceptorRecovery:
         for _, vrnd, item in promise.accepted:
             assert vrnd >= 0 and item is not None
 
+    def test_a_promise_reports_the_votes_the_value_cache_evicted(self):
+        """A Phase 1b body is read from the vote record, not from the
+        value cache: a 2-entry cache hides none of ten accepted instances."""
+        sim, net, ring = deploy()
+        attach_log(ring)
+        acc = ring.acceptors[0]
+        acc.values.max_entries = 2
+        pump(ring, 10)
+        sim.run(until=1.0)
+        voted = [i for i in acc.storage.known_instances() if acc.storage.get(i).vrnd >= 0]
+        assert len(voted) == 10
+        promise = acc.promise(PrepareRange(0, 10_000))
+        assert [instance for instance, _, _ in promise.accepted] == voted
+
     def test_restarted_inmemory_acceptor_is_amnesiac(self):
         sim, net, ring = deploy(durable=False)
         attach_log(ring)
@@ -178,7 +192,7 @@ class TestAcceptorRecovery:
         assert acc.storage.known_instances()
         self._restart(acc)
         assert acc.promise(PrepareRange(0, 10_000)).accepted == ()
-        assert acc.promised_floor == 10_000
+        assert acc.storage.floor == 10_000
 
     def test_recovered_floor_backs_phase1_refusals(self):
         """A promise made before the crash survives it: the restarted
@@ -192,7 +206,7 @@ class TestAcceptorRecovery:
         acc.storage.persist(-1, 64, lambda: None, ())  # ...and make it durable
         sim.run(until=1.0)
         self._restart(acc)
-        assert acc.promised_floor == 500
+        assert acc.storage.floor == 500
 
     def test_ring_delivers_after_acceptor_restart(self):
         sim, net, ring = deploy(durable=True)

@@ -376,8 +376,8 @@ def _every_message():
         (skip, c),
         (m.Submit(value, floor=2), c + 100),
         (m.SubmitAck(4, 3), c),
-        (Phase2A(5, 1, batch, attempt=1, decisions=((3, 7), (4, 8))), c + 300 + 2 * 12),
-        (Phase2A(6, 1, skip), c + c),
+        (Phase2A(5, 1, 9, batch, attempt=1, decisions=((3, 7), (4, 8))), c + 300 + 2 * 12),
+        (Phase2A(6, 1, m.value_id_of(6, 1, skip), skip), c + c),
         (m.Phase2B(5, 1, 9, 0, 2), c),
         (m.DecisionAnnounce(((3, 7), (4, 8), (5, 9))), c + 3 * 12),
         (m.Heartbeat(6), c),
@@ -424,7 +424,7 @@ def test_messages_keep_value_equality_and_hash():
 def test_a_second_store_to_a_message_raises_under_the_suite():
     # tests/conftest.py: messages are immutable by contract, and the suite
     # enforces it with a write-once __setattr__ on every message class.
-    msg = Phase2A(5, 1, DataBatch(9, (cv(100),)))
+    msg = Phase2A(5, 1, 9, DataBatch(9, (cv(100),)))
     with pytest.raises(dataclasses.FrozenInstanceError):
         msg.instance = 6
     with pytest.raises(dataclasses.FrozenInstanceError):
@@ -443,7 +443,7 @@ def test_a_second_store_to_a_message_raises_under_the_suite():
 
 def test_phase2a_size_includes_batch_and_piggybacked_decisions():
     batch = DataBatch(0, (cv(8192),))
-    plain = Phase2A(0, 0, batch)
-    piggy = Phase2A(0, 0, batch, decisions=((0, 0), (1, 1)))
+    plain = Phase2A(0, 0, 0, batch)
+    piggy = Phase2A(0, 0, 0, batch, decisions=((0, 0), (1, 1)))
     assert plain.size == 64 + 8192
     assert piggy.size == plain.size + 24
