@@ -28,69 +28,65 @@ from ..smr.partitioning import RangePartitioner
 from ..smr.replica import Replica
 from ..workload.population import ClientPopulation, SessionMix
 from ..workload.rates import ConstantRate
+from .runner import PointResult, _measure
 
 __all__ = ["run_population_point"]
 
 # Commands carry 64 bytes of header (repro.smr.statemachine.Command.size)
 # and no padding in these experiments.
 _COMMAND_SIZE = 64
-
-
-def _build_service(n_partitions: int, seed: int) -> tuple[MultiRingPaxos, RangePartitioner]:
-    partitioner = RangePartitioner(n_partitions)
-    mrp = MultiRingPaxos(MultiRingConfig(n_groups=partitioner.n_groups, seed=seed))
-    for p in range(n_partitions):
-        Replica(mrp, partitioner, p, KeyValueStore(), name=f"replica{p}", respond=True)
-    return mrp, partitioner
+_N_PARTITIONS = 2
+_MULTI_PARTITION_FRACTION = 0.2
+_REQUEST_TIMEOUT = 0.25
 
 
 def run_population_point(
     n_sessions: int,
     rate: float,
     zipf_s: float = 0.0,
-    multi_partition_fraction: float = 0.2,
-    n_partitions: int = 2,
     duration: float = 1.0,
     warmup: float = 0.2,
-    request_timeout: float = 0.25,
     admission_inflight: int = 0,
     admission_queue: int = 0,
     crash_coordinator_at: float = 0.0,
     restart_coordinator_at: float = 0.0,
     seed: int = 1,
     label: str | None = None,
-):
+) -> PointResult:
     """One flyweight population at total ``rate`` req/s over ``n_sessions``.
 
-    ``admission_inflight`` > 0 enables gateway admission control with the
-    given bounds; ``crash_coordinator_at`` > 0 crashes ring 0's
+    The KV service has two partitions, one responding replica each; 20 %
+    of the requests span both partitions, and a request times out after
+    0.25 s. ``admission_inflight`` > 0 enables gateway admission control
+    with the given bounds; ``crash_coordinator_at`` > 0 crashes ring 0's
     coordinator at that time (restarting at ``restart_coordinator_at``)
     for the overload/graceful-degradation scenario.
     """
-    from .runner import PointResult, _window
-
-    mrp, partitioner = _build_service(n_partitions, seed)
-    mix = SessionMix(zipf_s=zipf_s, multi_partition_fraction=multi_partition_fraction)
+    partitioner = RangePartitioner(_N_PARTITIONS)
+    mrp = MultiRingPaxos(MultiRingConfig(n_groups=partitioner.n_groups, seed=seed))
+    for p in range(_N_PARTITIONS):
+        Replica(mrp, partitioner, p, KeyValueStore(), name=f"replica{p}", respond=True)
+    mix = SessionMix(zipf_s=zipf_s, multi_partition_fraction=_MULTI_PARTITION_FRACTION)
     admission = None
     if admission_inflight > 0:
         admission = AdmissionPolicy(max_inflight=admission_inflight, max_queue=admission_queue)
     end = warmup + duration
     population = ClientPopulation(
         mrp, partitioner, n_sessions, ConstantRate(rate), mix=mix,
-        request_timeout=request_timeout, stop_at=end, admission=admission,
+        request_timeout=_REQUEST_TIMEOUT, stop_at=end, admission=admission,
     ).start()
     if crash_coordinator_at > 0:
         mrp.sim.at(crash_coordinator_at, lambda: mrp.crash_coordinator(0))
         if restart_coordinator_at > crash_coordinator_at:
             mrp.sim.at(restart_coordinator_at, lambda: mrp.restart_coordinator(0))
-    completed = _window(lambda: population.completions.value, mrp.sim, warmup)
-    cpu_busy = _window(mrp.rings[0].coordinator.node.cpu.busy_time, mrp.sim, warmup)
-    mrp.run(until=end)
-    in_window = completed()
-    cpu_in_window = cpu_busy()
+    rates = _measure(
+        mrp.sim, warmup, duration,
+        completed=lambda: population.completions.value,
+        cpu=mrp.rings[0].coordinator.node.cpu.busy_time,
+    )
     # Drain the tail: outstanding requests get their full retry budget, so
     # timeout/abandonment counters and the latency tail are final.
-    mrp.run(until=end + (population.max_retries + 1) * request_timeout)
+    mrp.run(until=end + (population.max_retries + 1) * _REQUEST_TIMEOUT)
     p50, p99, p999 = population.quantiles([0.5, 0.99, 0.999])
     shed = delayed = 0.0
     for gateway in (population.primary, population.spare):
@@ -100,10 +96,10 @@ def run_population_point(
     return PointResult(
         label=label or f"{n_sessions} sessions, zipf={zipf_s:g}",
         offered_mbps=rate * _COMMAND_SIZE * 8 / 1e6,
-        delivered_mbps=in_window / duration * _COMMAND_SIZE * 8 / 1e6,
-        msgs_per_s=in_window / duration,
+        delivered_mbps=rates.completed * _COMMAND_SIZE * 8 / 1e6,
+        msgs_per_s=rates.completed,
         latency_ms=p50 * 1e3,
-        cpu_pct=100.0 * cpu_in_window / duration,
+        cpu_pct=100.0 * rates.cpu,
         extra={
             "n_sessions": n_sessions,
             "zipf_s": zipf_s,

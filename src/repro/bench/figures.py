@@ -21,8 +21,11 @@ from __future__ import annotations
 import inspect
 from typing import Callable
 
+from ..calibration import DEFAULT_VALUE_SIZE
 from ..parallel import Spec, run_sweep
 from ..workload.rates import ModulatedRate, ScaledRate, StepRate
+from .clients import run_population_point
+from .geo import run_geo_placement_point, run_geo_ring_point
 from .plots import ascii_multi_series
 from .report import format_table, series_to_rows
 from .runner import (
@@ -45,7 +48,7 @@ __all__ = ["FIGURES", "run_figure"]
 # ---------------------------------------------------------------------------
 STEP_SECONDS = 8.0
 LAMBDA_DURATION = 5 * STEP_SECONDS
-MESSAGE_SIZE = 8 * 1024
+MESSAGE_SIZE = DEFAULT_VALUE_SIZE
 
 
 def _msgs(mbps: float) -> float:
@@ -56,10 +59,11 @@ def _stepped(levels: list[float]) -> StepRate:
     return StepRate([(i * STEP_SECONDS, _msgs(v)) for i, v in enumerate(levels)])
 
 
-def _point(runner: Callable[..., object], **kwargs) -> Spec:
-    """A spec for one ``repro.bench.runner`` call (JSON-primitive kwargs)."""
-    name = runner.__name__
-    return Spec(fn=f"repro.bench.runner:{name}", kwargs=kwargs, label=f"{name}:{kwargs}")
+def _point(fn: Callable[..., object], **kwargs) -> Spec:
+    """A spec for one call of the module-level ``fn`` (JSON-primitive kwargs)."""
+    return Spec(
+        fn=f"{fn.__module__}:{fn.__name__}", kwargs=kwargs, label=f"{fn.__name__}:{kwargs}"
+    )
 
 
 def _lambda_case(
@@ -83,19 +87,7 @@ def _lambda_case(
         fast = ModulatedRate(fast, amplitude=0.6, period=8.0)
         slow = ModulatedRate(slow, amplitude=0.6, period=8.0)
     return run_two_ring_timeseries(
-        (fast, slow),
-        lambda_rate=lam,
-        duration=LAMBDA_DURATION,
-        message_size=MESSAGE_SIZE,
-        buffer_limit=buffer_limit,
-    )
-
-
-def _lambda_spec(levels: list[float], lam: float, **kwargs) -> Spec:
-    return Spec(
-        fn="repro.bench.figures:_lambda_case",
-        kwargs={"levels": list(levels), "lam": lam, **kwargs},
-        label=f"lambda_case:lam={lam:g}:{kwargs}",
+        (fast, slow), lambda_rate=lam, duration=LAMBDA_DURATION, buffer_limit=buffer_limit
     )
 
 
@@ -235,29 +227,45 @@ def figure8():
     return rows, table
 
 
-def _lambda_series_rows(results):
-    rows = []
-    for lam, res in results.items():
-        state = "halted" if res.extra["halted"] else "ok"
-        rows.append((f"{lam:g}", state, "", ""))
-        for t, v in series_to_rows(res.latency_ms, every=4):
-            rows.append((f"{lam:g}", f"t={t:g}s", f"lat={v:.2f}ms", ""))
-    return rows
+def _series_table(
+    title: str, res, names: tuple[str, str], seconds: int, marks: dict | None = None
+) -> str:
+    """A per-second table of ``res``'s two ring (or group) series, named
+    ``names``, and of its delivery, then their sparklines.
 
-
-def _lambda_latency_plot(results) -> str:
-    return ascii_multi_series(
-        {f"lambda={lam:g} lat(ms)": res.latency_ms for lam, res in results.items()},
-        title="latency over time (sparklines, max-pooled)",
+    ``marks`` maps a second to the event a last column shows.
+    """
+    series = {
+        names[0]: res.multicast_mbps[0],
+        names[1]: res.multicast_mbps[1],
+        "delivered Mbps": res.delivered_mbps,
+    }
+    per_second = [dict((round(t), v) for t, v in s) for s in series.values()]
+    rows = [(t, *(f"{s.get(t, 0):.0f}" for s in per_second)) for t in range(seconds)]
+    headers = ["t (s)", *series]
+    if marks is not None:
+        rows = [(*row, marks.get(row[0], "")) for row in rows]
+        headers.append("event")
+    width = max(map(len, series))
+    return format_table(title, headers, rows) + "\n\n" + ascii_multi_series(
+        {name.ljust(width): s for name, s in series.items()},
+        title="throughput over time (sparklines)",
     )
 
 
 def _lambda_figure(title: str, lams: tuple[float, ...], levels: list[float], **case_kwargs):
-    specs = [_lambda_spec(levels, lam, **case_kwargs) for lam in lams]
+    specs = [_point(_lambda_case, levels=list(levels), lam=lam, **case_kwargs) for lam in lams]
     results = dict(zip(lams, run_sweep(specs)))
-    rows = _lambda_series_rows(results)
+    rows = []
+    for lam, res in results.items():
+        rows.append((f"{lam:g}", "halted" if res.extra["halted"] else "ok", "", ""))
+        for t, v in series_to_rows(res.latency_ms, every=4):
+            rows.append((f"{lam:g}", f"t={t:g}s", f"lat={v:.2f}ms", ""))
     table = format_table(title, ["lambda", "state/t", "latency", ""], rows)
-    table += "\n\n" + _lambda_latency_plot(results)
+    table += "\n\n" + ascii_multi_series(
+        {f"lambda={lam:g} lat(ms)": res.latency_ms for lam, res in results.items()},
+        title="latency over time (sparklines, max-pooled)",
+    )
     return results, table
 
 
@@ -299,27 +307,10 @@ def figure12():
         _point(run_coordinator_failure_timeseries,
                rate_msgs_per_s=4000.0, fail_at=20.0, restart_after=3.0, duration=32.0)
     ])
-    delivered = dict((round(t), v) for t, v in res.delivered_mbps)
-    rx1 = dict((round(t), v) for t, v in res.multicast_mbps[0])
-    rx2 = dict((round(t), v) for t, v in res.multicast_mbps[1])
-    rows = [
-        (t, f"{rx1.get(t, 0):.0f}", f"{rx2.get(t, 0):.0f}", f"{delivered.get(t, 0):.0f}")
-        for t in range(32)
-    ]
-    table = format_table(
+    return res, _series_table(
         "Figure 12: coordinator of ring 1 fails at t=20s, restarts at t=23s",
-        ["t (s)", "ring1 recv Mbps", "ring2 recv Mbps", "delivered Mbps"],
-        rows,
+        res, ("ring1 recv Mbps", "ring2 recv Mbps"), 32,
     )
-    table += "\n\n" + ascii_multi_series(
-        {
-            "ring1 recv Mbps": res.multicast_mbps[0],
-            "ring2 recv Mbps": res.multicast_mbps[1],
-            "delivered Mbps ": res.delivered_mbps,
-        },
-        title="throughput over time (sparklines)",
-    )
-    return res, table
 
 
 def related_mencius():
@@ -352,18 +343,13 @@ def figure_geo(quick: bool = False):
     the measurement windows for CI smoke runs.
     """
     timing = {"duration": 0.6, "warmup": 0.3} if quick else {}
-
-    def geo_point(runner: str, **kwargs) -> Spec:
-        kwargs.update(timing)
-        return Spec(fn=f"repro.bench.geo:{runner}", kwargs=kwargs, label=f"{runner}:{kwargs}")
-
     stretch_grid = [(far, 0) for far in (0.0, 5.0, 25.0, 50.0)]
     slowest_grid = [(far, pos) for far in (5.0, 25.0, 50.0) for pos in (0, 1)]
     placement_grid = ["local", "remote"]
     specs = (
-        [geo_point("run_geo_ring_point", far_ms=far, far_position=pos)
+        [_point(run_geo_ring_point, far_ms=far, far_position=pos, **timing)
          for far, pos in stretch_grid + slowest_grid]
-        + [geo_point("run_geo_placement_point", placement=p) for p in placement_grid]
+        + [_point(run_geo_placement_point, placement=p, **timing) for p in placement_grid]
     )
     results = run_sweep(specs)
     stretch = results[: len(stretch_grid)]
@@ -424,21 +410,15 @@ def figure_clients(quick: bool = False):
         sizes, timing = [10_000, 100_000, 1_000_000], {"duration": 1.0, "warmup": 0.2}
         crash = {"crash_coordinator_at": 0.45, "restart_coordinator_at": 0.70}
     skews = [0.0, 1.1]
-
-    def clients_point(**kwargs) -> Spec:
-        kwargs.update(timing)
-        return Spec(
-            fn="repro.bench.clients:run_population_point",
-            kwargs=kwargs,
-            label=f"run_population_point:{kwargs}",
-        )
-
     sweep_grid = [(n, s) for n in sizes for s in skews]
-    specs = [clients_point(n_sessions=n, rate=rate, zipf_s=s) for n, s in sweep_grid]
-    specs.append(clients_point(
-        n_sessions=200_000, rate=4000.0,
+    specs = [
+        _point(run_population_point, n_sessions=n, rate=rate, zipf_s=s, **timing)
+        for n, s in sweep_grid
+    ]
+    specs.append(_point(
+        run_population_point, n_sessions=200_000, rate=4000.0,
         admission_inflight=64, admission_queue=128,
-        label="overload + coordinator outage", **crash,
+        label="overload + coordinator outage", **crash, **timing,
     ))
     results = run_sweep(specs)
     sweep, overload = results[:-1], results[-1]
@@ -503,31 +483,14 @@ def figure_elasticity(quick: bool = False):
     [res] = run_sweep([
         _point(run_elasticity_timeseries, rate_msgs_per_s=3000.0, **timing)
     ])
-    delivered = dict((round(t), v) for t, v in res.delivered_mbps)
-    g0 = dict((round(t), v) for t, v in res.multicast_mbps[0])
-    g1 = dict((round(t), v) for t, v in res.multicast_mbps[1])
     marks = {
         round(timing["remap_at"]): "remap group 1 -> ring 0",
         round(timing["split_at"]): "split ring 0",
     }
-    rows = [
-        (t, f"{g0.get(t, 0):.0f}", f"{g1.get(t, 0):.0f}",
-         f"{delivered.get(t, 0):.0f}", marks.get(t, ""))
-        for t in range(int(timing["duration"]))
-    ]
-    table = format_table(
+    table = _series_table(
         "Elasticity: live group remap at "
         f"t={timing['remap_at']:.0f}s, ring split at t={timing['split_at']:.0f}s",
-        ["t (s)", "group0 Mbps", "group1 Mbps", "delivered Mbps", "event"],
-        rows,
-    )
-    table += "\n\n" + ascii_multi_series(
-        {
-            "group0 Mbps   ": res.multicast_mbps[0],
-            "group1 Mbps   ": res.multicast_mbps[1],
-            "delivered Mbps": res.delivered_mbps,
-        },
-        title="throughput over time (sparklines)",
+        res, ("group0 Mbps", "group1 Mbps"), int(timing["duration"]), marks,
     )
     table += (
         f"\n\nremap committed at t={res.extra['remap_done_at']:.3f}s"

@@ -11,7 +11,7 @@ import json
 import os
 from typing import Any, Iterable, Sequence
 
-__all__ = ["format_table", "emit", "series_to_rows", "read_jsonl", "write_jsonl"]
+__all__ = ["format_table", "emit", "series_to_rows", "read_jsonl"]
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "..", "..", "..", "results")
 
@@ -58,16 +58,6 @@ def series_to_rows(
 ) -> list[tuple[float, float]]:
     """Thin a per-second series to every ``every``-th sample for printing."""
     return [point for i, point in enumerate(series) if i % every == 0]
-
-
-def write_jsonl(path: str, records: Iterable[dict[str, Any]]) -> int:
-    """Write ``records`` as one JSON object per line; returns the count."""
-    count = 0
-    with open(path, "w", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(json.dumps(record, default=str) + "\n")
-            count += 1
-    return count
 
 
 def read_jsonl(path: str, type: str | None = None) -> list[dict[str, Any]]:

@@ -30,7 +30,12 @@ from typing import Any, Callable, Iterable
 from ..baselines.lcr import LCR_MESSAGE_SIZE, build_lcr_ring
 from ..baselines.mencius import build_mencius
 from ..baselines.spread import SPREAD_MESSAGE_SIZE, build_spread
-from ..calibration import DEFAULT_VALUE_SIZE, bytes_per_s_to_mbps, mbps_to_bytes_per_s
+from ..calibration import (
+    DEFAULT_VALUE_SIZE,
+    DISK_BANDWIDTH_BYTES_PER_S,
+    bytes_per_s_to_mbps,
+    mbps_to_bytes_per_s,
+)
 from ..core.config import MultiRingConfig
 from ..core.deployment import MultiRingPaxos
 from ..ringpaxos.builder import build_ring
@@ -79,21 +84,55 @@ class SeriesResult:
     extra: dict = field(default_factory=dict)
 
 
-def _rate_to_msgs(offered_mbps: float, message_size: int) -> float:
-    return mbps_to_bytes_per_s(offered_mbps) / message_size
+# The λ time series' interarrival jitter and ring 1's slowdown
+# (run_two_ring_timeseries), and the throttled senders' outstanding-message
+# bound (Figure 12 and elasticity).
+_LAMBDA_JITTER = 0.15
+_RATE_SKEW = 0.01
+_THROTTLE_WINDOW = 8000
 
 
-def _window(counter_probe: Callable[[], float], sim: Simulator, start: float) -> Callable[[], float]:
-    """Snapshot ``counter_probe`` at ``start``; later call returns the delta."""
-    snap = {"value": 0.0}
-    sim.at(start, lambda: snap.__setitem__("value", counter_probe()))
-    return lambda: counter_probe() - snap["value"]
+def _rate_to_msgs(offered_mbps: float) -> float:
+    return mbps_to_bytes_per_s(offered_mbps) / DEFAULT_VALUE_SIZE
 
 
-def _busiest(servers, sim: Simulator, start: float) -> Callable[[], float]:
-    """Most busy seconds since ``start`` among FIFO ``servers``."""
-    windows = [_window(server.busy_time, sim, start) for server in servers]
-    return lambda: max(busy() for busy in windows)
+def _measure(sim: Simulator, warmup: float, duration: float, **readings) -> SimpleNamespace:
+    """Run ``sim`` to ``warmup + duration``; each reading's growth per second.
+
+    A reading is a zero-argument counter, or a tuple of FIFO servers,
+    which grows by its busiest server's busy seconds. One snapshot at
+    ``warmup`` takes every reading, so the window opens after warm-up.
+    """
+
+    def read(reading) -> list[float]:
+        return [s.busy_time() for s in reading] if isinstance(reading, tuple) else [reading()]
+
+    start: dict[str, list[float]] = {}
+    sim.at(warmup, lambda: start.update((key, read(r)) for key, r in readings.items()))
+    sim.run(until=warmup + duration)
+    return SimpleNamespace(**{
+        key: max(now - then for now, then in zip(read(r), start[key])) / duration
+        for key, r in readings.items()
+    })
+
+
+def _series(learner, per_ring: dict, duration: float, label: str, extra: dict) -> SeriesResult:
+    """The three series of ``learner`` over ``[0, duration]``.
+
+    ``per_ring`` maps a ring or group to its byte series; the learner's
+    delivery and latency series complete the result.
+    """
+
+    def mbps(series) -> list[tuple[float, float]]:
+        return [(t, bytes_per_s_to_mbps(v)) for t, v in series.series(0.0, duration)]
+
+    return SeriesResult(
+        label=label,
+        multicast_mbps={g: mbps(series) for g, series in per_ring.items()},
+        delivered_mbps=mbps(learner.delivery_series),
+        latency_ms=[(t, v * 1e3) for t, v in learner.latency_series.mean_series(0.0, duration)],
+        extra=extra,
+    )
 
 
 def _closed_loop(
@@ -127,18 +166,17 @@ def _closed_loop(
 def _group_sends(
     mrp: MultiRingPaxos,
     n_groups: int,
-    message_size: int,
     send: Callable[[Any, int], Callable[[], Any]] | None = None,
 ):
     """Per group, add a proposer; yield ``((proposer name, group), send)``.
 
-    ``send`` multicasts a ``message_size`` value to the group, or is
+    ``send`` multicasts an 8 KiB value to the group, or is
     ``send(proposer, group)`` when given.
     """
     for g in range(n_groups):
         prop = mrp.add_proposer()
         yield (prop.node.name, g), (
-            partial(prop.multicast, g, None, message_size) if send is None else send(prop, g)
+            partial(prop.multicast, g, None, DEFAULT_VALUE_SIZE) if send is None else send(prop, g)
         )
 
 
@@ -150,32 +188,40 @@ def run_single_ring_point(
     durable: bool,
     duration: float = 2.0,
     warmup: float = 1.0,
-    message_size: int = DEFAULT_VALUE_SIZE,
+    disk_bandwidth: float = DISK_BANDWIDTH_BYTES_PER_S,
     seed: int = 1,
 ) -> PointResult:
-    """Open-loop load on one ring; the Figure 1 latency-throughput curve."""
+    """Open-loop load of 8 KiB values on one ring; the Figure 1
+    latency-throughput curve.
+
+    ``disk_bandwidth`` sets the acceptors' disks of a Recoverable ring
+    (the model's perturbation checks vary it).
+    """
     sim = Simulator(seed=seed)
     net = Network(sim)
-    ring = build_ring(sim, net, durable=durable)
+    ring = build_ring(sim, net, durable=durable, disk_bandwidth=disk_bandwidth)
     prop = ring.proposers[0]
     learner = ring.learners[0]
-    rate = _rate_to_msgs(offered_mbps, message_size)
-    OpenLoopGenerator(sim, lambda: prop.multicast(None, message_size), ConstantRate(rate)).start()
-    end = warmup + duration
-    delivered = _window(lambda: learner.delivered_bytes.value, sim, warmup)
-    messages = _window(lambda: learner.delivered_messages.value, sim, warmup)
+    OpenLoopGenerator(
+        sim, lambda: prop.multicast(None, DEFAULT_VALUE_SIZE),
+        ConstantRate(_rate_to_msgs(offered_mbps)),
+    ).start()
     coord_node = ring.coordinator.node
-    cpu_busy = _window(coord_node.cpu.busy_time, sim, warmup)
-    disk_busy = _window(coord_node.disk.drain.busy_time, sim, warmup) if coord_node.disk else None
-    sim.run(until=end)
+    rates = _measure(
+        sim, warmup, duration,
+        delivered=lambda: learner.delivered_bytes.value,
+        messages=lambda: learner.delivered_messages.value,
+        cpu=coord_node.cpu.busy_time,
+        disk=coord_node.disk.drain.busy_time if coord_node.disk else lambda: 0.0,
+    )
     return PointResult(
         label=f"{'Recoverable' if durable else 'In-memory'} Ring Paxos",
         offered_mbps=offered_mbps,
-        delivered_mbps=bytes_per_s_to_mbps(delivered() / duration),
-        msgs_per_s=messages() / duration,
+        delivered_mbps=bytes_per_s_to_mbps(rates.delivered),
+        msgs_per_s=rates.messages,
         latency_ms=learner.latency.trimmed_mean() * 1e3,
-        cpu_pct=100.0 * (cpu_busy() / duration),
-        extra={"disk_util_pct": 100.0 * (disk_busy() / duration if disk_busy else 0.0)},
+        cpu_pct=100.0 * rates.cpu,
+        extra={"disk_util_pct": 100.0 * rates.disk},
     )
 
 
@@ -189,10 +235,6 @@ def run_multiring_point(
     duration: float = 2.0,
     warmup: float = 1.0,
     window: int = 48,
-    message_size: int = DEFAULT_VALUE_SIZE,
-    lambda_rate: float = 9000.0,
-    delta: float = 1e-3,
-    m: int = 1,
     seed: int = 1,
 ) -> PointResult:
     """Closed-loop capacity measurement of an n-ring deployment.
@@ -200,54 +242,41 @@ def run_multiring_point(
     ``subscribe_all=False``: one learner per group, each subscribing only
     its group (Figure 5 — aggregate throughput scales with rings).
     ``subscribe_all=True``: a single learner subscribed to every group
-    (Figure 6 — capped by the learner's ingress link).
+    (Figure 6 — capped by the learner's ingress link). Values are 8 KiB;
+    λ, Δ and M are the :class:`MultiRingConfig` defaults (9000/s, 1 ms, 1).
     """
-    mrp = MultiRingPaxos(
-        MultiRingConfig(
-            n_groups=n_rings,
-            durable=durable,
-            lambda_rate=lambda_rate,
-            delta=delta,
-            m=m,
-            seed=seed,
-        )
-    )
+    mrp = MultiRingPaxos(MultiRingConfig(n_groups=n_rings, durable=durable, seed=seed))
     sim = mrp.sim
-    learners = []
     if subscribe_all:
-        learners.append(mrp.add_learner(groups=list(range(n_rings))))
+        learners = [mrp.add_learner(groups=list(range(n_rings)))]
     else:
-        for g in range(n_rings):
-            learners.append(mrp.add_learner(groups=[g]))
-    complete = _closed_loop(sim, _group_sends(mrp, n_rings, message_size), window=window)
+        learners = [mrp.add_learner(groups=[g]) for g in range(n_rings)]
+    complete = _closed_loop(sim, _group_sends(mrp, n_rings), window=window)
     # Exactly one learner notifies each generator (the one for its group).
     for learner in learners:
         learner.on_deliver = lambda group, value: complete((value.sender, group), value)
 
-    end = warmup + duration
-    delivered = _window(lambda: sum(ln.delivered_bytes.value for ln in learners), sim, warmup)
-    messages = _window(lambda: sum(ln.delivered_messages.value for ln in learners), sim, warmup)
-    coord_busy = _busiest((h.coordinator.node.cpu for h in mrp.rings.values()), sim, warmup)
-    learner_busy = _busiest((ln.node.cpu for ln in learners), sim, warmup)
-    ingress_busy = _busiest(
-        (mrp.network.nic(ln.node.name).ingress for ln in learners), sim, warmup
+    rates = _measure(
+        sim, warmup, duration,
+        delivered=lambda: sum(ln.delivered_bytes.value for ln in learners),
+        messages=lambda: sum(ln.delivered_messages.value for ln in learners),
+        coordinator=tuple(h.coordinator.node.cpu for h in mrp.rings.values()),
+        learner=tuple(ln.node.cpu for ln in learners),
+        ingress=tuple(mrp.network.nic(ln.node.name).ingress for ln in learners),
     )
-    sim.run(until=end)
-    cpu = coord_busy() / duration
-    learner_cpu = learner_busy() / duration
     latencies = [ln.latency.trimmed_mean() for ln in learners if ln.latency.count]
     mode = "DISK M-RP" if durable else "RAM M-RP"
     return PointResult(
         label=f"{mode} x{n_rings}" + (" (all-groups learner)" if subscribe_all else ""),
         offered_mbps=0.0,
-        delivered_mbps=bytes_per_s_to_mbps(delivered() / duration),
-        msgs_per_s=messages() / duration,
+        delivered_mbps=bytes_per_s_to_mbps(rates.delivered),
+        msgs_per_s=rates.messages,
         latency_ms=(sum(latencies) / len(latencies) * 1e3 if latencies else 0.0),
-        cpu_pct=100.0 * max(cpu, learner_cpu),
+        cpu_pct=100.0 * max(rates.coordinator, rates.learner),
         extra={
-            "coordinator_cpu_pct": 100.0 * cpu,
-            "learner_cpu_pct": 100.0 * learner_cpu,
-            "learner_ingress_pct": 100.0 * (ingress_busy() / duration),
+            "coordinator_cpu_pct": 100.0 * rates.coordinator,
+            "learner_cpu_pct": 100.0 * rates.learner,
+            "learner_ingress_pct": 100.0 * rates.ingress,
         },
     )
 
@@ -260,38 +289,36 @@ def run_partitioned_single_ring_point(
     duration: float = 2.0,
     warmup: float = 1.0,
     window: int = 48,
-    message_size: int = DEFAULT_VALUE_SIZE,
     seed: int = 1,
 ) -> PointResult:
     """All partitions' groups mapped onto a single ring (γ > δ, δ = 1).
 
     Replicas discard messages instantly (the dummy service), so throughput
     is purely what the one ring can order — flat in the partition count.
+    Values are 8 KiB.
     """
     mrp = MultiRingPaxos(
         MultiRingConfig(n_groups=n_partitions, n_rings=1, lambda_rate=0.0, seed=seed)
     )
     sim = mrp.sim
     learners = [mrp.add_learner(groups=[g]) for g in range(n_partitions)]
-    complete = _closed_loop(
-        sim, _group_sends(mrp, n_partitions, message_size), window=window
-    )
+    complete = _closed_loop(sim, _group_sends(mrp, n_partitions), window=window)
     for learner in learners:
         learner.on_deliver = lambda group, value: complete((value.sender, group), value)
-    end = warmup + duration
-    delivered = _window(lambda: sum(ln.delivered_bytes.value for ln in learners), sim, warmup)
-    cpu_busy = _window(mrp.rings[0].coordinator.node.cpu.busy_time, sim, warmup)
-    sim.run(until=end)
+    rates = _measure(
+        sim, warmup, duration,
+        delivered=lambda: sum(ln.delivered_bytes.value for ln in learners),
+        cpu=mrp.rings[0].coordinator.node.cpu.busy_time,
+    )
+    delivered_mbps = bytes_per_s_to_mbps(rates.delivered)
     return PointResult(
         label=f"partitioned x{n_partitions} (1 ring)",
         offered_mbps=0.0,
-        delivered_mbps=bytes_per_s_to_mbps(delivered() / duration),
+        delivered_mbps=delivered_mbps,
         msgs_per_s=0.0,
         latency_ms=0.0,
-        cpu_pct=100.0 * (cpu_busy() / duration),
-        extra={
-            "per_partition_mbps": bytes_per_s_to_mbps(delivered() / duration) / n_partitions
-        },
+        cpu_pct=100.0 * rates.cpu,
+        extra={"per_partition_mbps": delivered_mbps / n_partitions},
     )
 
 
@@ -303,16 +330,16 @@ def run_lcr_point(
     duration: float = 2.0,
     warmup: float = 1.0,
     window: int = 16,
-    message_size: int = LCR_MESSAGE_SIZE,
     seed: int = 1,
 ) -> PointResult:
-    """Closed-loop LCR: every node broadcasts; throughput is per-node
-    delivery rate (every node delivers every message)."""
+    """Closed-loop LCR with 32 KiB messages: every node broadcasts;
+    throughput is per-node delivery rate (every node delivers every
+    message)."""
     sim = Simulator(seed=seed)
     nodes = build_lcr_ring(sim, Network(sim), n_nodes)
     return _broadcast_point(
         f"LCR x{n_nodes}", sim, nodes,
-        [(n.node.name, partial(n.broadcast, None, message_size)) for n in nodes],
+        [(n.node.name, partial(n.broadcast, None, LCR_MESSAGE_SIZE)) for n in nodes],
         attrgetter("origin"), nodes[:1], nodes, duration, warmup, window,
     )
 
@@ -322,15 +349,16 @@ def run_spread_point(
     duration: float = 2.0,
     warmup: float = 1.0,
     window: int = 16,
-    message_size: int = SPREAD_MESSAGE_SIZE,
     seed: int = 1,
 ) -> PointResult:
-    """Closed-loop Spread-like system: one client/group per daemon."""
+    """Closed-loop Spread-like system with 16 KiB messages: one
+    client/group per daemon."""
     sim = Simulator(seed=seed)
     daemons, clients = build_spread(sim, Network(sim), n_daemons)
     return _broadcast_point(
         f"Spread x{n_daemons}", sim, clients,
-        [(c.node.name, partial(c.multicast, g, None, message_size)) for g, c in enumerate(clients)],
+        [(c.node.name, partial(c.multicast, g, None, SPREAD_MESSAGE_SIZE))
+         for g, c in enumerate(clients)],
         attrgetter("sender"), clients, daemons, duration, warmup, window,
     )
 
@@ -340,16 +368,16 @@ def run_mencius_point(
     duration: float = 2.0,
     warmup: float = 1.0,
     window: int = 16,
-    message_size: int = DEFAULT_VALUE_SIZE,
     seed: int = 1,
 ) -> PointResult:
-    """Closed-loop Mencius: every server broadcasts; throughput is the
-    per-server delivery rate (every server delivers everything)."""
+    """Closed-loop Mencius with 8 KiB values: every server broadcasts;
+    throughput is the per-server delivery rate (every server delivers
+    everything)."""
     sim = Simulator(seed=seed)
     servers = build_mencius(sim, Network(sim), n_servers)
     return _broadcast_point(
         f"Mencius x{n_servers}", sim, servers,
-        [(s.node.name, partial(s.broadcast, None, message_size)) for s in servers],
+        [(s.node.name, partial(s.broadcast, None, DEFAULT_VALUE_SIZE)) for s in servers],
         attrgetter("sender"), servers[:1], servers, duration, warmup, window,
     )
 
@@ -369,19 +397,20 @@ def _broadcast_point(
         member.on_deliver = lambda msg, me=member.node.name: (
             complete(me, msg) if sender(msg) == me else None
         )
-    end = warmup + duration
-    delivered = _window(lambda: sum(m.delivered_bytes.value for m in observed), sim, warmup)
-    messages = _window(lambda: sum(m.delivered.value for m in observed), sim, warmup)
-    cpu_busy = _busiest((m.node.cpu for m in machines), sim, warmup)
-    sim.run(until=end)
+    rates = _measure(
+        sim, warmup, duration,
+        delivered=lambda: sum(m.delivered_bytes.value for m in observed),
+        messages=lambda: sum(m.delivered.value for m in observed),
+        cpu=tuple(m.node.cpu for m in machines),
+    )
     latencies = [m.latency.trimmed_mean() for m in observed if m.latency.count]
     return PointResult(
         label=label,
         offered_mbps=0.0,
-        delivered_mbps=bytes_per_s_to_mbps(delivered() / duration),
-        msgs_per_s=messages() / duration,
+        delivered_mbps=bytes_per_s_to_mbps(rates.delivered),
+        msgs_per_s=rates.messages,
         latency_ms=(sum(latencies) / len(latencies) * 1e3 if latencies else 0.0),
-        cpu_pct=100.0 * (cpu_busy() / duration),
+        cpu_pct=100.0 * rates.cpu,
     )
 
 
@@ -392,54 +421,48 @@ def run_two_ring_parameter_point(
     offered_mbps_total: float,
     delta: float = 1e-3,
     m: int = 1,
-    lambda_rate: float = 9000.0,
     duration: float = 2.0,
     warmup: float = 1.0,
-    message_size: int = DEFAULT_VALUE_SIZE,
     burst: int = 16,
     jitter: float = 0.3,
     seed: int = 1,
 ) -> PointResult:
     """Two rings at equal average rates, one learner subscribing to both.
 
-    Arrivals are bursty and jittered (as real clients are): during the
-    gaps of one ring the learner must wait for either that ring's next
-    burst or the next skip correction — which is exactly what makes the
-    choice of Delta visible in latency (paper, Section VI-C).
+    Arrivals of 8 KiB values are bursty and jittered (as real clients
+    are): during the gaps of one ring the learner must wait for either
+    that ring's next burst or the next skip correction — which is exactly
+    what makes the choice of Delta visible in latency (paper, Section
+    VI-C). λ is the :class:`MultiRingConfig` default, 9000/s.
     """
-    mrp = MultiRingPaxos(
-        MultiRingConfig(
-            n_groups=2, lambda_rate=lambda_rate, delta=delta, m=m, seed=seed
-        )
-    )
+    mrp = MultiRingPaxos(MultiRingConfig(n_groups=2, delta=delta, m=m, seed=seed))
     sim = mrp.sim
     learner = mrp.add_learner(groups=[0, 1])
-    per_ring_rate = _rate_to_msgs(offered_mbps_total / 2.0, message_size)
+    per_ring_rate = _rate_to_msgs(offered_mbps_total / 2.0)
     for g in range(2):
         prop = mrp.add_proposer()
         OpenLoopGenerator(
             sim,
-            (lambda p=prop, g=g: p.multicast(g, None, message_size)),
+            (lambda p=prop, g=g: p.multicast(g, None, DEFAULT_VALUE_SIZE)),
             ConstantRate(per_ring_rate),
             jitter=jitter,
             burst=burst,
             name=f"openloop.g{g}",
         ).start()
-    end = warmup + duration
-    delivered = _window(lambda: learner.delivered_bytes.value, sim, warmup)
-    coord_busy = _busiest((h.coordinator.node.cpu for h in mrp.rings.values()), sim, warmup)
-    learner_busy = _window(learner.node.cpu.busy_time, sim, warmup)
-    sim.run(until=end)
-    coord_cpu = coord_busy() / duration
-    learner_cpu = learner_busy() / duration
+    rates = _measure(
+        sim, warmup, duration,
+        delivered=lambda: learner.delivered_bytes.value,
+        coordinator=tuple(h.coordinator.node.cpu for h in mrp.rings.values()),
+        learner=learner.node.cpu.busy_time,
+    )
     return PointResult(
-        label=f"delta={delta * 1e3:g}ms M={m} lambda={lambda_rate:g}",
+        label=f"delta={delta * 1e3:g}ms M={m} lambda={mrp.config.lambda_rate:g}",
         offered_mbps=offered_mbps_total,
-        delivered_mbps=bytes_per_s_to_mbps(delivered() / duration),
+        delivered_mbps=bytes_per_s_to_mbps(rates.delivered),
         msgs_per_s=0.0,
         latency_ms=learner.latency.trimmed_mean() * 1e3,
-        cpu_pct=100.0 * coord_cpu,
-        extra={"learner_cpu_pct": 100.0 * learner_cpu},
+        cpu_pct=100.0 * rates.coordinator,
+        extra={"learner_cpu_pct": 100.0 * rates.learner},
     )
 
 
@@ -450,65 +473,43 @@ def run_two_ring_timeseries(
     schedules: tuple[RateSchedule, RateSchedule],
     lambda_rate: float,
     duration: float = 100.0,
-    m: int = 1,
-    delta: float = 1e-3,
-    message_size: int = DEFAULT_VALUE_SIZE,
     buffer_limit: int = 200_000,
     seed: int = 1,
-    bucket: float = 1.0,
-    jitter: float = 0.15,
-    rate_skew: float = 0.01,
 ) -> SeriesResult:
-    """Two rings driven by per-ring rate schedules; per-second series.
+    """Two rings of 8 KiB values driven by per-ring rate schedules;
+    per-second series.
 
-    ``jitter`` adds mean-preserving interarrival noise; ``rate_skew``
-    additionally slows ring 1 by that fraction. Physically identical
-    machines still differ slightly (clocks, scheduling, batching), so
-    "equal" offered rates drift apart systematically — which is exactly
-    why the paper's learners never recover at lambda = 0 (Figure 9).
+    Interarrivals carry 15 % mean-preserving jitter, and ring 1 runs 1 %
+    slow. Physically identical machines still differ slightly (clocks,
+    scheduling, batching), so "equal" offered rates drift apart
+    systematically — which is exactly why the paper's learners never
+    recover at lambda = 0 (Figure 9). Δ and M are the
+    :class:`MultiRingConfig` defaults (1 ms, 1).
     """
     mrp = MultiRingPaxos(
-        MultiRingConfig(
-            n_groups=2,
-            lambda_rate=lambda_rate,
-            delta=delta,
-            m=m,
-            buffer_limit=buffer_limit,
-            seed=seed,
-            series_bucket=bucket,
-        )
+        MultiRingConfig(n_groups=2, lambda_rate=lambda_rate, buffer_limit=buffer_limit, seed=seed)
     )
     sim = mrp.sim
     learner = mrp.add_learner(groups=[0, 1])
     for g, schedule in enumerate(schedules):
         prop = mrp.add_proposer()
-        if g == 1 and rate_skew:
-            schedule = ScaledRate(schedule, 1.0 - rate_skew)
+        if g == 1:
+            schedule = ScaledRate(schedule, 1.0 - _RATE_SKEW)
         OpenLoopGenerator(
             sim,
-            (lambda p=prop, g=g: p.multicast(g, None, message_size)),
+            (lambda p=prop, g=g: p.multicast(g, None, DEFAULT_VALUE_SIZE)),
             schedule,
             stop_at=duration,
-            jitter=jitter,
+            jitter=_LAMBDA_JITTER,
             name=f"openloop.g{g}",
         ).start()
     sim.run(until=duration)
-    multicast = {
-        g: [
-            (t, bytes_per_s_to_mbps(v))
-            for t, v in mrp.learners[0].ring_learners[g].receive_series.series(0.0, duration)
-        ]
-        for g in (0, 1)
-    }
-    return SeriesResult(
-        label=f"lambda={lambda_rate:g}",
-        multicast_mbps=multicast,
-        delivered_mbps=[
-            (t, bytes_per_s_to_mbps(v))
-            for t, v in learner.delivery_series.series(0.0, duration)
-        ],
-        latency_ms=[(t, v * 1e3) for t, v in learner.latency_series.mean_series(0.0, duration)],
-        extra={
+    return _series(
+        learner,
+        {g: learner.ring_learners[g].receive_series for g in (0, 1)},
+        duration,
+        f"lambda={lambda_rate:g}",
+        {
             "halted": learner.halted,
             "halted_at": learner.merge.halted_at,
             "buffered_instances": learner.buffered_instances,
@@ -524,47 +525,33 @@ def run_coordinator_failure_timeseries(
     fail_at: float = 20.0,
     restart_after: float = 3.0,
     duration: float = 40.0,
-    lambda_rate: float = 9000.0,
-    message_size: int = DEFAULT_VALUE_SIZE,
-    window: int = 8000,
+    window: int = _THROTTLE_WINDOW,
     seed: int = 1,
-    bucket: float = 1.0,
 ) -> SeriesResult:
     """Two rings at ~constant rate; ring 0's coordinator dies and returns.
 
-    Proposers are closed-loop on top of a rate pacer, so the learner's
-    stall visibly throttles the sender of ring 1 (the effect the paper
-    highlights in Figure 12's left plot).
+    Proposers of 8 KiB values are closed-loop on top of a rate pacer, so
+    the learner's stall visibly throttles the sender of ring 1 (the
+    effect the paper highlights in Figure 12's left plot). λ is the
+    :class:`MultiRingConfig` default, 9000/s; series are per second.
     """
-    mrp = MultiRingPaxos(
-        MultiRingConfig(n_groups=2, lambda_rate=lambda_rate, seed=seed, series_bucket=bucket)
-    )
+    mrp = MultiRingPaxos(MultiRingConfig(n_groups=2, seed=seed))
     sim = mrp.sim
     learner = mrp.add_learner(groups=[0, 1])
     complete = _closed_loop(
-        sim, _group_sends(mrp, 2, message_size), ThrottledGenerator,
+        sim, _group_sends(mrp, 2), ThrottledGenerator,
         rate=rate_msgs_per_s, max_outstanding=window,
     )
     learner.on_deliver = lambda group, value: complete((value.sender, group), value)
     sim.at(fail_at, lambda: mrp.crash_coordinator(0))
     sim.at(fail_at + restart_after, lambda: mrp.restart_coordinator(0))
     sim.run(until=duration)
-    receive = {
-        g: [
-            (t, bytes_per_s_to_mbps(v))
-            for t, v in learner.ring_learners[g].receive_series.series(0.0, duration)
-        ]
-        for g in (0, 1)
-    }
-    return SeriesResult(
-        label="coordinator failure",
-        multicast_mbps=receive,
-        delivered_mbps=[
-            (t, bytes_per_s_to_mbps(v))
-            for t, v in learner.delivery_series.series(0.0, duration)
-        ],
-        latency_ms=[(t, v * 1e3) for t, v in learner.latency_series.mean_series(0.0, duration)],
-        extra={"fail_at": fail_at, "restart_at": fail_at + restart_after},
+    return _series(
+        learner,
+        {g: learner.ring_learners[g].receive_series for g in (0, 1)},
+        duration,
+        "coordinator failure",
+        {"fail_at": fail_at, "restart_at": fail_at + restart_after},
     )
 
 
@@ -573,11 +560,7 @@ def run_elasticity_timeseries(
     remap_at: float = 10.0,
     split_at: float = 25.0,
     duration: float = 40.0,
-    lambda_rate: float = 9000.0,
-    message_size: int = DEFAULT_VALUE_SIZE,
-    window: int = 8000,
     seed: int = 1,
-    bucket: float = 1.0,
 ) -> SeriesResult:
     """Live elasticity under load: consolidate, then split, while traffic
     keeps committing.
@@ -587,16 +570,15 @@ def run_elasticity_timeseries(
     ring-merge direction: three epoch cuts, proposer hold, bounced-value
     forwarding); at ``split_at`` the now-shared ring is split back, which
     deploys a fresh ring mid-run and moves group 1 onto it. Closed-loop
-    throttled senders per group expose any delivery stall as a visible
-    throughput dip, and the per-group delivered series shows the moved
-    group's stream continuing across both epoch boundaries. ``extra``
-    records when each operation completed (simulated time), so the
-    headline claim — the remap finishes while traffic commits — is a
-    number, not a narrative.
+    throttled senders of 8 KiB values per group, 8000 outstanding at
+    most, expose any delivery stall as a visible throughput dip, and the
+    per-group delivered series (per second) shows the moved group's
+    stream continuing across both epoch boundaries. ``extra`` records
+    when each operation completed (simulated time), so the headline
+    claim — the remap finishes while traffic commits — is a number, not
+    a narrative. λ is the :class:`MultiRingConfig` default, 9000/s.
     """
-    mrp = MultiRingPaxos(
-        MultiRingConfig(n_groups=2, lambda_rate=lambda_rate, seed=seed, series_bucket=bucket)
-    )
+    mrp = MultiRingPaxos(MultiRingConfig(n_groups=2, seed=seed))
     sim = mrp.sim
     learner = mrp.add_learner(groups=[0, 1])
 
@@ -610,14 +592,14 @@ def run_elasticity_timeseries(
 
         def send():
             i = next(counter)
-            prop.multicast(g, i, message_size)
+            prop.multicast(g, i, DEFAULT_VALUE_SIZE)
             return SimpleNamespace(seq=i)
 
         return send
 
     complete = _closed_loop(
-        sim, _group_sends(mrp, 2, message_size, numbered), ThrottledGenerator,
-        ticket=attrgetter("payload"), rate=rate_msgs_per_s, max_outstanding=window,
+        sim, _group_sends(mrp, 2, numbered), ThrottledGenerator,
+        ticket=attrgetter("payload"), rate=rate_msgs_per_s, max_outstanding=_THROTTLE_WINDOW,
     )
     learner.on_deliver = lambda group, value: complete((value.sender, group), value)
     done_at: dict[str, float] = {}
@@ -630,22 +612,12 @@ def run_elasticity_timeseries(
 
     sim.at(split_at, split)
     sim.run(until=duration)
-    group_mbps = {
-        g: [
-            (t, bytes_per_s_to_mbps(v))
-            for t, v in learner.group_series[g].series(0.0, duration)
-        ]
-        for g in (0, 1)
-    }
-    return SeriesResult(
-        label="live elasticity",
-        multicast_mbps=group_mbps,
-        delivered_mbps=[
-            (t, bytes_per_s_to_mbps(v))
-            for t, v in learner.delivery_series.series(0.0, duration)
-        ],
-        latency_ms=[(t, v * 1e3) for t, v in learner.latency_series.mean_series(0.0, duration)],
-        extra={
+    return _series(
+        learner,
+        {g: learner.group_series[g] for g in (0, 1)},
+        duration,
+        "live elasticity",
+        {
             "remap_at": remap_at,
             "split_at": split_at,
             "remap_done_at": done_at.get("remap"),

@@ -30,16 +30,18 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from ..calibration import DISK_BANDWIDTH_BYTES_PER_S
 from ..core.admission import AdmissionPolicy
 from ..core.config import MultiRingConfig
 from ..core.deployment import MultiRingPaxos
+from ..errors import ConfigurationError
 from ..sim.faults import NetworkPartition
 from ..sim.loss import TunableLoss
 from ..sim.topology import Topology as GeoTopology
@@ -49,7 +51,7 @@ from ..smr.replica import Replica
 from ..smr.statemachine import Command
 from ..workload.population import ClientPopulation
 from ..workload.rates import ConstantRate
-from .generator import Topology, generate_schedule, topology_of
+from .generator import PROFILES, generate_schedule, topology_of
 from .oracles import AdmissionOracles, OracleViolation, SafetyOracles
 from .schedule import Schedule, ScheduleRunner
 
@@ -101,7 +103,26 @@ class CaseConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "CaseConfig":
-        return cls(**data)
+        """Rebuild a config from its JSON form.
+
+        A replay file is outside input, so a config that could not run as
+        written raises :class:`ConfigurationError` naming the field: an
+        unknown key, fewer than one proposer or message per proposer
+        (liveness would be vacuous), a profile :data:`PROFILES` does not
+        name, or a duration that is not finite and positive.
+        """
+        unknown = data.keys() - {f.name for f in fields(cls)}
+        if unknown:
+            raise ConfigurationError(f"unknown case-config field(s) {sorted(unknown)}")
+        config = cls(**data)
+        for name in ("n_proposers", "messages_per_proposer"):
+            if not getattr(config, name) >= 1:
+                raise ConfigurationError(f"{name} must be >= 1, not {getattr(config, name)!r}")
+        if config.profile not in PROFILES:
+            raise ConfigurationError(f"unknown profile {config.profile!r}")
+        if not 0 < config.duration < math.inf:
+            raise ConfigurationError(f"duration must be finite and > 0, not {config.duration!r}")
+        return config
 
 
 def draw_config(rng: random.Random, profile: str = "default") -> CaseConfig:
@@ -118,8 +139,11 @@ def draw_config(rng: random.Random, profile: str = "default") -> CaseConfig:
     ``"restart-heavy"`` draws the same base and then, from *additional*
     rng draws, biases toward durable acceptors and adds checkpointing
     replicas (two per partition, so the replica-order oracle has pairs
-    to compare).
+    to compare). ``"false-suspicion"`` keeps the base as drawn: ``_build``
+    turns on the message-driven takeover, one spare per ring, for it.
     """
+    if profile not in PROFILES:
+        raise ValueError(f"unknown fuzz profile {profile!r}")
     n_groups = rng.randint(1, 3)
     n_learners = rng.randint(2, 3)
     learners = [
@@ -149,9 +173,9 @@ def draw_config(rng: random.Random, profile: str = "default") -> CaseConfig:
         messages_per_proposer=rng.randint(30, 60),
         value_size=rng.choice([512, 2048, 8192]),
         duration=1.5,
+        profile=profile,
     )
     if profile == "restart-heavy":
-        config.profile = profile
         config.durable = rng.random() < 0.6
         if config.n_groups == 1:
             # Replicas need a partition group plus g_all; existing learner
@@ -165,7 +189,6 @@ def draw_config(rng: random.Random, profile: str = "default") -> CaseConfig:
         # fabric. Groups spread round-robin over regions, so learners and
         # rings land in different datacenters and the WAN links carry the
         # protocol traffic the geo schedule then cuts and jitters.
-        config.profile = profile
         config.regions = rng.randint(2, 3)
         config.wan_ms = float(rng.choice([5, 15, 30]))
         config.wan_jitter_ms = round(rng.uniform(0.5, 3.0), 2)
@@ -175,7 +198,6 @@ def draw_config(rng: random.Random, profile: str = "default") -> CaseConfig:
         # responding replica per partition so requests complete end to
         # end, and intake bounds tight enough that the overload schedule
         # (gateway/coordinator outages) actually forces delays and sheds.
-        config.profile = profile
         if config.n_groups == 1:
             # Populations need a partition group plus g_all; existing
             # learner subscriptions (all within group 0) stay valid.
@@ -194,17 +216,10 @@ def draw_config(rng: random.Random, profile: str = "default") -> CaseConfig:
         # remap (see docs/protocol.md). Volatile acceptors, no replicas:
         # checkpoint truncation during a mid-move coordinator change is a
         # documented open interaction, not what this profile hunts.
-        config.profile = profile
         config.durable = False
         if config.n_groups == 1:
             config.n_groups = 2
         config.learners = [list(range(config.n_groups)) for _ in config.learners]
-    elif profile == "false-suspicion":
-        # The frozen base as drawn: _build turns on the message-driven
-        # takeover, one spare per ring, for this profile.
-        config.profile = profile
-    elif profile != "default":
-        raise ValueError(f"unknown fuzz profile {profile!r}")
     return config
 
 
@@ -437,16 +452,7 @@ def run_case(
         return oracles.events_checked + extra
 
     if schedule is None:
-        topology = topology_of(mrp)
-        if replicas:
-            topology = Topology(
-                crash_targets=topology.crash_targets
-                + tuple(f"replica:{i}" for i in range(len(replicas))),
-                nodes=topology.nodes,
-                wan_pairs=topology.wan_pairs,
-                groups=topology.groups,
-                rings=topology.rings,
-            )
+        topology = topology_of(mrp, replicas=len(replicas))
         schedule = generate_schedule(rng, topology, config.duration, config.profile)
     extra_roles = {f"replica:{i}": replica for i, replica in enumerate(replicas)}
     runner = ScheduleRunner(mrp, partition, loss, extra_roles=extra_roles).install(schedule)
@@ -581,20 +587,9 @@ def fuzz_main(argv: list[str] | None = None) -> int:
                         help="base seed; case i runs with seed+i (default 0)")
     parser.add_argument("--duration", type=float, default=None,
                         help="override the per-case fault/workload window (s)")
-    parser.add_argument("--profile", default="default",
-                        choices=("default", "restart-heavy", "geo", "overload",
-                                 "reconfig", "false-suspicion"),
-                        help="fault/config mix: 'default' (balanced), "
-                             "'restart-heavy' (crash/restart churn with "
-                             "checkpointing replicas), 'geo' (multi-"
-                             "datacenter with WAN partitions and jitter), "
-                             "'overload' (client-population surge into "
-                             "admission-controlled gateways under outages), "
-                             "'reconfig' (live group remaps and ring "
-                             "splits/merges racing crashes and partitions), "
-                             "or 'false-suspicion' (a live coordinator cut off "
-                             "past its suspect timeout and taken over, racing "
-                             "a remap)")
+    parser.add_argument("--profile", default="default", choices=tuple(PROFILES),
+                        help="fault/config mix: " + "; ".join(
+                            f"'{name}' ({text})" for name, (_, text) in PROFILES.items()))
     parser.add_argument("--grace", type=float, default=6.0,
                         help="liveness grace after forced heal (simulated s)")
     parser.add_argument("--out", default="fuzz-failures",

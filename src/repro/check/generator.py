@@ -25,7 +25,7 @@ from .schedule import Schedule, ScheduleStep
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.deployment import MultiRingPaxos
 
-__all__ = ["Topology", "topology_of", "generate_schedule"]
+__all__ = ["PROFILES", "Topology", "topology_of", "generate_schedule"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -48,8 +48,12 @@ class Topology:
     rings: tuple[int, ...] = ()
 
 
-def topology_of(mrp: "MultiRingPaxos") -> Topology:
-    """Extract the crashable roles and partitionable machines of ``mrp``."""
+def topology_of(mrp: "MultiRingPaxos", replicas: int = 0) -> Topology:
+    """Extract the crashable roles and partitionable machines of ``mrp``.
+
+    ``replicas`` adds the targets ``replica:0`` .. ``replica:{replicas - 1}``
+    for the SMR replicas a fuzz case deploys beside ``mrp``'s own roles.
+    """
     targets: list[str] = []
     for ring_id in sorted(mrp.rings):
         targets.append(f"coordinator:{ring_id}")
@@ -59,6 +63,7 @@ def topology_of(mrp: "MultiRingPaxos") -> Topology:
         targets.append(f"learner:{i}")
     for i in range(len(mrp.proposers)):
         targets.append(f"proposer:{i}")
+    targets += (f"replica:{i}" for i in range(replicas))
     wan_pairs: tuple[tuple[str, str], ...] = ()
     geo = getattr(mrp.network, "topology", None)
     if geo is not None:
@@ -97,64 +102,83 @@ def _phase_windows(
     ]
 
 
+def _crashes(
+    rng: random.Random, count: int, targets, lo: float, hi: float,
+    downtime: tuple[float, float], duration: float, restart_p: float | None = None,
+) -> list[ScheduleStep]:
+    """``count`` crash episodes, each on a role of ``targets`` at a
+    uniform time in [lo, hi].
+
+    A crash is restarted ``rng.uniform(*downtime)`` run durations later,
+    no later than ``hi``. Without ``restart_p`` every crash is restarted;
+    with it, only when ``rng.random() < restart_p``, and the rest stay
+    down until the driver's epilogue revives everything.
+    """
+    steps = []
+    for _ in range(count):
+        target = rng.choice(targets)
+        t = rng.uniform(lo, hi)
+        steps.append(ScheduleStep(t, "crash", target=target))
+        if restart_p is None or rng.random() < restart_p:
+            dt = rng.uniform(*downtime) * duration
+            steps.append(ScheduleStep(min(t + dt, hi), "restart", target=target))
+    return steps
+
+
+def _partitions(
+    rng: random.Random, count: int, nodes: tuple[str, ...], lo: float, hi: float
+) -> list[ScheduleStep]:
+    """Up to ``count`` partition windows: an island of up to half the
+    machines, cut then healed."""
+    steps = []
+    for start, end in _phase_windows(rng, lo, hi, count):
+        k = rng.randint(1, max(1, len(nodes) // 2))
+        island = tuple(sorted(rng.sample(list(nodes), k)))
+        steps.append(ScheduleStep(start, "partition", island=island))
+        steps.append(ScheduleStep(end, "heal"))
+    return steps
+
+
+def _losses(
+    rng: random.Random, count: int, lo: float, hi: float, worst: float
+) -> list[ScheduleStep]:
+    """Up to ``count`` uniform-loss windows, each dropping a fraction
+    drawn from [0.01, worst]."""
+    steps = []
+    for start, end in _phase_windows(rng, lo, hi, count):
+        steps.append(ScheduleStep(start, "loss", p=round(rng.uniform(0.01, worst), 4)))
+        steps.append(ScheduleStep(end, "loss_end"))
+    return steps
+
+
 def generate_schedule(
     rng: random.Random, topology: Topology, duration: float, profile: str = "default"
 ) -> Schedule:
     """Draw a random fault schedule for a run of ``duration`` seconds.
 
-    ``profile`` selects the fault mix. ``"default"`` is the original
-    balanced blend; its rng consumption is frozen — corpus seeds must
-    keep reproducing byte-identical schedules. ``"restart-heavy"`` draws
-    from a separate branch (free to evolve): several short crash/restart
-    pairs, every crash restarted on-schedule, aimed at the recovery
-    paths — durable-acceptor replay, learner catch-up, checkpoint
-    restore. ``"geo"`` cuts and heals WAN links and spikes their jitter
-    (plus light crash churn) for multi-region deployments. ``"overload"``
-    aims crash/restart pairs at ring coordinators and the client
-    population's gateway proposers, forcing timeout/retry/failover and
-    admission-queue pressure. ``"reconfig"`` interleaves live elasticity
-    operations — group remaps, ring splits and merges — with crash churn
-    and partitions, aimed at the epoch-cut protocol's hand-off paths.
-    ``"false-suspicion"`` is the default mix plus a live coordinator cut
-    off from its ring past its suspect timeout, and a remap racing the
-    takeover that follows.
+    ``profile`` names the fault mix, a row of :data:`PROFILES`. The
+    default profile's rng consumption is frozen — corpus seeds must keep
+    reproducing byte-identical schedules; the other profiles draw from
+    their own branches.
     """
-    lo, hi = 0.05 * duration, 0.85 * duration
-    if profile == "restart-heavy":
-        return _restart_heavy_schedule(rng, topology, duration, lo, hi)
-    if profile == "geo":
-        return _geo_schedule(rng, topology, duration, lo, hi)
-    if profile == "overload":
-        return _overload_schedule(rng, topology, duration, lo, hi)
-    if profile == "reconfig":
-        return _reconfig_schedule(rng, topology, duration, lo, hi)
-    if profile == "false-suspicion":
-        return _false_suspicion_schedule(rng, topology, duration, lo, hi)
-    if profile != "default":
-        raise ValueError(f"unknown schedule profile {profile!r}")
-    steps: list[ScheduleStep] = []
+    try:
+        schedule, _ = PROFILES[profile]
+    except KeyError:
+        raise ValueError(f"unknown schedule profile {profile!r}") from None
+    return schedule(rng, topology, duration, 0.05 * duration, 0.85 * duration)
 
+
+def _default_schedule(
+    rng: random.Random, topology: Topology, duration: float, lo: float, hi: float
+) -> Schedule:
+    """The default mix: crashes, partitions, loss, slow network and disk."""
     # Crash episodes: each picks a role; most get a restart, some stay
     # down until the driver's epilogue revives everything.
-    for _ in range(rng.randint(0, 3)):
-        target = rng.choice(topology.crash_targets)
-        t = rng.uniform(lo, hi)
-        steps.append(ScheduleStep(t, "crash", target=target))
-        if rng.random() < 0.8:
-            dt = rng.uniform(0.05, 0.4) * duration
-            steps.append(ScheduleStep(min(t + dt, hi), "restart", target=target))
-
-    # Partitions: island of up to half the machines, cut then healed.
-    for start, end in _phase_windows(rng, lo, hi, rng.randint(0, 2)):
-        k = rng.randint(1, max(1, len(topology.nodes) // 2))
-        island = tuple(sorted(rng.sample(list(topology.nodes), k)))
-        steps.append(ScheduleStep(start, "partition", island=island))
-        steps.append(ScheduleStep(end, "heal"))
-
-    # Uniform-loss phases.
-    for start, end in _phase_windows(rng, lo, hi, rng.randint(0, 2)):
-        steps.append(ScheduleStep(start, "loss", p=round(rng.uniform(0.01, 0.25), 4)))
-        steps.append(ScheduleStep(end, "loss_end"))
+    steps = _crashes(
+        rng, rng.randint(0, 3), topology.crash_targets, lo, hi, (0.05, 0.4), duration, 0.8
+    )
+    steps += _partitions(rng, rng.randint(0, 2), topology.nodes, lo, hi)
+    steps += _losses(rng, rng.randint(0, 2), lo, hi, 0.25)
 
     # Slow-network phase: propagation delay multiplied for a window.
     for start, end in _phase_windows(rng, lo, hi, rng.randint(0, 1)):
@@ -190,24 +214,9 @@ def _restart_heavy_schedule(
     A thin garnish of loss/partition windows keeps the recovery traffic
     itself under fire some of the time.
     """
-    steps: list[ScheduleStep] = []
-    for _ in range(rng.randint(2, 5)):
-        target = rng.choice(topology.crash_targets)
-        t = rng.uniform(lo, hi)
-        steps.append(ScheduleStep(t, "crash", target=target))
-        dt = rng.uniform(0.03, 0.15) * duration
-        steps.append(ScheduleStep(min(t + dt, hi), "restart", target=target))
-
-    for start, end in _phase_windows(rng, lo, hi, rng.randint(0, 1)):
-        steps.append(ScheduleStep(start, "loss", p=round(rng.uniform(0.01, 0.15), 4)))
-        steps.append(ScheduleStep(end, "loss_end"))
-
-    for start, end in _phase_windows(rng, lo, hi, rng.randint(0, 1)):
-        k = rng.randint(1, max(1, len(topology.nodes) // 2))
-        island = tuple(sorted(rng.sample(list(topology.nodes), k)))
-        steps.append(ScheduleStep(start, "partition", island=island))
-        steps.append(ScheduleStep(end, "heal"))
-
+    steps = _crashes(rng, rng.randint(2, 5), topology.crash_targets, lo, hi, (0.03, 0.15), duration)
+    steps += _losses(rng, rng.randint(0, 1), lo, hi, 0.15)
+    steps += _partitions(rng, rng.randint(0, 1), topology.nodes, lo, hi)
     return Schedule(steps)
 
 
@@ -253,23 +262,11 @@ def _reconfig_schedule(
             rng.uniform(lo, hi), "ring_merge", island=(str(a), str(b)),
         ))
 
-    for _ in range(rng.randint(1, 2)):
-        target = rng.choice(topology.crash_targets)
-        t = rng.uniform(lo, hi)
-        steps.append(ScheduleStep(t, "crash", target=target))
-        dt = rng.uniform(0.05, 0.25) * duration
-        steps.append(ScheduleStep(min(t + dt, hi), "restart", target=target))
-
-    for start, end in _phase_windows(rng, lo, hi, rng.randint(0, 1)):
-        k = rng.randint(1, max(1, len(topology.nodes) // 2))
-        island = tuple(sorted(rng.sample(list(topology.nodes), k)))
-        steps.append(ScheduleStep(start, "partition", island=island))
-        steps.append(ScheduleStep(end, "heal"))
-
-    for start, end in _phase_windows(rng, lo, hi, rng.randint(0, 1)):
-        steps.append(ScheduleStep(start, "loss", p=round(rng.uniform(0.01, 0.15), 4)))
-        steps.append(ScheduleStep(end, "loss_end"))
-
+    steps += _crashes(
+        rng, rng.randint(1, 2), topology.crash_targets, lo, hi, (0.05, 0.25), duration
+    )
+    steps += _partitions(rng, rng.randint(0, 1), topology.nodes, lo, hi)
+    steps += _losses(rng, rng.randint(0, 1), lo, hi, 0.15)
     return Schedule(steps)
 
 
@@ -286,7 +283,7 @@ def _false_suspicion_schedule(
     them all). One group remap lands inside the cut, so a takeover races
     the epoch-cut protocol.
     """
-    steps = generate_schedule(rng, topology, duration).steps
+    steps = _default_schedule(rng, topology, duration, lo, hi).steps
     width = rng.uniform(0.1, 0.25)
     bounds = [lo, *(s.time for s in steps if s.action in ("partition", "heal")), hi]
     gaps = list(zip(bounds[::2], bounds[1::2]))
@@ -318,21 +315,11 @@ def _overload_schedule(
     gateways' bounded intake (delays, then sheds) all actually trigger.
     An occasional loss window keeps the retry traffic itself lossy.
     """
-    steps: list[ScheduleStep] = []
     proposers = [t for t in topology.crash_targets if t.startswith("proposer:")]
     coordinators = [t for t in topology.crash_targets if t.startswith("coordinator:")]
     pool = coordinators + proposers[-2:]
-    for _ in range(rng.randint(1, 3)):
-        target = rng.choice(pool)
-        t = rng.uniform(lo, hi)
-        steps.append(ScheduleStep(t, "crash", target=target))
-        dt = rng.uniform(0.05, 0.25) * duration
-        steps.append(ScheduleStep(min(t + dt, hi), "restart", target=target))
-
-    for start, end in _phase_windows(rng, lo, hi, rng.randint(0, 1)):
-        steps.append(ScheduleStep(start, "loss", p=round(rng.uniform(0.01, 0.15), 4)))
-        steps.append(ScheduleStep(end, "loss_end"))
-
+    steps = _crashes(rng, rng.randint(1, 3), pool, lo, hi, (0.05, 0.25), duration)
+    steps += _losses(rng, rng.randint(0, 1), lo, hi, 0.15)
     return Schedule(steps)
 
 
@@ -365,13 +352,9 @@ def _geo_schedule(
         steps.append(ScheduleStep(end, "wan_jitter_end"))
 
     # Light crash/restart churn on top.
-    for _ in range(rng.randint(0, 2)):
-        target = rng.choice(topology.crash_targets)
-        t = rng.uniform(lo, hi)
-        steps.append(ScheduleStep(t, "crash", target=target))
-        if rng.random() < 0.8:
-            dt = rng.uniform(0.05, 0.3) * duration
-            steps.append(ScheduleStep(min(t + dt, hi), "restart", target=target))
+    steps += _crashes(
+        rng, rng.randint(0, 2), topology.crash_targets, lo, hi, (0.05, 0.3), duration, 0.8
+    )
 
     if not steps:
         # Degenerate draw: force one WAN cut (or a crash pair without
@@ -386,3 +369,18 @@ def _geo_schedule(
             steps.append(ScheduleStep(min(t + 0.2 * duration, hi), "restart", target=target))
 
     return Schedule(steps)
+
+
+# Each fault mix: its schedule generator and its one-line ``--profile`` help.
+PROFILES = {
+    "default": (_default_schedule, "balanced: crashes, partitions, loss, slow network and disk"),
+    "restart-heavy": (_restart_heavy_schedule, "crash/restart churn with checkpointing replicas"),
+    "geo": (_geo_schedule, "multi-datacenter with WAN partitions and jitter"),
+    "overload": (_overload_schedule,
+                 "client-population surge into admission-controlled gateways under outages"),
+    "reconfig": (_reconfig_schedule,
+                 "live group remaps and ring splits/merges racing crashes and partitions"),
+    "false-suspicion": (_false_suspicion_schedule,
+                        "a live coordinator cut off past its suspect timeout and taken over, "
+                        "racing a remap"),
+}

@@ -6,16 +6,16 @@ a per-quantity tolerance band:
 
 * Figure 1 saturation throughput, both modes (tolerance 10%) and the
   In-memory/Recoverable crossover ratio — the model must name the same
-  bottleneck the profiler measures;
+  bottleneck the simulator saturates;
 * Figure 5 multi-ring scaling at several ring counts (10%);
 * response time below saturation (40% — an M/M/1 waiting term against
   a deterministic-service simulator is shape-accurate, not exact);
 * geo stretch latency, base + slowest-member RTT (15%);
 * the Figure 6 learner-ingress ceiling (15% — the model does not
   charge retransmission-repair duplication to the link);
-* measured per-resource utilizations from
-  :meth:`repro.obs.profiler.SimProfiler.utilizations` against the
-  model's utilization vector (10%).
+* the coordinator CPU and disk busy fractions that the Figure 1 runner
+  measures at the Recoverable knee against the model's utilization
+  vector (10%).
 
 Tolerances are deliberately asymmetric with the figures' own assertion
 bands: a model drifting past them fails CI before the figures do.
@@ -26,13 +26,9 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass
 
-from ..calibration import DEFAULT_VALUE_SIZE, mbps_to_bytes_per_s
-from ..obs.profiler import SimProfiler
-from ..ringpaxos.builder import build_ring
-from ..sim.network import Network
-from ..sim.simulator import Simulator
-from ..workload.generator import OpenLoopGenerator
-from ..workload.rates import ConstantRate
+from ..bench.geo import STRETCH_ACCEPTORS, STRETCH_OFFERED_MBPS, run_geo_ring_point
+from ..bench.runner import run_multiring_point, run_single_ring_point
+from ..calibration import DISK_BANDWIDTH_BYTES_PER_S
 from .analytic import MultiRingModel, RingModel
 
 __all__ = ["Check", "run_checks", "format_report", "validate_main", "measure_saturation_mbps"]
@@ -66,7 +62,7 @@ def measure_saturation_mbps(
     durable: bool,
     duration: float = 1.0,
     warmup: float = 0.5,
-    disk_bandwidth: float | None = None,
+    disk_bandwidth: float = DISK_BANDWIDTH_BYTES_PER_S,
 ) -> float:
     """Measured delivery rate of one ring driven well past saturation.
 
@@ -74,46 +70,9 @@ def measure_saturation_mbps(
     tests: ``disk_bandwidth`` overrides the acceptors' disk exactly like
     ``Calibration.with_overrides`` does on the model side.
     """
-    from ..bench.runner import _window, run_single_ring_point
-
-    if disk_bandwidth is None:
-        return run_single_ring_point(
-            900.0, durable=durable, duration=duration, warmup=warmup
-        ).delivered_mbps
-    # The figure runner deliberately has no disk knob; build the ring
-    # directly for perturbation studies.
-    sim = Simulator(seed=1)
-    net = Network(sim)
-    ring = build_ring(sim, net, durable=durable, disk_bandwidth=disk_bandwidth)
-    prop = ring.proposers[0]
-    learner = ring.learners[0]
-    rate = mbps_to_bytes_per_s(900.0) / DEFAULT_VALUE_SIZE
-    OpenLoopGenerator(
-        sim, lambda: prop.multicast(None, DEFAULT_VALUE_SIZE), ConstantRate(rate)
-    ).start()
-    end = warmup + duration
-    delivered = _window(lambda: learner.delivered_bytes.value, sim, warmup)
-    sim.run(until=end)
-    return delivered() / duration * 8.0 / 1e6
-
-
-def _measure_utilizations(
-    offered_mbps: float, durable: bool, duration: float, warmup: float
-) -> dict[str, float]:
-    """Profiler-measured busy fractions for one loaded ring."""
-    sim = Simulator(seed=1)
-    net = Network(sim)
-    profiler = SimProfiler(sim)
-    profiler.watch_network(net)  # before the ring: windows need every submission
-    ring = build_ring(sim, net, durable=durable)
-    prop = ring.proposers[0]
-    rate = mbps_to_bytes_per_s(offered_mbps) / DEFAULT_VALUE_SIZE
-    OpenLoopGenerator(
-        sim, lambda: prop.multicast(None, DEFAULT_VALUE_SIZE), ConstantRate(rate)
-    ).start()
-    end = warmup + duration
-    sim.run(until=end)
-    return profiler.utilizations(warmup, end)
+    return run_single_ring_point(
+        900.0, durable=durable, duration=duration, warmup=warmup, disk_bandwidth=disk_bandwidth
+    ).delivered_mbps
 
 
 # ---------------------------------------------------------------------------
@@ -126,8 +85,6 @@ def run_checks(quick: bool = False) -> list[Check]:
     points (CI smoke); the full suite adds ``n = 4`` scaling and the
     Figure 6 subscribe-all ingress point.
     """
-    from ..bench.geo import run_geo_ring_point
-    from ..bench.runner import run_multiring_point, run_single_ring_point
 
     duration, warmup = (0.5, 0.25) if quick else (1.0, 0.5)
     checks: list[Check] = []
@@ -163,24 +120,24 @@ def run_checks(quick: bool = False) -> list[Check]:
                         ram_model.response_time_s(300.0) * 1e3,
                         point.latency_ms, 0.40, "ms"))
 
-    # Geo stretch: base + slowest-member RTT (the runner's ring has three
-    # acceptors, one of them 25 ms one-way out, loaded at 500 Mbps).
-    geo_model = RingModel(ring_size=3, lambda_rate=0.0, member_rtts=(0.050,))
+    # Geo stretch: base + slowest-member RTT (one of the stretch ring's
+    # acceptors 25 ms one-way out).
+    geo_model = RingModel(ring_size=STRETCH_ACCEPTORS, lambda_rate=0.0, member_rtts=(0.050,))
     geo = run_geo_ring_point(far_ms=25.0, duration=duration, warmup=warmup)
     checks.append(Check("geo.stretch.latency.25ms",
-                        geo_model.response_time_s(500.0) * 1e3,
+                        geo_model.response_time_s(STRETCH_OFFERED_MBPS) * 1e3,
                         geo.latency_ms, 0.15, "ms"))
 
-    # Utilization vector at the Recoverable knee, straight from the
-    # profiler export: the model must apportion busy time like the sim.
-    utils = _measure_utilizations(500.0, durable=True, duration=duration, warmup=warmup)
+    # Utilization vector at the Recoverable knee, from the Figure 1
+    # runner's windows: the model must apportion busy time like the sim.
+    knee = run_single_ring_point(500.0, durable=True, duration=duration, warmup=warmup)
     predicted_util = disk_model.utilization(500.0)
     checks.append(Check("utilization.coordinator_cpu",
                         predicted_util["coordinator.cpu"],
-                        utils["r0-coord.cpu"], 0.10, "frac"))
+                        knee.cpu_pct / 100.0, 0.10, "frac"))
     checks.append(Check("utilization.acceptor_disk",
                         predicted_util["acceptor.disk"],
-                        utils["r0-coord.disk"], 0.10, "frac"))
+                        knee.extra["disk_util_pct"] / 100.0, 0.10, "frac"))
 
     if not quick:
         # Figure 6: subscribe-all learner hits its ingress ceiling. The

@@ -196,7 +196,7 @@ class SimProfiler:
     def utilizations(self, start: float = 0.0, end: float | None = None) -> dict[str, float]:
         """Measured utilization per component, as a plain dict.
 
-        The export the model-vs-sim validator consumes: keys are the
+        The export the repo benchmark's recorder consumes: keys are the
         profiler's component names (``<node>.cpu``, ``<node>.nic.tx``,
         ``<node>.disk``, ...), values are busy fractions of the window.
         Idle components are omitted, like :meth:`report`.

@@ -27,6 +27,7 @@ from repro.check import (
     shrink,
 )
 from repro.cli import main
+from repro.errors import ConfigurationError
 
 
 class TestDrawConfig:
@@ -175,6 +176,34 @@ class TestFailureFiles:
         path.write_text(json.dumps({"version": 99}))
         with pytest.raises(ValueError):
             load_failure(path)
+
+    def _load_with_config(self, tmp_path, **overrides):
+        data = failure_to_dict(self._failure())
+        data["config"].update(overrides)
+        path = tmp_path / "failure.json"
+        path.write_text(json.dumps(data))
+        return load_failure(path)
+
+    @pytest.mark.parametrize("field, value", [("n_proposers", 0),
+                                              ("messages_per_proposer", -5)])
+    def test_config_without_proposals_rejected(self, tmp_path, field, value):
+        # With nothing proposed, liveness would hold vacuously.
+        with pytest.raises(ConfigurationError, match=field):
+            self._load_with_config(tmp_path, **{field: value})
+
+    @pytest.mark.parametrize("profile", ["nope", "false_suspicion"])
+    def test_config_unknown_profile_rejected(self, tmp_path, profile):
+        with pytest.raises(ConfigurationError, match="profile"):
+            self._load_with_config(tmp_path, profile=profile)
+
+    @pytest.mark.parametrize("duration", [float("nan"), float("inf"), 0.0])
+    def test_config_duration_must_be_finite_and_positive(self, tmp_path, duration):
+        with pytest.raises(ConfigurationError, match="duration"):
+            self._load_with_config(tmp_path, duration=duration)
+
+    def test_config_unknown_key_rejected(self, tmp_path):
+        with pytest.raises(ConfigurationError, match="n_proposer"):
+            self._load_with_config(tmp_path, n_proposer=2)
 
 
 class TestCli:

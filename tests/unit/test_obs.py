@@ -9,7 +9,7 @@ import pytest
 
 import repro
 
-from repro.bench.report import read_jsonl, write_jsonl
+from repro.bench.report import read_jsonl
 from repro.calibration import DEFAULT_VALUE_SIZE
 from repro.metrics import MetricsRegistry
 from repro.obs import (
@@ -495,13 +495,6 @@ def test_collecting_session_records_equal_the_emitted_file(tmp_path):
     assert emitted.records() == []
     assert collected.records() == read_jsonl(str(path))
     assert collected.records()[0]["type"] == "meta"
-
-
-def test_write_jsonl_round_trip(tmp_path):
-    path = tmp_path / "rows.jsonl"
-    rows = [{"a": 1}, {"a": 2, "b": [1, 2]}]
-    assert write_jsonl(str(path), rows) == 2
-    assert read_jsonl(str(path)) == rows
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,14 @@
 """Tests for report formatting and the CLI plumbing (no experiments run)."""
 
+import inspect
+
 import pytest
 
+import repro.bench.figures as figures_mod
 from repro.bench.figures import FIGURES, run_figure
 from repro.bench.report import format_table, series_to_rows
 from repro.cli import main
+from repro.parallel import resolve_callable
 
 
 # ---------------------------------------------------------------------------
@@ -50,6 +54,32 @@ def test_figure_registry_covers_all_paper_figures():
 def test_run_figure_rejects_unknown_names():
     with pytest.raises(KeyError):
         run_figure("fig99")
+
+
+class _SweepRecorded(Exception):
+    pass
+
+
+@pytest.mark.parametrize("name, quick", [
+    (name, quick)
+    for name, fn in sorted(FIGURES.items())
+    for quick in ((False, True) if "quick" in inspect.signature(fn).parameters else (False,))
+])
+def test_figure_specs_bind_to_their_runners(monkeypatch, name, quick):
+    # Figures run only outside tier-1, so without this a spec passing a
+    # keyword its runner no longer takes fails only when the figure runs.
+    recorded = []
+
+    def record(specs):
+        recorded.extend(specs)
+        raise _SweepRecorded
+
+    monkeypatch.setattr(figures_mod, "run_sweep", record)
+    with pytest.raises(_SweepRecorded):
+        run_figure(name, quick=quick)
+    assert recorded
+    for spec in recorded:
+        inspect.signature(resolve_callable(spec.fn)).bind(**spec.kwargs)
 
 
 def test_cli_list(capsys):
