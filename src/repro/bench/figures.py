@@ -468,8 +468,8 @@ def figure_elasticity(quick: bool = False):
 
     Two groups each sustain a steady closed-loop load. At ``remap_at``
     the reconfiguration manager moves group 1 from ring 1 onto ring 0
-    (drain, leave/join cuts, seq handoff) while traffic keeps flowing;
-    at ``split_at`` the now-doubled ring 0 is split, deploying a fresh
+    (hold, drain, join and switch cuts, seq handoff) while traffic keeps
+    flowing; at ``split_at`` the now-doubled ring 0 is split, deploying a fresh
     ring mid-run and moving group 1 onto it. The table and sparklines
     show per-group and total delivered throughput staying up across
     both epoch changes; the annotations report when each operation
@@ -496,9 +496,7 @@ def figure_elasticity(quick: bool = False):
         f"\n\nremap committed at t={res.extra['remap_done_at']:.3f}s"
         f" (triggered t={res.extra['remap_at']:.1f}s);"
         f" split deployed ring {res.extra['split_new_ring']}"
-        f" (final epoch {res.extra['final_epoch']},"
-        f" {res.extra['values_bounced']:.0f} bounced,"
-        f" {res.extra['values_forwarded']:.0f} forwarded)"
+        f" (final epoch {res.extra['final_epoch']})"
     )
     return res, table
 

@@ -567,8 +567,8 @@ def run_elasticity_timeseries(
 
     Two groups start on their own rings. At ``remap_at`` the
     reconfiguration manager live-remaps group 1 onto ring 0 (the
-    ring-merge direction: three epoch cuts, proposer hold, bounced-value
-    forwarding); at ``split_at`` the now-shared ring is split back, which
+    ring-merge direction: proposer hold, drain off ring 1, then two epoch
+    cuts); at ``split_at`` the now-shared ring is split back, which
     deploys a fresh ring mid-run and moves group 1 onto it. Closed-loop
     throttled senders of 8 KiB values per group, 8000 outstanding at
     most, expose any delivery stall as a visible throughput dip, and the
@@ -623,7 +623,5 @@ def run_elasticity_timeseries(
             "remap_done_at": done_at.get("remap"),
             "split_new_ring": done_at.get("split_new_ring"),
             "final_epoch": mrp.reconfig.epoch,
-            "values_bounced": mrp.reconfig.values_bounced.value,
-            "values_forwarded": mrp.reconfig.values_forwarded.value,
         },
     )

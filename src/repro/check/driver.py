@@ -210,10 +210,10 @@ def draw_config(rng: random.Random, profile: str = "default") -> CaseConfig:
     elif profile == "reconfig":
         # Overrides on top of the frozen base: live elasticity. Remaps
         # need at least two groups (so a move actually changes the
-        # mapping), and every learner subscribes to every group —
-        # identical subscription sets are the scope within which the
-        # deterministic merge defines a common order across an in-flight
-        # remap (see docs/protocol.md). Volatile acceptors, no replicas:
+        # mapping), and every learner subscribes to every group, as the
+        # corpus seeds were drawn (learners with different subscriptions
+        # across a remap are the false-suspicion profile's, and
+        # test_reconfiguration.py's). Volatile acceptors, no replicas:
         # checkpoint truncation during a mid-move coordinator change is a
         # documented open interaction, not what this profile hunts.
         config.durable = False

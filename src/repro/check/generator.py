@@ -232,9 +232,9 @@ def _reconfig_schedule(
     because ring ids are allocated ``max + 1``; a merge drawn without a
     preceding split is aimed between existing rings. On top: the same
     crash/restart churn and partition windows as the default mix, so
-    drains, bounced-value forwarding and cut retries run under coordinator
-    loss and network splits — the hand-off paths the epoch-boundary
-    oracles watch.
+    proposer holds, drains (retransmissions decided on the source ring)
+    and cut retries run under coordinator loss and network splits — the
+    hand-off paths the epoch-boundary oracles watch.
     """
     steps: list[ScheduleStep] = []
     groups = topology.groups or (0,)

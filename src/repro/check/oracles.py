@@ -369,12 +369,12 @@ class SafetyOracles:
 
         Within one ring this follows from per-ring total order plus the
         coordinator's in-order ingestion. The oracle earns its keep at
-        epoch boundaries: when a group moves rings, the sender's seq is
-        bumped past its old ring's stream and bounced values keep their
-        old seqs, so a hand-off that loses the boundary ordering — a
-        new-ring value slipping in front of the drained suffix, or a
-        bounced value delivered twice under one seq — reads as a seq
-        repeat or regression here.
+        epoch boundaries: when a group moves rings, its old-ring values
+        are all decided before the cuts and the sender's seq is bumped
+        past its old ring's stream, so a hand-off that loses the boundary
+        ordering — a new-ring value slipping in front of the drained
+        suffix, or an old-ring value ordered again after the switch —
+        reads as a seq repeat or regression here.
         """
         for learner, log in sorted(self._delivery_log.items()):
             last: dict[tuple[str, int], int] = {}

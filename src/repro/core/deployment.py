@@ -247,6 +247,9 @@ class MultiRingPaxos:
         )
         if admission is not None:
             proposer.enable_admission(admission)
+        if self.reconfig.moving_group is not None:
+            # A group mid-move reaches no ring until the move releases it.
+            proposer.hold_group(self.reconfig.moving_group)
         self._proposer_count += 1
         self.proposers.append(proposer)
         return proposer
@@ -293,10 +296,16 @@ class MultiRingPaxos:
         The ring starts with no groups — traffic arrives once the
         reconfiguration manager remaps a group onto it. Its configuration
         enters the shared ``ring_configs``, so every learner and proposer
-        can subscribe or submit there later.
+        can subscribe or submit there later. Its first instance is a skip
+        of the λ·t instances a ring deployed at time 0 has decided by now,
+        so its instance numbers line up with the other rings' in the
+        learners' merge rounds.
         """
         ring_id = max(self.rings) + 1 if self.rings else 0
-        self.rings[ring_id] = self._build_ring(ring_id)
+        handle = self.rings[ring_id] = self._build_ring(ring_id)
+        behind = int(round(self.config.lambda_rate * self.sim.now))
+        if behind > 0:
+            handle.coordinator.propose_skip(behind)
         return ring_id
 
     def retire_ring(self, ring_id: int) -> None:

@@ -86,16 +86,9 @@ class GroupRegistry:
         return sorted(self._groups)
 
     def rings_for(self, group_ids: list[int]) -> list[int]:
-        """Rings to subscribe for ``group_ids``: deduplicated, ordered by
-        the smallest subscribing group id — every learner with the same
-        subscription set derives the identical ring order, which the
-        deterministic merge requires."""
-        seen: list[int] = []
-        for gid in sorted(group_ids):
-            rid = self.ring_for(gid)
-            if rid not in seen:
-                seen.append(rid)
-        return seen
+        """Rings to subscribe for ``group_ids``, ascending: the visit order
+        of the deterministic merge, the same for every learner."""
+        return sorted({self.ring_for(gid) for gid in group_ids})
 
     def groups_on_ring(self, ring_id: int) -> list[int]:
         """Group ids mapped onto ``ring_id``, ascending."""

@@ -215,12 +215,11 @@ class MultiRingLearner(Process):
         * ``join`` (new ring): from here on, values of the moving group
           may appear on the new ring — hold them until the old-ring
           suffix is drained (i.e. until the switch cut);
-        * ``leave`` (old ring): the last old-epoch value of the group
-          precedes this cut — informational, the suffix ends here;
         * ``switch`` (old ring): the activation point — re-derive the
-          ring set with the group on its new ring, reset the merge
-          cursor, flush held values, and (for learners new to the ring)
-          start a ring learner positioned at the join instance.
+          ring set with the group on its new ring, flush held values,
+          (for learners new to the ring) start a ring learner positioned
+          at the join instance, and hand the merge the new ring set at
+          its current place.
         """
         move = self._moves.get(cut.epoch)
         if move is None:
@@ -252,12 +251,14 @@ class MultiRingLearner(Process):
             return  # a co-hosted group's move; our ring set is unchanged
         new_ring = move["new_ring"]
         self._group_rings[group] = new_ring
-        new_order = self._derive_ring_order()
+        new_order = sorted(set(self._group_rings.values()))
+        joined = None
         if new_ring not in self.ring_learners:
-            self._start_ring_learner(new_ring, move["join_instance"], move["epoch"])
-        # The old-ring suffix is fully delivered (the switch follows the
-        # leave in the old ring's stream); the held new-ring values are
-        # next, in their decided order.
+            joined = (new_ring, move["join_instance"])
+            self._start_ring_learner(*joined, move["epoch"])
+        # The old-ring suffix is fully delivered (the group drained off the
+        # old ring before the switch was submitted); the held new-ring
+        # values are next, in their decided order.
         holds, move["holds"] = move["holds"], []
         for rid, inst, value in holds:
             self._merged_delivery(rid, inst, value)
@@ -266,18 +267,7 @@ class MultiRingLearner(Process):
                 dropped = self.ring_learners.pop(rid)
                 dropped.crash()
                 self.network.leave(dropped.config.multicast_group, self.node.name)
-        self.merge.set_ring_order(new_order)
-
-    def _derive_ring_order(self) -> list[int]:
-        """The subscription-derived visit order under ``_group_rings`` —
-        the same derivation as ``GroupRegistry.rings_for``, from this
-        learner's (possibly mid-reconfiguration) local view."""
-        order: list[int] = []
-        for gid in self.subscriptions:  # already sorted
-            rid = self._group_rings[gid]
-            if rid not in order:
-                order.append(rid)
-        return order
+        self.merge.set_ring_order(new_order, joined)
 
     def _start_ring_learner(self, ring_id: int, join_instance: int, epoch: int) -> None:
         learner = RingLearner(
@@ -347,7 +337,7 @@ class MultiRingLearner(Process):
 
         Captured between deliveries (the replica checkpoints after fully
         applying a command), so the per-ring input positions plus the merge
-        state — cursor, quota and what it has buffered — describe the
+        state — its place and what it has buffered — describe the
         delivery sequence position exactly.
         """
         return {

@@ -2,11 +2,13 @@
 
 A learner subscribed to several rings receives one gapless, ordered stream
 of decided items per ring. The merge delivers them round-robin: rings are
-visited in a fixed, subscription-derived order, and exactly M consecutive
-consensus instances are consumed from a ring before moving to the next.
-Since every learner with overlapping subscriptions visits rings in the
-same order with the same M, any two learners deliver their common messages
-in the same relative order — uniform partial order.
+visited in ascending ring id, and exactly M consecutive consensus
+instances are consumed from a ring before moving to the next, so ring
+``r``'s instance ``i`` is consumed in round ``i // M`` at ring ``r``'s
+turn. That place depends on nothing a learner subscribes to, so any two
+learners deliver their common messages in the same relative order —
+uniform partial order — also when a group remap changes one learner's
+ring set and not the other's.
 
 Consuming an instance means: deliver every client value in a data batch
 (one batch occupies one instance), or silently absorb one instance of a
@@ -22,6 +24,7 @@ instances the learner halts, reproducing the overflow halt of Figure 10.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from typing import Callable
 
@@ -37,7 +40,7 @@ class DeterministicMerge:
     Parameters
     ----------
     ring_order:
-        Ring ids in the fixed visit order (derived from group ids).
+        Ring ids in the visit order: ascending.
     m:
         Consensus instances consumed per ring per visit (the paper's M).
     on_deliver:
@@ -61,10 +64,7 @@ class DeterministicMerge:
         on_halt: Callable[[], None] | None = None,
         metrics: MetricsRegistry | None = None,
     ) -> None:
-        if not ring_order:
-            raise ValueError("merge needs at least one ring")
-        if len(set(ring_order)) != len(ring_order):
-            raise ValueError("ring_order must not repeat rings")
+        _check_order(ring_order)
         if m <= 0:
             raise ValueError("M must be positive")
         self.ring_order = list(ring_order)
@@ -87,6 +87,10 @@ class DeterministicMerge:
         self._queues: dict[int, deque] = {rid: deque() for rid in ring_order}
         self._cursor = 0
         self._quota = m
+        self._round = 0
+        # Set while a ring that joined behind the merge's place catches up:
+        # the (cursor, quota) to go on from afterwards.
+        self._resume: tuple[int, int] | None = None
         self._restart = False
 
     # ------------------------------------------------------------------
@@ -126,6 +130,7 @@ class DeterministicMerge:
                 self._quota == self.m
                 and queue
                 and isinstance(queue[0], list)
+                and self._resume is None
                 and self._skip_rounds()
             ):
                 idle_visits = 0
@@ -156,9 +161,8 @@ class DeterministicMerge:
                         self.on_deliver(ring_id, instance, value)
                     if self._restart:
                         # A delivery changed the ring set under us (a
-                        # reconfiguration cut was consumed): every local
-                        # cursor here is stale, start over from the new
-                        # order's first ring.
+                        # reconfiguration cut was consumed): the locals
+                        # here are stale, go on from the merge's place.
                         self._advance(now)
                         return
                     consumed_any = True
@@ -193,6 +197,7 @@ class DeterministicMerge:
             if take is None or head[0] < take:
                 take = head[0]
         take -= take % m
+        self._round += take // m
         for ring_id, queue in self._queues.items():
             head = queue[0]
             head[0] -= take
@@ -206,15 +211,21 @@ class DeterministicMerge:
         return True
 
     def _next_ring(self) -> None:
-        self._cursor = (self._cursor + 1) % len(self.ring_order)
+        if self._resume is not None:
+            (self._cursor, self._quota), self._resume = self._resume, None
+            return
+        self._cursor += 1
+        if self._cursor == len(self.ring_order):
+            self._cursor = 0
+            self._round += 1
         self._quota = self.m
 
     # ------------------------------------------------------------------
     # Checkpoint support
     # ------------------------------------------------------------------
-    def snapshot(self) -> tuple[int, int, dict[int, list]]:
+    def snapshot(self) -> tuple:
         """The merge state for a checkpoint: (cursor, remaining quota,
-        each ring's buffered entries).
+        each ring's buffered entries, round, catch-up resume point).
 
         The ring learners' checkpointed positions are their *input*
         positions, past everything buffered here, so a restore cannot
@@ -223,9 +234,9 @@ class DeterministicMerge:
         entries are immutable and shared.
         """
         queues = {ring_id: _copy_entries(queue) for ring_id, queue in self._queues.items()}
-        return (self._cursor, self._quota, queues)
+        return (self._cursor, self._quota, queues, self._round, self._resume)
 
-    def restore(self, state: tuple[int, int, dict[int, list]]) -> None:
+    def restore(self, state: tuple) -> None:
         """Rewind to a checkpointed state, buffered items included.
 
         The owning learner rolls its ring learners back to the matching
@@ -233,7 +244,7 @@ class DeterministicMerge:
         hold. A ring joined since the checkpoint starts empty. The entries
         are copied again: one checkpoint may be restored more than once.
         """
-        self._cursor, self._quota, queues = state
+        self._cursor, self._quota, queues, self._round, self._resume = state
         buffered = 0
         for ring_id in self._queues:
             self._queues[ring_id] = deque(_copy_entries(queues.get(ring_id, ())))
@@ -245,22 +256,26 @@ class DeterministicMerge:
     # ------------------------------------------------------------------
     # Reconfiguration
     # ------------------------------------------------------------------
-    def set_ring_order(self, ring_order: list[int]) -> None:
-        """Adopt a new visit order at a reconfiguration cut.
+    def set_ring_order(self, ring_order: list[int], joined: tuple[int, int] | None = None) -> None:
+        """Adopt a new ring set at a reconfiguration cut, keeping the place.
 
-        Safe to call from within ``on_deliver`` — the merge loop restarts
-        itself with the new order after finishing the batch in hand. The
-        cursor resets to the first ring: every learner switches at the
-        same point of its delivery stream (the decided cut), so resetting
-        deterministically keeps the common-order guarantee. Queues of
-        rings leaving the subscription are discarded (their remaining
-        items belong to groups this learner no longer receives); rings
-        joining start with an empty queue.
+        Safe to call from within ``on_deliver`` — the merge loop goes on
+        after finishing the batch in hand. The ring whose turn it is keeps
+        its turn if it stays, else the turn passes to the next ring in
+        order: a learner whose ring set did not change goes on through
+        the same rounds. Queues of rings leaving are discarded (their
+        remaining items belong to groups this learner no longer receives);
+        rings joining start with an empty queue.
+
+        ``joined`` is ``(ring, instance)`` for a ring whose stream starts
+        at ``instance`` rather than where the merge's place has reached on
+        it. A gap up to ``instance`` is absorbed as skips; instances the
+        place has already passed are consumed first, before the merge goes
+        on — where a learner that had the ring all along released the
+        values it held for the move.
         """
-        if not ring_order:
-            raise ValueError("merge needs at least one ring")
-        if len(set(ring_order)) != len(ring_order):
-            raise ValueError("ring_order must not repeat rings")
+        _check_order(ring_order)
+        current = self.ring_order[self._cursor]
         for rid in ring_order:
             if rid not in self._queues:
                 self._queues[rid] = deque()
@@ -273,8 +288,22 @@ class DeterministicMerge:
                 self.queue_gauges[rid].value = 0
                 del self._queues[rid]
         self.ring_order = list(ring_order)
-        self._cursor = 0
-        self._quota = self.m
+        rnd = self._round
+        self._cursor = bisect_left(ring_order, current)
+        if current not in ring_order:  # the turn passes on, maybe round the wrap
+            self._round += self._cursor == len(ring_order)
+            self._cursor, self._quota = self._cursor % len(ring_order), self.m
+        if joined is not None:
+            ring_id, start = joined
+            # Rings before the current one have had this round's turn.
+            place = (rnd + (ring_id < current)) * self.m
+            if start > place:
+                self._queues[ring_id].append([start - place])
+                self.buffered_instances.value += start - place
+                self.queue_gauges[ring_id].value += start - place
+            elif start < place:
+                self._resume = (self._cursor, self._quota)
+                self._cursor, self._quota = ring_order.index(ring_id), place - start
         self._restart = True
 
     def _halt(self, now: float) -> None:
@@ -292,6 +321,13 @@ class DeterministicMerge:
         for entry in self._queues[ring_id]:
             total += entry[0] if isinstance(entry, list) else 1
         return total
+
+
+def _check_order(ring_order: list[int]) -> None:
+    if not ring_order:
+        raise ValueError("merge needs at least one ring")
+    if list(ring_order) != sorted(set(ring_order)):
+        raise ValueError("ring_order must be ascending ring ids")
 
 
 def _copy_entries(queue) -> list:

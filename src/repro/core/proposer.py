@@ -88,30 +88,28 @@ class MultiRingProposer(Process):
     # Reconfiguration (live group remap)
     # ------------------------------------------------------------------
     def hold_group(self, group_id: int) -> None:
-        """Queue new multicasts to ``group_id`` while its remap drains."""
+        """Queue new multicasts to ``group_id`` until its remap releases it."""
         self._held.setdefault(group_id, [])
 
-    def unacked_for(self, ring_id: int, group_id: int) -> int:
-        """Submissions of ``group_id`` still outstanding on ``ring_id``."""
+    def undecided_on(self, ring_id: int, group_id: int) -> bool:
+        """Whether a submission of ``group_id`` is undecided on ``ring_id``."""
         proposer = self._ring_proposers.get(ring_id)
-        if proposer is None:
-            return 0
-        return sum(1 for v in proposer._unacked.values() if v.group == group_id)
+        return proposer is not None and any(
+            v.group == group_id for v in proposer._unacked.values()
+        )
 
     def complete_group_move(self, group_id: int, old_ring: int, new_ring: int) -> bool:
-        """Release a held group once its old-ring submissions drained.
+        """Release a held group onto ``new_ring`` (its old-ring
+        submissions are all decided: the move drained them first).
 
         The registry already points the group at ``new_ring``. The new
         ring's sequence counter is bumped past the old ring's so a
         (sender, seq, group) identity can never repeat across the move —
         the decided watermarks both coordinators keep per sender are
         monotonic in seq, and the at-most-once oracle keys on the triple.
-        Returns False (retry later) while old-ring values are still
-        undecided or this proposer is down.
+        Returns False (retry later) while this proposer is down.
         """
         if self.crashed:
-            return False
-        if self.unacked_for(old_ring, group_id):
             return False
         old = self._ring_proposers.get(old_ring)
         held = self._held.pop(group_id, None)

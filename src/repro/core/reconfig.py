@@ -7,45 +7,42 @@ rings themselves** — reconfiguration rides the same total order it
 reconfigures, so every learner observes a move at a definite position of
 its delivery stream and no out-of-band agreement service is needed.
 
-A live group remap (group ``g`` from ring A to ring B) proceeds as::
+A live group remap (group ``g`` from ring A to ring B) drains, then cuts::
 
     epoch e := next epoch
-    1. hold   — every proposer queues new multicasts to g locally;
-                A's coordinator *redirects* in-flight submissions of g to
-                the manager (bounce queue) instead of ordering them.
-    2. leave  — cut (e, g, A->B, "leave") decided on A at instance C.
-                Because the redirect precedes the cut and ingestion is
-                FIFO, every A-ordered value of g sits at an instance < C:
-                the old-epoch suffix of g is exactly A's stream up to C.
-    3. join   — cut decided on B at instance J; no value of g is ordered
-                on B before J. The group table flips to B, both rings'
-                skip managers re-anchor their rate windows, and the
-                manager starts forwarding bounced values to B (original
-                sender/seq, ``redirected=True``), in per-sender order.
+    1. hold   — every proposer queues new multicasts to g locally (a
+                proposer added while the move is in flight holds g too).
+    2. drain  — wait until no proposer has an undecided submission of g
+                on A. Proposers retransmit until a value is decided, so
+                every g value ever sent to A is decided on A, below any
+                instance a later cut can take: g's old-epoch stream on A
+                ends before the cuts begin.
+    3. join   — cut (e, g, A->B, "join") decided on B at instance J; no
+                value of g is ordered on B before J (g is held). The
+                group table flips to B and both rings' skip managers
+                re-anchor their rate windows.
     4. switch — cut decided on A carrying ``join_instance=J``. Learners
                 activate the new configuration exactly when they consume
                 this cut: the old-ring suffix is fully delivered, held
                 new-ring values flush, and learners new to B start a ring
                 learner positioned at J.
-    5. release — once a proposer has no undecided g-submissions left on
-                A (bounced values count as decided when their forwarded
-                copy decides on B and A's watermark is advanced), its
-                held queue drains onto B. The operation completes when
-                all three cuts are decided, every bounced value's
-                decision was observed, and every proposer released.
+    5. release — every proposer's held queue goes to B, its seq there
+                bumped past its old-ring seq. The operation completes when
+                both cuts are decided and every proposer released.
 
-Correctness scope (documented limitations):
+The drain is checked when the hold starts, on every retry tick and on
+every decision of the old ring; the manager touches a coordinator only
+through :meth:`~repro.ringpaxos.coordinator.RingCoordinator.submit_unique`
+and its decide hook.
 
-* The uniform-partial-order guarantee across a remap holds for learner
-  sets with **identical subscription sets** (they run the same
-  deterministic merge and switch at the same cut). Learners with
-  heterogeneous subscriptions may transiently disagree on the relative
-  order of messages from *different* groups while a move is in flight.
-* Combining durable replica checkpoint log-truncation with a coordinator
-  failover *during* a remap can garbage-collect the evidence the release
-  gate needs; deployments using the reconfiguration manager should not
-  truncate acceptor logs mid-move (the fuzz profile runs without
-  replicas for this reason).
+Learners with different subscriptions agree across a move: the merge
+keeps its place at the switch (see
+:meth:`~repro.core.merge.DeterministicMerge.set_ring_order`). Documented
+limitation: combining durable replica checkpoint log-truncation with a
+coordinator failover *during* a remap can garbage-collect the evidence
+the drain needs; deployments using the reconfiguration manager should
+not truncate acceptor logs mid-move (the fuzz profile runs without
+replicas for this reason).
 
 The manager is constructed by every deployment but schedules **nothing**
 until an operation is requested — an idle deployment's event sequence is
@@ -73,8 +70,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 __all__ = ["ReconfigManager", "Autoscaler", "AutoscalePolicy"]
 
-# How often the manager retries outstanding cut submissions, re-drives
-# bounce forwarding, and re-checks completion. Small relative to protocol
+# How often the manager re-checks the drain, retries outstanding cut
+# submissions and re-checks completion. Small relative to protocol
 # timeouts: retries are idempotent (keyed submissions) so the only cost
 # of a tick is a few dict probes.
 RETRY_INTERVAL = 0.05
@@ -94,15 +91,9 @@ class ReconfigManager:
         self.epoch = 0
         self._queue: deque[dict] = deque()
         self._active: dict | None = None
-        # (ring_id, group) -> the op draining that group off that ring.
-        # Entries persist after completion: the redirect stays installed
-        # as a sink that advances the sender watermark for any straggling
-        # retransmission (all pre-release values are already resolved, so
-        # the sink can only ack, never lose).
-        self._drains: dict[tuple[int, int], dict] = {}
         self._spare_seq: dict[int, int] = {}
-        # Rings whose decide hook observes cuts and forwarded values. The
-        # hook is ring state: a takeover hands it to the new coordinator.
+        # Rings whose decide hook observes cuts and drains. The hook is
+        # ring state: a takeover hands it to the new coordinator.
         self._hooked: set[int] = set()
         self._timer = PeriodicTimer(self.sim, RETRY_INTERVAL, self._tick)
         self.metrics = mrp.metrics.child(role="reconfig")
@@ -111,8 +102,6 @@ class ReconfigManager:
         self.ring_merges = self.metrics.counter("ring_merges")
         self.ops_completed = self.metrics.counter("ops_completed")
         self.cut_retries = self.metrics.counter("cut_retries")
-        self.values_bounced = self.metrics.counter("values_bounced")
-        self.values_forwarded = self.metrics.counter("values_forwarded")
         self.pending_ops = self.metrics.gauge("pending_ops")
         self.epoch_gauge = self.metrics.gauge("epoch")
 
@@ -141,9 +130,8 @@ class ReconfigManager:
             "old_ring": None,  # bound at start: earlier queued moves may shift it
             "new_ring": new_ring,
             "epoch": None,
-            "cuts": {"leave": None, "join": None, "switch": None},
-            "bounced": {},        # sender -> {seq: ClientValue}
-            "forward_next": {},   # sender -> next old-ring seq to resolve
+            "drained": False,
+            "cuts": {"join": None, "switch": None},
             "done": False,
             "on_done": on_done,
         }
@@ -186,6 +174,11 @@ class ReconfigManager:
     def busy(self) -> bool:
         """True while an operation is in flight or queued."""
         return self._active is not None or bool(self._queue)
+
+    @property
+    def moving_group(self) -> int | None:
+        """The group a remap in flight holds at every proposer, if any."""
+        return self._active["group"] if self._active is not None else None
 
     # -- acceptor / learner elasticity ---------------------------------
     def add_spare(self, ring_id: int) -> Node:
@@ -267,9 +260,14 @@ class ReconfigManager:
             self._timer.start()
 
     def _start_op(self, op: dict) -> None:
-        group = op["group"]
+        group, new_ring = op["group"], op["new_ring"]
+        if self.mrp.rings[new_ring].retired:
+            # A merge queued before this move retired its destination: the
+            # move is abandoned, like a retirement whose ring is back in use
+            # (the group stays where it is, on a ring that still serves).
+            return
         old_ring = self.mrp.registry.ring_for(group)
-        if old_ring == op["new_ring"]:
+        if old_ring == new_ring:
             op["done"] = True
             self.ops_completed.value += 1
             if op["on_done"] is not None:
@@ -281,23 +279,23 @@ class ReconfigManager:
         self.epoch_gauge.value = self.epoch
         self._emit_epoch(op, phase="start")
         self._active = op
-        # The group may be *returning* to a ring it drained off in an
-        # earlier epoch. That epoch's sink redirect is still installed
-        # there and would swallow the group's post-release submissions —
-        # uninstall it now (the proposers hold the group for the whole
-        # move, and the old stream's stragglers are covered by the
-        # coordinator's ordinary per-sender dedup watermarks).
-        if self._drains.pop((op["new_ring"], group), None) is not None:
-            self.mrp.rings[op["new_ring"]].coordinator.redirects.pop(group, None)
         for proposer in self.mrp.proposers:
             proposer.hold_group(group)
-        # Redirect before the leave cut: FIFO ingestion then guarantees
-        # no value of the group is ordered on the old ring after the cut.
-        self._drains[(old_ring, group)] = op
-        self._install_drain(old_ring, group)
         self._hook_ring(old_ring)
-        self._hook_ring(op["new_ring"])
-        self._submit_cut(op, "leave")
+        self._hook_ring(new_ring)
+        self._check_drained(op)
+
+    def _check_drained(self, op: dict) -> None:
+        """Cut once the old ring holds no undecided value of the group.
+
+        Every proposer holds the group, so the condition cannot revert:
+        whatever of the group reached the old ring is decided there, below
+        any instance the switch cut can take."""
+        group, old_ring = op["group"], op["old_ring"]
+        if op["drained"] or any(p.undecided_on(old_ring, group) for p in self.mrp.proposers):
+            return
+        op["drained"] = True
+        self._submit_cut(op, "join")
 
     def _tick(self) -> None:
         op = self._active
@@ -305,9 +303,10 @@ class ReconfigManager:
             self._timer.stop()
             return
         cuts = op["cuts"]
-        if cuts["leave"] is None:
-            retried = self._submit_cut(op, "leave")
-        elif cuts["join"] is None:
+        if not op["drained"]:
+            self._check_drained(op)
+            return
+        if cuts["join"] is None:
             retried = self._submit_cut(op, "join")
         elif cuts["switch"] is None:
             retried = self._submit_cut(op, "switch")
@@ -317,21 +316,14 @@ class ReconfigManager:
             # The keyed submission actually re-entered a coordinator: the
             # previous copy died with a takeover before being recovered.
             self.cut_retries.value += 1
-        if cuts["join"] is not None:
-            self._forward_bounces(op)
         self._check_complete(op)
 
     def _check_complete(self, op: dict) -> None:
-        if op["done"] or any(v is None for v in op["cuts"].values()):
-            return
-        if any(op["bounced"].values()):
+        if op["done"] or op["cuts"]["switch"] is None:
             return
         group, old_ring, new_ring = op["group"], op["old_ring"], op["new_ring"]
-        released = True
-        for proposer in self.mrp.proposers:
-            if not proposer.complete_group_move(group, old_ring, new_ring):
-                released = False
-        if not released:
+        # A list, not a generator: every proposer that can release does.
+        if not all([p.complete_group_move(group, old_ring, new_ring) for p in self.mrp.proposers]):
             return
         op["done"] = True
         self.remaps.value += 1
@@ -362,116 +354,35 @@ class ReconfigManager:
 
     def _on_ring_decide(self, ring_id: int, instance: int, item) -> None:
         values = getattr(item, "values", None)
-        if values is None:
-            return  # a skip range
+        if values is not None:
+            for value in values:
+                if isinstance(value.payload, ConfigChange):
+                    self._on_cut_decided(ring_id, instance, value.payload)
         op = self._active
-        for value in values:
-            if isinstance(value.payload, ConfigChange):
-                self._on_cut_decided(ring_id, instance, value.payload)
-                op = self._active  # a cut can complete/advance the op
-            elif (
-                value.redirected
-                and op is not None
-                and not op["done"]
-                and ring_id == op["new_ring"]
-                and value.group == op["group"]
-            ):
-                queue = op["bounced"].get(value.sender)
-                if queue is not None and queue.pop(value.seq, None) is not None:
-                    self.values_forwarded.value += 1
-                    # The bounced value is now ordered (on the new ring):
-                    # advance the old ring's sender watermark so the
-                    # proposer can forget it and the release gate opens.
-                    old = self.mrp.rings[op["old_ring"]].coordinator
-                    old.note_foreign_decide(value.sender, value.seq)
+        if op is not None and ring_id == op["old_ring"]:
+            self._check_drained(op)
 
     def _on_cut_decided(self, ring_id: int, instance: int, cut: ConfigChange) -> None:
         op = self._active
         if op is None or op["epoch"] != cut.epoch or op["done"]:
             return  # a re-decide of an older epoch's cut after a takeover
         cuts = op["cuts"]
-        if cut.kind == "leave" and ring_id == op["old_ring"]:
-            if cuts["leave"] is None:
-                cuts["leave"] = instance
-                self._submit_cut(op, "join")
-        elif cut.kind == "join" and ring_id == op["new_ring"]:
+        if cut.kind == "join" and ring_id == op["new_ring"]:
             if cuts["join"] is None:
                 cuts["join"] = instance
-                # The binding flips at the join: new submissions target
-                # the new ring, and both rings' skip managers re-anchor
-                # so the epoch boundary is not mistaken for a backlog.
+                # The binding flips at the join: the released values target
+                # the new ring, and both rings' skip managers re-anchor so
+                # the epoch boundary is not mistaken for a backlog.
                 self.mrp.registry.remap(
                     op["group"], op["new_ring"], known_rings=set(self.mrp.rings)
                 )
                 self.mrp.rings[op["old_ring"]].skip_manager.reseed()
                 self.mrp.rings[op["new_ring"]].skip_manager.reseed()
                 self._submit_cut(op, "switch")
-                self._forward_bounces(op)
         elif cut.kind == "switch" and ring_id == op["old_ring"]:
             if cuts["switch"] is None:
                 cuts["switch"] = instance
                 self._check_complete(op)
-
-    # ------------------------------------------------------------------
-    # Bounce / forward (the drain path)
-    # ------------------------------------------------------------------
-    def _install_drain(self, ring_id: int, group: int) -> None:
-        self.mrp.rings[ring_id].coordinator.redirects[group] = (
-            lambda value, _r=ring_id, _g=group: self._drain_value(_r, _g, value)
-        )
-
-    def _drain_value(self, ring_id: int, group: int, value: ClientValue) -> None:
-        op = self._drains.get((ring_id, group))
-        if op is None:  # pragma: no cover - redirect without a drain record
-            return
-        sender, seq = value.sender, value.seq
-        if op["done"]:
-            # Straggling retransmission of a value that already moved:
-            # everything up to the release is resolved, so acknowledging
-            # is safe and unsticks the sender.
-            self.mrp.rings[ring_id].coordinator.note_foreign_decide(sender, seq)
-            return
-        forward_next = op["forward_next"].get(sender)
-        queue = op["bounced"].setdefault(sender, {})
-        if forward_next is not None and seq < forward_next and seq not in queue:
-            return  # duplicate of an already-resolved submission
-        if seq not in queue:
-            self.values_bounced.value += 1
-        queue[seq] = value
-        if op["cuts"]["join"] is not None:
-            self._forward_bounces(op)
-
-    def _forward_bounces(self, op: dict) -> None:
-        """Forward bounced values to the new ring, in per-sender order.
-
-        ``forward_next`` walks each sender's old-ring seq space upward
-        from the old coordinator's decided watermark at first forwarding:
-        a seq in the bounce queue is (re)submitted to the new ring; a seq
-        at or below the old ring's watermark resolved there; anything
-        else is still in flight toward the old ring — stop and wait, the
-        redirect will bounce it here. Queue entries are removed only when
-        their decision is *observed* on the new ring (the manager is the
-        durability holder for bounced values)."""
-        old_coord = self.mrp.rings[op["old_ring"]].coordinator
-        new_coord = self.mrp.rings[op["new_ring"]].coordinator
-        for sender, queue in op["bounced"].items():
-            nxt = op["forward_next"].get(sender)
-            if nxt is None:
-                nxt = old_coord._submit_acked.get(sender, -1) + 1
-            acked = old_coord._submit_acked.get(sender, -1)
-            while True:
-                if nxt in queue:
-                    value = queue[nxt]
-                    if not value.redirected:
-                        value = dataclasses.replace(value, redirected=True)
-                        queue[nxt] = value
-                    new_coord.submit_unique(("fwd", sender, nxt), value)
-                    nxt += 1
-                elif nxt <= acked:
-                    nxt += 1  # resolved on the old ring before the drain
-                else:
-                    break
-            op["forward_next"][sender] = nxt
 
     # ------------------------------------------------------------------
     # Decide hook (ring state: a takeover hands it over as it is)

@@ -86,8 +86,7 @@ class RingCoordinator(Process):
     """Coordinator role of one Ring Paxos instance.
 
     ``on_decide`` (None, or ``(instance, item)`` fired at decision time)
-    and ``redirects`` (group id -> drain handler, see :meth:`_ingest`) are
-    the ring's hooks: a takeover hands both to the successor as they are.
+    is the ring's hook: a takeover hands it to the successor as it is.
     ``metrics`` is the registry to create this coordinator's metrics in
     (labeled with ``ring``/``role``/``node``); a private one when None;
     ``host``, the node's own acceptor on a ring that reconfigures itself.
@@ -145,14 +144,8 @@ class RingCoordinator(Process):
         self._submit_expected: dict[str, int] = {}
         self._submit_acked: dict[str, int] = {}
         self._submit_buffer: dict[str, dict[int, ClientValue]] = {}
-        # Group drains (reconfiguration): values of a redirected group are
-        # bounced to the handler instead of being ordered here. Installed
-        # before the group's leave cut is submitted, so no value of the
-        # group is ordered after the cut; a bounced value has passed
-        # per-sender dedup, so its handler sees it once per coordinator.
-        self.redirects: dict[int, Callable[[ClientValue], None]] = {}
         # Idempotence keys of externally injected values (reconfiguration
-        # cuts, forwarded bounces) already accepted for ordering here.
+        # cuts) already accepted for ordering here.
         self._foreign_keys: set = set()
         self._decided_log: dict[int, DataBatch | SkipRange] = {}
         self._decided_order: deque[int] = deque()
@@ -200,22 +193,8 @@ class RingCoordinator(Process):
         self._ingest(value)
         return True
 
-    def note_foreign_decide(self, sender: str, seq: int) -> None:
-        """Advance ``sender``'s decided watermark for a value ordered
-        elsewhere (a bounced value decided on the group's new ring), and
-        ack so the proposer can drop it."""
-        if self.crashed:
-            return
-        if seq > self._submit_acked.get(sender, -1):
-            self._submit_acked[sender] = seq
-        self._send_ack(sender)
-
     def _ingest(self, value: ClientValue) -> None:
-        """Order ``value`` here — or bounce it if its group is draining."""
-        handler = self.redirects.get(value.group)
-        if handler is not None:
-            handler(value)
-            return
+        """Order ``value`` here."""
         self.submissions.value += 1
         self.batcher.add(value)
 
@@ -474,11 +453,7 @@ class RingCoordinator(Process):
         in hash order, making the trace depend on ``PYTHONHASHSEED``)."""
         senders: dict[str, None] = {}
         for value in batch.values:
-            # A redirected value carries a seq from the sender's stream on
-            # the ring it was bounced off — folding it into this ring's
-            # watermark would ack (and drop) undecided local submissions.
-            # Its origin coordinator is acked via note_foreign_decide.
-            if value.sender and not value.redirected:
+            if value.sender:
                 senders[value.sender] = None
                 acked = max(self._submit_acked.get(value.sender, -1), value.seq)
                 self._submit_acked[value.sender] = acked
@@ -551,18 +526,15 @@ class RingCoordinator(Process):
         for item in best.values():
             if isinstance(item, DataBatch):
                 for value in item.values:
-                    if value.sender and not value.redirected:
+                    if value.sender:
                         have = self._submit_expected.get(value.sender, 0)
                         self._submit_expected[value.sender] = max(have, value.seq + 1)
                     # Re-seed the idempotence keys of recovered control
-                    # cuts and forwarded bounces, so the reconfiguration
-                    # manager's retries stay exactly-once across this
-                    # coordinator change.
+                    # cuts, so the reconfiguration manager's retries stay
+                    # exactly-once across this coordinator change.
                     if isinstance(value.payload, ConfigChange):
                         cut = value.payload
                         self._foreign_keys.add(("cut", cut.epoch, cut.kind))
-                    if value.redirected:
-                        self._foreign_keys.add(("fwd", value.sender, value.seq))
         cursor = start
         while cursor < horizon:
             item = best.get(cursor)

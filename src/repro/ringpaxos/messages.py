@@ -74,11 +74,6 @@ class ClientValue:
     seq: int = 0
     created_at: float = 0.0
     group: int = 0
-    # True for a value bounced off a draining ring and re-submitted on the
-    # group's new ring during a remap. Its ``seq`` belongs to the sender's
-    # *old-ring* stream, so the new ring's coordinator must not fold it
-    # into that sender's local ack watermark.
-    redirected: bool = False
 
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -322,15 +317,13 @@ class CheckpointAck:
 class ConfigChange:
     """An epoch cut, decided *in-ring* as a control value's payload.
 
-    A group remap installs three cuts, all carried inside ordinary
+    A group remap installs two cuts, both carried inside ordinary
     :class:`ClientValue` payloads on the :data:`CONTROL_GROUP` sentinel
     group, so each cut has a definite position in a ring's decided
-    stream:
+    stream. Neither is submitted before the group has drained off its
+    source ring — every value of the group sent there is decided — so
+    the group's old-epoch stream ends below both:
 
-    * ``kind="leave"`` decided first, on the *source* ring at instance C
-      — every value the old ring orders for the group occupies an
-      instance < C, so the group's old-epoch suffix is exactly the
-      stream up to the cut;
     * ``kind="join"`` decided on the *destination* ring at instance J —
       the first instance of the new epoch for the group there (no value
       of the group is ordered on the destination before J);
@@ -348,7 +341,7 @@ class ConfigChange:
     group: int
     old_ring: int
     new_ring: int
-    kind: str  # "leave" | "join" | "switch"
+    kind: str  # "join" | "switch"
     join_instance: int = -1
 
     size: ClassVar[int] = CONTROL_MESSAGE_SIZE

@@ -166,10 +166,14 @@ def test_replica_crash_past_first_checkpoint_recovers():
 # drop the coverage the seed was chosen for.
 RECONFIG_CORPUS = {
     0: (2, {"remap", "ring_split"}),            # remaps + split, loss window
+    1: (2, {"remap", "ring_merge"}),            # remap + merge under crash churn
+    3: (2, {"remap", "ring_merge"}),            # remap + merge, partition + loss
     6: (3, {"remap", "ring_split", "ring_merge"}),  # split then merge back
     10: (3, {"remap", "ring_split"}),           # split + remaps under partition
+    13: (2, {"remap", "ring_split"}),           # values in flight on the source ring
     14: (2, {"ring_split", "ring_merge"}),      # split/merge + partition + churn
     17: (3, {"remap", "ring_merge"}),           # merge under loss + partition
+    20: (3, {"remap", "ring_split"}),           # values in flight, loss + partition
     25: (2, {"remap", "ring_merge"}),           # chained remaps then merge
 }
 
@@ -192,8 +196,9 @@ def test_group_remap_survives_partition_of_source_ring():
     """Acceptance schedule: a live remap's source ring is partitioned off
     mid-move. Seed 0 maps group 1 onto ring 1; the remap starts at 0.3 s
     and the partition isolates ring 1's coordinator and an acceptor at
-    0.35 s — before the leave cut can decide — so the manager's retry
-    timer must carry the cut across the heal at 0.8 s. Everything the
+    0.35 s — before the group can drain off ring 1 and the switch cut can
+    decide there — so the manager's retry tick must carry the drain and
+    the cuts across the heal at 0.8 s. Everything the
     proposer multicast must still deliver exactly once, in per-sender
     seq order, with epochs monotone (group-fifo / epoch-order oracles).
     """
@@ -213,9 +218,9 @@ def test_ring_split_under_load_delivers_everything():
     """Acceptance schedule: consolidate both groups onto ring 0, then
     split the now-overloaded ring while the workload is still submitting
     (traffic spans the first 80% of the run). The split deploys a fresh
-    ring mid-run and moves group 1 onto it; in-flight values bounce off
-    the draining ring and must re-decide on the new one without loss,
-    duplication, or seq reordering.
+    ring mid-run and moves group 1 onto it; values in flight to the old
+    ring must decide there before the cuts, and the held ones on the new
+    ring after them, without loss, duplication, or seq reordering.
     """
     base = run_case(0, profile="reconfig")
     assert base.ok
@@ -258,12 +263,17 @@ def test_corpus_seed_is_deterministic():
 
 # False-suspicion profile: the default mix plus a live coordinator cut off
 # past its suspect timeout and a group remap racing the takeover, on rings
-# with one spare each. Every seed here failed while takeovers were run by
-# an orchestrator reading liveness; seed: the oracle it failed then.
+# with one spare each. Seeds 3, 13 and 17 failed while takeovers were run
+# by an orchestrator reading liveness. 27 and 34 remap a group for
+# learners with different subscriptions: with a merge that restarts its
+# rounds at the switch cut, 34 fails, and so does 27 once the remap
+# drains before it cuts. seed: the oracle it failed then.
 FALSE_SUSPICION_CORPUS = {
     3: "liveness-after-restart",  # ring 0's takeover wedged on a one-shot Phase 1
     13: "liveness",               # ring 0 suspected its coordinator, never took over
     17: "agreement",              # two coordinators gave ring 2 instance 2230 one ID
+    27: "partial-order",          # a learner new to ring 0 read it behind the others
+    34: "partial-order",          # the same, the remap racing the takeover
 }
 
 

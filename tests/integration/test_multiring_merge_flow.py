@@ -57,3 +57,29 @@ def test_figure4_with_automatic_skips():
     assert sorted(log2) == ["m1", "m2", "m3", "m4"]
     # g1's messages kept their order.
     assert [m for m in log2 if m != "m2"] == ["m1", "m3", "m4"]
+
+
+def common_order(log_a, log_b):
+    """Each log restricted to the messages both learners delivered."""
+    common = set(log_a) & set(log_b)
+    return [m for m in log_a if m in common], [m for m in log_b if m in common]
+
+
+def test_learners_with_different_subscriptions_visit_rings_in_one_order():
+    """Four groups on two rings (0 and 2 on ring 0, 1 and 3 on ring 1).
+    The learner of groups 1-3 meets ring 1 first in its subscription, the
+    learner of groups 2-3 meets ring 0 first: both must still visit the
+    rings in one order, or the messages of groups 2 and 3 that share a
+    round reach them in different orders."""
+    mrp = MultiRingPaxos(MultiRingConfig(n_groups=4, n_rings=2, lambda_rate=1000.0, m=1))
+    logs = [[], []]
+    for groups, log in zip(([1, 2, 3], [2, 3]), logs):
+        mrp.add_learner(groups=groups, on_deliver=lambda g, v, log=log: log.append(v.payload))
+    p, q = mrp.add_proposer(), mrp.add_proposer()
+    for i in range(40):
+        mrp.sim.at(0.1 + 0.01 * i, p.multicast, 2, f"a{i}", SIZE)
+        mrp.sim.at(0.1 + 0.01 * i, q.multicast, 3, f"b{i}", SIZE)
+    mrp.run(until=1.5)
+    a, b = common_order(*logs)
+    assert len(a) == 80
+    assert a == b

@@ -46,9 +46,9 @@ def test_takeover_installs_new_coordinator():
 
 
 def test_takeover_hands_over_the_ring_and_rewires_nothing():
-    """The ring's hooks, skip manager and layout table outlive the
-    coordinator object: the successor holds the very decide hook and
-    redirect table, and every participant reads the one ring_configs."""
+    """The ring's hook, skip manager and layout table outlive the
+    coordinator object: the successor holds the very decide hook, and
+    every participant reads the one ring_configs."""
     mrp = deploy(n_groups=2)
     learner = mrp.add_learner(groups=[0, 1])
     proposer = mrp.add_proposer()
@@ -56,13 +56,13 @@ def test_takeover_hands_over_the_ring_and_rewires_nothing():
     old, manager = handle.coordinator, handle.skip_manager
     mrp.reconfig.remap_group(0, 1)  # hooks ring 0's decisions, drains group 0
     mrp.run(until=0.5)
-    hook, redirects = old.on_decide, old.redirects
-    assert hook is not None and 0 in redirects
+    hook = old.on_decide
+    assert hook is not None
     mrp.crash_coordinator(0)
     mrp.run(until=1.0)
     new = handle.coordinator
     assert new is not old and handle.failover.coordinator is new
-    assert new.on_decide is hook and new.redirects is redirects
+    assert new.on_decide is hook
     assert handle.skip_manager is manager and manager.coordinator is new
     assert not manager.crashed and manager._timer.running
     assert handle.config is new.config is mrp.ring_configs[0]
@@ -70,9 +70,9 @@ def test_takeover_hands_over_the_ring_and_rewires_nothing():
 
 
 def test_drain_installed_mid_takeover_reaches_the_successor():
-    """A remap that starts after the suspicion but before the successor
-    has recovered installs its drain on the deposed coordinator; the
-    successor takes the same table, and the move completes exactly once."""
+    """A remap whose drain starts after the suspicion but before the
+    successor has recovered hooks the deposed coordinator's decisions; the
+    successor takes the same hook, and the move completes exactly once."""
     mrp = deploy(n_groups=2)
     log = []
     mrp.add_learner(groups=[0, 1], on_deliver=lambda g, v: log.append(v.payload))
@@ -92,9 +92,8 @@ def test_drain_installed_mid_takeover_reaches_the_successor():
         p.multicast(0, f"mid-{i}", SIZE)
     mrp.run(until=3.0)
     assert mrp.rings[0].coordinator is not old
-    assert mrp.rings[0].coordinator.redirects is old.redirects
-    assert 0 in old.redirects
-    assert completed and completed[0]["done"]
+    assert mrp.rings[0].coordinator.on_decide is old.on_decide is not None
+    assert completed == [completed[0]] and completed[0]["done"]
     assert mrp.registry.ring_for(0) == 1
     assert sorted(log) == sorted([f"pre-{i}" for i in range(4)] + [f"mid-{i}" for i in range(4)])
 
@@ -415,6 +414,93 @@ def test_live_remap_delivers_everything_exactly_once():
     assert [m for m in payloads if m.startswith("post")] == [f"post-{i}" for i in range(6)]
 
 
+def test_proposer_added_mid_move_holds_the_group():
+    """A proposer that joins while a remap is in flight holds the moving
+    group from its first multicast: its values reach no ring until the
+    move releases them onto the new one, and each is delivered exactly
+    once, in per-sender order."""
+    mrp = deploy(n_groups=2)
+    log = []
+    mrp.add_learner(groups=[0, 1], on_deliver=lambda g, v: log.append((v.sender, v.payload)))
+    p = mrp.add_proposer()
+    for i in range(4):
+        p.multicast(1, f"pre-{i}", SIZE)
+    mrp.run(until=0.5)
+    completed = []
+    mrp.reconfig.remap_group(1, 0, on_done=completed.append)
+    late = mrp.add_proposer()
+    assert [late.multicast(1, f"late-{i}", SIZE) for i in range(4)] == [None] * 4
+    mrp.run(until=2.0)
+    assert completed and completed[0]["done"]
+    assert mrp.registry.ring_for(1) == 0
+    assert [m for s, m in log if s == late.node.name] == [f"late-{i}" for i in range(4)]
+    assert [m for s, m in log if s == p.node.name] == [f"pre-{i}" for i in range(4)]
+
+
+def test_a_move_onto_a_ring_retired_while_it_was_queued_is_abandoned():
+    """The destination was live when the move was queued, and a merge
+    queued before it retired the ring: the move is abandoned when it
+    starts, so the group stays on a ring that serves and every value is
+    delivered."""
+    mrp = MultiRingPaxos(MultiRingConfig(n_groups=2, lambda_rate=2000.0, spares_per_ring=1))
+    log = []
+    mrp.add_learner(groups=[0, 1], on_deliver=lambda g, v: log.append(v.payload))
+    p = mrp.add_proposer()
+    mrp.reconfig.merge_rings(1, 0)
+    moved_back = mrp.reconfig.remap_group(1, 1)
+    mrp.run(until=2.0)
+    assert mrp.rings[1].retired
+    assert mrp.registry.ring_for(1) == 0
+    assert not moved_back["done"] and not mrp.reconfig.busy
+    for i in range(6):
+        p.multicast(i % 2, f"m{i}", SIZE)
+    mrp.run(until=3.5)
+    assert sorted(log) == [f"m{i}" for i in range(6)]
+
+
+def test_a_merge_into_a_ring_an_earlier_merge_retired_is_abandoned():
+    """``merge_rings(0, 1)`` queued behind ``merge_rings(1, 0)``: its
+    moves onto ring 1 find that ring retired and are abandoned, and so is
+    its retirement of ring 0, which still orders both groups."""
+    mrp = MultiRingPaxos(MultiRingConfig(n_groups=2, lambda_rate=2000.0, spares_per_ring=1))
+    log = []
+    mrp.add_learner(groups=[0, 1], on_deliver=lambda g, v: log.append(v.payload))
+    p = mrp.add_proposer()
+    mrp.reconfig.merge_rings(1, 0)
+    mrp.reconfig.merge_rings(0, 1)
+    mrp.run(until=2.0)
+    assert mrp.rings[1].retired and not mrp.rings[0].retired
+    assert mrp.registry.groups_on_ring(0) == [0, 1]
+    for i in range(6):
+        p.multicast(i % 2, f"m{i}", SIZE)
+    mrp.run(until=3.5)
+    assert sorted(log) == [f"m{i}" for i in range(6)]
+
+
+def test_learners_with_different_subscriptions_agree_across_a_remap():
+    """Group 2 moves from ring 2 onto ring 0 under traffic. The learner of
+    groups 0-2 has had ring 0 all along; the learner of groups 1-2 joins
+    ring 0 at the join cut, and ring 0 may be ahead of or behind the
+    place the merge has reached when it consumes the switch. Both must
+    deliver the messages of groups 1 and 2 in one order."""
+    mrp = deploy(n_groups=3, lambda_rate=1000.0, auto_failover=False)
+    logs = [[], []]
+    for groups, log in zip(([0, 1, 2], [1, 2]), logs):
+        mrp.add_learner(groups=groups, on_deliver=lambda g, v, log=log: log.append(v.payload))
+    p, q = mrp.add_proposer(), mrp.add_proposer()
+    for i in range(60):
+        mrp.sim.at(0.1 + 0.01 * i, p.multicast, 1, f"a{i}", SIZE)
+        mrp.sim.at(0.1 + 0.01 * i, q.multicast, 2, f"b{i}", SIZE)
+        mrp.sim.at(0.1 + 0.01 * i, q.multicast, 0, f"c{i}", SIZE)
+    completed = []
+    mrp.sim.at(0.3, mrp.reconfig.remap_group, 2, 0, completed.append)
+    mrp.run(until=2.0)
+    assert completed and completed[0]["done"]
+    common = set(logs[0]) & set(logs[1])
+    assert len(common) == 120
+    assert [m for m in logs[0] if m in common] == [m for m in logs[1] if m in common]
+
+
 def test_remap_validation_and_idempotence():
     mrp = deploy(n_groups=2)
     with pytest.raises(ConfigurationError):
@@ -475,6 +561,20 @@ def test_split_ring_rebalances_groups():
         p.multicast(i % 2, f"m{i}", SIZE)
     mrp.run(until=5.5)
     assert sorted(log) == sorted(f"m{i}" for i in range(6))
+
+
+def test_a_ring_deployed_mid_run_starts_level_with_the_others():
+    """A ring added at 1 s opens with a skip of the λ·t instances a ring
+    deployed at 0 s has decided by then, so the learners' merge rounds
+    pair its instances with the other rings' instances of the same time."""
+    mrp = deploy(n_groups=2)
+    mrp.add_learner(groups=[0, 1])
+    mrp.run(until=1.0)
+    ring_id = mrp.add_ring()
+    mrp.run(until=1.5)
+    frontiers = [mrp.rings[r].coordinator.next_instance for r in (0, 1, ring_id)]
+    assert min(frontiers) >= 2000 * 1.5 - 50
+    assert max(frontiers) - min(frontiers) <= 50
 
 
 def test_add_and_remove_spare():

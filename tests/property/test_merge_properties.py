@@ -189,6 +189,7 @@ class _PerInstanceMerge:
         self.queues = {rid: [] for rid in ring_order}  # payload, or None for a skip
         self.cursor = 0
         self.quota = m
+        self.round = 0
         self.consumed = self.skipped = 0
         self.delivered = []
 
@@ -197,9 +198,17 @@ class _PerInstanceMerge:
         return sum(len(q) for q in self.queues.values())
 
     def set_ring_order(self, ring_order):
+        # The merge keeps its place: the current ring keeps its turn if it
+        # stays, else the next ring in ascending order takes it.
+        current = self.order[self.cursor]
         self.queues = {rid: self.queues.get(rid, []) for rid in ring_order}
         self.order = list(ring_order)
-        self.cursor = 0
+        if current in ring_order:
+            self.cursor = ring_order.index(current)
+            return
+        later = [i for i, rid in enumerate(ring_order) if rid > current]
+        self.cursor = later[0] if later else 0
+        self.round += not later
         self.quota = self.m
 
     def push(self, ring_id, item):
@@ -219,6 +228,7 @@ class _PerInstanceMerge:
             self.quota -= 1
             if self.quota == 0:
                 self.cursor = (self.cursor + 1) % len(self.order)
+                self.round += self.cursor == 0
                 self.quota = self.m
 
 
@@ -226,7 +236,7 @@ class _PerInstanceMerge:
     raw=st.lists(stream_strategy, min_size=1, max_size=4),
     m=st.integers(1, 5),
     seed=st.integers(0, 2**16),
-    new_order=st.lists(st.integers(0, 4), min_size=1, max_size=4, unique=True),
+    new_order=st.lists(st.integers(0, 4), min_size=1, max_size=4, unique=True).map(sorted),
     data=st.data(),
 )
 @settings(max_examples=300, deadline=None)
@@ -258,8 +268,8 @@ def test_merge_state_matches_per_instance_walk_after_every_push(raw, m, seed, ne
         cursors[ring] += 1
         merge.push(ring, instance, item)
         reference.push(ring, item)
-        cursor, quota, _ = merge.snapshot()  # (queues: the depth checks below)
-        assert (cursor, quota) == (reference.cursor, reference.quota)
+        cursor, quota, _, rnd, _ = merge.snapshot()  # (queues: the depth checks below)
+        assert (cursor, quota, rnd) == (reference.cursor, reference.quota, reference.round)
         assert merge.consumed_instances.value == reference.consumed
         assert merge.skipped_instances.value == reference.skipped
         assert merge.buffered_instances.value == reference.buffered
@@ -267,3 +277,29 @@ def test_merge_state_matches_per_instance_walk_after_every_push(raw, m, seed, ne
             assert merge.queue_depth(rid) == len(reference.queues[rid])
             assert merge.queue_gauges[rid].value == len(reference.queues[rid])
         assert out == reference.delivered
+
+
+@given(
+    raw=st.lists(stream_strategy, min_size=2, max_size=4),
+    m=st.integers(1, 5),
+    data=st.data(),
+)
+@settings(max_examples=200, deadline=None)
+def test_merges_of_different_ring_sets_agree_on_common_messages(raw, m, data):
+    """Uniform partial order: two learners subscribed to different sets of
+    rings deliver the messages they both deliver in one relative order."""
+    streams = build_streams(raw)
+    rings = range(len(streams))
+    outs = []
+    for _ in range(2):
+        subset = sorted(data.draw(st.sets(st.sampled_from(rings), min_size=1)))
+        out = []
+        merge = DeterministicMerge(
+            ring_order=subset, m=m, on_deliver=lambda rid, inst, v, out=out: out.append(v.payload)
+        )
+        for ring in subset:
+            for instance, item in streams[ring]:
+                merge.push(ring, instance, item)
+        outs.append(out)
+    common = set(outs[0]) & set(outs[1])
+    assert [p for p in outs[0] if p in common] == [p for p in outs[1] if p in common]

@@ -29,13 +29,14 @@ def test_registry_rejects_duplicates_and_unknowns():
         reg.ring_for(9)
 
 
-def test_registry_ring_order_from_group_ids():
+def test_registry_ring_order_is_ascending_ring_ids():
     reg = GroupRegistry()
     reg.add(0, 5)
     reg.add(1, 2)
     reg.add(2, 5)
-    # Order derived from ascending group ids, deduplicated.
-    assert reg.rings_for([2, 0, 1]) == [5, 2]
+    # Deduplicated and ascending, whatever the group ids: the merge's
+    # visit order must not depend on what a learner subscribes to.
+    assert reg.rings_for([2, 0, 1]) == [2, 5]
     assert reg.rings_for([1]) == [2]
     assert reg.groups_on_ring(5) == [0, 2]
 
@@ -232,3 +233,68 @@ def test_three_ring_rotation_order():
     for rid in (2, 1, 0):  # arrival order must not matter
         merge.push(rid, 0, batch(0, f"r{rid}"))
     assert [p for _, p in out] == ["r0", "r1", "r2"]
+
+
+# ---------------------------------------------------------------------------
+# A new ring set at a reconfiguration cut: the merge keeps its place
+# ---------------------------------------------------------------------------
+def switching_merge(rings, at, new_rings, joined=None):
+    """A merge that adopts ``new_rings`` when it delivers payload ``at``."""
+    out = []
+
+    def deliver(rid, inst, v):
+        out.append(v.payload)
+        if v.payload == at:
+            merge.set_ring_order(new_rings, joined)
+
+    merge = DeterministicMerge(ring_order=list(rings), m=1, on_deliver=deliver)
+    return merge, out
+
+
+def test_a_ring_leaving_mid_round_passes_the_turn_to_the_next_ring():
+    """Ring 1 leaves while its round-0 turn is on: ring 2 takes round 0's
+    next turn, as for a learner that never had ring 1."""
+    merge, out = switching_merge([0, 1, 2], at="b0", new_rings=[0, 2])
+    merge.push(0, 0, batch(0, "a0"))
+    merge.push(1, 0, batch(0, "b0"))
+    for i in range(2):
+        merge.push(0, i + 1, batch(i + 1, f"a{i + 1}"))
+        merge.push(2, i, batch(i, f"c{i}"))
+    assert out == ["a0", "b0", "c0", "a1", "c1", "a2"]
+
+
+def test_a_ring_joined_behind_the_place_is_consumed_first():
+    """Ring 2 joins at instance 1 when the merge is at round 3, ring 0's
+    turn: its instances 1-2 come right after the cut, before ring 1's
+    round-3 turn, which waits for them."""
+    merge, out = switching_merge([0, 1], at="a3", new_rings=[0, 1, 2], joined=(2, 1))
+    for i in range(4):
+        merge.push(0, i, batch(i, f"a{i}"))
+        merge.push(1, i, batch(i, f"b{i}"))
+    assert out == ["a0", "b0", "a1", "b1", "a2", "b2", "a3"]
+    for i in range(1, 5):
+        merge.push(2, i, batch(i, f"c{i}"))
+    merge.push(0, 4, batch(4, "a4"))
+    merge.push(1, 4, batch(4, "b4"))
+    assert out[7:] == ["c1", "c2", "b3", "c3", "a4", "b4", "c4"]
+
+
+def test_a_ring_joined_ahead_of_the_place_reads_as_skips_until_its_start():
+    """Ring 2 joins at instance 6 when the merge is at round 3: its rounds
+    3-5 are absorbed as skips and its instance 6 is consumed in round 6."""
+    merge, out = switching_merge([0, 1], at="a3", new_rings=[0, 1, 2], joined=(2, 6))
+    for i in range(8):
+        merge.push(0, i, batch(i, f"a{i}"))
+        merge.push(1, i, batch(i, f"b{i}"))
+    merge.push(2, 6, batch(6, "c6"))
+    merge.push(2, 7, batch(7, "c7"))
+    assert out[7:] == ["b3", "a4", "b4", "a5", "b5", "a6", "b6", "c6", "a7", "b7", "c7"]
+    assert merge.skipped_instances.value == 3
+
+
+def test_ring_order_must_be_ascending():
+    with pytest.raises(ValueError):
+        make_merge(rings=(1, 0))
+    merge, _ = make_merge()
+    with pytest.raises(ValueError):
+        merge.set_ring_order([0, 0])

@@ -386,7 +386,7 @@ def _every_message():
         (m.CatchupRequest(5, count=4), c),
         (m.CatchupReply(5, (skip, batch, batch), frontier=20), c + c + 600),
         (m.CheckpointAck("rep0", 0, 5), c),
-        (m.ConfigChange(2, 1, 0, 1, "leave"), c),
+        (m.ConfigChange(2, 1, 0, 1, "join"), c),
         (m.PrepareRange(5, 2), c),
         (m.PromiseRange(5, 2, ((5, 1, batch), (6, 1, skip))), c + 300 + c),
         (m.CoordinatorChange(0, ("a", "b", "c"), 2), c + 3 * 16),
