@@ -36,7 +36,7 @@ from ..sim.network import Network
 from ..sim.node import Node
 from ..sim.process import Process
 from .groups import GroupRegistry
-from .merge import DeterministicMerge
+from .merge import DeterministicMerge, stream_ends
 
 __all__ = ["MultiRingLearner"]
 
@@ -113,7 +113,6 @@ class MultiRingLearner(Process):
             m=m,
             on_deliver=self._merged_delivery,
             buffer_limit=buffer_limit,
-            on_halt=self._on_halt,
             metrics=self.metrics,
         )
         # Reconfiguration state. ``ring_configs`` is the deployment's map
@@ -160,7 +159,7 @@ class MultiRingLearner(Process):
     def _merged_delivery(self, ring_id: int, instance: int, value: ClientValue) -> None:
         if value.group == CONTROL_GROUP:
             if isinstance(value.payload, ConfigChange):
-                self._on_config_change(ring_id, instance, value.payload)
+                self._on_config_change(value.payload)
             return
         held = self._hold_groups.get(value.group)
         if held is not None and ring_id == self._moves[held]["new_ring"]:
@@ -197,15 +196,10 @@ class MultiRingLearner(Process):
         if self.on_deliver is not None:
             self.on_deliver(value.group, value)
 
-    def _on_halt(self) -> None:
-        """Merge buffer overflowed: the learner halts (paper, Section VI-E)."""
-        # Deliveries stop; incoming traffic keeps arriving and is buffered
-        # (and eventually dropped) — mirroring a process whose heap is full.
-
     # ------------------------------------------------------------------
     # Reconfiguration cuts (consumed in-stream, in merged order)
     # ------------------------------------------------------------------
-    def _on_config_change(self, ring_id: int, instance: int, cut: ConfigChange) -> None:
+    def _on_config_change(self, cut: ConfigChange) -> None:
         """Act on an epoch cut at its decided position in the merge.
 
         Every learner consumes the cuts of a move at a definite point of
@@ -218,8 +212,8 @@ class MultiRingLearner(Process):
         * ``switch`` (old ring): the activation point — re-derive the
           ring set with the group on its new ring, flush held values,
           (for learners new to the ring) start a ring learner positioned
-          at the join instance, and hand the merge the new ring set at
-          its current place.
+          at the join instance, and have the merge join and leave rings
+          at its current place.
         """
         move = self._moves.get(cut.epoch)
         if move is None:
@@ -228,13 +222,11 @@ class MultiRingLearner(Process):
                 "group": cut.group,
                 "old_ring": cut.old_ring,
                 "new_ring": cut.new_ring,
-                "join_instance": cut.join_instance,
                 "holds": [],
                 "switched": False,
             }
             self._moves[cut.epoch] = move
         if cut.kind == "join":
-            move["join_instance"] = max(move["join_instance"], instance)
             if cut.group in self.group_bytes and not move["switched"]:
                 self._hold_groups[cut.group] = cut.epoch
         elif cut.kind == "switch":
@@ -251,11 +243,10 @@ class MultiRingLearner(Process):
             return  # a co-hosted group's move; our ring set is unchanged
         new_ring = move["new_ring"]
         self._group_rings[group] = new_ring
-        new_order = sorted(set(self._group_rings.values()))
-        joined = None
+        rings = set(self._group_rings.values())
         if new_ring not in self.ring_learners:
-            joined = (new_ring, move["join_instance"])
-            self._start_ring_learner(*joined, move["epoch"])
+            self._start_ring_learner(new_ring, move["join_instance"], move["epoch"])
+            self.merge.join(new_ring, move["join_instance"])
         # The old-ring suffix is fully delivered (the group drained off the
         # old ring before the switch was submitted); the held new-ring
         # values are next, in their decided order.
@@ -263,11 +254,11 @@ class MultiRingLearner(Process):
         for rid, inst, value in holds:
             self._merged_delivery(rid, inst, value)
         for rid in list(self.ring_learners):
-            if rid not in new_order:
+            if rid not in rings:
                 dropped = self.ring_learners.pop(rid)
                 dropped.crash()
                 self.network.leave(dropped.config.multicast_group, self.node.name)
-        self.merge.set_ring_order(new_order, joined)
+                self.merge.leave(rid)
 
     def _start_ring_learner(self, ring_id: int, join_instance: int, epoch: int) -> None:
         learner = RingLearner(
@@ -336,14 +327,11 @@ class MultiRingLearner(Process):
         """Everything needed to resume merged delivery from this point.
 
         Captured between deliveries (the replica checkpoints after fully
-        applying a command), so the per-ring input positions plus the merge
-        state — its place and what it has buffered — describe the
-        delivery sequence position exactly.
+        applying a command), so the merge state — its place and what it has
+        buffered, whose ends are the ring learners' input positions —
+        describes the delivery sequence position exactly.
         """
         return {
-            "ring_positions": {
-                ring_id: rl.next_instance for ring_id, rl in self.ring_learners.items()
-            },
             "merge": self.merge.snapshot(),
             "delivered": self.delivered_log_count,
         }
@@ -357,13 +345,13 @@ class MultiRingLearner(Process):
         position. The ``learner.rewind`` probe tells the oracles to
         truncate this learner's merged-delivery log to the checkpoint.
         """
+        ends = stream_ends(state["merge"])
         for ring_id, rl in self.ring_learners.items():
-            # A ring joined after the checkpoint has no recorded position;
-            # replaying from its join point is handled by the catch-up
-            # path, so leave it where it is (best effort under an
-            # in-flight reconfiguration).
-            if ring_id in state["ring_positions"]:
-                rl.rollback_to(state["ring_positions"][ring_id])
+            # A ring joined after the checkpoint has no recorded position:
+            # it goes on where it is (best effort under an in-flight
+            # reconfiguration), and so does its merge queue.
+            if ring_id in ends:
+                rl.rollback_to(ends[ring_id])
         self.merge.restore(state["merge"])
         self.delivered_log_count = state["delivered"]
         probe = self.sim.probe

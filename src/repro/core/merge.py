@@ -1,19 +1,21 @@
 """The deterministic merge (Algorithm 1, Task 4).
 
 A learner subscribed to several rings receives one gapless, ordered stream
-of decided items per ring. The merge delivers them round-robin: rings are
-visited in ascending ring id, and exactly M consecutive consensus
-instances are consumed from a ring before moving to the next, so ring
-``r``'s instance ``i`` is consumed in round ``i // M`` at ring ``r``'s
-turn. That place depends on nothing a learner subscribes to, so any two
-learners deliver their common messages in the same relative order —
-uniform partial order — also when a group remap changes one learner's
-ring set and not the other's.
+of decided items per ring. Task 4 visits the rings in ascending ring id
+and consumes exactly M consecutive consensus instances from a ring before
+moving to the next, so ring ``r``'s instance ``i`` is consumed in round
+``i // M`` at ring ``r``'s turn. The merge is that order and nothing
+more: it keeps, per ring, the next instance it consumes, and the turn is
+the ring with the smallest key ``(next // M, ring)``. The key depends on
+nothing a learner subscribes to, so any two learners deliver their
+common messages in the same relative order — uniform partial order —
+also when a group remap changes one learner's ring set and not the
+other's.
 
 Consuming an instance means: deliver every client value in a data batch
 (one batch occupies one instance), or silently absorb one instance of a
 skip range (a skip range decided at instance k stands for ``count``
-consecutive ⊥ instances and can straddle quota boundaries).
+consecutive ⊥ instances and can straddle turns).
 
 The merge blocks whenever the ring whose turn it is has nothing available
 — that is the behaviour that makes rate imbalance dangerous, and what the
@@ -24,25 +26,24 @@ instances the learner halts, reproducing the overflow halt of Figure 10.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import deque
 from typing import Callable
 
 from ..metrics import Gauge, MetricsRegistry
 from ..ringpaxos.messages import ClientValue, DataBatch, SkipRange
 
-__all__ = ["DeterministicMerge"]
+__all__ = ["DeterministicMerge", "stream_ends"]
 
 
 class DeterministicMerge:
-    """Round-robin merge of per-ring decided-item streams.
+    """Merge of per-ring decided-item streams in ``(instance // M, ring)`` order.
 
     Parameters
     ----------
     ring_order:
-        Ring ids in the visit order: ascending.
+        The ring ids merged, ascending.
     m:
-        Consensus instances consumed per ring per visit (the paper's M).
+        Consensus instances consumed per ring per turn (the paper's M).
     on_deliver:
         ``(ring_id, instance, value)`` for every application message, in
         the merged delivery order.
@@ -64,10 +65,11 @@ class DeterministicMerge:
         on_halt: Callable[[], None] | None = None,
         metrics: MetricsRegistry | None = None,
     ) -> None:
-        _check_order(ring_order)
+        if not ring_order or list(ring_order) != sorted(set(ring_order)):
+            raise ValueError("ring_order must be one or more ascending ring ids")
         if m <= 0:
             raise ValueError("M must be positive")
-        self.ring_order = list(ring_order)
+        self.rings = list(ring_order)
         self.m = m
         self.on_deliver = on_deliver
         self.buffer_limit = buffer_limit
@@ -82,16 +84,12 @@ class DeterministicMerge:
         self.queue_gauges: dict[int, Gauge] = {
             rid: self.metrics.gauge("merge_queue_depth", ring=rid) for rid in ring_order
         }
-        # Per-ring FIFO of in-order decided items. Skip ranges are stored
-        # as [remaining_count] so they can be consumed incrementally.
+        # Per ring: the next instance consumed, and the FIFO of the
+        # (instance, item) pairs pushed and not yet wholly consumed. The
+        # entries are never changed: a skip range's head may be partly
+        # consumed, which ``next`` alone records.
+        self.next: dict[int, int] = {rid: 0 for rid in ring_order}
         self._queues: dict[int, deque] = {rid: deque() for rid in ring_order}
-        self._cursor = 0
-        self._quota = m
-        self._round = 0
-        # Set while a ring that joined behind the merge's place catches up:
-        # the (cursor, quota) to go on from afterwards.
-        self._resume: tuple[int, int] | None = None
-        self._restart = False
 
     # ------------------------------------------------------------------
     # Input (called by each ring's learner, in that ring's order)
@@ -101,235 +99,191 @@ class DeterministicMerge:
         queue = self._queues.get(ring_id)
         if queue is None:
             return  # stale feed of a ring dropped by a reconfiguration
-        if isinstance(item, SkipRange):
-            queue.append([item.count])
-            self.buffered_instances.value += item.count
-            self.queue_gauges[ring_id].value += item.count
-        else:
-            queue.append((instance, item))
-            self.buffered_instances.value += 1
-            self.queue_gauges[ring_id].value += 1
+        queue.append((instance, item))
+        count = item.instance_count
+        self.buffered_instances.value += count
+        self.queue_gauges[ring_id].value += count
         if self.halted:
             return
         if self.buffered_instances.value > self.buffer_limit:
-            self._halt(now)
+            self.halted, self.halted_at = True, now
+            if self.on_halt is not None:
+                self.on_halt()
             return
-        self._advance(now)
+        self._advance()
 
     # ------------------------------------------------------------------
     # The merge loop
     # ------------------------------------------------------------------
-    def _advance(self, now: float) -> None:
-        self._restart = False
-        n_rings = len(self.ring_order)
-        idle_visits = 0
-        while idle_visits < n_rings:
-            ring_id = self.ring_order[self._cursor]
-            queue = self._queues[ring_id]
-            if (
-                self._quota == self.m
-                and queue
-                and isinstance(queue[0], list)
-                and self._resume is None
-                and self._skip_rounds()
-            ):
-                idle_visits = 0
-                continue
-            consumed_any = False
-            while self._quota > 0 and queue:
-                head = queue[0]
-                if isinstance(head, list):
-                    # A (partially consumed) skip range.
-                    take = min(head[0], self._quota)
-                    head[0] -= take
-                    if head[0] == 0:
-                        queue.popleft()
-                    self._quota -= take
-                    self.skipped_instances.value += take
-                    self.consumed_instances.value += take
-                    self.buffered_instances.value -= take
-                    self.queue_gauges[ring_id].value -= take
-                    consumed_any = True
-                else:
-                    instance, batch = queue.popleft()
-                    self._quota -= 1
-                    self.consumed_instances.value += 1
-                    self.buffered_instances.value -= 1
-                    self.queue_gauges[ring_id].value -= 1
-                    for value in batch.values:
-                        self.delivered_messages.value += 1
-                        self.on_deliver(ring_id, instance, value)
-                    if self._restart:
-                        # A delivery changed the ring set under us (a
-                        # reconfiguration cut was consumed): the locals
-                        # here are stale, go on from the merge's place.
-                        self._advance(now)
-                        return
-                    consumed_any = True
-            if self._quota == 0:
-                self._next_ring()
-                idle_visits = 0 if consumed_any else idle_visits + 1
-            elif not queue:
-                if n_rings == 1:
-                    return  # single ring: nothing buffered, just wait
-                # Blocked: this ring's turn but nothing available yet.
-                return
-            else:  # pragma: no cover - loop invariant: quota>0 and queue
-                return
+    def _advance(self) -> None:
+        """Consume in key order until the turn's ring has nothing.
 
-    def _skip_rounds(self) -> bool:
-        """Absorb whole rounds of skips at once; False if there is none.
-
-        Called at the start of a visit. When every ring's head is a skip
-        range with at least M instances left, the next ``min(head // M)``
-        rounds consume M skips from each ring and end where they began —
-        same cursor, full quota — delivering nothing, so taking them in
-        one step is what the per-instance walk would have done.
+        The turn is re-read after every entry, so ``on_deliver`` may
+        ``join`` or ``leave`` a ring: the loop goes on in the new order.
         """
         m = self.m
-        take = None
-        for queue in self._queues.values():
+        nxt = self.next
+        key = nxt.__getitem__ if m == 1 else (lambda ring: nxt[ring] // m)
+        while True:
+            rings = self.rings
+            ring = min(rings, key=key)  # ties: the first, lowest id
+            queue = self._queues[ring]
             if not queue:
-                return False
-            head = queue[0]
-            if not isinstance(head, list) or head[0] < m:
-                return False
-            if take is None or head[0] < take:
-                take = head[0]
-        take -= take % m
-        self._round += take // m
-        for ring_id, queue in self._queues.items():
-            head = queue[0]
-            head[0] -= take
-            if head[0] == 0:
+                return  # the turn's ring has nothing yet: wait for it
+            instance, item = queue[0]
+            position = nxt[ring]
+            if isinstance(item, SkipRange):
+                rnd = position // m
+                # Every ring at the turn's round puts the turn on the first.
+                if ring == rings[0] and self._skip_rounds(rnd):
+                    continue
+                end = instance + item.count
+                stop = min(end, (rnd + 1) * m)  # the rest of this turn, at most
+                if stop == end:
+                    queue.popleft()
+                nxt[ring] = stop
+                take = stop - position
+                self.skipped_instances.value += take
+                self.consumed_instances.value += take
+                self.buffered_instances.value -= take
+                self.queue_gauges[ring].value -= take
+            else:
                 queue.popleft()
-            self.queue_gauges[ring_id].value -= take
-        total = take * len(self._queues)
+                nxt[ring] = position + 1
+                self.consumed_instances.value += 1
+                self.buffered_instances.value -= 1
+                self.queue_gauges[ring].value -= 1
+                for value in item.values:
+                    self.delivered_messages.value += 1
+                    self.on_deliver(ring, instance, value)
+
+    def _skip_rounds(self, rnd: int) -> bool:
+        """Absorb whole rounds of skips at once; False if there is none.
+
+        Applies when every ring is at the turn's round ``rnd`` and its head
+        is a skip range. If the shortest head ends in round ``last``, the
+        next ``last - rnd`` rounds consume only skips and leave every ring
+        at instance ``last * M``, delivering nothing — so setting them
+        there in one step is what consuming them a turn at a time does.
+        """
+        m = self.m
+        nxt = self.next
+        last = None
+        for ring, queue in self._queues.items():
+            if not queue or nxt[ring] // m != rnd:
+                return False
+            instance, item = queue[0]
+            if not isinstance(item, SkipRange):
+                return False
+            end = (instance + item.count) // m
+            if last is None or end < last:
+                last = end
+        if last <= rnd:
+            return False
+        target = last * m
+        total = 0
+        for ring, queue in self._queues.items():
+            instance, item = queue[0]
+            if instance + item.count == target:
+                queue.popleft()
+            take = target - nxt[ring]
+            nxt[ring] = target
+            self.queue_gauges[ring].value -= take
+            total += take
         self.skipped_instances.value += total
         self.consumed_instances.value += total
         self.buffered_instances.value -= total
         return True
 
-    def _next_ring(self) -> None:
-        if self._resume is not None:
-            (self._cursor, self._quota), self._resume = self._resume, None
-            return
-        self._cursor += 1
-        if self._cursor == len(self.ring_order):
-            self._cursor = 0
-            self._round += 1
-        self._quota = self.m
-
     # ------------------------------------------------------------------
     # Checkpoint support
     # ------------------------------------------------------------------
     def snapshot(self) -> tuple:
-        """The merge state for a checkpoint: (cursor, remaining quota,
-        each ring's buffered entries, round, catch-up resume point).
+        """The merge state for a checkpoint: (next instance per ring, each
+        ring's buffered entries, shared: they are never changed).
 
-        The ring learners' checkpointed positions are their *input*
-        positions, past everything buffered here, so a restore cannot
-        replay the buffered items: they are part of the checkpoint. Skip
-        entries are copied (the merge consumes them in place); batch
-        entries are immutable and shared.
+        A ring learner's input position is the end of its ring's queue
+        (:func:`stream_ends`), past everything buffered here, so a restore
+        cannot replay the buffered items: they are part of the checkpoint.
         """
-        queues = {ring_id: _copy_entries(queue) for ring_id, queue in self._queues.items()}
-        return (self._cursor, self._quota, queues, self._round, self._resume)
+        return dict(self.next), {ring: tuple(queue) for ring, queue in self._queues.items()}
 
     def restore(self, state: tuple) -> None:
         """Rewind to a checkpointed state, buffered items included.
 
-        The owning learner rolls its ring learners back to the matching
-        input positions, so ``push`` resumes right after what the queues
-        hold. A ring joined since the checkpoint starts empty. The entries
-        are copied again: one checkpoint may be restored more than once.
+        The owning learner rolls its ring learners back to the queues'
+        ends, so ``push`` resumes right after what they hold. A ring joined
+        since the checkpoint goes on from its stream's end, empty.
         """
-        self._cursor, self._quota, queues, self._round, self._resume = state
+        positions, queues = state
         buffered = 0
-        for ring_id in self._queues:
-            self._queues[ring_id] = deque(_copy_entries(queues.get(ring_id, ())))
-            depth = self.queue_depth(ring_id)
-            self.queue_gauges[ring_id].value = depth
+        for ring in self.rings:
+            if ring in positions:
+                self.next[ring] = positions[ring]
+                self._queues[ring] = deque(queues[ring])
+            else:
+                self.next[ring] = _end(self._queues[ring], self.next[ring])
+                self._queues[ring] = deque()
+            depth = self.queue_depth(ring)
+            self.queue_gauges[ring].value = depth
             buffered += depth
         self.buffered_instances.value = buffered
 
     # ------------------------------------------------------------------
     # Reconfiguration
     # ------------------------------------------------------------------
-    def set_ring_order(self, ring_order: list[int], joined: tuple[int, int] | None = None) -> None:
-        """Adopt a new ring set at a reconfiguration cut, keeping the place.
+    def join(self, ring_id: int, instance: int) -> None:
+        """Merge ``ring_id`` from ``instance`` on (a reconfiguration cut).
 
-        Safe to call from within ``on_deliver`` — the merge loop goes on
-        after finishing the batch in hand. The ring whose turn it is keeps
-        its turn if it stays, else the turn passes to the next ring in
-        order: a learner whose ring set did not change goes on through
-        the same rounds. Queues of rings leaving are discarded (their
-        remaining items belong to groups this learner no longer receives);
-        rings joining start with an empty queue.
-
-        ``joined`` is ``(ring, instance)`` for a ring whose stream starts
-        at ``instance`` rather than where the merge's place has reached on
-        it. A gap up to ``instance`` is absorbed as skips; instances the
-        place has already passed are consumed first, before the merge goes
-        on — where a learner that had the ring all along released the
-        values it held for the move.
+        The merge's place is the largest key it has consumed — in
+        ``on_deliver``, the key of the cut in hand; join before any
+        ``leave`` of the same cut, so the cut's ring still counts. The
+        ring's instances with a key at or below the place have been
+        passed: its place is the first instance after them. When
+        ``instance`` is ahead of it, the gap is one skip range, consumed at
+        the ring's turns; when it is behind, the ring's key is the
+        smallest, so its instances up to the place are consumed first —
+        where a learner that had the ring all along released the values it
+        held for the move.
         """
-        _check_order(ring_order)
-        current = self.ring_order[self._cursor]
-        for rid in ring_order:
-            if rid not in self._queues:
-                self._queues[rid] = deque()
-                self.queue_gauges.setdefault(rid, self.metrics.gauge("merge_queue_depth", ring=rid))
-        for rid in list(self._queues):
-            if rid not in ring_order:
-                dropped = self.queue_depth(rid)
-                if dropped:
-                    self.buffered_instances.value -= dropped
-                self.queue_gauges[rid].value = 0
-                del self._queues[rid]
-        self.ring_order = list(ring_order)
-        rnd = self._round
-        self._cursor = bisect_left(ring_order, current)
-        if current not in ring_order:  # the turn passes on, maybe round the wrap
-            self._round += self._cursor == len(ring_order)
-            self._cursor, self._quota = self._cursor % len(ring_order), self.m
-        if joined is not None:
-            ring_id, start = joined
-            # Rings before the current one have had this round's turn.
-            place = (rnd + (ring_id < current)) * self.m
-            if start > place:
-                self._queues[ring_id].append([start - place])
-                self.buffered_instances.value += start - place
-                self.queue_gauges[ring_id].value += start - place
-            elif start < place:
-                self._resume = (self._cursor, self._quota)
-                self._cursor, self._quota = ring_order.index(ring_id), place - start
-        self._restart = True
+        if ring_id in self.next:
+            raise ValueError(f"ring {ring_id} is merged already")
+        m = self.m
+        rnd, last = max(((position - 1) // m, ring) for ring, position in self.next.items())
+        place = max(0, (rnd + (ring_id < last)) * m)
+        gap = max(0, instance - place)
+        self.next[ring_id] = instance - gap
+        self._queues[ring_id] = deque([(place, SkipRange(gap))] if gap else ())
+        self.rings = sorted(self.next)
+        self.queue_gauges[ring_id] = self.metrics.gauge("merge_queue_depth", ring=ring_id)
+        self.queue_gauges[ring_id].value = gap
+        self.buffered_instances.value += gap
 
-    def _halt(self, now: float) -> None:
-        self.halted = True
-        self.halted_at = now
-        if self.on_halt is not None:
-            self.on_halt()
+    def leave(self, ring_id: int) -> None:
+        """Stop merging ``ring_id``; what it has buffered is dropped (it
+        belongs to groups this learner no longer receives)."""
+        self.buffered_instances.value -= self.queue_depth(ring_id)
+        self.queue_gauges[ring_id].value = 0
+        del self.next[ring_id], self._queues[ring_id]
+        self.rings = sorted(self.next)
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
     def queue_depth(self, ring_id: int) -> int:
         """Buffered logical instances for one ring."""
-        total = 0
-        for entry in self._queues[ring_id]:
-            total += entry[0] if isinstance(entry, list) else 1
-        return total
+        return _end(self._queues[ring_id], self.next[ring_id]) - self.next[ring_id]
 
 
-def _check_order(ring_order: list[int]) -> None:
-    if not ring_order:
-        raise ValueError("merge needs at least one ring")
-    if list(ring_order) != sorted(set(ring_order)):
-        raise ValueError("ring_order must be ascending ring ids")
+def stream_ends(state: tuple) -> dict[int, int]:
+    """Per ring of a merge snapshot, the instance after the last one pushed:
+    where that ring's learner goes on."""
+    positions, queues = state
+    return {ring: _end(queues[ring], position) for ring, position in positions.items()}
 
 
-def _copy_entries(queue) -> list:
-    """A queue's entries with each skip entry (``[remaining]``) copied."""
-    return [entry[:] if isinstance(entry, list) else entry for entry in queue]
+def _end(entries, position: int) -> int:
+    if not entries:
+        return position
+    instance, item = entries[-1]
+    return instance + item.instance_count

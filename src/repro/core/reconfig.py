@@ -37,7 +37,7 @@ and its decide hook.
 
 Learners with different subscriptions agree across a move: the merge
 keeps its place at the switch (see
-:meth:`~repro.core.merge.DeterministicMerge.set_ring_order`). Documented
+:meth:`~repro.core.merge.DeterministicMerge.join`). Documented
 limitation: combining durable replica checkpoint log-truncation with a
 coordinator failover *during* a remap can garbage-collect the evidence
 the drain needs; deployments using the reconfiguration manager should

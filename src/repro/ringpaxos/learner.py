@@ -134,6 +134,7 @@ class RingLearner(Process):
         self._catchup_timer = Timer(sim, config.repair_interval, self._on_catchup_timeout)
         self._catchup_backoff = config.repair_interval
         self._catchup_attempts = 0
+        self._catchup_empty = 0  # empty replies since the last progress
         self._catching_up = False
 
     # ------------------------------------------------------------------
@@ -329,6 +330,7 @@ class RingLearner(Process):
         self._catching_up = True
         self._catchup_backoff = self.config.repair_interval
         self._catchup_attempts = 0
+        self._catchup_empty = 0
         # Always probe at least once: the local frontier is stale after an
         # outage, so "caught up" can only be trusted once a reply reports
         # a serving member's frontier.
@@ -373,14 +375,20 @@ class RingLearner(Process):
         self._place_run(msg)
         if not self._catching_up:
             return
-        self._catchup_timer.stop()
         if self.next_instance > before:
             # Progress: stay on this target and pull the next chunk now.
             self._catchup_backoff = self.config.repair_interval
+            self._catchup_empty = 0
         else:
             # An empty (or useless) reply: this member GC'd the prefix or
-            # is as lost as we are — ask the next one now.
+            # is as lost as we are — ask the next one now, unless every
+            # member has answered empty: then nobody has decided the
+            # instance yet, and the armed timer's backoff paces the retry.
             self._catchup_attempts += 1
+            self._catchup_empty += 1
+            if self._catchup_empty >= len(self.config.acceptors) and not self._catchup_done():
+                return
+        self._catchup_timer.stop()
         self._pull_catchup()
 
     def rollback_to(self, instance: int) -> None:

@@ -24,6 +24,7 @@ from typing import Any
 
 from ..calibration import CONTROL_MESSAGE_SIZE, CPU_FIXED_COST_SMALL_MESSAGE
 from ..core.deployment import MultiRingPaxos
+from ..core.merge import stream_ends
 from ..errors import ConfigurationError
 from ..metrics import Counter
 from ..ringpaxos.messages import CheckpointAck, ClientValue
@@ -224,7 +225,7 @@ class Replica(Process):
         deployment says so, acceptors truncate their logs below the
         common watermark.
         """
-        for ring_id, position in snapshot["learner"]["ring_positions"].items():
+        for ring_id, position in stream_ends(snapshot["learner"]["merge"]).items():
             config = self.mrp.ring_configs[ring_id]
             ack = CheckpointAck(replica=self.name, ring_id=ring_id, instance=position)
             for member in config.acceptors:

@@ -1,6 +1,6 @@
 """Golden-trace regression: the kernel fast path must not change results.
 
-Records the full observable outcome of three fixed-seed scenarios — every
+Records the full observable outcome of four fixed-seed scenarios — every
 ``net.deliver`` (message handed to a node), ``net.drop`` (a leg lost or
 cut), ``learner.decide`` (ring order) and ``learner.deliver`` (merged
 order) event — and compares the sequence *bit for bit* against a
@@ -11,7 +11,9 @@ reproduces the exact delivery and decision order of the reference
 implementation, timestamps included. The three-region fixture was
 recorded while ``GeoNetwork`` still had its own ``send`` / ``multicast``
 and pins the WAN path (per-region crossings, jitter clamping, a cut link)
-the same way.
+the same way. The remap fixture was recorded before the merge's
+round-robin walk was rewritten as an order on ``(instance // M, ring)``
+and pins its joins, skips and turns across two live group moves.
 
 Regenerate the fixture only for a *deliberate* semantic change::
 
@@ -179,8 +181,40 @@ def scenario_three_regions() -> list:
     return records
 
 
+def scenario_merge_remap() -> list:
+    """Three rings at M = 3, learners with different ring sets, two remaps.
+
+    Group 0 has two senders of 16 KiB values, so ring 0 runs ahead of the
+    skip rate while rings 1 and 2 advance mostly by skips and the merges
+    wait on them. Group 2 then moves onto ring 0 and group 1 onto ring 2.
+    A learner new to the destination ring joins it ahead of its merge's
+    place in the first move (J = 242, place 153: read as skips) and behind
+    it in the second (J = 349, place 351: consumed first).
+    """
+    mrp = MultiRingPaxos(MultiRingConfig(n_groups=3, lambda_rate=600.0, m=3, seed=31))
+    sim = mrp.sim
+    records = _subscribe(sim, mrp.network)
+    for groups in ([0, 1, 2], [1, 2], [2], [0, 1]):
+        mrp.add_learner(groups=groups)
+    senders = ((0, 900.0, 16384), (0, 700.0, 16384), (1, 60.0, 2048), (2, 220.0, 2048))
+    for g, rate, size in senders:
+        prop = mrp.add_proposer()
+        OpenLoopGenerator(
+            sim,
+            lambda p=prop, g=g, size=size: p.multicast(g, f"g{g}", size),
+            ConstantRate(rate),
+            jitter=0.25,
+            name=f"golden-remap-{prop.node.name}",
+        ).start()
+    sim.at(0.15, mrp.reconfig.remap_group, 2, 0)
+    sim.at(0.35, mrp.reconfig.remap_group, 1, 2)
+    mrp.run(until=0.6)
+    return records
+
+
 SCENARIOS = {
     "fig1_single_ring": scenario_fig1,
+    "merge_remap": scenario_merge_remap,
     "three_rings": scenario_three_rings,
     "three_regions": scenario_three_regions,
 }

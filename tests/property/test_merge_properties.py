@@ -6,7 +6,7 @@ sequence, no matter how the per-ring streams interleave on arrival. We
 check that against a reference implementation of Algorithm 1's Task 4.
 """
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.core import DeterministicMerge
@@ -190,6 +190,7 @@ class _PerInstanceMerge:
         self.cursor = 0
         self.quota = m
         self.round = 0
+        self.last = None  # (round, ring) of the last instance consumed
         self.consumed = self.skipped = 0
         self.delivered = []
 
@@ -197,19 +198,34 @@ class _PerInstanceMerge:
     def buffered(self):
         return sum(len(q) for q in self.queues.values())
 
-    def set_ring_order(self, ring_order):
-        # The merge keeps its place: the current ring keeps its turn if it
-        # stays, else the next ring in ascending order takes it.
-        current = self.order[self.cursor]
+    def positions(self):
+        """Each ring's next instance: rings before the cursor have had this
+        round's turn, the cursor's ring has used ``M - quota`` of it."""
+        return {
+            rid: (self.round + (i < self.cursor)) * self.m
+            + (self.m - self.quota if i == self.cursor else 0)
+            for i, rid in enumerate(self.order)
+        }
+
+    def place(self, ring_id):
+        """Where a ring joined now starts: its first instance past the
+        last one consumed in (round, ring) order."""
+        if self.last is None:
+            return 0
+        rnd, ring = self.last
+        return (rnd + (ring_id < ring)) * self.m
+
+    def switch(self, ring_order):
+        # The rings that stay keep their positions, a new one starts at its
+        # place, and the walk goes on at the smallest (round, ring).
+        positions = self.positions()
+        positions = {rid: positions.get(rid, self.place(rid)) for rid in ring_order}
         self.queues = {rid: self.queues.get(rid, []) for rid in ring_order}
         self.order = list(ring_order)
-        if current in ring_order:
-            self.cursor = ring_order.index(current)
-            return
-        later = [i for i, rid in enumerate(ring_order) if rid > current]
-        self.cursor = later[0] if later else 0
-        self.round += not later
-        self.quota = self.m
+        turn = min(ring_order, key=lambda rid: (positions[rid] // self.m, rid))
+        self.cursor = ring_order.index(turn)
+        self.round, used = divmod(positions[turn], self.m)
+        self.quota = self.m - used
 
     def push(self, ring_id, item):
         if ring_id not in self.queues:
@@ -220,6 +236,7 @@ class _PerInstanceMerge:
             self.queues[ring_id].append(item.values[0].payload)
         while self.queues[self.order[self.cursor]]:
             value = self.queues[self.order[self.cursor]].pop(0)
+            self.last = (self.round, self.order[self.cursor])
             self.consumed += 1
             if value is None:
                 self.skipped += 1
@@ -243,8 +260,9 @@ class _PerInstanceMerge:
 def test_merge_state_matches_per_instance_walk_after_every_push(raw, m, seed, new_order, data):
     """Taking skips a round at a time is invisible between pushes.
 
-    Position, counters and gauges equal the per-instance reference after
-    each push, across a ``set_ring_order`` somewhere in the stream.
+    Per-ring positions, counters and gauges equal the per-instance
+    reference after each push, across rings joined (at their place) and
+    left somewhere in the stream.
     """
     import random
 
@@ -261,15 +279,19 @@ def test_merge_state_matches_per_instance_walk_after_every_push(raw, m, seed, ne
     reorder_at = data.draw(st.integers(0, total))
     for step in range(total):
         if step == reorder_at:
-            merge.set_ring_order(new_order)
-            reference.set_ring_order(new_order)
+            for rid in new_order:  # join first: the place counts every ring
+                if rid not in merge.rings:
+                    merge.join(rid, reference.place(rid))
+            for rid in list(merge.rings):
+                if rid not in new_order:
+                    merge.leave(rid)
+            reference.switch(new_order)
         ring = rng.choice([i for i in rings if cursors[i] < len(streams[i])])
         instance, item = streams[ring][cursors[ring]]
         cursors[ring] += 1
         merge.push(ring, instance, item)
         reference.push(ring, item)
-        cursor, quota, _, rnd, _ = merge.snapshot()  # (queues: the depth checks below)
-        assert (cursor, quota, rnd) == (reference.cursor, reference.quota, reference.round)
+        assert merge.next == reference.positions()
         assert merge.consumed_instances.value == reference.consumed
         assert merge.skipped_instances.value == reference.skipped
         assert merge.buffered_instances.value == reference.buffered
@@ -303,3 +325,75 @@ def test_merges_of_different_ring_sets_agree_on_common_messages(raw, m, data):
         outs.append(out)
     common = set(outs[0]) & set(outs[1])
     assert [p for p in outs[0] if p in common] == [p for p in outs[1] if p in common]
+
+
+@given(
+    raw=st.lists(stream_strategy, min_size=2, max_size=4),
+    m=st.integers(1, 5),
+    seed=st.integers(0, 2**16),
+    data=st.data(),
+)
+@settings(max_examples=300, deadline=None)
+def test_a_ring_joined_at_a_cut_keeps_the_order_of_a_merge_that_had_it(raw, m, seed, data):
+    """Uniform partial order across a join.
+
+    One merge has every ring from instance 0; the other joins ring ``r`` at
+    instance J when it delivers a cut (a message of another ring), behind
+    or ahead of its place. The first holds r's messages from J on until it
+    delivers the cut, as a learner that had the ring holds a moving group's
+    values until the switch. The two deliver the messages they share in one
+    relative order.
+    """
+    import random
+
+    streams = build_streams(raw)
+    rings = list(range(len(streams)))
+    r = data.draw(st.sampled_from(rings))
+    cuts = [
+        item.values[0].payload
+        for ring in rings if ring != r
+        for _, item in streams[ring] if isinstance(item, DataBatch)
+    ]
+    assume(cuts)
+    cut = data.draw(st.sampled_from(cuts))
+    starts = [instance for instance, _ in streams[r]]
+    starts.append(starts[-1] + streams[r][-1][1].instance_count if starts else 0)
+    join_at = data.draw(st.sampled_from(starts))
+
+    had, held = [], []
+
+    def deliver_had(rid, inst, v):
+        if rid == r and inst >= join_at and cut not in had:
+            held.append(v.payload)
+            return
+        had.append(v.payload)
+        if v.payload == cut:
+            had.extend(held)
+
+    joined, deferred = [], []
+
+    def deliver_joined(rid, inst, v):
+        joined.append(v.payload)
+        if v.payload == cut:
+            merge_joined.join(r, join_at)
+
+    merge_had = DeterministicMerge(ring_order=rings, m=m, on_deliver=deliver_had)
+    merge_joined = DeterministicMerge(
+        ring_order=[rid for rid in rings if rid != r], m=m, on_deliver=deliver_joined
+    )
+    rng = random.Random(seed)
+    cursors = [0] * len(streams)
+    while any(cursors[i] < len(streams[i]) for i in rings):
+        ring = rng.choice([i for i in rings if cursors[i] < len(streams[i])])
+        instance, item = streams[ring][cursors[ring]]
+        cursors[ring] += 1
+        merge_had.push(ring, instance, item)
+        if ring != r:
+            merge_joined.push(ring, instance, item)
+        elif instance >= join_at:
+            deferred.append((instance, item))  # the joined ring learner's stream
+        if r in merge_joined.rings:
+            while deferred:
+                merge_joined.push(r, *deferred.pop(0))
+    common = set(had) & set(joined)
+    assert [p for p in had if p in common] == [p for p in joined if p in common]

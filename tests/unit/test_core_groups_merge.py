@@ -236,16 +236,20 @@ def test_three_ring_rotation_order():
 
 
 # ---------------------------------------------------------------------------
-# A new ring set at a reconfiguration cut: the merge keeps its place
+# Rings joined and left at a reconfiguration cut: the merge keeps its place
 # ---------------------------------------------------------------------------
-def switching_merge(rings, at, new_rings, joined=None):
-    """A merge that adopts ``new_rings`` when it delivers payload ``at``."""
+def switching_merge(rings, at, join=None, leave=()):
+    """A merge that joins ``join`` = (ring, instance), then leaves the
+    rings ``leave``, when it delivers payload ``at``."""
     out = []
 
     def deliver(rid, inst, v):
         out.append(v.payload)
         if v.payload == at:
-            merge.set_ring_order(new_rings, joined)
+            if join is not None:
+                merge.join(*join)
+            for ring in leave:
+                merge.leave(ring)
 
     merge = DeterministicMerge(ring_order=list(rings), m=1, on_deliver=deliver)
     return merge, out
@@ -254,7 +258,7 @@ def switching_merge(rings, at, new_rings, joined=None):
 def test_a_ring_leaving_mid_round_passes_the_turn_to_the_next_ring():
     """Ring 1 leaves while its round-0 turn is on: ring 2 takes round 0's
     next turn, as for a learner that never had ring 1."""
-    merge, out = switching_merge([0, 1, 2], at="b0", new_rings=[0, 2])
+    merge, out = switching_merge([0, 1, 2], at="b0", leave=[1])
     merge.push(0, 0, batch(0, "a0"))
     merge.push(1, 0, batch(0, "b0"))
     for i in range(2):
@@ -267,7 +271,7 @@ def test_a_ring_joined_behind_the_place_is_consumed_first():
     """Ring 2 joins at instance 1 when the merge is at round 3, ring 0's
     turn: its instances 1-2 come right after the cut, before ring 1's
     round-3 turn, which waits for them."""
-    merge, out = switching_merge([0, 1], at="a3", new_rings=[0, 1, 2], joined=(2, 1))
+    merge, out = switching_merge([0, 1], at="a3", join=(2, 1))
     for i in range(4):
         merge.push(0, i, batch(i, f"a{i}"))
         merge.push(1, i, batch(i, f"b{i}"))
@@ -282,7 +286,7 @@ def test_a_ring_joined_behind_the_place_is_consumed_first():
 def test_a_ring_joined_ahead_of_the_place_reads_as_skips_until_its_start():
     """Ring 2 joins at instance 6 when the merge is at round 3: its rounds
     3-5 are absorbed as skips and its instance 6 is consumed in round 6."""
-    merge, out = switching_merge([0, 1], at="a3", new_rings=[0, 1, 2], joined=(2, 6))
+    merge, out = switching_merge([0, 1], at="a3", join=(2, 6))
     for i in range(8):
         merge.push(0, i, batch(i, f"a{i}"))
         merge.push(1, i, batch(i, f"b{i}"))
@@ -297,4 +301,4 @@ def test_ring_order_must_be_ascending():
         make_merge(rings=(1, 0))
     merge, _ = make_merge()
     with pytest.raises(ValueError):
-        merge.set_ring_order([0, 0])
+        merge.join(0, 0)  # ring 0 is merged already

@@ -145,7 +145,7 @@ class TestDurablePersistOrdering:
 # Acceptor restart: Phase 1 answers from recovered state
 # ---------------------------------------------------------------------------
 class TestAcceptorRecovery:
-    def _restart(self, acc):
+    def _reboot(self, acc):
         acc.crash()
         acc.node.crash()
         acc.node.restart()
@@ -159,7 +159,7 @@ class TestAcceptorRecovery:
         acc = ring.acceptors[0]
         accepted_before = sorted(acc.storage.known_instances())
         assert accepted_before  # the run accepted real instances
-        self._restart(acc)
+        self._reboot(acc)
         assert acc.recoveries.value == 1
         assert acc.recovered_instances.value > 0
         promise = acc.promise(PrepareRange(0, 10_000))
@@ -190,7 +190,7 @@ class TestAcceptorRecovery:
         sim.run(until=1.0)
         acc = ring.acceptors[0]
         assert acc.storage.known_instances()
-        self._restart(acc)
+        self._reboot(acc)
         assert acc.promise(PrepareRange(0, 10_000)).accepted == ()
         assert acc.storage.floor == 10_000
 
@@ -205,7 +205,7 @@ class TestAcceptorRecovery:
         acc.promise(PrepareRange(0, 500))           # promise round 500...
         acc.storage.persist(-1, 64, lambda: None, ())  # ...and make it durable
         sim.run(until=1.0)
-        self._restart(acc)
+        self._reboot(acc)
         assert acc.storage.floor == 500
 
     def test_ring_delivers_after_acceptor_restart(self):
@@ -214,7 +214,7 @@ class TestAcceptorRecovery:
         pump(ring, 10)
         sim.run(until=1.0)
         acc = ring.acceptors[0]
-        self._restart(acc)
+        self._reboot(acc)
         pump(ring, 10, start=10)
         sim.run(until=3.0)
         assert log == [f"m{i}" for i in range(20)]
@@ -324,6 +324,23 @@ class TestLearnerCatchup:
         assert learner._catchup_backoff == pytest.approx(cap)
         assert learner._catching_up  # still trying, but at the capped rate
         assert learner.catchups_requested.value >= 5
+
+    def test_catchup_past_every_members_frontier_waits_for_the_timer(self):
+        """Asked for an instance no member has decided, every member answers
+        empty: the learner asks each once, then waits for its backoff
+        instead of asking again at round-trip rate."""
+        sim, net, ring = deploy(n_acceptors=3)
+        attach_log(ring)
+        learner = ring.learners[0]
+        pump(ring, 5)
+        sim.run(until=0.5)
+        learner.position_at(learner.next_instance + 10)  # nobody decided this yet
+        learner.frontier = learner.next_instance + 50  # a gap is in sight
+        before = learner.catchups_requested.value
+        learner.begin_catchup()
+        sim.run(until=sim.now + 0.9 * ring.config.repair_interval)  # before any timeout
+        assert learner.catchups_requested.value - before <= len(ring.config.acceptors)
+        assert learner._catching_up
 
     def test_rollback_rewinds_positions_without_traffic(self):
         sim, net, ring = deploy()
