@@ -149,8 +149,14 @@ class RingAcceptor(Process):
         self._decided_order: deque[int] = deque()
         self.state_retention = STATE_RETENTION
         self._gc_horizon = 0
-        self._max_decided_seen = -1
-        self._decided_frontier = 0
+        # Three decision watermarks: the highest instance a decision named
+        # (the GC sweep's reference), the end of the highest decided item
+        # (the frontier learners are told; gaps may lie below it), and the
+        # end of the gap-free decided prefix (every instance below it is
+        # decided and its item known here; a takeover starts above it).
+        self._highest_decided_instance = -1
+        self._highest_decided_end = 0
+        self._gap_free_decided_end = 0
         self._ckpt_watermarks: dict[str, int] = {}
         self._truncate_bound = -1
         if member:
@@ -276,27 +282,34 @@ class RingAcceptor(Process):
     # ------------------------------------------------------------------
     def _on_decisions(self, decisions: tuple[tuple[int, int], ...]) -> None:
         for instance, value_id in decisions:
-            self._max_decided_seen = max(self._max_decided_seen, instance)
-            if self._decided_frontier <= instance:
-                self._decided_frontier = instance + 1
+            self._highest_decided_instance = max(self._highest_decided_instance, instance)
+            if self._highest_decided_end <= instance:
+                self._highest_decided_end = instance + 1
             if instance in self._decided:
                 continue
             item = self.values.get(value_id)
             if item is None:
                 continue
-            if self._decided_frontier < instance + item.instance_count:
-                self._decided_frontier = instance + item.instance_count
+            if self._highest_decided_end < instance + item.instance_count:
+                self._highest_decided_end = instance + item.instance_count
             self._decided[instance] = item
             self._decided_order.append(instance)
             while len(self._decided_order) > DECIDED_LOG_LIMIT:
                 old = self._decided_order.popleft()
                 self._decided.pop(old, None)
+            if instance == self._gap_free_decided_end:
+                # The prefix reaches this item: extend it over the decided
+                # items already held beyond it.
+                end = instance + item.instance_count
+                while (after := self._decided.get(end)) is not None:
+                    end += after.instance_count
+                self._gap_free_decided_end = end
         # Prune per-instance Paxos state far below the decided frontier:
         # decided instances never change, and a generous retention window
         # (for takeover recovery and learner repairs) bounds memory on long
         # runs; a real deployment would checkpoint instead. Amortised: the
         # O(live state) sweep runs only after the frontier moved a chunk.
-        horizon = self._max_decided_seen - self.state_retention
+        horizon = self._highest_decided_instance - self.state_retention
         if horizon > self._gc_horizon + max(1, self.state_retention // 10):
             self.storage.forget_up_to(horizon)
             self._forwarded = {
@@ -316,7 +329,7 @@ class RingAcceptor(Process):
         """Answer a learner's gap repair or restart catch-up from the decided log."""
         if self.crashed:
             return
-        reply = learner_reply(self._decided, msg, self._decided_frontier)
+        reply = learner_reply(self._decided, msg, self._highest_decided_end)
         if reply is None:
             return
         if isinstance(reply, CatchupReply):
@@ -366,7 +379,7 @@ class RingAcceptor(Process):
         acked — the restarted acceptor answers Phase 1 and parks back into
         the ring with real state. In-memory mode recovers amnesiac, as a
         RAM-only acceptor must. Volatile caches (parked tokens, decided
-        log, forward dedup) start empty either way.
+        log and its watermarks, forward dedup) start empty either way.
         """
         self.storage.recover()
         self.values = ValueStore()
@@ -375,8 +388,9 @@ class RingAcceptor(Process):
         self.parked_depth.value = 0
         self._decided = {}
         self._decided_order.clear()
-        self._max_decided_seen = -1
-        self._decided_frontier = 0
+        self._highest_decided_instance = -1
+        self._highest_decided_end = 0
+        self._gap_free_decided_end = 0
         self._gc_horizon = 0
         self._ckpt_watermarks = {}
         self._truncate_bound = -1
@@ -419,7 +433,9 @@ class RingAcceptor(Process):
         # Below a checkpoint truncation everything is decided and forgotten:
         # the answer starts above it, and so does the successor's recovery.
         start = max(msg.from_instance, self._truncate_bound + 1)
-        return PromiseRange(start, msg.rnd, self.storage.votes(start))
+        return PromiseRange(
+            start, msg.rnd, self.storage.votes(start), self._gap_free_decided_end
+        )
 
     def hold(self, instance: int, rnd: int, item: DataBatch | SkipRange) -> int:
         """Vote for ``item`` at ``rnd`` where the rule allows, returning its

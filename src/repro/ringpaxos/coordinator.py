@@ -498,44 +498,63 @@ class RingCoordinator(Process):
     def recover(self, promises: Iterable[PromiseRange]) -> None:
         """Take the ring over from a Phase 1 majority's promises.
 
-        Announces the new layout, re-proposes every recovered value at its
-        original instance (the highest-round one per instance: Paxos value
-        selection), fills observable gaps with skips, and resumes normal
-        service. Nothing below an instance some promiser has truncated
-        (decided, and checkpointed by every replica) is proposed again.
+        Announces the new layout and recovers only the undecided suffix.
+        Every instance below the highest gap-free decided prefix a
+        promiser reports is decided: its recovered value (the highest-round
+        vote, which Paxos value selection guarantees is the decided one)
+        enters this coordinator's decided log for learner repairs and
+        counts as decided for the proposers' acks; it is not proposed
+        again. Above that prefix every recovered value is re-proposed at
+        its original instance, observable gaps are filled with skips, and
+        normal service resumes — so a takeover costs one round over what
+        was in flight, however long the ring has run. Nothing below an
+        instance some promiser has truncated (decided, and checkpointed by
+        every replica) is looked at.
         """
         promises = list(promises)
         start = max(promise.from_instance for promise in promises)
+        settled = max(promise.decided_prefix for promise in promises)
         votes: dict[int, list[tuple[int, DataBatch | SkipRange]]] = {}
         for promise in promises:
             for instance, vrnd, item in promise.accepted:
                 votes.setdefault(instance, []).append((vrnd, item))
-        best = {instance: select_value(held) for instance, held in votes.items()}
+        best = {instance: select_value(votes[instance]) for instance in sorted(votes)}
         # Announce the new layout before any 2A so surviving acceptors
         # re-chain their successors first (FIFO links keep the order).
         self._announce()
-        # Re-propose recovered values at their instances; fill gaps (an
-        # instance below the recovered horizon with no accepted value
-        # anywhere in the quorum cannot have been decided) with skips.
-        horizon = start
+        cursor = max(start, settled)
+        horizon = cursor
         for instance, item in best.items():
             horizon = max(horizon, instance + item.instance_count)
-        # Seed per-sender dedup state from recovered values so proposers'
-        # retransmissions of already-ordered submissions are recognised
-        # (they will be acked when the re-proposed batches re-decide).
-        for item in best.values():
-            if isinstance(item, DataBatch):
-                for value in item.values:
-                    if value.sender:
-                        have = self._submit_expected.get(value.sender, 0)
-                        self._submit_expected[value.sender] = max(have, value.seq + 1)
-                    # Re-seed the idempotence keys of recovered control
-                    # cuts, so the reconfiguration manager's retries stay
-                    # exactly-once across this coordinator change.
-                    if isinstance(value.payload, ConfigChange):
-                        cut = value.payload
-                        self._foreign_keys.add(("cut", cut.epoch, cut.kind))
-        cursor = start
+            settle = instance < settled
+            if settle:
+                self._decided_log[instance] = item
+                self._decided_order.append(instance)
+            if not isinstance(item, DataBatch):
+                continue
+            for value in item.values:
+                # Seed per-sender dedup state from every recovered value so
+                # proposers' retransmissions of already-ordered submissions
+                # are recognised; a settled value is acked as decided now, a
+                # re-proposed one when it re-decides.
+                if value.sender:
+                    have = self._submit_expected.get(value.sender, 0)
+                    self._submit_expected[value.sender] = max(have, value.seq + 1)
+                    if settle:
+                        acked = self._submit_acked.get(value.sender, -1)
+                        self._submit_acked[value.sender] = max(acked, value.seq)
+                # Re-seed the idempotence keys of recovered control cuts,
+                # so the reconfiguration manager's retries stay exactly-once
+                # across this coordinator change.
+                if isinstance(value.payload, ConfigChange):
+                    cut = value.payload
+                    self._foreign_keys.add(("cut", cut.epoch, cut.kind))
+        while len(self._decided_order) > self._decided_log_limit:
+            self._decided_log.pop(self._decided_order.popleft(), None)
+        # Re-propose the undecided suffix's recovered values at their
+        # instances; fill its gaps (an instance below the recovered horizon
+        # with no accepted value anywhere in the quorum cannot have been
+        # decided) with skips.
         while cursor < horizon:
             item = best.get(cursor)
             if item is not None:

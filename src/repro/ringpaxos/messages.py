@@ -377,11 +377,15 @@ class CoordinatorChange:
 
 @dataclass(slots=True, unsafe_hash=True)
 class PromiseRange:
-    """Phase 1b for a range: every accepted (instance, vrnd, item) above it."""
+    """Phase 1b for a range: every accepted (instance, vrnd, item) above it,
+    and the end of the promiser's gap-free decided prefix — every instance
+    below ``decided_prefix`` is decided, so a successor re-proposes only
+    above the highest one its quorum reports."""
 
     from_instance: int
     rnd: int
     accepted: tuple[tuple[int, int, DataBatch | SkipRange], ...] = ()
+    decided_prefix: int = 0
 
     @property
     def size(self) -> int:

@@ -22,6 +22,7 @@ __all__ = ["RingProposer"]
 
 # At most this many unreceived submissions are resent per retransmit tick
 # (every ``retry_timeout``), so a long backlog cannot flood the coordinator.
+# A retarget is not capped: the new coordinator needs the whole backlog.
 RETRANSMIT_BURST = 64
 
 
@@ -152,11 +153,19 @@ class RingProposer(Process):
     def retarget(self, config: RingConfig) -> None:
         """Follow a reconfigured ring: submissions go to the new
         coordinator, and the received watermark rewinds — whatever only
-        the dead coordinator had received must be offered again."""
+        the dead coordinator had received must be offered again. Every
+        undecided value goes to the new coordinator at once: waiting for
+        the retransmit tick, capped at ``RETRANSMIT_BURST``, would add up
+        to a ``retry_timeout`` and a tick per burst to the takeover."""
         self.config = config
         self.coordinator = config.coordinator
         self._received_cum = -1
-        if self._unacked and not self._retransmit_timer.running:
+        if self.crashed or not self._unacked:
+            return
+        for value in self._unacked.values():
+            self.retransmissions.value += 1
+            self._send(value)
+        if not self._retransmit_timer.running:
             self._retransmit_timer.start()
 
     def on_crash(self) -> None:

@@ -16,6 +16,7 @@ spare/learner add/remove, and the autoscaler policy loop.
 import pytest
 
 from repro import MultiRingConfig, MultiRingPaxos
+from repro.check import oracle_watch
 from repro.core.reconfig import Autoscaler, AutoscalePolicy
 from repro.errors import ConfigurationError
 from repro.sim.faults import NetworkPartition
@@ -157,6 +158,115 @@ def test_undecided_inflight_values_are_recovered():
     mrp.run(until=3.0)
     assert sorted(log) == [f"m{i}" for i in range(5)]
     assert len(log) == len(set(log))
+
+
+def watch_recoveries(mrp, ring_id=0):
+    """Snapshots of each successor's in-flight instances, taken when it has
+    just recovered (``recover`` has run, no decision has come back): what
+    the takeover re-proposed, instance -> item."""
+    failover = mrp.rings[ring_id].failover
+    recoveries = []
+    announce = failover.on_new_coordinator
+
+    def on_new_coordinator(coordinator):
+        recoveries.append({s.instance: s.item for s in coordinator._inflight.values()})
+        announce(coordinator)
+
+    failover.on_new_coordinator = on_new_coordinator
+    return recoveries
+
+
+@pytest.mark.parametrize("crash_at", [0.5, 4.0])
+def test_a_takeovers_cost_does_not_grow_with_uptime(crash_at):
+    """A takeover costs detection plus one round. The successor
+    re-proposes only what no promiser knows decided — at most one window
+    — and proposers hand it their backlog at once, so the first value
+    sent after the crash is delivered within suspect_timeout + 5 ms of it,
+    whether the ring has run 0.5 s or 4 s. (Re-proposing the whole
+    retained log took 749 and 5 999 instances here, and the first delivery
+    61 ms, then more than 400 ms.)"""
+    mrp = deploy(n_groups=2)
+    delivered = []
+    mrp.add_learner(
+        groups=[0, 1],
+        on_deliver=lambda g, v: delivered.append((g, v.created_at, mrp.sim.now)),
+    )
+    p = mrp.add_proposer()
+    end = crash_at + 0.4
+    for k in range(int(end / 0.001)):
+        mrp.sim.at(k * 0.001, p.multicast, k % 2, k, 1024)
+    recoveries = watch_recoveries(mrp)
+    mrp.sim.at(crash_at, mrp.crash_coordinator, 0)
+    mrp.run(until=end)
+    assert len(recoveries) == 1
+    assert len(recoveries[0]) <= mrp.config.window
+    first = min(at for g, sent, at in delivered if g == 0 and sent > crash_at)
+    assert first - crash_at <= mrp.config.suspect_timeout + 0.005
+
+
+def test_a_promisers_decided_prefix_ahead_of_the_candidates_is_not_reproposed():
+    """acc0 restarts from its disk, votes kept and decisions forgotten; it
+    then stands for coordinator with acc1, whose gap-free decided prefix
+    is ahead of its own, in its quorum. Nothing below acc1's prefix is
+    proposed again: the successor enters those values in its decided log
+    and serves them itself to a learner that was cut off while they were
+    decided, and every learner delivers one sequence."""
+    with oracle_watch():
+        mrp = deploy(acceptors_per_ring=3, durable=True, lambda_rate=0.0)
+        logs = [[], [], []]
+        for log in logs:
+            mrp.add_learner(groups=[0], on_deliver=lambda g, v, log=log: log.append(v.payload))
+        p = mrp.add_proposer()
+        ring = mrp.rings[0]
+        acc0, acc1 = ring.acceptors
+        cut(mrp, {"mr-lrn2"}, 0.05, 0.62)  # learner 2 asks the successor first
+        for i in range(10):
+            mrp.sim.at(0.1 + 0.005 * i, p.multicast, 0, f"a{i}", SIZE)
+        mrp.run(until=0.2)
+        acc0.crash()
+        acc0.node.crash()
+        mrp.run(until=0.21)
+        acc0.node.restart()
+        acc0.restart()
+        for i in range(10):
+            mrp.sim.at(0.25 + 0.005 * i, p.multicast, 0, f"b{i}", SIZE)
+        mrp.run(until=0.4)
+        prefix = acc1._gap_free_decided_end
+        assert acc0._gap_free_decided_end < prefix == acc1._highest_decided_end
+        recoveries = watch_recoveries(mrp)
+        mrp.crash_coordinator(0)
+        mrp.run(until=0.6)
+        assert ring.coordinator.node is acc0.node
+        assert acc1.node.name in ring.coordinator.config.acceptors  # in the quorum
+        assert len(recoveries) == 1 and min(recoveries[0], default=prefix) >= prefix
+        for i in range(5):
+            mrp.sim.at(0.6 + 0.005 * i, p.multicast, 0, f"c{i}", SIZE)
+        mrp.run(until=1.5)
+    expected = [f"{tag}{i}" for tag, n in (("a", 10), ("b", 10), ("c", 5)) for i in range(n)]
+    assert logs[0] == logs[1] == logs[2] == expected
+    # The cut-off learner's repairs were the successor's to serve.
+    assert all(a.repairs_served.value == 0 for a in ring.failover.acceptors.values())
+
+
+def test_values_the_quorum_knows_decided_are_acked_by_the_successor():
+    """Every decided-ack of the first coordinator is lost. The successor
+    does not propose those values again, so it must ack them itself: the
+    proposer's whole backlog drains without another value being sent."""
+    mrp = deploy(lambda_rate=0.0)
+    log = []
+    mrp.add_learner(groups=[0], on_deliver=lambda g, v: log.append(v.payload))
+    p = mrp.add_proposer()
+    mrp.network.loss = DropBetween(mrp.sim, "mr0-coord", "mr-prop0", until=float("inf"))
+    for i in range(5):
+        p.multicast(0, f"m{i}", SIZE)
+    mrp.run(until=0.3)
+    assert log == [f"m{i}" for i in range(5)] and p.unacked == 5
+    recoveries = watch_recoveries(mrp)
+    mrp.crash_coordinator(0)
+    mrp.run(until=0.6)
+    assert recoveries == [{}]
+    assert p.unacked == 0
+    assert log == [f"m{i}" for i in range(5)]
 
 
 def test_multi_group_learner_drains_after_takeover():

@@ -6,12 +6,14 @@ notification, the notification without its value, a 2B overtaking its 2A,
 and a lost 2A stalling the ring until the coordinator's retry.
 """
 
+from dataclasses import replace
 
 import pytest
 
 from repro.calibration import DEFAULT_VALUE_SIZE, mbps_to_bytes_per_s
 from repro.errors import ConfigurationError, ProtocolError
 from repro.ringpaxos import RingConfig, RingCoordinator, build_ring
+from repro.ringpaxos.proposer import RETRANSMIT_BURST
 from repro.sim import Network, Node, Simulator
 from repro.workload import ConstantRate, OpenLoopGenerator
 
@@ -248,3 +250,30 @@ def test_heap_residency_stays_small_under_load():
         sizes.append(sim.pending_events)
     assert ring.coordinator.instances_decided.value > 400
     assert max(sizes) < 100, sizes
+
+
+def test_retarget_hands_the_whole_backlog_to_the_new_coordinator_at_once():
+    """The coordinator is down with 200 values unacked. A retarget sends
+    all 200 to the new coordinator at that instant; the periodic
+    retransmit that follows stays capped at RETRANSMIT_BURST per tick."""
+    sim, net, ring, log = deploy()
+    proposer = ring.proposers[0]
+    ring.coordinator.crash()
+    ring.coordinator.node.crash()
+    for i in range(200):
+        proposer.multicast(f"m{i}", 64)
+    net.add_node(Node(sim, "r0-standby"))  # the new coordinator: never acks
+    sent = []
+    send = proposer._send
+
+    def record(value):
+        if proposer.coordinator == "r0-standby":
+            sent.append((sim.now, value.seq))
+        send(value)
+
+    proposer._send = record
+    sim.run(until=0.05)
+    proposer.retarget(replace(ring.config, acceptors=["r0-acc0", "r0-standby"]))
+    assert sent == [(sim.now, seq) for seq in range(200)]
+    sim.run(until=sim.now + ring.config.retry_timeout)
+    assert len(sent) == 200 + RETRANSMIT_BURST
