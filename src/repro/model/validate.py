@@ -11,8 +11,9 @@ a per-quantity tolerance band:
 * response time below saturation (40% — an M/M/1 waiting term against
   a deterministic-service simulator is shape-accurate, not exact);
 * geo stretch latency, base + slowest-member RTT (15%);
-* the Figure 6 learner-ingress ceiling (15% — the model does not
-  charge retransmission-repair duplication to the link);
+* the Figure 6 learner-ingress ceiling (15% — the model charges no
+  repair traffic to the link; since a learner repairs only an overdue
+  instance there is none at this ceiling, and the error is under 1 %);
 * the coordinator CPU and disk busy fractions that the Figure 1 runner
   measures at the Recoverable knee against the model's utilization
   vector (10%).
@@ -141,7 +142,7 @@ def run_checks(quick: bool = False) -> list[Check]:
 
     if not quick:
         # Figure 6: subscribe-all learner hits its ingress ceiling. The
-        # model does not charge repair duplication to the link: 15%.
+        # model charges no repair traffic to the link: 15%.
         sub = run_multiring_point(
             n_rings=4, durable=False, subscribe_all=True,
             duration=duration, warmup=warmup,

@@ -9,9 +9,10 @@ unpacked to the application through ``on_deliver``.
 
 Loss recovery follows Section III-B: a learner that received a value
 without its notification, the notification without the value, or neither,
-asks its *preferential acceptor* to repair the head-of-line instance. The
-decision frontier carried by coordinator heartbeats makes trailing losses
-observable.
+asks its *preferential acceptor* to repair the head-of-line instance once
+it has been missing for a repair interval (until then it may only be in
+flight). The coordinator's next instance, carried by its heartbeats, makes
+trailing losses observable.
 
 The learner also measures everything the evaluation plots: delivery
 throughput (bytes and messages, cumulative and per-second series),
@@ -118,7 +119,7 @@ class RingLearner(Process):
         self.latency_series = self.metrics.series("latency_mean", bucket_width=series_bucket)
         self._ready: dict[int, DataBatch | SkipRange] = {}
         self._repair_attempts = 0
-        self._last_repair_instance = -1
+        self._missing_head = -1  # head-of-line instance missing at the last tick
         self._layout_rnd = 0  # round of the CoordinatorChange adopted last
         self._awaiting_value: dict[int, int] = {}  # instance -> value id
         self._awaiting_by_vid: dict[int, int] = {}  # value id -> instance
@@ -213,7 +214,6 @@ class RingLearner(Process):
         self._layout_rnd = msg.rnd
         self.config = self.config.with_layout(msg.acceptors, self.network)
         self._repair_attempts = 0
-        self._last_repair_instance = -1
 
     def _on_learner_port(self, src: str, msg) -> None:
         if self.crashed or not isinstance(msg, (RepairReply, CatchupReply)):
@@ -287,7 +287,12 @@ class RingLearner(Process):
     # Recovery
     # ------------------------------------------------------------------
     def _check_gaps(self) -> None:
-        """Repair the head-of-line instance when it is observably missing.
+        """Repair the head-of-line instance once it is overdue.
+
+        An instance is overdue when it was already observably missing at
+        the previous tick, a repair interval ago: one missing only since
+        may still be in flight (its decision behind its 2A, or a backlog in
+        this learner's ingress), and a repair would resend what is coming.
 
         Repairs go to the learner's preferential acceptor first; if several
         consecutive attempts for the same instance go unanswered (e.g. that
@@ -298,14 +303,15 @@ class RingLearner(Process):
             return
         gap_observable = self._ready or self._awaiting_value or self.next_instance < self.frontier
         if not gap_observable:
+            self._missing_head = -1
             return
-        if self.next_instance == self._last_repair_instance:
-            self._repair_attempts += 1
-        else:
-            self._last_repair_instance = self.next_instance
+        if self.next_instance != self._missing_head:
+            self._missing_head = self.next_instance
             self._repair_attempts = 0
+            return
         ring = self.config.acceptors
         target = ring[(self.learner_index + self._repair_attempts // 3) % len(ring)]
+        self._repair_attempts += 1
         # Ask for the whole observable gap (bounded); batched replies make
         # catch-up after an outage a few round trips, not one per instance.
         count = max(1, min(self.frontier - self.next_instance, 256))
@@ -404,8 +410,7 @@ class RingLearner(Process):
         self._awaiting_value.clear()
         self._awaiting_by_vid.clear()
         self.reorder_depth.value = 0
-        self._repair_attempts = 0
-        self._last_repair_instance = -1
+        self._missing_head = -1
         probe = self.sim.probe
         if probe is not None and "learner.rollback" in probe.subscribers:
             probe.emit(
@@ -435,8 +440,7 @@ class RingLearner(Process):
                 vid = self._awaiting_value.pop(waiting)
                 self._awaiting_by_vid.pop(vid, None)
         self.reorder_depth.value = len(self._ready)
-        self._repair_attempts = 0
-        self._last_repair_instance = -1
+        self._missing_head = -1
         self._emit_ready()
 
     def on_crash(self) -> None:

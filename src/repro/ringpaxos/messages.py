@@ -159,8 +159,9 @@ class SubmitAck:
     ``decided_cum``: all submissions <= it are *decided* — they survive
     any coordinator crash, so the proposer may forget them (validity).
     After a coordinator change, the proposer rewinds its retransmission
-    watermark to ``decided_cum``: whatever only the dead coordinator had
-    received is offered again to the new one.
+    watermark to -1 (the new coordinator has acked nothing yet) and
+    sends it every undecided value: whatever only the dead coordinator
+    had received is offered again to the new one.
     """
 
     received_cum: int
@@ -218,7 +219,9 @@ class DecisionAnnounce:
 
 @dataclass(slots=True, unsafe_hash=True)
 class Heartbeat:
-    """Idle-coordinator liveness beacon; carries the decision frontier."""
+    """Idle-coordinator liveness beacon; carries the coordinator's next
+    instance: every instance below it has been started, not necessarily
+    decided. Learners read it as evidence that those instances exist."""
 
     next_instance: int
 

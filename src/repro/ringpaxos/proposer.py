@@ -20,7 +20,7 @@ from .messages import ClientValue, Submit, SubmitAck
 
 __all__ = ["RingProposer"]
 
-# At most this many unreceived submissions are resent per retransmit tick
+# At most this many overdue submissions are resent per retransmit tick
 # (every ``retry_timeout``), so a long backlog cannot flood the coordinator.
 # A retarget is not capped: the new coordinator needs the whole backlog.
 RETRANSMIT_BURST = 64
@@ -46,6 +46,7 @@ class RingProposer(Process):
         self.sent_bytes = Counter("bytes_sent")
         self.retransmissions = Counter("retransmissions")
         self._unacked: dict[int, ClientValue] = {}
+        self._sent_at: dict[int, float] = {}  # seq -> when it was last sent
         self._received_cum = -1  # retransmission-suppression watermark
         self._retransmit_timer = PeriodicTimer(sim, config.retry_timeout, self._retransmit)
         # Called (with no arguments) whenever a cumulative ack drains
@@ -97,6 +98,7 @@ class RingProposer(Process):
         # ranges this proposer will never send — a bumped seq after a
         # group remap must not read as a gap to wait on.
         floor = next(iter(self._unacked)) if self._unacked else self.seq
+        self._sent_at[value.seq] = self.sim.now
         msg = Submit(value, floor)
         self.network.send(
             self.node.name, self.coordinator, self.config.coord_port, msg, msg.size
@@ -116,6 +118,7 @@ class RingProposer(Process):
             if first > msg.decided_cum:
                 break
             del self._unacked[first]
+            del self._sent_at[first]
             drained = True
         if not self._unacked:
             self._retransmit_timer.stop()
@@ -123,18 +126,26 @@ class RingProposer(Process):
             self.on_ack()
 
     def _retransmit(self) -> None:
-        """Resend undecided submissions the coordinator has not received.
+        """Resend overdue submissions the coordinator has not received.
 
-        Anything at or below the received watermark is already in the
-        coordinator's pipeline and only awaits its decision — resending it
-        would just burn bandwidth (and under backlog, collapse the ring).
+        A submission is overdue once it was last sent ``retry_timeout``
+        ago; one sent since is in flight, and resending it would only put
+        a duplicate on the wire ahead of fresh values. Anything at or below
+        the received watermark is already in the coordinator's pipeline
+        and only awaits its decision — resending it would just burn
+        bandwidth (and under backlog, collapse the ring).
         """
         if self.crashed or not self._unacked:
             self._retransmit_timer.stop()
             return
+        # Overdue is ``sent_at + timeout <= now``, not ``sent_at <= now -
+        # timeout``: a value resent at a tick is due exactly at the next.
+        now = self.sim.now
+        timeout = self.config.retry_timeout
+        sent_at = self._sent_at
         burst = 0
         for seq in self._unacked:  # ascending insertion order
-            if seq <= self._received_cum:
+            if seq <= self._received_cum or sent_at[seq] + timeout > now:
                 continue
             self.retransmissions.value += 1
             self._send(self._unacked[seq])
@@ -142,13 +153,14 @@ class RingProposer(Process):
             if burst >= RETRANSMIT_BURST:
                 break
         if burst == 0:
-            # Everything outstanding is already in the coordinator's
-            # pipeline; we are only waiting for (possibly lost) decided
-            # acks. Probe with the oldest value — the duplicate elicits a
-            # fresh ack carrying the current watermarks.
+            # Everything outstanding is in the coordinator's pipeline or
+            # in flight. Once the oldest value has waited a whole timeout
+            # for its decided ack, which may be lost, probe with it: the
+            # duplicate elicits a fresh ack carrying the current watermarks.
             oldest = next(iter(self._unacked))
-            self.retransmissions.value += 1
-            self._send(self._unacked[oldest])
+            if sent_at[oldest] + timeout <= now:
+                self.retransmissions.value += 1
+                self._send(self._unacked[oldest])
 
     def retarget(self, config: RingConfig) -> None:
         """Follow a reconfigured ring: submissions go to the new

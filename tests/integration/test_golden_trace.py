@@ -4,16 +4,21 @@ Records the full observable outcome of four fixed-seed scenarios — every
 ``net.deliver`` (message handed to a node), ``net.drop`` (a leg lost or
 cut), ``learner.decide`` (ring order) and ``learner.deliver`` (merged
 order) event — and compares the sequence *bit for bit* against a
-committed fixture. The two single-switch fixtures were recorded before
-the fast-path kernel (fused run loop, allocation-free scheduling,
-coalesced multicast fan-out) landed, so a pass means the optimized kernel
-reproduces the exact delivery and decision order of the reference
-implementation, timestamps included. The three-region fixture was
-recorded while ``GeoNetwork`` still had its own ``send`` / ``multicast``
-and pins the WAN path (per-region crossings, jitter clamping, a cut link)
-the same way. The remap fixture was recorded before the merge's
-round-robin walk was rewritten as an order on ``(instance // M, ring)``
-and pins its joins, skips and turns across two live group moves.
+committed fixture. All four fixtures were last recorded when proposers
+and learners began to resend only what is overdue, a protocol change
+that removed Submit retransmissions and repair requests for values that
+were only in flight; the kernel did not change then, and the code before
+it reproduces the earlier fixtures exactly. Those pinned the kernel: the
+two single-switch ones were recorded before the fast-path kernel (fused
+run loop, allocation-free scheduling, coalesced multicast fan-out)
+landed, so a pass meant the optimized kernel reproduced the exact
+delivery and decision order of the reference implementation, timestamps
+included; the three-region one while ``GeoNetwork`` still had its own
+``send`` / ``multicast``, pinning the WAN path (per-region crossings,
+jitter clamping, a cut link) the same way; and the remap one before the
+merge's round-robin walk was rewritten as an order on
+``(instance // M, ring)``, pinning its joins, skips and turns across two
+live group moves.
 
 Regenerate the fixture only for a *deliberate* semantic change::
 

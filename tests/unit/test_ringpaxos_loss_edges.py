@@ -3,19 +3,24 @@
 Instead of random loss, these drop *specific* messages to force each
 recovery path from the paper's Section III-B: the value without its
 notification, the notification without its value, a 2B overtaking its 2A,
-and a lost 2A stalling the ring until the coordinator's retry.
+and a lost 2A stalling the ring until the coordinator's retry. Resends
+wait until what they resend is overdue, so without loss there are none.
 """
 
 from dataclasses import replace
+from functools import partial
 
 import pytest
 
 from repro.calibration import DEFAULT_VALUE_SIZE, mbps_to_bytes_per_s
+from repro.core.config import MultiRingConfig
+from repro.core.deployment import MultiRingPaxos
 from repro.errors import ConfigurationError, ProtocolError
+from repro.obs.probe import ProbeBus
 from repro.ringpaxos import RingConfig, RingCoordinator, build_ring
 from repro.ringpaxos.proposer import RETRANSMIT_BURST
 from repro.sim import Network, Node, Simulator
-from repro.workload import ConstantRate, OpenLoopGenerator
+from repro.workload import ClosedLoopGenerator, ConstantRate, OpenLoopGenerator
 
 
 class DropMatching:
@@ -255,7 +260,8 @@ def test_heap_residency_stays_small_under_load():
 def test_retarget_hands_the_whole_backlog_to_the_new_coordinator_at_once():
     """The coordinator is down with 200 values unacked. A retarget sends
     all 200 to the new coordinator at that instant; the periodic
-    retransmit that follows stays capped at RETRANSMIT_BURST per tick."""
+    retransmit resends none of them until they are overdue, and then
+    stays capped at RETRANSMIT_BURST per tick."""
     sim, net, ring, log = deploy()
     proposer = ring.proposers[0]
     ring.coordinator.crash()
@@ -275,5 +281,113 @@ def test_retarget_hands_the_whole_backlog_to_the_new_coordinator_at_once():
     sim.run(until=0.05)
     proposer.retarget(replace(ring.config, acceptors=["r0-acc0", "r0-standby"]))
     assert sent == [(sim.now, seq) for seq in range(200)]
-    sim.run(until=sim.now + ring.config.retry_timeout)
+    # The retransmit ticks run every retry_timeout from the first multicast
+    # at t = 0; the first one at least a retry_timeout after the retarget
+    # is where the resent values fall due.
+    timeout = ring.config.retry_timeout
+    due_tick = 0.0
+    while due_tick < sim.now + timeout:
+        due_tick += timeout
+    sim.run(until=due_tick - timeout / 2)
+    assert len(sent) == 200
+    sim.run(until=due_tick)
     assert len(sent) == 200 + RETRANSMIT_BURST
+    assert {t for t, _ in sent[200:]} == {due_tick}
+
+
+def test_no_resend_without_loss():
+    """A lossless ring below its knee resends nothing: every submission is
+    acked, and every decision reaches the learner, within a timeout.
+    Resending values that were only in flight (65 a run here, 8 KB each)
+    put a burst of NIC work ahead of fresh values at every tick. Load and
+    timing are the ring1_open benchmark's 650 Mbit/s leg: 0.45 s of
+    offered load with 10 % interarrival jitter, then a drain."""
+    sim = Simulator(seed=1)
+    ring = build_ring(sim, Network(sim))
+    proposer = ring.proposers[0]
+    OpenLoopGenerator(
+        sim,
+        lambda: proposer.multicast(None, DEFAULT_VALUE_SIZE),
+        ConstantRate(mbps_to_bytes_per_s(650) / DEFAULT_VALUE_SIZE),
+        stop_at=0.45,
+        jitter=0.1,
+    ).start()
+    sim.run(until=0.55)
+    assert ring.learners[0].delivered_messages.value == proposer.sent.value > 4000
+    assert proposer.retransmissions.value == 0
+    assert sum(ln.repairs_requested.value for ln in ring.learners) == 0
+
+
+def test_no_repairs_at_saturated_ingress():
+    """One learner on two In-memory rings, closed loop: its ingress link
+    is busy all the time, so decisions queue behind 2As, but nothing is
+    lost. It asks for no repair, and payload fills the link: a repair of
+    an instance that is only queued resends 8 KB into the saturated
+    ingress, which held delivery near 930 Mbit/s."""
+    warmup, duration = 0.2, 0.3
+    mrp = MultiRingPaxos(MultiRingConfig(n_groups=2, durable=False, seed=1))
+    learner = mrp.add_learner(groups=[0, 1])
+    generators = {}
+    for group in range(2):
+        proposer = mrp.add_proposer()
+        generators[proposer.node.name] = generator = ClosedLoopGenerator(
+            mrp.sim, partial(proposer.multicast, group, None, DEFAULT_VALUE_SIZE), window=48
+        )
+        generator.start()
+    learner.on_deliver = lambda group, value: generators[value.sender].notify(value.seq)
+    ingress = mrp.network.nic(learner.node.name).ingress
+    mrp.sim.run(until=warmup)
+    delivered, busy = learner.delivered_bytes.value, ingress.busy_time()
+    mrp.sim.run(until=warmup + duration)
+    assert (ingress.busy_time() - busy) / duration > 0.99
+    delivered_mbps = (learner.delivered_bytes.value - delivered) * 8 / duration / 1e6
+    assert delivered_mbps >= 950
+    assert sum(rl.repairs_requested.value for rl in learner.ring_learners.values()) == 0
+
+
+def _deliveries(sim, net) -> list:
+    """``(time, destination, message type)`` of every message ``net`` hands
+    to a node from now on."""
+    bus = sim.probe
+    if bus is None:
+        bus = ProbeBus()
+        sim.attach_probe(bus)
+    net.probe = bus
+    seen = []
+    bus.subscribe(lambda ev: seen.append((ev.time, ev.source, ev.data["msg"])), kind="net.deliver")
+    return seen
+
+
+def test_a_dropped_submit_or_2a_leg_is_recovered_once_overdue():
+    """Liveness with overdue resends. A Submit dropped once is resent
+    within two retry timeouts plus a round trip. A 2A leg a learner lost
+    is repaired within two repair intervals plus a round trip after the
+    gap becomes visible: one tick finds the instance missing, the next
+    one, a repair interval later, asks for it."""
+    sim, net, ring, log = deploy()
+    seen = _deliveries(sim, net)
+    proposer = ring.proposers[0]
+    proposer.multicast("m0", DEFAULT_VALUE_SIZE)
+    sim.run(until=0.005)
+    round_trip = 2 * seen[0][0]  # m0's Submit, sent at t = 0 on an idle link
+    # m1's Submit, sent between two retransmit ticks, is lost.
+    net.loss = loss = DropMatching(lambda s, d, size: d == "r0-coord" and size > 4096)
+    proposer.multicast("m1", DEFAULT_VALUE_SIZE)
+    dropped_at = sim.now
+    sim.run(until=0.2)
+    submits = [t for t, dst, msg in seen if msg == "Submit"]
+    assert loss.dropped == 1 and log == ["m0", "m1"] and len(submits) == 2
+    assert submits[1] - dropped_at <= 2 * ring.config.retry_timeout + round_trip
+
+    # The 2A leg of m0 to the learner is lost; its decision arrives alone.
+    loss = DropMatching(lambda s, d, size: d == "r0-lrn0" and size > 4096)
+    sim, net, ring, log = deploy(loss=loss)
+    learner = ring.learners[0]
+    ring.proposers[0].multicast("m0", DEFAULT_VALUE_SIZE)
+    while not (learner._awaiting_value or learner._ready or learner.next_instance < learner.frontier):
+        sim.run(max_events=1)
+    visible_at = sim.now
+    while not log:
+        sim.run(max_events=1)
+    assert loss.dropped == 1 and learner.repairs_requested.value == 1
+    assert sim.now - visible_at <= 2 * ring.config.repair_interval + round_trip
