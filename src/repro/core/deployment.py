@@ -42,7 +42,7 @@ from .groups import GroupRegistry
 from .learner import MultiRingLearner
 from .placement import place_rings
 from .proposer import MultiRingProposer
-from .skip import SkipManager
+from .skip import SkipManager, skips_due
 
 __all__ = ["RingHandle", "MultiRingPaxos"]
 
@@ -303,7 +303,7 @@ class MultiRingPaxos:
         """
         ring_id = max(self.rings) + 1 if self.rings else 0
         handle = self.rings[ring_id] = self._build_ring(ring_id)
-        behind = int(round(self.config.lambda_rate * self.sim.now))
+        behind, handle.skip_manager.carry = skips_due(self.config.lambda_rate * self.sim.now, 0.0)
         if behind > 0:
             handle.coordinator.propose_skip(behind)
         return ring_id

@@ -33,6 +33,7 @@ from ..sim.network import Network
 from ..sim.node import Node
 from ..sim.process import PeriodicTimer, Process
 from ..sim.simulator import Simulator
+from .skip import skips_due
 
 __all__ = ["SkipMarker", "LcrBackedGroup"]
 
@@ -97,6 +98,7 @@ class LcrBackedGroup(Process):
         self._outstanding_skips = 0  # proposed skips not yet delivered
         self._prev_planned = 0
         self._prev_time = sim.now
+        self._skip_carry = 0.0
         self._skip_timer = PeriodicTimer(sim, SKIP_INTERVAL, self._skip_tick)
         if lambda_rate > 0:
             self._skip_timer.start()
@@ -158,7 +160,8 @@ class LcrBackedGroup(Process):
         # instances observed plus skips proposed but still in flight, so
         # an interval's fill is never proposed twice.
         planned = self._logical_at_monitor + self._outstanding_skips
-        target = self._prev_planned + int(round(self.lambda_rate * elapsed))
+        whole, self._skip_carry = skips_due(self.lambda_rate * elapsed, self._skip_carry)
+        target = self._prev_planned + whole
         missing = target - planned
         if missing > 0:
             # One broadcast covers the whole interval's worth of skips.

@@ -280,7 +280,6 @@ class MultiRingLearner(Process):
                 epoch=epoch,
             )
         learner.position_at(join_instance)
-        learner.begin_catchup()
         self.ring_learners[ring_id] = learner
 
     def _adopt_epoch(self, cut: ConfigChange) -> None:
@@ -340,10 +339,11 @@ class MultiRingLearner(Process):
         """Rewind to a checkpoint; the suffix replays via normal decides.
 
         Call while the learner (and its ring learners) are still crashed:
-        rollback touches only positions, and the subsequent ``restart``
-        triggers each ring learner's catch-up from the rolled-back
-        position. The ``learner.rewind`` probe tells the oracles to
-        truncate this learner's merged-delivery log to the checkpoint.
+        rollback touches only positions, and after the subsequent
+        ``restart`` each ring learner's gap repair pulls the suffix from
+        the rolled-back position. The ``learner.rewind`` probe tells the
+        oracles to truncate this learner's merged-delivery log to the
+        checkpoint.
         """
         ends = stream_ends(state["merge"])
         for ring_id, rl in self.ring_learners.items():

@@ -217,13 +217,10 @@ class ReconfigManager:
         self.mrp.crash_coordinator(ring_id)
 
     def attach_learner(self, groups: list[int], **kwargs) -> "MultiRingLearner":
-        """Add a learner online; it catches up each subscribed ring's
-        decided prefix through the ranged catch-up path before serving
-        live traffic."""
-        learner = self.mrp.add_learner(groups, **kwargs)
-        for ring_learner in learner.ring_learners.values():
-            ring_learner.begin_catchup()
-        return learner
+        """Add a learner online. Each of its ring learners starts at
+        instance 0 and recovers the ring's decided prefix through the gap
+        repair, once the first 2A or heartbeat shows it the frontier."""
+        return self.mrp.add_learner(groups, **kwargs)
 
     def detach_learner(self, learner: "MultiRingLearner") -> None:
         """Remove a learner online: stop it and leave its multicast

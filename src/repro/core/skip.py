@@ -14,7 +14,9 @@ at once — producing the catch-up spike of Figure 12.
 
 ``lambda_rate`` is expressed in instances per second; the skip target for
 an interval of length ``elapsed`` is ``prev_k + λ·elapsed``, matching
-Algorithm 1 line 16 (``skip <- prev_k + Δλ``).
+Algorithm 1 line 16 (``skip <- prev_k + Δλ``). Only whole instances can be
+proposed, so :func:`skips_due` carries the fraction to the next interval:
+an idle ring then runs at λ, not at a step function of λ·Δ.
 """
 
 from __future__ import annotations
@@ -23,7 +25,15 @@ from ..metrics import MetricsRegistry
 from ..ringpaxos.coordinator import RingCoordinator
 from ..sim.process import PeriodicTimer, Process
 
-__all__ = ["SkipManager"]
+__all__ = ["SkipManager", "skips_due"]
+
+
+def skips_due(owed: float, carry: float) -> tuple[int, float]:
+    """The whole instances due for ``owed`` (λ·elapsed) plus the ``carry``
+    of earlier intervals, and the fraction carried to the next one."""
+    due = owed + carry
+    whole = round(due)
+    return whole, due - whole
 
 
 class SkipManager(Process):
@@ -53,6 +63,7 @@ class SkipManager(Process):
         self.batch_skips = batch_skips
         self.prev_k = coordinator.planned_instance
         self.prev_time = sim.now
+        self.carry = 0.0  # the fraction of λ·elapsed not yet proposed
         base = metrics if metrics is not None else MetricsRegistry()
         self.metrics = base.child(ring=coordinator.config.ring_id, role="skipmgr")
         self.intervals_sampled = self.metrics.counter("intervals_sampled")
@@ -74,7 +85,8 @@ class SkipManager(Process):
         k = self.coordinator.planned_instance
         self.mu_gauge.value = (k - self.prev_k) / elapsed
         self.intervals_sampled.value += 1
-        target = self.prev_k + int(round(self.lambda_rate * elapsed))
+        whole, self.carry = skips_due(self.lambda_rate * elapsed, self.carry)
+        target = self.prev_k + whole
         if target > k:
             missing = target - k
             if self.batch_skips:

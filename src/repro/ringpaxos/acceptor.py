@@ -45,8 +45,6 @@ from ..sim.process import Process, Timer
 from .config import RingConfig
 from .coordinator import RingCoordinator
 from .messages import (
-    CatchupReply,
-    CatchupRequest,
     CheckpointAck,
     CoordinatorChange,
     DataBatch,
@@ -66,8 +64,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 
 __all__ = ["RingAcceptor"]
 
-# Decided items kept for serving learner repairs and catch-ups; the oldest
-# are dropped beyond it.
+# Decided items kept for serving learner repairs; the oldest are dropped
+# beyond it.
 DECIDED_LOG_LIMIT = 100_000
 # Instances of accepted state kept behind the highest decided one seen
 # before the sweep garbage-collects them (``RingAcceptor.state_retention``).
@@ -125,7 +123,6 @@ class RingAcceptor(Process):
         self.accepts = self.metrics.counter("accepts")
         self.forwards = self.metrics.counter("forwards")
         self.repairs_served = self.metrics.counter("repairs_served")
-        self.catchups_served = self.metrics.counter("catchups_served")
         self.recoveries = self.metrics.counter("recoveries")
         self.recovered_instances = self.metrics.gauge("recovered_instances")
         self.truncations = self.metrics.counter("truncations")
@@ -149,13 +146,11 @@ class RingAcceptor(Process):
         self._decided_order: deque[int] = deque()
         self.state_retention = STATE_RETENTION
         self._gc_horizon = 0
-        # Three decision watermarks: the highest instance a decision named
-        # (the GC sweep's reference), the end of the highest decided item
-        # (the frontier learners are told; gaps may lie below it), and the
-        # end of the gap-free decided prefix (every instance below it is
-        # decided and its item known here; a takeover starts above it).
+        # Two decision watermarks: the highest instance a decision named
+        # (the GC sweep's reference) and the end of the gap-free decided
+        # prefix (every instance below it is decided and its item known
+        # here; a takeover starts above it).
         self._highest_decided_instance = -1
-        self._highest_decided_end = 0
         self._gap_free_decided_end = 0
         self._ckpt_watermarks: dict[str, int] = {}
         self._truncate_bound = -1
@@ -283,15 +278,11 @@ class RingAcceptor(Process):
     def _on_decisions(self, decisions: tuple[tuple[int, int], ...]) -> None:
         for instance, value_id in decisions:
             self._highest_decided_instance = max(self._highest_decided_instance, instance)
-            if self._highest_decided_end <= instance:
-                self._highest_decided_end = instance + 1
             if instance in self._decided:
                 continue
             item = self.values.get(value_id)
             if item is None:
                 continue
-            if self._highest_decided_end < instance + item.instance_count:
-                self._highest_decided_end = instance + item.instance_count
             self._decided[instance] = item
             self._decided_order.append(instance)
             while len(self._decided_order) > DECIDED_LOG_LIMIT:
@@ -320,22 +311,19 @@ class RingAcceptor(Process):
     def _on_repair(self, src: str, msg) -> None:
         if self.crashed:
             return
-        if isinstance(msg, (RepairRequest, CatchupRequest)):
+        if isinstance(msg, RepairRequest):
             self.node.cpu.execute(CPU_FIXED_COST_SMALL_MESSAGE, self._serve_learner, (src, msg))
         elif isinstance(msg, CheckpointAck):
             self.node.cpu.execute(CPU_FIXED_COST_SMALL_MESSAGE, self._on_checkpoint_ack, (msg,))
 
-    def _serve_learner(self, src: str, msg: RepairRequest | CatchupRequest) -> None:
-        """Answer a learner's gap repair or restart catch-up from the decided log."""
+    def _serve_learner(self, src: str, msg: RepairRequest) -> None:
+        """Answer a learner's repair from the decided log."""
         if self.crashed:
             return
-        reply = learner_reply(self._decided, msg, self._highest_decided_end)
+        reply = learner_reply(self._decided, msg)
         if reply is None:
             return
-        if isinstance(reply, CatchupReply):
-            self.catchups_served.value += 1
-        else:
-            self.repairs_served.value += 1
+        self.repairs_served.value += 1
         self.network.send(
             self.node.name, src, f"rp{self.config.ring_id}.learner", reply, reply.size
         )
@@ -389,7 +377,6 @@ class RingAcceptor(Process):
         self._decided = {}
         self._decided_order.clear()
         self._highest_decided_instance = -1
-        self._highest_decided_end = 0
         self._gap_free_decided_end = 0
         self._gc_horizon = 0
         self._ckpt_watermarks = {}

@@ -45,7 +45,6 @@ from ..sim.process import Process, Timer
 from .batcher import Batcher
 from .config import RingConfig
 from .messages import (
-    CatchupRequest,
     ClientValue,
     ConfigChange,
     CoordinatorChange,
@@ -471,22 +470,22 @@ class RingCoordinator(Process):
         self.network.send(self.node.name, src, self.config.mcast_port, reply, reply.size)
 
     def _on_repair_port(self, src: str, msg) -> None:
-        """Serve learner repairs and catch-ups from the own decided log."""
+        """Serve learner repairs from the own decided log."""
         if self.crashed:
             return
-        if isinstance(msg, (RepairRequest, CatchupRequest)):
+        if isinstance(msg, RepairRequest):
             self.node.cpu.execute(CPU_FIXED_COST_SMALL_MESSAGE, self._serve_learner, (src, msg))
         # CheckpointAcks are an acceptor concern; the coordinator's decided
         # log is already FIFO-bounded.
 
-    def _serve_learner(self, src: str, msg: RepairRequest | CatchupRequest) -> None:
-        """Answer a learner; the coordinator knows the true frontier. What
-        its bounded log lacks, its node's acceptor may have seen decided."""
+    def _serve_learner(self, src: str, msg: RepairRequest) -> None:
+        """Answer a learner's repair. What the coordinator's bounded log
+        lacks, its node's acceptor may have seen decided."""
         if self.crashed:
             return
-        reply = learner_reply(self._decided_log, msg, self.next_instance)
+        reply = learner_reply(self._decided_log, msg)
         if reply is None and self.host is not None:
-            reply = learner_reply(self.host._decided, msg, self.next_instance)
+            reply = learner_reply(self.host._decided, msg)
         if reply is not None:
             self.network.send(
                 self.node.name, src, f"rp{self.config.ring_id}.learner", reply, reply.size

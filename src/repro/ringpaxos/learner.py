@@ -11,8 +11,14 @@ Loss recovery follows Section III-B: a learner that received a value
 without its notification, the notification without the value, or neither,
 asks its *preferential acceptor* to repair the head-of-line instance once
 it has been missing for a repair interval (until then it may only be in
-flight). The coordinator's next instance, carried by its heartbeats, makes
-trailing losses observable.
+flight). The coordinator's next instance, carried by every 2A and by its
+heartbeats on an idle ring, makes trailing losses observable. The same
+loop recovers every learner that is behind: one restarted after a crash,
+one rolled back to a replica's checkpoint, one positioned at a remap's
+join instance and one added online. A reply that moves the head while
+instances missing at the last tick remain is followed at once by a
+request for the next run, to the member that answered: recovery runs at
+the round-trip rate, not one reply per tick.
 
 The learner also measures everything the evaluation plots: delivery
 throughput (bytes and messages, cumulative and per-second series),
@@ -32,11 +38,9 @@ from ..calibration import (
 from ..metrics import MetricsRegistry
 from ..sim.network import Network
 from ..sim.node import Node
-from ..sim.process import PeriodicTimer, Process, Timer
+from ..sim.process import PeriodicTimer, Process
 from .config import RingConfig
 from .messages import (
-    CatchupReply,
-    CatchupRequest,
     ClientValue,
     CoordinatorChange,
     DataBatch,
@@ -107,7 +111,6 @@ class RingLearner(Process):
         self.received_bytes = self.metrics.counter("received_bytes")
         self.skipped_instances = self.metrics.counter("skipped_instances")
         self.repairs_requested = self.metrics.counter("repairs_requested")
-        self.catchups_requested = self.metrics.counter("catchups_requested")
         self.reorder_depth = self.metrics.gauge("reorder_buffered")
         self.latency = self.metrics.histogram("delivery_latency")
         self.delivery_series = self.metrics.series(
@@ -120,6 +123,7 @@ class RingLearner(Process):
         self._ready: dict[int, DataBatch | SkipRange] = {}
         self._repair_attempts = 0
         self._missing_head = -1  # head-of-line instance missing at the last tick
+        self._missing_end = 0  # frontier at the last tick
         self._layout_rnd = 0  # round of the CoordinatorChange adopted last
         self._awaiting_value: dict[int, int] = {}  # instance -> value id
         self._awaiting_by_vid: dict[int, int] = {}  # value id -> instance
@@ -129,14 +133,6 @@ class RingLearner(Process):
         node.register(self._learner_port, self._on_learner_port)
         self._repair_timer = PeriodicTimer(sim, config.repair_interval, self._check_gaps)
         self._repair_timer.start()
-        # Catch-up (pull-based state transfer after a restart): a one-shot
-        # timer drives retries with exponential backoff; replies that make
-        # progress reset the backoff, timeouts rotate the target.
-        self._catchup_timer = Timer(sim, config.repair_interval, self._on_catchup_timeout)
-        self._catchup_backoff = config.repair_interval
-        self._catchup_attempts = 0
-        self._catchup_empty = 0  # empty replies since the last progress
-        self._catching_up = False
 
     # ------------------------------------------------------------------
     # Introspection
@@ -216,27 +212,27 @@ class RingLearner(Process):
         self._repair_attempts = 0
 
     def _on_learner_port(self, src: str, msg) -> None:
-        if self.crashed or not isinstance(msg, (RepairReply, CatchupReply)):
+        if self.crashed or not isinstance(msg, RepairReply):
             return
         total = sum(item.size for item in msg.items)
         cost = CPU_FIXED_COST_LEARNER + CPU_BYTE_COST_LEARNER * total
-        if isinstance(msg, CatchupReply):
-            self.node.cpu.execute(cost, self._on_catchup_reply, (msg,))
-        else:
-            self.node.cpu.execute(cost, self._on_repair_reply, (msg,))
+        self.node.cpu.execute(cost, self._on_repair_reply, (src, msg))
 
-    def _on_repair_reply(self, msg: RepairReply) -> None:
-        if not self.crashed:
-            self._place_run(msg)
-
-    def _place_run(self, msg: RepairReply | CatchupReply) -> None:
-        """Place a reply's consecutive decided items from ``msg.instance``."""
+    def _on_repair_reply(self, src: str, msg: RepairReply) -> None:
+        """Place a reply's consecutive decided items from ``msg.instance``;
+        if they moved the head and instances missing at the last tick
+        remain, ask the member that answered for the next run at once."""
+        if self.crashed:
+            return
+        head = self.next_instance
         cursor = msg.instance
         for item in msg.items:
             if cursor >= self.next_instance:
                 self._awaiting_value.pop(cursor, None)
                 self._place(cursor, item)
             cursor += item.instance_count
+        if head < self.next_instance < self._missing_end:
+            self._request_repair(src)
 
     # ------------------------------------------------------------------
     # Ordered emission
@@ -305,97 +301,23 @@ class RingLearner(Process):
         if not gap_observable:
             self._missing_head = -1
             return
-        if self.next_instance != self._missing_head:
-            self._missing_head = self.next_instance
+        overdue = self.next_instance == self._missing_head
+        self._missing_head, self._missing_end = self.next_instance, self.frontier
+        if not overdue:
             self._repair_attempts = 0
             return
         ring = self.config.acceptors
-        target = ring[(self.learner_index + self._repair_attempts // 3) % len(ring)]
+        self._request_repair(ring[(self.learner_index + self._repair_attempts // 3) % len(ring)])
         self._repair_attempts += 1
-        # Ask for the whole observable gap (bounded); batched replies make
-        # catch-up after an outage a few round trips, not one per instance.
-        count = max(1, min(self.frontier - self.next_instance, 256))
+
+    def _request_repair(self, target: str) -> None:
+        """Ask ``target`` for the run from the head to the frontier seen at
+        the last tick (bounded): batched replies make recovery after an
+        outage a few round trips, not one per instance."""
+        count = max(1, min(self._missing_end - self.next_instance, 256))
         req = RepairRequest(self.next_instance, count)
         self.repairs_requested.value += 1
         self.network.send(self.node.name, target, self.config.repair_port, req, req.size)
-
-    # ------------------------------------------------------------------
-    # Catch-up: pull-based state transfer after a restart
-    # ------------------------------------------------------------------
-    def begin_catchup(self) -> None:
-        """Start pulling missed decisions until the frontier is reached.
-
-        The periodic gap repair only fires when a gap is *observable*; a
-        freshly restarted learner may be arbitrarily far behind with no
-        local evidence of it. Catch-up requests are answered even when the
-        target has nothing buffered — the reply's frontier bounds the
-        remaining gap — and retries back off exponentially while rotating
-        through the ring members, so a dead target delays recovery by at
-        most a few timeouts.
-        """
-        self._catching_up = True
-        self._catchup_backoff = self.config.repair_interval
-        self._catchup_attempts = 0
-        self._catchup_empty = 0
-        # Always probe at least once: the local frontier is stale after an
-        # outage, so "caught up" can only be trusted once a reply reports
-        # a serving member's frontier.
-        self._send_catchup()
-
-    def _catchup_done(self) -> bool:
-        return self.next_instance >= self.frontier
-
-    def _pull_catchup(self) -> None:
-        if self.crashed or not self._catching_up:
-            return
-        if self._catchup_done():
-            self._catching_up = False
-            self._catchup_timer.stop()
-            return
-        self._send_catchup()
-
-    def _send_catchup(self) -> None:
-        ring = self.config.acceptors
-        target = ring[(self.learner_index + self._catchup_attempts) % len(ring)]
-        count = max(1, min(self.frontier - self.next_instance, 256))
-        req = CatchupRequest(self.next_instance, count)
-        self.catchups_requested.value += 1
-        self.network.send(self.node.name, target, self.config.repair_port, req, req.size)
-        self._catchup_timer.start(delay=self._catchup_backoff)
-
-    def _on_catchup_timeout(self) -> None:
-        """No reply within the backoff window: rotate target, back off."""
-        if self.crashed or not self._catching_up:
-            return
-        self._catchup_attempts += 1
-        self._catchup_backoff = min(
-            self._catchup_backoff * 2.0, 32.0 * self.config.repair_interval
-        )
-        self._pull_catchup()
-
-    def _on_catchup_reply(self, msg: CatchupReply) -> None:
-        if self.crashed:
-            return
-        self.frontier = max(self.frontier, msg.frontier)
-        before = self.next_instance
-        self._place_run(msg)
-        if not self._catching_up:
-            return
-        if self.next_instance > before:
-            # Progress: stay on this target and pull the next chunk now.
-            self._catchup_backoff = self.config.repair_interval
-            self._catchup_empty = 0
-        else:
-            # An empty (or useless) reply: this member GC'd the prefix or
-            # is as lost as we are — ask the next one now, unless every
-            # member has answered empty: then nobody has decided the
-            # instance yet, and the armed timer's backoff paces the retry.
-            self._catchup_attempts += 1
-            self._catchup_empty += 1
-            if self._catchup_empty >= len(self.config.acceptors) and not self._catchup_done():
-                return
-        self._catchup_timer.stop()
-        self._pull_catchup()
 
     def rollback_to(self, instance: int) -> None:
         """Rewind delivery to ``instance`` (the next instance to emit).
@@ -445,9 +367,9 @@ class RingLearner(Process):
 
     def on_crash(self) -> None:
         self._repair_timer.stop()
-        self._catchup_timer.stop()
-        self._catching_up = False
 
     def on_restart(self) -> None:
+        # Whatever the head misses was decided while this learner was down,
+        # so it is overdue at the first tick.
+        self._missing_head = self.next_instance
         self._repair_timer.start()
-        self.begin_catchup()

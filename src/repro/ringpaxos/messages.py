@@ -42,8 +42,6 @@ __all__ = [
     "Heartbeat",
     "RepairRequest",
     "RepairReply",
-    "CatchupRequest",
-    "CatchupReply",
     "CheckpointAck",
     "PrepareRange",
     "PromiseRange",
@@ -233,9 +231,9 @@ class RepairRequest:
     """Learner -> preferential acceptor (or acceptor -> coordinator):
     resend what is needed to decide ``count`` instances from ``instance``.
 
-    Ranged requests make post-outage catch-up practical: a learner that
-    missed seconds of traffic recovers in a few round trips instead of
-    one per instance.
+    Ranged requests make recovery after an outage practical: a learner
+    that missed seconds of traffic recovers in a few round trips instead
+    of one per instance.
     """
 
     instance: int
@@ -256,42 +254,6 @@ class RepairReply:
 
     instance: int
     items: tuple[DataBatch | SkipRange, ...]
-
-    @property
-    def size(self) -> int:
-        return CONTROL_MESSAGE_SIZE + sum(map(_size_of, self.items))
-
-
-@dataclass(slots=True, unsafe_hash=True)
-class CatchupRequest:
-    """Recovering learner -> ring member: state transfer from ``instance``.
-
-    The pull side of the catch-up protocol. Unlike a gap repair (which
-    targets an observable head-of-line hole), a catch-up is driven by a
-    restarted learner that may not even know how far behind it is — the
-    reply's ``frontier`` tells it when to stop pulling.
-    """
-
-    instance: int
-    count: int = 1
-
-    size: ClassVar[int] = CONTROL_MESSAGE_SIZE
-
-
-@dataclass(slots=True, unsafe_hash=True)
-class CatchupReply:
-    """Answer to a catch-up: consecutive decided items plus the frontier.
-
-    ``frontier`` is the replier's decision frontier (first instance it
-    does not know to be decided); it may exceed ``instance + items`` when
-    the replier has garbage-collected the prefix, telling the learner to
-    rotate to another member. An empty ``items`` with a frontier is still
-    useful: it bounds the learner's remaining gap.
-    """
-
-    instance: int
-    items: tuple[DataBatch | SkipRange, ...]
-    frontier: int = 0
 
     @property
     def size(self) -> int:

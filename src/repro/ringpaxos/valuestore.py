@@ -13,13 +13,14 @@ from __future__ import annotations
 
 from collections import deque
 
-from .messages import CatchupReply, CatchupRequest, DataBatch, RepairReply, RepairRequest, SkipRange
+from .messages import DataBatch, RepairReply, RepairRequest, SkipRange
 
 __all__ = ["ValueStore", "decided_run", "learner_reply"]
 
-# Bounds of one RepairReply / CatchupReply: a reply stops after this many
-# items, or at the first item past this many bytes (~a switch-friendly
-# burst); the learner asks again for the rest.
+# Bounds of one RepairReply: a reply stops after this many items, or at
+# the first item past this many bytes (~a switch-friendly burst); a
+# learner still missing instances it saw at its last tick asks the same
+# member for the next run as soon as the reply arrives.
 REPLY_MAX_ITEMS = 256
 REPLY_BYTE_BUDGET = 64 * 1024
 
@@ -29,11 +30,10 @@ def decided_run(
 ) -> tuple[DataBatch | SkipRange, ...]:
     """The consecutive decided items from instance ``start``, reply-sized.
 
-    What an acceptor or the coordinator puts in one repair or catch-up
-    reply: it walks ``decided`` (first instance -> item) from ``start``,
-    stepping over each item's ``instance_count``, and ends at the first
-    instance it does not hold, after ``count`` items, or at the reply
-    bounds above.
+    What an acceptor or the coordinator puts in one repair reply: it
+    walks ``decided`` (first instance -> item) from ``start``, stepping
+    over each item's ``instance_count``, and ends at the first instance it
+    does not hold, after ``count`` items, or at the reply bounds above.
     """
     items: list[DataBatch | SkipRange] = []
     budget = REPLY_BYTE_BUDGET
@@ -49,21 +49,15 @@ def decided_run(
 
 
 def learner_reply(
-    decided: dict[int, DataBatch | SkipRange],
-    msg: RepairRequest | CatchupRequest,
-    frontier: int,
-) -> RepairReply | CatchupReply | None:
+    decided: dict[int, DataBatch | SkipRange], msg: RepairRequest
+) -> RepairReply | None:
     """The answer to a learner pulling decided instances, or None.
 
-    A gap repair (the paper's Section III-B, served by the preferential
-    acceptor) is answered only when the replier holds the instance. A
-    catch-up after a restart is always answered: even with no items, the
-    replier's decision ``frontier`` tells the learner how far behind it
-    still is, and an empty reply makes it ask another member.
+    A repair (the paper's Section III-B, served by the preferential
+    acceptor first) is answered only when the replier holds the instance;
+    a learner that gets no answer asks another member at a later tick.
     """
     items = decided_run(decided, msg.instance, msg.count)
-    if isinstance(msg, CatchupRequest):
-        return CatchupReply(msg.instance, items, frontier)
     return RepairReply(msg.instance, items) if items else None
 
 

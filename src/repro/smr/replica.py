@@ -14,7 +14,7 @@ every K applied commands, writes the snapshot through its node's disk,
 and — once the write acks — acknowledges the covered instances to the
 ring members so they can truncate their consensus logs. A restarted
 replica reloads the latest durable checkpoint and replays only the
-suffix, pulled by its learner's catch-up protocol.
+suffix, pulled by its learner's gap repair.
 """
 
 from __future__ import annotations
@@ -240,11 +240,12 @@ class Replica(Process):
         self.learner.crash()
 
     def on_restart(self) -> None:
-        """Reload the latest durable checkpoint, then catch up the suffix.
+        """Reload the latest durable checkpoint, then replay the suffix.
 
         Restore happens while the learner is still crashed — rolling the
-        delivery position back sends no traffic — and the learner restart
-        that follows starts catch-up from the checkpointed position.
+        delivery position back sends no traffic — and after the learner
+        restart that follows, its gap repair pulls the suffix from the
+        checkpointed position.
         Without checkpointing the replica keeps its in-memory state, the
         simulator's default process-restart semantics.
         """

@@ -44,7 +44,7 @@ def test_corpus_seed_runs_clean(seed):
 
 # Restart-heavy profile: every case deploys checkpointing replicas and
 # the schedule pairs each crash with a restart, so the recovery paths
-# (acceptor log replay, learner catch-up, checkpoint restore) and the
+# (acceptor log replay, learner gap repair, checkpoint restore) and the
 # liveness-after-restart oracle are all live. seed: (durable, what the
 # drawn schedule crashes).
 RESTART_CORPUS = {

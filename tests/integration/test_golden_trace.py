@@ -4,11 +4,15 @@ Records the full observable outcome of four fixed-seed scenarios — every
 ``net.deliver`` (message handed to a node), ``net.drop`` (a leg lost or
 cut), ``learner.decide`` (ring order) and ``learner.deliver`` (merged
 order) event — and compares the sequence *bit for bit* against a
-committed fixture. All four fixtures were last recorded when proposers
-and learners began to resend only what is overdue, a protocol change
-that removed Submit retransmissions and repair requests for values that
-were only in flight; the kernel did not change then, and the code before
-it reproduces the earlier fixtures exactly. Those pinned the kernel: the
+committed fixture. The remap and three-region fixtures were last
+recorded when a learner's restart catch-up became its gap repair (which
+asks for the next run as each reply arrives) and skip targets began to
+carry their fraction from one Δ to the next (the remap scenario's λΔ is
+0.6); the other two, when proposers and learners began to resend only
+what is overdue, a protocol change that removed Submit retransmissions
+and repair requests for values that were only in flight. The kernel
+changed neither time, and the code before each change reproduces the
+earlier fixtures exactly. Those pinned the kernel: the
 two single-switch ones were recorded before the fast-path kernel (fused
 run loop, allocation-free scheduling, coalesced multicast fan-out)
 landed, so a pass meant the optimized kernel reproduced the exact

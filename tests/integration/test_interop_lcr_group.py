@@ -72,6 +72,16 @@ def test_skips_flow_in_both_protocols():
     ]
 
 
+def test_an_idle_lcr_group_skips_at_a_fractional_lambda():
+    """300 skips/s at Δ = 1 ms: the fraction of each tick is carried."""
+    sim = Simulator(seed=3)
+    network = Network(sim)
+    members = [network.add_node(Node(sim, name)) for name in ("lcr-a", "lcr-b")]
+    group = LcrBackedGroup(sim, network, group_id=0, member_nodes=members, lambda_rate=300.0)
+    sim.run(until=1.0)
+    assert abs(group.skips_proposed.value - 300) <= 2
+
+
 def test_lcr_group_fifo_per_member():
     mrp, group, merge, delivered = build_hybrid()
     for i in range(8):

@@ -232,7 +232,7 @@ def test_a_promisers_decided_prefix_ahead_of_the_candidates_is_not_reproposed():
             mrp.sim.at(0.25 + 0.005 * i, p.multicast, 0, f"b{i}", SIZE)
         mrp.run(until=0.4)
         prefix = acc1._gap_free_decided_end
-        assert acc0._gap_free_decided_end < prefix == acc1._highest_decided_end
+        assert acc0._gap_free_decided_end < prefix == ring.coordinator.next_instance
         recoveries = watch_recoveries(mrp)
         mrp.crash_coordinator(0)
         mrp.run(until=0.6)

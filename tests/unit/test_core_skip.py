@@ -25,6 +25,16 @@ def test_idle_ring_is_topped_up_to_lambda():
     assert mgr.skips_proposed.value == pytest.approx(coord.planned_instance, abs=50)
 
 
+@pytest.mark.parametrize("lambda_rate", [300.0, 400.0, 600.0, 1400.0, 2500.0])
+def test_idle_ring_skips_at_lambda_when_lambda_delta_is_fractional(lambda_rate):
+    """λΔ = 0.3 ... 2.5: each tick proposes the whole skips due and carries
+    the fraction, so an idle ring runs at λ, not at a step function of λΔ
+    (rounding each interval alone gave 0, 0, 999, 999 and 2 985)."""
+    sim, coord, mgr = make_ring(lambda_rate=lambda_rate, delta=1e-3)
+    sim.run(until=1.0)
+    assert abs(mgr.skips_proposed.value - lambda_rate) <= 2
+
+
 def test_busy_ring_gets_no_skips():
     sim, coord, mgr = make_ring(lambda_rate=100.0, delta=10e-3)
     # Feed data faster than lambda: 200 instances/s.

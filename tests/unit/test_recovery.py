@@ -1,11 +1,12 @@
 """Crash-recovery tests: durable storage, acceptor restart, learner
-catch-up, merge/replica checkpointing, and checkpoint-driven truncation.
+recovery, merge/replica checkpointing, and checkpoint-driven truncation.
 
 Covers the write-barrier ordering contract of ``DurableStorage.persist``
 (nothing is acked before the disk ack; a crash between write and ack
 voids both the commit and the callback), the restarted acceptor's
-Phase 1 answers, the learner's pull-based catch-up protocol, and the
-monotonicity of checkpoint-ack log truncation.
+Phase 1 answers, a behind learner's recovery through the one gap-repair
+loop (its pacing per tick and per reply), and the monotonicity of
+checkpoint-ack log truncation.
 """
 
 import pytest
@@ -265,9 +266,45 @@ class TestCheckpointTruncation:
 
 
 # ---------------------------------------------------------------------------
-# Learner catch-up: pull-based state transfer
+# Learner recovery: one gap-repair loop pulls every missed instance
 # ---------------------------------------------------------------------------
-class TestLearnerCatchup:
+# A restart catch-up protocol that probed a ring member at once on restart
+# (removed in favour of the gap repair) had the learner of
+# ``busy_ring_restart`` deliver everything decided before its restart,
+# and reach the live learner, this long after the restart.
+DEDICATED_CATCHUP_S = 0.1722
+
+
+class DropToLearner:
+    """Loss model dropping each leg to ``dst`` with probability ``p``."""
+
+    def __init__(self, dst, p):
+        self.dst, self.p = dst, p
+
+    def should_drop(self, rng, src, dst, size):
+        return dst == self.dst and rng.random() < self.p
+
+
+def busy_ring_restart(loss=None, rate=2000.0, horizon=3.0):
+    """Two learners on a 3-acceptor ring carrying ``rate`` values/s of 8 KB;
+    the first is down from 0.5 s to 1.0 s. Runs to its restart."""
+    sim = Simulator(seed=1)
+    net = Network(sim, loss=loss)
+    ring = build_ring(sim, net, n_acceptors=3, n_learners=2)
+    prop = ring.proposers[0]
+    for i in range(int(rate * horizon)):
+        sim.at(i / rate, prop.multicast, f"m{i}", 8192)
+    learner = ring.learners[0]
+    sim.run(until=0.5)
+    learner.crash()
+    learner.node.crash()
+    sim.run(until=1.0)
+    learner.node.restart()
+    learner.restart()
+    return sim, net, ring
+
+
+class TestLearnerRecovery:
     def test_restarted_learner_pulls_the_missed_suffix(self):
         sim, net, ring = deploy(n_acceptors=3)
         (log,) = attach_log(ring)
@@ -282,53 +319,56 @@ class TestLearnerCatchup:
         learner.restart()
         sim.run(until=4.0)
         assert log == [f"m{i}" for i in range(20)]
-        assert learner.catchups_requested.value >= 1
-        served = sum(a.catchups_served.value for a in ring.acceptors)
-        assert served >= 1
+        assert learner.repairs_requested.value >= 1
+        assert sum(a.repairs_served.value for a in ring.acceptors) >= 1
 
-    def test_catchup_probes_even_with_a_stale_frontier(self):
-        """A restarted learner has no local evidence of being behind; the
-        first catch-up request must go out anyway, and the reply's
-        frontier is what reveals (or rules out) the gap."""
+    def test_restarted_learner_finds_its_gap_from_the_next_heartbeat(self):
+        """A restarted learner has no local evidence of being behind and
+        sends nothing on restart; the idle ring's next heartbeat carries
+        the coordinator's next instance, and the gap repair does the rest."""
         sim, net, ring = deploy()
-        attach_log(ring)
+        (log,) = attach_log(ring)
         learner = ring.learners[0]
         pump(ring, 5)
         sim.run(until=0.5)
-        assert learner.next_instance >= learner.frontier  # looks caught up
-        before = learner.catchups_requested.value
         learner.crash()
         learner.node.crash()
+        pump(ring, 5, start=5)
+        sim.run(until=1.0)  # decided while the learner is down; then idle
         learner.node.restart()
         learner.restart()
-        assert learner.catchups_requested.value == before + 1
-        sim.run(until=1.0)
-        assert not learner._catching_up  # reply confirmed nothing is owed
+        assert learner.next_instance >= learner.frontier  # looks caught up
+        before = learner.repairs_requested.value
+        sim.run(until=sim.now + 0.5 * ring.config.heartbeat_interval)
+        assert learner.repairs_requested.value == before
+        sim.run(until=1.5)
+        assert learner.frontier == ring.coordinator.next_instance
+        assert log == [f"m{i}" for i in range(10)]
+        assert learner.repairs_requested.value > before
 
-    def test_catchup_backoff_doubles_and_caps(self):
+    def test_at_most_one_request_per_interval_while_every_member_is_down(self):
         sim, net, ring = deploy(n_acceptors=3)
         attach_log(ring)
         learner = ring.learners[0]
         pump(ring, 5)
         sim.run(until=0.5)
-        # Take the whole ring down: catch-up requests go unanswered.
+        # Take the whole ring down: repairs go unanswered.
         for acc in ring.acceptors:
             acc.crash()
             acc.node.crash()
         ring.coordinator.crash()
         ring.coordinator.node.crash()
         learner.frontier = learner.next_instance + 50  # a known gap
-        learner.begin_catchup()
-        sim.run(until=5.0)
-        cap = 32.0 * ring.config.repair_interval
-        assert learner._catchup_backoff == pytest.approx(cap)
-        assert learner._catching_up  # still trying, but at the capped rate
-        assert learner.catchups_requested.value >= 5
+        before = learner.repairs_requested.value
+        seconds = 4.5
+        sim.run(until=sim.now + seconds)
+        requests = learner.repairs_requested.value - before
+        assert 0.9 * seconds / ring.config.repair_interval <= requests
+        assert requests <= seconds / ring.config.repair_interval
 
-    def test_catchup_past_every_members_frontier_waits_for_the_timer(self):
-        """Asked for an instance no member has decided, every member answers
-        empty: the learner asks each once, then waits for its backoff
-        instead of asking again at round-trip rate."""
+    def test_a_gap_past_every_members_frontier_asks_once_per_tick(self):
+        """Asked for an instance no member has decided, nobody answers: the
+        learner asks again at its next tick, never at round-trip rate."""
         sim, net, ring = deploy(n_acceptors=3)
         attach_log(ring)
         learner = ring.learners[0]
@@ -336,11 +376,66 @@ class TestLearnerCatchup:
         sim.run(until=0.5)
         learner.position_at(learner.next_instance + 10)  # nobody decided this yet
         learner.frontier = learner.next_instance + 50  # a gap is in sight
-        before = learner.catchups_requested.value
-        learner.begin_catchup()
-        sim.run(until=sim.now + 0.9 * ring.config.repair_interval)  # before any timeout
-        assert learner.catchups_requested.value - before <= len(ring.config.acceptors)
-        assert learner._catching_up
+        before = learner.repairs_requested.value
+        ticks = 10
+        sim.run(until=sim.now + ticks * ring.config.repair_interval)
+        assert 0 < learner.repairs_requested.value - before <= ticks
+
+    def test_a_busy_ring_restart_catches_up_at_the_round_trip_rate(self):
+        """One 64 KB reply holds 8 values of 8 KB: a reply per tick is 800
+        values/s, less than this ring carries, so without asking for the
+        next run as each reply arrives the learner never catches up. With
+        it, the first tick after the restart finds the head overdue, the
+        suffix decided while the learner was down arrives within one
+        repair interval of the restart catch-up that probed at once, and
+        the learner reaches the live one a reply round trip later."""
+        sim, net, ring = busy_ring_restart()
+        learner, live = ring.learners
+        restart, suffix_end = sim.now, live.next_instance
+        caught_up = {}
+        while len(caught_up) < 2 and sim.now < 2.0:
+            sim.run(until=sim.now + 1e-4)
+            if learner.next_instance >= suffix_end:
+                caught_up.setdefault("suffix", sim.now - restart)
+            if learner.next_instance >= live.next_instance:
+                caught_up.setdefault("live", sim.now - restart)
+        interval, never = ring.config.repair_interval, float("inf")
+        assert caught_up.get("suffix", never) <= DEDICATED_CATCHUP_S + interval
+        assert caught_up.get("live", never) <= DEDICATED_CATCHUP_S + 2 * interval
+
+    def test_every_chained_repair_asks_for_an_instance_missing_at_the_last_tick(self):
+        """Nothing still in flight is requested: a request sent on a reply
+        starts at an instance that was already missing at the learner's
+        last tick. Some legs to the learner are lost as well."""
+        sim, net, ring = busy_ring_restart(loss=DropToLearner("r0-lrn0", 0.02))
+        learner = ring.learners[0]
+        ticks = []  # (head, frontier, buffered instances) at each tick
+        check_gaps = learner._repair_timer.fn
+
+        def tick():
+            ticks.append((learner.next_instance, learner.frontier, set(learner._ready)))
+            check_gaps()
+
+        learner._repair_timer.fn = tick
+        on_reply, request = learner._on_repair_reply, learner._request_repair
+        in_reply, chained = [], []  # requests sent while a reply is placed
+
+        def traced_reply(src, msg):
+            in_reply.append(msg)
+            on_reply(src, msg)
+            in_reply.pop()
+
+        def traced_request(target):
+            if in_reply:
+                chained.append((learner.next_instance, ticks[-1]))
+            request(target)
+
+        learner._on_repair_reply = traced_reply
+        learner._request_repair = traced_request
+        sim.run(until=1.6)
+        assert len(chained) > 100
+        for instance, (head, frontier, buffered) in chained:
+            assert head <= instance < frontier and instance not in buffered
 
     def test_rollback_rewinds_positions_without_traffic(self):
         sim, net, ring = deploy()

@@ -22,7 +22,7 @@ from repro.ringpaxos import (
     build_ring,
     messages,
 )
-from repro.ringpaxos.messages import CatchupReply, CatchupRequest, RepairReply, RepairRequest
+from repro.ringpaxos.messages import RepairReply, RepairRequest
 from repro.ringpaxos.valuestore import (
     REPLY_BYTE_BUDGET,
     REPLY_MAX_ITEMS,
@@ -325,14 +325,13 @@ def test_decided_run_is_bounded_by_items_and_bytes():
     assert len(decided_run(odd, 0, 10)) == 2
 
 
-def test_learner_reply_answers_a_catchup_always_and_a_repair_only_with_items():
+def test_learner_reply_answers_a_repair_only_with_items():
     decided = {0: DataBatch(0, (cv(10),)), 1: SkipRange(5)}
-    assert learner_reply(decided, RepairRequest(0, 4), 6) == RepairReply(0, (decided[0], decided[1]))
-    assert learner_reply(decided, RepairRequest(6, 4), 6) is None
-    assert learner_reply(decided, CatchupRequest(0, 1), 6) == CatchupReply(0, (decided[0],), 6)
-    # Nothing to send: the frontier alone still tells the learner how far
-    # behind it is (and that it should ask another member).
-    assert learner_reply(decided, CatchupRequest(6, 4), 6) == CatchupReply(6, (), 6)
+    assert learner_reply(decided, RepairRequest(0, 4)) == RepairReply(0, (decided[0], decided[1]))
+    assert learner_reply(decided, RepairRequest(1, 1)) == RepairReply(1, (decided[1],))
+    # Nothing to send: no reply, and the learner asks another member later.
+    assert learner_reply(decided, RepairRequest(6, 4)) is None
+    assert learner_reply(decided, RepairRequest(2, 4)) is None  # inside the skip range
 
 
 # ---------------------------------------------------------------------------
@@ -383,8 +382,6 @@ def _every_message():
         (m.Heartbeat(6), c),
         (m.RepairRequest(5, count=4), c),
         (m.RepairReply(5, (batch, skip)), c + 300 + c),
-        (m.CatchupRequest(5, count=4), c),
-        (m.CatchupReply(5, (skip, batch, batch), frontier=20), c + c + 600),
         (m.CheckpointAck("rep0", 0, 5), c),
         (m.ConfigChange(2, 1, 0, 1, "join"), c),
         (m.PrepareRange(5, 2), c),
@@ -402,7 +399,7 @@ MESSAGE_CLASSES = [
 def test_every_message_class_has_its_byte_formula():
     table = _every_message()
     assert {type(msg) for msg, _ in table} == set(MESSAGE_CLASSES)
-    assert len(MESSAGE_CLASSES) == 18
+    assert len(MESSAGE_CLASSES) == 16
     for msg, size in table:
         assert msg.size == size, msg
     assert DataBatch(0, ()).size == 0 and DataBatch(0, ()).instance_count == 1
