@@ -241,15 +241,13 @@ class MultiRingPaxos:
             name = f"mr-prop{self._proposer_count}"
         node = Node(self.sim, name)
         attach_node(self.network, node, region)
+        # A group mid-move reaches no ring until the move releases it.
         proposer = MultiRingProposer(
             self.sim, self.network, node, self.registry, self.ring_configs,
-            metrics=self.metrics,
+            metrics=self.metrics, held=self.reconfig.held_groups,
         )
         if admission is not None:
             proposer.enable_admission(admission)
-        if self.reconfig.moving_group is not None:
-            # A group mid-move reaches no ring until the move releases it.
-            proposer.hold_group(self.reconfig.moving_group)
         self._proposer_count += 1
         self.proposers.append(proposer)
         return proposer
@@ -275,8 +273,8 @@ class MultiRingPaxos:
 
     def _on_ring_failover(self, ring_id: int, coordinator: RingCoordinator) -> None:
         """A takeover recovered: record the ring's new coordinator, layout
-        and in-ring acceptors, and tell the proposers where to submit. The
-        coordinator already holds the ring's hooks, and the skip manager
+        and in-ring acceptors, and tell the proposers — the
+        reconfiguration manager's too — where to submit. The skip manager
         keeps its rate window, so the first tick tops up the whole outage."""
         handle = self.rings[ring_id]
         handle.coordinator = coordinator
@@ -286,6 +284,9 @@ class MultiRingPaxos:
         handle.skip_manager.follow(coordinator)
         for proposer in self.proposers:
             proposer.retarget(ring_id)
+        cut_proposer = self.reconfig.ring_proposers.get(ring_id)
+        if cut_proposer is not None:
+            cut_proposer.retarget(coordinator.config)
 
     # ------------------------------------------------------------------
     # Elastic membership (ring add / retire)

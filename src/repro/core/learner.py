@@ -117,9 +117,11 @@ class MultiRingLearner(Process):
         )
         # Reconfiguration state. ``ring_configs`` is the deployment's map
         # (kept current by it) so a ring joined later can be subscribed;
-        # ``_group_rings`` is the local group->ring view,
-        # advanced only at cut consumption so the merge switches at the
-        # decided boundary, not at the wall-clock moment of the remap.
+        # ``_group_rings`` is the ring each subscribed group is delivered
+        # from, moved only when a switch cut is consumed, so the merge
+        # switches at the decided boundary. ``_moves`` holds the moves of
+        # subscribed groups seen (epoch -> move), ``_parked`` a group's
+        # values from a ring its moves have not reached yet.
         self.ring_configs = ring_configs
         self.epoch = 0
         self._learner_index = learner_index
@@ -127,7 +129,7 @@ class MultiRingLearner(Process):
         self._metrics_base = base
         self._group_rings = {gid: registry.ring_for(gid) for gid in self.subscriptions}
         self._moves: dict[int, dict] = {}
-        self._hold_groups: dict[int, int] = {}  # group -> epoch mid-move
+        self._parked: dict[int, list[tuple[int, int, ClientValue]]] = {}
         self.ring_learners: dict[int, RingLearner] = {}
         for ring_id in ring_order:
             config = ring_configs[ring_id]
@@ -161,19 +163,20 @@ class MultiRingLearner(Process):
             if isinstance(value.payload, ConfigChange):
                 self._on_config_change(value.payload)
             return
-        held = self._hold_groups.get(value.group)
-        if held is not None and ring_id == self._moves[held]["new_ring"]:
+        ring = self._group_rings.get(value.group)
+        if ring is None:
+            # A co-hosted group this learner does not subscribe to: the
+            # bandwidth and CPU were already spent; the message is dropped.
+            self.discarded_messages.value += 1
+            return
+        if ring != ring_id and any(m["new_ring"] == ring_id and not m["applied"]
+                                   for m in self._moves.values() if m["group"] == value.group):
             # Mid-move: the group's new ring is already delivering, but
             # this learner has not yet consumed the switch cut on the old
             # ring — its old-ring suffix for the group is still ahead.
             # Park the value; it is flushed, in new-ring order, at the
             # switch (so the group's stream stays old-suffix-then-new).
-            self._moves[held]["holds"].append((ring_id, instance, value))
-            return
-        if value.group not in self.group_bytes:
-            # A co-hosted group this learner does not subscribe to: the
-            # bandwidth and CPU were already spent; the message is dropped.
-            self.discarded_messages.value += 1
+            self._parked.setdefault(value.group, []).append((ring_id, instance, value))
             return
         now = self.sim.now
         self.delivered_messages.value += 1
@@ -204,55 +207,60 @@ class MultiRingLearner(Process):
 
         Every learner consumes the cuts of a move at a definite point of
         its delivery sequence, so all learners with the same subscription
-        set reconfigure at the same logical boundary:
-
-        * ``join`` (new ring): from here on, values of the moving group
-          may appear on the new ring — hold them until the old-ring
-          suffix is drained (i.e. until the switch cut);
-        * ``switch`` (old ring): the activation point — re-derive the
-          ring set with the group on its new ring, flush held values,
-          (for learners new to the ring) start a ring learner positioned
-          at the join instance, and have the merge join and leave rings
-          at its current place.
+        set reconfigure at the same logical boundary. A join (new ring)
+        makes the move known: the new ring is kept, and the group's values
+        on it park until the switch. The switch (old ring) activates the
+        move, in the group's own order of moves: cuts on different rings
+        can be consumed out of epoch order, so a switch whose old ring is
+        not yet the group's waits for the switches that bring it there.
         """
-        move = self._moves.get(cut.epoch)
-        if move is None:
-            move = {
-                "epoch": cut.epoch,
-                "group": cut.group,
-                "old_ring": cut.old_ring,
-                "new_ring": cut.new_ring,
-                "holds": [],
-                "switched": False,
-            }
-            self._moves[cut.epoch] = move
-        if cut.kind == "join":
-            if cut.group in self.group_bytes and not move["switched"]:
-                self._hold_groups[cut.group] = cut.epoch
-        elif cut.kind == "switch":
-            move["join_instance"] = cut.join_instance
-            if not move["switched"]:
-                move["switched"] = True
-                self._activate_move(move)
+        if cut.group in self.group_bytes:
+            move = self._moves.setdefault(cut.epoch, {
+                "epoch": cut.epoch, "group": cut.group, "old_ring": cut.old_ring,
+                "new_ring": cut.new_ring, "join_instance": None, "applied": False,
+            })
+            if cut.kind == "switch" and move["join_instance"] is None:
+                move["join_instance"] = cut.join_instance
+                while (ready := self._next_move(cut.group)) is not None:
+                    self._activate_move(ready)
+                self._drop_unused_rings()
         self._adopt_epoch(cut)
 
+    def _next_move(self, group: int) -> dict | None:
+        """The group's next move — its earliest known one from the ring it
+        is on — if that move's switch has been consumed."""
+        ring = self._group_rings[group]
+        for epoch in sorted(self._moves):
+            move = self._moves[epoch]
+            if move["group"] == group and not move["applied"] and move["old_ring"] == ring:
+                return move if move["join_instance"] is not None else None
+        return None
+
     def _activate_move(self, move: dict) -> None:
-        group = move["group"]
-        self._hold_groups.pop(group, None)
-        if group not in self.group_bytes:
-            return  # a co-hosted group's move; our ring set is unchanged
-        new_ring = move["new_ring"]
+        """Deliver the group from its new ring: a learner new to the ring
+        starts at the join instance, the merge joins it at its current
+        place, and the values parked from it are next, in their decided
+        order (the old-ring suffix is delivered: the group drained off
+        the old ring before the switch was submitted)."""
+        move["applied"] = True
+        group, new_ring = move["group"], move["new_ring"]
         self._group_rings[group] = new_ring
-        rings = set(self._group_rings.values())
         if new_ring not in self.ring_learners:
             self._start_ring_learner(new_ring, move["join_instance"], move["epoch"])
             self.merge.join(new_ring, move["join_instance"])
-        # The old-ring suffix is fully delivered (the group drained off the
-        # old ring before the switch was submitted); the held new-ring
-        # values are next, in their decided order.
-        holds, move["holds"] = move["holds"], []
-        for rid, inst, value in holds:
-            self._merged_delivery(rid, inst, value)
+        parked = self._parked.pop(group, [])
+        self._parked[group] = [p for p in parked if p[0] != new_ring]
+        for rid, inst, value in parked:
+            if rid == new_ring:
+                self._merged_delivery(rid, inst, value)
+
+    def _drop_unused_rings(self) -> None:
+        """Leave every ring no subscribed group is on and no move seen
+        and not yet applied starts from or goes to."""
+        rings = set(self._group_rings.values())
+        for move in self._moves.values():
+            if not move["applied"]:
+                rings.update((move["old_ring"], move["new_ring"]))
         for rid in list(self.ring_learners):
             if rid not in rings:
                 dropped = self.ring_learners.pop(rid)

@@ -4,14 +4,17 @@ To multicast a message to group g, a proposer sends it to the coordinator
 of g's ring. One :class:`MultiRingProposer` can address any number of
 groups from a single node; under the hood it keeps one reliable
 :class:`~repro.ringpaxos.proposer.RingProposer` per ring, sharing the
-node's NIC.
+node's NIC. Its group -> ring map is read from the registry when it is
+attached; then only a remap's release moves it (see
+:class:`~repro.ringpaxos.messages.MoveRequest`).
 """
 
 from __future__ import annotations
 
+from ..errors import ConfigurationError
 from ..metrics import MetricsRegistry
 from ..ringpaxos.config import RingConfig
-from ..ringpaxos.messages import ClientValue
+from ..ringpaxos.messages import ClientValue, MoveReply, MoveRequest, SubmitAck
 from ..ringpaxos.proposer import RingProposer
 from ..sim.network import Network
 from ..sim.node import Node
@@ -19,11 +22,20 @@ from ..sim.process import Process
 from .admission import AdmissionController, AdmissionPolicy
 from .groups import GroupRegistry
 
-__all__ = ["MultiRingProposer"]
+__all__ = ["MultiRingProposer", "MOVE_PORT", "MOVED_PORT"]
+
+# The ports a group remap's requests (manager -> proposer) and replies
+# (proposer -> manager) arrive on.
+MOVE_PORT = "mrp.move"
+MOVED_PORT = "mrp.moved"
 
 
 class MultiRingProposer(Process):
-    """Multicasts application messages to groups."""
+    """Multicasts application messages to groups.
+
+    ``held`` names groups whose remap is in flight when the proposer is
+    attached: their multicasts queue until the move's release.
+    """
 
     def __init__(
         self,
@@ -33,27 +45,30 @@ class MultiRingProposer(Process):
         registry: GroupRegistry,
         ring_configs: dict[int, RingConfig],
         metrics: MetricsRegistry | None = None,
+        held: tuple[int, ...] = (),
     ) -> None:
         super().__init__(sim, f"mrproposer@{node.name}")
         self.network = network
         self.node = node
-        self.registry = registry
         self.ring_configs = ring_configs
+        self._group_rings = {gid: registry.ring_for(gid) for gid in registry.group_ids()}
         base = metrics if metrics is not None else MetricsRegistry()
         self.metrics = base.child(role="proposer", node=node.name)
         self.multicasts = self.metrics.counter("multicasts")
         self.multicast_bytes = self.metrics.counter("multicast_bytes")
         self._ring_proposers: dict[int, RingProposer] = {}
         self.admission: AdmissionController | None = None
-        # Groups mid-remap: new multicasts queue here until the group's
-        # old-ring submissions drained and the move is released.
-        self._held: dict[int, list[tuple[object, int]]] = {}
+        # Groups mid-remap: new multicasts queue here until the release.
+        self._held: dict[int, list[tuple[object, int]]] = {gid: [] for gid in held}
+        # The last move request taken, as (epoch, release), and the hold
+        # whose drained reply is still due, as (manager, request).
+        self._move = (0, False)
+        self._draining: tuple[str, MoveRequest] | None = None
+        node.register(MOVE_PORT, self._on_move)
 
     def enable_admission(self, policy: AdmissionPolicy) -> AdmissionController:
         """Gate :meth:`submit` behind bounded shed-or-delay intake."""
         self.admission = AdmissionController(self, policy)
-        for proposer in self._ring_proposers.values():
-            proposer.on_ack = self.admission.drain
         return self.admission
 
     def multicast(self, group_id: int, payload: object, size: int) -> ClientValue | None:
@@ -70,7 +85,11 @@ class MultiRingProposer(Process):
         if held is not None:
             held.append((payload, size))
             return None
-        proposer = self._ring_proposer(self.registry.ring_for(group_id))
+        try:
+            ring_id = self._group_rings[group_id]
+        except KeyError:
+            raise ConfigurationError(f"unknown group {group_id}") from None
+        proposer = self._ring_proposer(ring_id)
         self.multicasts.value += 1
         self.multicast_bytes.value += size
         return proposer.multicast(payload, size, group_id)
@@ -79,50 +98,62 @@ class MultiRingProposer(Process):
         proposer = self._ring_proposers.get(ring_id)
         if proposer is None:
             proposer = RingProposer(self.sim, self.network, self.node, self.ring_configs[ring_id])
-            if self.admission is not None:
-                proposer.on_ack = self.admission.drain
+            proposer.on_ack = self._on_ack
             self._ring_proposers[ring_id] = proposer
         return proposer
+
+    def _on_ack(self, ack: SubmitAck) -> None:
+        """A ring's ack drained submissions: admit queued intake, and
+        answer a hold in progress if that was its group's last one."""
+        if self.admission is not None:
+            self.admission.drain()
+        if self._draining is not None:
+            self._answer_hold()
 
     # ------------------------------------------------------------------
     # Reconfiguration (live group remap)
     # ------------------------------------------------------------------
-    def hold_group(self, group_id: int) -> None:
-        """Queue new multicasts to ``group_id`` until its remap releases it."""
-        self._held.setdefault(group_id, [])
+    def _on_move(self, src: str, msg: MoveRequest) -> None:
+        """Take a remap's hold or release (a copy of the last is answered
+        again, an older one — a resent hold after its release — ignored).
 
-    def undecided_on(self, ring_id: int, group_id: int) -> bool:
-        """Whether a submission of ``group_id`` is undecided on ``ring_id``."""
-        proposer = self._ring_proposers.get(ring_id)
-        return proposer is not None and any(
-            v.group == group_id for v in proposer._unacked.values()
-        )
-
-    def complete_group_move(self, group_id: int, old_ring: int, new_ring: int) -> bool:
-        """Release a held group onto ``new_ring`` (its old-ring
-        submissions are all decided: the move drained them first).
-
-        The registry already points the group at ``new_ring``. The new
-        ring's sequence counter is bumped past the old ring's so a
-        (sender, seq, group) identity can never repeat across the move —
-        the decided watermarks both coordinators keep per sender are
-        monotonic in seq, and the at-most-once oracle keys on the triple.
-        Returns False (retry later) while this proposer is down.
+        A release bumps the new ring's seq past the old ring's before it
+        sends what was held, so a (sender, seq, group) identity never
+        repeats across the move: the coordinators' per-sender decided
+        watermarks are monotonic in seq.
         """
-        if self.crashed:
-            return False
-        old = self._ring_proposers.get(old_ring)
-        held = self._held.pop(group_id, None)
+        step = (msg.epoch, msg.release)
+        if self.crashed or step < self._move:
+            return
+        self._move = step
+        group = msg.group
+        if not msg.release:
+            self._held.setdefault(group, [])
+            self._draining = (src, msg)
+            self._answer_hold()
+            return
+        self._group_rings[group] = msg.new_ring
+        old = self._ring_proposers.get(msg.old_ring)
+        held = self._held.pop(group, ())
         if old is not None or held:
-            target = self._ring_proposer(new_ring)
-            if old is not None:
-                target.seq = max(target.seq, old.seq)
-        if held:
+            target = self._ring_proposer(msg.new_ring)
+            target.seq = max(target.seq, old.seq if old is not None else 0)
             for payload, size in held:
                 self.multicasts.value += 1
                 self.multicast_bytes.value += size
-                target.multicast(payload, size, group_id)
-        return True
+                target.multicast(payload, size, group)
+        self._reply(src, msg)
+
+    def _answer_hold(self) -> None:
+        src, msg = self._draining
+        old = self._ring_proposers.get(msg.old_ring)
+        if old is None or all(v.group != msg.group for v in old._unacked.values()):
+            self._draining = None
+            self._reply(src, msg)
+
+    def _reply(self, src: str, msg: MoveRequest) -> None:
+        reply = MoveReply(msg.epoch, msg.release)
+        self.network.send(self.node.name, src, MOVED_PORT, reply, reply.size)
 
     def submit(self, group_id: int, payload: object, size: int) -> str:
         """Multicast through admission control (when enabled).

@@ -1,51 +1,35 @@
 """Epoch-based elasticity: live group remaps, ring splits/merges, autoscaling.
 
-A running Multi-Ring Paxos deployment changes shape through numbered
-*configuration epochs* installed by the :class:`ReconfigManager`. Every
-epoch boundary is marked by ``ConfigChange`` cuts decided **through the
-rings themselves** — reconfiguration rides the same total order it
-reconfigures, so every learner observes a move at a definite position of
-its delivery stream and no out-of-band agreement service is needed.
+A deployment changes shape through numbered *configuration epochs*
+installed by the :class:`ReconfigManager`, an ordinary client of the
+rings on a node of its own. Each epoch boundary is a ``ConfigChange`` cut
+decided through the rings themselves, so every learner sees a move at a
+definite position of its delivery stream. Moving group g from ring A to
+ring B in epoch e is this message sequence::
 
-A live group remap (group ``g`` from ring A to ring B) drains, then cuts::
+    manager -> each proposer   hold      MoveRequest(e, g, A, B)
+    proposer -> manager        drained   MoveReply(e), sent from the ack
+                                         path once no g value of it on A
+                                         is undecided
+    manager -> B               Submit    join cut
+    B -> manager               ack(J)    SubmitAck: decided at instance J
+    manager -> A               Submit    switch cut carrying J
+    A -> manager               ack       SubmitAck: the switch is decided
+    manager -> each proposer   release   MoveRequest(e, ..., release=True)
+    proposer -> manager        released  MoveReply(e, release=True)
 
-    epoch e := next epoch
-    1. hold   — every proposer queues new multicasts to g locally (a
-                proposer added while the move is in flight holds g too).
-    2. drain  — wait until no proposer has an undecided submission of g
-                on A. Proposers retransmit until a value is decided, so
-                every g value ever sent to A is decided on A, below any
-                instance a later cut can take: g's old-epoch stream on A
-                ends before the cuts begin.
-    3. join   — cut (e, g, A->B, "join") decided on B at instance J; no
-                value of g is ordered on B before J (g is held). The
-                group table flips to B and both rings' skip managers
-                re-anchor their rate windows.
-    4. switch — cut decided on A carrying ``join_instance=J``. Learners
-                activate the new configuration exactly when they consume
-                this cut: the old-ring suffix is fully delivered, held
-                new-ring values flush, and learners new to B start a ring
-                learner positioned at J.
-    5. release — every proposer's held queue goes to B, its seq there
-                bumped past its old-ring seq. The operation completes when
-                both cuts are decided and every proposer released.
+Once every proposer is drained, every g value sent to A is decided
+below both cuts; none reaches B before the release. Learners act on the
+switch (see :meth:`~repro.core.merge.DeterministicMerge.join`). The cuts
+ride the manager's ring proposers, which resend them and follow a
+takeover; the per-sender seq keeps them exactly-once. A hold or release
+whose reply is ``RETRY_INTERVAL`` overdue is sent again. Documented
+limitation: durable replica log truncation combined with a coordinator
+failover *during* a remap can collect the evidence the drain needs (the
+fuzz profile runs without replicas for this reason).
 
-The drain is checked when the hold starts, on every retry tick and on
-every decision of the old ring; the manager touches a coordinator only
-through :meth:`~repro.ringpaxos.coordinator.RingCoordinator.submit_unique`
-and its decide hook.
-
-Learners with different subscriptions agree across a move: the merge
-keeps its place at the switch (see
-:meth:`~repro.core.merge.DeterministicMerge.join`). Documented
-limitation: combining durable replica checkpoint log-truncation with a
-coordinator failover *during* a remap can garbage-collect the evidence
-the drain needs; deployments using the reconfiguration manager should
-not truncate acceptor logs mid-move (the fuzz profile runs without
-replicas for this reason).
-
-The manager is constructed by every deployment but schedules **nothing**
-until an operation is requested — an idle deployment's event sequence is
+The manager creates its node and schedules **nothing** until an
+operation is requested — an idle deployment's event sequence is
 bit-identical with or without it.
 """
 
@@ -60,9 +44,11 @@ from ..errors import ConfigurationError
 from ..obs.probe import RECONFIG_EPOCH
 from ..ringpaxos.acceptor import RingAcceptor
 from ..ringpaxos.builder import attach_node
-from ..ringpaxos.messages import CONTROL_GROUP, ClientValue, ConfigChange
+from ..ringpaxos.messages import CONTROL_GROUP, ConfigChange, MoveReply, MoveRequest, SubmitAck
+from ..ringpaxos.proposer import RingProposer
 from ..sim.node import Node
 from ..sim.process import PeriodicTimer
+from .proposer import MOVE_PORT, MOVED_PORT
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .deployment import MultiRingPaxos
@@ -70,10 +56,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 __all__ = ["ReconfigManager", "Autoscaler", "AutoscalePolicy"]
 
-# How often the manager re-checks the drain, retries outstanding cut
-# submissions and re-checks completion. Small relative to protocol
-# timeouts: retries are idempotent (keyed submissions) so the only cost
-# of a tick is a few dict probes.
+# A hold or release whose reply is this overdue is sent again. Replies
+# come back within a round trip, so only a lost message or a crashed
+# proposer makes one overdue.
 RETRY_INTERVAL = 0.05
 
 
@@ -92,16 +77,20 @@ class ReconfigManager:
         self._queue: deque[dict] = deque()
         self._active: dict | None = None
         self._spare_seq: dict[int, int] = {}
-        # Rings whose decide hook observes cuts and drains. The hook is
-        # ring state: a takeover hands it to the new coordinator.
-        self._hooked: set[int] = set()
+        # The manager's node and its ring proposers (ring id -> the one
+        # that submits cuts there), made at the first remap.
+        self.node: Node | None = None
+        self.ring_proposers: dict[int, RingProposer] = {}
+        # Proposer node -> when the current hold or release was last sent
+        # to it, while its reply is outstanding.
+        self._waiting: dict[str, float] = {}
         self._timer = PeriodicTimer(self.sim, RETRY_INTERVAL, self._tick)
         self.metrics = mrp.metrics.child(role="reconfig")
         self.remaps = self.metrics.counter("remaps")
         self.ring_splits = self.metrics.counter("ring_splits")
         self.ring_merges = self.metrics.counter("ring_merges")
         self.ops_completed = self.metrics.counter("ops_completed")
-        self.cut_retries = self.metrics.counter("cut_retries")
+        self.requests_resent = self.metrics.counter("requests_resent")
         self.pending_ops = self.metrics.gauge("pending_ops")
         self.epoch_gauge = self.metrics.gauge("epoch")
 
@@ -130,7 +119,7 @@ class ReconfigManager:
             "old_ring": None,  # bound at start: earlier queued moves may shift it
             "new_ring": new_ring,
             "epoch": None,
-            "drained": False,
+            "phase": None,  # hold -> join -> switch -> release
             "cuts": {"join": None, "switch": None},
             "done": False,
             "on_done": on_done,
@@ -176,9 +165,11 @@ class ReconfigManager:
         return self._active is not None or bool(self._queue)
 
     @property
-    def moving_group(self) -> int | None:
-        """The group a remap in flight holds at every proposer, if any."""
-        return self._active["group"] if self._active is not None else None
+    def held_groups(self) -> tuple[int, ...]:
+        """The group a remap in flight holds until its release, if any: a
+        proposer attached now must hold it too."""
+        op = self._active
+        return (op["group"],) if op is not None and op["phase"] != "release" else ()
 
     # -- acceptor / learner elasticity ---------------------------------
     def add_spare(self, ring_id: int) -> Node:
@@ -270,57 +261,46 @@ class ReconfigManager:
             if op["on_done"] is not None:
                 op["on_done"](op)
             return
+        if self.node is None:
+            self.node = Node(self.sim, "mr-reconfig")
+            attach_node(self.mrp.network, self.node, None)
+            self.node.register(MOVED_PORT, self._on_reply)
         op["old_ring"] = old_ring
         self.epoch += 1
         op["epoch"] = self.epoch
         self.epoch_gauge.value = self.epoch
         self._emit_epoch(op, phase="start")
         self._active = op
-        for proposer in self.mrp.proposers:
-            proposer.hold_group(group)
-        self._hook_ring(old_ring)
-        self._hook_ring(new_ring)
-        self._check_drained(op)
+        self._request(op, "hold")
 
-    def _check_drained(self, op: dict) -> None:
-        """Cut once the old ring holds no undecided value of the group.
+    def _request(self, op: dict, phase: str) -> None:
+        """Send the hold or the release to every proposer attached now (one
+        attached during the hold starts out holding the group)."""
+        op["phase"] = phase
+        now = self.sim.now
+        self._waiting = {p.node.name: now for p in self.mrp.proposers}
+        for name in self._waiting:
+            self._send(op, name)
+        if not self._waiting:
+            self._advance(op)
 
-        Every proposer holds the group, so the condition cannot revert:
-        whatever of the group reached the old ring is decided there, below
-        any instance the switch cut can take."""
-        group, old_ring = op["group"], op["old_ring"]
-        if op["drained"] or any(p.undecided_on(old_ring, group) for p in self.mrp.proposers):
-            return
-        op["drained"] = True
-        self._submit_cut(op, "join")
+    def _send(self, op: dict, dst: str) -> None:
+        msg = MoveRequest(op["epoch"], op["group"], op["old_ring"], op["new_ring"],
+                          op["phase"] == "release")
+        self.mrp.network.send(self.node.name, dst, MOVE_PORT, msg, msg.size)
 
-    def _tick(self) -> None:
+    def _on_reply(self, src: str, msg: MoveReply) -> None:
         op = self._active
-        if op is None:
-            self._timer.stop()
-            return
-        cuts = op["cuts"]
-        if not op["drained"]:
-            self._check_drained(op)
-            return
-        if cuts["join"] is None:
-            retried = self._submit_cut(op, "join")
-        elif cuts["switch"] is None:
-            retried = self._submit_cut(op, "switch")
-        else:
-            retried = False
-        if retried:
-            # The keyed submission actually re-entered a coordinator: the
-            # previous copy died with a takeover before being recovered.
-            self.cut_retries.value += 1
-        self._check_complete(op)
+        if op is None or (msg.epoch, msg.release) != (op["epoch"], op["phase"] == "release"):
+            return  # a copy of an earlier request's reply
+        if self._waiting.pop(src, None) is not None and not self._waiting:
+            self._advance(op)
 
-    def _check_complete(self, op: dict) -> None:
-        if op["done"] or op["cuts"]["switch"] is None:
-            return
-        group, old_ring, new_ring = op["group"], op["old_ring"], op["new_ring"]
-        # A list, not a generator: every proposer that can release does.
-        if not all([p.complete_group_move(group, old_ring, new_ring) for p in self.mrp.proposers]):
+    def _advance(self, op: dict) -> None:
+        """Every proposer answered: cut once they drained, finish once
+        they released."""
+        if op["phase"] == "hold":
+            self._cut(op, "join")
             return
         op["done"] = True
         self.remaps.value += 1
@@ -331,75 +311,47 @@ class ReconfigManager:
         self._active = None
         self._kick()
 
+    def _tick(self) -> None:
+        """Resend each hold or release whose reply is overdue (the timer
+        runs while an operation is active)."""
+        now = self.sim.now
+        for name, sent in self._waiting.items():
+            if sent + RETRY_INTERVAL <= now:
+                self._waiting[name] = now
+                self.requests_resent.value += 1
+                self._send(self._active, name)
+
     # ------------------------------------------------------------------
-    # Cuts
+    # Cuts: ordinary submissions through the manager's ring proposers
     # ------------------------------------------------------------------
-    def _submit_cut(self, op: dict, kind: str) -> bool:
+    def _cut(self, op: dict, kind: str) -> None:
+        op["phase"] = kind
         ring_id = op["new_ring"] if kind == "join" else op["old_ring"]
-        cut = ConfigChange(
-            epoch=op["epoch"],
-            group=op["group"],
-            old_ring=op["old_ring"],
-            new_ring=op["new_ring"],
-            kind=kind,
-            join_instance=op["cuts"]["join"] if kind == "switch" else -1,
-        )
-        # (payload, size, sender, seq, created_at, group)
-        value = ClientValue(cut, CONTROL_MESSAGE_SIZE, "", 0, self.sim.now, CONTROL_GROUP)
-        coordinator = self.mrp.rings[ring_id].coordinator
-        return coordinator.submit_unique(("cut", op["epoch"], kind), value)
+        join = op["cuts"]["join"] if kind == "switch" else -1
+        cut = ConfigChange(op["epoch"], op["group"], op["old_ring"], op["new_ring"], kind, join)
+        proposer = self.ring_proposers.get(ring_id)
+        if proposer is None:
+            proposer = RingProposer(self.sim, self.mrp.network, self.node,
+                                    self.mrp.ring_configs[ring_id])
+            proposer.on_ack = self._on_cut_acked
+            self.ring_proposers[ring_id] = proposer
+        proposer.multicast(cut, CONTROL_MESSAGE_SIZE, CONTROL_GROUP)
 
-    def _on_ring_decide(self, ring_id: int, instance: int, item) -> None:
-        values = getattr(item, "values", None)
-        if values is not None:
-            for value in values:
-                if isinstance(value.payload, ConfigChange):
-                    self._on_cut_decided(ring_id, instance, value.payload)
+    def _on_cut_acked(self, ack: SubmitAck) -> None:
+        """The cut in flight — the manager's only undecided submission —
+        was decided, at ``ack.decided_instance``."""
         op = self._active
-        if op is not None and ring_id == op["old_ring"]:
-            self._check_drained(op)
-
-    def _on_cut_decided(self, ring_id: int, instance: int, cut: ConfigChange) -> None:
-        op = self._active
-        if op is None or op["epoch"] != cut.epoch or op["done"]:
-            return  # a re-decide of an older epoch's cut after a takeover
-        cuts = op["cuts"]
-        if cut.kind == "join" and ring_id == op["new_ring"]:
-            if cuts["join"] is None:
-                cuts["join"] = instance
-                # The binding flips at the join: the released values target
-                # the new ring, and both rings' skip managers re-anchor so
-                # the epoch boundary is not mistaken for a backlog.
-                self.mrp.registry.remap(
-                    op["group"], op["new_ring"], known_rings=set(self.mrp.rings)
-                )
-                self.mrp.rings[op["old_ring"]].skip_manager.reseed()
-                self.mrp.rings[op["new_ring"]].skip_manager.reseed()
-                self._submit_cut(op, "switch")
-        elif cut.kind == "switch" and ring_id == op["old_ring"]:
-            if cuts["switch"] is None:
-                cuts["switch"] = instance
-                self._check_complete(op)
-
-    # ------------------------------------------------------------------
-    # Decide hook (ring state: a takeover hands it over as it is)
-    # ------------------------------------------------------------------
-    def _hook_ring(self, ring_id: int) -> None:
-        """Observe ``ring_id``'s decisions from now on. A successor
-        coordinator re-decides the recovered prefix; every observation
-        here is idempotent."""
-        if ring_id in self._hooked:
-            return
-        self._hooked.add(ring_id)
-        coordinator = self.mrp.rings[ring_id].coordinator
-        prev = coordinator.on_decide
-
-        def hooked(instance, item, _prev=prev, _ring=ring_id):
-            if _prev is not None:
-                _prev(instance, item)
-            self._on_ring_decide(_ring, instance, item)
-
-        coordinator.on_decide = hooked
+        kind = op["phase"]
+        op["cuts"][kind] = ack.decided_instance
+        if kind == "join":
+            # The binding flips at the join: a proposer attached from now
+            # on, once released, submits the group to the new ring.
+            self.mrp.registry.remap(
+                op["group"], op["new_ring"], known_rings=set(self.mrp.rings)
+            )
+            self._cut(op, "switch")
+        else:
+            self._request(op, "release")
 
     # ------------------------------------------------------------------
     # Probes

@@ -100,17 +100,6 @@ class SkipManager(Process):
         self.prev_k = self.coordinator.planned_instance
         self.prev_time = now
 
-    def reseed(self) -> None:
-        """Re-anchor the rate window at the coordinator's current frontier.
-
-        Called at a reconfiguration cut: the interval spanning the cut
-        mixes two epochs' instance rates (and, after a ring gains or
-        loses groups, two different expected loads), so the next tick
-        must not interpret the transition as a backlog to skip over.
-        """
-        self.prev_k = self.coordinator.planned_instance
-        self.prev_time = self.sim.now
-
     def follow(self, coordinator: RingCoordinator) -> None:
         """Serve the ring's new coordinator after a takeover.
 

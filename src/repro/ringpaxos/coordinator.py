@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Iterable
 
 from ..calibration import (
     CPU_BYTE_COST_COORDINATOR,
@@ -46,7 +46,6 @@ from .batcher import Batcher
 from .config import RingConfig
 from .messages import (
     ClientValue,
-    ConfigChange,
     CoordinatorChange,
     DataBatch,
     DecisionAnnounce,
@@ -64,6 +63,9 @@ from .messages import (
 from .valuestore import learner_reply
 
 __all__ = ["RingCoordinator"]
+
+# A sender nothing of which is decided yet: (decided_cum, decided_instance).
+_NONE = (-1, -1)
 
 
 @dataclass(slots=True)
@@ -84,8 +86,10 @@ class _Inflight:
 class RingCoordinator(Process):
     """Coordinator role of one Ring Paxos instance.
 
-    ``on_decide`` (None, or ``(instance, item)`` fired at decision time)
-    is the ring's hook: a takeover hands it to the successor as it is.
+    It orders what proposers submit and nothing else: a control value
+    (a reconfiguration cut) arrives as an ordinary :class:`Submit` from
+    its sender, is deduplicated by the sender's seq like any value, and
+    its sender learns the deciding instance from the ``SubmitAck``.
     ``metrics`` is the registry to create this coordinator's metrics in
     (labeled with ``ring``/``role``/``node``); a private one when None;
     ``host``, the node's own acceptor on a ring that reconfigures itself.
@@ -116,7 +120,6 @@ class RingCoordinator(Process):
         self.rnd = rnd
         self.host = host
         self.deposed = False
-        self.on_decide: Callable[[int, DataBatch | SkipRange], None] | None = None
         self.next_instance = 0
         self.next_value_id = rnd << 32
         base = metrics if metrics is not None else MetricsRegistry()
@@ -141,11 +144,9 @@ class RingCoordinator(Process):
         self._backlog: deque[DataBatch | SkipRange] = deque()
         self._pending_decisions: list[tuple[int, int]] = []
         self._submit_expected: dict[str, int] = {}
-        self._submit_acked: dict[str, int] = {}
+        # Sender -> (decided watermark, the instance that decided it).
+        self._submit_acked: dict[str, tuple[int, int]] = {}
         self._submit_buffer: dict[str, dict[int, ClientValue]] = {}
-        # Idempotence keys of externally injected values (reconfiguration
-        # cuts) already accepted for ordering here.
-        self._foreign_keys: set = set()
         self._decided_log: dict[int, DataBatch | SkipRange] = {}
         self._decided_order: deque[int] = deque()
         self._decided_log_limit = 4 * config.window + 1024
@@ -177,20 +178,6 @@ class RingCoordinator(Process):
     def backlog(self) -> int:
         """Batches/skips waiting for a window slot."""
         return len(self._backlog)
-
-    def submit_unique(self, key, value: ClientValue) -> bool:
-        """Inject ``value`` locally at most once per ``key``.
-
-        Reconfiguration retries its control submissions until their
-        decision is observed; the key set — re-seeded from recovered
-        values after a takeover — keeps those retries idempotent even
-        across coordinator changes. Returns False on a duplicate.
-        """
-        if self.crashed or key in self._foreign_keys:
-            return False
-        self._foreign_keys.add(key)
-        self._ingest(value)
-        return True
 
     def _ingest(self, value: ClientValue) -> None:
         """Order ``value`` here."""
@@ -311,7 +298,7 @@ class RingCoordinator(Process):
         while len(self._decided_order) > self._decided_log_limit:
             self._decided_log.pop(self._decided_order.popleft(), None)
         if isinstance(state.item, DataBatch):
-            self._ack_decided_batch(state.item)
+            self._ack_decided_batch(state.instance, state.item)
         self._pending_decisions.append((state.instance, state.value_id))
         if not self.config.piggyback_decisions:
             # Ablation mode: every decision goes out as its own multicast.
@@ -320,8 +307,6 @@ class RingCoordinator(Process):
             # Piggyback on the next 2A if one is imminent; else flush soon.
             if self._decision_timer.deadline is None:
                 self._decision_timer.start()
-        if self.on_decide is not None:
-            self.on_decide(state.instance, state.item)
         self._pump()
 
     # ------------------------------------------------------------------
@@ -442,20 +427,22 @@ class RingCoordinator(Process):
         self._send_ack(src)
 
     def _send_ack(self, src: str) -> None:
-        # (received_cum, decided_cum)
-        ack = SubmitAck(self._submit_expected.get(src, 0) - 1, self._submit_acked.get(src, -1))
+        decided, at = self._submit_acked.get(src, _NONE)
+        ack = SubmitAck(self._submit_expected.get(src, 0) - 1, decided, at)
         self.network.send(self.node.name, src, self._ack_port, ack, ack.size)
 
-    def _ack_decided_batch(self, batch: DataBatch) -> None:
-        """Advance the decided watermark for every sender in the batch and
-        ack them in first-occurrence order (a set would iterate the names
-        in hash order, making the trace depend on ``PYTHONHASHSEED``)."""
+    def _ack_decided_batch(self, instance: int, batch: DataBatch) -> None:
+        """Advance the decided watermark for every sender in the batch,
+        decided at ``instance``, and ack them in first-occurrence order (a
+        set would iterate the names in hash order, making the trace depend
+        on ``PYTHONHASHSEED``)."""
         senders: dict[str, None] = {}
+        acked = self._submit_acked
         for value in batch.values:
-            if value.sender:
-                senders[value.sender] = None
-                acked = max(self._submit_acked.get(value.sender, -1), value.seq)
-                self._submit_acked[value.sender] = acked
+            sender = value.sender
+            senders[sender] = None
+            if value.seq > acked.get(sender, _NONE)[0]:
+                acked[sender] = (value.seq, instance)
         for sender in senders:
             self._send_ack(sender)
 
@@ -534,20 +521,13 @@ class RingCoordinator(Process):
             for value in item.values:
                 # Seed per-sender dedup state from every recovered value so
                 # proposers' retransmissions of already-ordered submissions
-                # are recognised; a settled value is acked as decided now, a
-                # re-proposed one when it re-decides.
-                if value.sender:
-                    have = self._submit_expected.get(value.sender, 0)
-                    self._submit_expected[value.sender] = max(have, value.seq + 1)
-                    if settle:
-                        acked = self._submit_acked.get(value.sender, -1)
-                        self._submit_acked[value.sender] = max(acked, value.seq)
-                # Re-seed the idempotence keys of recovered control cuts,
-                # so the reconfiguration manager's retries stay exactly-once
-                # across this coordinator change.
-                if isinstance(value.payload, ConfigChange):
-                    cut = value.payload
-                    self._foreign_keys.add(("cut", cut.epoch, cut.kind))
+                # are recognised; a settled value is acked as decided (at its
+                # instance) now, a re-proposed one when it re-decides.
+                sender = value.sender
+                have = self._submit_expected.get(sender, 0)
+                self._submit_expected[sender] = max(have, value.seq + 1)
+                if settle and value.seq > self._submit_acked.get(sender, _NONE)[0]:
+                    self._submit_acked[sender] = (value.seq, instance)
         while len(self._decided_order) > self._decided_log_limit:
             self._decided_log.pop(self._decided_order.popleft(), None)
         # Re-propose the undecided suffix's recovered values at their

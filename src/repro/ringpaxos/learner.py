@@ -246,7 +246,9 @@ class RingLearner(Process):
         self.reorder_depth.value = len(self._ready)
 
     def _emit_ready(self) -> None:
-        while self.next_instance in self._ready:
+        # ``on_decide`` may crash this learner (a remap dropped its ring):
+        # it then emits nothing more.
+        while self.next_instance in self._ready and not self.crashed:
             instance = self.next_instance
             item = self._ready.pop(instance)
             self.next_instance += item.instance_count

@@ -33,6 +33,8 @@ __all__ = [
     "ClientValue",
     "ConfigChange",
     "DataBatch",
+    "MoveReply",
+    "MoveRequest",
     "SkipRange",
     "Submit",
     "SubmitAck",
@@ -156,6 +158,9 @@ class SubmitAck:
     pipeline — the proposer stops retransmitting them (flow control).
     ``decided_cum``: all submissions <= it are *decided* — they survive
     any coordinator crash, so the proposer may forget them (validity).
+    ``decided_instance``: the instance that decided ``decided_cum``
+    (-1 before any), so a client learns where its value was ordered —
+    the reconfiguration manager reads a join cut's J from it.
     After a coordinator change, the proposer rewinds its retransmission
     watermark to -1 (the new coordinator has acked nothing yet) and
     sends it every undecided value: whatever only the dead coordinator
@@ -164,6 +169,7 @@ class SubmitAck:
 
     received_cum: int
     decided_cum: int
+    decided_instance: int = -1
 
     size: ClassVar[int] = CONTROL_MESSAGE_SIZE
 
@@ -282,20 +288,22 @@ class CheckpointAck:
 class ConfigChange:
     """An epoch cut, decided *in-ring* as a control value's payload.
 
-    A group remap installs two cuts, both carried inside ordinary
-    :class:`ClientValue` payloads on the :data:`CONTROL_GROUP` sentinel
-    group, so each cut has a definite position in a ring's decided
-    stream. Neither is submitted before the group has drained off its
-    source ring — every value of the group sent there is decided — so
-    the group's old-epoch stream ends below both:
+    A group remap installs two cuts. The reconfiguration manager submits
+    each as an ordinary :class:`ClientValue` on the :data:`CONTROL_GROUP`
+    sentinel group through its own ring proposer, so each cut has a
+    definite position in a ring's decided stream and the proposer's
+    ``SubmitAck`` says which. Neither is submitted before every proposer
+    reported the group drained off its source ring — every value of the
+    group sent there is decided — so the group's old-epoch stream ends
+    below both:
 
     * ``kind="join"`` decided on the *destination* ring at instance J —
       the first instance of the new epoch for the group there (no value
       of the group is ordered on the destination before J);
-    * ``kind="switch"`` decided on the *source* ring after the join,
-      carrying ``join_instance=J`` — it tells learners that drain the
-      old ring (including ones not yet subscribed to the destination)
-      where to start consuming the new ring.
+    * ``kind="switch"`` decided on the *source* ring once the join's
+      ack named J, carrying ``join_instance=J`` — it tells learners that
+      drain the old ring (including ones not yet subscribed to the
+      destination) where to start consuming the new ring.
 
     ``epoch`` numbers the configuration; every role adopting the cut
     reports it, and the epoch-monotonicity oracle holds each role to a
@@ -308,6 +316,33 @@ class ConfigChange:
     new_ring: int
     kind: str  # "join" | "switch"
     join_instance: int = -1
+
+    size: ClassVar[int] = CONTROL_MESSAGE_SIZE
+
+
+@dataclass(slots=True, unsafe_hash=True)
+class MoveRequest:
+    """Reconfiguration manager -> proposer: hold ``group`` (queue its new
+    multicasts; reply once none of its values on ``old_ring`` is
+    undecided) or, with ``release``, send it to ``new_ring`` from now on.
+    Resent while the :class:`MoveReply` is overdue; a proposer answers
+    every copy and ignores one older than the last request it took."""
+
+    epoch: int
+    group: int
+    old_ring: int
+    new_ring: int
+    release: bool = False
+
+    size: ClassVar[int] = CONTROL_MESSAGE_SIZE
+
+
+@dataclass(slots=True, unsafe_hash=True)
+class MoveReply:
+    """Proposer -> manager: the hold (drained) or release of ``epoch`` is done."""
+
+    epoch: int
+    release: bool = False
 
     size: ClassVar[int] = CONTROL_MESSAGE_SIZE
 

@@ -49,9 +49,10 @@ class RingProposer(Process):
         self._sent_at: dict[int, float] = {}  # seq -> when it was last sent
         self._received_cum = -1  # retransmission-suppression watermark
         self._retransmit_timer = PeriodicTimer(sim, config.retry_timeout, self._retransmit)
-        # Called (with no arguments) whenever a cumulative ack drains
-        # outstanding submissions — admission controllers hook this to
-        # release queued intake as capacity frees up.
+        # Called with the SubmitAck whenever a cumulative ack drains
+        # outstanding submissions: a multi-ring proposer releases queued
+        # intake and answers a drain on it, and the reconfiguration
+        # manager reads where its cut was decided.
         self.on_ack = None
         node.register(f"rp{config.ring_id}.submitack", self._on_ack)
 
@@ -123,7 +124,7 @@ class RingProposer(Process):
         if not self._unacked:
             self._retransmit_timer.stop()
         if drained and self.on_ack is not None:
-            self.on_ack()
+            self.on_ack(msg)
 
     def _retransmit(self) -> None:
         """Resend overdue submissions the coordinator has not received.

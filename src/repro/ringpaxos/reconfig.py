@@ -84,11 +84,11 @@ class RingFailover:
         self._emit(FAILOVER_SUSPECT, by=by, coordinator=self.config.coordinator)
 
     def recovered(self, coordinator: RingCoordinator) -> None:
-        """A successor recovered: record it, hand it the ring's hook (the
-        very decide observer: ring state, not coordinator state), take its
-        spares out of the pool, and tell the deployment."""
-        predecessor, self.coordinator = self.coordinator, coordinator
-        coordinator.on_decide = predecessor.on_decide
+        """A successor recovered: record it, take its spares out of the
+        pool, and tell the deployment. Nothing is handed over: no process
+        observes a coordinator's decisions but through the ring's own
+        messages, so a successor needs no hook."""
+        self.coordinator = coordinator
         layout = coordinator.config.acceptors
         kept = [node for node in self.spare_nodes if node.name not in layout]
         degraded = len(kept) == len(self.spare_nodes)  # no spare left to include

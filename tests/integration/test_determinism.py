@@ -50,8 +50,9 @@ def test_different_seeds_diverge():
 
 
 # One ring, two proposers whose values share batches, the first sender
-# alternating: per decided batch, its senders in first-occurrence order and
-# the destinations of the SubmitAcks the decision sent.
+# alternating: per batch a learner decides, its senders in first-occurrence
+# order and the destinations of the SubmitAcks the decision sent (the
+# learner decides each batch before the next is submitted).
 _TWO_SENDER_BATCHES = """
 import json
 from repro.obs import ProbeBus
@@ -73,7 +74,7 @@ def on_decide(instance, batch):
     senders = list(dict.fromkeys(v.sender for v in batch.values))
     batches.append((senders, acks[len(acks) - len(senders):]))
 
-ring.coordinator.on_decide = on_decide
+ring.learners[0].on_decide = on_decide
 for k in range(6):
     first, second = ring.proposers[::1 if k % 2 == 0 else -1]
     sim.at(0.01 * k, first.multicast, k, 100)

@@ -175,6 +175,13 @@ RECONFIG_CORPUS = {
     17: (3, {"remap", "ring_merge"}),           # merge under loss + partition
     20: (3, {"remap", "ring_split"}),           # values in flight, loss + partition
     25: (2, {"remap", "ring_merge"}),           # chained remaps then merge
+    # 887: a ring learner dropped by a switch went on emitting the rest of
+    # its ready run, after a later switch had re-joined its ring (ring
+    # order). 1589: two switches on different rings were consumed out of
+    # epoch order, and the first dropped the ring the second moved a group
+    # onto (integrity: a re-read delivered twice).
+    887: (2, {"remap", "ring_split"}),
+    1589: (2, {"remap", "ring_merge"}),
 }
 
 
@@ -197,8 +204,8 @@ def test_group_remap_survives_partition_of_source_ring():
     mid-move. Seed 0 maps group 1 onto ring 1; the remap starts at 0.3 s
     and the partition isolates ring 1's coordinator and an acceptor at
     0.35 s — before the group can drain off ring 1 and the switch cut can
-    decide there — so the manager's retry tick must carry the drain and
-    the cuts across the heal at 0.8 s. Everything the
+    decide there — so the proposers' and the manager's resends must carry
+    the drain and the cuts across the heal at 0.8 s. Everything the
     proposer multicast must still deliver exactly once, in per-sender
     seq order, with epochs monotone (group-fifo / epoch-order oracles).
     """

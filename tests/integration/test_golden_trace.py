@@ -4,15 +4,21 @@ Records the full observable outcome of four fixed-seed scenarios — every
 ``net.deliver`` (message handed to a node), ``net.drop`` (a leg lost or
 cut), ``learner.decide`` (ring order) and ``learner.deliver`` (merged
 order) event — and compares the sequence *bit for bit* against a
-committed fixture. The remap and three-region fixtures were last
-recorded when a learner's restart catch-up became its gap repair (which
-asks for the next run as each reply arrives) and skip targets began to
-carry their fraction from one Δ to the next (the remap scenario's λΔ is
-0.6); the other two, when proposers and learners began to resend only
-what is overdue, a protocol change that removed Submit retransmissions
-and repair requests for values that were only in flight. The kernel
-changed neither time, and the code before each change reproduces the
-earlier fixtures exactly. Those pinned the kernel: the
+committed fixture. The remap fixture was last recorded when the
+reconfiguration manager became a client of the rings: it now runs on a
+node of its own, so its holds, releases and their replies, its cut
+Submits and their acks are network messages the trace records, and each
+step waits for the reply before it instead of calling into a proposer or
+coordinator; a cut can land at another instance, and no skip
+manager re-anchors its rate window at the join. The three-region fixture
+was last recorded when a learner's restart catch-up became its gap
+repair (which asks for the next run as each reply arrives) and skip
+targets began to carry their fraction from one Δ to the next; the other
+two, when proposers and learners began to resend only what is overdue, a
+protocol change that removed Submit retransmissions and repair requests
+for values that were only in flight. The kernel changed none of these,
+and the code before each change reproduces the earlier fixtures exactly.
+Those pinned the kernel: the
 two single-switch ones were recorded before the fast-path kernel (fused
 run loop, allocation-free scheduling, coalesced multicast fan-out)
 landed, so a pass meant the optimized kernel reproduced the exact
@@ -197,8 +203,9 @@ def scenario_merge_remap() -> list:
     skip rate while rings 1 and 2 advance mostly by skips and the merges
     wait on them. Group 2 then moves onto ring 0 and group 1 onto ring 2.
     A learner new to the destination ring joins it ahead of its merge's
-    place in the first move (J = 242, place 153: read as skips) and behind
-    it in the second (J = 349, place 351: consumed first).
+    place in both moves (J = 242, place 102; J = 221, place 216), so the
+    gap is read as skips; a ring joined behind the place is
+    test_core_groups_merge.py's.
     """
     mrp = MultiRingPaxos(MultiRingConfig(n_groups=3, lambda_rate=600.0, m=3, seed=31))
     sim = mrp.sim

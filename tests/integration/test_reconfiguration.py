@@ -20,6 +20,7 @@ from repro.check import oracle_watch
 from repro.core.reconfig import Autoscaler, AutoscalePolicy
 from repro.errors import ConfigurationError
 from repro.sim.faults import NetworkPartition
+from repro.sim.loss import UniformLoss
 from repro.sim.topology import Topology
 
 SIZE = 8192
@@ -47,23 +48,22 @@ def test_takeover_installs_new_coordinator():
 
 
 def test_takeover_hands_over_the_ring_and_rewires_nothing():
-    """The ring's hook, skip manager and layout table outlive the
-    coordinator object: the successor holds the very decide hook, and
-    every participant reads the one ring_configs."""
+    """The ring's skip manager and layout table outlive the coordinator
+    object, every participant reads the one ring_configs, and the
+    reconfiguration manager's cut proposer follows the successor like any
+    client's."""
     mrp = deploy(n_groups=2)
     learner = mrp.add_learner(groups=[0, 1])
     proposer = mrp.add_proposer()
     handle = mrp.rings[0]
     old, manager = handle.coordinator, handle.skip_manager
-    mrp.reconfig.remap_group(0, 1)  # hooks ring 0's decisions, drains group 0
+    mrp.reconfig.remap_group(0, 1)  # its switch cut is submitted to ring 0
     mrp.run(until=0.5)
-    hook = old.on_decide
-    assert hook is not None
     mrp.crash_coordinator(0)
     mrp.run(until=1.0)
     new = handle.coordinator
     assert new is not old and handle.failover.coordinator is new
-    assert new.on_decide is hook
+    assert mrp.reconfig.ring_proposers[0].coordinator == new.node.name
     assert handle.skip_manager is manager and manager.coordinator is new
     assert not manager.crashed and manager._timer.running
     assert handle.config is new.config is mrp.ring_configs[0]
@@ -72,8 +72,9 @@ def test_takeover_hands_over_the_ring_and_rewires_nothing():
 
 def test_drain_installed_mid_takeover_reaches_the_successor():
     """A remap whose drain starts after the suspicion but before the
-    successor has recovered hooks the deposed coordinator's decisions; the
-    successor takes the same hook, and the move completes exactly once."""
+    successor has recovered submits its cuts like any client: the one to
+    the ring in takeover follows the successor, and the move completes
+    exactly once."""
     mrp = deploy(n_groups=2)
     log = []
     mrp.add_learner(groups=[0, 1], on_deliver=lambda g, v: log.append(v.payload))
@@ -93,7 +94,6 @@ def test_drain_installed_mid_takeover_reaches_the_successor():
         p.multicast(0, f"mid-{i}", SIZE)
     mrp.run(until=3.0)
     assert mrp.rings[0].coordinator is not old
-    assert mrp.rings[0].coordinator.on_decide is old.on_decide is not None
     assert completed == [completed[0]] and completed[0]["done"]
     assert mrp.registry.ring_for(0) == 1
     assert sorted(log) == sorted([f"pre-{i}" for i in range(4)] + [f"mid-{i}" for i in range(4)])
@@ -522,6 +522,65 @@ def test_live_remap_delivers_everything_exactly_once():
     assert len(set(payloads)) == 18
     assert [m for m in payloads if m.startswith("mid")] == [f"mid-{i}" for i in range(6)]
     assert [m for m in payloads if m.startswith("post")] == [f"post-{i}" for i in range(6)]
+
+
+class ManagerLinkLoss:
+    """Loss model: drop each leg to or from the reconfiguration manager's
+    node with probability ``p``; every other leg is reliable."""
+
+    def __init__(self, p):
+        self.loss = UniformLoss(p)
+
+    def should_drop(self, rng, src, dst, size):
+        return "mr-reconfig" in (src, dst) and self.loss.should_drop(rng, src, dst, size)
+
+
+def loaded_remap(loss):
+    """Groups 0 and 2 on ring 0, group 1 on ring 1; four proposers send
+    8 KiB values round-robin over the groups, one every 0.1 ms for 0.3 s,
+    and at 0.15 s group 2 moves onto ring 1. Both rings stay loaded, so a
+    cut waits for the next value's batch, not for the batch timeout.
+    Returns the deployment, the completion times of the move, and the
+    payloads sent and delivered."""
+    mrp = MultiRingPaxos(MultiRingConfig(n_groups=3, n_rings=2, lambda_rate=2000.0, seed=3))
+    mrp.network.loss = ManagerLinkLoss(loss)
+    delivered = []
+    mrp.add_learner(groups=[0, 1, 2], on_deliver=lambda g, v: delivered.append(v.payload))
+    proposers = [mrp.add_proposer() for _ in range(4)]
+    sent = [f"v{k}" for k in range(3000)]
+    for k, payload in enumerate(sent):
+        mrp.sim.at(k * 0.0001, proposers[k % 4].multicast, k % 3, payload, SIZE)
+    done = []
+    mrp.sim.at(0.15, mrp.reconfig.remap_group, 2, 1, lambda op: done.append(mrp.sim.now))
+    mrp.run(until=1.0)
+    return mrp, done, sent, delivered
+
+
+@pytest.mark.parametrize("loss", [0.2, 0.0])
+def test_a_remap_survives_lossy_manager_links(loss):
+    """A fifth of the messages to and from the manager's node are lost:
+    holds, releases, their replies, and the cut Submits and their acks.
+    The manager resends a hold or release once its reply is overdue, its
+    ring proposers resend the cuts, and the move completes exactly once
+    with every value delivered once. Without loss nothing is resent."""
+    mrp, done, sent, delivered = loaded_remap(loss)
+    assert len(done) == 1 and mrp.reconfig.remaps.value == 1
+    assert mrp.registry.ring_for(2) == 1 and not mrp.reconfig.busy
+    assert sorted(delivered) == sorted(sent)
+    resent = mrp.reconfig.requests_resent.value
+    cut_resends = sum(p.retransmissions.value for p in mrp.reconfig.ring_proposers.values())
+    if loss:
+        assert resent >= 1
+    else:
+        assert resent == cut_resends == 0
+
+
+def test_a_remap_is_event_driven():
+    """Each step of a remap follows the reply or ack before it at once:
+    on loaded rings the move completes within 2 ms of its request, not at
+    a 50 ms retry tick."""
+    mrp, done, sent, delivered = loaded_remap(0.0)
+    assert len(done) == 1 and done[0] - 0.15 <= 0.002
 
 
 def test_proposer_added_mid_move_holds_the_group():

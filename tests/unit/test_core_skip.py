@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import SkipManager
-from repro.ringpaxos import ClientValue, RingConfig, RingCoordinator
+from repro.ringpaxos import RingConfig, RingCoordinator, RingProposer
 from repro.sim import Network, Node, Simulator
 
 
@@ -15,6 +15,12 @@ def make_ring(lambda_rate, delta=1e-3, sim=None):
     coord = RingCoordinator(sim, net, node, config)
     mgr = SkipManager(sim, coord, lambda_rate=lambda_rate, delta=delta)
     return sim, coord, mgr
+
+
+def add_proposer(sim, coord):
+    """A client of ``coord``'s ring on a node of its own."""
+    node = coord.network.add_node(Node(sim, "prop"))
+    return RingProposer(sim, coord.network, node, coord.config)
 
 
 def test_idle_ring_is_topped_up_to_lambda():
@@ -40,11 +46,12 @@ def test_busy_ring_gets_no_skips():
     # Feed data faster than lambda: 200 instances/s.
     from repro.calibration import DEFAULT_VALUE_SIZE
 
+    prop = add_proposer(sim, coord)
     n = 0
 
     def feed():
         nonlocal n
-        coord.submit_unique(n, ClientValue(payload=n, size=DEFAULT_VALUE_SIZE, seq=n))
+        prop.multicast(n, DEFAULT_VALUE_SIZE)
         n += 1
         if sim.now < 1.0:
             sim.schedule(0.005, feed)
@@ -60,11 +67,12 @@ def test_partial_load_filled_to_lambda():
     sim, coord, mgr = make_ring(lambda_rate=1000.0, delta=10e-3)
     from repro.calibration import DEFAULT_VALUE_SIZE
 
+    prop = add_proposer(sim, coord)
     n = 0
 
     def feed():
         nonlocal n
-        coord.submit_unique(n, ClientValue(payload=n, size=DEFAULT_VALUE_SIZE, seq=n))
+        prop.multicast(n, DEFAULT_VALUE_SIZE)
         n += 1
         if sim.now < 1.0:
             sim.schedule(0.002, feed)  # 500 data instances/s
@@ -109,11 +117,12 @@ def test_mu_reflects_observed_data_rate():
     sim, coord, mgr = make_ring(lambda_rate=100.0, delta=100e-3)
     from repro.calibration import DEFAULT_VALUE_SIZE
 
+    prop = add_proposer(sim, coord)
     n = 0
 
     def feed():
         nonlocal n
-        coord.submit_unique(n, ClientValue(payload=n, size=DEFAULT_VALUE_SIZE, seq=n))
+        prop.multicast(n, DEFAULT_VALUE_SIZE)
         n += 1
         if sim.now < 1.0:
             sim.schedule(0.005, feed)  # 200 data instances/s > lambda

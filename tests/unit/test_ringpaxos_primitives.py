@@ -374,7 +374,7 @@ def _every_message():
         (batch, 300),
         (skip, c),
         (m.Submit(value, floor=2), c + 100),
-        (m.SubmitAck(4, 3), c),
+        (m.SubmitAck(4, 3, 12), c),
         (Phase2A(5, 1, 9, batch, attempt=1, decisions=((3, 7), (4, 8))), c + 300 + 2 * 12),
         (Phase2A(6, 1, m.value_id_of(6, 1, skip), skip), c + c),
         (m.Phase2B(5, 1, 9, 0, 2), c),
@@ -384,6 +384,8 @@ def _every_message():
         (m.RepairReply(5, (batch, skip)), c + 300 + c),
         (m.CheckpointAck("rep0", 0, 5), c),
         (m.ConfigChange(2, 1, 0, 1, "join"), c),
+        (m.MoveRequest(2, 1, 0, 1, release=True), c),
+        (m.MoveReply(2, release=True), c),
         (m.PrepareRange(5, 2), c),
         (m.PromiseRange(5, 2, ((5, 1, batch), (6, 1, skip))), c + 300 + c),
         (m.CoordinatorChange(0, ("a", "b", "c"), 2), c + 3 * 16),
@@ -399,7 +401,7 @@ MESSAGE_CLASSES = [
 def test_every_message_class_has_its_byte_formula():
     table = _every_message()
     assert {type(msg) for msg, _ in table} == set(MESSAGE_CLASSES)
-    assert len(MESSAGE_CLASSES) == 16
+    assert len(MESSAGE_CLASSES) == 18
     for msg, size in table:
         assert msg.size == size, msg
     assert DataBatch(0, ()).size == 0 and DataBatch(0, ()).instance_count == 1

@@ -2,7 +2,7 @@
 
 
 from repro.calibration import DEFAULT_VALUE_SIZE
-from repro.ringpaxos import ClientValue, build_ring
+from repro.ringpaxos import build_ring
 from repro.sim import Network, Simulator, UniformLoss
 
 
@@ -151,10 +151,9 @@ def test_heartbeat_advances_frontier_when_idle():
 def test_window_limits_inflight_instances():
     sim, net, ring = deploy(window=2, batch_timeout=10.0)
     (log,) = attach_log(ring)
-    for i in range(10):  # each 8 KB value fills a batch immediately
-        ring.coordinator.submit_unique(
-            i, ClientValue(payload=f"m{i}", size=DEFAULT_VALUE_SIZE, seq=i, created_at=sim.now)
-        )
+    pump(ring, 10)  # each 8 KB value fills a batch immediately
+    while ring.coordinator.submissions.value < 10:
+        sim.run(max_events=1)
     assert ring.coordinator.backlog >= 1  # window of 2 throttles starts
     sim.run(until=2.0)
     assert len(log) == 10
