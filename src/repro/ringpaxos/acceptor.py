@@ -14,19 +14,21 @@ lost) is parked until the value arrives, and a repair is requested from
 the coordinator if the wait persists.
 
 Acceptors also remember recently decided items (learned from piggybacked
-decision announcements) so they can serve learner repair requests — each
-learner is assigned a *preferential acceptor* to ask for lost messages.
+decision announcements) in a ``DecidedLog`` so they can serve learner
+repair requests — each learner is assigned a *preferential acceptor* to
+ask for lost messages.
 
 With a :class:`~repro.ringpaxos.reconfig.RingFailover` record, acceptors
 also reconfigure the ring by messages alone (paper, Section IV-C; see
 docs/protocol.md, "Reconfiguration"): a member that hears no coordinator
 for ``suspect_timeout * (1 + index)`` runs Phase 1 with a round it owns
-and hosts the successor coordinator once a majority has promised.
+from its decided log's gap-free prefix up, and hosts the successor
+coordinator, which reads the history below it there, once a majority
+has promised.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -57,7 +59,7 @@ from .messages import (
     SkipRange,
     value_id_of,
 )
-from .valuestore import ValueStore, learner_reply
+from .valuestore import DecidedLog, ValueStore
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from .reconfig import RingFailover
@@ -142,16 +144,11 @@ class RingAcceptor(Process):
             self._watch_timer = Timer(sim, config.suspect_timeout, self._check_coordinator)
             if member:
                 self._watch_timer.start()
-        self._decided: dict[int, DataBatch | SkipRange] = {}
-        self._decided_order: deque[int] = deque()
+        self.decided = DecidedLog(DECIDED_LOG_LIMIT)  # its prefix starts Phase 1
         self.state_retention = STATE_RETENTION
         self._gc_horizon = 0
-        # Two decision watermarks: the highest instance a decision named
-        # (the GC sweep's reference) and the end of the gap-free decided
-        # prefix (every instance below it is decided and its item known
-        # here; a takeover starts above it).
+        # The highest instance a decision named: the GC sweep's reference.
         self._highest_decided_instance = -1
-        self._gap_free_decided_end = 0
         self._ckpt_watermarks: dict[str, int] = {}
         self._truncate_bound = -1
         if member:
@@ -235,12 +232,14 @@ class RingAcceptor(Process):
         item = self.values.get(msg.value_id)
         if item is None:
             # Section III-B safety check: we must know the client value
-            # behind the ID before accepting. Park until the 2A arrives.
+            # behind the ID before accepting. Park until the 2A arrives; a
+            # re-park (a retry's token) joins the repair chain already running.
+            if msg.instance not in self._parked_2b:
+                self.call_later(
+                    self.config.repair_interval, self._repair_from_coordinator, msg.instance
+                )
             self._parked_2b[msg.instance] = msg
             self.parked_depth.value = len(self._parked_2b)
-            self.call_later(
-                self.config.repair_interval, self._repair_from_coordinator, msg.instance
-            )
             return
         if (msg.instance, msg.attempt) in self._forwarded:
             return
@@ -278,23 +277,9 @@ class RingAcceptor(Process):
     def _on_decisions(self, decisions: tuple[tuple[int, int], ...]) -> None:
         for instance, value_id in decisions:
             self._highest_decided_instance = max(self._highest_decided_instance, instance)
-            if instance in self._decided:
-                continue
             item = self.values.get(value_id)
-            if item is None:
-                continue
-            self._decided[instance] = item
-            self._decided_order.append(instance)
-            while len(self._decided_order) > DECIDED_LOG_LIMIT:
-                old = self._decided_order.popleft()
-                self._decided.pop(old, None)
-            if instance == self._gap_free_decided_end:
-                # The prefix reaches this item: extend it over the decided
-                # items already held beyond it.
-                end = instance + item.instance_count
-                while (after := self._decided.get(end)) is not None:
-                    end += after.instance_count
-                self._gap_free_decided_end = end
+            if item is not None:
+                self.decided.add(instance, item)
         # Prune per-instance Paxos state far below the decided frontier:
         # decided instances never change, and a generous retention window
         # (for takeover recovery and learner repairs) bounds memory on long
@@ -320,7 +305,7 @@ class RingAcceptor(Process):
         """Answer a learner's repair from the decided log."""
         if self.crashed:
             return
-        reply = learner_reply(self._decided, msg)
+        reply = self.decided.reply(msg)
         if reply is None:
             return
         self.repairs_served.value += 1
@@ -374,10 +359,8 @@ class RingAcceptor(Process):
         self._forwarded = set()
         self._parked_2b = {}
         self.parked_depth.value = 0
-        self._decided = {}
-        self._decided_order.clear()
+        self.decided = DecidedLog(DECIDED_LOG_LIMIT)
         self._highest_decided_instance = -1
-        self._gap_free_decided_end = 0
         self._gc_horizon = 0
         self._ckpt_watermarks = {}
         self._truncate_bound = -1
@@ -420,18 +403,14 @@ class RingAcceptor(Process):
         # Below a checkpoint truncation everything is decided and forgotten:
         # the answer starts above it, and so does the successor's recovery.
         start = max(msg.from_instance, self._truncate_bound + 1)
-        return PromiseRange(
-            start, msg.rnd, self.storage.votes(start), self._gap_free_decided_end
-        )
+        return PromiseRange(start, msg.rnd, self.storage.votes(start), self.decided.prefix)
 
-    def hold(self, instance: int, rnd: int, item: DataBatch | SkipRange) -> int:
-        """Vote for ``item`` at ``rnd`` where the rule allows, returning its
-        value ID: a deposed coordinator's proposals, which its node's
-        acceptor answers and serves to learners."""
+    def hold(self, instance: int, rnd: int, item: DataBatch | SkipRange) -> None:
+        """Vote for ``item`` at ``rnd`` where the rule allows, and keep its
+        value: a deposed coordinator's proposals, which its node's acceptor
+        answers."""
         self.storage.accept(instance, rnd, item)
-        vid = value_id_of(instance, rnd, item)
-        self.values.put(vid, item)
-        return vid
+        self.values.put(value_id_of(instance, rnd, item), item)
 
     # ------------------------------------------------------------------
     # Suspicion and candidacy
@@ -452,7 +431,7 @@ class RingAcceptor(Process):
         self.service.suspected(self.node.name)
         rnd = next_round(max(self._rnd_seen, self.storage.floor), self.owner, ROUND_OWNERS)
         # The candidate's own promise is read locally, not sent to itself.
-        own = self.promise(PrepareRange(0, rnd))
+        own = self.promise(PrepareRange(self.decided.prefix, rnd))
         self._candidacy = _Candidacy(rnd, self.service.universe(), {self.node.name: own})
         self.node.register(self.config.coord_port, self._on_coord_port)
         self._solicit(rnd)
@@ -462,7 +441,7 @@ class RingAcceptor(Process):
         bid = self._candidacy
         if bid is None or bid.rnd != rnd:
             return
-        prepare = PrepareRange(0, rnd)
+        prepare = PrepareRange(self.decided.prefix, rnd)
         for name in bid.asked:
             if name not in bid.promises:
                 self.network.send(self.node.name, name, self.config.ring_port, prepare, prepare.size)

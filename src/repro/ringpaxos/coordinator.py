@@ -60,7 +60,7 @@ from .messages import (
     SubmitAck,
     value_id_of,
 )
-from .valuestore import learner_reply
+from .valuestore import DecidedLog
 
 __all__ = ["RingCoordinator"]
 
@@ -147,9 +147,8 @@ class RingCoordinator(Process):
         # Sender -> (decided watermark, the instance that decided it).
         self._submit_acked: dict[str, tuple[int, int]] = {}
         self._submit_buffer: dict[str, dict[int, ClientValue]] = {}
-        self._decided_log: dict[int, DataBatch | SkipRange] = {}
-        self._decided_order: deque[int] = deque()
-        self._decided_log_limit = 4 * config.window + 1024
+        # Serves learner repairs; what it has dropped, the host's may hold.
+        self.decided = DecidedLog(4 * config.window + 1024)
         self._ack_port = f"rp{config.ring_id}.submitack"
         self.batcher = Batcher(sim, config.batch_size, config.batch_timeout, self._on_batch)
         self._decision_timer = Timer(sim, config.decision_flush_timeout, self._flush_decisions)
@@ -292,11 +291,7 @@ class RingCoordinator(Process):
         state.retry_seq = -1
         del self._inflight[state.instance]
         self.instances_decided.value += 1
-        # The decided log serves learner repairs, bounded FIFO.
-        self._decided_log[state.instance] = state.item
-        self._decided_order.append(state.instance)
-        while len(self._decided_order) > self._decided_log_limit:
-            self._decided_log.pop(self._decided_order.popleft(), None)
+        self.decided.add(state.instance, state.item)
         if isinstance(state.item, DataBatch):
             self._ack_decided_batch(state.instance, state.item)
         self._pending_decisions.append((state.instance, state.value_id))
@@ -462,17 +457,16 @@ class RingCoordinator(Process):
             return
         if isinstance(msg, RepairRequest):
             self.node.cpu.execute(CPU_FIXED_COST_SMALL_MESSAGE, self._serve_learner, (src, msg))
-        # CheckpointAcks are an acceptor concern; the coordinator's decided
-        # log is already FIFO-bounded.
+        # CheckpointAcks are an acceptor concern; this decided log is bounded.
 
     def _serve_learner(self, src: str, msg: RepairRequest) -> None:
         """Answer a learner's repair. What the coordinator's bounded log
         lacks, its node's acceptor may have seen decided."""
         if self.crashed:
             return
-        reply = learner_reply(self._decided_log, msg)
+        reply = self.decided.reply(msg)
         if reply is None and self.host is not None:
-            reply = learner_reply(self.host._decided, msg)
+            reply = self.host.decided.reply(msg)
         if reply is not None:
             self.network.send(
                 self.node.name, src, f"rp{self.config.ring_id}.learner", reply, reply.size
@@ -485,26 +479,29 @@ class RingCoordinator(Process):
         """Take the ring over from a Phase 1 majority's promises.
 
         Announces the new layout and recovers only the undecided suffix.
-        Every instance below the highest gap-free decided prefix a
-        promiser reports is decided: its recovered value (the highest-round
+        The promises carry the votes from the candidate's decided prefix
+        up; the history below it is read from the host's decided log.
+        Every instance below the highest prefix the host or a promiser
+        reports is decided: its value (the host's, or the highest-round
         vote, which Paxos value selection guarantees is the decided one)
         enters this coordinator's decided log for learner repairs and
-        counts as decided for the proposers' acks; it is not proposed
-        again. Above that prefix every recovered value is re-proposed at
-        its original instance, observable gaps are filled with skips, and
-        normal service resumes — so a takeover costs one round over what
-        was in flight, however long the ring has run. Nothing below an
-        instance some promiser has truncated (decided, and checkpointed by
-        every replica) is looked at.
+        counts as decided for the proposers' acks. Above it every
+        recovered value is re-proposed at its original instance, gaps are
+        filled with skips, and service resumes — so a takeover costs one
+        round over what was in flight, however long the ring has run, and
+        nothing below a promiser's checkpoint truncation is proposed again.
         """
         promises = list(promises)
+        known = self.host.decided.prefix
         start = max(promise.from_instance for promise in promises)
-        settled = max(promise.decided_prefix for promise in promises)
+        settled = max(known, *(promise.decided_prefix for promise in promises))
         votes: dict[int, list[tuple[int, DataBatch | SkipRange]]] = {}
         for promise in promises:
             for instance, vrnd, item in promise.accepted:
-                votes.setdefault(instance, []).append((vrnd, item))
-        best = {instance: select_value(votes[instance]) for instance in sorted(votes)}
+                if instance >= known:
+                    votes.setdefault(instance, []).append((vrnd, item))
+        best = {i: item for i, item in sorted(self.host.decided.items()) if i < known}
+        best.update((instance, select_value(votes[instance])) for instance in sorted(votes))
         # Announce the new layout before any 2A so surviving acceptors
         # re-chain their successors first (FIFO links keep the order).
         self._announce()
@@ -514,8 +511,7 @@ class RingCoordinator(Process):
             horizon = max(horizon, instance + item.instance_count)
             settle = instance < settled
             if settle:
-                self._decided_log[instance] = item
-                self._decided_order.append(instance)
+                self.decided.add(instance, item)
             if not isinstance(item, DataBatch):
                 continue
             for value in item.values:
@@ -528,8 +524,6 @@ class RingCoordinator(Process):
                 self._submit_expected[sender] = max(have, value.seq + 1)
                 if settle and value.seq > self._submit_acked.get(sender, _NONE)[0]:
                     self._submit_acked[sender] = (value.seq, instance)
-        while len(self._decided_order) > self._decided_log_limit:
-            self._decided_log.pop(self._decided_order.popleft(), None)
         # Re-propose the undecided suffix's recovered values at their
         # instances; fill its gaps (an instance below the recovered horizon
         # with no accepted value anywhere in the quorum cannot have been
@@ -559,7 +553,9 @@ class RingCoordinator(Process):
     def _step_down(self, src: str, msg: PrepareRange) -> None:
         """Fencing: a higher round's Phase 1 deposes this coordinator. It
         stops proposing, leaves what it proposed to its node's acceptor as
-        accepted at its round, and that acceptor answers like any member."""
+        accepted at its round and what it decided in that acceptor's
+        decided log, and that acceptor answers like any member: with its
+        votes from the candidate's ``from_instance`` up."""
         if self.crashed or msg.rnd <= self.rnd:
             return
         self.deposed = True
@@ -568,10 +564,9 @@ class RingCoordinator(Process):
         for state in self._inflight.values():
             host.hold(state.instance, self.rnd, state.item)
         # What it decided stays available to learner repairs.
-        host._on_decisions(tuple(
-            (instance, host.hold(instance, self.rnd, item))
-            for instance, item in self._decided_log.items()
-        ))
+        for instance, item in self.decided.items():
+            host.hold(instance, self.rnd, item)
+            host.decided.add(instance, item)
         host.serve()
         host._on_prepare_range(src, msg)
 

@@ -125,8 +125,7 @@ class RingLearner(Process):
         self._missing_head = -1  # head-of-line instance missing at the last tick
         self._missing_end = 0  # frontier at the last tick
         self._layout_rnd = 0  # round of the CoordinatorChange adopted last
-        self._awaiting_value: dict[int, int] = {}  # instance -> value id
-        self._awaiting_by_vid: dict[int, int] = {}  # value id -> instance
+        self._awaiting_value: dict[int, int] = {}  # decided, value missing: instance -> id
         self._learner_port = f"rp{config.ring_id}.learner"
         network.join(config.multicast_group, node.name)
         node.register(config.mcast_port, self._on_mcast)
@@ -175,10 +174,9 @@ class RingLearner(Process):
         self.values.put(value_id, item)
         self.frontier = max(self.frontier, msg.instance + item.instance_count)
         # A decision that was waiting for this value can now be placed.
-        waiting = self._awaiting_by_vid.pop(value_id, None)
-        if waiting is not None:
-            self._awaiting_value.pop(waiting, None)
-            self._place(waiting, item)
+        if self._awaiting_value.get(msg.instance) == value_id:
+            del self._awaiting_value[msg.instance]
+            self._place(msg.instance, item)
         if msg.decisions:
             self._on_decisions(msg.decisions)
 
@@ -193,7 +191,6 @@ class RingLearner(Process):
                 # Notification without the value (Section III-B): remember
                 # and repair if the 2A never shows up.
                 self._awaiting_value[instance] = value_id
-                self._awaiting_by_vid[value_id] = instance
             else:
                 self._place(instance, item)
 
@@ -332,7 +329,6 @@ class RingLearner(Process):
         self.next_instance = instance
         self._ready.clear()
         self._awaiting_value.clear()
-        self._awaiting_by_vid.clear()
         self.reorder_depth.value = 0
         self._missing_head = -1
         probe = self.sim.probe
@@ -359,10 +355,7 @@ class RingLearner(Process):
                 item = self._ready.pop(ready)
                 if isinstance(item, DataBatch):
                     self.values.forget(item.value_id)
-        for waiting in list(self._awaiting_value):
-            if waiting < instance:
-                vid = self._awaiting_value.pop(waiting)
-                self._awaiting_by_vid.pop(vid, None)
+        self._awaiting_value = {i: v for i, v in self._awaiting_value.items() if i >= instance}
         self.reorder_depth.value = len(self._ready)
         self._missing_head = -1
         self._emit_ready()

@@ -349,7 +349,8 @@ class MoveReply:
 
 @dataclass(slots=True, unsafe_hash=True)
 class PrepareRange:
-    """Phase 1a for all instances >= ``from_instance`` (coordinator change)."""
+    """Phase 1a for all instances >= ``from_instance`` (coordinator change):
+    the candidate's gap-free decided prefix, below which it knows all."""
 
     from_instance: int
     rnd: int
@@ -361,9 +362,10 @@ class PrepareRange:
 class CoordinatorChange:
     """Announcement of a reconfigured ring: new layout and round.
 
-    Multicast on the ring's group so learners re-target their repair
-    requests; also delivered to proposers so submissions follow the new
-    coordinator (the last acceptor in ``acceptors``).
+    Multicast on the ring's group, so members re-chain the ring and
+    learners re-target their repair requests. Proposers are not in the
+    group: the deployment points them at the new coordinator (the last
+    acceptor in ``acceptors``) when the successor recovers.
     """
 
     ring_id: int
@@ -377,8 +379,9 @@ class CoordinatorChange:
 
 @dataclass(slots=True, unsafe_hash=True)
 class PromiseRange:
-    """Phase 1b for a range: every accepted (instance, vrnd, item) above it,
-    and the end of the promiser's gap-free decided prefix — every instance
+    """Phase 1b for a range: every accepted (instance, vrnd, item) from
+    ``from_instance`` (the candidate's prefix, or past a truncation), and
+    the end of the promiser's gap-free decided prefix — every instance
     below ``decided_prefix`` is decided, so a successor re-proposes only
     above the highest one its quorum reports."""
 

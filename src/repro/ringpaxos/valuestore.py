@@ -15,7 +15,7 @@ from collections import deque
 
 from .messages import DataBatch, RepairReply, RepairRequest, SkipRange
 
-__all__ = ["ValueStore", "decided_run", "learner_reply"]
+__all__ = ["DecidedLog", "ValueStore"]
 
 # Bounds of one RepairReply: a reply stops after this many items, or at
 # the first item past this many bytes (~a switch-friendly burst); a
@@ -25,40 +25,55 @@ REPLY_MAX_ITEMS = 256
 REPLY_BYTE_BUDGET = 64 * 1024
 
 
-def decided_run(
-    decided: dict[int, DataBatch | SkipRange], start: int, count: int
-) -> tuple[DataBatch | SkipRange, ...]:
-    """The consecutive decided items from instance ``start``, reply-sized.
+class DecidedLog:
+    """A ring member's decided items by first instance, FIFO-bounded.
 
-    What an acceptor or the coordinator puts in one repair reply: it
-    walks ``decided`` (first instance -> item) from ``start``, stepping
-    over each item's ``instance_count``, and ends at the first instance it
-    does not hold, after ``count`` items, or at the reply bounds above.
+    ``prefix`` is the end of the gap-free decided run from instance 0:
+    every instance below it is decided and was held here. A candidate's
+    Phase 1 starts there, and the successor reads the history below it
+    from this log. ``items()`` iterates in the order items were added.
     """
-    items: list[DataBatch | SkipRange] = []
-    budget = REPLY_BYTE_BUDGET
-    cursor = start
-    for _ in range(min(count, REPLY_MAX_ITEMS)):
-        item = decided.get(cursor)
-        if item is None or budget <= 0:
-            break
-        items.append(item)
-        budget -= item.size
-        cursor += item.instance_count
-    return tuple(items)
 
+    def __init__(self, limit: int) -> None:
+        self.limit = limit
+        self._items: dict[int, DataBatch | SkipRange] = {}
+        self.items = self._items.items
+        self._order: deque[int] = deque()
+        self.prefix = 0
 
-def learner_reply(
-    decided: dict[int, DataBatch | SkipRange], msg: RepairRequest
-) -> RepairReply | None:
-    """The answer to a learner pulling decided instances, or None.
+    def add(self, instance: int, item: DataBatch | SkipRange) -> None:
+        """File ``item`` as decided at ``instance`` (a repeat changes
+        nothing), dropping the oldest beyond the bound; a prefix that
+        reaches it extends over the items already held beyond it."""
+        items = self._items
+        if instance in items:
+            return
+        items[instance] = item
+        self._order.append(instance)
+        while len(self._order) > self.limit:
+            items.pop(self._order.popleft(), None)
+        if instance == self.prefix:
+            end = instance + item.instance_count
+            while (after := items.get(end)) is not None:
+                end += after.instance_count
+            self.prefix = end
 
-    A repair (the paper's Section III-B, served by the preferential
-    acceptor first) is answered only when the replier holds the instance;
-    a learner that gets no answer asks another member at a later tick.
-    """
-    items = decided_run(decided, msg.instance, msg.count)
-    return RepairReply(msg.instance, items) if items else None
+    def reply(self, msg: RepairRequest) -> RepairReply | None:
+        """The consecutive items from ``msg.instance`` (Section III-B's
+        repair), ending at the first instance not held, after ``msg.count``
+        items or at the bounds above; None when the first is not held, and
+        the learner asks another member at a later tick."""
+        items: list[DataBatch | SkipRange] = []
+        budget = REPLY_BYTE_BUDGET
+        cursor = msg.instance
+        for _ in range(min(msg.count, REPLY_MAX_ITEMS)):
+            item = self._items.get(cursor)
+            if item is None or budget <= 0:
+                break
+            items.append(item)
+            budget -= item.size
+            cursor += item.instance_count
+        return RepairReply(msg.instance, tuple(items)) if items else None
 
 
 class ValueStore:

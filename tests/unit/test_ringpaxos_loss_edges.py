@@ -87,6 +87,33 @@ def test_2b_overtaking_2a_is_parked_until_value_arrives():
     assert not middle._parked_2b
 
 
+def test_a_reparked_2b_asks_the_coordinator_once_per_interval():
+    """The middle acceptor misses the 2A, its retry and the resends it
+    asks for, so a retry's token parks again at an instance already
+    parked. That token joins the repair chain already running: one
+    RepairRequest per repair interval, not one more chain per retry."""
+    sim = Simulator(seed=10)
+    until = 0.1
+    loss = DropMatching(
+        lambda s, d, size: d == "r0-acc1" and size > 4096 and sim.now < until, count=10**6
+    )
+    net = Network(sim, loss=loss)
+    ring = build_ring(sim, net, n_acceptors=3)
+    log = []
+    ring.learners[0].on_deliver = lambda inst, v: log.append(v.payload)
+    # Each call while the instance is parked sends one RepairRequest.
+    requests = spy(ring.acceptors[1], "_repair_from_coordinator", sim)
+    ring.proposers[0].multicast("m0", DEFAULT_VALUE_SIZE)
+    sim.run(until=until)
+    assert ring.coordinator.retries.value >= 3  # each retry's token re-parked
+    interval = ring.config.repair_interval
+    assert len(requests) >= 5
+    times = [at for at, _ in requests]
+    assert all(b - a > interval * 0.99 for a, b in zip(times, times[1:]))
+    sim.run(until=1.0)
+    assert log == ["m0"]
+
+
 def test_lost_2b_token_recovered_by_retry():
     """The small ring token is lost: only the coordinator's 2A retry can
     restart the wave; delivery still happens exactly once."""

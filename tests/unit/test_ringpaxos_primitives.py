@@ -23,12 +23,7 @@ from repro.ringpaxos import (
     messages,
 )
 from repro.ringpaxos.messages import RepairReply, RepairRequest
-from repro.ringpaxos.valuestore import (
-    REPLY_BYTE_BUDGET,
-    REPLY_MAX_ITEMS,
-    decided_run,
-    learner_reply,
-)
+from repro.ringpaxos.valuestore import REPLY_BYTE_BUDGET, REPLY_MAX_ITEMS, DecidedLog
 from repro.sim import Network, Simulator
 
 
@@ -306,32 +301,79 @@ def test_valuestore_retains_nothing_per_forgotten_value():
     assert after - before < 4096
 
 
-def test_decided_run_follows_instance_counts_and_stops_at_a_gap():
+def log_of(decided: dict, limit: int = 100_000) -> DecidedLog:
+    log = DecidedLog(limit)
+    for instance, item in decided.items():
+        log.add(instance, item)
+    return log
+
+
+def run_of(decided: dict, start: int, count: int) -> tuple:
+    """The items one repair reply carries from ``start`` (``()`` for none)."""
+    reply = log_of(decided).reply(RepairRequest(start, count))
+    return () if reply is None else reply.items
+
+
+def test_a_repair_reply_follows_instance_counts_and_stops_at_a_gap():
     decided = {0: DataBatch(0, (cv(10),)), 1: SkipRange(5), 6: DataBatch(1, (cv(10),)),
                8: DataBatch(2, (cv(10),))}
-    assert decided_run(decided, 0, 100) == (decided[0], decided[1], decided[6])  # 7 is missing
-    assert decided_run(decided, 1, 2) == (decided[1], decided[6])
-    assert decided_run(decided, 2, 100) == ()  # inside the skip range: no item starts here
-    assert decided_run(decided, 0, 0) == ()
+    assert run_of(decided, 0, 100) == (decided[0], decided[1], decided[6])  # 7 is missing
+    assert run_of(decided, 1, 2) == (decided[1], decided[6])
+    assert run_of(decided, 2, 100) == ()  # inside the skip range: no item starts here
+    assert run_of(decided, 0, 0) == ()
 
 
-def test_decided_run_is_bounded_by_items_and_bytes():
+def test_a_repair_reply_is_bounded_by_items_and_bytes():
     small = {i: SkipRange(1) for i in range(1000)}
-    assert len(decided_run(small, 0, 1000)) == REPLY_MAX_ITEMS == 256
+    assert len(run_of(small, 0, 1000)) == REPLY_MAX_ITEMS == 256
     big = {i: DataBatch(i, (cv(8192),)) for i in range(100)}
     # The item that crosses the byte budget still goes; the next does not.
-    assert len(decided_run(big, 0, 100)) == REPLY_BYTE_BUDGET // 8192 == 8
+    assert len(run_of(big, 0, 100)) == REPLY_BYTE_BUDGET // 8192 == 8
     odd = {i: DataBatch(i, (cv(60_000),)) for i in range(10)}
-    assert len(decided_run(odd, 0, 10)) == 2
+    assert len(run_of(odd, 0, 10)) == 2
 
 
-def test_learner_reply_answers_a_repair_only_with_items():
+def test_a_repair_is_answered_only_with_items():
     decided = {0: DataBatch(0, (cv(10),)), 1: SkipRange(5)}
-    assert learner_reply(decided, RepairRequest(0, 4)) == RepairReply(0, (decided[0], decided[1]))
-    assert learner_reply(decided, RepairRequest(1, 1)) == RepairReply(1, (decided[1],))
+    log = log_of(decided)
+    assert log.reply(RepairRequest(0, 4)) == RepairReply(0, (decided[0], decided[1]))
+    assert log.reply(RepairRequest(1, 1)) == RepairReply(1, (decided[1],))
     # Nothing to send: no reply, and the learner asks another member later.
-    assert learner_reply(decided, RepairRequest(6, 4)) is None
-    assert learner_reply(decided, RepairRequest(2, 4)) is None  # inside the skip range
+    assert log.reply(RepairRequest(6, 4)) is None
+    assert log.reply(RepairRequest(2, 4)) is None  # inside the skip range
+
+
+def test_the_decided_prefix_extends_over_items_already_held():
+    log = DecidedLog(100)
+    log.add(6, DataBatch(1, (cv(10),)))
+    log.add(1, SkipRange(5))
+    assert log.prefix == 0  # instance 0 is not decided here yet
+    log.add(0, DataBatch(0, (cv(10),)))
+    assert log.prefix == 7  # 0, then the skip over 1-5, then 6
+    log.add(8, DataBatch(2, (cv(10),)))
+    assert log.prefix == 7  # 7 is still missing
+    log.add(7, SkipRange(1))
+    assert log.prefix == 9
+
+
+def test_the_decided_log_keeps_the_newest_items_within_its_bound():
+    log = DecidedLog(3)
+    for instance in range(5):
+        log.add(instance, SkipRange(1))
+    assert [instance for instance, _ in log.items()] == [2, 3, 4]
+    assert log.prefix == 5  # a dropped item leaves the prefix where it was
+    assert log.reply(RepairRequest(1, 4)) is None
+    assert log.reply(RepairRequest(2, 4)) == RepairReply(2, (SkipRange(1),) * 3)
+
+
+def test_a_second_add_at_an_instance_changes_nothing():
+    log = DecidedLog(2)
+    first = DataBatch(0, (cv(10),))
+    log.add(0, first)
+    log.add(1, SkipRange(1))
+    log.add(0, DataBatch(9, (cv(20),)))
+    assert list(log.items()) == [(0, first), (1, SkipRange(1))]  # nothing dropped either
+    assert log.prefix == 2
 
 
 # ---------------------------------------------------------------------------
